@@ -29,10 +29,10 @@
 // for coalesced vs per-request dispatch under live publishing, every
 // response oracle-verified by version tag; it writes BENCH_serve.json.
 // The "mmap" pseudo-figure compares restart paths for the page-aligned v2
-// snapshot layout (cold build vs v1 streaming load vs v2 mapped open, per
-// backend), measures cold-shard first-touch latency on a mapped router,
-// sweeps a residency budget over the router's shard spans, and writes
-// BENCH_mmap.json.
+// snapshot layout (cold build vs streaming load vs mapped open of the
+// same file, per backend), measures cold-shard first-touch latency on a
+// mapped router, sweeps a residency budget over the router's shard
+// spans, and writes BENCH_mmap.json.
 //
 // All CSV output flows through the shared bench.Grid emitter, the same
 // layout cmd/report renders as markdown.

@@ -99,20 +99,9 @@ func publish(args []string) error {
 	spool := fs.String("spool", "", "spool directory for staging artifacts (default: temp)")
 	oracle := fs.Int("oracle", 0, "publish per-version oracles for an N-key query pool (0 = off)")
 	oracleSeed := fs.Int64("oracleseed", 7, "oracle query pool seed")
-	formats := fs.String("formats", "", "comma-separated container formats each full is published in, primary first (e.g. 2,1 for a dual-format window; default: v2 only)")
 	fs.Parse(args)
 	if *store == "" {
 		return fmt.Errorf("publish: -store is required")
-	}
-	var pubFormats []uint32
-	if *formats != "" {
-		for _, f := range strings.Split(*formats, ",") {
-			v, err := strconv.ParseUint(strings.TrimSpace(f), 10, 32)
-			if err != nil {
-				return fmt.Errorf("publish: -formats %q: %v", *formats, err)
-			}
-			pubFormats = append(pubFormats, uint32(v))
-		}
 	}
 
 	s, err := openStore(*store)
@@ -137,7 +126,7 @@ func publish(args []string) error {
 	defer primary.Close()
 
 	ctx := context.Background()
-	pub, err := replica.NewPublisher(ctx, s, primary, replica.PublisherConfig{Spool: *spool, Formats: pubFormats})
+	pub, err := replica.NewPublisher(ctx, s, primary, replica.PublisherConfig{Spool: *spool})
 	if err != nil {
 		return err
 	}

@@ -11,7 +11,7 @@
 //	shiftserver -store DIR|URL -dir REPLICADIR [-addr :8422]
 //	            [-watch 150ms] [-mode coalesce|direct] [-wave 256]
 //	            [-maxwait 0s] [-queue 1024] [-inflight 256] [-drain 10s]
-//	            [-admin] [-max-format N] [-wait-ready=true]
+//	            [-admin] [-wait-ready=true]
 //	shiftserver -fleet URL1,URL2,... [-addr :8421] [-probe 100ms]
 //
 // The server refuses to start until a first version is installed (or
@@ -25,10 +25,6 @@
 // fleet-managed backend wants, where the front tier routes around a
 // member that is still warming. -admin enables POST /admin/drain and
 // /admin/undrain, the levers the rolling-upgrade driver uses.
-// -max-format caps the container format this replica will load directly
-// (older formats are accepted; newer published formats are bridged by a
-// local transcode, DESIGN.md §13) — it models an old-binary fleet member
-// during a mixed-version window.
 //
 // With -fleet, the binary is instead the front tier (internal/fleet):
 // it health-checks the listed backends, proxies /v1/* around draining
@@ -72,7 +68,6 @@ func run() error {
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown deadline")
 	loadMode := flag.String("load", "auto", "artifact load mode: auto (map v2 artifacts when the platform supports it), mmap, or heap")
 	admin := flag.Bool("admin", false, "enable POST /admin/drain and /admin/undrain")
-	maxFormat := flag.Uint("max-format", 0, "highest container format to load directly; newer published formats are bridged by a local transcode (0 = any readable)")
 	waitReady := flag.Bool("wait-ready", true, "block until a first version installs before listening (false: listen immediately, /healthz reports starting)")
 	fleetURLs := flag.String("fleet", "", "run as the fleet front tier over these comma-separated backend URLs instead of serving a replica")
 	probe := flag.Duration("probe", 100*time.Millisecond, "with -fleet: backend health-check interval")
@@ -107,7 +102,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	r, err := replica.NewReplica[uint64](s, *dir, replica.ReplicaConfig{LoadMode: lm, MaxFormat: uint32(*maxFormat)})
+	r, err := replica.NewReplica[uint64](s, *dir, replica.ReplicaConfig{LoadMode: lm})
 	if err != nil {
 		return err
 	}
@@ -146,11 +141,7 @@ func run() error {
 		if st.Mapped {
 			serving = fmt.Sprintf("mapped, %d bytes", st.MappedBytes)
 		}
-		detail := ""
-		if st.Transcoded {
-			detail = fmt.Sprintf(", bridged to format %d", st.Format)
-		}
-		fmt.Printf("serving version %d (%d keys, %s, %s%s)\n", st.Version, r.Index().Len(), r.Index().Name(), serving, detail)
+		fmt.Printf("serving version %d (%d keys, %s, %s)\n", st.Version, r.Index().Len(), r.Index().Name(), serving)
 	}
 
 	// Background sync keeps the serving snapshots fresh; failures degrade
@@ -188,11 +179,6 @@ func run() error {
 			"replica_latest":  st.Latest,
 			"replica_stale":   st.Stale,
 			"sync_failures":   st.Failures,
-			"format":          st.Format,
-			"transcoded":      st.Transcoded,
-		}
-		if st.LastDecision != "" {
-			m["format_decision"] = st.LastDecision
 		}
 		if st.LastErr != nil {
 			m["sync_last_error"] = st.LastErr.Error()

@@ -19,19 +19,15 @@
 // summarised. -load ignores the build flags entirely; the key width is
 // recorded in the snapshot and both widths are tried.
 //
-// With -mmap, -save writes the page-aligned v2 layout (DESIGN.md §12)
-// and -load opens the snapshot by mapping it in place — the O(1)
-// warm-start path — reporting the load mode and per-key load cost; a
-// v1 snapshot under -mmap falls back to the streaming load.
+// Snapshots are always saved in the page-aligned v2 layout (DESIGN.md
+// §12). With -mmap, -load opens the snapshot by mapping it in place — the
+// O(1) warm-start path — reporting the load mode and per-key load cost;
+// a v1 snapshot written by an earlier build falls back to the streaming
+// load.
 //
-// With -transcode, the tool rewrites an existing snapshot between
-// container formats (DESIGN.md §13): -transcode in.snap -out out.snap
-// -to 2 produces the page-aligned v2 layout from a v1 file (or the
-// reverse with -to 1), re-deriving every section checksum, without
-// rebuilding the index. This is the offline half of a rolling format
-// upgrade: a fleet member that cannot read a published format yet can
-// be fed a transcoded artifact byte-identical to what the publisher's
-// own dual-format window would have emitted.
+// -load old.snap -save new.snap is the one-way migration of such a v1
+// snapshot (DESIGN.md §13): the snapshot is loaded, self-validated, and
+// written back out in the v2 layout, without rebuilding the index.
 //
 // With -rank, the tool generalises the advisor across the whole backend
 // registry (internal/index): it measures this machine's L(s) curve, asks
@@ -70,19 +66,9 @@ func main() {
 	rank := flag.Bool("rank", false, "rank every registry backend on the dataset: §3.7 estimate vs measured ns")
 	save := flag.String("save", "", "persist the built index as a snapshot file")
 	load := flag.String("load", "", "restore and summarise a snapshot file instead of building")
-	useMmap := flag.Bool("mmap", false, "with -load: map the snapshot in place (v2 layout); with -save: write the mappable v2 layout")
-	transcode := flag.String("transcode", "", "rewrite a snapshot between container formats (needs -out and -to)")
-	out := flag.String("out", "", "with -transcode: output snapshot path")
-	to := flag.Int("to", 0, "with -transcode: target container format (1 or 2)")
+	useMmap := flag.Bool("mmap", false, "with -load: map the snapshot in place (v2 layout)")
 	flag.Parse()
 
-	if *transcode != "" {
-		if err := runTranscode(*transcode, *out, *to); err != nil {
-			fmt.Fprintln(os.Stderr, "shifttool:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := run(*ds, *n, *modelName, *mode, *m, *file, *seed, *advise, *rank, *save, *load, *useMmap); err != nil {
 		fmt.Fprintln(os.Stderr, "shifttool:", err)
 		os.Exit(1)
@@ -95,7 +81,7 @@ func run(ds string, n int, modelName, mode string, m int, file string, seed int6
 		bits = 32
 	}
 	if load != "" {
-		return loadSnapshot(load, useMmap)
+		return loadSnapshot(load, useMmap, save)
 	}
 	var keys []uint64
 	var err error
@@ -147,21 +133,9 @@ func run(ds string, n int, modelName, mode string, m int, file string, seed int6
 	}
 	buildMs := float64(time.Since(start).Nanoseconds()) / 1e6
 	if save != "" {
-		sstart := time.Now()
-		saveFn := index.SaveFile[uint64]
-		layout := "v1"
-		if useMmap {
-			saveFn, layout = index.SaveFileV2[uint64], "v2"
-		}
-		if err := saveFn(save, tab); err != nil {
+		if err := saveSnapshot[uint64](save, tab); err != nil {
 			return err
 		}
-		st, err := os.Stat(save)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("saved snapshot %s (%s layout, %s, %.1f ms)\n",
-			save, layout, human(int(st.Size())), float64(time.Since(sstart).Nanoseconds())/1e6)
 	}
 	s := tab.ComputeStats()
 	fmt.Printf("built in %.1f ms (%.1f ns/key, %d workers)\n",
@@ -235,35 +209,61 @@ func rankBackends(keys []uint64, seed int64) error {
 }
 
 // loadSnapshot restores a snapshot file — the warm-start path — and
-// summarises it. Snapshots record their key width in their key sections;
-// both widths are tried (shifttool-built snapshots are 64-bit), and on
-// failure both errors are reported so a corrupt 32-bit file is not
-// masked by the 64-bit attempt's width-mismatch message.
-func loadSnapshot(path string, useMmap bool) error {
-	if useMmap {
-		start := time.Now()
-		ix64, mapped64, err64 := index.LoadFileMapped[uint64](path)
-		if err64 == nil {
-			return summarize(ix64, path, float64(time.Since(start).Nanoseconds())/1e6, loadModeName(mapped64))
-		}
-		start = time.Now()
-		ix32, mapped32, err32 := index.LoadFileMapped[uint32](path)
-		if err32 == nil {
-			return summarize(ix32, path, float64(time.Since(start).Nanoseconds())/1e6, loadModeName(mapped32))
-		}
-		return loadFailure(path, err64, err32)
-	}
-	start := time.Now()
-	ix64, err64 := index.LoadFile[uint64](path)
+// summarises it; with save set it then writes the restored index back out
+// in the v2 layout (the migration of a v1 snapshot). Snapshots record
+// their key width in their key sections; both widths are tried
+// (shifttool-built snapshots are 64-bit), and on failure both errors are
+// reported so a corrupt 32-bit file is not masked by the 64-bit attempt's
+// width-mismatch message.
+func loadSnapshot(path string, useMmap bool, save string) error {
+	ix64, ms, mode, err64 := loadIndex[uint64](path, useMmap)
 	if err64 == nil {
-		return summarize(ix64, path, float64(time.Since(start).Nanoseconds())/1e6, "heap (streamed)")
+		return finish(ix64, path, ms, mode, save)
 	}
-	start = time.Now()
-	ix32, err32 := index.LoadFile[uint32](path)
+	ix32, ms, mode, err32 := loadIndex[uint32](path, useMmap)
 	if err32 == nil {
-		return summarize(ix32, path, float64(time.Since(start).Nanoseconds())/1e6, "heap (streamed)")
+		return finish(ix32, path, ms, mode, save)
 	}
 	return loadFailure(path, err64, err32)
+}
+
+// loadIndex restores path with K-wide keys, timing the load and naming
+// the path that served it.
+func loadIndex[K kv.Key](path string, useMmap bool) (index.Index[K], float64, string, error) {
+	start := time.Now()
+	if useMmap {
+		ix, viaMap, err := index.LoadFileMapped[K](path)
+		return ix, float64(time.Since(start).Nanoseconds()) / 1e6, loadModeName(viaMap), err
+	}
+	ix, err := index.LoadFile[K](path)
+	return ix, float64(time.Since(start).Nanoseconds()) / 1e6, "heap (streamed)", err
+}
+
+// finish summarises and self-validates a restored index, then saves it
+// when save is set.
+func finish[K kv.Key](ix index.Index[K], path string, loadMs float64, mode, save string) error {
+	if err := summarize(ix, path, loadMs, mode); err != nil {
+		return err
+	}
+	if save == "" {
+		return nil
+	}
+	return saveSnapshot(save, ix)
+}
+
+// saveSnapshot persists ix crash-safely in the v2 layout and reports it.
+func saveSnapshot[K kv.Key](path string, ix index.Index[K]) error {
+	start := time.Now()
+	if err := index.SaveFile(path, ix); err != nil {
+		return err
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("saved snapshot %s (v2 layout, %s, %.1f ms)\n",
+		path, human(int(st.Size())), float64(time.Since(start).Nanoseconds())/1e6)
+	return nil
 }
 
 func loadModeName(mapped bool) string {
@@ -309,34 +309,6 @@ func summarize[K kv.Key](ix index.Index[K], path string, loadMs float64, loadMod
 		probes++
 	}
 	fmt.Printf("  self-validation: %d strided lower-bound probes OK\n", probes)
-	return nil
-}
-
-// runTranscode rewrites src between container formats: section payloads
-// pass through untouched (ranks cannot change), framing and checksums
-// are re-derived. The result is verified readable before reporting.
-func runTranscode(src, dst string, to int) error {
-	if dst == "" {
-		return fmt.Errorf("-transcode needs -out")
-	}
-	if to != int(snapshot.Version) && to != int(snapshot.Version2) {
-		return fmt.Errorf("-to %d: supported container formats are %d and %d", to, snapshot.Version, snapshot.Version2)
-	}
-	from, err := snapshot.SniffVersion(src)
-	if err != nil {
-		return fmt.Errorf("sniffing %s: %w", src, err)
-	}
-	start := time.Now()
-	if err := snapshot.TranscodeFile(src, dst, uint32(to)); err != nil {
-		return err
-	}
-	ms := float64(time.Since(start).Nanoseconds()) / 1e6
-	st, err := os.Stat(dst)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("transcoded %s (format %d) -> %s (format %d) in %.1f ms, %s\n",
-		src, from, dst, to, ms, human(int(st.Size())))
 	return nil
 }
 

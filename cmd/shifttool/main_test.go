@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/index"
+	"repro/internal/snapshot"
 )
 
 func TestRunGenerated(t *testing.T) {
@@ -58,24 +60,16 @@ func TestRunSaveLoad(t *testing.T) {
 	if err := run("face64", 20_000, "im", "r", 0, "", 3, false, false, path, "", false); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("face64", 0, "im", "r", 0, "", 3, false, false, "", path, false); err != nil {
-		t.Fatal(err)
+	// The saved snapshot loads both streamed and mapped.
+	for _, mmap := range []bool{false, true} {
+		if err := run("face64", 0, "im", "r", 0, "", 3, false, false, "", path, mmap); err != nil {
+			t.Fatalf("load (mmap=%v): %v", mmap, err)
+		}
 	}
-	// v2 save + mapped load, and the cross-pairings: -mmap over a v1
-	// snapshot falls back to the streaming load, and the streaming load
-	// reads a v2 snapshot.
-	v2 := filepath.Join(dir, "table2.snap")
-	if err := run("face64", 20_000, "im", "r", 0, "", 3, false, false, v2, "", true); err != nil {
-		t.Fatal(err)
-	}
-	if err := run("face64", 0, "im", "r", 0, "", 3, false, false, "", v2, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := run("face64", 0, "im", "r", 0, "", 3, false, false, "", path, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := run("face64", 0, "im", "r", 0, "", 3, false, false, "", v2, false); err != nil {
-		t.Fatal(err)
+	if m, err := snapshot.MapFile(path); err != nil {
+		t.Fatalf("saved snapshot does not map: %v", err)
+	} else {
+		m.Close()
 	}
 	// Loading garbage must fail.
 	bad := filepath.Join(dir, "bad.snap")
@@ -84,5 +78,37 @@ func TestRunSaveLoad(t *testing.T) {
 	}
 	if err := run("face64", 0, "im", "r", 0, "", 3, false, false, "", bad, false); err == nil {
 		t.Error("want error loading a non-snapshot file")
+	}
+}
+
+// TestRunMigrate: -load of a v1 snapshot an earlier build wrote, with
+// -save, writes a v2 snapshot that maps and answers identically. Covers
+// every registry kind the fixtures hold.
+func TestRunMigrate(t *testing.T) {
+	dir := t.TempDir()
+	for _, kind := range []string{"shift-table", "model-index", "router"} {
+		src := filepath.Join("..", "..", "testdata", "v1", kind+".snap")
+		dst := filepath.Join(dir, kind+".snap")
+		if err := run("face64", 0, "im", "r", 0, "", 3, false, false, dst, src, false); err != nil {
+			t.Fatalf("%s: migrate: %v", kind, err)
+		}
+		if err := run("face64", 0, "im", "r", 0, "", 3, false, false, "", dst, true); err != nil {
+			t.Fatalf("%s: load migrated: %v", kind, err)
+		}
+		old, err := index.LoadFile[uint64](src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		migrated, viaMap, err := index.LoadFileMapped[uint64](dst)
+		if err != nil || !viaMap {
+			t.Fatalf("%s: migrated snapshot: viaMap=%v err=%v", kind, viaMap, err)
+		}
+		for _, k := range old.(interface{ Keys() []uint64 }).Keys() {
+			for _, q := range []uint64{k - 1, k, k + 1} {
+				if got, want := migrated.Find(q), old.Find(q); got != want {
+					t.Fatalf("%s: migrated Find(%d) = %d, v1 snapshot %d", kind, q, got, want)
+				}
+			}
+		}
 	}
 }

@@ -71,9 +71,11 @@
 // the key and fused-drift arrays are viewed in place over a refcounted
 // mmap region instead of decoded — the open parses a fixed-size footer
 // and table of contents and is O(sections), not O(keys) (332x the
-// streaming load at 10M keys; 0.85 ms vs 283 ms). v1 files still load
-// everywhere, a nommap build tag and non-unix ports fall back to heap
-// reads behind the same API, and replicas map their fetch-verified
+// streaming load at 10M keys; 0.85 ms vs 283 ms). Every full is written
+// in this layout and v1 files from earlier builds still load through the
+// streaming path (DESIGN.md §13). A nommap build tag and non-unix ports
+// fall back to heap reads behind the same API, and replicas map their
+// fetch-verified
 // artifacts with a path registry that defers spool GC while a mapping
 // is live. A tiered residency manager places the hottest router shards
 // under a memory budget (madvise WILLNEED/DONTNEED), internal/memsim

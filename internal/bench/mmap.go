@@ -40,9 +40,8 @@ type MmapConfig struct {
 type MmapLoadPoint struct {
 	Backend     string  `json:"backend"`
 	ColdBuildMs float64 `json:"cold_build_ms"`
-	HeapLoadMs  float64 `json:"heap_load_ms"` // v1 streaming load
-	MapLoadMs   float64 `json:"map_load_ms"`  // v2 mapped open, best of mapReps
-	FileMBv1    float64 `json:"file_mb_v1"`
+	HeapLoadMs  float64 `json:"heap_load_ms"` // streaming load, best of mapReps
+	MapLoadMs   float64 `json:"map_load_ms"`  // mapped open of the same file, best of mapReps
 	FileMBv2    float64 `json:"file_mb_v2"`
 	MapVsHeap   float64 `json:"map_vs_heap"` // HeapLoadMs / MapLoadMs
 	MapVsCold   float64 `json:"map_vs_cold"` // ColdBuildMs / MapLoadMs
@@ -126,8 +125,9 @@ func RunMmap(cfg MmapConfig) (*MmapResult, error) {
 	return res, nil
 }
 
-// mmapLoadPoint builds one backend cold, persists both layouts, and
-// times the three restart paths.
+// mmapLoadPoint builds one backend cold, persists it once, and times the
+// three restart paths: cold build, streaming load and mapped open of
+// that file.
 func mmapLoadPoint(name string, keys, qs []uint64, dir string) (MmapLoadPoint, error) {
 	start := time.Now()
 	var cold index.Index[uint64]
@@ -142,19 +142,15 @@ func mmapLoadPoint(name string, keys, qs []uint64, dir string) (MmapLoadPoint, e
 	}
 	coldMs := msSince(start)
 
-	p1 := filepath.Join(dir, name+".v1.snap")
 	p2 := filepath.Join(dir, name+".v2.snap")
-	if err := index.SaveFile[uint64](p1, cold); err != nil {
-		return MmapLoadPoint{}, err
-	}
-	if err := index.SaveFileV2[uint64](p2, cold); err != nil {
+	if err := index.SaveFile[uint64](p2, cold); err != nil {
 		return MmapLoadPoint{}, err
 	}
 
 	var heap index.Index[uint64]
 	heapMs, err := bestOf(mapReps, func() error {
 		var herr error
-		heap, herr = index.LoadFile[uint64](p1)
+		heap, herr = index.LoadFile[uint64](p2)
 		return herr
 	})
 	if err != nil {
@@ -182,10 +178,6 @@ func mmapLoadPoint(name string, keys, qs []uint64, dir string) (MmapLoadPoint, e
 			return MmapLoadPoint{}, fmt.Errorf("bench: %s mapped Find(%d) = %d, cold %d", name, q, g, w)
 		}
 	}
-	s1, err := os.Stat(p1)
-	if err != nil {
-		return MmapLoadPoint{}, err
-	}
 	s2, err := os.Stat(p2)
 	if err != nil {
 		return MmapLoadPoint{}, err
@@ -195,7 +187,6 @@ func mmapLoadPoint(name string, keys, qs []uint64, dir string) (MmapLoadPoint, e
 		ColdBuildMs: coldMs,
 		HeapLoadMs:  heapMs,
 		MapLoadMs:   mapMs,
-		FileMBv1:    float64(s1.Size()) / (1 << 20),
 		FileMBv2:    float64(s2.Size()) / (1 << 20),
 		MapVsHeap:   heapMs / mapMs,
 		MapVsCold:   coldMs / mapMs,
@@ -284,10 +275,10 @@ func (r *MmapResult) WriteJSON(w io.Writer) error {
 
 // MmapLoadGrid renders the restart comparison.
 func MmapLoadGrid(pts []MmapLoadPoint) *Grid {
-	g := NewGrid("backend", "cold_build_ms", "heap_load_ms", "map_load_ms", "file_mb_v1", "file_mb_v2", "map_vs_heap", "map_vs_cold")
-	verbs := []string{"%s", "%.1f", "%.1f", "%.3f", "%.2f", "%.2f", "%.1f", "%.1f"}
+	g := NewGrid("backend", "cold_build_ms", "heap_load_ms", "map_load_ms", "file_mb_v2", "map_vs_heap", "map_vs_cold")
+	verbs := []string{"%s", "%.1f", "%.1f", "%.3f", "%.2f", "%.1f", "%.1f"}
 	for _, p := range pts {
-		g.Rowf(verbs, p.Backend, p.ColdBuildMs, p.HeapLoadMs, p.MapLoadMs, p.FileMBv1, p.FileMBv2, p.MapVsHeap, p.MapVsCold)
+		g.Rowf(verbs, p.Backend, p.ColdBuildMs, p.HeapLoadMs, p.MapLoadMs, p.FileMBv2, p.MapVsHeap, p.MapVsCold)
 	}
 	return g
 }

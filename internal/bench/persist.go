@@ -44,7 +44,7 @@ type PersistPoint struct {
 	ColdMs     float64 // build from raw keys (plus writes, for updatable arms)
 	SaveMs     float64
 	LoadMs     float64 // streaming heap load
-	MapMs      float64 // mapped (v2, zero-copy) load, best of mapReps
+	MapMs      float64 // mapped (zero-copy) open of the same file, best of mapReps
 	FileMB     float64
 	Speedup    float64 // ColdMs / LoadMs
 	MapSpeedup float64 // ColdMs / MapMs
@@ -155,17 +155,13 @@ func persistRegistry(name string, keys, qs []uint64, path string) (PersistPoint,
 	}
 	loadMs := msSince(start)
 
-	pathV2 := path + "2"
-	if err := index.SaveFileV2[uint64](pathV2, cold); err != nil {
-		return PersistPoint{}, err
-	}
 	var mapped index.Index[uint64]
 	mapMs, err := bestOf(mapReps, func() error {
 		var merr error
 		var viaMap bool
-		mapped, viaMap, merr = index.LoadFileMapped[uint64](pathV2)
+		mapped, viaMap, merr = index.LoadFileMapped[uint64](path)
 		if merr == nil && !viaMap {
-			return fmt.Errorf("v2 snapshot %s did not open mapped", pathV2)
+			return fmt.Errorf("v2 snapshot %s did not open mapped", path)
 		}
 		return merr
 	})
@@ -221,17 +217,13 @@ func persistRouter(keys, qs []uint64, path string) (PersistPoint, error) {
 	}
 	loadMs := msSince(start)
 
-	pathV2 := path + "2"
-	if err := index.SaveFileV2[uint64](pathV2, cold); err != nil {
-		return PersistPoint{}, err
-	}
 	var mapped index.Index[uint64]
 	mapMs, err := bestOf(mapReps, func() error {
 		var merr error
 		var viaMap bool
-		mapped, viaMap, merr = index.LoadFileMapped[uint64](pathV2)
+		mapped, viaMap, merr = index.LoadFileMapped[uint64](path)
 		if merr == nil && !viaMap {
-			return fmt.Errorf("v2 snapshot %s did not open mapped", pathV2)
+			return fmt.Errorf("v2 snapshot %s did not open mapped", path)
 		}
 		return merr
 	})
@@ -280,17 +272,13 @@ func persistUpdatable(keys, qs []uint64, writes int, path string) (PersistPoint,
 	}
 	loadMs := msSince(start)
 
-	pathV2 := path + "2"
-	if err := updatable.SaveFileV2(pathV2, cold); err != nil {
-		return PersistPoint{}, err
-	}
 	var mapped *updatable.Index[uint64]
 	mapMs, err := bestOf(mapReps, func() error {
 		var merr error
 		var viaMap bool
-		mapped, viaMap, merr = updatable.MapViewFile[uint64](pathV2)
+		mapped, viaMap, merr = updatable.MapViewFile[uint64](path)
 		if merr == nil && !viaMap {
-			return fmt.Errorf("v2 snapshot %s did not open mapped", pathV2)
+			return fmt.Errorf("v2 snapshot %s did not open mapped", path)
 		}
 		return merr
 	})
@@ -344,10 +332,6 @@ func persistConcurrent(keys, qs []uint64, writes int, path string) (PersistPoint
 	loadMs := msSince(start)
 	defer warm.Close()
 
-	pathV2 := path + "2"
-	if err := concurrent.SaveFileV2(pathV2, cold); err != nil {
-		return PersistPoint{}, err
-	}
 	var mapped *concurrent.Index[uint64]
 	mapMs, err := bestOf(mapReps, func() error {
 		if mapped != nil {
@@ -355,9 +339,9 @@ func persistConcurrent(keys, qs []uint64, writes int, path string) (PersistPoint
 		}
 		var merr error
 		var viaMap bool
-		mapped, viaMap, merr = concurrent.MapFile[uint64](pathV2)
+		mapped, viaMap, merr = concurrent.MapFile[uint64](path)
 		if merr == nil && !viaMap {
-			return fmt.Errorf("v2 snapshot %s did not open mapped", pathV2)
+			return fmt.Errorf("v2 snapshot %s did not open mapped", path)
 		}
 		return merr
 	})

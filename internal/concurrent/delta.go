@@ -92,7 +92,9 @@ func (p *PublishedState[K]) Persist(sw *snap.Writer) error {
 }
 
 // SaveStateFile writes a captured published state crash-safely to path
-// as a full-snapshot container.
+// as a full-snapshot container in the mappable v2 layout — what the
+// publisher stages so replicas can install full artifacts by mapping
+// instead of parsing.
 func SaveStateFile[K kv.Key](path string, p *PublishedState[K]) error {
 	return snap.SaveFile(path, SnapshotKind, p.Persist)
 }
@@ -110,9 +112,9 @@ type DeltaInfo struct {
 	BaseCRC uint32
 }
 
-// PersistDelta writes the captured state's complete generation stack as
+// persistDelta writes the captured state's complete generation stack as
 // the delta section sequence.
-func (p *PublishedState[K]) PersistDelta(sw *snap.Writer, info DeltaInfo) error {
+func (p *PublishedState[K]) persistDelta(sw *snap.Writer, info DeltaInfo) error {
 	meta := make([]byte, 0, 24)
 	meta = binary.LittleEndian.AppendUint64(meta, info.Version)
 	meta = binary.LittleEndian.AppendUint64(meta, info.Base)
@@ -133,10 +135,13 @@ func (p *PublishedState[K]) PersistDelta(sw *snap.Writer, info DeltaInfo) error 
 }
 
 // SaveDeltaFile writes the captured state's generation stack crash-safely
-// to path as a delta container.
+// to path as a delta container. Deltas keep the v1 stream framing: a
+// delta is 1 + 2g sections of a few KiB each, which v2's per-section
+// page padding would inflate 1.6–3× (DESIGN.md §13), and it is parsed
+// onto the heap on arrival rather than mapped.
 func SaveDeltaFile[K kv.Key](path string, p *PublishedState[K], info DeltaInfo) error {
-	return snap.SaveFile(path, DeltaKind, func(sw *snap.Writer) error {
-		return p.PersistDelta(sw, info)
+	return snap.SaveStreamFile(path, DeltaKind, func(sw *snap.Writer) error {
+		return p.persistDelta(sw, info)
 	})
 }
 

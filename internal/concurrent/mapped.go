@@ -170,16 +170,3 @@ func MapStateFile[K kv.Key](path string) (*State[K], bool, error) {
 
 // Mapped reports whether the state's base table is a mapped view.
 func (st *State[K]) Mapped() bool { return st.view.Table().Mapped() }
-
-// SaveFileV2 writes the index's current published snapshot in the
-// mappable v2 layout.
-func SaveFileV2[K kv.Key](path string, ix *Index[K]) error {
-	return snap.SaveFileAt(path, SnapshotKind, snap.Version2, ix.PersistSnapshot)
-}
-
-// SaveStateFileV2 writes a captured published state in the mappable v2
-// layout — what the publisher stages so replicas can install full
-// artifacts by mapping instead of parsing.
-func SaveStateFileV2[K kv.Key](path string, p *PublishedState[K]) error {
-	return snap.SaveFileAt(path, SnapshotKind, snap.Version2, p.Persist)
-}

@@ -247,7 +247,7 @@ func Save[K kv.Key](w io.Writer, ix *Index[K]) error {
 }
 
 // SaveFile writes the index's current published snapshot crash-safely to
-// path.
+// path in the mappable v2 layout.
 func SaveFile[K kv.Key](path string, ix *Index[K]) error {
 	return snap.SaveFile(path, SnapshotKind, ix.PersistSnapshot)
 }

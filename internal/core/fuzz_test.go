@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"os"
 	"testing"
 
 	"repro/internal/cdfmodel"
@@ -133,29 +135,12 @@ func FuzzLoad(f *testing.F) {
 		mut[35] ^= 0x81 // inside the m field
 		f.Add(mut)
 
-		var cont bytes.Buffer
-		sw, err := snapshot.NewWriter(&cont, tab.SnapshotKind())
-		if err != nil {
-			f.Fatal(err)
-		}
-		if err := tab.PersistSnapshot(sw); err != nil {
-			f.Fatal(err)
-		}
-		if err := sw.Close(); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(cont.Bytes())
-		f.Add(cont.Bytes()[:2*cont.Len()/3])
-		mut2 := append([]byte(nil), cont.Bytes()...)
-		mut2[20] ^= 0x04
-		f.Add(mut2)
-
 		// The v2 (page-aligned, mappable) container: full, truncated
 		// mid-section and mid-footer, and with a flipped byte in the first
 		// page (header/padding territory) so the fuzzer starts at the
 		// geometry validators.
 		var cont2 bytes.Buffer
-		sw2, err := snapshot.NewWriterV2(&cont2, tab.SnapshotKind())
+		sw2, err := snapshot.NewWriter(&cont2, tab.SnapshotKind())
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -171,7 +156,26 @@ func FuzzLoad(f *testing.F) {
 		mut3 := append([]byte(nil), cont2.Bytes()...)
 		mut3[40] ^= 0x10
 		f.Add(mut3)
+		// A flipped byte at the end of the layer payload, which only its
+		// section CRC covers, and one inside the table of contents.
+		tocOff := int(binary.LittleEndian.Uint64(cont2.Bytes()[cont2.Len()-32:]))
+		mut4 := append([]byte(nil), cont2.Bytes()...)
+		mut4[tocOff-16-1] ^= 0x01
+		f.Add(mut4)
+		mut5 := append([]byte(nil), cont2.Bytes()...)
+		mut5[tocOff+8] ^= 0x08
+		f.Add(mut5)
 	}
+	// A v1 stream-framed container, as earlier builds wrote every full.
+	cont, err := os.ReadFile("../../testdata/v1/shift-table.snap")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(cont)
+	f.Add(cont[:2*len(cont)/3])
+	mut2 := append([]byte(nil), cont...)
+	mut2[20] ^= 0x04
+	f.Add(mut2)
 	f.Add([]byte{})
 	f.Add([]byte("STSNAP01"))
 	f.Add([]byte("STSNAP02"))

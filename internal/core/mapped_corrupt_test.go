@@ -35,7 +35,7 @@ func v2TableContainer(tb testing.TB) ([]byte, []uint64) {
 		tb.Fatal(err)
 	}
 	var buf bytes.Buffer
-	sw, err := snapshot.NewWriterV2(&buf, tab.SnapshotKind())
+	sw, err := snapshot.NewWriter(&buf, tab.SnapshotKind())
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -63,6 +63,9 @@ func (ix *ModelIndex[K]) FindRange(a, b K) (first, last int) {
 // Len returns the number of indexed keys.
 func (ix *ModelIndex[K]) Len() int { return len(ix.keys) }
 
+// Keys returns the indexed keys (read-only).
+func (ix *ModelIndex[K]) Keys() []K { return ix.keys }
+
 // Name identifies the backend by its model family ("IM" for the paper's
 // interpolation model).
 func (ix *ModelIndex[K]) Name() string { return ix.model.Name() }

@@ -14,8 +14,9 @@ import (
 // snapshots (DESIGN.md §9): a Shift-Table or bare-model index persisted as
 // one verified container — keys, model identity, and layer — so a restart
 // warm-loads the index instead of rebuilding it from raw keys. The layer
-// format stays exactly the serialize.go v1 bytes, embedded as one section;
-// its key and model fingerprints double as the binding between sections.
+// is embedded as one section in serialize.go's mappable v2 blob (v1 blobs
+// in old snapshots still load); its key and model fingerprints double as
+// the binding between sections.
 
 // Snapshot container kinds written by this package.
 const (
@@ -63,37 +64,14 @@ func (t *Table[K]) PersistModelAndLayer(sw *snapshot.Writer, modelID, layerID ui
 	if err := sw.Bytes(modelID, spec); err != nil {
 		return err
 	}
-	// V2 containers carry the mappable layer blob (fused drifts, aligned
-	// counts); v1 keeps the split-array stream so old files stay
-	// byte-stable. Either version of the blob loads through Load.
-	if sw.Version() == snapshot.Version2 {
-		lw, err := sw.SectionSized(layerID, t.layerSizeV2())
-		if err != nil {
-			return err
-		}
-		return t.writeLayerV2(lw)
-	}
-	lw, err := sw.SectionSized(layerID, t.layerSize())
+	// Snapshots carry the mappable layer blob (fused drifts, aligned
+	// counts). Load still reads the split-array blob of v1 snapshots that
+	// earlier builds wrote.
+	lw, err := sw.SectionSized(layerID, t.layerSizeV2())
 	if err != nil {
 		return err
 	}
-	_, err = t.WriteTo(lw)
-	return err
-}
-
-// layerSize is the exact byte count WriteTo produces: the 64-byte header,
-// the drift arrays at their recorded split widths, and the partition
-// counts. The sized section write enforces the agreement.
-func (t *Table[K]) layerSize() int64 {
-	size := int64(8 * 8)
-	m := int64(t.m)
-	switch t.mode {
-	case ModeRange:
-		size += (8 + m*int64(t.loBits)) + (8 + m*int64(t.hiBits))
-	default:
-		size += 8 + m*int64(t.shift.width)
-	}
-	return size + 4*m
+	return t.writeLayerV2(lw)
 }
 
 // LoadTableSnapshot reads a shift-table snapshot: keys, model spec

@@ -6,10 +6,9 @@
 // readmit it, move on; roll back and halt on any verification failure
 // (DESIGN.md §13).
 //
-// The pool is deliberately dumb about formats: backends bridge snapshot
-// version skew themselves (internal/replica), so the fleet only needs
-// the /healthz ready/starting/draining protocol and the /admin drain
-// lever the serve handler exposes.
+// The pool knows nothing about snapshots: a rollout needs only the
+// /healthz ready/starting/draining protocol and the /admin drain lever
+// the serve handler exposes.
 package fleet
 
 import (

@@ -16,14 +16,13 @@ import (
 	"repro/internal/concurrent"
 	"repro/internal/replica"
 	"repro/internal/serve"
-	"repro/internal/snapshot"
 )
 
 // testBackend is one fleet member: a replica over a shared store, a
 // serve.Handler with admin enabled, and an httptest server. "Upgrading"
-// it swaps the replica for one with a different format cap over the
-// same local dir — the same state transition a binary upgrade performs
-// (old process exits, new process warm-restarts and resyncs).
+// it swaps the replica for a fresh one over the same local dir — the
+// state transition a binary rollout performs (old process exits, new
+// process warm-restarts and resyncs).
 type testBackend struct {
 	t     *testing.T
 	store replica.Store
@@ -43,10 +42,10 @@ var testRetry = replica.RetryPolicy{
 	Timeout:  2 * time.Second,
 }
 
-func newTestBackend(t *testing.T, store replica.Store, maxFormat uint32) *testBackend {
+func newTestBackend(t *testing.T, store replica.Store) *testBackend {
 	t.Helper()
 	b := &testBackend{t: t, store: store, dir: t.TempDir()}
-	if err := b.install(maxFormat); err != nil {
+	if err := b.install(); err != nil {
 		t.Fatal(err)
 	}
 	b.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -57,17 +56,15 @@ func newTestBackend(t *testing.T, store replica.Store, maxFormat uint32) *testBa
 	return b
 }
 
-// install replaces the backend's replica with a fresh one capped at
-// maxFormat, syncs it once, and swaps in a new handler over its index.
-func (b *testBackend) install(maxFormat uint32) error {
+// install replaces the backend's replica with a fresh one over the same
+// dir, syncs it once, and swaps in a new handler over its index.
+func (b *testBackend) install() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.rep != nil {
 		b.rep.Close()
 	}
-	rep, err := replica.NewReplica[uint64](b.store, b.dir, replica.ReplicaConfig{
-		Retry: testRetry, MaxFormat: maxFormat,
-	})
+	rep, err := replica.NewReplica[uint64](b.store, b.dir, replica.ReplicaConfig{Retry: testRetry})
 	if err != nil {
 		return err
 	}
@@ -149,13 +146,12 @@ func (o *oracleBook) check(version uint64, slot, rank int) error {
 }
 
 // TestRollingUpgradeZeroDrop is the fleet-level acceptance test: a
-// 3-backend fleet serving format-1 snapshots is rolled, one backend at
-// a time, onto format-2-capable replicas while the publisher walks the
-// dual-format epochs ([1] → [2,1] → [2]) and an open-loop client keeps
-// querying the pool. Invariants: zero dropped requests (no non-200 from
-// the pool), every (rank, version) answer oracle-verified, zero sync
-// failures left on any backend, and the fleet ends fully eligible on
-// the new format.
+// 3-backend fleet is rolled, one backend at a time, onto reinstalled
+// replicas — a binary rollout — while the publisher ships a delta before
+// the roll and a full after it, and an open-loop client keeps querying
+// the pool. Invariants: zero dropped requests (no non-200 from the
+// pool), every (rank, version) answer oracle-verified, zero sync
+// failures left on any backend, and the fleet ends fully eligible.
 func TestRollingUpgradeZeroDrop(t *testing.T) {
 	ctx := context.Background()
 	store := replica.DirStore{Dir: t.TempDir()}
@@ -176,23 +172,20 @@ func TestRollingUpgradeZeroDrop(t *testing.T) {
 	pool := serve.QueryPool(42, 64, 600_000)
 	book := newOracleBook(pool)
 
-	// Epoch 1: the old world — format-1 fulls only.
-	pub1, err := replica.NewPublisher(ctx, store, primary, replica.PublisherConfig{
-		Spool: t.TempDir(), Formats: []uint32{snapshot.Version},
-	})
+	pub, err := replica.NewPublisher(ctx, store, primary, replica.PublisherConfig{Spool: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	book.record(1, primary.Published())
-	if _, _, err := pub1.Publish(ctx); err != nil {
+	if _, _, err := pub.Publish(ctx); err != nil {
 		t.Fatal(err)
 	}
 
-	// Three old-format backends, each syncing in the background.
+	// Three backends, each syncing in the background.
 	var backends []*testBackend
 	var urls []string
 	for i := 0; i < 3; i++ {
-		b := newTestBackend(t, store, 1)
+		b := newTestBackend(t, store)
 		defer b.startSyncLoop(20 * time.Millisecond)()
 		backends = append(backends, b)
 		urls = append(urls, b.srv.URL)
@@ -267,24 +260,17 @@ func TestRollingUpgradeZeroDrop(t *testing.T) {
 		}(w)
 	}
 
-	// Epoch 2: open the dual-format window — v2 primary with a v1 alt,
-	// so un-upgraded backends keep syncing natively while upgraded ones
-	// take the new format.
+	// Before the roll: writes ship as a delta every backend applies.
 	for i := 0; i < 500; i++ {
 		primary.Insert(uint64(i)*13 + 6)
 	}
-	pub2, err := replica.NewPublisher(ctx, store, primary, replica.PublisherConfig{
-		Spool: t.TempDir(), Formats: []uint32{snapshot.Version2, snapshot.Version},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	book.record(2, primary.Published())
-	if v, full, err := pub2.Publish(ctx); err != nil || !full || v != 2 {
-		t.Fatalf("dual-format publish: v=%d full=%v err=%v", v, full, err)
+	if v, full, err := pub.Publish(ctx); err != nil || full || v != 2 {
+		t.Fatalf("delta publish: v=%d full=%v err=%v", v, full, err)
 	}
 
-	// Roll the fleet: each backend becomes a format-2-capable replica.
+	// Roll the fleet: each backend's replica is replaced by a new one over
+	// the same dir, which warm-restarts and resyncs.
 	byURL := map[string]*testBackend{}
 	for _, b := range backends {
 		byURL[b.srv.URL] = b
@@ -294,7 +280,7 @@ func TestRollingUpgradeZeroDrop(t *testing.T) {
 		ReadyTimeout: 10 * time.Second,
 		Log:          t.Logf,
 		Upgrade: func(ctx context.Context, url string) error {
-			return byURL[url].install(0) // new binary: no format cap
+			return byURL[url].install()
 		},
 		Verify: func(ctx context.Context, url string) error {
 			for slot, q := range pool {
@@ -323,20 +309,17 @@ func TestRollingUpgradeZeroDrop(t *testing.T) {
 		t.Fatalf("verify hook ran %d times, want 3", verified.Load())
 	}
 
-	// Epoch 3: close the window — v2 only. Every (now upgraded) backend
-	// must follow without a single version-skew refusal.
+	// After the roll: a compaction, so the next publish is a full every
+	// (now reinstalled) backend must follow.
 	for i := 0; i < 400; i++ {
 		primary.Insert(uint64(i)*29 + 17)
 	}
-	pub3, err := replica.NewPublisher(ctx, store, primary, replica.PublisherConfig{
-		Spool: t.TempDir(), Formats: []uint32{snapshot.Version2},
-	})
-	if err != nil {
+	if err := primary.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	book.record(3, primary.Published())
-	if _, _, err := pub3.Publish(ctx); err != nil {
-		t.Fatal(err)
+	if v, full, err := pub.Publish(ctx); err != nil || !full || v != 3 {
+		t.Fatalf("full publish: v=%d full=%v err=%v", v, full, err)
 	}
 
 	// Let the fleet converge on version 3 under load.
@@ -372,9 +355,6 @@ func TestRollingUpgradeZeroDrop(t *testing.T) {
 		if st.Version != 3 || st.LastErr != nil {
 			t.Fatalf("backend %d did not converge cleanly: %+v", i, st)
 		}
-		if st.Format != snapshot.Version2 {
-			t.Errorf("backend %d still serving format %d after the roll", i, st.Format)
-		}
 	}
 	if n := fp.eligibleCount(); n != 3 {
 		t.Fatalf("fleet ends with %d eligible backends, want 3", n)
@@ -400,9 +380,7 @@ func TestRollRollbackOnVerifyFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer primary.Close()
-	pub, err := replica.NewPublisher(ctx, store, primary, replica.PublisherConfig{
-		Spool: t.TempDir(), Formats: []uint32{snapshot.Version2, snapshot.Version},
-	})
+	pub, err := replica.NewPublisher(ctx, store, primary, replica.PublisherConfig{Spool: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +391,7 @@ func TestRollRollbackOnVerifyFailure(t *testing.T) {
 	var backends []*testBackend
 	var urls []string
 	for i := 0; i < 2; i++ {
-		b := newTestBackend(t, store, 1)
+		b := newTestBackend(t, store)
 		defer b.startSyncLoop(20 * time.Millisecond)()
 		backends = append(backends, b)
 		urls = append(urls, b.srv.URL)
@@ -435,7 +413,7 @@ func TestRollRollbackOnVerifyFailure(t *testing.T) {
 		Log:          t.Logf,
 		Upgrade: func(ctx context.Context, url string) error {
 			upgrades.Add(1)
-			return byURL[url].install(0)
+			return byURL[url].install()
 		},
 		Verify: func(ctx context.Context, url string) error {
 			// The first post-upgrade verification fails; the rollback's
@@ -447,7 +425,7 @@ func TestRollRollbackOnVerifyFailure(t *testing.T) {
 		},
 		Rollback: func(ctx context.Context, url string) error {
 			rollbacks.Add(1)
-			return byURL[url].install(1) // back to the old format cap
+			return byURL[url].install()
 		},
 	})
 	if err == nil {
@@ -459,11 +437,11 @@ func TestRollRollbackOnVerifyFailure(t *testing.T) {
 	if upgrades.Load() != 1 {
 		t.Fatalf("roll continued past the failed backend (%d upgrades)", upgrades.Load())
 	}
-	// The rolled-back backend is readmitted and serving its old format.
+	// The rolled-back backend is readmitted and serving the published
+	// version (Roll follows pool order = urls order, so it is the first).
 	waitFleetReady(t, fp, 2, 5*time.Second)
-	if st := backends[0].current().Status(); st.Format != snapshot.Version {
-		// Backend order in Roll follows pool order = urls order.
-		t.Logf("note: first-rolled backend status %+v", st)
+	if st := backends[0].current().Status(); st.Version != 1 || st.LastErr != nil {
+		t.Fatalf("rolled-back backend status %+v, want version 1 with no sync error", st)
 	}
 }
 

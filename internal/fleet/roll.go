@@ -11,8 +11,8 @@ import (
 
 // RollHooks are the per-backend actions a rolling upgrade runs while the
 // pool holds that backend out of rotation. Each hook gets the backend's
-// base URL; what "upgrade" means — restart a binary, flip a replica's
-// format cap, point it at a new store — is the caller's business.
+// base URL; what "upgrade" means — restart a binary, point it at a new
+// store — is the caller's business.
 type RollHooks struct {
 	// Upgrade performs the upgrade while the backend is drained.
 	// Required.

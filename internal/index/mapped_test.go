@@ -8,25 +8,19 @@ import (
 	"repro/internal/search"
 )
 
-// TestCrossVersionRead saves the same index in both container layouts
-// and exercises the full load matrix: the v1 streaming file through the
-// streaming loader and through LoadFileMapped (which must fall back to
-// the heap), and the v2 mappable file through both the mapped open and
-// the streaming loader (v2 is a superset the v1 reader understands).
-// All four restored indexes must answer identically to the original.
+// TestCrossVersionRead saves an index and loads the v2 file through both
+// the mapped open and the streaming loader; both restored indexes must
+// answer identically to the original. (The v1 half of the matrix — old
+// files through both entry points — runs over the committed fixtures in
+// the repository root's TestV1Fixtures.)
 func TestCrossVersionRead(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Face, 64, 30_000, 9)
 	orig, err := Build("IM+ST", keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	p1 := filepath.Join(dir, "v1.snap")
-	p2 := filepath.Join(dir, "v2.snap")
-	if err := SaveFile(p1, orig); err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveFileV2(p2, orig); err != nil {
+	p2 := filepath.Join(t.TempDir(), "v2.snap")
+	if err := SaveFile(p2, orig); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
@@ -35,8 +29,6 @@ func TestCrossVersionRead(t *testing.T) {
 		mapped bool // try the mapped entry point
 		viaMap bool // and expect it to actually map
 	}{
-		{"v1/stream", p1, false, false},
-		{"v1/mapped-fallback", p1, true, false},
 		{"v2/stream", p2, false, false},
 		{"v2/mapped", p2, true, true},
 	}
@@ -75,7 +67,7 @@ func TestMappedEqualsHeapRegistry(t *testing.T) {
 			t.Fatalf("building %s: %v", name, err)
 		}
 		path := filepath.Join(dir, name+".v2.snap")
-		if err := SaveFileV2(path, orig); err != nil {
+		if err := SaveFile(path, orig); err != nil {
 			t.Fatalf("saving %s: %v", name, err)
 		}
 		heap, err := LoadFile[uint64](path)

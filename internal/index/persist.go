@@ -57,24 +57,14 @@ func Save[K kv.Key](w io.Writer, ix Index[K]) error {
 }
 
 // SaveFile writes ix crash-safely to path (temp file + atomic rename) in
-// the v1 streaming layout.
+// the mappable v2 layout (page-aligned sections, per-section CRCs),
+// loadable by both the streaming and mapped paths.
 func SaveFile[K kv.Key](path string, ix Index[K]) error {
-	return SaveFileVersion(path, ix, snapshot.Version)
-}
-
-// SaveFileV2 writes ix in the mappable v2 layout (page-aligned sections,
-// per-section CRCs), loadable by both the streaming and mapped paths.
-func SaveFileV2[K kv.Key](path string, ix Index[K]) error {
-	return SaveFileVersion(path, ix, snapshot.Version2)
-}
-
-// SaveFileVersion writes ix in an explicit container version.
-func SaveFileVersion[K kv.Key](path string, ix Index[K], version uint32) error {
 	p, ok := ix.(Persister)
 	if !ok {
 		return fmt.Errorf("index: %s does not implement the Persister capability", ix.Name())
 	}
-	return snapshot.SaveFileAt(path, p.SnapshotKind(), version, p.PersistSnapshot)
+	return snapshot.SaveFile(path, p.SnapshotKind(), p.PersistSnapshot)
 }
 
 // Load reads one snapshot container and restores the index through the
@@ -112,11 +102,12 @@ func LoadFile[K kv.Key](path string) (Index[K], error) {
 // LoadFileMapped restores an index by mapping the snapshot in place when
 // it can — a v2 container, a registered mapped loader for its kind, and
 // a layout the host can view — and falls back to the streaming heap load
-// otherwise. The returned flag reports which path served: callers print
-// it (shifttool) or export it (/statusz) so "warm restart was fast"
-// is attributable. A mapped open trusts the container structurally and
-// defers payload CRCs (see core's mapped loaders); the heap fallback
-// keeps the eager full verification.
+// otherwise (a v1 snapshot from an earlier build always does). The
+// returned flag reports which path served: callers print it (shifttool)
+// or export it (/statusz) so "warm restart was fast" is attributable. A
+// mapped open trusts the container structurally and defers payload CRCs
+// (see core's mapped loaders); the heap fallback keeps the eager full
+// verification.
 func LoadFileMapped[K kv.Key](path string) (Index[K], bool, error) {
 	m, err := snapshot.MapFile(path)
 	if err != nil {

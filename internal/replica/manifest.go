@@ -31,25 +31,14 @@ import (
 // ManifestName is the well-known object name replicas poll.
 const ManifestName = "MANIFEST"
 
-// ManifestVersion is the manifest format generation this build writes.
-// Parsing accepts manifestVersionMin..ManifestVersion; anything newer
-// fails with snapshot.ErrVersionUnsupported — replicas must refuse
-// rolling-upgrade manifests they cannot parse rather than misread them.
-//
-// Version 2 (DESIGN.md §13) adds the container-format negotiation the
-// rolling format upgrade needs: an optional `formats <min> <max>` range
-// declaring which container layouts the listed fulls span, a trailing
-// format column on full entries, and `alt` lines publishing the same
-// full in additional container formats during a dual-format window.
-const ManifestVersion = 2
-
-// manifestVersionMin is the oldest manifest format generation still
-// parsed (the v1 seed format: no formats line, 7-field fulls, no alts).
-const manifestVersionMin = 1
-
-// maxContainerFormat bounds declared container formats well above
-// anything real (today 1 and 2 exist) while keeping hostile values out.
-const maxContainerFormat = 8
+// ManifestVersion is the manifest format generation this build reads and
+// writes. Any other version fails with snapshot.ErrVersionUnsupported —
+// replicas must refuse manifests they cannot parse rather than misread
+// them. That includes the version 2 form an earlier build's format
+// negotiation wrote (DESIGN.md §13): a replica of this build keeps
+// serving its last good state over such a store until the publisher
+// writing it is upgraded.
+const ManifestVersion = 1
 
 // maxManifestBytes bounds a fetched manifest before parsing (a stalled or
 // hostile store cannot balloon the replica).
@@ -84,23 +73,6 @@ type Entry struct {
 	Fingerprint uint64
 	// Keys is the live key count at Version; re-verified after load.
 	Keys uint64
-	// Format is the container layout version of the artifact (fulls
-	// only; deltas are always layout 1). 0 means unrecorded — v1
-	// manifests — and the replica sniffs the fetched file instead.
-	Format uint32
-	// Alts lists the same full published in other container formats
-	// (the dual-format window of a rolling upgrade). Replicas prefer an
-	// alt they can load directly over fetching and transcoding.
-	Alts []AltArtifact
-}
-
-// AltArtifact is one alternate-format copy of a full snapshot: identical
-// logical content, different container layout, its own name/size/CRC.
-type AltArtifact struct {
-	Format uint32
-	File   string
-	Size   int64
-	CRC    uint32
 }
 
 // Manifest is the store's table of contents: every fetchable artifact
@@ -108,13 +80,6 @@ type AltArtifact struct {
 type Manifest struct {
 	Latest  uint64
 	Entries []Entry // strictly increasing Version
-	// FormatMin/FormatMax declare the container-format range the listed
-	// full artifacts (primaries and alts) span — the negotiation handle
-	// of DESIGN.md §13: a replica whose transcoder cannot read even
-	// FormatMin refuses the manifest outright instead of failing
-	// artifact by artifact. 0/0 means undeclared (v1 manifests).
-	FormatMin uint32
-	FormatMax uint32
 }
 
 // Lookup returns the entry at version v, or nil.
@@ -127,16 +92,11 @@ func (m *Manifest) Lookup(v uint64) *Entry {
 	return nil
 }
 
-// Encode renders the manifest in its line format (always at the current
-// ManifestVersion), trailing self-CRC included. The formats line is
-// emitted only when a range is declared, so re-encoding a parsed v1
-// manifest round-trips its undeclared state.
+// Encode renders the manifest in its line format, trailing self-CRC
+// included.
 func (m *Manifest) Encode() []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "shift-manifest %d\n", ManifestVersion)
-	if m.FormatMin != 0 || m.FormatMax != 0 {
-		fmt.Fprintf(&b, "formats %d %d\n", m.FormatMin, m.FormatMax)
-	}
 	fmt.Fprintf(&b, "latest %d\n", m.Latest)
 	for _, e := range m.Entries {
 		if e.Delta {
@@ -144,12 +104,8 @@ func (m *Manifest) Encode() []byte {
 				e.Version, e.Base, e.BaseCRC, e.File, e.Size, e.CRC, e.Fingerprint, e.Keys)
 			continue
 		}
-		fmt.Fprintf(&b, "full %d %s %d %08x %016x %d %d\n",
-			e.Version, e.File, e.Size, e.CRC, e.Fingerprint, e.Keys, e.Format)
-		for _, a := range e.Alts {
-			fmt.Fprintf(&b, "alt %d %d %s %d %08x\n",
-				e.Version, a.Format, a.File, a.Size, a.CRC)
-		}
+		fmt.Fprintf(&b, "full %d %s %d %08x %016x %d\n",
+			e.Version, e.File, e.Size, e.CRC, e.Fingerprint, e.Keys)
 	}
 	fmt.Fprintf(&b, "crc32c %08x\n", crc32.Checksum(b.Bytes(), castagnoli))
 	return b.Bytes()
@@ -199,8 +155,7 @@ func ParseManifest(data []byte) (*Manifest, error) {
 	sc := bufio.NewScanner(bytes.NewReader(data[:tail]))
 	sc.Buffer(make([]byte, 0, 64*1024), maxManifestBytes)
 	line := 0
-	var fileVersion uint64
-	sawHeader, sawLatest, sawFormats := false, false, false
+	sawHeader, sawLatest := false, false
 	for sc.Scan() {
 		line++
 		text := strings.TrimRight(sc.Text(), "\r")
@@ -217,27 +172,11 @@ func ParseManifest(data []byte) (*Manifest, error) {
 			if err != nil {
 				return nil, fmt.Errorf("replica: manifest line %d: bad format version: %v", line, err)
 			}
-			if v < manifestVersionMin || v > ManifestVersion {
-				return nil, fmt.Errorf("replica: manifest format version %d, this build reads %d..%d: %w",
-					v, manifestVersionMin, ManifestVersion, snapshot.ErrVersionUnsupported)
+			if v != ManifestVersion {
+				return nil, fmt.Errorf("replica: manifest format version %d, this build reads %d: %w",
+					v, ManifestVersion, snapshot.ErrVersionUnsupported)
 			}
-			fileVersion = v
 			sawHeader = true
-		case f[0] == "formats":
-			// formats <min> <max> — v2 only, at most once.
-			if fileVersion < 2 {
-				return nil, fmt.Errorf("replica: manifest line %d: formats line in a version %d manifest", line, fileVersion)
-			}
-			if sawFormats || len(f) != 3 {
-				return nil, fmt.Errorf("replica: manifest line %d: malformed formats line", line)
-			}
-			lo, err1 := strconv.ParseUint(f[1], 10, 32)
-			hi, err2 := strconv.ParseUint(f[2], 10, 32)
-			if err1 != nil || err2 != nil || lo < 1 || lo > hi || hi > maxContainerFormat {
-				return nil, fmt.Errorf("replica: manifest line %d: invalid format range %q..%q", line, f[1], f[2])
-			}
-			m.FormatMin, m.FormatMax = uint32(lo), uint32(hi)
-			sawFormats = true
 		case f[0] == "latest":
 			if sawLatest || len(f) != 2 {
 				return nil, fmt.Errorf("replica: manifest line %d: malformed latest line", line)
@@ -250,38 +189,14 @@ func ParseManifest(data []byte) (*Manifest, error) {
 			sawLatest = true
 		case f[0] == "full":
 			// full <version> <file> <size> <crc32c> <fingerprint> <keys>
-			// (v2 appends a <format> column)
-			want := 7
-			if fileVersion >= 2 {
-				want = 8
-			}
-			if len(f) != want {
-				return nil, fmt.Errorf("replica: manifest line %d: full entry wants %d fields, got %d", line, want, len(f))
+			if len(f) != 7 {
+				return nil, fmt.Errorf("replica: manifest line %d: full entry wants 7 fields, got %d", line, len(f))
 			}
 			e, err := parseEntry(f[1], f[2], f[3], f[4], f[5], f[6])
 			if err != nil {
 				return nil, fmt.Errorf("replica: manifest line %d: %v", line, err)
 			}
-			if fileVersion >= 2 {
-				fv, err := strconv.ParseUint(f[7], 10, 32)
-				if err != nil || fv > maxContainerFormat {
-					return nil, fmt.Errorf("replica: manifest line %d: bad container format %q", line, f[7])
-				}
-				e.Format = uint32(fv)
-			}
 			if err := m.appendEntry(e); err != nil {
-				return nil, fmt.Errorf("replica: manifest line %d: %v", line, err)
-			}
-		case f[0] == "alt":
-			// alt <version> <format> <file> <size> <crc32c> — v2 only,
-			// attaches an alternate-format copy to an already-listed full.
-			if fileVersion < 2 {
-				return nil, fmt.Errorf("replica: manifest line %d: alt line in a version %d manifest", line, fileVersion)
-			}
-			if len(f) != 6 {
-				return nil, fmt.Errorf("replica: manifest line %d: alt entry wants 6 fields, got %d", line, len(f))
-			}
-			if err := m.appendAlt(f[1], f[2], f[3], f[4], f[5]); err != nil {
 				return nil, fmt.Errorf("replica: manifest line %d: %v", line, err)
 			}
 		case f[0] == "delta":
@@ -339,26 +254,6 @@ func ParseManifest(data []byte) (*Manifest, error) {
 				e.Version, e.Base, e.BaseCRC, b.CRC)
 		}
 	}
-	// A declared format range must actually cover every recorded full
-	// format (deltas are always layout 1 by construction and are outside
-	// the declaration) — a range that lies is worse than none.
-	if m.FormatMin != 0 {
-		for _, e := range m.Entries {
-			if e.Delta {
-				continue
-			}
-			if e.Format != 0 && (e.Format < m.FormatMin || e.Format > m.FormatMax) {
-				return nil, fmt.Errorf("replica: full %d records container format %d outside the declared range %d..%d",
-					e.Version, e.Format, m.FormatMin, m.FormatMax)
-			}
-			for _, a := range e.Alts {
-				if a.Format < m.FormatMin || a.Format > m.FormatMax {
-					return nil, fmt.Errorf("replica: alt of full %d records container format %d outside the declared range %d..%d",
-						e.Version, a.Format, m.FormatMin, m.FormatMax)
-				}
-			}
-		}
-	}
 	return m, nil
 }
 
@@ -400,51 +295,5 @@ func (m *Manifest) appendEntry(e Entry) error {
 		return fmt.Errorf("entry versions not strictly increasing (%d after %d)", e.Version, m.Entries[n-1].Version)
 	}
 	m.Entries = append(m.Entries, e)
-	return nil
-}
-
-// appendAlt parses one alt line's operands and attaches the alternate
-// artifact to its already-listed full entry. Strict: the referenced
-// version must be a listed full, the format must be a real (nonzero)
-// layout distinct from the primary's and from every other alt's, and the
-// name/size/CRC are validated like any artifact's.
-func (m *Manifest) appendAlt(ver, format, file, size, crc string) error {
-	v, err := strconv.ParseUint(ver, 10, 64)
-	if err != nil {
-		return fmt.Errorf("bad alt version: %v", err)
-	}
-	e := m.Lookup(v)
-	if e == nil || e.Delta {
-		return fmt.Errorf("alt references version %d which is not a listed full snapshot", v)
-	}
-	var a AltArtifact
-	fv, err := strconv.ParseUint(format, 10, 32)
-	if err != nil || fv < 1 || fv > maxContainerFormat {
-		return fmt.Errorf("bad alt container format %q", format)
-	}
-	a.Format = uint32(fv)
-	if a.Format == e.Format {
-		return fmt.Errorf("alt of full %d duplicates the primary's format %d", v, a.Format)
-	}
-	for _, prev := range e.Alts {
-		if prev.Format == a.Format {
-			return fmt.Errorf("duplicate alt format %d for full %d", a.Format, v)
-		}
-	}
-	if !validName(file) {
-		return fmt.Errorf("invalid alt artifact name %q", file)
-	}
-	a.File = file
-	sz, err := strconv.ParseInt(size, 10, 64)
-	if err != nil || sz <= 0 {
-		return fmt.Errorf("bad alt size %q", size)
-	}
-	a.Size = sz
-	c, err := strconv.ParseUint(crc, 16, 32)
-	if err != nil {
-		return fmt.Errorf("bad alt crc %q", crc)
-	}
-	a.CRC = uint32(c)
-	e.Alts = append(e.Alts, a)
 	return nil
 }

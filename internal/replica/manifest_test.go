@@ -13,33 +13,13 @@ import (
 
 func sampleManifest() *Manifest {
 	return &Manifest{
-		Latest:    7,
-		FormatMin: 1,
-		FormatMax: 2,
+		Latest: 7,
 		Entries: []Entry{
-			{Version: 5, File: "full-00000005.snap", Size: 1234, CRC: 0xdeadbeef, Fingerprint: 0x1122334455667788, Keys: 100,
-				Format: 2, Alts: []AltArtifact{{Format: 1, File: "full-00000005.f1.snap", Size: 1200, CRC: 0xfeedface}}},
+			{Version: 5, File: "full-00000005.snap", Size: 1234, CRC: 0xdeadbeef, Fingerprint: 0x1122334455667788, Keys: 100},
 			{Version: 6, Delta: true, Base: 5, BaseCRC: 0xdeadbeef, File: "delta-00000006.snap", Size: 77, CRC: 0x01020304, Fingerprint: 0x1122334455667788, Keys: 104},
 			{Version: 7, Delta: true, Base: 5, BaseCRC: 0xdeadbeef, File: "delta-00000007.snap", Size: 99, CRC: 0x0a0b0c0d, Fingerprint: 0x1122334455667788, Keys: 110},
 		},
 	}
-}
-
-// entryEqual compares entries field by field (Entry carries a slice, so
-// == no longer applies).
-func entryEqual(a, b Entry) bool {
-	if a.Version != b.Version || a.Delta != b.Delta || a.Base != b.Base || a.BaseCRC != b.BaseCRC ||
-		a.File != b.File || a.Size != b.Size || a.CRC != b.CRC ||
-		a.Fingerprint != b.Fingerprint || a.Keys != b.Keys || a.Format != b.Format ||
-		len(a.Alts) != len(b.Alts) {
-		return false
-	}
-	for i := range a.Alts {
-		if a.Alts[i] != b.Alts[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestManifestRoundTrip(t *testing.T) {
@@ -48,20 +28,19 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Latest != m.Latest || len(got.Entries) != len(m.Entries) ||
-		got.FormatMin != m.FormatMin || got.FormatMax != m.FormatMax {
+	if got.Latest != m.Latest || len(got.Entries) != len(m.Entries) {
 		t.Fatalf("round trip: got %+v, want %+v", got, m)
 	}
 	for i := range m.Entries {
-		if !entryEqual(got.Entries[i], m.Entries[i]) {
+		if got.Entries[i] != m.Entries[i] {
 			t.Fatalf("entry %d: got %+v, want %+v", i, got.Entries[i], m.Entries[i])
 		}
 	}
 }
 
-// TestManifestV1Compat pins the upgrade bridge: the v1 grammar the seed
-// wrote (no formats line, 7-field fulls, no alts) still parses, with
-// formats undeclared and entry formats unrecorded.
+// TestManifestV1Compat pins the line format every build of this
+// repository has parsed: a hand-written v1 manifest (7-field fulls, no
+// formats or alt lines) parses, and re-encodes to the identical bytes.
 func TestManifestV1Compat(t *testing.T) {
 	v1 := reseal([]byte("shift-manifest 1\n" +
 		"latest 6\n" +
@@ -71,48 +50,32 @@ func TestManifestV1Compat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.FormatMin != 0 || m.FormatMax != 0 {
-		t.Errorf("v1 manifest declared formats %d..%d, want undeclared", m.FormatMin, m.FormatMax)
+	if len(m.Entries) != 2 || m.Entries[0].Delta || !m.Entries[1].Delta {
+		t.Fatalf("parsed entries: %+v", m.Entries)
 	}
-	if m.Entries[0].Format != 0 || m.Entries[0].Alts != nil {
-		t.Errorf("v1 full entry grew format %d / alts %v", m.Entries[0].Format, m.Entries[0].Alts)
-	}
-	// Re-encoding a parsed v1 manifest yields a valid v2 manifest with
-	// identical content.
-	again, err := ParseManifest(m.Encode())
-	if err != nil {
-		t.Fatalf("re-encoded v1 manifest: %v", err)
-	}
-	for i := range m.Entries {
-		if !entryEqual(again.Entries[i], m.Entries[i]) {
-			t.Fatalf("entry %d changed across re-encode: %+v vs %+v", i, again.Entries[i], m.Entries[i])
-		}
-	}
-	// v2-only grammar must stay invalid inside a v1 manifest.
-	for _, extra := range []string{
-		"formats 1 2\n",
-		"alt 5 2 full-00000005.f2.snap 10 00000001\n",
-		"full 9 full-00000009.snap 10 00000001 0000000000000002 3 2\n",
-	} {
-		body := string(v1[:bytes.LastIndex(v1, []byte("crc32c"))])
-		if _, err := ParseManifest(reseal([]byte(body + extra))); err == nil {
-			t.Errorf("v1 manifest accepted v2 line %q", strings.TrimSpace(extra))
-		}
+	if again := m.Encode(); !bytes.Equal(again, v1) {
+		t.Fatalf("re-encoded manifest differs:\n%s\nwant:\n%s", again, v1)
 	}
 }
 
+// TestManifestVersionSkew: a checksum-valid manifest of any other format
+// version — the version 2 form earlier builds' format negotiation wrote,
+// or a future one — fails typed, with the found and supported versions
+// in the message.
 func TestManifestVersionSkew(t *testing.T) {
 	m := sampleManifest().Encode()
-	skewed := bytes.Replace(m, []byte("shift-manifest 2"), []byte("shift-manifest 3"), 1)
-	// Re-seal: the version check must fire on a checksum-valid manifest,
-	// not hide behind the corruption detector.
-	skewed = reseal(skewed)
-	_, err := ParseManifest(skewed)
-	if !errors.Is(err, snapshot.ErrVersionUnsupported) {
-		t.Fatalf("future manifest version: err = %v, want ErrVersionUnsupported", err)
-	}
-	if !strings.Contains(err.Error(), "version 3") || !strings.Contains(err.Error(), "reads 1..2") {
-		t.Fatalf("error message lacks found/supported versions: %v", err)
+	for _, v := range []string{"2", "3"} {
+		skewed := bytes.Replace(m, []byte("shift-manifest 1"), []byte("shift-manifest "+v), 1)
+		// Re-seal: the version check must fire on a checksum-valid
+		// manifest, not hide behind the corruption detector.
+		skewed = reseal(skewed)
+		_, err := ParseManifest(skewed)
+		if !errors.Is(err, snapshot.ErrVersionUnsupported) {
+			t.Fatalf("manifest version %s: err = %v, want ErrVersionUnsupported", v, err)
+		}
+		if !strings.Contains(err.Error(), "version "+v) || !strings.Contains(err.Error(), "reads 1") {
+			t.Fatalf("error message lacks found/supported versions: %v", err)
+		}
 	}
 }
 
@@ -146,30 +109,21 @@ func TestManifestRejects(t *testing.T) {
 			return reseal(bytes.Replace(b, []byte("latest 7"), []byte("latest 9"), 1))
 		}},
 		{"unordered versions", func(b []byte) []byte {
-			// Swap the full (line 3) and the last delta (line 5): versions
+			// Swap the full (line 2) and the last delta (line 4): versions
 			// 7, 6, 5 can no longer be strictly increasing.
 			lines := bytes.Split(b, []byte("\n"))
-			lines[3], lines[5] = lines[5], lines[3]
+			lines[2], lines[4] = lines[4], lines[2]
 			return reseal(bytes.Join(lines, []byte("\n")))
 		}},
-		{"bad format range", func(b []byte) []byte {
-			return reseal(bytes.Replace(b, []byte("formats 1 2"), []byte("formats 2 1"), 1))
+		{"formats line", func(b []byte) []byte {
+			return reseal(bytes.Replace(b, []byte("latest 7\n"), []byte("formats 1 2\nlatest 7\n"), 1))
 		}},
-		{"format outside declared range", func(b []byte) []byte {
-			return reseal(bytes.Replace(b, []byte("formats 1 2"), []byte("formats 2 2"), 1))
-		}},
-		{"duplicate formats line", func(b []byte) []byte {
-			return reseal(bytes.Replace(b, []byte("formats 1 2\n"), []byte("formats 1 2\nformats 1 2\n"), 1))
-		}},
-		{"alt referencing a delta", func(b []byte) []byte {
+		{"alt line", func(b []byte) []byte {
 			body := b[:bytes.LastIndex(b, []byte("crc32c"))]
-			return reseal(append(append([]byte{}, body...), []byte("alt 6 2 x.snap 10 00000001\n")...))
+			return reseal(append(append([]byte{}, body...), []byte("alt 5 1 x.snap 10 00000001\n")...))
 		}},
-		{"duplicate alt format", func(b []byte) []byte {
-			return reseal(bytes.Replace(b, []byte("alt 5 1"), []byte("alt 5 2"), 1))
-		}},
-		{"full with 7 fields in v2", func(b []byte) []byte {
-			return reseal(bytes.Replace(b, []byte(" 100 2\n"), []byte(" 100\n"), 1))
+		{"full with a format column", func(b []byte) []byte {
+			return reseal(bytes.Replace(b, []byte(" 100\n"), []byte(" 100 2\n"), 1))
 		}},
 		{"dangling delta base", func(b []byte) []byte {
 			return reseal(bytes.Replace(b, []byte("delta 6 5"), []byte("delta 6 4"), 1))
@@ -212,6 +166,8 @@ func TestValidName(t *testing.T) {
 func FuzzManifest(f *testing.F) {
 	f.Add(sampleManifest().Encode())
 	f.Add([]byte("shift-manifest 1\nlatest 1\nfull 1 a.snap 10 00000001 0000000000000002 3\ncrc32c 00000000\n"))
+	// The version 2 form earlier builds wrote: rejected, but a useful
+	// starting point for the mutator.
 	f.Add([]byte("shift-manifest 2\nformats 1 2\nlatest 1\nfull 1 a.snap 10 00000001 0000000000000002 3 2\nalt 1 1 b.snap 9 00000002\ncrc32c 00000000\n"))
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -223,12 +179,11 @@ func FuzzManifest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted manifest did not round-trip: %v", err)
 		}
-		if again.Latest != m.Latest || len(again.Entries) != len(m.Entries) ||
-			again.FormatMin != m.FormatMin || again.FormatMax != m.FormatMax {
+		if again.Latest != m.Latest || len(again.Entries) != len(m.Entries) {
 			t.Fatalf("round trip changed content: %+v vs %+v", again, m)
 		}
 		for i := range m.Entries {
-			if !entryEqual(again.Entries[i], m.Entries[i]) {
+			if again.Entries[i] != m.Entries[i] {
 				t.Fatalf("round trip changed entry %d: %+v vs %+v", i, again.Entries[i], m.Entries[i])
 			}
 		}

@@ -26,16 +26,6 @@ type PublisherConfig struct {
 	// store upload streams a finished, checksummed file — the store
 	// never sees a snapshot being composed.
 	Spool string
-	// Formats lists the container formats every full snapshot is
-	// published in, primary first (nil = just snapshot.Version2). The
-	// primary is written natively; each additional format is transcoded
-	// from the staged primary and listed as an alt under the same
-	// manifest entry — the dual-format window of a rolling upgrade
-	// (DESIGN.md §13). During an upgrade epoch run with both formats
-	// (e.g. [2, 1]); after the fleet converges, drop back to one.
-	// Deltas always ship in format 1 regardless (they are small, parsed
-	// on arrival, and v2's page padding would dominate their size).
-	Formats []uint32
 }
 
 func (c PublisherConfig) withDefaults() PublisherConfig {
@@ -45,27 +35,7 @@ func (c PublisherConfig) withDefaults() PublisherConfig {
 	if c.Spool == "" {
 		c.Spool = os.TempDir()
 	}
-	if len(c.Formats) == 0 {
-		c.Formats = []uint32{snapshot.Version2}
-	}
 	return c
-}
-
-// validate rejects a format list naming layouts this build cannot write
-// or naming one twice; caught at construction, not mid-publish.
-func (c PublisherConfig) validate() error {
-	seen := map[uint32]bool{}
-	for _, f := range c.Formats {
-		if f != snapshot.Version && f != snapshot.Version2 {
-			return fmt.Errorf("replica: cannot publish container format %d, this build writes %d and %d: %w",
-				f, snapshot.Version, snapshot.Version2, snapshot.ErrVersionUnsupported)
-		}
-		if seen[f] {
-			return fmt.Errorf("replica: duplicate publish format %d", f)
-		}
-		seen[f] = true
-	}
-	return nil
 }
 
 // Publisher writes versioned snapshots of one primary index into a
@@ -100,13 +70,13 @@ type Publisher[K kv.Key] struct {
 // latest and the first publish is forced full (the previous process's
 // captured state is gone, so there is nothing to delta against). A
 // corrupt or missing manifest starts fresh at version 1 — the first
-// publish atomically replaces it.
+// publish atomically replaces it. A manifest of a format version this
+// build does not read is not corrupt: it fails with an error matching
+// snapshot.ErrVersionUnsupported, because restarting at version 1 over a
+// store whose replicas already serve a higher version would leave every
+// one of them ignoring every new publish.
 func NewPublisher[K kv.Key](ctx context.Context, store Store, ix *concurrent.Index[K], cfg PublisherConfig) (*Publisher[K], error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	p := &Publisher[K]{store: store, ix: ix, cfg: cfg, next: 1}
+	p := &Publisher[K]{store: store, ix: ix, cfg: cfg.withDefaults(), next: 1}
 	rc, err := store.Get(ctx, ManifestName)
 	switch {
 	case errors.Is(err, ErrNotFound):
@@ -120,6 +90,9 @@ func NewPublisher[K kv.Key](ctx context.Context, store Store, ix *concurrent.Ind
 		return nil, fmt.Errorf("replica: reading existing manifest: %w", err)
 	}
 	m, err := ParseManifest(data)
+	if errors.Is(err, snapshot.ErrVersionUnsupported) {
+		return nil, fmt.Errorf("replica: adopting the store's manifest: %w", err)
+	}
 	if err != nil {
 		// A torn manifest from a crashed predecessor: start fresh; the
 		// next publish rewrites it wholesale.
@@ -153,19 +126,11 @@ func (p *Publisher[K]) Publish(ctx context.Context) (version uint64, full bool, 
 	var name string
 	spool := filepath.Join(p.cfg.Spool, fmt.Sprintf(".spool-%08d.snap", version))
 	defer os.Remove(spool)
-	primary := p.cfg.Formats[0]
 	if full {
-		// The primary full ships in the configured primary format —
-		// v2 (mappable) by default, so replicas install it by mapping.
-		// Deltas stay v1: they are small, parsed and copied on arrival
-		// regardless, and v2's per-section page padding would dominate
-		// their size.
+		// Fulls are v2 (mappable), so replicas install them by mapping;
+		// deltas keep the stream framing (concurrent.SaveDeltaFile).
 		name = fmt.Sprintf("full-%08d.snap", version)
-		if primary == snapshot.Version2 {
-			err = concurrent.SaveStateFileV2(spool, st)
-		} else {
-			err = concurrent.SaveStateFile(spool, st)
-		}
+		err = concurrent.SaveStateFile(spool, st)
 	} else {
 		name = fmt.Sprintf("delta-%08d.snap", version)
 		err = concurrent.SaveDeltaFile(spool, st, concurrent.DeltaInfo{
@@ -199,27 +164,13 @@ func (p *Publisher[K]) Publish(ctx context.Context) (version uint64, full bool, 
 		Fingerprint: st.ModelFingerprint(),
 		Keys:        uint64(st.Len()),
 	}
-	if full {
-		e.Format = primary
-		// Dual-format window: every additional configured format is
-		// transcoded from the staged primary — exercising the same
-		// bridge replicas use — and uploaded as an alt before the
-		// manifest references it.
-		for _, alt := range p.cfg.Formats[1:] {
-			a, err := p.publishAlt(ctx, spool, version, alt)
-			if err != nil {
-				return 0, false, err
-			}
-			e.Alts = append(e.Alts, a)
-		}
-	} else {
+	if !full {
 		e.Delta, e.Base, e.BaseCRC = true, p.lastFullVer, p.lastFullCRC
 	}
 	next := p.manifest
 	next.Entries = append(append([]Entry(nil), p.manifest.Entries...), e)
 	next.Latest = version
 	next.Entries = prune(next.Entries, p.cfg.KeepFulls)
-	next.FormatMin, next.FormatMax = formatRange(next.Entries)
 	if err := p.store.Put(ctx, ManifestName, bytes.NewReader(next.Encode())); err != nil {
 		return 0, false, fmt.Errorf("replica: uploading manifest for version %d: %w", version, err)
 	}
@@ -230,60 +181,6 @@ func (p *Publisher[K]) Publish(ctx context.Context) (version uint64, full bool, 
 		p.lastFull, p.lastFullVer, p.lastFullCRC = st, version, sum
 	}
 	return version, full, nil
-}
-
-// publishAlt transcodes the staged primary full into one alternate
-// container format, uploads it under a format-suffixed name, and returns
-// the manifest alt record.
-func (p *Publisher[K]) publishAlt(ctx context.Context, spool string, version uint64, format uint32) (AltArtifact, error) {
-	altSpool := fmt.Sprintf("%s.f%d", spool, format)
-	defer os.Remove(altSpool)
-	if err := snapshot.TranscodeFile(spool, altSpool, format); err != nil {
-		return AltArtifact{}, fmt.Errorf("replica: staging format-%d alt of version %d: %w", format, version, err)
-	}
-	size, sum, err := fileSum(altSpool)
-	if err != nil {
-		return AltArtifact{}, err
-	}
-	name := fmt.Sprintf("full-%08d.f%d.snap", version, format)
-	f, err := os.Open(altSpool)
-	if err != nil {
-		return AltArtifact{}, err
-	}
-	err = p.store.Put(ctx, name, f)
-	f.Close()
-	if err != nil {
-		return AltArtifact{}, fmt.Errorf("replica: uploading %s: %w", name, err)
-	}
-	return AltArtifact{Format: format, File: name, Size: size, CRC: sum}, nil
-}
-
-// formatRange derives the manifest's declared container-format span from
-// the full entries it lists (primaries plus alts). Entries with an
-// unrecorded format — adopted from a v1-era manifest — contribute
-// nothing; if none record a format the range stays undeclared.
-func formatRange(entries []Entry) (lo, hi uint32) {
-	note := func(f uint32) {
-		if f == 0 {
-			return
-		}
-		if lo == 0 || f < lo {
-			lo = f
-		}
-		if f > hi {
-			hi = f
-		}
-	}
-	for _, e := range entries {
-		if e.Delta {
-			continue
-		}
-		note(e.Format)
-		for _, a := range e.Alts {
-			note(a.Format)
-		}
-	}
-	return lo, hi
 }
 
 // prune keeps the newest keepFulls full entries and every delta at or

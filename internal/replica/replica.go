@@ -52,12 +52,6 @@ type ReplicaConfig struct {
 	Seed int64
 	// LoadMode selects streaming vs mapped installs (default LoadAuto).
 	LoadMode LoadMode
-	// MaxFormat caps the container format this replica serves from
-	// (0 = anything this build reads). Setting 1 models an old-format
-	// member of a mixed-version fleet: it prefers the manifest's v1 alt
-	// and bridges v2-only artifacts down locally instead of failing the
-	// sync — the version-skew half of a rolling upgrade (DESIGN.md §13).
-	MaxFormat uint32
 }
 
 // Replica serves one continuously-refreshed copy of a published index.
@@ -73,25 +67,16 @@ type Replica[K kv.Key] struct {
 	cfg   ReplicaConfig
 	ix    *concurrent.Index[K]
 
-	mu      sync.Mutex // serialises Sync/Close; never held by readers
-	rnd     *rand.Rand
-	version uint64 // installed version (0 = none)
-	baseVer uint64 // installed base full version
-	baseCRC uint32 // identity of the base: the manifest primary's CRC, what deltas bind to
-	base    *concurrent.State[K]
-	latest  uint64 // newest version a verified manifest announced
-	fails   int    // consecutive failed Syncs
-	lastErr error
-
-	// The local artifact actually serving the base. Its bytes (and so its
-	// CRC) differ from the identity above whenever an alt was picked or a
-	// local transcode bridged the format gap.
-	baseFile       string
-	baseFileCRC    uint32
-	baseFormat     uint32 // container format of baseFile (0 = unknown)
-	baseTranscoded bool   // baseFile was produced by a local transcode
-	transcodes     int    // local transcodes performed over this replica's lifetime
-	lastDecision   string // human-readable record of the last install's format choice
+	mu       sync.Mutex // serialises Sync/Close; never held by readers
+	rnd      *rand.Rand
+	version  uint64 // installed version (0 = none)
+	baseVer  uint64 // installed base full version
+	baseCRC  uint32 // CRC-32C of the base artifact file, what deltas bind to
+	baseFile string // local name of the base artifact file
+	base     *concurrent.State[K]
+	latest   uint64 // newest version a verified manifest announced
+	fails    int    // consecutive failed Syncs
+	lastErr  error
 }
 
 // NewReplica builds a replica fetching from store, keeping its local
@@ -145,18 +130,6 @@ type Status struct {
 	// that region.
 	Mapped      bool
 	MappedBytes int64
-	// Format is the container format of the local artifact serving the
-	// base (0 = nothing installed or format unknown), and Transcoded
-	// whether that artifact was produced by a local format bridge rather
-	// than fetched as-is. Transcodes counts local bridges over the
-	// replica's lifetime; LastDecision records, in words, how the last
-	// install chose its format (fetched primary / fetched alt /
-	// transcoded) — the audit trail a rolling upgrade reads to confirm
-	// the skew path it expected is the one that ran.
-	Format       uint32
-	Transcoded   bool
-	Transcodes   int
-	LastDecision string
 }
 
 // Status returns the current health report.
@@ -164,17 +137,13 @@ func (r *Replica[K]) Status() Status {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return Status{
-		Version:      r.version,
-		Latest:       r.latest,
-		Stale:        r.version < r.latest,
-		Failures:     r.fails,
-		LastErr:      r.lastErr,
-		Mapped:       r.ix.Mapped(),
-		MappedBytes:  r.ix.MappedBytes(),
-		Format:       r.baseFormat,
-		Transcoded:   r.baseTranscoded,
-		Transcodes:   r.transcodes,
-		LastDecision: r.lastDecision,
+		Version:     r.version,
+		Latest:      r.latest,
+		Stale:       r.version < r.latest,
+		Failures:    r.fails,
+		LastErr:     r.lastErr,
+		Mapped:      r.ix.Mapped(),
+		MappedBytes: r.ix.MappedBytes(),
 	}
 }
 
@@ -226,13 +195,6 @@ func (r *Replica[K]) sync(ctx context.Context) error {
 	m, err := r.fetchManifest(ctx)
 	if err != nil {
 		return err
-	}
-	if m.FormatMin > snap.Version2 {
-		// Even the oldest format the store still publishes is newer than
-		// anything this build reads or transcodes. Nothing to bridge —
-		// this replica needs a binary upgrade, and says so typed.
-		return fmt.Errorf("replica: store publishes container formats %d..%d, this build reads up to %d: %w",
-			m.FormatMin, m.FormatMax, snap.Version2, snap.ErrVersionUnsupported)
 	}
 	r.latest = m.Latest
 	if m.Latest <= r.version {
@@ -349,131 +311,36 @@ func (r *Replica[K]) fetchArtifact(ctx context.Context, file string, size int64,
 	return final, nil
 }
 
-// desiredFormat resolves the container format this replica wants its
-// base artifact in: 0 means no preference (the streaming load reads
-// every supported layout, so whatever the store has is fine).
-func (r *Replica[K]) desiredFormat() uint32 {
-	if r.cfg.MaxFormat != 0 && r.cfg.MaxFormat < snap.Version2 {
-		return snap.Version
-	}
-	if r.useMap() {
-		return snap.Version2
-	}
-	return 0
-}
-
-// artifactPlan is one fetchable rendition of a full snapshot.
-type artifactPlan struct {
-	file   string
-	size   int64
-	crc    uint32
-	format uint32 // 0 = unrecorded (pre-format manifest); sniffed after fetch
-	alt    bool
-}
-
-// planFull picks which rendition of the full to fetch: the one already
-// in the desired format when the manifest lists it (primary or alt — the
-// dual-format window), otherwise the best rendition this build can read
-// at all, otherwise the primary (and installFull bridges or fails from
-// there).
-func (r *Replica[K]) planFull(e *Entry, desired uint32) artifactPlan {
-	primary := artifactPlan{file: e.File, size: e.Size, crc: e.CRC, format: e.Format}
-	if desired != 0 && e.Format == desired {
-		return primary
-	}
-	for _, a := range e.Alts {
-		if desired != 0 && a.Format == desired {
-			return artifactPlan{file: a.File, size: a.Size, crc: a.CRC, format: a.Format, alt: true}
-		}
-	}
-	// No exact match. If the primary is a format this build cannot even
-	// parse, a readable alt is the only bridgeable starting point.
-	if e.Format > snap.Version2 {
-		for _, a := range e.Alts {
-			if a.Format != 0 && a.Format <= snap.Version2 {
-				return artifactPlan{file: a.File, size: a.Size, crc: a.CRC, format: a.Format, alt: true}
-			}
-		}
-	}
-	return primary
-}
-
-// installFull fetches the best-format rendition of a full snapshot,
-// bridges it locally when the store has no rendition in the desired
-// format, verifies, and swaps it in. The skew-tolerance contract: as
-// long as any listed rendition is in a format this build reads, the sync
-// succeeds — a "wrong"-format artifact is upgraded (or downgraded) in
-// place, never refused.
+// installFull fetches a full snapshot, verifies it, and swaps it in.
 func (r *Replica[K]) installFull(ctx context.Context, e *Entry) error {
-	desired := r.desiredFormat()
-	plan := r.planFull(e, desired)
-	path, err := r.fetchArtifact(ctx, plan.file, plan.size, plan.crc)
+	path, err := r.fetchArtifact(ctx, e.File, e.Size, e.CRC)
 	if err != nil {
 		return err
 	}
-	format := plan.format
-	if format == 0 {
-		// Pre-format manifest entry: learn the layout from the bytes.
-		if v, err := snap.SniffVersion(path); err == nil {
-			format = v
-		}
-	}
-	installPath, installFile, fileCRC := path, plan.file, plan.crc
-	srcFormat := format
-	transcoded := false
-	if desired != 0 && format != 0 && format != desired {
-		// Version-skew bridge: rewrite the fetched rendition into the
-		// format this replica serves from, next to it, under the same
-		// naming scheme the publisher's alts use (the bytes are identical
-		// by the transcode round-trip guarantee, so the names can share).
-		xfile := fmt.Sprintf("full-%08d.f%d.snap", e.Version, desired)
-		xpath := filepath.Join(r.dir, xfile)
-		if err := snap.TranscodeFile(path, xpath, desired); err != nil {
-			return fmt.Errorf("replica: bridging %s from format %d to %d: %w", plan.file, format, desired, err)
-		}
-		_, xsum, err := fileSum(xpath)
-		if err != nil {
-			return err
-		}
-		installPath, installFile, fileCRC = xpath, xfile, xsum
-		format, transcoded = desired, true
-	}
 	// Warm load off the serving path: mapped installs view the spooled
-	// (already stream-verified) artifact in place; streaming installs
+	// (already stream-verified) artifact in place; streaming installs —
+	// and mapped ones over a v1 artifact from an older publisher —
 	// re-verify the container checksum during the parse. Either way
 	// nothing touches the serving index until the state stands.
-	st, err := r.loadState(installPath)
+	st, err := r.loadState(path)
 	if err != nil {
-		os.Remove(installPath)
-		return fmt.Errorf("replica: loading %s: %w", installFile, err)
+		os.Remove(path)
+		return fmt.Errorf("replica: loading %s: %w", e.File, err)
 	}
 	if got := st.ModelFingerprint(); got != e.Fingerprint {
-		os.Remove(installPath)
-		return fmt.Errorf("replica: %s model fingerprint %016x, manifest records %016x", installFile, got, e.Fingerprint)
+		os.Remove(path)
+		return fmt.Errorf("replica: %s model fingerprint %016x, manifest records %016x", e.File, got, e.Fingerprint)
 	}
 	if got := uint64(st.Len()); got != e.Keys {
-		os.Remove(installPath)
-		return fmt.Errorf("replica: %s holds %d live keys, manifest records %d", installFile, got, e.Keys)
+		os.Remove(path)
+		return fmt.Errorf("replica: %s holds %d live keys, manifest records %d", e.File, got, e.Keys)
 	}
 	if err := r.ix.InstallState(st, e.Version); err != nil {
 		return err
 	}
-	// Identity vs bytes: baseCRC stays the manifest primary's CRC — the
-	// binding deltas carry — while baseFileCRC records the local file
-	// actually serving, which differs across an alt or a bridge.
-	r.version, r.baseVer, r.baseCRC, r.base = e.Version, e.Version, e.CRC, st
-	r.baseFile, r.baseFileCRC, r.baseFormat, r.baseTranscoded = installFile, fileCRC, format, transcoded
-	switch {
-	case transcoded:
-		r.transcodes++
-		r.lastDecision = fmt.Sprintf("fetched %s (format %d), transcoded locally to format %d", plan.file, srcFormat, desired)
-	case plan.alt:
-		r.lastDecision = fmt.Sprintf("fetched alt %s (format %d)", plan.file, format)
-	default:
-		r.lastDecision = fmt.Sprintf("fetched primary %s (format %d)", plan.file, format)
-	}
+	r.version, r.baseVer, r.baseCRC, r.baseFile, r.base = e.Version, e.Version, e.CRC, e.File, st
 	r.persistLocalState("")
-	r.gc(installFile, plan.file)
+	r.gc(e.File)
 	return nil
 }
 
@@ -508,20 +375,12 @@ func (r *Replica[K]) applyDelta(ctx context.Context, m *Manifest, e *Entry) erro
 }
 
 // persistLocalState writes the warm-restart record (atomic rename; best
-// effort — a failure only costs the next process a cold start). The base
-// line records the identity CRC (what deltas bind to); the local line
-// records the serving file's own CRC and format, which diverge whenever
-// an alt or a local transcode served the install.
+// effort — a failure only costs the next process a cold start).
 func (r *Replica[K]) persistLocalState(deltaFile string) {
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "shift-replica-state 2\n")
+	fmt.Fprintf(&b, "shift-replica-state 1\n")
 	fmt.Fprintf(&b, "version %d\n", r.version)
 	fmt.Fprintf(&b, "base %d %08x %s\n", r.baseVer, r.baseCRC, r.baseFile)
-	x := 0
-	if r.baseTranscoded {
-		x = 1
-	}
-	fmt.Fprintf(&b, "local %08x %d %d\n", r.baseFileCRC, r.baseFormat, x)
 	if deltaFile != "" {
 		fmt.Fprintf(&b, "delta %s\n", deltaFile)
 	}
@@ -545,21 +404,14 @@ func (r *Replica[K]) warmRestart() {
 	if err != nil || ls.baseFile == "" {
 		return
 	}
-	basePath := filepath.Join(r.dir, ls.baseFile)
-	// Verify against the file's own CRC — the bytes on disk — not the
-	// identity CRC, which names the manifest primary the install was
-	// derived from and only matches the file when no alt or transcode
-	// intervened. (A v1 record carries no local line; then they coincide.)
-	st := r.restoreBase(basePath, ls.fileCRC)
+	st := r.restoreBase(filepath.Join(r.dir, ls.baseFile), ls.baseCRC)
 	if st == nil {
 		return
 	}
 	if err := r.ix.InstallState(st, ls.baseVer); err != nil {
 		return
 	}
-	r.version, r.baseVer, r.baseCRC, r.base = ls.baseVer, ls.baseVer, ls.baseCRC, st
-	r.baseFile, r.baseFileCRC, r.baseFormat, r.baseTranscoded = ls.baseFile, ls.fileCRC, ls.format, ls.transcoded
-	r.lastDecision = fmt.Sprintf("warm restart from %s (format %d)", ls.baseFile, ls.format)
+	r.version, r.baseVer, r.baseCRC, r.baseFile, r.base = ls.baseVer, ls.baseVer, ls.baseCRC, ls.baseFile, st
 	if ls.deltaFile == "" || ls.ver == ls.baseVer {
 		return
 	}
@@ -606,16 +458,12 @@ func (r *Replica[K]) restoreBase(basePath string, baseCRC uint32) *concurrent.St
 	return st
 }
 
-// localState is the parsed warm-restart record. fileCRC and format come
-// from the v2 local line; a v1 record (written before the format bridge
-// existed) has neither, so fileCRC defaults to the identity baseCRC —
-// correct for v1-era installs, which always served the primary as-is.
+// localState is the parsed warm-restart record. Only the version 1
+// record form is read; any other (the version 2 form of an earlier
+// build's format bridge) is a cold start, never a guess.
 type localState struct {
 	ver, baseVer uint64
-	baseCRC      uint32 // identity: the manifest primary's CRC
-	fileCRC      uint32 // CRC of the local base file itself
-	format       uint32
-	transcoded   bool
+	baseCRC      uint32 // CRC-32C of the base artifact file
 	baseFile     string
 	deltaFile    string
 }
@@ -633,8 +481,6 @@ func parseLocalState(data []byte) (localState, error) {
 	if crc32.Checksum(data[:tail], castagnoli) != want {
 		return ls, fmt.Errorf("checksum mismatch")
 	}
-	stateVer := 0
-	haveLocal := false
 	sc := bufio.NewScanner(bytes.NewReader(data[:tail]))
 	for sc.Scan() {
 		f := strings.Fields(sc.Text())
@@ -644,10 +490,9 @@ func parseLocalState(data []byte) (localState, error) {
 		var err error
 		switch f[0] {
 		case "shift-replica-state":
-			if len(f) != 2 || (f[1] != "1" && f[1] != "2") {
+			if len(f) != 2 || f[1] != "1" {
 				return ls, fmt.Errorf("unsupported state version")
 			}
-			stateVer, _ = strconv.Atoi(f[1])
 		case "version":
 			if len(f) != 2 {
 				return ls, fmt.Errorf("malformed version line")
@@ -668,28 +513,6 @@ func parseLocalState(data []byte) (localState, error) {
 			}
 			ls.baseCRC = uint32(c)
 			ls.baseFile = f[3]
-		case "local":
-			if stateVer < 2 || len(f) != 4 {
-				return ls, fmt.Errorf("malformed local line")
-			}
-			c, cerr := strconv.ParseUint(f[1], 16, 32)
-			if cerr != nil {
-				return ls, cerr
-			}
-			ls.fileCRC = uint32(c)
-			fv, ferr := strconv.ParseUint(f[2], 10, 32)
-			if ferr != nil {
-				return ls, ferr
-			}
-			ls.format = uint32(fv)
-			switch f[3] {
-			case "0":
-			case "1":
-				ls.transcoded = true
-			default:
-				return ls, fmt.Errorf("malformed local line")
-			}
-			haveLocal = true
 		case "delta":
 			if len(f) != 2 || !validName(f[1]) {
 				return ls, fmt.Errorf("malformed delta line")
@@ -698,9 +521,6 @@ func parseLocalState(data []byte) (localState, error) {
 		default:
 			return ls, fmt.Errorf("unknown directive %q", f[0])
 		}
-	}
-	if !haveLocal {
-		ls.fileCRC = ls.baseCRC
 	}
 	return ls, sc.Err()
 }

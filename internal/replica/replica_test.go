@@ -6,11 +6,15 @@ import (
 	"errors"
 	"math/rand"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/concurrent"
+	"repro/internal/dataset"
 	"repro/internal/kv"
 	"repro/internal/snapshot"
 )
@@ -232,6 +236,165 @@ func TestPublisherResume(t *testing.T) {
 	checkServing(t, r, primary.Published(), 4)
 }
 
+// TestPublisherManifestSkew: a publisher adopting a store whose manifest
+// is checksum-valid but of a format version this build does not read —
+// an earlier build's version 2, or a future one — must refuse typed
+// rather than restart numbering at 1 beneath replicas that already serve
+// a higher version. A torn manifest is still a fresh start.
+func TestPublisherManifestSkew(t *testing.T) {
+	ctx := context.Background()
+	primary := newPrimary(t, seqKeys(1000, 11))
+	for _, v := range []string{"2", "3"} {
+		store := DirStore{Dir: t.TempDir()}
+		skewed := reseal([]byte("shift-manifest " + v + "\nlatest 41\nfull 41 full-00000041.snap 10 00000001 0000000000000002 3\n"))
+		if err := store.Put(ctx, ManifestName, bytes.NewReader(skewed)); err != nil {
+			t.Fatal(err)
+		}
+		pub, err := NewPublisher(ctx, store, primary, PublisherConfig{Spool: t.TempDir()})
+		if !errors.Is(err, snapshot.ErrVersionUnsupported) {
+			t.Fatalf("manifest version %s: NewPublisher = %v, %v; want ErrVersionUnsupported", v, pub, err)
+		}
+	}
+
+	store := DirStore{Dir: t.TempDir()}
+	if err := store.Put(ctx, ManifestName, bytes.NewReader([]byte("shift-manifest 1\nlatest 41\ncrc32c 0"))); err != nil {
+		t.Fatal(err)
+	}
+	pub, err := NewPublisher(ctx, store, primary, PublisherConfig{Spool: t.TempDir()})
+	if err != nil {
+		t.Fatalf("torn manifest: %v", err)
+	}
+	if v, full, err := pub.Publish(ctx); err != nil || !full || v != 1 {
+		t.Fatalf("publish over a torn manifest: v=%d full=%v err=%v (want a fresh v=1 full)", v, full, err)
+	}
+}
+
+// TestWarmRestartRefusesOtherRecordVersions: only the version 1 warm-
+// restart record is read. A version 2 record, which an earlier build's
+// format bridge wrote, means a cold start — the record's contract — and
+// the next Sync repopulates the replica.
+func TestWarmRestartRefusesOtherRecordVersions(t *testing.T) {
+	ctx := context.Background()
+	store := DirStore{Dir: t.TempDir()}
+	primary := newPrimary(t, seqKeys(2000, 37))
+	pub, err := NewPublisher(ctx, store, primary, PublisherConfig{Spool: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := pub.Publish(ctx); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	r, err := NewReplica[uint64](store, dir, ReplicaConfig{Retry: fastRetry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+
+	rec, err := os.ReadFile(filepath.Join(dir, stateName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(rec, []byte("shift-replica-state 1\n")) {
+		t.Fatalf("warm-restart record header: %q", rec)
+	}
+	body := bytes.Replace(rec[:bytes.LastIndex(rec, []byte("crc32c "))], []byte("state 1\n"), []byte("state 2\n"), 1)
+	body = append(body, []byte("local 00000000 2 0\n")...)
+	if err := os.WriteFile(filepath.Join(dir, stateName), reseal(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r2, err := NewReplica[uint64](RefuseStore{}, dir, ReplicaConfig{Retry: fastRetry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	if st := r2.Status(); st.Version != 0 {
+		t.Fatalf("version 2 record warm-restarted to version %d, want a cold start", st.Version)
+	}
+}
+
+// TestSyncV1FixtureStore syncs from a store an earlier build published: a
+// version 1 manifest over a v1 concurrent full plus a delta
+// (testdata/v1/store; see testdata/v1/README.md for how it was made).
+// The full cannot map, so even a LoadMap replica installs it through the
+// streaming fallback, and every answer matches the oracle. A publisher of
+// this build then adopts the store: its next full is v2 and maps.
+func TestSyncV1FixtureStore(t *testing.T) {
+	ctx := context.Background()
+	store := DirStore{Dir: t.TempDir()}
+	src := filepath.Join("..", "..", "testdata", "v1", "store")
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(store.Dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The primary state the fixture store published, rebuilt: version 1
+	// is the bare keys, version 2 the same keys after fixtureWrites.
+	keys := dataset.MustGenerate(dataset.Face, 64, 2000, 12)
+	primary := newPrimary(t, slices.Clone(keys))
+	fixtureWrites(keys, 1500, primary)
+
+	r, err := NewReplica[uint64](store, t.TempDir(), ReplicaConfig{Retry: fastRetry, LoadMode: LoadMap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.Sync(ctx); err != nil {
+		t.Fatalf("sync from the v1 store: %v", err)
+	}
+	checkServing(t, r, primary.Published(), 2)
+	if st := r.Status(); st.Mapped {
+		t.Fatalf("v1 full reported mapped: %+v", st)
+	}
+
+	pub, err := NewPublisher(ctx, store, primary, PublisherConfig{Spool: t.TempDir()})
+	if err != nil {
+		t.Fatalf("adopting the v1 store: %v", err)
+	}
+	v, full, err := pub.Publish(ctx)
+	if err != nil || !full || v != 3 {
+		t.Fatalf("first publish over the v1 store: v=%d full=%v err=%v (want v=3 full)", v, full, err)
+	}
+	man := pub.Manifest()
+	m, err := snapshot.MapFile(filepath.Join(store.Dir, man.Lookup(v).File))
+	if err != nil {
+		t.Fatalf("new full does not map: %v", err)
+	}
+	m.Close()
+	if err := r.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	checkServing(t, r, primary.Published(), 3)
+	if st := r.Status(); !st.Mapped {
+		t.Fatalf("v2 full installed unmapped under LoadMap: %+v", st)
+	}
+}
+
+// fixtureWrites replays the write sequence the v1 fixtures were built
+// with: every fourth write deletes a distinct base key, the rest insert
+// near-copies of base keys.
+func fixtureWrites(keys []uint64, n int, ix *concurrent.Index[uint64]) {
+	for i := 0; i < n; i++ {
+		if i%4 == 3 {
+			ix.Delete(keys[(i/4*37)%len(keys)])
+		} else {
+			ix.Insert(keys[(i*13)%len(keys)] + uint64(i%5))
+		}
+	}
+}
+
 // TestFaultMatrix is the ISSUE's failure-class table: for every injected
 // failure the fetcher retries with bounded backoff and either converges
 // (transient fault) or keeps serving last-good with staleness reported
@@ -400,4 +563,83 @@ func TestFaultMatrix(t *testing.T) {
 		}
 		_ = r
 	})
+}
+
+// countArtifacts reports how many final-named snapshot files sit in dir.
+func countArtifacts(t *testing.T, dir string) (fulls, deltas, temps int) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		n := e.Name()
+		switch {
+		case strings.HasPrefix(n, "full-"):
+			fulls++
+		case strings.HasPrefix(n, "delta-"):
+			deltas++
+		case strings.HasPrefix(n, ".fetch-") || strings.Contains(n, ".tmp-"):
+			temps++
+		}
+	}
+	return
+}
+
+// TestSyncCancelDuringSpool: cancelling a Sync mid-artifact-copy must
+// leave no .fetch- temporaries and no partial final-named files, and a
+// fresh NewReplica over the same dir sweeps whatever a killed
+// predecessor could have left.
+func TestSyncCancelDuringSpool(t *testing.T) {
+	ctx := context.Background()
+	fs := NewFaultStore(DirStore{Dir: t.TempDir()})
+	primary := newPrimary(t, seqKeys(4000, 61))
+	pub, err := NewPublisher(ctx, Store(fs), primary, PublisherConfig{Spool: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := pub.Publish(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	// Stall the artifact stream mid-body forever; cancel the sync while
+	// it hangs inside the spool copy.
+	fs.Inject(Fault{Name: "full-00000001.snap", Kind: FaultStall, Offset: 4096, Delay: time.Hour, Count: -1})
+	dir := t.TempDir()
+	r, err := NewReplica[uint64](fs, dir, ReplicaConfig{Retry: fastRetry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	cctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer cancel()
+	if err := r.Sync(cctx); err == nil {
+		t.Fatal("sync succeeded through a stalled transfer")
+	}
+	fulls, deltas, temps := countArtifacts(t, dir)
+	if fulls != 0 || deltas != 0 || temps != 0 {
+		t.Fatalf("cancelled spool left fulls=%d deltas=%d temps=%d in %s", fulls, deltas, temps, dir)
+	}
+
+	// A SIGKILLed predecessor cannot run cleanup deferreds: plant the
+	// remnants one would leave and verify construction sweeps them.
+	for _, n := range []string{".fetch-123456", ".REPLICA_STATE.tmp-42", ".put-7"} {
+		if err := os.WriteFile(filepath.Join(dir, n), []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs.Clear()
+	r2, err := NewReplica[uint64](fs, dir, ReplicaConfig{Retry: fastRetry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	if _, _, temps := countArtifacts(t, dir); temps != 0 {
+		t.Fatalf("NewReplica left %d temp remnants", temps)
+	}
+	// And the swept replica still converges.
+	if err := r2.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	checkServing(t, r2, primary.Published(), 1)
 }

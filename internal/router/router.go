@@ -406,6 +406,9 @@ func (r *Router[K]) TraceFind(q K, touch search.Touch) int {
 // Len returns the number of indexed keys.
 func (r *Router[K]) Len() int { return r.n }
 
+// Keys returns the indexed keys (read-only).
+func (r *Router[K]) Keys() []K { return r.keys }
+
 // Name identifies the backend in benchmark output.
 func (r *Router[K]) Name() string { return "router" }
 

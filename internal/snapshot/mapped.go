@@ -204,9 +204,9 @@ func parseMapped(data []byte) (*Mapped, error) {
 		}
 		return nil, fmt.Errorf("%w (bad magic)", ErrNotMappable)
 	}
-	if ver := binary.LittleEndian.Uint32(data[8:]); ver != Version2 {
+	if ver := binary.LittleEndian.Uint32(data[8:]); ver != version2 {
 		return nil, fmt.Errorf("snapshot: container version %d under v2 magic, this build reads %d: %w",
-			ver, Version2, ErrVersionUnsupported)
+			ver, version2, ErrVersionUnsupported)
 	}
 	kindLen := binary.LittleEndian.Uint32(data[12:])
 	if kindLen == 0 || kindLen > MaxKindLen {

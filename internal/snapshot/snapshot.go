@@ -10,6 +10,12 @@
 // that can be verified before a single byte of it is trusted. This package
 // provides the artifact; the backends provide the payloads.
 //
+// The container layout is a fixed property of the artifact kind (DESIGN.md
+// §13): every full snapshot is written in the version 2 layout below, and
+// only replication's generation deltas keep the version 1 stream framing,
+// whose lack of page padding suits their few small sections. The reader
+// accepts both, so version 1 fulls written by earlier builds still load.
+//
 // # Container layout (version 1)
 //
 //	magic    8 bytes  "STSNAP01"
@@ -95,12 +101,13 @@ import (
 	"repro/internal/kv"
 )
 
-// Version is the streaming container format version; Version2 is the
-// page-aligned mappable layout. NewWriter writes v1, NewWriterV2 writes
-// v2, and NewReader accepts both.
+// version1 is the stream-framed container layout; version2 is the
+// page-aligned mappable layout. NewWriter and SaveFile write v2,
+// SaveStreamFile writes v1 (generation deltas only), and NewReader
+// accepts both.
 const (
-	Version  = 1
-	Version2 = 2
+	version1 = 1
+	version2 = 2
 )
 
 // ErrVersionUnsupported reports version skew: an artifact (snapshot
@@ -171,17 +178,11 @@ type Writer struct {
 	toc    []tocEntry
 }
 
-// NewWriter writes the v1 (streaming) container header for the given
-// backend kind.
+// NewWriter writes the v2 (page-aligned, mappable) container header for
+// the given backend kind. The container must start at offset 0 of its
+// file — the recorded payload offsets are file offsets, and their page
+// alignment is what the mapped loader relies on.
 func NewWriter(dst io.Writer, kind string) (*Writer, error) {
-	return newWriter(dst, kind, false)
-}
-
-// NewWriterV2 writes the v2 (page-aligned, mappable) container header.
-// The container must start at offset 0 of its file — the recorded
-// payload offsets are file offsets, and their page alignment is what the
-// mapped loader relies on.
-func NewWriterV2(dst io.Writer, kind string) (*Writer, error) {
 	return newWriter(dst, kind, true)
 }
 
@@ -191,9 +192,9 @@ func newWriter(dst io.Writer, kind string, v2 bool) (*Writer, error) {
 	}
 	sw := &Writer{dst: dst, crc: crc32.New(crcTable), v2: v2}
 	sw.w = io.MultiWriter(dst, sw.crc, offCounter{&sw.off})
-	m, ver := magic, uint32(Version)
+	m, ver := magic, uint32(version1)
 	if v2 {
-		m, ver = magic2, Version2
+		m, ver = magic2, version2
 		sw.secCRC = crc32.New(crcTable)
 	}
 	if _, err := sw.w.Write(m[:]); err != nil {
@@ -209,16 +210,6 @@ func newWriter(dst io.Writer, kind string, v2 bool) (*Writer, error) {
 		return nil, fmt.Errorf("snapshot: writing kind: %w", err)
 	}
 	return sw, nil
-}
-
-// Version returns the layout version being written (1 or 2). Payload
-// encoders branch on it where the two layouts differ (WriteKeySection,
-// the core layer format).
-func (sw *Writer) Version() uint32 {
-	if sw.v2 {
-		return Version2
-	}
-	return Version
 }
 
 // offCounter tracks the absolute container offset through the write tee.
@@ -458,13 +449,13 @@ func NewReader(r io.Reader, total int64) (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: reading version: %w", err)
 	}
-	want := uint32(Version)
+	want := uint32(version1)
 	if sr.v2 {
-		want = Version2
+		want = version2
 	}
 	if ver != want {
 		return nil, fmt.Errorf("snapshot: container version %d under %q magic, this build reads %d and %d: %w",
-			ver, m[:], Version, Version2, ErrVersionUnsupported)
+			ver, m[:], version1, version2, ErrVersionUnsupported)
 	}
 	kindLen, err := sr.readU32()
 	if err != nil {
@@ -484,14 +475,6 @@ func NewReader(r io.Reader, total int64) (*Reader, error) {
 // Kind returns the backend kind recorded in the header.
 func (sr *Reader) Kind() string { return sr.kind }
 
-// Version returns the layout version being read (1 or 2).
-func (sr *Reader) Version() uint32 {
-	if sr.v2 {
-		return Version2
-	}
-	return Version
-}
-
 // Section is one length-prefixed payload. It implements io.Reader over
 // exactly Len bytes.
 type Section struct {
@@ -501,11 +484,6 @@ type Section struct {
 	off        int64 // bytes already read
 	payloadOff int64 // absolute container offset of the payload (v2)
 }
-
-// V2 reports whether the section comes from a v2 container — payload
-// encodings that differ between the layouts (key sections, the core
-// layer blob) branch on it.
-func (s *Section) V2() bool { return s.sr.v2 }
 
 // Next returns the next section, draining any unread remainder of the
 // current one first. At the end marker it returns (nil, io.EOF).
@@ -842,7 +820,7 @@ func WriteKeySection[K kv.Key](sw *Writer, id uint32, keys []K) error {
 func ReadKeySection[K kv.Key](s *Section, maxKeys int64) ([]K, error) {
 	width := int64(kv.Width[K]())
 	prefix := int64(4)
-	if s.V2() {
+	if s.sr.v2 {
 		prefix = 8
 	}
 	if s.Len < prefix {
@@ -855,7 +833,7 @@ func ReadKeySection[K kv.Key](s *Section, maxKeys int64) ([]K, error) {
 	if got := int64(binary.LittleEndian.Uint32(wb[:])); got != width {
 		return nil, fmt.Errorf("snapshot: key section %d has %d-byte keys, this index uses %d-byte keys", s.ID, got, width)
 	}
-	if s.V2() {
+	if s.sr.v2 {
 		if pad := binary.LittleEndian.Uint32(wb[4:8]); pad != 0 {
 			return nil, fmt.Errorf("snapshot: key section %d has nonzero alignment pad %08x", s.ID, pad)
 		}
@@ -995,27 +973,22 @@ func WriteFileAtomic(path string, write func(*os.File) error) (err error) {
 	return nil
 }
 
-// SaveFile writes a container crash-safely through WriteFileAtomic: on
+// SaveFile writes a v2 container crash-safely through WriteFileAtomic: on
 // any error the temporary file is removed and the previous snapshot at
 // path (if any) is untouched.
 func SaveFile(path, kind string, persist func(*Writer) error) error {
-	return saveFileVersion(path, kind, persist, false)
+	return saveFile(path, kind, persist, true)
 }
 
-// SaveFileV2 is SaveFile in the v2 (page-aligned, mappable) layout.
-func SaveFileV2(path, kind string, persist func(*Writer) error) error {
-	return saveFileVersion(path, kind, persist, true)
+// SaveStreamFile is SaveFile in the v1 stream framing: no page padding
+// and no table of contents, so a container of a few small sections stays
+// the size of its payloads. Generation deltas are its one use; they are
+// parsed onto the heap on arrival and never mapped.
+func SaveStreamFile(path, kind string, persist func(*Writer) error) error {
+	return saveFile(path, kind, persist, false)
 }
 
-// SaveFileAt writes the chosen layout version: Version2 for v2, anything
-// else (conventionally Version) for the v1 streaming layout. Callers
-// that thread a configured version through (the replica publisher) use
-// this instead of branching themselves.
-func SaveFileAt(path, kind string, version uint32, persist func(*Writer) error) error {
-	return saveFileVersion(path, kind, persist, version == Version2)
-}
-
-func saveFileVersion(path, kind string, persist func(*Writer) error, v2 bool) error {
+func saveFile(path, kind string, persist func(*Writer) error, v2 bool) error {
 	return WriteFileAtomic(path, func(f *os.File) error {
 		bw := bufio.NewWriterSize(f, 1<<20)
 		sw, err := newWriter(bw, kind, v2)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -11,12 +12,13 @@ import (
 	"testing"
 )
 
-// buildContainer writes a small three-section container and returns its
-// bytes: a metadata section, a sized key-style section, and an empty one.
-func buildContainer(t *testing.T) []byte {
+// buildContainer writes a small three-section container in the v2 layout
+// (v2 true) or the v1 stream framing and returns its bytes: a metadata
+// section, a sized key-style section, and an empty one.
+func buildContainer(t *testing.T, v2 bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	sw, err := NewWriter(&buf, "test-kind")
+	sw, err := newWriter(&buf, "test-kind", v2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,43 +42,50 @@ func buildContainer(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
+// framings names the two container layouts the reader accepts.
+var framings = []struct {
+	name string
+	v2   bool
+}{{"v1", false}, {"v2", true}}
+
 func TestContainerRoundTrip(t *testing.T) {
-	raw := buildContainer(t)
-	for _, total := range []int64{int64(len(raw)), -1} {
-		sr, err := NewReader(bytes.NewReader(raw), total)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sr.Kind() != "test-kind" {
-			t.Fatalf("kind = %q", sr.Kind())
-		}
-		s1, err := sr.Expect(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := s1.Bytes(0)
-		if err != nil || string(b) != "hello metadata" {
-			t.Fatalf("section 1 = %q, %v", b, err)
-		}
-		s2, err := sr.Expect(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s2.Len != 1000 {
-			t.Fatalf("section 2 len = %d", s2.Len)
-		}
-		got, err := io.ReadAll(s2)
-		if err != nil || len(got) != 1000 {
-			t.Fatalf("section 2 read: %d bytes, %v", len(got), err)
-		}
-		s3, err := sr.Expect(3)
-		if err != nil || s3.Len != 0 {
-			t.Fatal(err)
-		}
-		if err := sr.Close(); err != nil {
-			t.Fatalf("Close (total=%d): %v", total, err)
+	for _, fr := range framings {
+		raw := buildContainer(t, fr.v2)
+		for _, total := range []int64{int64(len(raw)), -1} {
+			if err := roundTrip(raw, total); err != nil {
+				t.Fatalf("%s (total=%d): %v", fr.name, total, err)
+			}
 		}
 	}
+}
+
+// roundTrip reads buildContainer's three sections back and verifies them.
+func roundTrip(raw []byte, total int64) error {
+	sr, err := NewReader(bytes.NewReader(raw), total)
+	if err != nil {
+		return err
+	}
+	if sr.Kind() != "test-kind" {
+		return fmt.Errorf("kind = %q", sr.Kind())
+	}
+	s1, err := sr.Expect(1)
+	if err != nil {
+		return err
+	}
+	if b, err := s1.Bytes(0); err != nil || string(b) != "hello metadata" {
+		return fmt.Errorf("section 1 = %q, %v", b, err)
+	}
+	s2, err := sr.Expect(2)
+	if err != nil {
+		return err
+	}
+	if got, err := io.ReadAll(s2); err != nil || len(got) != 1000 {
+		return fmt.Errorf("section 2 read: %d bytes, %v", len(got), err)
+	}
+	if s3, err := sr.Expect(3); err != nil || s3.Len != 0 {
+		return fmt.Errorf("section 3: %v", err)
+	}
+	return sr.Close()
 }
 
 // TestContainerRejectsEveryBitFlip is the core integrity property: any
@@ -84,13 +93,14 @@ func TestContainerRoundTrip(t *testing.T) {
 // error by the time Close returns — either a structural validation error
 // or the trailing checksum.
 func TestContainerRejectsEveryBitFlip(t *testing.T) {
-	raw := buildContainer(t)
-	for i := range raw {
-		bad := append([]byte(nil), raw...)
-		bad[i] ^= 0x40
-		err := readAll(bad)
-		if err == nil {
-			t.Fatalf("flipping byte %d of %d went undetected", i, len(raw))
+	for _, fr := range framings {
+		raw := buildContainer(t, fr.v2)
+		for i := range raw {
+			bad := append([]byte(nil), raw...)
+			bad[i] ^= 0x40
+			if err := readAll(bad); err == nil {
+				t.Fatalf("%s: flipping byte %d of %d went undetected", fr.name, i, len(raw))
+			}
 		}
 	}
 }
@@ -98,10 +108,12 @@ func TestContainerRejectsEveryBitFlip(t *testing.T) {
 // TestContainerRejectsEveryTruncation: cutting the container at any
 // length must error, never hang or panic.
 func TestContainerRejectsEveryTruncation(t *testing.T) {
-	raw := buildContainer(t)
-	for cut := 0; cut < len(raw); cut++ {
-		if err := readAll(raw[:cut]); err == nil {
-			t.Fatalf("truncation to %d of %d bytes went undetected", cut, len(raw))
+	for _, fr := range framings {
+		raw := buildContainer(t, fr.v2)
+		for cut := 0; cut < len(raw); cut++ {
+			if err := readAll(raw[:cut]); err == nil {
+				t.Fatalf("%s: truncation to %d of %d bytes went undetected", fr.name, cut, len(raw))
+			}
 		}
 	}
 }
@@ -156,7 +168,7 @@ func TestWriterValidation(t *testing.T) {
 }
 
 func TestReaderValidation(t *testing.T) {
-	raw := buildContainer(t)
+	raw := buildContainer(t, true)
 
 	// Wrong expected section id.
 	sr, _ := NewReader(bytes.NewReader(raw), int64(len(raw)))
@@ -221,6 +233,32 @@ func TestSaveFileLoadFile(t *testing.T) {
 	if kind, err := ReadKindFile(path); err != nil || kind != "file-kind" {
 		t.Fatalf("ReadKindFile: %q, %v", kind, err)
 	}
+	// SaveFile writes the mappable layout; SaveStreamFile the v1 framing,
+	// which the streaming reader still loads but the mapped open refuses.
+	m, err := MapFile(path)
+	if err != nil {
+		t.Fatalf("SaveFile output does not map: %v", err)
+	}
+	m.Close()
+	stream := filepath.Join(dir, "stream.snap")
+	if err := SaveStreamFile(stream, "file-kind", func(sw *Writer) error {
+		return sw.Bytes(1, []byte("payload"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MapFile(stream); !errors.Is(err, ErrNotMappable) {
+		t.Fatalf("stream-framed file: MapFile err = %v, want ErrNotMappable", err)
+	}
+	if err := LoadFile(stream, func(sr *Reader) error {
+		s, err := sr.Expect(1)
+		if err != nil {
+			return err
+		}
+		_, err = s.Bytes(0)
+		return err
+	}); err != nil {
+		t.Fatalf("stream-framed file: %v", err)
+	}
 
 	// A failing persist must leave no file behind (and not clobber an
 	// existing snapshot).
@@ -242,51 +280,55 @@ func TestSaveFileLoadFile(t *testing.T) {
 	}
 }
 
+// TestKeySections round-trips key sections in both framings: fulls carry
+// the v2 width+pad prefix, deltas the v1 width-only prefix.
 func TestKeySections(t *testing.T) {
 	keys := []uint64{1, 5, 5, 9, 1 << 60}
-	var buf bytes.Buffer
-	sw, _ := NewWriter(&buf, "k")
-	if err := WriteKeySection(sw, 1, keys); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteKeySection(sw, 2, []uint64{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	for _, fr := range framings {
+		var buf bytes.Buffer
+		sw, _ := newWriter(&buf, "k", fr.v2)
+		if err := WriteKeySection(sw, 1, keys); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteKeySection(sw, 2, []uint64{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		raw := buf.Bytes()
 
-	sr, _ := NewReader(bytes.NewReader(raw), int64(len(raw)))
-	s, _ := sr.Expect(1)
-	got, err := ReadKeySection[uint64](s, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(keys) || got[0] != 1 || got[4] != 1<<60 {
-		t.Fatalf("keys round trip = %v", got)
-	}
-	s, _ = sr.Expect(2)
-	empty, err := ReadKeySection[uint64](s, 0)
-	if err != nil || len(empty) != 0 {
-		t.Fatalf("empty keys round trip = %v, %v", empty, err)
-	}
-	if err := sr.Close(); err != nil {
-		t.Fatal(err)
-	}
+		sr, _ := NewReader(bytes.NewReader(raw), int64(len(raw)))
+		s, _ := sr.Expect(1)
+		got, err := ReadKeySection[uint64](s, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(keys) || got[0] != 1 || got[4] != 1<<60 {
+			t.Fatalf("%s: keys round trip = %v", fr.name, got)
+		}
+		s, _ = sr.Expect(2)
+		empty, err := ReadKeySection[uint64](s, 0)
+		if err != nil || len(empty) != 0 {
+			t.Fatalf("%s: empty keys round trip = %v, %v", fr.name, empty, err)
+		}
+		if err := sr.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	// Width mismatch: reading a 64-bit section as 32-bit keys.
-	sr, _ = NewReader(bytes.NewReader(raw), int64(len(raw)))
-	s, _ = sr.Expect(1)
-	if _, err := ReadKeySection[uint32](s, 0); err == nil {
-		t.Error("width mismatch accepted")
-	}
+		// Width mismatch: reading a 64-bit section as 32-bit keys.
+		sr, _ = NewReader(bytes.NewReader(raw), int64(len(raw)))
+		s, _ = sr.Expect(1)
+		if _, err := ReadKeySection[uint32](s, 0); err == nil {
+			t.Errorf("%s: width mismatch accepted", fr.name)
+		}
 
-	// Count cap.
-	sr, _ = NewReader(bytes.NewReader(raw), int64(len(raw)))
-	s, _ = sr.Expect(1)
-	if _, err := ReadKeySection[uint64](s, 2); err == nil {
-		t.Error("key count beyond cap accepted")
+		// Count cap.
+		sr, _ = NewReader(bytes.NewReader(raw), int64(len(raw)))
+		s, _ = sr.Expect(1)
+		if _, err := ReadKeySection[uint64](s, 2); err == nil {
+			t.Errorf("%s: key count beyond cap accepted", fr.name)
+		}
 	}
 }
 
@@ -295,27 +337,29 @@ func TestKeySections(t *testing.T) {
 // the message), not a generic parse error — replicas key their rolling-
 // upgrade refusal off errors.Is.
 func TestVersionSkewTyped(t *testing.T) {
-	raw := buildContainer(t)
-	future := append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint32(future[8:], Version+1) // version field follows the 8-byte magic
-	_, err := NewReader(bytes.NewReader(future), int64(len(future)))
-	if err == nil {
-		t.Fatal("future-version container accepted")
-	}
-	if !errors.Is(err, ErrVersionUnsupported) {
-		t.Fatalf("future-version error is not ErrVersionUnsupported: %v", err)
-	}
-	for _, want := range []string{"version 2", "reads 1"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("version-skew message %q does not name %q", err, want)
+	for _, fr := range framings {
+		future := buildContainer(t, fr.v2)
+		binary.LittleEndian.PutUint32(future[8:], version2+1) // version field follows the 8-byte magic
+		_, err := NewReader(bytes.NewReader(future), int64(len(future)))
+		if err == nil {
+			t.Fatalf("%s: future-version container accepted", fr.name)
+		}
+		if !errors.Is(err, ErrVersionUnsupported) {
+			t.Fatalf("%s: future-version error is not ErrVersionUnsupported: %v", fr.name, err)
+		}
+		for _, want := range []string{"version 3", "reads 1 and 2"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: version-skew message %q does not name %q", fr.name, err, want)
+			}
 		}
 	}
 
 	// A corrupt-but-current container must NOT match the sentinel: the
 	// replication layer retries corruption but refuses skew permanently.
-	flipped := append([]byte(nil), raw...)
+	// (The last byte of a v1 container is inside its checksum.)
+	flipped := buildContainer(t, false)
 	flipped[len(flipped)-1] ^= 0xFF
-	err = Load(bytes.NewReader(flipped), int64(len(flipped)), func(sr *Reader) error {
+	err := Load(bytes.NewReader(flipped), int64(len(flipped)), func(sr *Reader) error {
 		for {
 			s, err := sr.Next()
 			if errors.Is(err, io.EOF) {

@@ -57,11 +57,6 @@ func MapViewFile[K kv.Key](path string) (*Index[K], bool, error) {
 	return ix, false, nil
 }
 
-// SaveFileV2 writes the index crash-safely in the mappable v2 layout.
-func SaveFileV2[K kv.Key](path string, ix *Index[K]) error {
-	return snapshot.SaveFileAt(path, SnapshotKind, snapshot.Version2, ix.PersistSnapshot)
-}
-
 // MapViewSections views the updatable section sequence from the
 // container's current cursor — the embedded form internal/concurrent
 // persists inside its own kind.

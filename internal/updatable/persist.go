@@ -227,7 +227,8 @@ func Save[K kv.Key](w io.Writer, ix *Index[K]) error {
 	return sw.Close()
 }
 
-// SaveFile writes the index crash-safely to path.
+// SaveFile writes the index crash-safely to path in the mappable v2
+// layout.
 func SaveFile[K kv.Key](path string, ix *Index[K]) error {
 	return snapshot.SaveFile(path, SnapshotKind, ix.PersistSnapshot)
 }
