@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cdfmodel"
+	"repro/internal/concurrent"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/index"
@@ -395,6 +396,45 @@ func BenchmarkFindBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkConcurrentFindBatch measures the state a replica serves between
+// fulls: concurrent.New over 1M face64 keys with no pending write
+// generations, queried in 256-lane batches. On top of BenchmarkFindBatch's
+// base probe it adds the updatable view's per-lane corrections and the
+// concurrent snapshot's generation loop (DESIGN.md §6). b.N counts
+// individual lookups.
+func BenchmarkConcurrentFindBatch(b *testing.B) {
+	const lanes = 256
+	keys := dataset.MustGenerate(dataset.Face, 64, 1_000_000, benchSeed)
+	ix, err := concurrent.New(keys, concurrent.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ix.Close()
+	w := bench.NewWorkload(keys, 1<<16, benchSeed+1)
+	// Validate before timing: a benchmark must never measure a broken index.
+	for i, got := range ix.FindBatch(w.Queries, nil) {
+		if got != int(w.Expect[i]) {
+			b.Fatalf("FindBatch rank for %d = %d, want %d", w.Queries[i], got, w.Expect[i])
+		}
+	}
+	if p := ix.Pending(); p != 0 {
+		b.Fatalf("%d pending writes, want 0", p)
+	}
+	mask := len(w.Queries) - 1
+	b.Run(fmt.Sprintf("face64/batch=%d", lanes), func(b *testing.B) {
+		out := make([]int, lanes)
+		sink := 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i += lanes {
+			lo := i & mask
+			sink += ix.FindBatch(w.Queries[lo:lo+lanes], out)[0]
+		}
+		if sink == -1 {
+			b.Fatal("impossible")
+		}
+	})
+}
+
 // BenchmarkFindBatchParallel measures the sharded throughput path: the
 // whole query block per call, GOMAXPROCS workers.
 func BenchmarkFindBatchParallel(b *testing.B) {
@@ -447,8 +487,8 @@ func BenchmarkBuild(b *testing.B) {
 }
 
 // BenchmarkCompaction measures one full updatable-index compaction —
-// merge the delta, drop tombstones, rebuild model + layer + Fenwick tree
-// through the pooled BuildNext pipeline — after a fixed write burst. b.N
+// merge the delta, drop tombstones, rebuild model + layer through the
+// pooled BuildNext pipeline — after a fixed write burst. b.N
 // counts compactions.
 func BenchmarkCompaction(b *testing.B) {
 	keys := keysFor(b, dataset.Spec{Name: dataset.Face, Bits: 64})

@@ -136,7 +136,7 @@ func (ix *Index[K]) compactor() {
 //     separate from the state being merged.
 //  2. Rebuild (no locks): the sealed snapshot — view plus sealed
 //     generations — is scanned into a fresh sorted key slice, and a new
-//     updatable index (CDF model + Shift-Table + empty Fenwick) is built
+//     updatable index (CDF model + Shift-Table, no tombstones) is built
 //     over it. Readers meanwhile serve the published snapshot untouched.
 //  3. Publish (brief writer lock): the rebuilt view replaces the sealed
 //     state; the fresh head — every write that landed during the rebuild —

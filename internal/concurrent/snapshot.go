@@ -8,8 +8,10 @@ import (
 )
 
 // A snapshot is one immutable, fully-consistent state of the index: a
-// frozen updatable.View (base Shift-Table + tombstone Fenwick + sealed
-// delta buffer, shared without copying via updatable.Index.Freeze) plus a
+// frozen updatable.View (base Shift-Table + sealed delta buffer, shared
+// without copying via updatable.Index.Freeze; this package's deletes never
+// tombstone its base, so it holds no Fenwick tree unless Wrap adopted an
+// index that had tombstones) plus a
 // stack of write generations layered on top. Readers load the current
 // snapshot with a single atomic pointer load and never see it change
 // underneath them; writers and the compactor publish successors.

@@ -10,12 +10,16 @@ import (
 // compactions — decoded from the fuzz input against a reference sorted
 // multiset, checking ranks, existence, and batch ≡ scalar along the way.
 // The seed corpus covers duplicate-heavy churn, adversarially drifted key
-// spacing, and the empty index.
+// spacing, the empty index, and both sides of the first base tombstone
+// (which allocates the tombstone bitmap and Fenwick tree): a delete as the
+// very first op, and a delete right after a compaction dropped that state.
 func FuzzLookup(f *testing.F) {
 	f.Add(uint64(7), uint8(16), []byte{0x10, 0x82, 0x31, 0xF4, 0x05})
-	f.Add(uint64(3), uint8(1), []byte{0x00, 0x00, 0x00, 0x01, 0x01, 0x80, 0x80}) // duplicate-heavy: tiny key space
-	f.Add(uint64(9), uint8(255), []byte{0xFF, 0x40, 0x13, 0x77, 0xAA, 0x02})     // drifted: huge sparse key space
-	f.Add(uint64(0), uint8(8), []byte{})                                         // empty index, no ops
+	f.Add(uint64(3), uint8(1), []byte{0x00, 0x00, 0x00, 0x01, 0x01, 0x80, 0x80})  // duplicate-heavy: tiny key space
+	f.Add(uint64(9), uint8(255), []byte{0xFF, 0x40, 0x13, 0x77, 0xAA, 0x02})      // drifted: huge sparse key space
+	f.Add(uint64(0), uint8(8), []byte{})                                          // empty index, no ops
+	f.Add(uint64(41), uint8(1), []byte{0x02, 0x04, 0x07, 0x04, 0x0C, 0x04})       // three base deletes first: the first allocates
+	f.Add(uint64(41), uint8(1), []byte{0x00, 0x01, 0x03, 0x02, 0x04, 0x07, 0x04}) // insert, compact, then base deletes
 
 	f.Fuzz(func(t *testing.T, seed uint64, spread uint8, ops []byte) {
 		if len(ops) > 512 {

@@ -22,8 +22,9 @@ func (ix *Index[K]) MappedBytes() int64 { return ix.v.table.MappedBytes() }
 // core's mapped loaders, while the mutable small state — the tombstone
 // array and the delta buffer — is materialised on the heap, because
 // writes mutate both in place and the mapping is read-only. The restart
-// cost is therefore O(n/8) for the bitmap expansion and Fenwick build,
-// not O(n·keywidth) for key and layer copies.
+// cost is therefore an O(n/8) popcount of the bitmap (plus its expansion
+// and the Fenwick build when it holds a tombstone), not O(n·keywidth) for
+// key and layer copies.
 func MapView[K kv.Key](m *snapshot.Mapped) (*Index[K], error) {
 	if m.Kind() != SnapshotKind {
 		return nil, fmt.Errorf("updatable: container holds %q, want %q", m.Kind(), SnapshotKind)

@@ -17,7 +17,8 @@ import (
 // so the base's keys, model spec and layer round-trip through the same
 // hardened loaders), plus the parts §6 layers on top — the tombstone
 // bitmap and the sorted delta buffer. The Fenwick tree is not persisted:
-// it is a derived structure, rebuilt from the bitmap at load time.
+// it is a derived structure, rebuilt from the bitmap at load time, and
+// only when the bitmap holds a tombstone.
 
 // SnapshotKind identifies updatable-index snapshots.
 const SnapshotKind = "updatable"
@@ -59,7 +60,10 @@ func PersistView[K kv.Key](sw *snapshot.Writer, v *View[K], cfg Config) error {
 	if err := v.table.PersistSnapshot(sw); err != nil {
 		return err
 	}
-	dead := make([]byte, (len(v.dead)+7)/8)
+	// The bitmap always covers the whole base (all zero while no tombstone
+	// exists), so the file does not depend on whether the view allocated
+	// tombstone state.
+	dead := make([]byte, (len(v.base)+7)/8)
 	for i, d := range v.dead {
 		if d {
 			dead[i/8] |= 1 << (i % 8)
@@ -168,16 +172,12 @@ func assembleView[K kv.Key](cfg Config, deadCount uint64, table *core.Table[K], 
 	if uint64(cfg.Layer.M) > 64*uint64(n+1) {
 		return nil, fmt.Errorf("updatable: snapshot layer config M=%d is not credible for %d base keys", cfg.Layer.M, n)
 	}
-	dead := make([]bool, n)
+	if n%8 != 0 && bitmap[len(bitmap)-1]>>(n%8) != 0 {
+		return nil, fmt.Errorf("updatable: tombstone bitmap has bits set past key %d", n-1)
+	}
 	popcount := 0
-	for i, b := range bitmap {
+	for _, b := range bitmap {
 		popcount += bits.OnesCount8(b)
-		if i == len(bitmap)-1 && n%8 != 0 && b>>(n%8) != 0 {
-			return nil, fmt.Errorf("updatable: tombstone bitmap has bits set past key %d", n-1)
-		}
-		for j := 0; j < 8 && i*8+j < n; j++ {
-			dead[i*8+j] = b&(1<<j) != 0
-		}
 	}
 	if uint64(popcount) != deadCount {
 		return nil, fmt.Errorf("updatable: tombstone bitmap holds %d tombstones, meta records %d", popcount, deadCount)
@@ -185,18 +185,18 @@ func assembleView[K kv.Key](cfg Config, deadCount uint64, table *core.Table[K], 
 	if !kv.IsSorted(delta) {
 		return nil, fmt.Errorf("updatable: snapshot delta buffer is not sorted")
 	}
-	// The Fenwick tree is derived state: one O(n) bulk construction from
-	// the bitmap, not deadCount O(log n) point updates on the restart hot
-	// path.
-	tree := fenwick.FromBools(dead)
 	ix := &Index[K]{cfg: cfg}
-	ix.v = &View[K]{
-		base:      base,
-		table:     table,
-		dead:      dead,
-		delTree:   tree,
-		deadCount: popcount,
-		delta:     delta,
+	ix.v = &View[K]{base: base, table: table, deadCount: popcount, delta: delta}
+	if popcount > 0 {
+		dead := make([]bool, n)
+		for i := range dead {
+			dead[i] = bitmap[i/8]&(1<<(i%8)) != 0
+		}
+		// The Fenwick tree is derived state: one O(n) bulk construction
+		// from the bitmap, not deadCount O(log n) point updates on the
+		// restart hot path.
+		ix.v.dead = dead
+		ix.v.delTree = fenwick.FromBools(dead)
 	}
 	ix.maxDelta = resolveMaxDelta(cfg.MaxDelta, n)
 	return ix, nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -93,6 +94,115 @@ func TestUpdatableSnapshotRoundTrip(t *testing.T) {
 	}
 	if loaded.Stats().Tombstones != 0 {
 		t.Error("compaction did not drop restored tombstones")
+	}
+}
+
+// goldenIndex rebuilds the index testdata/tombstone-free.snap was written
+// from (recipe: testdata/README.md).
+func goldenIndex(t *testing.T) (*Index[uint64], []uint64) {
+	t.Helper()
+	keys := dataset.MustGenerate(dataset.Face, 64, 2000, 12)
+	ix, err := New(keys, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if err := ix.Insert(keys[(i*13)%2000] + uint64(i%5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ix, keys
+}
+
+// TestTombstoneFreeGolden: a tombstone-free index saves byte-identical to
+// the committed file, which a writer that always held tombstone state
+// produced — the all-zero bitmap is written whether or not the view
+// allocated one.
+func TestTombstoneFreeGolden(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "golden.snap")
+	ix, _ := goldenIndex(t)
+	if err := SaveFile(path, ix); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "tombstone-free.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("SaveFile wrote %d bytes that differ from the %d-byte golden file", len(got), len(want))
+	}
+}
+
+// TestLoadersRestoreTombstoneState: LoadFile and MapView restore exactly
+// the persisted tombstones — no tombstone state for a tombstone-free file,
+// the same bitmap for a tombstoned one — and answer like the saved index.
+func TestLoadersRestoreTombstoneState(t *testing.T) {
+	tombstoned, tombstonedKeys := stormed(t, 5_000, 3)
+	golden, goldenKeys := goldenIndex(t)
+	tombstonedPath := filepath.Join(t.TempDir(), "tombstoned.snap")
+	if err := SaveFile(tombstonedPath, tombstoned); err != nil {
+		t.Fatal(err)
+	}
+	files := []struct {
+		name string
+		path string
+		orig *Index[uint64]
+		keys []uint64
+	}{
+		{"tombstone-free", filepath.Join("testdata", "tombstone-free.snap"), golden, goldenKeys},
+		{"tombstoned", tombstonedPath, tombstoned, tombstonedKeys},
+	}
+	loaders := []struct {
+		name string
+		load func(path string) (*Index[uint64], error)
+	}{
+		{"LoadFile", LoadFile[uint64]},
+		{"MapView", func(path string) (*Index[uint64], error) {
+			m, err := snapshot.MapFile(path)
+			if err != nil {
+				return nil, err
+			}
+			defer m.Close()
+			return MapView[uint64](m)
+		}},
+	}
+	for _, f := range files {
+		for _, l := range loaders {
+			t.Run(f.name+"/"+l.name, func(t *testing.T) {
+				loaded, err := l.load(f.path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, got := f.orig.View(), loaded.View()
+				if got.deadCount != want.deadCount {
+					t.Fatalf("restored %d tombstones, want %d", got.deadCount, want.deadCount)
+				}
+				if want.deadCount == 0 {
+					noTombstoneState(t, "restored view", got)
+				} else {
+					for p := range want.dead {
+						if got.dead[p] != want.dead[p] {
+							t.Fatalf("restored tombstone bit %d = %v, want %v", p, got.dead[p], want.dead[p])
+						}
+					}
+				}
+				if got.SizeBytes() != want.SizeBytes() {
+					t.Fatalf("restored SizeBytes = %d, want %d", got.SizeBytes(), want.SizeBytes())
+				}
+				for i := 0; i < len(f.keys); i += 7 {
+					q := f.keys[i] + uint64(i%3)
+					gr, gf := got.Lookup(q)
+					wr, wf := want.Lookup(q)
+					if gr != wr || gf != wf {
+						t.Fatalf("restored Lookup(%d) = (%d,%v), want (%d,%v)", q, gr, gf, wr, wf)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -8,9 +8,12 @@
 //     the paper's IM model, rebuilt only on compaction;
 //   - deletions as tombstones whose position drift is tracked by a Fenwick
 //     tree (a deleted key shifts every logical rank after it by one — the
-//     prefix sum corrects that drift in O(log n));
+//     prefix sum corrects that drift in O(log n)); bitmap and tree are
+//     allocated by the first base-key delete, and a base without
+//     tombstones skips the correction;
 //   - insertions in a small sorted delta buffer, merged into the base when
-//     it exceeds a threshold (compaction rebuilds model, layer and tree).
+//     it exceeds a threshold (compaction rebuilds model and layer and
+//     drops the tombstones).
 //
 // Lookups stay lower-bound exact at all times: the logical rank of a query
 // is its base rank, minus the deleted-before count from the Fenwick tree,
@@ -76,8 +79,8 @@ func NewFrom[K kv.Key](keys []K, cfg Config, prev *core.Table[K]) (*Index[K], er
 	return ix, nil
 }
 
-// setBase installs a new base array and rebuilds model, layer and trees,
-// carrying the current base table's pools over.
+// setBase installs a new base array and rebuilds model and layer, carrying
+// the current base table's pools over.
 func (ix *Index[K]) setBase(keys []K) error {
 	var prev *core.Table[K]
 	if ix.v != nil {
@@ -88,23 +91,14 @@ func (ix *Index[K]) setBase(keys []K) error {
 
 // setBaseFrom rebuilds over keys through the parallel build pipeline
 // (DESIGN.md §8), reusing prev's build arena and batch scratches when a
-// predecessor exists.
+// predecessor exists. The new view holds no tombstone state.
 func (ix *Index[K]) setBaseFrom(keys []K, prev *core.Table[K]) error {
 	model := cdfmodel.NewInterpolation(keys)
 	table, err := prev.BuildNext(keys, model, ix.cfg.Layer, 0)
 	if err != nil {
 		return err
 	}
-	tree, err := fenwick.New(len(keys))
-	if err != nil {
-		return err
-	}
-	ix.v = &View[K]{
-		base:    keys,
-		table:   table,
-		dead:    make([]bool, len(keys)),
-		delTree: tree,
-	}
+	ix.v = &View[K]{base: keys, table: table}
 	ix.frozen = false
 	ix.maxDelta = resolveMaxDelta(ix.cfg.MaxDelta, len(keys))
 	return nil
@@ -193,7 +187,8 @@ func (ix *Index[K]) Insert(k K) error {
 // tombstones tracked by the Fenwick tree. The hit is located on the
 // current view before detaching from a frozen snapshot, so a miss never
 // pays the copy-on-write clone; positions carry over because the clone is
-// content-identical.
+// content-identical. The first base tombstone allocates the bitmap and
+// tree on the detached view, never on a frozen one.
 func (ix *Index[K]) Delete(k K) bool {
 	v := ix.v
 	if d := kv.LowerBound(v.delta, k); d < len(v.delta) && v.delta[d] == k {
@@ -202,8 +197,12 @@ func (ix *Index[K]) Delete(k K) bool {
 		return true
 	}
 	for p := v.table.Find(k); p < len(v.base) && v.base[p] == k; p++ {
-		if !v.dead[p] {
+		if !v.isDead(p) {
 			v = ix.mutable()
+			if v.deadCount == 0 {
+				v.dead = make([]bool, len(v.base))
+				v.delTree = fenwick.FromBools(v.dead)
+			}
 			v.dead[p] = true
 			v.delTree.Add(p, 1)
 			v.deadCount++
@@ -214,13 +213,14 @@ func (ix *Index[K]) Delete(k K) bool {
 }
 
 // Compact merges the delta buffer and drops tombstones, rebuilding the
-// model, Shift-Table and Fenwick tree over the merged base.
+// model and Shift-Table over the merged base; the result holds no
+// tombstone state.
 func (ix *Index[K]) Compact() error {
 	v := ix.v // read-only pass; setBase installs a fresh view
 	merged := make([]K, 0, v.Len())
 	bp, dp := 0, 0
 	for bp < len(v.base) || dp < len(v.delta) {
-		for bp < len(v.base) && v.dead[bp] {
+		for bp < len(v.base) && v.isDead(bp) {
 			bp++
 		}
 		switch {

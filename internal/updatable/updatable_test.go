@@ -340,6 +340,113 @@ func TestFreezeCopyOnWrite(t *testing.T) {
 	}
 }
 
+// noTombstoneState fails unless v holds no tombstone bitmap, tree or count.
+func noTombstoneState(t *testing.T, what string, v *View[uint64]) {
+	t.Helper()
+	if v.dead != nil || v.delTree != nil || v.deadCount != 0 {
+		t.Fatalf("%s: tombstone state present (bitmap %d slots, tree %v, count %d)",
+			what, len(v.dead), v.delTree != nil, v.deadCount)
+	}
+}
+
+// answersLike fails unless v's Find, Lookup and Scan agree with the sorted
+// live multiset keys over the queries qs.
+func answersLike(t *testing.T, what string, v *View[uint64], keys, qs []uint64) {
+	t.Helper()
+	for _, q := range qs {
+		want := kv.LowerBound(keys, q)
+		wantFound := want < len(keys) && keys[want] == q
+		if got := v.Find(q); got != want {
+			t.Fatalf("%s: Find(%d) = %d, want %d", what, q, got, want)
+		}
+		if rank, found := v.Lookup(q); rank != want || found != wantFound {
+			t.Fatalf("%s: Lookup(%d) = (%d,%v), want (%d,%v)", what, q, rank, found, want, wantFound)
+		}
+	}
+	var scanned []uint64
+	v.Scan(0, ^uint64(0), func(k uint64) bool { scanned = append(scanned, k); return true })
+	if len(scanned) != len(keys) {
+		t.Fatalf("%s: Scan visited %d keys, want %d", what, len(scanned), len(keys))
+	}
+	for i := range scanned {
+		if scanned[i] != keys[i] {
+			t.Fatalf("%s: scan[%d] = %d, want %d", what, i, scanned[i], keys[i])
+		}
+	}
+}
+
+// TestLazyTombstoneLifecycle pins when tombstone state exists: not on a
+// fresh or compacted base, not after a delete the insert buffer absorbs,
+// and from the first base delete on. Each delete after a Freeze works on a
+// detached copy, so a view frozen before the first base delete stays
+// tombstone-free, and one frozen after it keeps exactly its tombstones.
+func TestLazyTombstoneLifecycle(t *testing.T) {
+	initial := dataset.MustGenerate(dataset.Face, 64, 3_000, 5)
+	ix, err := New(initial, Config{MaxDelta: 1 << 20}) // compact by hand only
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := ix.View()
+	noTombstoneState(t, "New", v)
+	layerBytes := v.table.SizeBytes() + v.table.Model().SizeBytes()
+	if got := ix.SizeBytes(); got != layerBytes {
+		t.Fatalf("fresh SizeBytes = %d, want table+model %d", got, layerBytes)
+	}
+
+	ref := &reference{keys: append([]uint64(nil), initial...)}
+	rng := rand.New(rand.NewSource(13))
+	// A delete that an insert-buffer occurrence absorbs — even of a key
+	// the base also holds — tombstones nothing.
+	for i := 0; i < 50; i++ {
+		k := initial[rng.Intn(len(initial))]
+		if err := ix.Insert(k); err != nil {
+			t.Fatal(err)
+		}
+		if !ix.Delete(k) {
+			t.Fatalf("Delete(%d) of a just-inserted key failed", k)
+		}
+	}
+	noTombstoneState(t, "delta-only Delete", ix.View())
+
+	qs := make([]uint64, 2_000)
+	for i := range qs {
+		qs[i] = initial[rng.Intn(len(initial))] + uint64(i%2)
+	}
+	deleteSome := func() {
+		t.Helper()
+		for i := 0; i < 300; i++ {
+			k := initial[rng.Intn(len(initial))]
+			if got, want := ix.Delete(k), ref.delete(k); got != want {
+				t.Fatalf("Delete(%d) = %v, want %v", k, got, want)
+			}
+			if v := ix.View(); v.dead == nil || v.delTree == nil || v.deadCount == 0 {
+				t.Fatalf("after a base Delete: bitmap %d slots, tree %v, count %d",
+					len(v.dead), v.delTree != nil, v.deadCount)
+			}
+		}
+	}
+
+	frozen, frozenKeys := ix.Freeze(), append([]uint64(nil), ref.keys...)
+	deleteSome()
+	noTombstoneState(t, "view frozen before the first base Delete", frozen)
+	answersLike(t, "view frozen before the first base Delete", frozen, frozenKeys, qs)
+	answersLike(t, "tombstoned index", ix.View(), ref.keys, qs)
+	if got, want := ix.SizeBytes(), layerBytes+len(initial)+8*(len(initial)+1); got != want {
+		t.Fatalf("tombstoned SizeBytes = %d, want %d", got, want)
+	}
+
+	frozen, frozenKeys = ix.Freeze(), append([]uint64(nil), ref.keys...)
+	deleteSome()
+	answersLike(t, "view frozen with tombstones", frozen, frozenKeys, qs)
+	answersLike(t, "index after more deletes", ix.View(), ref.keys, qs)
+
+	if err := ix.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	noTombstoneState(t, "Compact", ix.View())
+	answersLike(t, "compacted index", ix.View(), ref.keys, qs)
+}
+
 func TestErrors(t *testing.T) {
 	if _, err := New([]uint64{2, 1}, Config{}); err == nil {
 		t.Error("want error for unsorted keys")

@@ -11,6 +11,12 @@ import (
 // buffer. All read paths (Find, Lookup, Scan, the batch entry points) are
 // methods on View; Index embeds one and mutates it in place.
 //
+// Tombstone state is lazy: dead and delTree stay nil until the first base
+// slot is tombstoned (deadCount > 0 ⇔ both are allocated), so a view that
+// has never lost a base key — every view internal/concurrent builds, since
+// its deletes live in write generations — pays no Fenwick walk per lookup
+// and no tombstone bytes per key.
+//
 // A View obtained from Index.Freeze is immutable and safe for concurrent
 // readers: it shares the base table, Fenwick tree and delta slice with the
 // index without copying, and the index copy-on-writes those parts before
@@ -21,8 +27,8 @@ import (
 type View[K kv.Key] struct {
 	base      []K // sorted, may contain tombstoned slots
 	table     *core.Table[K]
-	dead      []bool        // tombstones, parallel to base
-	delTree   *fenwick.Tree // prefix counts of tombstones
+	dead      []bool        // tombstones, parallel to base; nil while deadCount == 0
+	delTree   *fenwick.Tree // prefix counts of tombstones; nil while deadCount == 0
 	deadCount int
 
 	delta []K // sorted insert buffer
@@ -50,12 +56,18 @@ func (v *View[K]) Table() *core.Table[K] { return v.table }
 func (v *View[K]) ModelFingerprint() uint64 { return v.table.ModelFingerprint() }
 
 // SizeBytes reports the view's auxiliary footprint beyond the key data:
-// correction layer, host model, tombstone bitmap, Fenwick tree, and the
-// insert buffer.
+// correction layer, host model, the insert buffer, and the tombstone bitmap
+// and Fenwick tree once a tombstone exists.
 func (v *View[K]) SizeBytes() int {
-	return v.table.SizeBytes() + v.table.Model().SizeBytes() +
-		len(v.dead) + 8*(v.delTree.Len()+1) + len(v.delta)*kv.Width[K]()
+	n := v.table.SizeBytes() + v.table.Model().SizeBytes() + len(v.delta)*kv.Width[K]()
+	if v.deadCount > 0 {
+		n += len(v.dead) + 8*(v.delTree.Len()+1)
+	}
+	return n
 }
+
+// isDead reports whether base slot p is tombstoned.
+func (v *View[K]) isDead(p int) bool { return v.deadCount > 0 && v.dead[p] }
 
 // Find returns the logical lower-bound rank of q among live keys: the
 // number of live keys < q, which is the index the first key >= q would
@@ -70,6 +82,9 @@ func (v *View[K]) Find(q K) int {
 // the logical rank: the base rank minus the deleted-before count from the
 // Fenwick tree, plus the delta rank.
 func (v *View[K]) rankAt(basePos, deltaPos int) int {
+	if v.deadCount == 0 {
+		return basePos + deltaPos
+	}
 	return basePos - int(v.delTree.PrefixSum(basePos)) + deltaPos
 }
 
@@ -88,7 +103,7 @@ func (v *View[K]) Lookup(q K) (rank int, found bool) {
 func (v *View[K]) liveAt(q K, basePos, deltaPos int) bool {
 	// Any live duplicate of q in the base?
 	for p := basePos; p < len(v.base) && v.base[p] == q; p++ {
-		if !v.dead[p] {
+		if !v.isDead(p) {
 			return true
 		}
 	}
@@ -108,7 +123,7 @@ func (v *View[K]) Count(q K) int {
 func (v *View[K]) countAt(q K, basePos, deltaPos int) int {
 	n := 0
 	for p := basePos; p < len(v.base) && v.base[p] == q; p++ {
-		if !v.dead[p] {
+		if !v.isDead(p) {
 			n++
 		}
 	}
@@ -189,7 +204,7 @@ func (v *View[K]) Scan(a, b K, fn func(k K) bool) {
 	dp := kv.LowerBound(v.delta, a)
 	for {
 		// Skip tombstones.
-		for bp < len(v.base) && v.dead[bp] {
+		for bp < len(v.base) && v.isDead(bp) {
 			bp++
 		}
 		baseOK := bp < len(v.base) && v.base[bp] <= b
@@ -214,14 +229,17 @@ func (v *View[K]) Scan(a, b K, fn func(k K) bool) {
 // clone returns a view sharing the immutable base array and table but with
 // independent copies of the parts Index mutates in place (tombstone bitmap,
 // Fenwick tree, delta buffer). Index calls it to detach from a frozen view
-// before the next write.
+// before the next write. Absent tombstone state stays absent.
 func (v *View[K]) clone() *View[K] {
-	return &View[K]{
+	c := &View[K]{
 		base:      v.base,
 		table:     v.table,
-		dead:      append([]bool(nil), v.dead...),
-		delTree:   v.delTree.Clone(),
 		deadCount: v.deadCount,
 		delta:     append([]K(nil), v.delta...),
 	}
+	if v.deadCount > 0 {
+		c.dead = append([]bool(nil), v.dead...)
+		c.delTree = v.delTree.Clone()
+	}
+	return c
 }
