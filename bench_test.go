@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -396,43 +397,85 @@ func BenchmarkFindBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkConcurrentFindBatch measures the state a replica serves between
-// fulls: concurrent.New over 1M face64 keys with no pending write
-// generations, queried in 256-lane batches. On top of BenchmarkFindBatch's
-// base probe it adds the updatable view's per-lane corrections and the
-// concurrent snapshot's generation loop (DESIGN.md §6). b.N counts
-// individual lookups.
+// BenchmarkConcurrentFindBatch measures what the concurrent index serves
+// over 1M face64 keys, queried in 256-lane batches: with no pending writes
+// (the state a replica serves between fulls), and with 8,192 pending
+// writes, three inserts per delete — a sealed run plus a full write head.
+// On top of BenchmarkFindBatch's base probe it adds the updatable view's
+// per-lane corrections and the concurrent snapshot's generation loop
+// (DESIGN.md §6). b.N counts individual lookups; "gens" reports the
+// generation-stack depth.
 func BenchmarkConcurrentFindBatch(b *testing.B) {
 	const lanes = 256
 	keys := dataset.MustGenerate(dataset.Face, 64, 1_000_000, benchSeed)
-	ix, err := concurrent.New(keys, concurrent.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ix.Close()
 	w := bench.NewWorkload(keys, 1<<16, benchSeed+1)
-	// Validate before timing: a benchmark must never measure a broken index.
-	for i, got := range ix.FindBatch(w.Queries, nil) {
-		if got != int(w.Expect[i]) {
-			b.Fatalf("FindBatch rank for %d = %d, want %d", w.Queries[i], got, w.Expect[i])
-		}
-	}
-	if p := ix.Pending(); p != 0 {
-		b.Fatalf("%d pending writes, want 0", p)
-	}
 	mask := len(w.Queries) - 1
-	b.Run(fmt.Sprintf("face64/batch=%d", lanes), func(b *testing.B) {
-		out := make([]int, lanes)
-		sink := 0
-		b.ResetTimer()
-		for i := 0; i < b.N; i += lanes {
-			lo := i & mask
-			sink += ix.FindBatch(w.Queries[lo:lo+lanes], out)[0]
+	for _, pending := range []int{0, 8_192} {
+		ix, err := concurrent.New(keys, concurrent.Config{})
+		if err != nil {
+			b.Fatal(err)
 		}
-		if sink == -1 {
-			b.Fatal("impossible")
+		live := keys
+		if pending > 0 {
+			live = pendingWrites(ix, keys, pending)
 		}
-	})
+		// Validate before timing: a benchmark must never measure a broken index.
+		for i, got := range ix.FindBatch(w.Queries, nil) {
+			if want := kv.LowerBound(live, w.Queries[i]); got != want {
+				b.Fatalf("pending=%d: FindBatch rank for %d = %d, want %d", pending, w.Queries[i], got, want)
+			}
+		}
+		if p := ix.Pending(); p != pending {
+			b.Fatalf("%d pending writes, want %d", p, pending)
+		}
+		gens := ix.Published().Gens()
+		b.Run(fmt.Sprintf("face64/pending=%d/batch=%d", pending, lanes), func(b *testing.B) {
+			out := make([]int, lanes)
+			sink := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i += lanes {
+				lo := i & mask
+				sink += ix.FindBatch(w.Queries[lo:lo+lanes], out)[0]
+			}
+			if sink == -1 {
+				b.Fatal("impossible")
+			}
+			b.ReportMetric(float64(gens), "gens")
+		})
+		ix.Close()
+	}
+}
+
+// pendingWrites applies n writes to ix — every fourth deletes a distinct
+// base key, the rest insert random values in the key range — and returns
+// the resulting sorted live multiset.
+func pendingWrites(ix *concurrent.Index[uint64], keys []uint64, n int) []uint64 {
+	rng := rand.New(rand.NewSource(benchSeed + 2))
+	dead := make(map[int]bool, n/4)
+	var ins []uint64
+	for i := 0; i < n; i++ {
+		if i%4 == 3 {
+			j := rng.Intn(len(keys))
+			for dead[j] {
+				j = rng.Intn(len(keys))
+			}
+			dead[j] = true
+			ix.Delete(keys[j])
+			continue
+		}
+		k := rng.Uint64() % (keys[len(keys)-1] + 2)
+		ix.Insert(k)
+		ins = append(ins, k)
+	}
+	live := make([]uint64, 0, len(keys)+len(ins))
+	for j, k := range keys {
+		if !dead[j] {
+			live = append(live, k)
+		}
+	}
+	live = append(live, ins...)
+	slices.Sort(live)
+	return live
 }
 
 // BenchmarkFindBatchParallel measures the sharded throughput path: the

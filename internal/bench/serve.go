@@ -464,6 +464,11 @@ func servePhase(ctx context.Context, r *replica.Replica[uint64], pool []uint64,
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
+	// The transport may hold a connection it dialed but never sent a
+	// request on; the server sees it in StateNew, which Shutdown treats as
+	// idle only after 5 s, so the 5 s drain would overrun. Closing the
+	// client's idle connections first lets the drain finish at once.
+	client.CloseIdleConnections()
 	scancel()
 	if err := <-srvErr; err != nil {
 		return nil, fmt.Errorf("serve bench: server (%s/%s): %w", mode, loop, err)

@@ -2,9 +2,7 @@ package concurrent
 
 import (
 	"fmt"
-	"slices"
 
-	"repro/internal/kv"
 	"repro/internal/updatable"
 )
 
@@ -133,7 +131,8 @@ func (ix *Index[K]) compactor() {
 //
 //  1. Seal (brief writer lock): the current write head is frozen and a
 //     fresh empty head is pushed, so writes landing mid-rebuild stay
-//     separate from the state being merged.
+//     separate from the state being merged. The sealed generations are
+//     pinned: head seals merge above them, never into them.
 //  2. Rebuild (no locks): the sealed snapshot — view plus sealed
 //     generations — is scanned into a fresh sorted key slice, and a new
 //     updatable index (CDF model + Shift-Table, no tombstones) is built
@@ -159,10 +158,14 @@ func (ix *Index[K]) Compact() error {
 		tag:  s0.tag,
 	}
 	ix.snap.Store(opened)
+	ix.pinned = len(sealed.gens)
 	ix.mu.Unlock()
 
 	ix.compacting.Store(true)
 	defer ix.compacting.Store(false)
+	if ix.testHookRebuild != nil {
+		ix.testHookRebuild()
+	}
 
 	// Phase 2: rebuild off to the side. The rebuild runs the parallel
 	// build pipeline seeded with the sealed base table (DESIGN.md §8):
@@ -177,13 +180,17 @@ func (ix *Index[K]) Compact() error {
 	})
 	rebuilt, err := updatable.NewFrom(merged, updatable.Config{Layer: ix.layerCfg()}, sealed.view.Table())
 	if err != nil {
-		// Flatten the generation stack so reads don't degrade while the
-		// failure persists; the compactor goroutine survives errors, so
-		// the next due write retries (and a manual Compact can too).
+		// Unpin and fold everything below the head into one sealed run,
+		// the shape writers keep outside a compaction; the compactor
+		// goroutine survives errors, so the next due write retries (and a
+		// manual Compact can too).
 		ix.mu.Lock()
 		//shift:allow-reload(error path re-reads the head under ix.mu to pick up writes that landed mid-rebuild)
 		cur := ix.snap.Load()
-		ix.snap.Store(&snapshot[K]{view: cur.view, gens: mergeGens(cur.gens), tag: cur.tag})
+		n := len(cur.gens) // ≥ 2: the sealed prefix plus the head phase 1 pushed
+		run := mergeGens(cur.gens[:n-1])
+		ix.snap.Store(&snapshot[K]{view: cur.view, gens: []*generation[K]{run, cur.gens[n-1]}, tag: cur.tag})
+		ix.pinned = 0
 		ix.mu.Unlock()
 		return err
 	}
@@ -193,28 +200,14 @@ func (ix *Index[K]) Compact() error {
 	ix.mu.Lock()
 	//shift:allow-reload(publish re-reads the head under ix.mu; the sealed prefix is immutable and the live suffix carries over)
 	cur := ix.snap.Load()
-	// Writers only ever replace the top generation or append a new head,
-	// so cur.gens is the sealed prefix (untouched) plus everything that
-	// landed mid-rebuild; the suffix survives onto the rebuilt base.
+	// Writers only ever replace the top generation, append a new head, or
+	// merge above the pinned prefix, so cur.gens is the sealed prefix
+	// (untouched) plus everything that landed mid-rebuild — at most a
+	// sealed run and the head; the suffix survives onto the rebuilt base.
 	live := cur.gens[len(sealed.gens):]
 	ix.snap.Store(&snapshot[K]{view: view, gens: append([]*generation[K]{}, live...), tag: cur.tag})
+	ix.pinned = 0
 	ix.mu.Unlock()
 	ix.rebuilds.Add(1)
 	return nil
-}
-
-// mergeGens flattens a generation stack into a single generation
-// (error-path recovery only; the hot paths never call it).
-func mergeGens[K kv.Key](gens []*generation[K]) []*generation[K] {
-	if len(gens) == 1 {
-		return []*generation[K]{gens[0]}
-	}
-	var ins, dels []K
-	for _, g := range gens {
-		ins = append(ins, g.ins...)
-		dels = append(dels, g.dels...)
-	}
-	slices.Sort(ins)
-	slices.Sort(dels)
-	return []*generation[K]{{ins: ins, dels: dels}}
 }

@@ -14,8 +14,10 @@
 //     updatable.View plus immutable write generations (snapshot.go).
 //   - Writes (Insert, Delete) serialise through a mutex, build a successor
 //     snapshot with a fresh copy of the small write head, and publish it
-//     with a single pointer store. Cost is O(pending) per write, bounded
-//     by the compaction policy.
+//     with a single pointer store. A full head is merged into the one
+//     sealed run below it: O(maxHeadLen) per write plus one O(pending)
+//     merge per maxHeadLen writes, pending bounded by the compaction
+//     policy.
 //   - A background compactor watches delta pressure (CompactionPolicy) and
 //     rebuilds the base Shift-Table + CDF model off to the side: it seals
 //     the write head, opens a fresh one for writes that land mid-rebuild,
@@ -61,6 +63,9 @@ type Index[K kv.Key] struct {
 	snap  atomic.Pointer[snapshot[K]]
 
 	mu sync.Mutex // serialises writers and snapshot publication
+	// pinned counts the bottom generations an in-flight compaction sealed;
+	// sealHead never merges into them (guarded by mu, zero when idle).
+	pinned int
 
 	compactMu  sync.Mutex // at most one compaction at a time
 	compacting atomic.Bool
@@ -73,6 +78,11 @@ type Index[K kv.Key] struct {
 
 	errMu sync.Mutex
 	err   error // first background compaction failure, if any
+
+	// testHookRebuild, when a test sets it before any compaction starts,
+	// runs at the start of Compact's rebuild phase (writes can then land
+	// at a chosen point mid-rebuild).
+	testHookRebuild func()
 }
 
 // New builds a concurrent index over sorted initial keys (which may be
@@ -251,7 +261,8 @@ func (ix *Index[K]) Scan(a, b K, fn func(k K) bool) {
 }
 
 // Insert adds k (duplicates allowed) and publishes the successor
-// snapshot. O(maxHeadLen) for the write-head copy.
+// snapshot. O(maxHeadLen) for the write-head copy, plus an O(pending)
+// merge when the head seals.
 //
 //shift:swap(writer publication under ix.mu)
 func (ix *Index[K]) Insert(k K) {
@@ -260,7 +271,7 @@ func (ix *Index[K]) Insert(k K) {
 	top := s.gens[len(s.gens)-1]
 	var next *snapshot[K]
 	if top.size() >= maxHeadLen {
-		next = s.pushHead((&generation[K]{}).withInsert(k))
+		next = s.sealHead(ix.pinned, (&generation[K]{}).withInsert(k))
 	} else {
 		next = s.replaceTop(top.withInsert(k))
 	}
@@ -271,8 +282,8 @@ func (ix *Index[K]) Insert(k K) {
 
 // Delete removes one live occurrence of k, reporting whether one existed.
 // A pending insert in the write head is removed directly; anything older
-// (sealed generation, view delta, base) gets a tombstone in the write
-// head, cancelled by value at the next compaction.
+// (sealed run, view delta, base) gets a tombstone in the write head,
+// cancelled by value at the next compaction.
 //
 //shift:swap(writer publication under ix.mu)
 func (ix *Index[K]) Delete(k K) bool {
@@ -284,7 +295,7 @@ func (ix *Index[K]) Delete(k K) bool {
 		next = s.replaceTop(top.withoutIns(i))
 	} else if s.count(k) > 0 {
 		if top.size() >= maxHeadLen {
-			next = s.pushHead((&generation[K]{}).withDelete(k))
+			next = s.sealHead(ix.pinned, (&generation[K]{}).withDelete(k))
 		} else {
 			next = s.replaceTop(top.withDelete(k))
 		}

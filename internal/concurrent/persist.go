@@ -20,11 +20,11 @@ import (
 // state one atomic pointer load returned.
 //
 // Warm restart replays rather than reconstructs: Load rebuilds the base
-// view, starts a live index (background compactor included), then pushes
-// every persisted generation's writes through the public Insert/Delete
-// path. Tombstones cancel by key value and only ever target occurrences
-// at or below their own generation, so replaying generations oldest-first
-// reproduces the persisted multiset exactly.
+// view, starts a live index (background compactor included), then merges
+// the persisted generations into one sealed run under a fresh write head.
+// Tombstones cancel by key value and rank, count and scan are sums over
+// generations, so the merged run reproduces the persisted multiset
+// exactly.
 
 // SnapshotKind identifies concurrent-index snapshots.
 const SnapshotKind = "concurrent"
@@ -37,9 +37,9 @@ const (
 	secConDels = 22 // repeated, paired with secConIns
 )
 
-// maxSnapshotGens bounds the generation count a snapshot may claim. The
-// compaction policy keeps live stacks to a handful of generations;
-// anything beyond this is a corrupt header.
+// maxSnapshotGens bounds the generation count a snapshot may claim. Live
+// stacks hold at most four generations (older builds wrote one per 1,024
+// pending writes); anything beyond this is a corrupt header.
 const maxSnapshotGens = 1 << 20
 
 // SnapshotKind implements the persistence capability (same shape as
@@ -199,14 +199,15 @@ func LoadFile[K kv.Key](path string) (*Index[K], error) {
 }
 
 // assemble goes live and replays the persisted delta — called only after
-// the container checksum verified. The replay is the same one a
-// compaction performs when it publishes a rebuilt base: the sealed
-// generations carry over verbatim onto the restored view (they are
-// already in the exact internal representation — sorted multisets whose
-// tombstones cancel by key value), and a fresh empty write head goes on
-// top. That makes warm restart O(pending) pointer work instead of
-// re-executing every pending write one copy-on-write publication at a
-// time.
+// the container checksum verified. The persisted generations are already
+// in the exact internal representation (sorted multisets whose tombstones
+// cancel by key value), so they fold by the same two-way merge a head
+// seal uses into one sealed run on the restored view, and a fresh empty
+// write head goes on top. A snapshot written with a deep stack (older
+// builds sealed one generation per maxHeadLen writes) thus serves the
+// two-generation shape from the start. That makes warm restart
+// O(pending · log gens) merge work instead of re-executing every pending
+// write one copy-on-write publication at a time.
 //
 //shift:swap(warm-restart install under ix.mu before the index escapes)
 func assemble[K kv.Key](base *updatable.Index[K], policy CompactionPolicy, gens []*generation[K]) (*Index[K], error) {
@@ -217,10 +218,7 @@ func assemble[K kv.Key](base *updatable.Index[K], policy CompactionPolicy, gens 
 	if len(gens) > 0 {
 		ix.mu.Lock()
 		cur := ix.snap.Load()
-		s := &snapshot[K]{
-			view: cur.view,
-			gens: append(append([]*generation[K]{}, gens...), &generation[K]{}),
-		}
+		s := &snapshot[K]{view: cur.view, gens: []*generation[K]{mergeGens(gens), {}}}
 		if s.length() < 0 {
 			ix.mu.Unlock()
 			ix.Close()

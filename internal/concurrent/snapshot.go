@@ -18,16 +18,19 @@ import (
 //
 // The last generation is the write head; every write publishes a successor
 // snapshot with a fresh copy of it. To keep that copy small the head is
-// sealed once it reaches maxHeadLen and a new empty head is pushed, so a
-// snapshot carries a short stack of sealed mini-generations that readers
-// binary-search in turn. Compaction seals the whole stack, merges it into
-// a rebuilt base, and publishes the result; the generations pushed while
-// the rebuild ran carry over verbatim (that is the write replay).
+// sealed once it reaches maxHeadLen: sealHead merges it into the one
+// sealed run below it and pushes a new empty head. Outside a compaction a
+// snapshot therefore carries at most two generations — the sealed run and
+// the head — and a read pays four binary searches whatever the write
+// history. Compaction seals the whole stack, merges it into a rebuilt
+// base, and publishes the result with the generations written during the
+// rebuild carried over verbatim (that is the write replay). It splits
+// those off by count, so the generations it sealed are pinned and never
+// merged into: at most four generations while a compaction is in flight.
 
 // maxHeadLen bounds the write head: a write that finds the head at this
 // size seals it and opens a fresh one. It caps the per-write copy at a few
-// KiB; the read-side cost is one extra pair of binary searches per sealed
-// mini-generation, which the compaction policy keeps bounded.
+// KiB; the seal itself is one O(pending) merge per maxHeadLen writes.
 const maxHeadLen = 1024
 
 // generation is an immutable batch of writes on top of a view: ins holds
@@ -71,6 +74,57 @@ func (g *generation[K]) withDelete(k K) *generation[K] {
 	return &generation[K]{ins: g.ins, dels: dels}
 }
 
+// mergeGen returns one generation holding both a's and b's writes: ins and
+// dels are each a linear two-way merge of sorted multisets. Rank, count,
+// length and scan are sums over generations, and a tombstone cancels by
+// value whichever generation holds the occurrence, so the merged
+// generation answers exactly as the pair did.
+func mergeGen[K kv.Key](a, b *generation[K]) *generation[K] {
+	return &generation[K]{ins: mergeSorted(a.ins, b.ins), dels: mergeSorted(a.dels, b.dels)}
+}
+
+// mergeSorted merges two sorted multisets. Generations are immutable, so
+// an empty side returns the other slice without copying.
+func mergeSorted[K kv.Key](a, b []K) []K {
+	if len(a) == 0 {
+		return b
+	}
+	if len(b) == 0 {
+		return a
+	}
+	out := make([]K, len(a)+len(b))
+	i, j, k := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		if b[j] < a[i] {
+			out[k] = b[j]
+			j++
+		} else {
+			out[k] = a[i]
+			i++
+		}
+		k++
+	}
+	k += copy(out[k:], a[i:])
+	copy(out[k:], b[j:])
+	return out
+}
+
+// mergeGens folds a non-empty generation stack into one sealed run by
+// rounds of pairwise merges, O(pending · log len(gens)).
+func mergeGens[K kv.Key](gens []*generation[K]) *generation[K] {
+	for len(gens) > 1 {
+		next := make([]*generation[K], 0, (len(gens)+1)/2)
+		for i := 0; i+1 < len(gens); i += 2 {
+			next = append(next, mergeGen(gens[i], gens[i+1]))
+		}
+		if len(gens)%2 == 1 {
+			next = append(next, gens[len(gens)-1])
+		}
+		gens = next
+	}
+	return gens[0]
+}
+
 // countEq returns the number of occurrences of q in the sorted slice xs.
 func countEq[K kv.Key](xs []K, q K) int {
 	return kv.UpperBound(xs, q) - kv.LowerBound(xs, q)
@@ -97,11 +151,20 @@ func (s *snapshot[K]) replaceTop(g *generation[K]) *snapshot[K] {
 	return &snapshot[K]{view: s.view, gens: gens, tag: s.tag}
 }
 
-// pushHead returns a successor snapshot with g appended as the new write
-// head, sealing the previous one.
-func (s *snapshot[K]) pushHead(g *generation[K]) *snapshot[K] {
-	gens := append(append([]*generation[K]{}, s.gens...), g)
-	return &snapshot[K]{view: s.view, gens: gens, tag: s.tag}
+// sealHead returns a successor snapshot with g as the new write head. The
+// outgoing head is merged into the sealed run below it, unless that run
+// is one of the first pinned generations — the ones an in-flight
+// compaction sealed, which its publish step splits off by count — in
+// which case the outgoing head becomes the sealed run above them.
+func (s *snapshot[K]) sealHead(pinned int, g *generation[K]) *snapshot[K] {
+	n := len(s.gens)
+	gens := make([]*generation[K], 0, n+1)
+	if n-2 >= pinned {
+		gens = append(append(gens, s.gens[:n-2]...), mergeGen(s.gens[n-2], s.gens[n-1]))
+	} else {
+		gens = append(gens, s.gens...)
+	}
+	return &snapshot[K]{view: s.view, gens: append(gens, g), tag: s.tag}
 }
 
 // pending is the number of write operations not yet merged into the base.
