@@ -12,9 +12,10 @@
 // pseudo-figure prints the batched-query throughput sweep (scalar Find vs
 // FindBatch vs FindBatchParallel across batch sizes, R and S modes) as CSV.
 // The "concurrent" pseudo-figure prints the mixed read/write throughput
-// sweep over internal/concurrent (reader counts × compaction policies,
-// including reads completed during in-flight compactions) as CSV. The
-// "router" pseudo-figure builds the cost-model-routed hybrid index
+// sweep over internal/concurrent (reader counts × background compaction
+// on or off, with reads completed during in-flight compactions) as CSV in
+// a "compaction" column of "background" or "off". The "router"
+// pseudo-figure builds the cost-model-routed hybrid index
 // (internal/router) over a piecewise dataset and prints its latency
 // against every homogeneous candidate backend, with the per-shard routing
 // decisions as comment lines. The "persist" pseudo-figure prints the
@@ -255,10 +256,10 @@ func concurrentSweep(n int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	g := bench.NewGrid("dataset", "policy", "readers", "reads_per_sec", "writes_per_sec", "rebuilds", "reads_during_compaction")
+	g := bench.NewGrid("dataset", "compaction", "readers", "reads_per_sec", "writes_per_sec", "rebuilds", "reads_during_compaction")
 	verbs := []string{"%s", "%s", "%d", "%.0f", "%.0f", "%d", "%d"}
 	for _, p := range pts {
-		g.Rowf(verbs, p.Dataset, p.Policy, p.Readers, p.ReadsPerSec, p.WritesPerSec, p.Rebuilds, p.ReadsDuringCompaction)
+		g.Rowf(verbs, p.Dataset, p.Compaction, p.Readers, p.ReadsPerSec, p.WritesPerSec, p.Rebuilds, p.ReadsDuringCompaction)
 	}
 	emit(g)
 	return nil

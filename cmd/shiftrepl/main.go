@@ -117,13 +117,11 @@ func publish(args []string) error {
 	if err != nil {
 		return err
 	}
-	primary, err := concurrent.New(keys, concurrent.Config{
-		Policy: concurrent.CompactionPolicy{Kind: concurrent.Manual},
-	})
+	primary, err := concurrent.New(keys, concurrent.Config{})
 	if err != nil {
 		return err
 	}
-	defer primary.Close()
+	primary.Close() // no background compaction: the store gets one base full, then deltas
 
 	ctx := context.Background()
 	pub, err := replica.NewPublisher(ctx, s, primary, replica.PublisherConfig{Spool: *spool})

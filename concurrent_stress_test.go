@@ -23,9 +23,8 @@ import (
 
 func TestConcurrentIndexStorm(t *testing.T) {
 	initial := dataset.MustGenerate(dataset.Face, 64, 50_000, 17)
-	ix, err := concurrent.New(initial, concurrent.Config{
-		Policy: concurrent.CompactionPolicy{Kind: concurrent.DeltaCount, Count: 1024},
-	})
+	// 50k live keys: the compaction rule's floor, 1,024 pending writes.
+	ix, err := concurrent.New(initial, concurrent.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

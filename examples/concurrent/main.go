@@ -22,13 +22,10 @@ import (
 
 func main() {
 	// Build over sorted keys, exactly like the single-threaded examples.
-	// The delta-count policy rebuilds the base whenever 50k writes have
-	// accumulated; DeltaFraction (the default) and Manual are the
-	// alternatives.
+	// The background compactor rebuilds the base whenever pending writes
+	// reach 1/64 of the live keys (31,250 here).
 	keys := dataset.MustGenerate(dataset.Face, 64, 2_000_000, 1)
-	ix, err := concurrent.New(keys, concurrent.Config{
-		Policy: concurrent.CompactionPolicy{Kind: concurrent.DeltaCount, Count: 50_000},
-	})
+	ix, err := concurrent.New(keys, concurrent.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,7 +68,7 @@ func main() {
 	writeDur := time.Since(start)
 
 	// Let the compactor catch up, then quiesce.
-	for ix.Pending() >= 50_000 && ix.Err() == nil {
+	for ix.Pending() >= ix.Len()/64 && ix.Err() == nil {
 		//shift:allow-sleep(example quiesce poll; the loop exits as soon as the compactor catches up or errors)
 		time.Sleep(time.Millisecond)
 	}

@@ -88,13 +88,11 @@ func main() {
 
 	// --- 2. A serving index: snapshot under writes, warm restart. -----
 	fmt.Println()
-	serving, err := concurrent.New(keys, concurrent.Config{
-		Policy: concurrent.CompactionPolicy{Kind: concurrent.Manual},
-	})
+	serving, err := concurrent.New(keys, concurrent.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer serving.Close()
+	serving.Close() // no background compaction: explicit Compact calls only
 	for i := 0; i < 30_000; i++ {
 		if i%3 == 0 {
 			serving.Delete(keys[rng.Intn(len(keys))])
@@ -117,7 +115,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer restarted.Close()
-	fmt.Printf("restart:    live again in %.1f ms — base loaded, %d pending writes replayed through the live write path\n",
+	fmt.Printf("restart:    live again in %.1f ms — base loaded, %d pending writes merged into one sealed run\n",
 		ms(start), restarted.Pending())
 	if got, want := restarted.Len(), serving.Len(); got != want {
 		log.Fatalf("restarted Len = %d, want %d", got, want)

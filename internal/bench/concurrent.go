@@ -30,30 +30,30 @@ type ConcurrentConfig struct {
 	// Readers is the sweep of reader goroutine counts (nil = 1, 2, 4).
 	// Every cell also runs one writer goroutine.
 	Readers []int
-	// Policies to sweep (nil = delta-fraction default, delta-count 8192,
-	// manual i.e. no compaction).
-	Policies []concurrent.CompactionPolicy
 	// Spec is the dataset (zero value = face64).
 	Spec dataset.Spec
 }
 
-// ConcurrentPoint is one (policy, readers) measurement cell.
+// ConcurrentPoint is one (compaction, readers) measurement cell.
 type ConcurrentPoint struct {
 	Dataset string
-	Policy  string
-	Readers int
+	// Compaction is "background" (the index's compaction rule) or "off"
+	// (closed right after New, so nothing compacts).
+	Compaction string
+	Readers    int
 
 	ReadsPerSec  float64 // scalar Find completions per second, all readers
 	WritesPerSec float64 // insert/delete completions per second
 	Rebuilds     int     // compactions completed inside the window
 	// ReadsDuringCompaction counts reads that completed while a rebuild
 	// was in flight — the "reader throughput does not drop to zero"
-	// evidence. Expect 0 when Rebuilds is 0 (manual policy) and on a
+	// evidence. Expect 0 when Rebuilds is 0 (compaction off) and on a
 	// single-CPU run, where the compactor and readers time-share.
 	ReadsDuringCompaction int64
 }
 
-// RunConcurrent measures the mixed-workload sweep.
+// RunConcurrent measures the mixed-workload sweep: compaction background
+// and off, each across the reader counts.
 func RunConcurrent(cfg ConcurrentConfig) ([]ConcurrentPoint, error) {
 	if cfg.N == 0 {
 		cfg.N = 1_000_000
@@ -64,13 +64,6 @@ func RunConcurrent(cfg ConcurrentConfig) ([]ConcurrentPoint, error) {
 	if cfg.Readers == nil {
 		cfg.Readers = []int{1, 2, 4}
 	}
-	if cfg.Policies == nil {
-		cfg.Policies = []concurrent.CompactionPolicy{
-			{Kind: concurrent.DeltaFraction},
-			{Kind: concurrent.DeltaCount, Count: 8192},
-			{Kind: concurrent.Manual},
-		}
-	}
 	if cfg.Spec == (dataset.Spec{}) {
 		cfg.Spec = dataset.Spec{Name: dataset.Face, Bits: 64}
 	}
@@ -79,11 +72,11 @@ func RunConcurrent(cfg ConcurrentConfig) ([]ConcurrentPoint, error) {
 		return nil, err
 	}
 	var out []ConcurrentPoint
-	for _, policy := range cfg.Policies {
+	for _, compaction := range []string{"background", "off"} {
 		for _, readers := range cfg.Readers {
-			pt, err := concurrentCell(keys, cfg, policy, readers)
+			pt, err := concurrentCell(keys, cfg, compaction, readers)
 			if err != nil {
-				return nil, fmt.Errorf("policy %v, %d readers: %w", policy.Kind, readers, err)
+				return nil, fmt.Errorf("compaction %s, %d readers: %w", compaction, readers, err)
 			}
 			pt.Dataset = cfg.Spec.String()
 			out = append(out, pt)
@@ -92,12 +85,15 @@ func RunConcurrent(cfg ConcurrentConfig) ([]ConcurrentPoint, error) {
 	return out, nil
 }
 
-func concurrentCell(keys []uint64, cfg ConcurrentConfig, policy concurrent.CompactionPolicy, readers int) (ConcurrentPoint, error) {
-	ix, err := concurrent.New(keys, concurrent.Config{Policy: policy})
+func concurrentCell(keys []uint64, cfg ConcurrentConfig, compaction string, readers int) (ConcurrentPoint, error) {
+	ix, err := concurrent.New(keys, concurrent.Config{})
 	if err != nil {
 		return ConcurrentPoint{}, err
 	}
 	defer ix.Close()
+	if compaction == "off" {
+		ix.Close()
+	}
 
 	var stop atomic.Bool
 	var reads, writes, readsDuringCompaction atomic.Int64
@@ -152,7 +148,7 @@ func concurrentCell(keys []uint64, cfg ConcurrentConfig, policy concurrent.Compa
 		return ConcurrentPoint{}, err
 	}
 	return ConcurrentPoint{
-		Policy:                policy.Kind.String(),
+		Compaction:            compaction,
 		Readers:               readers,
 		ReadsPerSec:           float64(reads.Load()) / elapsed,
 		WritesPerSec:          float64(writes.Load()) / elapsed,

@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"repro/internal/concurrent"
 )
 
 func TestRunConcurrentSmoke(t *testing.T) {
@@ -17,10 +15,6 @@ func TestRunConcurrentSmoke(t *testing.T) {
 		Duration: 120 * time.Millisecond,
 		Seed:     5,
 		Readers:  []int{1, 2},
-		Policies: []concurrent.CompactionPolicy{
-			{Kind: concurrent.DeltaCount, Count: 2048},
-			{Kind: concurrent.Manual},
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -30,21 +24,21 @@ func TestRunConcurrentSmoke(t *testing.T) {
 	}
 	for _, p := range pts {
 		if p.ReadsPerSec <= 0 {
-			t.Errorf("%s/%s readers=%d: zero read throughput", p.Dataset, p.Policy, p.Readers)
+			t.Errorf("%s/%s readers=%d: zero read throughput", p.Dataset, p.Compaction, p.Readers)
 		}
 		if p.WritesPerSec <= 0 {
-			t.Errorf("%s/%s readers=%d: zero write throughput", p.Dataset, p.Policy, p.Readers)
+			t.Errorf("%s/%s readers=%d: zero write throughput", p.Dataset, p.Compaction, p.Readers)
 		}
-		if p.Policy == "manual" && p.Rebuilds != 0 {
-			t.Errorf("manual policy compacted %d times", p.Rebuilds)
+		if p.Compaction == "off" && p.Rebuilds != 0 {
+			t.Errorf("compaction off, yet compacted %d times", p.Rebuilds)
 		}
 		// The acceptance bar: readers made progress during in-flight
 		// compactions. On one CPU the compactor and readers time-share,
 		// so the sample can legitimately be empty there.
-		if p.Policy != "manual" && p.Rebuilds > 0 &&
+		if p.Compaction == "background" && p.Rebuilds > 0 &&
 			runtime.GOMAXPROCS(0) > 1 && p.ReadsDuringCompaction == 0 {
 			t.Errorf("%s readers=%d: %d rebuilds but no reads completed during compaction",
-				p.Policy, p.Readers, p.Rebuilds)
+				p.Compaction, p.Readers, p.Rebuilds)
 		}
 	}
 }

@@ -300,13 +300,11 @@ func persistUpdatable(keys, qs []uint64, writes int, path string) (PersistPoint,
 
 func persistConcurrent(keys, qs []uint64, writes int, path string) (PersistPoint, error) {
 	start := time.Now()
-	cold, err := concurrent.New(keys, concurrent.Config{
-		Policy: concurrent.CompactionPolicy{Kind: concurrent.Manual},
-	})
+	cold, err := concurrent.New(keys, concurrent.Config{})
 	if err != nil {
 		return PersistPoint{}, err
 	}
-	defer cold.Close()
+	cold.Close() // no background compaction: explicit Compact calls only
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < writes; i++ {
 		if i%3 == 0 {

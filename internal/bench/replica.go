@@ -106,13 +106,11 @@ func RunReplication(cfg ReplicationConfig) (*ReplicationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	primary, err := concurrent.New(keys, concurrent.Config{
-		Policy: concurrent.CompactionPolicy{Kind: concurrent.Manual},
-	})
+	primary, err := concurrent.New(keys, concurrent.Config{})
 	if err != nil {
 		return nil, err
 	}
-	defer primary.Close()
+	primary.Close() // no background compaction: explicit Compact calls only
 	store := replica.DirStore{Dir: storeDir}
 	pub, err := replica.NewPublisher(ctx, store, primary, replica.PublisherConfig{Spool: dir})
 	if err != nil {

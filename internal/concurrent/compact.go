@@ -1,99 +1,22 @@
 package concurrent
 
-import (
-	"fmt"
+import "repro/internal/updatable"
 
-	"repro/internal/updatable"
-)
-
-// PolicyKind selects how the background compactor decides a rebuild is
-// due.
-type PolicyKind int
-
-const (
-	// DeltaFraction compacts when pending writes exceed Fraction of the
-	// live key count (with a floor so tiny indexes don't thrash). This is
-	// the default: rebuild cost stays proportional to the work absorbed.
-	DeltaFraction PolicyKind = iota
-	// DeltaCount compacts when pending writes reach Count, independent of
-	// index size: a bound on worst-case write amplification per op.
-	DeltaCount
-	// Manual never compacts in the background; only explicit Compact
-	// calls rebuild the base.
-	Manual
-)
-
-func (k PolicyKind) String() string {
-	switch k {
-	case DeltaFraction:
-		return "delta-fraction"
-	case DeltaCount:
-		return "delta-count"
-	case Manual:
-		return "manual"
-	default:
-		return fmt.Sprintf("PolicyKind(%d)", int(k))
-	}
-}
-
-// CompactionPolicy decides when the background compactor runs. The zero
-// value is DeltaFraction with defaults (1/64 of the live count, floor
-// 1024 — matching the single-threaded updatable.Config.MaxDelta default).
-type CompactionPolicy struct {
-	Kind PolicyKind
-	// Fraction applies to DeltaFraction: compact when pending >=
-	// Fraction * live. 0 defaults to 1/64.
-	Fraction float64
-	// Count applies to DeltaCount: compact when pending >= Count. 0
-	// defaults to 4096.
-	Count int
-}
-
-func (p CompactionPolicy) validate() error {
-	switch p.Kind {
-	case DeltaFraction, DeltaCount, Manual:
-	default:
-		return fmt.Errorf("concurrent: unknown policy kind %v", p.Kind)
-	}
-	if p.Fraction < 0 {
-		return fmt.Errorf("concurrent: negative policy fraction %v", p.Fraction)
-	}
-	if p.Count < 0 {
-		return fmt.Errorf("concurrent: negative policy count %d", p.Count)
-	}
-	return nil
-}
-
-// due reports whether a snapshot with the given pending-write and live
-// counts should be compacted.
-func (p CompactionPolicy) due(pending, live int) bool {
-	switch p.Kind {
-	case Manual:
-		return false
-	case DeltaCount:
-		count := p.Count
-		if count == 0 {
-			count = 4096
-		}
-		return pending >= count
-	default: // DeltaFraction
-		frac := p.Fraction
-		if frac == 0 {
-			frac = 1.0 / 64
-		}
-		threshold := int(frac * float64(live))
-		if threshold < 1024 {
-			threshold = 1024
-		}
-		return pending >= threshold
-	}
+// due is the background compaction rule: a snapshot is due once its
+// pending writes reach 1/64 of the live key count, with a floor of one
+// write head so a small index does not thrash (the single-threaded
+// updatable.Config.MaxDelta default). Rebuild cost thus stays
+// proportional to the work absorbed. Close turns background compaction
+// off; Compact still runs on demand.
+func due(pending, live int) bool {
+	return pending >= max(maxHeadLen, live/64)
 }
 
 // compactor is the background goroutine: it sleeps until a writer nudges
-// it, then compacts as long as the policy says the current snapshot is
-// due. A compaction error (out-of-memory-grade; the merge itself cannot
-// produce invalid input) is recorded for Err and ends the current burst;
-// the goroutine stays alive, so the next due write retries.
+// it, then compacts as long as the current snapshot is due. A compaction
+// error (out-of-memory-grade; the merge itself cannot produce invalid
+// input) is recorded for Err and ends the current burst; the goroutine
+// stays alive, so the next due write retries.
 func (ix *Index[K]) compactor() {
 	defer ix.wg.Done()
 	for {
@@ -109,7 +32,7 @@ func (ix *Index[K]) compactor() {
 			default:
 			}
 			s := ix.snap.Load()
-			if !ix.policy.due(s.pending(), s.length()) {
+			if !due(s.pending(), s.length()) {
 				break
 			}
 			if err := ix.Compact(); err != nil {
@@ -126,8 +49,8 @@ func (ix *Index[K]) compactor() {
 
 // Compact rebuilds the base Shift-Table from the current snapshot while
 // reads and writes keep flowing, then publishes the result with a single
-// pointer swap. Safe to call manually under any policy; concurrent calls
-// serialise. The three phases:
+// pointer swap. Safe to call manually, before or after Close; concurrent
+// calls serialise. The three phases:
 //
 //  1. Seal (brief writer lock): the current write head is frozen and a
 //     fresh empty head is pushed, so writes landing mid-rebuild stay

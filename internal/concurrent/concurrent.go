@@ -17,8 +17,9 @@
 //     with a single pointer store. A full head is merged into the one
 //     sealed run below it: O(maxHeadLen) per write plus one O(pending)
 //     merge per maxHeadLen writes, pending bounded by the compaction
-//     policy.
-//   - A background compactor watches delta pressure (CompactionPolicy) and
+//     rule.
+//   - A background compactor, nudged by writes once pending writes reach
+//     1/64 of the live keys (due, compact.go; Close turns it off),
 //     rebuilds the base Shift-Table + CDF model off to the side: it seals
 //     the write head, opens a fresh one for writes that land mid-rebuild,
 //     merges the sealed state into a new base, and publishes the result
@@ -45,16 +46,12 @@ type Config struct {
 	// Layer configures the base Shift-Table rebuilt at each compaction
 	// (§3 defaults apply).
 	Layer core.Config
-	// Policy decides when the background compactor rebuilds the base.
-	// The zero value is a delta-fraction policy with defaults.
-	Policy CompactionPolicy
 }
 
 // Index is a goroutine-safe updatable Shift-Table index. Any number of
 // readers may call the read methods concurrently with each other, with
 // writers, and with an in-flight compaction.
 type Index[K kv.Key] struct {
-	policy CompactionPolicy
 	// layer is the base Shift-Table geometry compaction rebuilds with. It
 	// is behind an atomic pointer because replication replaces it:
 	// InstallState adopts the incoming snapshot's configuration while
@@ -86,43 +83,39 @@ type Index[K kv.Key] struct {
 }
 
 // New builds a concurrent index over sorted initial keys (which may be
-// empty) and starts its background compactor. Call Close to stop it.
+// empty) and starts its background compactor. Call Close to stop it; an
+// index closed right after New compacts only on explicit Compact calls.
 func New[K kv.Key](keys []K, cfg Config) (*Index[K], error) {
 	base, err := updatable.New(keys, updatable.Config{Layer: cfg.Layer})
 	if err != nil {
 		return nil, err
 	}
-	return wrap(base, cfg)
+	return Wrap(base), nil
 }
 
 // Wrap takes ownership of an existing single-threaded updatable.Index and
 // serves it concurrently. The first snapshot shares the index's base
-// table, Fenwick prefix sums and delta buffer without copying (Freeze);
-// the caller must not write to ix afterwards through its own reference.
-func Wrap[K kv.Key](ix *updatable.Index[K], policy CompactionPolicy) (*Index[K], error) {
-	cfg := Config{Layer: ix.Config().Layer, Policy: policy}
-	return wrap(ix, cfg)
+// table, delta buffer and tombstone state (when it has any) without
+// copying (Freeze); the caller must not write to ix afterwards through
+// its own reference.
+func Wrap[K kv.Key](ix *updatable.Index[K]) *Index[K] {
+	return start(ix.Freeze(), ix.Config().Layer, []*generation[K]{{}})
 }
 
+// start publishes the first snapshot — view under gens, whose top is the
+// write head — and starts the background compactor.
+//
 //shift:swap(constructor: publishes the first snapshot before the index escapes)
-func wrap[K kv.Key](base *updatable.Index[K], cfg Config) (*Index[K], error) {
-	if err := cfg.Policy.validate(); err != nil {
-		return nil, err
-	}
+func start[K kv.Key](view *updatable.View[K], layer core.Config, gens []*generation[K]) *Index[K] {
 	ix := &Index[K]{
-		policy: cfg.Policy,
-		wake:   make(chan struct{}, 1),
-		done:   make(chan struct{}),
+		wake: make(chan struct{}, 1),
+		done: make(chan struct{}),
 	}
-	layer := cfg.Layer
 	ix.layer.Store(&layer)
-	ix.snap.Store(&snapshot[K]{
-		view: base.Freeze(),
-		gens: []*generation[K]{{}},
-	})
+	ix.snap.Store(&snapshot[K]{view: view, gens: gens})
 	ix.wg.Add(1)
 	go ix.compactor()
-	return ix, nil
+	return ix
 }
 
 // layerCfg returns the base-layer geometry current compactions rebuild
@@ -158,7 +151,7 @@ func (ix *Index[K]) SizeBytes() int {
 }
 
 // Pending returns the number of write operations not yet compacted into
-// the base (observability; the compaction policies act on it).
+// the base (observability; the compaction rule acts on it).
 func (ix *Index[K]) Pending() int { return ix.snap.Load().pending() }
 
 // Rebuilds returns how many compactions have completed.
@@ -309,10 +302,10 @@ func (ix *Index[K]) Delete(k K) bool {
 	return true
 }
 
-// maybeWake nudges the compactor when the policy says the published
-// snapshot is due. Non-blocking: a pending nudge is enough.
+// maybeWake nudges the compactor when the published snapshot is due.
+// Non-blocking: a pending nudge is enough.
 func (ix *Index[K]) maybeWake(s *snapshot[K]) {
-	if !ix.policy.due(s.pending(), s.length()) {
+	if !due(s.pending(), s.length()) {
 		return
 	}
 	select {

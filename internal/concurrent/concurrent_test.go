@@ -36,7 +36,7 @@ func (r *reference) delete(k uint64) bool {
 // oracle no matter when the snapshot swap lands.
 func TestSequentialMatchesReference(t *testing.T) {
 	initial := dataset.MustGenerate(dataset.Face, 64, 3_000, 3)
-	ix, err := New(initial, Config{Policy: CompactionPolicy{Kind: DeltaCount, Count: 128}})
+	ix, err := New(initial, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +118,11 @@ func TestSequentialMatchesReference(t *testing.T) {
 // batch-vs-scalar equivalence is only defined when no writes interleave).
 func TestBatchMatchesScalar(t *testing.T) {
 	initial := dataset.MustGenerate(dataset.Osmc, 64, 4_000, 5)
-	ix, err := New(initial, Config{Policy: CompactionPolicy{Kind: Manual}})
+	ix, err := New(initial, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ix.Close()
+	ix.Close()
 	rng := rand.New(rand.NewSource(9))
 	domain := initial[len(initial)-1] + 500
 	for i := 0; i < 2_000; i++ {
@@ -176,10 +176,7 @@ func TestWrapSharesFrozenState(t *testing.T) {
 		t.Fatal("wrap precondition: want both tombstones and delta entries")
 	}
 
-	ix, err := Wrap(base, CompactionPolicy{Kind: Manual})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := Wrap(base)
 	defer ix.Close()
 	for q := uint64(0); q < 200; q++ {
 		k := ref.keys[rng.Intn(len(ref.keys))] + q%3
@@ -201,18 +198,21 @@ func TestWrapSharesFrozenState(t *testing.T) {
 	}
 }
 
-func TestManualPolicyNeverAutoCompacts(t *testing.T) {
-	ix, err := New([]uint64{1, 2, 3}, Config{Policy: CompactionPolicy{Kind: Manual}})
+// TestClosedIndexNeverAutoCompacts: an index closed right after New
+// rebuilds only on explicit Compact calls, however far past the rule its
+// writes go.
+func TestClosedIndexNeverAutoCompacts(t *testing.T) {
+	ix, err := New([]uint64{1, 2, 3}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ix.Close()
+	ix.Close()
 	for i := 0; i < 3_000; i++ {
 		ix.Insert(uint64(i))
 	}
 	time.Sleep(10 * time.Millisecond)
 	if ix.Rebuilds() != 0 {
-		t.Fatalf("manual policy auto-compacted %d times", ix.Rebuilds())
+		t.Fatalf("closed index auto-compacted %d times", ix.Rebuilds())
 	}
 	if err := ix.Compact(); err != nil {
 		t.Fatal(err)
@@ -223,12 +223,12 @@ func TestManualPolicyNeverAutoCompacts(t *testing.T) {
 }
 
 func TestBackgroundCompactionFires(t *testing.T) {
-	ix, err := New([]uint64{10, 20, 30}, Config{Policy: CompactionPolicy{Kind: DeltaCount, Count: 64}})
+	ix, err := New([]uint64{10, 20, 30}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	for i := 0; i < 256; i++ {
+	for i := 0; i < 2_000; i++ { // past the rule's floor of one write head
 		ix.Insert(uint64(i * 7))
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -241,45 +241,27 @@ func TestBackgroundCompactionFires(t *testing.T) {
 	if err := ix.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if got := ix.Len(); got != 259 {
-		t.Fatalf("Len = %d, want 259", got)
+	if got := ix.Len(); got != 2_003 {
+		t.Fatalf("Len = %d, want 2003", got)
 	}
 }
 
-func TestPolicyDue(t *testing.T) {
+// TestCompactionDue pins the one background rule: pending writes at
+// max(maxHeadLen, live/64).
+func TestCompactionDue(t *testing.T) {
 	cases := []struct {
-		p             CompactionPolicy
 		pending, live int
 		want          bool
 	}{
-		{CompactionPolicy{}, 1023, 100, false},                                  // default fraction, floor 1024
-		{CompactionPolicy{}, 1024, 100, true},                                   // floor reached
-		{CompactionPolicy{Fraction: 0.5}, 1024, 100_000, false},                 // below 50% of live... floor is 1024 but 0.5*100000=50000>1024
-		{CompactionPolicy{Fraction: 0.5}, 50_000, 100_000, true},                // at 50%
-		{CompactionPolicy{Kind: DeltaCount, Count: 10}, 9, 0, false},            // below count
-		{CompactionPolicy{Kind: DeltaCount, Count: 10}, 10, 0, true},            // at count
-		{CompactionPolicy{Kind: DeltaCount}, 4095, 0, false},                    // default count
-		{CompactionPolicy{Kind: DeltaCount}, 4096, 0, true},                     // default count
-		{CompactionPolicy{Kind: Manual}, 1 << 30, 1, false},                     // manual never
-		{CompactionPolicy{Fraction: 1.0 / 64}, 2_000_000 / 64, 2_000_000, true}, // explicit default
-		{CompactionPolicy{Fraction: 1.0 / 64}, 2_000_000/64 - 1, 2_000_000, false},
+		{1023, 100, false},         // below the floor
+		{1024, 100, true},          // floor reached
+		{31_249, 2_000_000, false}, // below live/64
+		{31_250, 2_000_000, true},  // live/64 reached
 	}
-	for i, c := range cases {
-		if got := c.p.due(c.pending, c.live); got != c.want {
-			t.Errorf("case %d: due(%d, %d) with %+v = %v, want %v", i, c.pending, c.live, c.p, got, c.want)
+	for _, c := range cases {
+		if got := due(c.pending, c.live); got != c.want {
+			t.Errorf("due(%d, %d) = %v, want %v", c.pending, c.live, got, c.want)
 		}
-	}
-	if err := (CompactionPolicy{Kind: PolicyKind(9)}).validate(); err == nil {
-		t.Error("want error for unknown policy kind")
-	}
-	if err := (CompactionPolicy{Fraction: -1}).validate(); err == nil {
-		t.Error("want error for negative fraction")
-	}
-	if err := (CompactionPolicy{Count: -1}).validate(); err == nil {
-		t.Error("want error for negative count")
-	}
-	if _, err := New[uint64](nil, Config{Policy: CompactionPolicy{Count: -1}}); err == nil {
-		t.Error("New must reject an invalid policy")
 	}
 }
 
@@ -317,7 +299,7 @@ func TestEmptyIndex(t *testing.T) {
 }
 
 func TestScanContract(t *testing.T) {
-	ix, err := New([]uint64{10, 20, 30, 40, 50}, Config{Policy: CompactionPolicy{Kind: Manual}})
+	ix, err := New([]uint64{10, 20, 30, 40, 50}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,8 +334,7 @@ func TestScanContract(t *testing.T) {
 func TestModeMidpointLayer(t *testing.T) {
 	initial := dataset.MustGenerate(dataset.LogN, 64, 3_000, 5)
 	ix, err := New(initial, Config{
-		Layer:  core.Config{Mode: core.ModeMidpoint},
-		Policy: CompactionPolicy{Kind: DeltaCount, Count: 256},
+		Layer: core.Config{Mode: core.ModeMidpoint},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -369,6 +350,13 @@ func TestModeMidpointLayer(t *testing.T) {
 		q := rng.Uint64() % domain
 		if got, want := ix.Find(q), kv.LowerBound(ref.keys, q); got != want {
 			t.Fatalf("midpoint Find(%d) = %d, want %d", q, got, want)
+		}
+	}
+	// The writes passed the rule, so a midpoint-mode rebuild serves now.
+	waitForRebuild(t, ix)
+	for q := uint64(0); q < domain; q += domain / 500 {
+		if got, want := ix.Find(q), kv.LowerBound(ref.keys, q); got != want {
+			t.Fatalf("rebuilt midpoint Find(%d) = %d, want %d", q, got, want)
 		}
 	}
 }

@@ -5,11 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/kv"
 	snap "repro/internal/snapshot"
-	"repro/internal/updatable"
 )
 
 // This file is the replication surface of the concurrent index
@@ -161,7 +159,11 @@ func (d *Delta[K]) Pending() int {
 	return n
 }
 
-func loadDeltaSections[K kv.Key](sr *snap.Reader) (*Delta[K], error) {
+// readDelta reads a delta container's sections.
+func readDelta[K kv.Key](sr *snap.Reader) (*Delta[K], error) {
+	if sr.Kind() != DeltaKind {
+		return nil, fmt.Errorf("concurrent: snapshot kind %q, want %q", sr.Kind(), DeltaKind)
+	}
 	ms, err := sr.Expect(secDeltaMeta)
 	if err != nil {
 		return nil, err
@@ -197,13 +199,9 @@ func loadDeltaSections[K kv.Key](sr *snap.Reader) (*Delta[K], error) {
 // returned.
 func LoadDelta[K kv.Key](r io.Reader, total int64) (*Delta[K], error) {
 	var d *Delta[K]
-	err := snap.Load(r, total, func(sr *snap.Reader) error {
-		if sr.Kind() != DeltaKind {
-			return fmt.Errorf("concurrent: snapshot kind %q, want %q", sr.Kind(), DeltaKind)
-		}
-		var lerr error
-		d, lerr = loadDeltaSections[K](sr)
-		return lerr
+	err := snap.Load(r, total, func(sr *snap.Reader) (err error) {
+		d, err = readDelta[K](sr)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -213,47 +211,16 @@ func LoadDelta[K kv.Key](r io.Reader, total int64) (*Delta[K], error) {
 
 // LoadDeltaFile reads a delta container from a file.
 func LoadDeltaFile[K kv.Key](path string) (*Delta[K], error) {
-	f, total, err := openSized(path)
+	var d *Delta[K]
+	err := snap.LoadFile(path, func(sr *snap.Reader) (err error) {
+		d, err = readDelta[K](sr)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return LoadDelta[K](f, total)
+	return d, nil
 }
-
-// openSized opens path for loading and reports its size (-1 when stat
-// fails; the reader then bounds sections conservatively).
-func openSized(path string) (*os.File, int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	total := int64(-1)
-	if fi, err := f.Stat(); err == nil {
-		total = fi.Size()
-	}
-	return f, total, nil
-}
-
-// State is a verified full snapshot not yet serving: the loaded base
-// (with its layer configuration), the persisted policy, and the
-// generation stack — everything InstallState needs, built entirely off
-// the serving path.
-type State[K kv.Key] struct {
-	base   *updatable.Index[K]
-	view   *updatable.View[K]
-	policy CompactionPolicy
-	gens   []*generation[K]
-}
-
-// Len returns the state's live key count.
-func (st *State[K]) Len() int {
-	s := snapshot[K]{view: st.view, gens: st.gens}
-	return s.length()
-}
-
-// ModelFingerprint returns the fingerprint of the state's base model.
-func (st *State[K]) ModelFingerprint() uint64 { return st.view.ModelFingerprint() }
 
 // LenWith returns the live key count st would have with d's generation
 // stack in place of its own — the replica verifies this against the
@@ -262,40 +229,6 @@ func (st *State[K]) ModelFingerprint() uint64 { return st.view.ModelFingerprint(
 func (st *State[K]) LenWith(d *Delta[K]) int {
 	s := snapshot[K]{view: st.view, gens: d.gens}
 	return s.length()
-}
-
-// LoadState reads a full-snapshot container into a State; total is the
-// input size in bytes (-1 when unknown).
-func LoadState[K kv.Key](r io.Reader, total int64) (*State[K], error) {
-	var st *State[K]
-	err := snap.Load(r, total, func(sr *snap.Reader) error {
-		if sr.Kind() != SnapshotKind {
-			return fmt.Errorf("concurrent: snapshot kind %q, want %q", sr.Kind(), SnapshotKind)
-		}
-		base, policy, gens, lerr := loadSections[K](sr)
-		if lerr != nil {
-			return lerr
-		}
-		st = &State[K]{base: base, view: base.Freeze(), policy: policy, gens: gens}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if st.Len() < 0 {
-		return nil, fmt.Errorf("concurrent: state generations cancel more occurrences than exist (corrupt snapshot)")
-	}
-	return st, nil
-}
-
-// LoadStateFile reads a full-snapshot container file into a State.
-func LoadStateFile[K kv.Key](path string) (*State[K], error) {
-	f, total, err := openSized(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadState[K](f, total)
 }
 
 // InstallState swaps st in as the index's entire content: the base view,
@@ -315,7 +248,7 @@ func (ix *Index[K]) InstallState(st *State[K], tag uint64) error {
 	if next.length() < 0 {
 		return fmt.Errorf("concurrent: state generations cancel more occurrences than exist (corrupt snapshot)")
 	}
-	layer := st.base.Config().Layer
+	layer := st.layer
 
 	// Full writer+compactor lock: an in-flight compaction's publish phase
 	// must not resurrect the replaced state, and the layer adoption must

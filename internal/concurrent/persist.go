@@ -4,8 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
+	"repro/internal/core"
 	"repro/internal/kv"
 	snap "repro/internal/snapshot"
 	"repro/internal/updatable"
@@ -19,11 +19,12 @@ import (
 // reads, writes and compactions without any locks — it streams whatever
 // state one atomic pointer load returned.
 //
-// Warm restart replays rather than reconstructs: Load rebuilds the base
-// view, starts a live index (background compactor included), then merges
-// the persisted generations into one sealed run under a fresh write head.
-// Tombstones cancel by key value and rank, count and scan are sums over
-// generations, so the merged run reproduces the persisted multiset
+// Every loader reads a full snapshot into a State first — the unit a
+// replica installs — and the index loaders (Load, LoadFile, MapIndex,
+// MapFile, the registry) then assemble it into a live index: the
+// persisted generations merge into one sealed run under a fresh write
+// head. Tombstones cancel by key value and rank, count and scan are sums
+// over generations, so the merged run reproduces the persisted multiset
 // exactly.
 
 // SnapshotKind identifies concurrent-index snapshots.
@@ -42,11 +43,16 @@ const (
 // pending writes); anything beyond this is a corrupt header.
 const maxSnapshotGens = 1 << 20
 
+// metaReserved is the length of the meta section's leading reserved
+// bytes, before the generation count: older builds stored a compaction
+// policy there, this one writes zeros and every reader ignores them.
+const metaReserved = 20
+
 // SnapshotKind implements the persistence capability (same shape as
 // index.Persister).
 func (ix *Index[K]) SnapshotKind() string { return SnapshotKind }
 
-// PersistSnapshot writes the current published snapshot: policy, view,
+// PersistSnapshot writes the current published snapshot: meta, view,
 // and the pending write generations. Lock-free — concurrent writes land
 // in successor snapshots and are simply not part of this one.
 func (ix *Index[K]) PersistSnapshot(sw *snap.Writer) error {
@@ -56,13 +62,10 @@ func (ix *Index[K]) PersistSnapshot(sw *snap.Writer) error {
 // persistState streams one immutable snapshot. Replication uses it to
 // persist a *captured* published state (PublishedState.Persist) so the
 // primary can keep writing while the artifact streams out; the bytes are
-// deterministic for a given (policy, layer, state) triple, which is what
-// the delta-equivalence tests assert.
+// deterministic for a given (layer, state) pair, which is what the
+// delta-equivalence tests assert.
 func (ix *Index[K]) persistState(s *snapshot[K], sw *snap.Writer) error {
-	meta := make([]byte, 0, 24)
-	meta = binary.LittleEndian.AppendUint32(meta, uint32(ix.policy.Kind))
-	meta = binary.LittleEndian.AppendUint64(meta, math.Float64bits(ix.policy.Fraction))
-	meta = binary.LittleEndian.AppendUint64(meta, uint64(ix.policy.Count))
+	meta := make([]byte, metaReserved, 24)
 	meta = binary.LittleEndian.AppendUint32(meta, uint32(len(s.gens)))
 	if err := sw.Bytes(secConMeta, meta); err != nil {
 		return err
@@ -81,46 +84,45 @@ func (ix *Index[K]) persistState(s *snapshot[K], sw *snap.Writer) error {
 	return nil
 }
 
-// loadSections restores the base and collects the generations to replay.
-func loadSections[K kv.Key](sr *snap.Reader) (*updatable.Index[K], CompactionPolicy, []*generation[K], error) {
-	var policy CompactionPolicy
+// parseMeta checks the 24-byte meta section and returns its generation
+// count.
+func parseMeta(meta []byte) (uint32, error) {
+	if len(meta) != metaReserved+4 {
+		return 0, fmt.Errorf("concurrent: meta section is %d bytes, want %d", len(meta), metaReserved+4)
+	}
+	genCount := binary.LittleEndian.Uint32(meta[metaReserved:])
+	if genCount > maxSnapshotGens {
+		return 0, fmt.Errorf("concurrent: snapshot claims %d generations (limit %d)", genCount, maxSnapshotGens)
+	}
+	return genCount, nil
+}
+
+// readState reads a full snapshot's sections into a State.
+func readState[K kv.Key](sr *snap.Reader) (*State[K], error) {
+	if sr.Kind() != SnapshotKind {
+		return nil, fmt.Errorf("concurrent: snapshot kind %q, want %q", sr.Kind(), SnapshotKind)
+	}
 	ms, err := sr.Expect(secConMeta)
 	if err != nil {
-		return nil, policy, nil, err
+		return nil, err
 	}
 	meta, err := ms.Bytes(0)
 	if err != nil {
-		return nil, policy, nil, err
+		return nil, err
 	}
-	if len(meta) != 24 {
-		return nil, policy, nil, fmt.Errorf("concurrent: meta section is %d bytes, want 24", len(meta))
+	genCount, err := parseMeta(meta)
+	if err != nil {
+		return nil, err
 	}
-	policy.Kind = PolicyKind(binary.LittleEndian.Uint32(meta))
-	policy.Fraction = math.Float64frombits(binary.LittleEndian.Uint64(meta[4:]))
-	count := binary.LittleEndian.Uint64(meta[12:])
-	genCount := binary.LittleEndian.Uint32(meta[20:])
-	if count > uint64(1<<62) {
-		return nil, policy, nil, fmt.Errorf("concurrent: policy count %d is not credible", count)
-	}
-	policy.Count = int(count)
-	if err := policy.validate(); err != nil {
-		return nil, policy, nil, err
-	}
-	if genCount > maxSnapshotGens {
-		return nil, policy, nil, fmt.Errorf("concurrent: snapshot claims %d generations (limit %d)",
-			genCount, maxSnapshotGens)
-	}
-
 	base, err := updatable.LoadView[K](sr)
 	if err != nil {
-		return nil, policy, nil, err
+		return nil, err
 	}
-
 	gens, err := readGens[K](sr, genCount)
 	if err != nil {
-		return nil, policy, nil, err
+		return nil, err
 	}
-	return base, policy, gens, nil
+	return newState(base, gens)
 }
 
 // readGens reads genCount (ins, dels) section pairs — shared by the full
@@ -152,83 +154,100 @@ func readGens[K kv.Key](sr *snap.Reader, genCount uint32) ([]*generation[K], err
 	return gens, nil
 }
 
-// Load restores a concurrent index from a snapshot container and
-// warm-restarts it: the base view loads directly, the index goes live
-// (background compactor running), and the persisted write generations
-// replay through the public write path. total is the input size in bytes
-// (-1 when unknown).
-func Load[K kv.Key](r io.Reader, total int64) (*Index[K], error) {
-	var (
-		base   *updatable.Index[K]
-		policy CompactionPolicy
-		gens   []*generation[K]
-	)
-	err := snap.Load(r, total, func(sr *snap.Reader) error {
-		if sr.Kind() != SnapshotKind {
-			return fmt.Errorf("concurrent: snapshot kind %q, want %q", sr.Kind(), SnapshotKind)
-		}
-		var lerr error
-		base, policy, gens, lerr = loadSections[K](sr)
-		return lerr
+// State is a verified full snapshot not yet serving: the loaded base view
+// with its layer configuration, and the generation stack — everything
+// InstallState (a replica) or assemble (a warm restart) needs, built
+// entirely off the serving path.
+type State[K kv.Key] struct {
+	view  *updatable.View[K]
+	layer core.Config
+	gens  []*generation[K]
+}
+
+// newState freezes a loaded base under its persisted generations,
+// rejecting a stack that cancels more occurrences than exist.
+func newState[K kv.Key](base *updatable.Index[K], gens []*generation[K]) (*State[K], error) {
+	st := &State[K]{view: base.Freeze(), layer: base.Config().Layer, gens: gens}
+	if st.Len() < 0 {
+		return nil, fmt.Errorf("concurrent: state generations cancel more occurrences than exist (corrupt snapshot)")
+	}
+	return st, nil
+}
+
+// Len returns the state's live key count.
+func (st *State[K]) Len() int {
+	s := snapshot[K]{view: st.view, gens: st.gens}
+	return s.length()
+}
+
+// ModelFingerprint returns the fingerprint of the state's base model.
+func (st *State[K]) ModelFingerprint() uint64 { return st.view.ModelFingerprint() }
+
+// LoadState reads a full-snapshot container into a State; total is the
+// input size in bytes (-1 when unknown). The container checksum verifies
+// before the state is returned.
+func LoadState[K kv.Key](r io.Reader, total int64) (*State[K], error) {
+	var st *State[K]
+	err := snap.Load(r, total, func(sr *snap.Reader) (err error) {
+		st, err = readState[K](sr)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return assemble(base, policy, gens)
+	return st, nil
+}
+
+// LoadStateFile reads a full-snapshot container file into a State.
+func LoadStateFile[K kv.Key](path string) (*State[K], error) {
+	var st *State[K]
+	err := snap.LoadFile(path, func(sr *snap.Reader) (err error) {
+		st, err = readState[K](sr)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// Load restores a concurrent index from a snapshot container and
+// warm-restarts it (LoadState, then assemble). total is the input size in
+// bytes (-1 when unknown).
+func Load[K kv.Key](r io.Reader, total int64) (*Index[K], error) {
+	st, err := LoadState[K](r, total)
+	if err != nil {
+		return nil, err
+	}
+	return assemble(st), nil
 }
 
 // LoadFile restores a concurrent index from a snapshot file.
 func LoadFile[K kv.Key](path string) (*Index[K], error) {
-	var (
-		base   *updatable.Index[K]
-		policy CompactionPolicy
-		gens   []*generation[K]
-	)
-	err := snap.LoadFile(path, func(sr *snap.Reader) error {
-		if sr.Kind() != SnapshotKind {
-			return fmt.Errorf("concurrent: snapshot kind %q, want %q", sr.Kind(), SnapshotKind)
-		}
-		var lerr error
-		base, policy, gens, lerr = loadSections[K](sr)
-		return lerr
-	})
+	st, err := LoadStateFile[K](path)
 	if err != nil {
 		return nil, err
 	}
-	return assemble(base, policy, gens)
+	return assemble(st), nil
 }
 
-// assemble goes live and replays the persisted delta — called only after
-// the container checksum verified. The persisted generations are already
-// in the exact internal representation (sorted multisets whose tombstones
-// cancel by key value), so they fold by the same two-way merge a head
-// seal uses into one sealed run on the restored view, and a fresh empty
-// write head goes on top. A snapshot written with a deep stack (older
-// builds sealed one generation per maxHeadLen writes) thus serves the
-// two-generation shape from the start. That makes warm restart
-// O(pending · log gens) merge work instead of re-executing every pending
-// write one copy-on-write publication at a time.
-//
-//shift:swap(warm-restart install under ix.mu before the index escapes)
-func assemble[K kv.Key](base *updatable.Index[K], policy CompactionPolicy, gens []*generation[K]) (*Index[K], error) {
-	ix, err := Wrap(base, policy)
-	if err != nil {
-		return nil, err
+// assemble starts serving a verified State as a live index. The persisted
+// generations are already in the exact internal representation (sorted
+// multisets whose tombstones cancel by key value), so they fold by the
+// same two-way merge a head seal uses into one sealed run on the restored
+// view, and a fresh empty write head goes on top. A snapshot written with
+// a deep stack (older builds sealed one generation per maxHeadLen writes)
+// thus serves the two-generation shape from the start. That makes warm
+// restart O(pending · log gens) merge work instead of re-executing every
+// pending write one copy-on-write publication at a time. The restored
+// index compacts on its next due write, not before, so closing it right
+// after the load leaves the restored stack in place.
+func assemble[K kv.Key](st *State[K]) *Index[K] {
+	gens := []*generation[K]{{}}
+	if len(st.gens) > 0 {
+		gens = []*generation[K]{mergeGens(st.gens), {}}
 	}
-	if len(gens) > 0 {
-		ix.mu.Lock()
-		cur := ix.snap.Load()
-		s := &snapshot[K]{view: cur.view, gens: []*generation[K]{mergeGens(gens), {}}}
-		if s.length() < 0 {
-			ix.mu.Unlock()
-			ix.Close()
-			return nil, fmt.Errorf("concurrent: restored generations cancel more occurrences than exist (corrupt snapshot)")
-		}
-		ix.snap.Store(s)
-		ix.mu.Unlock()
-		ix.maybeWake(s)
-	}
-	return ix, nil
+	return start(st.view, st.layer, gens)
 }
 
 // Save writes the index's current published snapshot as one verified

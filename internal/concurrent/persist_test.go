@@ -8,17 +8,19 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	snap "repro/internal/snapshot"
 )
 
 // pending builds a concurrent index carrying un-compacted write
-// generations (Manual policy so they stay pending).
+// generations (closed, so they stay pending).
 func pending(t *testing.T, n int, seed int64) (*Index[uint64], []uint64) {
 	t.Helper()
 	keys := dataset.MustGenerate(dataset.Face, 64, n, seed)
-	ix, err := New(keys, Config{Policy: CompactionPolicy{Kind: Manual}})
+	ix, err := New(keys, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix.Close()
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < 2500; i++ { // > maxHeadLen: forces sealed generations
 		ix.Insert(rng.Uint64() % (keys[len(keys)-1] + 2))
@@ -152,10 +154,11 @@ func TestConcurrentSnapshotWhileWriting(t *testing.T) {
 	wg.Wait()
 }
 
-// TestConcurrentSnapshotFile: file round trip with the policy preserved.
+// TestConcurrentSnapshotFile: file round trip, with the meta's reserved
+// bytes written as zeros.
 func TestConcurrentSnapshotFile(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.UDen, 64, 8_000, 3)
-	orig, err := New(keys, Config{Policy: CompactionPolicy{Kind: DeltaCount, Count: 12_345}})
+	orig, err := New(keys, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,14 +168,23 @@ func TestConcurrentSnapshotFile(t *testing.T) {
 	if err := SaveFile(path, orig); err != nil {
 		t.Fatal(err)
 	}
+	m, err := snap.MapFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := m.Expect(secConMeta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reserved := ms.Data[:metaReserved]; !bytes.Equal(reserved, make([]byte, metaReserved)) {
+		t.Errorf("meta reserved bytes = %x, want zeros", reserved)
+	}
+	m.Close()
 	loaded, err := LoadFile[uint64](path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer loaded.Close()
-	if loaded.policy.Kind != DeltaCount || loaded.policy.Count != 12_345 {
-		t.Fatalf("policy not preserved: %+v", loaded.policy)
-	}
 	if got, want := loaded.Len(), orig.Len(); got != want {
 		t.Fatalf("Len = %d, want %d", got, want)
 	}
@@ -181,6 +193,66 @@ func TestConcurrentSnapshotFile(t *testing.T) {
 		t.Error("replayed insert lost")
 	}
 	_ = rank
+}
+
+// TestLegacyPolicyMetaIgnored: testdata/v1/concurrent.snap was written
+// by an earlier build with a manual compaction policy in its meta. Both
+// file entry points load it rank-identical to the recipe that made it
+// (testdata/v1/README.md), without compacting on load; the stored policy
+// is ignored, so the first write past the rule compacts it.
+func TestLegacyPolicyMetaIgnored(t *testing.T) {
+	keys := dataset.MustGenerate(dataset.Face, 64, 2000, 12)
+	want, err := New(keys, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Close()
+	for i := 0; i < 1500; i++ {
+		if i%4 == 3 {
+			want.Delete(keys[(i/4*37)%len(keys)])
+		} else {
+			want.Insert(keys[(i*13)%len(keys)] + uint64(i%5))
+		}
+	}
+	sameRanks := func(t *testing.T, ix *Index[uint64]) {
+		t.Helper()
+		for _, k := range keys {
+			for _, q := range []uint64{0, k - 1, k, k + 1, ^uint64(0)} {
+				if g, w := ix.Find(q), want.Find(q); g != w {
+					t.Fatalf("Find(%d) = %d, recipe says %d", q, g, w)
+				}
+			}
+		}
+	}
+	path := filepath.Join("..", "..", "testdata", "v1", "concurrent.snap")
+	restores := map[string]func() (*Index[uint64], error){
+		"LoadFile": func() (*Index[uint64], error) { return LoadFile[uint64](path) },
+		"MapFile": func() (*Index[uint64], error) {
+			ix, _, err := MapFile[uint64](path)
+			return ix, err
+		},
+	}
+	for name, restore := range restores {
+		t.Run(name, func(t *testing.T) {
+			ix, err := restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ix.Close()
+			if !due(ix.Pending(), ix.Len()) || ix.Rebuilds() != 0 {
+				t.Fatalf("restored %d pending over %d live, %d rebuilds; want a due stack, not compacted",
+					ix.Pending(), ix.Len(), ix.Rebuilds())
+			}
+			sameRanks(t, ix)
+			ix.Insert(keys[0])
+			waitForRebuild(t, ix)
+			if err := ix.Err(); err != nil {
+				t.Fatal(err)
+			}
+			ix.Delete(keys[0])
+			sameRanks(t, ix)
+		})
+	}
 }
 
 // TestConcurrentSnapshotCorruption: stride byte flips must be rejected.

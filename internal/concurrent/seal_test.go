@@ -134,11 +134,11 @@ func (s *stream) queries(n int) []uint64 {
 // most that above the pinned generations during one.
 func TestMergedStackMatchesOracle(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Face, 64, 4_000, 17)
-	ix, err := New(keys, Config{Policy: CompactionPolicy{Kind: Manual}})
+	ix, err := New(keys, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ix.Close()
+	ix.Close() // explicit compactions only
 	entered, release := make(chan struct{}), make(chan struct{})
 	ix.testHookRebuild = func() {
 		entered <- struct{}{}
@@ -202,11 +202,11 @@ func TestMergedStackMatchesOracle(t *testing.T) {
 // holding every earlier write plus the head; a compaction in flight pins
 // what it sealed and stacks at most a run and a head above it.
 func TestStackShape(t *testing.T) {
-	ix, err := New([]uint64{1, 2, 3}, Config{Policy: CompactionPolicy{Kind: Manual}})
+	ix, err := New([]uint64{1, 2, 3}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ix.Close()
+	ix.Close() // explicit compactions only
 	for i := 1; i <= 10*maxHeadLen; i++ {
 		ix.Insert(uint64(i * 7))
 		p := ix.Published()
@@ -302,11 +302,11 @@ func deepStack(t *testing.T, ix *Index[uint64], keys []uint64) []uint64 {
 // sealed run under an empty head, answering exactly as the deep stack did.
 func TestWarmRestartFoldsDeepStack(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Face, 64, 6_000, 29)
-	orig, err := New(keys, Config{Policy: CompactionPolicy{Kind: Manual}})
+	orig, err := New(keys, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer orig.Close()
+	orig.Close() // explicit compactions only
 	ref := deepStack(t, orig, keys)
 	pending := orig.Pending()
 
@@ -349,11 +349,11 @@ func TestWarmRestartFoldsDeepStack(t *testing.T) {
 // under the live head, and the index keeps its contents and recovers.
 func TestCompactErrorSettlesStack(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Face, 64, 3_000, 41)
-	ix, err := New(keys, Config{Policy: CompactionPolicy{Kind: Manual}})
+	ix, err := New(keys, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ix.Close()
+	ix.Close() // explicit compactions only
 	s := &stream{
 		ix:     ix,
 		ref:    &reference{keys: slices.Clone(keys)},

@@ -12,7 +12,7 @@ import (
 )
 
 // waitForRebuild blocks until the background compactor has run at least
-// once (on one CPU it may only get scheduled after the write storm ends).
+// once (on one CPU it may only get scheduled after the writes end).
 func waitForRebuild(t *testing.T, ix *Index[uint64]) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -20,7 +20,7 @@ func waitForRebuild(t *testing.T, ix *Index[uint64]) {
 		time.Sleep(time.Millisecond)
 	}
 	if ix.Rebuilds() == 0 {
-		t.Error("storm never triggered a background compaction")
+		t.Error("writes never triggered a background compaction")
 	}
 }
 
@@ -39,7 +39,7 @@ func TestSnapshotConsistencyUnderWrites(t *testing.T) {
 	for i := range initial {
 		initial[i] = uint64(2 * i)
 	}
-	ix, err := New(initial, Config{Policy: CompactionPolicy{Kind: DeltaCount, Count: 128}})
+	ix, err := New(initial, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,13 +161,11 @@ func TestRollingUpgradeZeroDrop(t *testing.T) {
 		keys[i] = uint64(i+1) * 97
 	}
 	slices.Sort(keys)
-	primary, err := concurrent.New(keys, concurrent.Config{
-		Policy: concurrent.CompactionPolicy{Kind: concurrent.Manual},
-	})
+	primary, err := concurrent.New(keys, concurrent.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer primary.Close()
+	primary.Close() // no background compaction: explicit Compact calls only
 
 	pool := serve.QueryPool(42, 64, 600_000)
 	book := newOracleBook(pool)
@@ -373,13 +371,11 @@ func TestRollRollbackOnVerifyFailure(t *testing.T) {
 	for i := range keys {
 		keys[i] = uint64(i+1) * 31
 	}
-	primary, err := concurrent.New(keys, concurrent.Config{
-		Policy: concurrent.CompactionPolicy{Kind: concurrent.Manual},
-	})
+	primary, err := concurrent.New(keys, concurrent.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer primary.Close()
+	primary.Close() // no background compaction: explicit Compact calls only
 	pub, err := replica.NewPublisher(ctx, store, primary, replica.PublisherConfig{Spool: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)

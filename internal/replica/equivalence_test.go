@@ -13,12 +13,12 @@ import (
 // TestDeltaEquivalence is the ISSUE's bit-identity satellite: after
 // (base full snapshot + N shipped generation deltas), the replica's
 // persisted state is byte-for-byte identical to the primary's own full
-// snapshot at the same version — not just semantically equal. Both
-// sides run Manual compaction (the replica always does; the primary
-// must here, or its view could shift between capture and compare), so
-// the persisted policy and layer configuration agree and the only
-// degrees of freedom are view + generations, which replication claims
-// to reproduce exactly.
+// snapshot at the same version — not just semantically equal. Neither
+// side compacts in the background (the replica never writes; the
+// primary is closed right after New, or its view could shift between
+// capture and compare), so the persisted layer configuration agrees and
+// the only degrees of freedom are view + generations, which replication
+// claims to reproduce exactly.
 func TestDeltaEquivalence(t *testing.T) {
 	corpora := map[string]func(rnd *rand.Rand) (base []uint64, writes func(ix *concurrent.Index[uint64], round int)){
 		// Every key appears many times; deletes must cancel exactly one
@@ -76,13 +76,11 @@ func TestDeltaEquivalence(t *testing.T) {
 			ctx := context.Background()
 			rnd := rand.New(rand.NewSource(1))
 			base, writes := build(rnd)
-			primary, err := concurrent.New(base, concurrent.Config{
-				Policy: concurrent.CompactionPolicy{Kind: concurrent.Manual},
-			})
+			primary, err := concurrent.New(base, concurrent.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer primary.Close()
+			primary.Close() // no background compaction: explicit Compact calls only
 
 			store := DirStore{Dir: t.TempDir()}
 			pub, err := NewPublisher(ctx, store, primary, PublisherConfig{Spool: t.TempDir()})

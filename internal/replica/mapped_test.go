@@ -29,13 +29,11 @@ func TestMappedInstallStorm(t *testing.T) {
 	for i := range base {
 		base[i] = uint64(i) * 3
 	}
-	primary, err := concurrent.New(base, concurrent.Config{
-		Policy: concurrent.CompactionPolicy{Kind: concurrent.Manual},
-	})
+	primary, err := concurrent.New(base, concurrent.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer primary.Close()
+	primary.Close() // no background compaction: explicit Compact calls only
 
 	store := DirStore{Dir: t.TempDir()}
 	pub, err := NewPublisher(ctx, store, primary, PublisherConfig{Spool: t.TempDir()})
@@ -171,13 +169,11 @@ func TestMappedWarmRestartReplica(t *testing.T) {
 	for i := range base {
 		base[i] = uint64(i)*7 + 1
 	}
-	primary, err := concurrent.New(base, concurrent.Config{
-		Policy: concurrent.CompactionPolicy{Kind: concurrent.Manual},
-	})
+	primary, err := concurrent.New(base, concurrent.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer primary.Close()
+	primary.Close() // no background compaction: explicit Compact calls only
 	for i := 0; i < 300; i++ {
 		primary.Insert(uint64(i) * 13)
 	}

@@ -89,9 +89,9 @@ func NewReplica[K kv.Key](store Store, dir string, cfg ReplicaConfig) (*Replica[
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	ix, err := concurrent.New[K](nil, concurrent.Config{
-		Policy: concurrent.CompactionPolicy{Kind: concurrent.Manual},
-	})
+	// The serving index never writes, and installs never wake its
+	// compactor: it serves exactly the states it is given.
+	ix, err := concurrent.New[K](nil, concurrent.Config{})
 	if err != nil {
 		return nil, err
 	}

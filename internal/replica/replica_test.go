@@ -31,13 +31,11 @@ var fastRetry = RetryPolicy{
 func newPrimary(t *testing.T, keys []uint64) *concurrent.Index[uint64] {
 	t.Helper()
 	slices.Sort(keys)
-	ix, err := concurrent.New(keys, concurrent.Config{
-		Policy: concurrent.CompactionPolicy{Kind: concurrent.Manual},
-	})
+	ix, err := concurrent.New(keys, concurrent.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(ix.Close)
+	ix.Close() // no background compaction: explicit Compact calls only
 	return ix
 }
 

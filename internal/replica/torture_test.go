@@ -81,13 +81,11 @@ func torturePrimary(t testing.TB, store Store, orc *oracle) (*concurrent.Index[u
 	for i := range keys {
 		keys[i] = uint64(i) * 17
 	}
-	primary, err := concurrent.New(keys, concurrent.Config{
-		Policy: concurrent.CompactionPolicy{Kind: concurrent.Manual},
-	})
+	primary, err := concurrent.New(keys, concurrent.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(primary.Close)
+	primary.Close() // no background compaction: explicit Compact calls only
 	pub, err := NewPublisher(context.Background(), store, primary, PublisherConfig{Spool: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)

@@ -17,13 +17,11 @@ func benchIndex(b *testing.B, n int) *concurrent.Index[uint64] {
 		k += uint64(rnd.Intn(64) + 1)
 		keys[i] = k
 	}
-	ix, err := concurrent.New(keys, concurrent.Config{
-		Policy: concurrent.CompactionPolicy{Kind: concurrent.Manual},
-	})
+	ix, err := concurrent.New(keys, concurrent.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(ix.Close)
+	ix.Close() // no background compaction: explicit Compact calls only
 	return ix
 }
 

@@ -20,13 +20,11 @@ func newPrimary(t testing.TB, n int) *concurrent.Index[uint64] {
 	for i := range keys {
 		keys[i] = uint64(i)*7 + 1
 	}
-	ix, err := concurrent.New(keys, concurrent.Config{
-		Policy: concurrent.CompactionPolicy{Kind: concurrent.Manual},
-	})
+	ix, err := concurrent.New(keys, concurrent.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(ix.Close)
+	ix.Close() // no background compaction: explicit Compact calls only
 	return ix
 }
 
@@ -106,13 +104,11 @@ func TestCoalescerMatchesScalarFind(t *testing.T) {
 	pool := QueryPool(7, 512, 500_000)
 	ops, _ := prepareVersions(t, primary, 6, pool)
 
-	serving, err := concurrent.New[uint64](nil, concurrent.Config{
-		Policy: concurrent.CompactionPolicy{Kind: concurrent.Manual},
-	})
+	serving, err := concurrent.New[uint64](nil, concurrent.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer serving.Close()
+	serving.Close() // no background compaction: explicit Compact calls only
 
 	co := NewCoalescer(serving, CoalescerConfig{})
 	defer co.Close()
@@ -168,13 +164,11 @@ func TestCoalescerStorm(t *testing.T) {
 	pool := QueryPool(11, 384, 400_000)
 	ops, oracles := prepareVersions(t, primary, 12, pool)
 
-	serving, err := concurrent.New[uint64](nil, concurrent.Config{
-		Policy: concurrent.CompactionPolicy{Kind: concurrent.Manual},
-	})
+	serving, err := concurrent.New[uint64](nil, concurrent.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer serving.Close()
+	serving.Close() // no background compaction: explicit Compact calls only
 	// Install v1 before clients start so tag 0 (no oracle) never serves.
 	if err := serving.InstallState(ops[0].st, ops[0].tag); err != nil {
 		t.Fatal(err)

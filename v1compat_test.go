@@ -88,13 +88,11 @@ func TestV1Fixtures(t *testing.T) {
 			return ix, false, err
 		}},
 		{"concurrent.snap", keys, func(t *testing.T) finder {
-			ix, err := concurrent.New(keys, concurrent.Config{
-				Policy: concurrent.CompactionPolicy{Kind: concurrent.Manual},
-			})
+			ix, err := concurrent.New(keys, concurrent.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(ix.Close)
+			ix.Close() // no background compaction: explicit Compact calls only
 			v1FixtureWrites(t, keys, 1500, func(k uint64) error { ix.Insert(k); return nil }, ix.Delete)
 			return ix
 		}, func(path string, mapped bool) (finder, bool, error) {
