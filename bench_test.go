@@ -27,7 +27,6 @@ import (
 	"repro/internal/kv"
 	"repro/internal/memsim"
 	"repro/internal/search"
-	"repro/internal/updatable"
 )
 
 func benchN() int {
@@ -401,9 +400,8 @@ func BenchmarkFindBatch(b *testing.B) {
 // over 1M face64 keys, queried in 256-lane batches: with no pending writes
 // (the state a replica serves between fulls), and with 8,192 pending
 // writes, three inserts per delete — a sealed run plus a full write head.
-// On top of BenchmarkFindBatch's base probe it adds the updatable view's
-// per-lane corrections and the concurrent snapshot's generation loop
-// (DESIGN.md §6). b.N counts individual lookups; "gens" reports the
+// On top of BenchmarkFindBatch's base probe it adds the concurrent
+// snapshot's per-lane generation corrections (DESIGN.md §6). b.N counts individual lookups; "gens" reports the
 // generation-stack depth.
 func BenchmarkConcurrentFindBatch(b *testing.B) {
 	const lanes = 256
@@ -529,26 +527,27 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkCompaction measures one full updatable-index compaction —
-// merge the delta, drop tombstones, rebuild model + layer through the
-// pooled BuildNext pipeline — after a fixed write burst. b.N
-// counts compactions.
+// BenchmarkCompaction measures one full compaction of the concurrent
+// index — merge the pending generations into the base, rebuild model +
+// layer through the pooled BuildNext pipeline — after a fixed write
+// burst on an index closed right after New (no background compaction).
+// b.N counts compactions; B/op is the rebuild's allocation.
 func BenchmarkCompaction(b *testing.B) {
 	keys := keysFor(b, dataset.Spec{Name: dataset.Face, Bits: 64})
 	const burst = 4096
 	b.Run(fmt.Sprintf("face64/burst=%d", burst), func(b *testing.B) {
-		ix, err := updatable.New(keys, updatable.Config{MaxDelta: len(keys)}) // manual compactions only
+		ix, err := concurrent.New(keys, concurrent.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
+		ix.Close()
 		rng := rand.New(rand.NewSource(99))
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			for j := 0; j < burst; j++ {
-				if err := ix.Insert(rng.Uint64()); err != nil {
-					b.Fatal(err)
-				}
+				ix.Insert(rng.Uint64())
 			}
 			b.StartTimer()
 			if err := ix.Compact(); err != nil {

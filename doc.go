@@ -46,10 +46,11 @@
 // examples/multibackend for usage and `figures -fig router` for the
 // hybrid-vs-homogeneous sweep.
 //
-// The updatable index additionally has a concurrent serving wrapper
-// (internal/concurrent, DESIGN.md §6): reads — scalar, batched, and scans —
-// load an immutable snapshot through an atomic pointer and never block,
-// writes serialise onto bounded immutable write generations, and a
+// The updatable index (internal/concurrent, DESIGN.md §6) realises the
+// paper's future-work direction over an immutable base
+// (internal/updatable): reads — scalar, batched, and scans — load an
+// immutable snapshot through an atomic pointer and never block, writes
+// serialise onto bounded immutable write generations, and a
 // background compactor rebuilds the base Shift-Table off to the side,
 // publishing it with a single pointer swap that replays mid-rebuild
 // writes. See examples/concurrent for usage and `figures -fig concurrent`
@@ -57,9 +58,9 @@
 //
 // Every index persists as a verified snapshot (internal/snapshot,
 // DESIGN.md §9): a versioned, checksummed, atomically-renamed container
-// holding keys, model identity and layer — and for the updatable stack
-// the tombstones, delta buffer and pending write generations — so a
-// serving restart warm-loads instead of rebuilding from raw keys.
+// holding keys, model identity and layer — and for the updatable index
+// its pending write generations — so a serving restart warm-loads
+// instead of rebuilding from raw keys.
 // Backends implement the index.Persister capability; loaders never trust
 // a header field they have not bounded, and nothing is served until the
 // trailing checksum verifies. See examples/persist for the walkthrough,

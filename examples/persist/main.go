@@ -5,8 +5,8 @@
 // pass still reads the whole key set through the model; a restart that
 // rebuilds every index from raw keys is minutes of downtime at the
 // paper's 200M-key scale. The snapshot subsystem persists the complete
-// index — keys, model identity, layer, and for the concurrent index the
-// tombstones, delta buffer and pending write generations — in one
+// index — keys, model identity, layer, and for the concurrent index its
+// pending write generations — in one
 // checksummed, atomically-renamed container that is verified end to end
 // before a single query is answered from it.
 //

@@ -1,8 +1,9 @@
 // updates: the paper's §6 future-work direction made concrete — a
-// Shift-Table index under a mixed read/write workload. Deleted keys drift
-// every later position by one; a Fenwick tree corrects that drift at query
-// time, inserts buffer in a sorted delta, and compaction rebuilds the model
-// and layer when the buffer fills.
+// Shift-Table index under a mixed read/write workload. Inserts and deletes
+// land in small immutable write generations on top of the read-optimised
+// base; a query corrects the base rank by the generations' counts below
+// it, and a background compaction rebuilds the model and layer once the
+// pending writes reach 1/64 of the live keys.
 //
 //	go run ./examples/updates
 package main
@@ -13,17 +14,18 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/concurrent"
 	"repro/internal/dataset"
-	"repro/internal/updatable"
 )
 
 func main() {
 	// Start from 1M Facebook-like user IDs.
 	initial := dataset.MustGenerate(dataset.Face, 64, 1_000_000, 5)
-	ix, err := updatable.New(initial, updatable.Config{})
+	ix, err := concurrent.New(initial, concurrent.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer ix.Close()
 	fmt.Printf("initial: %d keys\n", ix.Len())
 
 	// A day of churn: 200k new users, 100k departures, queries throughout.
@@ -34,9 +36,7 @@ func main() {
 	for op := 0; op < 500_000; op++ {
 		switch rng.Intn(5) {
 		case 0, 1: // new user
-			if err := ix.Insert(rng.Uint64() % domain); err != nil {
-				log.Fatal(err)
-			}
+			ix.Insert(rng.Uint64() % domain)
 			inserted++
 		case 2: // departure
 			if ix.Delete(initial[rng.Intn(len(initial))]) {
@@ -52,10 +52,7 @@ func main() {
 	fmt.Printf("workload: %d inserts, %d deletes, %d lookups in %v (%.0f ns/op)\n",
 		inserted, deleted, queries, elapsed.Round(time.Millisecond),
 		float64(elapsed.Nanoseconds())/500_000)
-
-	s := ix.Stats()
-	fmt.Printf("state: %d live keys, base %d (%d tombstones), delta %d, %d compactions, layer %.1f MiB\n",
-		s.Live, s.BaseLen, s.Tombstones, s.DeltaLen, s.Rebuilds, float64(s.LayerBytes)/(1<<20))
+	fmt.Printf("state: %v\n", ix)
 
 	// Reads remain exact lower-bound semantics after all that churn.
 	var sample []uint64
@@ -65,11 +62,9 @@ func main() {
 	})
 	fmt.Printf("first keys at the scan point: %v\n", sample)
 
-	// Force a compaction and show the rebuilt composition.
+	// Force a compaction: every pending write folds into a rebuilt base.
 	if err := ix.Compact(); err != nil {
 		log.Fatal(err)
 	}
-	s = ix.Stats()
-	fmt.Printf("after compaction: base %d, tombstones %d, delta %d\n",
-		s.BaseLen, s.Tombstones, s.DeltaLen)
+	fmt.Printf("after compaction: %v\n", ix)
 }

@@ -11,12 +11,12 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cdfmodel"
+	"repro/internal/concurrent"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/index"
 	"repro/internal/kv"
 	"repro/internal/router"
-	"repro/internal/updatable"
 )
 
 // TestAllIndexesAgree builds every Table 2 method over every dataset at
@@ -131,8 +131,9 @@ func TestQuickShiftTableIsLowerBound(t *testing.T) {
 	}
 }
 
-// TestQuickUpdatableMatchesMultiset drives the updatable index with
-// arbitrary operation sequences and compares against a naive multiset.
+// TestQuickUpdatableMatchesMultiset drives the concurrent index — the one
+// write path — with arbitrary operation sequences and compactions on a
+// closed index and compares against a naive multiset.
 func TestQuickUpdatableMatchesMultiset(t *testing.T) {
 	f := func(initial []uint64, ops []uint16, opKeys []uint64) bool {
 		for i := 1; i < len(initial); i++ {
@@ -140,21 +141,20 @@ func TestQuickUpdatableMatchesMultiset(t *testing.T) {
 				initial[j], initial[j-1] = initial[j-1], initial[j]
 			}
 		}
-		ix, err := updatable.New(initial, updatable.Config{MaxDelta: 8})
+		ix, err := concurrent.New(initial, concurrent.Config{})
 		if err != nil {
 			return false
 		}
+		ix.Close()
 		ref := append([]uint64(nil), initial...)
 		for i, op := range ops {
 			if i >= len(opKeys) {
 				break
 			}
 			k := opKeys[i] % 1000 // narrow domain to force collisions
-			switch op % 3 {
+			switch op % 4 {
 			case 0:
-				if err := ix.Insert(k); err != nil {
-					return false
-				}
+				ix.Insert(k)
 				j := kv.UpperBound(ref, k)
 				ref = append(ref, k)
 				copy(ref[j+1:], ref[j:])
@@ -167,6 +167,10 @@ func TestQuickUpdatableMatchesMultiset(t *testing.T) {
 					ref = append(ref[:j], ref[j+1:]...)
 				}
 				if got != want {
+					return false
+				}
+			case 2:
+				if ix.Compact() != nil {
 					return false
 				}
 			default:
@@ -183,17 +187,18 @@ func TestQuickUpdatableMatchesMultiset(t *testing.T) {
 }
 
 // TestRangeScanConsistency checks that FindRange over the Shift-Table and
-// a scan over the updatable index enumerate identical result sets.
+// a scan over the concurrent index enumerate identical result sets.
 func TestRangeScanConsistency(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Wiki, 64, 50_000, 3)
 	tab, err := core.Build(keys, cdfmodel.NewInterpolation(keys), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := updatable.New(keys, updatable.Config{})
+	ix, err := concurrent.New(keys, concurrent.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer ix.Close()
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 300; trial++ {
 		a := keys[rng.Intn(len(keys))]

@@ -12,7 +12,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/kv"
 	"repro/internal/router"
-	"repro/internal/updatable"
 )
 
 // This file is the persistence experiment (DESIGN.md §9): cold build vs
@@ -33,15 +32,15 @@ type PersistConfig struct {
 	// Dir is where snapshot files land ("" = a fresh temp dir, removed
 	// afterwards).
 	Dir string
-	// WriteFrac is the fraction of N applied as writes to the updatable
-	// and concurrent arms before persisting (0 = 5%).
+	// WriteFrac is the fraction of N applied as writes to the concurrent
+	// arm before persisting (0 = 5%).
 	WriteFrac float64
 }
 
 // PersistPoint is one backend's cold-vs-warm measurement.
 type PersistPoint struct {
 	Backend    string
-	ColdMs     float64 // build from raw keys (plus writes, for updatable arms)
+	ColdMs     float64 // build from raw keys (plus writes, for the concurrent arm)
 	SaveMs     float64
 	LoadMs     float64 // streaming heap load
 	MapMs      float64 // mapped (zero-copy) open of the same file, best of mapReps
@@ -59,8 +58,8 @@ const mapReps = 3
 
 // RunPersist measures the snapshot round trip for every persistence-
 // capable layer of the stack: the registry backends that implement
-// index.Persister, the hybrid router, and the updatable/concurrent
-// indexes with live tombstones, delta buffers and pending generations.
+// index.Persister, the hybrid router, and the concurrent index with
+// pending write generations.
 func RunPersist(cfg PersistConfig) ([]PersistPoint, error) {
 	if cfg.N == 0 {
 		cfg.N = 2_000_000
@@ -106,12 +105,6 @@ func RunPersist(cfg PersistConfig) ([]PersistPoint, error) {
 	out = append(out, pt)
 
 	writes := int(float64(cfg.N) * cfg.WriteFrac)
-	pt, err = persistUpdatable(keys, qs, writes, filepath.Join(dir, "updatable.snap"))
-	if err != nil {
-		return nil, fmt.Errorf("bench: updatable: %w", err)
-	}
-	out = append(out, pt)
-
 	pt, err = persistConcurrent(keys, qs, writes, filepath.Join(dir, "concurrent.snap"))
 	if err != nil {
 		return nil, fmt.Errorf("bench: concurrent: %w", err)
@@ -241,61 +234,6 @@ func persistRouter(keys, qs []uint64, path string) (PersistPoint, error) {
 		}
 	}
 	return point("router", coldMs, saveMs, loadMs, mapMs, path, len(qs), 0)
-}
-
-func persistUpdatable(keys, qs []uint64, writes int, path string) (PersistPoint, error) {
-	start := time.Now()
-	cold, err := updatable.New(keys, updatable.Config{})
-	if err != nil {
-		return PersistPoint{}, err
-	}
-	rng := rand.New(rand.NewSource(99))
-	for i := 0; i < writes; i++ {
-		if i%3 == 0 {
-			cold.Delete(keys[rng.Intn(len(keys))])
-		} else if err := cold.Insert(rng.Uint64() % (keys[len(keys)-1] + 2)); err != nil {
-			return PersistPoint{}, err
-		}
-	}
-	coldMs := msSince(start)
-
-	start = time.Now()
-	if err := updatable.SaveFile(path, cold); err != nil {
-		return PersistPoint{}, err
-	}
-	saveMs := msSince(start)
-
-	start = time.Now()
-	warm, err := updatable.LoadFile[uint64](path)
-	if err != nil {
-		return PersistPoint{}, err
-	}
-	loadMs := msSince(start)
-
-	var mapped *updatable.Index[uint64]
-	mapMs, err := bestOf(mapReps, func() error {
-		var merr error
-		var viaMap bool
-		mapped, viaMap, merr = updatable.MapViewFile[uint64](path)
-		if merr == nil && !viaMap {
-			return fmt.Errorf("v2 snapshot %s did not open mapped", path)
-		}
-		return merr
-	})
-	if err != nil {
-		return PersistPoint{}, err
-	}
-
-	for _, q := range qs {
-		w := cold.Find(q)
-		if g := warm.Find(q); g != w {
-			return PersistPoint{}, fmt.Errorf("warm Find(%d) = %d, cold %d", q, g, w)
-		}
-		if g := mapped.Find(q); g != w {
-			return PersistPoint{}, fmt.Errorf("mapped Find(%d) = %d, cold %d", q, g, w)
-		}
-	}
-	return point("updatable", coldMs, saveMs, loadMs, mapMs, path, len(qs), 0)
 }
 
 func persistConcurrent(keys, qs []uint64, writes int, path string) (PersistPoint, error) {

@@ -10,7 +10,7 @@ func TestRunPersistSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"IM", "IM+ST", "RS+ST", "router", "updatable", "concurrent"}
+	want := []string{"IM", "IM+ST", "RS+ST", "router", "concurrent"}
 	if len(pts) != len(want) {
 		t.Fatalf("got %d points, want %d", len(pts), len(want))
 	}
@@ -22,7 +22,7 @@ func TestRunPersistSmoke(t *testing.T) {
 			t.Errorf("%s: implausible point %+v", p.Backend, p)
 		}
 	}
-	if pts[5].WarmWrites == 0 {
+	if pts[4].WarmWrites == 0 {
 		t.Error("concurrent arm replayed no writes")
 	}
 	if g := PersistGrid(pts); len(g.Rows) != len(pts) {

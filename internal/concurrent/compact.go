@@ -4,8 +4,7 @@ import "repro/internal/updatable"
 
 // due is the background compaction rule: a snapshot is due once its
 // pending writes reach 1/64 of the live key count, with a floor of one
-// write head so a small index does not thrash (the single-threaded
-// updatable.Config.MaxDelta default). Rebuild cost thus stays
+// write head so a small index does not thrash. Rebuild cost thus stays
 // proportional to the work absorbed. Close turns background compaction
 // off; Compact still runs on demand.
 func due(pending, live int) bool {
@@ -58,8 +57,9 @@ func (ix *Index[K]) compactor() {
 //     pinned: head seals merge above them, never into them.
 //  2. Rebuild (no locks): the sealed snapshot — view plus sealed
 //     generations — is scanned into a fresh sorted key slice, and a new
-//     updatable index (CDF model + Shift-Table, no tombstones) is built
-//     over it. Readers meanwhile serve the published snapshot untouched.
+//     base (CDF model + Shift-Table) is built over that slice, which it
+//     keeps without copying. Readers meanwhile serve the published
+//     snapshot untouched.
 //  3. Publish (brief writer lock): the rebuilt view replaces the sealed
 //     state; the fresh head — every write that landed during the rebuild —
 //     carries over verbatim onto the new base. That is the whole replay:
@@ -117,7 +117,7 @@ func (ix *Index[K]) Compact() error {
 		ix.mu.Unlock()
 		return err
 	}
-	view := rebuilt.Freeze()
+	view := rebuilt.View()
 
 	// Phase 3: publish.
 	ix.mu.Lock()

@@ -1,6 +1,9 @@
-// Package concurrent wraps the updatable Shift-Table index for goroutine-
-// safe serving: lock-free snapshot reads, mutex-serialised writes, and
-// asynchronous background compaction.
+// Package concurrent is the updatable Shift-Table index — the paper's §6
+// future-work direction — served goroutine-safe: lock-free snapshot
+// reads, mutex-serialised writes, and asynchronous background compaction.
+// It is the one write path: every pending insert and delete lives in its
+// write generations, over an immutable base (internal/updatable) that
+// only compaction replaces.
 //
 // The ROADMAP's north star is a system sitting behind a server, where the
 // paper's central claim — model-corrected lookups stay fast under drift —
@@ -10,7 +13,7 @@
 //
 //   - Reads (Find, Lookup, Scan, FindBatch, LookupBatch) load an immutable
 //     snapshot through an atomic.Pointer and never block, never take a
-//     lock, and never observe a torn state. A snapshot is a frozen
+//     lock, and never observe a torn state. A snapshot is an immutable
 //     updatable.View plus immutable write generations (snapshot.go).
 //   - Writes (Insert, Delete) serialise through a mutex, build a successor
 //     snapshot with a fresh copy of the small write head, and publish it
@@ -90,16 +93,7 @@ func New[K kv.Key](keys []K, cfg Config) (*Index[K], error) {
 	if err != nil {
 		return nil, err
 	}
-	return Wrap(base), nil
-}
-
-// Wrap takes ownership of an existing single-threaded updatable.Index and
-// serves it concurrently. The first snapshot shares the index's base
-// table, delta buffer and tombstone state (when it has any) without
-// copying (Freeze); the caller must not write to ix afterwards through
-// its own reference.
-func Wrap[K kv.Key](ix *updatable.Index[K]) *Index[K] {
-	return start(ix.Freeze(), ix.Config().Layer, []*generation[K]{{}})
+	return start(base.View(), cfg.Layer, []*generation[K]{{}}), nil
 }
 
 // start publishes the first snapshot — view under gens, whose top is the
@@ -188,7 +182,7 @@ func (ix *Index[K]) Lookup(q K) (rank int, found bool) {
 // FindBatch answers Find for every query in qs against one snapshot,
 // writing result i into out[i] and returning the result slice (out when it
 // has capacity). The base probes run through the staged
-// core.Table.FindBatch pipeline of the frozen view; the generation
+// core.Table.FindBatch pipeline of the base view; the generation
 // corrections are applied per lane.
 //
 //shift:lockfree
@@ -275,8 +269,8 @@ func (ix *Index[K]) Insert(k K) {
 
 // Delete removes one live occurrence of k, reporting whether one existed.
 // A pending insert in the write head is removed directly; anything older
-// (sealed run, view delta, base) gets a tombstone in the write head,
-// cancelled by value at the next compaction.
+// (sealed run or base) gets a tombstone in the write head, cancelled by
+// value at the next compaction.
 //
 //shift:swap(writer publication under ix.mu)
 func (ix *Index[K]) Delete(k K) bool {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/kv"
-	"repro/internal/updatable"
 )
 
 // reference is a naive sorted multiset used as the test oracle.
@@ -145,56 +144,6 @@ func TestBatchMatchesScalar(t *testing.T) {
 		if _, wantFound := ix.Lookup(q); found[i] != wantFound {
 			t.Fatalf("batch found for %d = %v, scalar %v", q, found[i], wantFound)
 		}
-	}
-}
-
-// TestWrapSharesFrozenState wraps a single-threaded index that already has
-// tombstones and a delta buffer; the first snapshot must serve that state
-// without copying, and concurrent writes must layer on top of it.
-func TestWrapSharesFrozenState(t *testing.T) {
-	initial := dataset.MustGenerate(dataset.Wiki, 64, 2_000, 7)
-	base, err := updatable.New(initial, updatable.Config{MaxDelta: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := &reference{keys: append([]uint64(nil), initial...)}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 500; i++ {
-		k := initial[rng.Intn(len(initial))]
-		if rng.Intn(2) == 0 {
-			if err := base.Insert(k + 1); err != nil {
-				t.Fatal(err)
-			}
-			ref.insert(k + 1)
-		} else {
-			if got, want := base.Delete(k), ref.delete(k); got != want {
-				t.Fatalf("seed Delete(%d) = %v, want %v", k, got, want)
-			}
-		}
-	}
-	if base.Stats().Tombstones == 0 || base.DeltaLen() == 0 {
-		t.Fatal("wrap precondition: want both tombstones and delta entries")
-	}
-
-	ix := Wrap(base)
-	defer ix.Close()
-	for q := uint64(0); q < 200; q++ {
-		k := ref.keys[rng.Intn(len(ref.keys))] + q%3
-		if got, want := ix.Find(k), kv.LowerBound(ref.keys, k); got != want {
-			t.Fatalf("wrapped Find(%d) = %d, want %d", k, got, want)
-		}
-	}
-	// Concurrent writes layer on the frozen state.
-	ix.Insert(42)
-	ref.insert(42)
-	if got, want := ix.Len(), len(ref.keys); got != want {
-		t.Fatalf("Len after wrap+insert = %d, want %d", got, want)
-	}
-	if err := ix.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := ix.Find(43), kv.LowerBound(ref.keys, 43); got != want {
-		t.Fatalf("post-compaction Find(43) = %d, want %d", got, want)
 	}
 }
 
@@ -375,5 +324,132 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 	if err := ix.Compact(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScanMatchesReference: with no compaction, scans merge the base with
+// a sealed run and the write head — inserts, duplicates, and tombstones
+// of base keys and of pending inserts — exactly like a sorted multiset.
+func TestScanMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	initial := dataset.MustGenerate(dataset.Wiki, 64, 3_000, 3)
+	ix, err := New(initial, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix.Close() // explicit compactions only: exercise the merge path
+	ref := &reference{keys: append([]uint64(nil), initial...)}
+	for i := 0; i < 2_000; i++ {
+		k := initial[0] + uint64(rng.Intn(1_000_000))
+		if rng.Intn(2) == 0 {
+			ix.Insert(k)
+			ref.insert(k)
+		} else if len(ref.keys) > 0 {
+			k = ref.keys[rng.Intn(len(ref.keys))]
+			ix.Delete(k)
+			ref.delete(k)
+		}
+	}
+	if ix.Published().Gens() != 2 {
+		t.Fatalf("%d generations, want a sealed run and the head", ix.Published().Gens())
+	}
+	for trial := 0; trial < 200; trial++ {
+		a := ref.keys[rng.Intn(len(ref.keys))]
+		b := a + uint64(rng.Intn(100_000))
+		var got []uint64
+		ix.Scan(a, b, func(k uint64) bool {
+			got = append(got, k)
+			return true
+		})
+		want := ref.keys[kv.LowerBound(ref.keys, a):kv.UpperBound(ref.keys, b)]
+		if len(got) != len(want) {
+			t.Fatalf("Scan(%d,%d) returned %d keys, want %d", a, b, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("Scan mismatch at %d: %d want %d", i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// compacted compacts ix by hand and checks it holds exactly want, with
+// nothing pending.
+func compacted(t *testing.T, ix *Index[uint64], want []uint64) {
+	t.Helper()
+	if err := ix.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if ix.Rebuilds() != 1 || ix.Pending() != 0 || ix.Len() != len(want) {
+		t.Fatalf("after Compact: rebuilds=%d pending=%d len=%d, want 1, 0, %d", ix.Rebuilds(), ix.Pending(), ix.Len(), len(want))
+	}
+	got := []uint64{}
+	ix.Scan(0, ^uint64(0), func(k uint64) bool { got = append(got, k); return true })
+	if len(got) != len(want) {
+		t.Fatalf("post-compaction scan = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("post-compaction scan = %v, want %v", got, want)
+		}
+	}
+}
+
+func TestCompactZeroDeltas(t *testing.T) {
+	ix, err := New([]uint64{10, 20, 20, 30}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix.Close()
+	compacted(t, ix, []uint64{10, 20, 20, 30})
+	for q, want := range map[uint64]int{5: 0, 10: 0, 15: 1, 20: 1, 21: 3, 30: 3, 31: 4} {
+		if got := ix.Find(q); got != want {
+			t.Errorf("Find(%d) = %d, want %d", q, got, want)
+		}
+	}
+}
+
+func TestCompactDeleteOnlyDeltas(t *testing.T) {
+	ix, err := New([]uint64{10, 20, 20, 30, 40}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix.Close()
+	// Tombstone one duplicate and one singleton; no inserts at all.
+	if !ix.Delete(20) || !ix.Delete(40) {
+		t.Fatal("deletes of live base keys must succeed")
+	}
+	if ix.Pending() != 2 {
+		t.Fatalf("pending = %d, want 2 tombstones", ix.Pending())
+	}
+	compacted(t, ix, []uint64{10, 20, 30})
+	if _, found := ix.Lookup(40); found {
+		t.Error("deleted key 40 still found after compaction")
+	}
+}
+
+func TestCompactTombstoneEveryBaseKey(t *testing.T) {
+	initial := []uint64{5, 10, 10, 15}
+	ix, err := New(initial, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix.Close()
+	for _, k := range initial {
+		if !ix.Delete(k) {
+			t.Fatalf("Delete(%d) of live key failed", k)
+		}
+	}
+	if ix.Len() != 0 || ix.Delete(10) {
+		t.Fatalf("all keys tombstoned: Len = %d, or a fifth delete succeeded", ix.Len())
+	}
+	compacted(t, ix, []uint64{})
+	if got := ix.Find(10); got != 0 {
+		t.Errorf("Find on emptied index = %d, want 0", got)
+	}
+	// The emptied index must come back to life.
+	ix.Insert(7)
+	if rank, found := ix.Lookup(7); rank != 0 || !found {
+		t.Errorf("Lookup(7) after revival = (%d,%v), want (0,true)", rank, found)
 	}
 }

@@ -70,7 +70,7 @@ func (p *PublishedState[K]) Gens() int { return len(p.s.gens) }
 // the value the replication manifest records and replicas re-verify.
 func (p *PublishedState[K]) ModelFingerprint() uint64 { return p.s.view.ModelFingerprint() }
 
-// SameView reports whether q shares p's base view (same frozen
+// SameView reports whether q shares p's base view (same
 // updatable.View, pointer identity). The publisher uses it to decide
 // full vs delta: if the view is unchanged since the last full artifact,
 // the write generations alone reproduce the state.

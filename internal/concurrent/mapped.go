@@ -10,11 +10,10 @@ import (
 
 // This file is the concurrent index's zero-copy restart path: the base
 // view's keys and layer are viewed from the mapped container (see
-// updatable.MapViewSections), while the small mutable state — the
-// tombstone array, the delta buffer, and the pending write generations —
-// is materialised on the heap as usual. The dominant restart cost (key
-// and layer copies, O(n·keywidth)) disappears; what remains is O(n/8)
-// bitmap work plus O(pending) generation copies.
+// updatable.MapViewSections), while the pending write generations are
+// copied to the heap as usual. The dominant restart cost (key and layer
+// copies, O(n·keywidth)) disappears; what remains is one pass over the
+// n/8-byte tombstone bitmap plus O(pending) generation copies.
 
 // Mapped reports whether the published snapshot's base table serves
 // from a mapped region (the first compaction rebuilds onto the heap).
@@ -66,19 +65,22 @@ func MapFile[K kv.Key](path string) (*Index[K], bool, error) {
 // they landed (the replica spool path) or Mapped.VerifyAll / an external
 // content checksum ran first.
 func MapState[K kv.Key](m *snap.Mapped) (*State[K], error) {
-	if m.Kind() != SnapshotKind {
+	m.Rewind()
+	var genCount uint32
+	switch m.Kind() {
+	case SnapshotKind:
+		ms, err := m.Expect(secConMeta)
+		if err != nil {
+			return nil, err
+		}
+		if genCount, err = parseMeta(ms.Data); err != nil {
+			return nil, err
+		}
+	case updatable.SnapshotKind: // a bare view, as in readState
+	default:
 		return nil, fmt.Errorf("concurrent: container holds %q, want %q", m.Kind(), SnapshotKind)
 	}
-	m.Rewind()
-	ms, err := m.Expect(secConMeta)
-	if err != nil {
-		return nil, err
-	}
-	genCount, err := parseMeta(ms.Data)
-	if err != nil {
-		return nil, err
-	}
-	base, err := updatable.MapViewSections[K](m)
+	base, ins, dels, err := updatable.MapViewSections[K](m)
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +102,7 @@ func MapState[K kv.Key](m *snap.Mapped) (*State[K], error) {
 	if err := m.Done(); err != nil {
 		return nil, err
 	}
-	return newState(base, gens)
+	return newState(base, ins, dels, gens)
 }
 
 // MapStateFile reads a full-snapshot container file into a State by

@@ -13,11 +13,11 @@ import (
 
 // This file persists the concurrent index (DESIGN.md §9). A snapshot of
 // the serving index is exactly one of its published read snapshots: the
-// frozen updatable.View (persisted through the updatable section
-// sequence) plus the sealed write generations stacked on top. Because the
-// published snapshot is immutable, persistence runs concurrently with
-// reads, writes and compactions without any locks — it streams whatever
-// state one atomic pointer load returned.
+// updatable.View (persisted through the updatable section sequence) plus
+// the write generations stacked on top. Because the published snapshot
+// is immutable, persistence runs concurrently with reads, writes and
+// compactions without any locks — it streams whatever state one atomic
+// pointer load returned.
 //
 // Every loader reads a full snapshot into a State first — the unit a
 // replica installs — and the index loaders (Load, LoadFile, MapIndex,
@@ -26,6 +26,12 @@ import (
 // head. Tombstones cancel by key value and rank, count and scan are sums
 // over generations, so the merged run reproduces the persisted multiset
 // exactly.
+//
+// The readers also accept the read-only legacy kind updatable.SnapshotKind
+// (a bare view, as earlier builds saved their single-threaded index), and
+// views that carry the insert buffer and tombstones those builds kept
+// inside the view: newState turns them into one generation under the
+// persisted stack.
 
 // SnapshotKind identifies concurrent-index snapshots.
 const SnapshotKind = "concurrent"
@@ -97,24 +103,29 @@ func parseMeta(meta []byte) (uint32, error) {
 	return genCount, nil
 }
 
-// readState reads a full snapshot's sections into a State.
+// readState reads a full snapshot's sections into a State. A legacy
+// updatable container is the view sequence alone: no meta, no
+// generations.
 func readState[K kv.Key](sr *snap.Reader) (*State[K], error) {
-	if sr.Kind() != SnapshotKind {
+	var genCount uint32
+	switch sr.Kind() {
+	case SnapshotKind:
+		ms, err := sr.Expect(secConMeta)
+		if err != nil {
+			return nil, err
+		}
+		meta, err := ms.Bytes(0)
+		if err != nil {
+			return nil, err
+		}
+		if genCount, err = parseMeta(meta); err != nil {
+			return nil, err
+		}
+	case updatable.SnapshotKind: // a bare view
+	default:
 		return nil, fmt.Errorf("concurrent: snapshot kind %q, want %q", sr.Kind(), SnapshotKind)
 	}
-	ms, err := sr.Expect(secConMeta)
-	if err != nil {
-		return nil, err
-	}
-	meta, err := ms.Bytes(0)
-	if err != nil {
-		return nil, err
-	}
-	genCount, err := parseMeta(meta)
-	if err != nil {
-		return nil, err
-	}
-	base, err := updatable.LoadView[K](sr)
+	base, ins, dels, err := updatable.LoadView[K](sr)
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +133,7 @@ func readState[K kv.Key](sr *snap.Reader) (*State[K], error) {
 	if err != nil {
 		return nil, err
 	}
-	return newState(base, gens)
+	return newState(base, ins, dels, gens)
 }
 
 // readGens reads genCount (ins, dels) section pairs — shared by the full
@@ -164,10 +175,18 @@ type State[K kv.Key] struct {
 	gens  []*generation[K]
 }
 
-// newState freezes a loaded base under its persisted generations,
-// rejecting a stack that cancels more occurrences than exist.
-func newState[K kv.Key](base *updatable.Index[K], gens []*generation[K]) (*State[K], error) {
-	st := &State[K]{view: base.Freeze(), layer: base.Config().Layer, gens: gens}
+// newState puts a loaded base under its persisted generations, rejecting
+// a stack that cancels more occurrences than exist. The pending writes an
+// earlier build stored inside the view (ins: its insert buffer, dels: its
+// tombstoned base keys; see updatable.LoadView) become one generation
+// under the persisted ones: they are the oldest writes, and a tombstone
+// cancels its value wherever the occurrence lies, so the state answers
+// rank for rank as the writer's did.
+func newState[K kv.Key](base *updatable.Index[K], ins, dels []K, gens []*generation[K]) (*State[K], error) {
+	if len(ins)+len(dels) > 0 {
+		gens = append([]*generation[K]{{ins: ins, dels: dels}}, gens...)
+	}
+	st := &State[K]{view: base.View(), layer: base.Config().Layer, gens: gens}
 	if st.Len() < 0 {
 		return nil, fmt.Errorf("concurrent: state generations cancel more occurrences than exist (corrupt snapshot)")
 	}

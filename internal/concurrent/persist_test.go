@@ -2,13 +2,18 @@ package concurrent
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/kv"
 	snap "repro/internal/snapshot"
+	"repro/internal/updatable"
 )
 
 // pending builds a concurrent index carrying un-compacted write
@@ -29,6 +34,19 @@ func pending(t *testing.T, n int, seed int64) (*Index[uint64], []uint64) {
 		ix.Delete(keys[rng.Intn(len(keys))])
 	}
 	return ix, keys
+}
+
+// fixtureWrites replays writes(n) from testdata/v1/README.md: every
+// fourth write deletes a distinct base key, the rest insert near-copies
+// of base keys.
+func fixtureWrites(ix *Index[uint64], keys []uint64, n int) {
+	for i := 0; i < n; i++ {
+		if i%4 == 3 {
+			ix.Delete(keys[(i/4*37)%len(keys)])
+		} else {
+			ix.Insert(keys[(i*13)%len(keys)] + uint64(i%5))
+		}
+	}
 }
 
 func collect(ix *Index[uint64]) []uint64 {
@@ -207,13 +225,7 @@ func TestLegacyPolicyMetaIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	want.Close()
-	for i := 0; i < 1500; i++ {
-		if i%4 == 3 {
-			want.Delete(keys[(i/4*37)%len(keys)])
-		} else {
-			want.Insert(keys[(i*13)%len(keys)] + uint64(i%5))
-		}
-	}
+	fixtureWrites(want, keys, 1500)
 	sameRanks := func(t *testing.T, ix *Index[uint64]) {
 		t.Helper()
 		for _, k := range keys {
@@ -272,5 +284,152 @@ func TestConcurrentSnapshotCorruption(t *testing.T) {
 			ix.Close()
 			t.Fatalf("flipped byte %d of %d went undetected", i, len(raw))
 		}
+	}
+}
+
+// TestSaveFileGolden: testdata/golden.snap was written by an earlier
+// build from the recipe in testdata/README.md. This build's SaveFile of
+// the same index must reproduce it byte for byte: the persisted format
+// does not change.
+func TestSaveFileGolden(t *testing.T) {
+	keys := dataset.MustGenerate(dataset.Face, 64, 2000, 12)
+	ix, err := New(keys, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix.Close()
+	fixtureWrites(ix, keys, 1500)
+	path := filepath.Join(t.TempDir(), "golden.snap")
+	if err := SaveFile(path, ix); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "golden.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("SaveFile wrote %d bytes that differ from the %d-byte golden file", len(got), len(want))
+	}
+}
+
+// writeLegacyView writes a v2 concurrent container by hand whose view
+// carries what earlier builds could persist inside it — tombstoned base
+// slots and an insert buffer — under one persisted generation that
+// deletes from both and inserts more. It returns the multiset the file
+// holds.
+func writeLegacyView(t *testing.T, path string, keys []uint64) []uint64 {
+	t.Helper()
+	base, err := updatable.New(keys, updatable.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := &reference{keys: slices.Clone(keys)}
+	bitmap := make([]byte, (len(keys)+7)/8)
+	var dead uint64
+	for p := 3; p < len(keys); p += 97 {
+		bitmap[p/8] |= 1 << (p % 8)
+		ref.delete(keys[p])
+		dead++
+	}
+	var buffer []uint64
+	for i := 0; i < 300; i++ {
+		k := keys[(i*31)%len(keys)] + uint64(i%3)
+		buffer = append(buffer, k)
+		ref.insert(k)
+	}
+	slices.Sort(buffer)
+	gen := &generation[uint64]{}
+	for i := 0; i < 50; i++ {
+		gen = gen.withInsert(keys[(i*7)%len(keys)] + 1)
+		ref.insert(keys[(i*7)%len(keys)] + 1)
+		for _, k := range []uint64{buffer[i*5], keys[i*11+1]} {
+			if ref.delete(k) {
+				gen = gen.withDelete(k)
+			}
+		}
+	}
+	err = snap.SaveFile(path, SnapshotKind, func(sw *snap.Writer) error {
+		if err := sw.Bytes(secConMeta, binary.LittleEndian.AppendUint32(make([]byte, metaReserved), 1)); err != nil {
+			return err
+		}
+		// The updatable section sequence (ids 10–12, DESIGN.md §9): meta
+		// (range layer, default M and stride, the buffer threshold and
+		// tombstone count earlier builds recorded), base table, bitmap,
+		// insert buffer.
+		meta := make([]byte, 20, 36)
+		meta = binary.LittleEndian.AppendUint64(meta, 1<<20)
+		meta = binary.LittleEndian.AppendUint64(meta, dead)
+		if err := sw.Bytes(10, meta); err != nil {
+			return err
+		}
+		if err := base.View().Table().PersistSnapshot(sw); err != nil {
+			return err
+		}
+		dw, err := sw.SectionSized(11, int64(len(bitmap)))
+		if err != nil {
+			return err
+		}
+		if _, err := dw.Write(bitmap); err != nil {
+			return err
+		}
+		if err := snap.WriteKeySection(sw, 12, buffer); err != nil {
+			return err
+		}
+		if err := snap.WriteKeySection(sw, secConIns, gen.ins); err != nil {
+			return err
+		}
+		return snap.WriteKeySection(sw, secConDels, gen.dels)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref.keys
+}
+
+// TestLegacyViewWritesLoad: a concurrent file whose view carries
+// tombstones and an insert buffer loads through the mapped and the
+// streaming entry points rank-identical to the multiset it holds; the
+// view's pending writes become a generation under the persisted one, and
+// the restored index keeps serving writes and compacts them away.
+func TestLegacyViewWritesLoad(t *testing.T) {
+	keys := dataset.MustGenerate(dataset.Wiki, 64, 2_000, 7)
+	path := filepath.Join(t.TempDir(), "legacy-view.snap")
+	ref := writeLegacyView(t, path, keys)
+	s := &stream{ref: &reference{keys: ref}, rng: rand.New(rand.NewSource(3)), domain: keys[len(keys)-1] + 2}
+	restores := map[string]func() (*Index[uint64], bool, error){
+		"LoadFile": func() (*Index[uint64], bool, error) {
+			ix, err := LoadFile[uint64](path)
+			return ix, false, err
+		},
+		"MapFile": func() (*Index[uint64], bool, error) { return MapFile[uint64](path) },
+	}
+	for name, restore := range restores {
+		t.Run(name, func(t *testing.T) {
+			ix, viaMap, err := restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ix.Close()
+			if wantMap := name == "MapFile"; viaMap != wantMap {
+				t.Fatalf("viaMap = %v, want %v", viaMap, wantMap)
+			}
+			checkReads(t, ix, ref, s.queries(512), true)
+			ix.Close()
+			ix.Insert(42)
+			want := slices.Clone(ref)
+			want = slices.Insert(want, kv.UpperBound(want, 42), 42)
+			checkReads(t, ix, want, s.queries(256), true)
+			if err := ix.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			if ix.Pending() != 0 || ix.Published().Gens() != 1 {
+				t.Fatalf("after Compact: %d pending in %d generations", ix.Pending(), ix.Published().Gens())
+			}
+			checkReads(t, ix, want, s.queries(256), true)
+		})
 	}
 }

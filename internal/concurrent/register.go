@@ -4,15 +4,19 @@ import (
 	"repro/internal/index"
 	"repro/internal/kv"
 	snap "repro/internal/snapshot"
+	"repro/internal/updatable"
 )
 
 // The concurrent index registers its snapshot kind with the index
-// registry (same router pattern as internal/router and
-// internal/updatable), so a replicated artifact of kind "concurrent"
-// loads through the generic index.Load/LoadFile dispatch. Like Load, the
-// loader reads a State and assembles it. The restored index is live — its
-// compactor goroutine waits for the next due write — so callers that care
-// about goroutine hygiene should assert to *Index and Close it.
+// registry (same router pattern as internal/router), so a replicated
+// artifact of kind "concurrent" loads through the generic
+// index.Load/LoadFile dispatch. It also registers the read-only legacy
+// kind "updatable", which earlier builds saved their single-threaded
+// index under: such a file loads as a concurrent index whose pending
+// writes are the buffer and tombstones it stored. Like Load, the loader
+// reads a State and assembles it. The restored index is live — its
+// compactor goroutine waits for the next due write — so callers that
+// care about goroutine hygiene should assert to *Index and Close it.
 
 func init() {
 	registerLoader[uint64]()
@@ -20,11 +24,13 @@ func init() {
 }
 
 func registerLoader[K kv.Key]() {
-	index.RegisterSnapshotLoader[K](SnapshotKind, func(sr *snap.Reader) (index.Index[K], error) {
+	load := func(sr *snap.Reader) (index.Index[K], error) {
 		st, err := readState[K](sr)
 		if err != nil {
 			return nil, err
 		}
 		return assemble(st), nil
-	})
+	}
+	index.RegisterSnapshotLoader[K](SnapshotKind, load)
+	index.RegisterSnapshotLoader[K](updatable.SnapshotKind, load)
 }

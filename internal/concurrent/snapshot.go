@@ -1,18 +1,14 @@
 package concurrent
 
 import (
-	"iter"
-
 	"repro/internal/kv"
 	"repro/internal/updatable"
 )
 
-// A snapshot is one immutable, fully-consistent state of the index: a
-// frozen updatable.View (base Shift-Table + sealed delta buffer, shared
-// without copying via updatable.Index.Freeze; this package's deletes never
-// tombstone its base, so it holds no Fenwick tree unless Wrap adopted an
-// index that had tombstones) plus a
-// stack of write generations layered on top. Readers load the current
+// A snapshot is one immutable, fully-consistent state of the index: an
+// updatable.View (sorted base keys + Shift-Table, shared without copying
+// by every snapshot until a compaction replaces it) plus a stack of write
+// generations layered on top. Readers load the current
 // snapshot with a single atomic pointer load and never see it change
 // underneath them; writers and the compactor publish successors.
 //
@@ -36,7 +32,7 @@ const maxHeadLen = 1024
 // generation is an immutable batch of writes on top of a view: ins holds
 // inserted keys, dels holds tombstones. Both are sorted multisets. A
 // tombstone of value k cancels exactly one occurrence of k anywhere below
-// it (base, view delta, or an earlier generation's ins) — deletion
+// it (base or an earlier generation's ins) — deletion
 // accounting is by key value, not position, so it survives the base
 // rebuild unchanged.
 type generation[K kv.Key] struct {
@@ -220,21 +216,15 @@ func (s *snapshot[K]) lookup(q K) (rank, count int) {
 	return rank, count
 }
 
-// scan yields every live key in [a, b] in sorted order: the view's live
-// run merged with the generations' inserts, with tombstones cancelling
+// scan yields every live key in [a, b] in sorted order: the base run
+// merged with the generations' inserts, with tombstones cancelling
 // occurrences by value. fn returning false stops the scan.
 func (s *snapshot[K]) scan(a, b K, fn func(k K) bool) {
 	if b < a {
 		return
 	}
-	// Pull-iterate the view's own merged scan so it can be interleaved
-	// with the generation runs.
-	next, stop := iter.Pull(func(yield func(K) bool) {
-		s.view.Scan(a, b, yield)
-	})
-	defer stop()
-	vk, vok := next()
-
+	base := s.view.Keys()
+	bp := s.view.Find(a)
 	ip := make([]int, len(s.gens))
 	dp := make([]int, len(s.gens))
 	for g, gen := range s.gens {
@@ -242,14 +232,14 @@ func (s *snapshot[K]) scan(a, b K, fn func(k K) bool) {
 		dp[g] = kv.LowerBound(gen.dels, a)
 	}
 	for {
-		// The next distinct value is the smallest head among the view run
+		// The next distinct value is the smallest head among the base run
 		// and the insert runs. Every in-range tombstone matches one of
 		// those heads (it cancels an occurrence that exists below it), so
 		// tombstone runs only ever advance on an exact value match.
 		var cur K
 		have := false
-		if vok {
-			cur, have = vk, true
+		if bp < len(base) && base[bp] <= b {
+			cur, have = base[bp], true
 		}
 		for g, gen := range s.gens {
 			if ip[g] < len(gen.ins) && gen.ins[ip[g]] <= b {
@@ -262,9 +252,9 @@ func (s *snapshot[K]) scan(a, b K, fn func(k K) bool) {
 			return
 		}
 		n := 0
-		for vok && vk == cur {
+		for bp < len(base) && base[bp] == cur {
 			n++
-			vk, vok = next()
+			bp++
 		}
 		for g, gen := range s.gens {
 			for ip[g] < len(gen.ins) && gen.ins[ip[g]] == cur {

@@ -113,8 +113,8 @@ func BuildParallel[K kv.Key](keys []K, model cdfmodel.Model[K], cfg Config, work
 // BuildNext builds a successor table — same pipeline as BuildParallel
 // (workers <= 0 uses GOMAXPROCS) — drawing the build arena from prev's
 // pool and handing both of prev's pools (batch scratches and build arenas)
-// to the new table. Rebuild chains — compaction under internal/updatable
-// and internal/concurrent — therefore re-allocate neither query scratch
+// to the new table. Rebuild chains — internal/concurrent's compaction,
+// through updatable.NewFrom — therefore re-allocate neither query scratch
 // nor build scratch in steady state. A nil prev degenerates to
 // BuildParallel.
 func (prev *Table[K]) BuildNext(keys []K, model cdfmodel.Model[K], cfg Config, workers int) (*Table[K], error) {

@@ -5,8 +5,8 @@
 // The layer file of internal/core (serialize.go) persists one correction
 // layer and trusts the caller to supply the matching keys and model. A
 // serving deployment that must restart under traffic needs more: the whole
-// index — keys, model identity, layer, and for the updatable stack the
-// tombstones, delta buffer and pending write generations — in one artifact
+// index — keys, model identity, layer, and for the updatable index its
+// pending write generations — in one artifact
 // that can be verified before a single byte of it is trusted. This package
 // provides the artifact; the backends provide the payloads.
 //

@@ -7,66 +7,46 @@ import (
 	"repro/internal/core"
 )
 
-// TestBatchMatchesScalar drives the index through a random insert/delete
-// workload and, at checkpoints, verifies FindBatch and LookupBatch are
-// bit-identical to their scalar twins on a mixed query batch.
+// TestBatchMatchesScalar verifies FindBatch and LookupCountBatch are
+// bit-identical to their scalar twins on a duplicate-heavy base and a
+// mixed query batch, in both layer modes.
 func TestBatchMatchesScalar(t *testing.T) {
 	for _, mode := range []core.Mode{core.ModeRange, core.ModeMidpoint} {
 		t.Run(mode.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(41))
-			initial := make([]uint64, 5_000)
+			keys := make([]uint64, 5_000)
 			v := uint64(0)
-			for i := range initial {
-				v += 1 + uint64(rng.Intn(50))
-				initial[i] = v
+			for i := range keys {
+				v += uint64(rng.Intn(50)) // gaps of 0: duplicate runs
+				keys[i] = v
 			}
-			ix, err := New(initial, Config{MaxDelta: 512, Layer: core.Config{Mode: mode}})
+			ix, err := New(keys, Config{Layer: core.Config{Mode: mode}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			check := func() {
-				qs := make([]uint64, 2_000)
-				for i := range qs {
-					switch rng.Intn(6) {
-					case 0:
-						qs[i] = 0
-					case 1:
-						qs[i] = ^uint64(0)
-					default:
-						qs[i] = initial[rng.Intn(len(initial))] + uint64(rng.Intn(3)) - 1
-					}
-				}
-				ranks := ix.FindBatch(qs, nil)
-				for i, q := range qs {
-					if want := ix.Find(q); ranks[i] != want {
-						t.Fatalf("FindBatch[%d] (q=%d) = %d, scalar = %d", i, q, ranks[i], want)
-					}
-				}
-				ranks, found := ix.LookupBatch(qs, ranks, nil)
-				for i, q := range qs {
-					wr, wf := ix.Lookup(q)
-					if ranks[i] != wr || found[i] != wf {
-						t.Fatalf("LookupBatch[%d] (q=%d) = (%d,%v), scalar = (%d,%v)", i, q, ranks[i], found[i], wr, wf)
-					}
+			view := ix.View()
+			qs := make([]uint64, 2_000)
+			for i := range qs {
+				switch rng.Intn(6) {
+				case 0:
+					qs[i] = 0
+				case 1:
+					qs[i] = ^uint64(0)
+				default:
+					qs[i] = keys[rng.Intn(len(keys))] + uint64(rng.Intn(3)) - 1
 				}
 			}
-			check() // pristine base, empty delta
-			for step := 0; step < 3; step++ {
-				for j := 0; j < 400; j++ {
-					if rng.Intn(3) == 0 {
-						ix.Delete(initial[rng.Intn(len(initial))])
-					} else {
-						if err := ix.Insert(uint64(rng.Intn(int(v))) + 1); err != nil {
-							t.Fatal(err)
-						}
-					}
+			out := view.FindBatch(qs, nil)
+			ranks, counts := view.LookupCountBatch(qs, nil, nil)
+			for i, q := range qs {
+				if want := view.Find(q); out[i] != want {
+					t.Fatalf("FindBatch[%d] (q=%d) = %d, scalar = %d", i, q, out[i], want)
 				}
-				check() // tombstones + delta buffer in play
+				wr, wc := view.LookupCount(q)
+				if ranks[i] != wr || counts[i] != wc {
+					t.Fatalf("LookupCountBatch[%d] (q=%d) = (%d,%d), scalar = (%d,%d)", i, q, ranks[i], counts[i], wr, wc)
+				}
 			}
-			if err := ix.Compact(); err != nil {
-				t.Fatal(err)
-			}
-			check() // after compaction
 		})
 	}
 }
@@ -77,13 +57,13 @@ func TestBatchEmptyIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranks, found := ix.LookupBatch([]uint64{1, 2}, nil, nil)
+	ranks, counts := ix.View().LookupCountBatch([]uint64{1, 2}, nil, nil)
 	for i := range ranks {
-		if ranks[i] != 0 || found[i] {
-			t.Fatalf("empty index lane %d: (%d,%v), want (0,false)", i, ranks[i], found[i])
+		if ranks[i] != 0 || counts[i] != 0 {
+			t.Fatalf("empty index lane %d: (%d,%d), want (0,0)", i, ranks[i], counts[i])
 		}
 	}
-	if got := ix.FindBatch(nil, nil); len(got) != 0 {
+	if got := ix.View().FindBatch(nil, nil); len(got) != 0 {
 		t.Fatalf("empty batch returned %d results", len(got))
 	}
 }

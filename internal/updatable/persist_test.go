@@ -3,9 +3,9 @@ package updatable
 import (
 	"bytes"
 	"encoding/binary"
-	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -13,212 +13,242 @@ import (
 	"repro/internal/snapshot"
 )
 
-// stormed builds an index with live tombstones and a live delta buffer —
-// the full View state a snapshot must carry.
-func stormed(t *testing.T, n int, seed int64) (*Index[uint64], []uint64) {
-	t.Helper()
-	keys := dataset.MustGenerate(dataset.Face, 64, n, seed)
-	ix, err := New(keys, Config{MaxDelta: 1 << 30}) // no auto-compaction: keep delta/tombstones live
+// writeLegacy writes the updatable section sequence field by field, as
+// earlier builds' single-threaded index did: the meta with its
+// insert-buffer threshold and tombstone count, v's table, the tombstone
+// bitmap (nil: all zero) and the insert buffer.
+func writeLegacy(sw *snapshot.Writer, v *View[uint64], cfg Config, maxDelta, deadCount uint64, bitmap []byte, buffer []uint64) error {
+	meta := binary.LittleEndian.AppendUint32(nil, uint32(cfg.Layer.Mode))
+	meta = binary.LittleEndian.AppendUint64(meta, uint64(cfg.Layer.M))
+	meta = binary.LittleEndian.AppendUint64(meta, uint64(cfg.Layer.SampleStride))
+	meta = binary.LittleEndian.AppendUint64(meta, maxDelta)
+	meta = binary.LittleEndian.AppendUint64(meta, deadCount)
+	if err := sw.Bytes(secUpdMeta, meta); err != nil {
+		return err
+	}
+	if err := v.table.PersistSnapshot(sw); err != nil {
+		return err
+	}
+	if bitmap == nil {
+		bitmap = make([]byte, (v.Len()+7)/8)
+	}
+	dw, err := sw.SectionSized(secUpdDead, int64(len(bitmap)))
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < n/10; i++ {
-		if err := ix.Insert(rng.Uint64() % (keys[len(keys)-1] + 2)); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := dw.Write(bitmap); err != nil {
+		return err
 	}
-	for i := 0; i < n/20; i++ {
-		ix.Delete(keys[rng.Intn(len(keys))])
-	}
-	return ix, keys
+	return snapshot.WriteKeySection(sw, secUpdDelta, buffer)
 }
 
-// TestUpdatableSnapshotRoundTrip: the restored index answers Find, Lookup
-// and Scan identically, and stays writable (a post-load compaction folds
-// the restored tombstones and delta into a fresh base).
-func TestUpdatableSnapshotRoundTrip(t *testing.T) {
-	orig, keys := stormed(t, 20_000, 5)
-	st := orig.Stats()
-	if st.Tombstones == 0 || st.DeltaLen == 0 {
-		t.Fatal("storm produced no tombstones or delta")
+// bitmapOf returns the tombstone bitmap of n base slots with slots set.
+func bitmapOf(n int, slots []int) []byte {
+	b := make([]byte, (n+7)/8)
+	for _, p := range slots {
+		b[p/8] |= 1 << (p % 8)
 	}
+	return b
+}
 
+// container writes one in-memory container of the legacy kind.
+func container(t *testing.T, persist func(sw *snapshot.Writer) error) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := Save(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load[uint64](bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	sw, err := snapshot.NewWriter(&buf, SnapshotKind)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lst := loaded.Stats()
-	if lst.Live != st.Live || lst.Tombstones != st.Tombstones || lst.DeltaLen != st.DeltaLen {
-		t.Fatalf("restored stats %+v, want %+v", lst, st)
-	}
-
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 8_000; i++ {
-		q := rng.Uint64() % (keys[len(keys)-1] + 2)
-		if got, want := loaded.Find(q), orig.Find(q); got != want {
-			t.Fatalf("loaded Find(%d) = %d, want %d", q, got, want)
-		}
-		gr, gf := loaded.Lookup(q)
-		wr, wf := orig.Lookup(q)
-		if gr != wr || gf != wf {
-			t.Fatalf("loaded Lookup(%d) = (%d,%v), want (%d,%v)", q, gr, gf, wr, wf)
-		}
-	}
-	var wantScan, gotScan []uint64
-	orig.Scan(0, ^uint64(0), func(k uint64) bool { wantScan = append(wantScan, k); return true })
-	loaded.Scan(0, ^uint64(0), func(k uint64) bool { gotScan = append(gotScan, k); return true })
-	if len(wantScan) != len(gotScan) {
-		t.Fatalf("scan lengths differ: %d vs %d", len(gotScan), len(wantScan))
-	}
-	for i := range wantScan {
-		if wantScan[i] != gotScan[i] {
-			t.Fatalf("scan[%d] = %d, want %d", i, gotScan[i], wantScan[i])
-		}
-	}
-
-	// The restored index is live: writes and an explicit compaction work,
-	// and the layer configuration survived the round trip.
-	if err := loaded.Insert(12345); err != nil {
+	if err := persist(sw); err != nil {
 		t.Fatal(err)
 	}
-	if err := loaded.Compact(); err != nil {
+	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := loaded.Len(), st.Live+1; got != want {
-		t.Fatalf("after insert+compact Len = %d, want %d", got, want)
-	}
-	if loaded.Stats().Tombstones != 0 {
-		t.Error("compaction did not drop restored tombstones")
-	}
+	return buf.Bytes()
 }
 
-// goldenIndex rebuilds the index testdata/tombstone-free.snap was written
-// from (recipe: testdata/README.md).
-func goldenIndex(t *testing.T) (*Index[uint64], []uint64) {
-	t.Helper()
+// loaded is what the readers return.
+type loaded struct {
+	ix        *Index[uint64]
+	ins, dels []uint64
+}
+
+func loadBytes(raw []byte) (loaded, error) {
+	var l loaded
+	err := snapshot.Load(bytes.NewReader(raw), int64(len(raw)), func(sr *snapshot.Reader) (err error) {
+		l.ix, l.ins, l.dels, err = LoadView[uint64](sr)
+		return err
+	})
+	return l, err
+}
+
+// loaders are the two entry points over a file: streaming and mapped.
+var loaders = []struct {
+	name string
+	load func(path string) (loaded, error)
+}{
+	{"LoadFile", func(path string) (loaded, error) {
+		var l loaded
+		err := snapshot.LoadFile(path, func(sr *snapshot.Reader) (err error) {
+			l.ix, l.ins, l.dels, err = LoadView[uint64](sr)
+			return err
+		})
+		return l, err
+	}},
+	{"MapView", func(path string) (loaded, error) {
+		var l loaded
+		m, err := snapshot.MapFile(path)
+		if err != nil {
+			return l, err
+		}
+		defer m.Close()
+		m.Rewind()
+		l.ix, l.ins, l.dels, err = MapViewSections[uint64](m)
+		return l, err
+	}},
+}
+
+// TestUpdatableSnapshotRoundTrip: PersistView writes exactly what an
+// earlier writer wrote for a view without pending writes (threshold and
+// tombstone count 0, an all-zero bitmap, an empty buffer), and LoadView
+// restores the base with no pending writes.
+func TestUpdatableSnapshotRoundTrip(t *testing.T) {
+	keys := dataset.MustGenerate(dataset.Face, 64, 20_000, 5)
+	ix, err := New(keys, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := container(t, func(sw *snapshot.Writer) error { return PersistView(sw, ix.View(), ix.Config()) })
+	want := container(t, func(sw *snapshot.Writer) error {
+		return writeLegacy(sw, ix.View(), ix.Config(), 0, 0, nil, nil)
+	})
+	if !bytes.Equal(got, want) {
+		t.Fatalf("PersistView wrote %d bytes that differ from the %d-byte legacy layout", len(got), len(want))
+	}
+	l, err := loadBytes(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(l.ins)+len(l.dels) != 0 {
+		t.Fatalf("restored %d buffered inserts and %d tombstones, want none", len(l.ins), len(l.dels))
+	}
+	answersLike(t, "restored", l.ix.View(), keys, probesFor(keys, 4_000, 9))
+}
+
+// goldenInserts replays the insert buffer testdata/tombstone-free.snap
+// was written with (recipe: testdata/README.md) and returns it sorted.
+func goldenInserts(keys []uint64) []uint64 {
+	ins := make([]uint64, 0, 100)
+	for i := 0; i < 100; i++ {
+		ins = append(ins, keys[(i*13)%2000]+uint64(i%5))
+	}
+	slices.Sort(ins)
+	return ins
+}
+
+// TestTombstoneFreeGolden: the committed file, written by an earlier
+// build's single-threaded index holding a 100-key insert buffer, is
+// exactly the legacy layout writeLegacy reproduces, and both readers
+// return its base and its buffer.
+func TestTombstoneFreeGolden(t *testing.T) {
+	golden := filepath.Join("testdata", "tombstone-free.snap")
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
 	keys := dataset.MustGenerate(dataset.Face, 64, 2000, 12)
 	ix, err := New(keys, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 100; i++ {
-		if err := ix.Insert(keys[(i*13)%2000] + uint64(i%5)); err != nil {
-			t.Fatal(err)
+	path := filepath.Join(t.TempDir(), "legacy.snap")
+	err = snapshot.SaveFile(path, SnapshotKind, func(sw *snapshot.Writer) error {
+		return writeLegacy(sw, ix.View(), Config{}, 0, 0, nil, goldenInserts(keys))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("legacy layout (%d bytes, %v) differs from the %d-byte golden file", len(got), err, len(want))
+	}
+	for _, l := range loaders {
+		got, err := l.load(golden)
+		if err != nil {
+			t.Fatalf("%s: %v", l.name, err)
 		}
-	}
-	return ix, keys
-}
-
-// TestTombstoneFreeGolden: a tombstone-free index saves byte-identical to
-// the committed file, which a writer that always held tombstone state
-// produced — the all-zero bitmap is written whether or not the view
-// allocated one.
-func TestTombstoneFreeGolden(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "golden.snap")
-	ix, _ := goldenIndex(t)
-	if err := SaveFile(path, ix); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", "tombstone-free.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("SaveFile wrote %d bytes that differ from the %d-byte golden file", len(got), len(want))
+		if !slices.Equal(got.ins, goldenInserts(keys)) || len(got.dels) != 0 {
+			t.Fatalf("%s: restored %d buffered inserts and %d tombstones, want 100 and none", l.name, len(got.ins), len(got.dels))
+		}
+		answersLike(t, l.name, got.ix.View(), keys, probesFor(keys, 1_000, 3))
 	}
 }
 
-// TestLoadersRestoreTombstoneState: LoadFile and MapView restore exactly
-// the persisted tombstones — no tombstone state for a tombstone-free file,
-// the same bitmap for a tombstoned one — and answer like the saved index.
+// TestLoadersRestoreTombstoneState: both readers return a legacy file's
+// tombstoned base keys (sorted, duplicates included) and its insert
+// buffer as plain slices, and the base as persisted.
 func TestLoadersRestoreTombstoneState(t *testing.T) {
-	tombstoned, tombstonedKeys := stormed(t, 5_000, 3)
-	golden, goldenKeys := goldenIndex(t)
-	tombstonedPath := filepath.Join(t.TempDir(), "tombstoned.snap")
-	if err := SaveFile(tombstonedPath, tombstoned); err != nil {
+	keys := dataset.MustGenerate(dataset.Face, 64, 2000, 12)
+	ix, err := New(keys, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := []int{0, 7, 8, 9, 500, 1999}
+	dels := make([]uint64, len(slots))
+	for i, p := range slots {
+		dels[i] = keys[p]
+	}
+	buffer := []uint64{keys[3], keys[3], keys[1500] + 1}
+	tombstoned := filepath.Join(t.TempDir(), "tombstoned.snap")
+	err = snapshot.SaveFile(tombstoned, SnapshotKind, func(sw *snapshot.Writer) error {
+		return writeLegacy(sw, ix.View(), Config{}, 1<<20, uint64(len(slots)), bitmapOf(len(keys), slots), buffer)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	files := []struct {
-		name string
-		path string
-		orig *Index[uint64]
-		keys []uint64
+		name      string
+		path      string
+		ins, dels []uint64
 	}{
-		{"tombstone-free", filepath.Join("testdata", "tombstone-free.snap"), golden, goldenKeys},
-		{"tombstoned", tombstonedPath, tombstoned, tombstonedKeys},
-	}
-	loaders := []struct {
-		name string
-		load func(path string) (*Index[uint64], error)
-	}{
-		{"LoadFile", LoadFile[uint64]},
-		{"MapView", func(path string) (*Index[uint64], error) {
-			m, err := snapshot.MapFile(path)
-			if err != nil {
-				return nil, err
-			}
-			defer m.Close()
-			return MapView[uint64](m)
-		}},
+		{"tombstone-free", filepath.Join("testdata", "tombstone-free.snap"), goldenInserts(keys), nil},
+		{"tombstoned", tombstoned, buffer, dels},
 	}
 	for _, f := range files {
 		for _, l := range loaders {
 			t.Run(f.name+"/"+l.name, func(t *testing.T) {
-				loaded, err := l.load(f.path)
+				got, err := l.load(f.path)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, got := f.orig.View(), loaded.View()
-				if got.deadCount != want.deadCount {
-					t.Fatalf("restored %d tombstones, want %d", got.deadCount, want.deadCount)
+				if !slices.Equal(got.ins, f.ins) || !slices.Equal(got.dels, f.dels) {
+					t.Fatalf("restored ins %v dels %v, want ins %v dels %v", got.ins, got.dels, f.ins, f.dels)
 				}
-				if want.deadCount == 0 {
-					noTombstoneState(t, "restored view", got)
-				} else {
-					for p := range want.dead {
-						if got.dead[p] != want.dead[p] {
-							t.Fatalf("restored tombstone bit %d = %v, want %v", p, got.dead[p], want.dead[p])
-						}
-					}
-				}
-				if got.SizeBytes() != want.SizeBytes() {
-					t.Fatalf("restored SizeBytes = %d, want %d", got.SizeBytes(), want.SizeBytes())
-				}
-				for i := 0; i < len(f.keys); i += 7 {
-					q := f.keys[i] + uint64(i%3)
-					gr, gf := got.Lookup(q)
-					wr, wf := want.Lookup(q)
-					if gr != wr || gf != wf {
-						t.Fatalf("restored Lookup(%d) = (%d,%v), want (%d,%v)", q, gr, gf, wr, wf)
-					}
-				}
+				answersLike(t, "restored base", got.ix.View(), keys, probesFor(keys, 500, 7))
 			})
 		}
 	}
 }
 
-// TestUpdatableSnapshotCorruption: flips across the container must be
-// rejected; the updatable sections ride the same checksum.
+// TestUpdatableSnapshotCorruption: flips across a legacy container with
+// tombstones and a buffer must be rejected; the updatable sections ride
+// the same checksum.
 func TestUpdatableSnapshotCorruption(t *testing.T) {
-	orig, _ := stormed(t, 2_000, 7)
-	var buf bytes.Buffer
-	if err := Save(&buf, orig); err != nil {
+	keys := dataset.MustGenerate(dataset.Face, 64, 2_000, 7)
+	ix, err := New(keys, Config{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
+	raw := container(t, func(sw *snapshot.Writer) error {
+		return writeLegacy(sw, ix.View(), Config{}, 0, 2, bitmapOf(len(keys), []int{4, 40}), []uint64{keys[9]})
+	})
+	if _, err := loadBytes(raw); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < len(raw); i += 5 {
 		bad := append([]byte(nil), raw...)
 		bad[i] ^= 0x08
-		if _, err := Load[uint64](bytes.NewReader(bad), int64(len(bad))); err == nil {
+		if _, err := loadBytes(bad); err == nil {
 			t.Fatalf("flipped byte %d of %d went undetected", i, len(raw))
 		}
 	}
@@ -226,72 +256,69 @@ func TestUpdatableSnapshotCorruption(t *testing.T) {
 
 // TestUpdatableSnapshotHostileLayerM: a checksummed-but-hostile snapshot
 // whose meta claims an absurd layer configuration M must be rejected at
-// load, not deferred to a makeslice panic in the first compaction.
+// load, not deferred to a makeslice panic in the first compaction; so
+// must legacy pending writes that contradict themselves.
 func TestUpdatableSnapshotHostileLayerM(t *testing.T) {
-	keys := dataset.MustGenerate(dataset.Face, 64, 2_000, 5)
+	keys := dataset.MustGenerate(dataset.Face, 64, 2_001, 5)
 	ix, err := New(keys, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := ix.Freeze()
-	var buf bytes.Buffer
-	sw, err := snapshot.NewWriter(&buf, SnapshotKind)
-	if err != nil {
-		t.Fatal(err)
+	v := ix.View()
+	cases := []struct {
+		name    string
+		persist func(sw *snapshot.Writer) error
+	}{
+		{"hostile layer M", func(sw *snapshot.Writer) error {
+			return writeLegacy(sw, v, Config{Layer: core.Config{M: 1 << 60}}, 0, 0, nil, nil)
+		}},
+		{"count exceeds base", func(sw *snapshot.Writer) error {
+			return writeLegacy(sw, v, Config{}, 0, uint64(len(keys)+1), nil, nil)
+		}},
+		{"count disagrees with bitmap", func(sw *snapshot.Writer) error {
+			return writeLegacy(sw, v, Config{}, 0, 1, bitmapOf(len(keys), []int{3, 4}), nil)
+		}},
+		{"bit past the last key", func(sw *snapshot.Writer) error {
+			b := bitmapOf(len(keys), nil)
+			b[len(b)-1] = 0x80
+			return writeLegacy(sw, v, Config{}, 0, 1, b, nil)
+		}},
+		{"unsorted buffer", func(sw *snapshot.Writer) error {
+			return writeLegacy(sw, v, Config{}, 0, 0, nil, []uint64{9, 3})
+		}},
 	}
-	meta := make([]byte, 0, 36)
-	meta = binary.LittleEndian.AppendUint32(meta, uint32(core.ModeRange))
-	meta = binary.LittleEndian.AppendUint64(meta, 1<<60) // hostile layer M
-	meta = binary.LittleEndian.AppendUint64(meta, 0)     // stride
-	meta = binary.LittleEndian.AppendUint64(meta, 0)     // maxDelta
-	meta = binary.LittleEndian.AppendUint64(meta, 0)     // deadCount
-	if err := sw.Bytes(secUpdMeta, meta); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.table.PersistSnapshot(sw); err != nil {
-		t.Fatal(err)
-	}
-	dead := make([]byte, (len(keys)+7)/8)
-	dw, err := sw.SectionSized(secUpdDead, int64(len(dead)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dw.Write(dead); err != nil {
-		t.Fatal(err)
-	}
-	if err := snapshot.WriteKeySection(sw, secUpdDelta, v.delta); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load[uint64](bytes.NewReader(buf.Bytes()), int64(buf.Len())); err == nil {
-		t.Fatal("hostile layer M accepted")
+	for _, c := range cases {
+		if _, err := loadBytes(container(t, c.persist)); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
 	}
 }
 
-// TestUpdatableSnapshotFile: crash-safe file round trip, plus the
-// MaxDelta config surviving so compaction cadence is preserved.
+// TestUpdatableSnapshotFile: crash-safe file round trip through both
+// readers, with the layer configuration surviving so compaction rebuilds
+// with it.
 func TestUpdatableSnapshotFile(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.LogN, 64, 10_000, 3)
-	orig, err := New(keys, Config{MaxDelta: 777, Layer: core.Config{Mode: core.ModeMidpoint}})
+	cfg := Config{Layer: core.Config{Mode: core.ModeMidpoint}}
+	ix, err := New(keys, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "upd.snap")
-	if err := SaveFile(path, orig); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadFile[uint64](path)
+	err = snapshot.SaveFile(path, SnapshotKind, func(sw *snapshot.Writer) error {
+		return PersistView(sw, ix.View(), cfg)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Config().MaxDelta != 777 || loaded.Config().Layer.Mode != core.ModeMidpoint {
-		t.Fatalf("config not preserved: %+v", loaded.Config())
-	}
-	for i := 0; i < len(keys); i += 53 {
-		if got, want := loaded.Find(keys[i]), orig.Find(keys[i]); got != want {
-			t.Fatalf("loaded Find(%d) = %d, want %d", keys[i], got, want)
+	for _, l := range loaders {
+		got, err := l.load(path)
+		if err != nil {
+			t.Fatalf("%s: %v", l.name, err)
 		}
+		if got.ix.Config() != cfg {
+			t.Fatalf("%s: config %+v, want %+v", l.name, got.ix.Config(), cfg)
+		}
+		answersLike(t, l.name, got.ix.View(), keys, probesFor(keys, 1_000, 5))
 	}
 }

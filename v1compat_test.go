@@ -8,26 +8,33 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/index"
 	"repro/internal/router"
-	"repro/internal/updatable"
 )
 
 // v1FixtureKeys is the key set every fixture under testdata/v1 was built
 // from (testdata/v1/README.md records the recipe).
 func v1FixtureKeys() []uint64 { return dataset.MustGenerate(dataset.Face, 64, 2000, 12) }
 
-// v1FixtureWrites replays the fixtures' write sequence: every fourth
-// write deletes a distinct base key, the rest insert near-copies of base
-// keys.
-func v1FixtureWrites(t *testing.T, keys []uint64, n int, insert func(uint64) error, del func(uint64) bool) {
-	t.Helper()
-	for i := 0; i < n; i++ {
-		if i%4 == 3 {
-			if k := keys[(i/4*37)%len(keys)]; !del(k) {
-				t.Fatalf("fixture write %d: delete of %d found nothing", i, k)
-			}
-		} else if err := insert(keys[(i*13)%len(keys)] + uint64(i%5)); err != nil {
+// closedWrites rebuilds a fixture as a concurrent index closed right
+// after New (no background compaction) carrying the fixtures' write
+// sequence writes(n): every fourth write deletes a distinct base key, the
+// rest insert near-copies of base keys.
+func closedWrites(keys []uint64, n int) func(t *testing.T) finder {
+	return func(t *testing.T) finder {
+		ix, err := concurrent.New(keys, concurrent.Config{})
+		if err != nil {
 			t.Fatal(err)
 		}
+		ix.Close()
+		for i := 0; i < n; i++ {
+			if i%4 == 3 {
+				if k := keys[(i/4*37)%len(keys)]; !ix.Delete(k) {
+					t.Fatalf("fixture write %d: delete of %d found nothing", i, k)
+				}
+			} else {
+				ix.Insert(keys[(i*13)%len(keys)] + uint64(i%5))
+			}
+		}
+		return ix
 	}
 }
 
@@ -73,29 +80,10 @@ func TestV1Fixtures(t *testing.T) {
 			}
 			return r
 		}, loadIndex},
-		{"updatable.snap", keys, func(t *testing.T) finder {
-			ix, err := updatable.New(keys, updatable.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			v1FixtureWrites(t, keys, 600, ix.Insert, ix.Delete)
-			return ix
-		}, func(path string, mapped bool) (finder, bool, error) {
-			if mapped {
-				return updatable.MapViewFile[uint64](path)
-			}
-			ix, err := updatable.LoadFile[uint64](path)
-			return ix, false, err
-		}},
-		{"concurrent.snap", keys, func(t *testing.T) finder {
-			ix, err := concurrent.New(keys, concurrent.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ix.Close() // no background compaction: explicit Compact calls only
-			v1FixtureWrites(t, keys, 1500, func(k uint64) error { ix.Insert(k); return nil }, ix.Delete)
-			return ix
-		}, func(path string, mapped bool) (finder, bool, error) {
+		// An earlier build's single-threaded index, with a live insert
+		// buffer and tombstones; it loads as a concurrent index.
+		{"updatable.snap", keys, closedWrites(keys, 600), loadIndex},
+		{"concurrent.snap", keys, closedWrites(keys, 1500), func(path string, mapped bool) (finder, bool, error) {
 			if mapped {
 				return concurrent.MapFile[uint64](path)
 			}
@@ -127,5 +115,50 @@ func TestV1Fixtures(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLegacyUpdatableGolden: internal/updatable/testdata/tombstone-free.snap
+// is a v2 container of the legacy "updatable" kind whose view holds a
+// 100-key insert buffer (recipe: that directory's README). Both registry
+// entry points load it as a concurrent index rank-identical to one built
+// from the same keys with the buffered keys inserted; the kind has no
+// mapped loader, so the mapped entry point streams it.
+func TestLegacyUpdatableGolden(t *testing.T) {
+	keys := v1FixtureKeys()
+	want, err := concurrent.New(keys, concurrent.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Close()
+	for i := 0; i < 100; i++ {
+		want.Insert(keys[(i*13)%2000] + uint64(i%5))
+	}
+	path := filepath.Join("internal", "updatable", "testdata", "tombstone-free.snap")
+	for _, mapped := range []bool{false, true} {
+		var got index.Index[uint64]
+		if mapped {
+			got, _, err = index.LoadFileMapped[uint64](path)
+		} else {
+			got, err = index.LoadFile[uint64](path)
+		}
+		if err != nil {
+			t.Fatalf("mapped=%v: %v", mapped, err)
+		}
+		ix, ok := got.(*concurrent.Index[uint64])
+		if !ok {
+			t.Fatalf("mapped=%v: loaded a %T, want a concurrent index", mapped, got)
+		}
+		defer ix.Close()
+		if ix.Len() != want.Len() || ix.Pending() != 100 {
+			t.Fatalf("mapped=%v: %d live keys, %d pending; want %d and 100", mapped, ix.Len(), ix.Pending(), want.Len())
+		}
+		for _, k := range keys {
+			for _, q := range []uint64{k - 1, k, k + 1, k + 4} {
+				if g, w := ix.Find(q), want.Find(q); g != w {
+					t.Fatalf("mapped=%v: Find(%d) = %d, rebuilt index says %d", mapped, q, g, w)
+				}
+			}
+		}
 	}
 }
