@@ -11,8 +11,11 @@ package repro_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"sync"
@@ -25,7 +28,9 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/index"
 	"repro/internal/kv"
+	"repro/internal/mapped"
 	"repro/internal/memsim"
+	"repro/internal/router"
 	"repro/internal/search"
 )
 
@@ -501,9 +506,9 @@ func BenchmarkFindBatchParallel(b *testing.B) {
 
 // BenchmarkBuild measures Shift-Table construction: the serial pipeline
 // and the arena-sharded parallel pipeline at 2/4/GOMAXPROCS workers, both
-// modes. b.N counts keys, so ns/op is build ns per key (the headline
-// number of `figures -fig build`); on a 1-core box the worker variants
-// measure the sharded code path itself rather than a speedup.
+// modes. b.N counts keys, so ns/op is build ns per key; on a 1-core box
+// the worker variants measure the sharded code path itself rather than a
+// speedup.
 func BenchmarkBuild(b *testing.B) {
 	for _, spec := range batchBenchSpecs {
 		keys := keysFor(b, spec)
@@ -555,6 +560,83 @@ func BenchmarkCompaction(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkWarmStart times the three ways a process gets an index back
+// to serving (DESIGN.md §12): a cold build, a streaming load of its
+// snapshot onto the heap, and a mapped open of the same file. Before the
+// timer starts, each restored index must answer a fixed probe set exactly
+// like its cold twin, and where the platform maps files the open must
+// map. Sub-benchmark names follow "backend/path".
+func BenchmarkWarmStart(b *testing.B) {
+	keys := keysFor(b, dataset.Spec{Name: dataset.Face, Bits: 64})
+	var probes []uint64
+	for i := 0; i < len(keys); i += len(keys)/512 + 1 {
+		probes = append(probes, keys[i], keys[i]+1)
+	}
+	probes = append(probes, 0, math.MaxUint64)
+	dir := b.TempDir()
+	backends := []struct {
+		name  string
+		build func() (index.Index[uint64], error)
+	}{
+		{"IM+ST", func() (index.Index[uint64], error) { return index.Build("IM+ST", keys) }},
+		{"router", func() (index.Index[uint64], error) { return router.New(keys, router.Config{}) }},
+	}
+	for _, be := range backends {
+		b.Run(be.name, func(b *testing.B) {
+			cold, err := be.build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			path := filepath.Join(dir, be.name+".snap")
+			if err := index.SaveFile(path, cold); err != nil {
+				b.Fatal(err)
+			}
+			paths := []struct {
+				name string
+				open func() (index.Index[uint64], error)
+			}{
+				{"cold", be.build},
+				{"load", func() (index.Index[uint64], error) { return index.LoadFile[uint64](path) }},
+				{"map", func() (index.Index[uint64], error) {
+					ix, viaMap, err := index.LoadFileMapped[uint64](path)
+					if err == nil && mapped.Supported() && !viaMap {
+						err = fmt.Errorf("%s did not open mapped", path)
+					}
+					return ix, err
+				}},
+			}
+			for _, p := range paths {
+				b.Run(p.name, func(b *testing.B) {
+					ix, err := p.open()
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, q := range probes {
+						if got, want := ix.Find(q), cold.Find(q); got != want {
+							b.Fatalf("Find(%d) = %d, cold twin %d", q, got, want)
+						}
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if _, err := p.open(); err != nil {
+							b.Fatal(err)
+						}
+						// A mapped index unmaps only when collected, and a
+						// mapped open allocates too little to trigger a
+						// GC: collect now and then so the mappings cannot
+						// pile up to the process's map-count limit.
+						if i%256 == 255 {
+							b.StopTimer()
+							runtime.GC()
+							b.StartTimer()
+						}
+					}
+				})
+			}
+		})
+	}
 }
 
 // BenchmarkMemsim measures the simulator itself (it is the substrate of

@@ -4,36 +4,17 @@
 //
 // Usage:
 //
-//	figures -fig 2a|2b|3|6|7|8|9|L|batch|concurrent|router [-n N] [-q Q]
-//	        [-seed S] [-dataset face64]
+//	figures -fig ID [-n N] [-q Q] [-seed S] [-dataset face64] [-shards K]
 //
-// The "L" pseudo-figure prints the §2.3 error-to-latency micro-benchmark
-// (the L(s) curve parameterising the §3.7 cost model). The "batch"
-// pseudo-figure prints the batched-query throughput sweep (scalar Find vs
-// FindBatch vs FindBatchParallel across batch sizes, R and S modes) as CSV.
-// The "concurrent" pseudo-figure prints the mixed read/write throughput
-// sweep over internal/concurrent (reader counts × background compaction
-// on or off, with reads completed during in-flight compactions) as CSV in
-// a "compaction" column of "background" or "off". The "router"
-// pseudo-figure builds the cost-model-routed hybrid index
-// (internal/router) over a piecewise dataset and prints its latency
-// against every homogeneous candidate backend, with the per-shard routing
-// decisions as comment lines. The "persist" pseudo-figure prints the
-// snapshot sweep (cold build vs save vs warm load per backend, every
-// loaded index verified bit-identical before its time is reported). The
-// "replica" pseudo-figure prints the replication sweep (publish → fetch →
-// verify → swap per version, delta vs full artifact sizes, cold sync vs
-// crash/warm-restart time; every synced version oracle-verified) and
-// writes BENCH_replica.json. The "serve" pseudo-figure stands up the
-// whole networked serving tier in-process (publisher → store → replica →
-// hardened HTTP server) and prints throughput and p50/p99/p999 latency
-// for coalesced vs per-request dispatch under live publishing, every
-// response oracle-verified by version tag; it writes BENCH_serve.json.
-// The "mmap" pseudo-figure compares restart paths for the page-aligned v2
-// snapshot layout (cold build vs streaming load vs mapped open of the
-// same file, per backend), measures cold-shard first-touch latency on a
-// mapped router, sweeps a residency budget over the router's shard
-// spans, and writes BENCH_mmap.json.
+// where ID is one of the ids in the figures table below (figures -h lists
+// them). Besides the paper's figures there are three pseudo-figures. "L"
+// prints the §2.3 error-to-latency micro-benchmark (the L(s) curve
+// parameterising the §3.7 cost model). "batch" prints the batched-query
+// throughput sweep (scalar Find vs FindBatch vs FindBatchParallel across
+// batch sizes, R and S modes). "router" builds the cost-model-routed
+// hybrid index (internal/router) over a piecewise dataset and prints its
+// latency against every homogeneous candidate backend, with the per-shard
+// routing decisions as comment lines.
 //
 // All CSV output flows through the shared bench.Grid emitter, the same
 // layout cmd/report renders as markdown.
@@ -49,65 +30,66 @@ import (
 	"repro/internal/dataset"
 )
 
+// opts carries the command-line parameters every figure draws from; each
+// figure reads only the ones it needs.
+type opts struct {
+	n, q, shards int
+	seed         int64
+	dataset      string
+}
+
+// figures is the one ordered list of figure ids: -fig help, its
+// validation and the dispatch all read it.
+var figures = []struct {
+	id  string
+	run func(opts) error
+}{
+	{"2a", fig2a},
+	{"2b", fig2b},
+	{"3", fig3},
+	{"6", fig6},
+	{"7", fig7},
+	{"8", fig8},
+	{"9", fig9},
+	{"L", latencyCurve},
+	{"batch", batchSweep},
+	{"router", routerSweep},
+}
+
 func main() {
-	fig := flag.String("fig", "", "figure id: 2a, 2b, 3, 6, 7, 8, 9, L, batch, build, concurrent, router, persist, replica, serve, mmap")
-	n := flag.Int("n", 0, "dataset size (0 = per-figure default)")
-	q := flag.Int("q", 0, "query count (0 = per-figure default)")
-	seed := flag.Int64("seed", 7, "dataset seed")
-	ds := flag.String("dataset", "face64", "dataset for fig 8 (face64 or osmc64)")
-	shards := flag.Int("shards", 0, "router shard count (0 = auto)")
-	jsonPath := flag.String("json", "auto", "figs build/replica: JSON output path (auto = BENCH_<fig>.json, empty = skip)")
+	ids := make([]string, len(figures))
+	for i, f := range figures {
+		ids[i] = f.id
+	}
+	idList := strings.Join(ids, ", ")
+	fig := flag.String("fig", "", "figure id: "+idList)
+	var o opts
+	flag.IntVar(&o.n, "n", 0, "dataset size (0 = per-figure default)")
+	flag.IntVar(&o.q, "q", 0, "query count (0 = per-figure default)")
+	flag.Int64Var(&o.seed, "seed", 7, "dataset seed")
+	flag.StringVar(&o.dataset, "dataset", "face64", "dataset for fig 8 (face64 or osmc64)")
+	flag.IntVar(&o.shards, "shards", 0, "router shard count (0 = auto)")
 	flag.Parse()
 
-	var err error
-	switch *fig {
-	case "2a":
-		err = fig2a(*n, *q, *seed)
-	case "2b":
-		err = fig2b(*n, *q, *seed)
-	case "3":
-		err = fig3(*n, *seed)
-	case "6":
-		err = fig6(*n, *seed)
-	case "7":
-		err = fig7(*n, *seed)
-	case "8":
-		err = fig8(*n, *q, *seed, *ds)
-	case "9":
-		err = fig9(*n, *q, *seed)
-	case "L":
-		err = latencyCurve(*n, *seed)
-	case "batch":
-		err = batchSweep(*n, *q, *seed)
-	case "build":
-		err = buildSweep(*n, *seed, jsonOut(*jsonPath, "BENCH_build.json"))
-	case "concurrent":
-		err = concurrentSweep(*n, *seed)
-	case "router":
-		err = routerSweep(*n, *q, *shards, *seed)
-	case "persist":
-		err = persistSweep(*n, *q, *seed)
-	case "replica":
-		err = replicaSweep(*n, *q, *seed, jsonOut(*jsonPath, "BENCH_replica.json"))
-	case "serve":
-		err = serveSweep(*n, *q, *seed, jsonOut(*jsonPath, "BENCH_serve.json"))
-	case "mmap":
-		err = mmapSweep(*n, *q, *seed, jsonOut(*jsonPath, "BENCH_mmap.json"))
-	default:
-		fmt.Fprintln(os.Stderr, "figures: -fig must be one of 2a, 2b, 3, 6, 7, 8, 9, L, batch, build, concurrent, router, persist, replica, serve, mmap")
-		os.Exit(2)
+	for _, f := range figures {
+		if f.id != *fig {
+			continue
+		}
+		if err := f.run(o); err != nil {
+			fmt.Fprintln(os.Stderr, "figures:", err)
+			os.Exit(1)
+		}
+		return
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(1)
-	}
+	fmt.Fprintln(os.Stderr, "figures: -fig must be one of", idList)
+	os.Exit(2)
 }
 
 // emit renders a grid as CSV on stdout.
 func emit(g *bench.Grid) { g.WriteCSV(os.Stdout) }
 
-func fig2a(n, q int, seed int64) error {
-	pts, err := bench.RunFig2a(bench.Fig2Config{N: n, Queries: q, Seed: seed})
+func fig2a(o opts) error {
+	pts, err := bench.RunFig2a(bench.Fig2Config{N: o.n, Queries: o.q, Seed: o.seed})
 	if err != nil {
 		return err
 	}
@@ -120,8 +102,8 @@ func fig2a(n, q int, seed int64) error {
 	return nil
 }
 
-func fig2b(n, q int, seed int64) error {
-	pts, err := bench.RunFig2b(bench.Fig2Config{N: n, Queries: q, Seed: seed})
+func fig2b(o opts) error {
+	pts, err := bench.RunFig2b(bench.Fig2Config{N: o.n, Queries: o.q, Seed: o.seed})
 	if err != nil {
 		return err
 	}
@@ -134,11 +116,12 @@ func fig2b(n, q int, seed int64) error {
 	return nil
 }
 
-func fig3(n int, seed int64) error {
+func fig3(o opts) error {
+	n := o.n
 	if n == 0 {
 		n = 2_000_000
 	}
-	series, err := bench.RunFig3(n, 500, seed)
+	series, err := bench.RunFig3(n, 500, o.seed)
 	if err != nil {
 		return err
 	}
@@ -156,11 +139,12 @@ func fig3(n int, seed int64) error {
 	return nil
 }
 
-func fig6(n int, seed int64) error {
+func fig6(o opts) error {
+	n := o.n
 	if n == 0 {
 		n = 2_000_000
 	}
-	res, err := bench.RunFig6(n, 1000, seed)
+	res, err := bench.RunFig6(n, 1000, o.seed)
 	if err != nil {
 		return err
 	}
@@ -174,11 +158,12 @@ func fig6(n int, seed int64) error {
 	return nil
 }
 
-func fig7(n int, seed int64) error {
+func fig7(o opts) error {
+	n := o.n
 	if n == 0 {
 		n = 2_000_000
 	}
-	rows, err := bench.RunFig7(n, seed, nil)
+	rows, err := bench.RunFig7(n, o.seed, nil)
 	if err != nil {
 		return err
 	}
@@ -186,14 +171,14 @@ func fig7(n int, seed int64) error {
 	return nil
 }
 
-func fig8(n, q int, seed int64, ds string) error {
+func fig8(o opts) error {
 	spec := dataset.Spec{Name: dataset.Face, Bits: 64}
-	if ds == "osmc64" {
+	if o.dataset == "osmc64" {
 		spec = dataset.Spec{Name: dataset.Osmc, Bits: 64}
-	} else if ds != "face64" {
-		return fmt.Errorf("fig 8 supports face64 or osmc64, got %q", ds)
+	} else if o.dataset != "face64" {
+		return fmt.Errorf("fig 8 supports face64 or osmc64, got %q", o.dataset)
 	}
-	pts, err := bench.RunFig8(bench.Fig8Config{Dataset: spec, N: n, Queries: q, Seed: seed})
+	pts, err := bench.RunFig8(bench.Fig8Config{Dataset: spec, N: o.n, Queries: o.q, Seed: o.seed})
 	if err != nil {
 		return err
 	}
@@ -206,8 +191,8 @@ func fig8(n, q int, seed int64, ds string) error {
 	return nil
 }
 
-func fig9(n, q int, seed int64) error {
-	res, err := bench.RunFig9(n, q, 0, seed)
+func fig9(o opts) error {
+	res, err := bench.RunFig9(o.n, o.q, 0, o.seed)
 	if err != nil {
 		return err
 	}
@@ -215,8 +200,8 @@ func fig9(n, q int, seed int64) error {
 	return nil
 }
 
-func batchSweep(n, q int, seed int64) error {
-	pts, err := bench.RunBatch(bench.BatchConfig{N: n, Queries: q, Seed: seed})
+func batchSweep(o opts) error {
+	pts, err := bench.RunBatch(bench.BatchConfig{N: o.n, Queries: o.q, Seed: o.seed})
 	if err != nil {
 		return err
 	}
@@ -229,44 +214,8 @@ func batchSweep(n, q int, seed int64) error {
 	return nil
 }
 
-func buildSweep(n int, seed int64, jsonPath string) error {
-	res, err := bench.RunBuildSweep(bench.BuildSweepConfig{N: n, Seed: seed})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("# build sweep: n=%d gomaxprocs=%d numcpu=%d (every built table validated against reference ranks)\n",
-		res.N, res.GoMaxProcs, res.NumCPU)
-	emit(res.Grid())
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := res.WriteJSON(f); err != nil {
-			return err
-		}
-		fmt.Printf("# wrote %s\n", jsonPath)
-	}
-	return nil
-}
-
-func concurrentSweep(n int, seed int64) error {
-	pts, err := bench.RunConcurrent(bench.ConcurrentConfig{N: n, Seed: seed})
-	if err != nil {
-		return err
-	}
-	g := bench.NewGrid("dataset", "compaction", "readers", "reads_per_sec", "writes_per_sec", "rebuilds", "reads_during_compaction")
-	verbs := []string{"%s", "%s", "%d", "%.0f", "%.0f", "%d", "%d"}
-	for _, p := range pts {
-		g.Rowf(verbs, p.Dataset, p.Compaction, p.Readers, p.ReadsPerSec, p.WritesPerSec, p.Rebuilds, p.ReadsDuringCompaction)
-	}
-	emit(g)
-	return nil
-}
-
-func routerSweep(n, q, shards int, seed int64) error {
-	res, err := bench.RunRouter(bench.RouterConfig{N: n, Queries: q, Shards: shards, Seed: seed})
+func routerSweep(o opts) error {
+	res, err := bench.RunRouter(bench.RouterConfig{N: o.n, Queries: o.q, Shards: o.shards, Seed: o.seed})
 	if err != nil {
 		return err
 	}
@@ -284,104 +233,16 @@ func routerSweep(n, q, shards int, seed int64) error {
 	return nil
 }
 
-// jsonOut resolves the -json flag: "auto" means the per-figure default.
-func jsonOut(flagVal, def string) string {
-	if flagVal == "auto" {
-		return def
-	}
-	return flagVal
-}
-
-func replicaSweep(n, q int, seed int64, jsonPath string) error {
-	res, err := bench.RunReplication(bench.ReplicationConfig{N: n, Queries: q, Seed: seed})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("# replication sweep: n=%d rounds=%d (every synced version oracle-verified before timing is reported)\n", res.N, res.Rounds)
-	fmt.Printf("# mean artifact: full %.1f KB, delta %.1f KB; cold sync %.1f ms, warm restart %.1f ms (version %d, store offline)\n",
-		res.FullKB, res.DeltaKB, res.ColdSyncMs, res.WarmRestartMs, res.WarmVersion)
-	emit(res.Grid())
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := res.WriteJSON(f); err != nil {
-			return err
-		}
-		fmt.Printf("# wrote %s\n", jsonPath)
-	}
-	return nil
-}
-
-func serveSweep(n, q int, seed int64, jsonPath string) error {
-	res, err := bench.RunServe(bench.ServeConfig{N: n, Pool: q, Seed: seed})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("# serving-tier sweep: n=%d workers=%d open-loop %g qps (every response oracle-verified by version tag; %d versions published mid-run)\n",
-		res.N, res.Workers, res.RateQPS, res.Published)
-	fmt.Printf("# coalesced closed-loop throughput %.2fx per-request dispatch\n", res.CoalesceSpeedup)
-	emit(res.Grid())
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := res.WriteJSON(f); err != nil {
-			return err
-		}
-		fmt.Printf("# wrote %s\n", jsonPath)
-	}
-	return nil
-}
-
-func mmapSweep(n, q int, seed int64, jsonPath string) error {
-	res, err := bench.RunMmap(bench.MmapConfig{N: n, Queries: q, Seed: seed})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("# mmap sweep: n=%d map_supported=%v (every mapped index probe-verified against its cold-built twin)\n",
-		res.N, res.MapSupported)
-	emit(bench.MmapLoadGrid(res.Loads))
-	fmt.Printf("# cold-shard first touch over %d shards: first pass %.1f ns/q, second pass %.1f ns/q, %d minor faults (memsim predicts +%.0f ns cold)\n",
-		res.Touch.Shards, res.Touch.FirstPassNs, res.Touch.SecondPassNs, res.Touch.MinorFaults, res.Touch.PredictedColdNs)
-	emit(bench.MmapBudgetGrid(res.Budget))
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := res.WriteJSON(f); err != nil {
-			return err
-		}
-		fmt.Printf("# wrote %s\n", jsonPath)
-	}
-	return nil
-}
-
-func persistSweep(n, q int, seed int64) error {
-	pts, err := bench.RunPersist(bench.PersistConfig{N: n, Queries: q, Seed: seed})
-	if err != nil {
-		return err
-	}
-	fmt.Println("# persist sweep: cold build vs snapshot save vs warm load (every loaded index verified bit-identical to its cold twin)")
-	emit(bench.PersistGrid(pts))
-	return nil
-}
-
-func latencyCurve(n int, seed int64) error {
+func latencyCurve(o opts) error {
+	n := o.n
 	if n == 0 {
 		n = 4_000_000
 	}
-	keys, err := dataset.Generate(dataset.USpr, 64, n, seed)
+	keys, err := dataset.Generate(dataset.USpr, 64, n, o.seed)
 	if err != nil {
 		return err
 	}
-	pts := bench.MeasureLatencyCurve(keys, 1<<20, 5_000, seed)
+	pts := bench.MeasureLatencyCurve(keys, 1<<20, 5_000, o.seed)
 	g := bench.NewGrid("window", "linear_ns", "binary_ns", "exponential_ns")
 	verbs := []string{"%d", "%.1f", "%.1f", "%.1f"}
 	for _, p := range pts {

@@ -10,7 +10,7 @@
 //
 //	shiftserver -store DIR|URL -dir REPLICADIR [-addr :8422]
 //	            [-watch 150ms] [-mode coalesce|direct] [-wave 256]
-//	            [-maxwait 0s] [-queue 1024] [-inflight 256] [-drain 10s]
+//	            [-queue 1024] [-inflight 256] [-drain 10s]
 //	            [-admin] [-wait-ready=true]
 //	shiftserver -fleet URL1,URL2,... [-addr :8421] [-probe 100ms]
 //
@@ -62,7 +62,6 @@ func run() error {
 	watch := flag.Duration("watch", 150*time.Millisecond, "replica sync interval")
 	mode := flag.String("mode", "coalesce", "serving mode: coalesce (wave-batched) or direct (per-request)")
 	wave := flag.Int("wave", serve.DefaultWave, "max queries per coalesced wave")
-	maxWait := flag.Duration("maxwait", 0, "coalescer linger for wave fill (0 = greedy)")
 	queue := flag.Int("queue", 0, "coalescer admission queue bound (0 = 4x wave)")
 	inflight := flag.Int("inflight", 256, "max concurrent uncoalesced requests")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown deadline")
@@ -165,7 +164,7 @@ func run() error {
 	var co *serve.Coalescer[uint64]
 	if coalesce {
 		co = serve.NewCoalescer(r.Index(), serve.CoalescerConfig{
-			MaxWave: *wave, MaxWait: *maxWait, Queue: *queue,
+			MaxWave: *wave, Queue: *queue,
 		})
 	}
 	h := serve.NewHandler(r.Index(), co, serve.HandlerConfig{

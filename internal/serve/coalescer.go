@@ -11,7 +11,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/concurrent"
 	"repro/internal/kv"
@@ -35,12 +34,6 @@ type CoalescerConfig struct {
 	// MaxWave caps how many queries one dispatch wave carries
 	// (default/max 256 — the core batch pipeline's lane width).
 	MaxWave int
-	// MaxWait is how long the combiner lingers for more arrivals at the
-	// start of a wave (default 0: greedy — take whatever has queued
-	// while the previous wave was in flight, never wait). Under load
-	// greedy coalescing batches naturally; a non-zero linger trades
-	// added latency for wider waves at low concurrency.
-	MaxWait time.Duration
 	// Queue bounds how many requests may be waiting for a wave slot
 	// (default 4×MaxWave). Arrivals beyond it are rejected with
 	// ErrOverloaded — admission control, not unbounded queueing.
@@ -231,11 +224,7 @@ func (c *Coalescer[K]) runWaves() {
 	s := c.scratchPool.Get().(*waveScratch[K])
 	for {
 		s.keys, s.outs = s.keys[:0], s.outs[:0]
-		if c.cfg.MaxWait > 0 {
-			c.collectLinger(s)
-		} else {
-			c.collect(s)
-		}
+		c.collect(s)
 		if len(s.keys) == 0 {
 			break
 		}
@@ -265,31 +254,6 @@ func (c *Coalescer[K]) collect(s *waveScratch[K]) {
 			s.keys = append(s.keys, r.key)
 			s.outs = append(s.outs, r.done)
 		default:
-			return
-		}
-	}
-}
-
-// collectLinger takes the first request non-blockingly, then lingers up
-// to MaxWait for the wave to fill.
-//
-//shift:allow-lock(the linger wait is the point: it blocks between waves, bounded by MaxWait, never while a snapshot view is pinned)
-func (c *Coalescer[K]) collectLinger(s *waveScratch[K]) {
-	select {
-	case r := <-c.reqs:
-		s.keys = append(s.keys, r.key)
-		s.outs = append(s.outs, r.done)
-	default:
-		return
-	}
-	timer := time.NewTimer(c.cfg.MaxWait)
-	defer timer.Stop()
-	for len(s.keys) < c.cfg.MaxWave {
-		select {
-		case r := <-c.reqs:
-			s.keys = append(s.keys, r.key)
-			s.outs = append(s.outs, r.done)
-		case <-timer.C:
 			return
 		}
 	}

@@ -19,7 +19,7 @@ import (
 type HandlerConfig struct {
 	// Coalesce routes point lookups through the wave coalescer; false
 	// answers each request with its own single-lane tagged batch call
-	// (the per-request baseline the serve benchmark compares against).
+	// (the per-request baseline, shiftserver -mode direct).
 	Coalesce bool
 	// MaxBatch caps how many keys one POST /v1/batch may carry
 	// (default 4096). Larger requests get 413.
