@@ -207,6 +207,15 @@ func (ix *Index[K]) FindBatchTagged(qs []K, out []int) ([]int, uint64) {
 	return out, s.tag
 }
 
+// FindTagged is Find plus the install tag of the snapshot that answered:
+// the one-query FindBatchTagged without the batch pipeline's set-up.
+//
+//shift:lockfree
+func (ix *Index[K]) FindTagged(q K) (rank int, tag uint64) {
+	s := ix.snap.Load()
+	return s.rank(q), s.tag
+}
+
 // Tag returns the install tag of the current published snapshot (zero if
 // no replicated state was ever installed).
 //

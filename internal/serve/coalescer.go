@@ -145,16 +145,15 @@ func NewCoalescer[K kv.Key](ix *concurrent.Index[K], cfg CoalescerConfig) *Coale
 // returned tag is the snapshot version that produced rank — the
 // correlation handle every oracle check rides.
 func (c *Coalescer[K]) Find(ctx context.Context, key K) (rank int, tag uint64, err error) {
-	// Fast path: nobody is combining, so self-serve without touching the
-	// queue or a result channel — the uncontended coalesced lookup costs
-	// one TryLock over the direct path. Anyone arriving while we hold the
-	// lock enqueues and is drained below (or rescues itself via its own
-	// TryLock after we release).
+	// Fast path: nobody is combining, so self-serve with one scalar
+	// FindTagged, without touching the queue or a result channel — the
+	// uncontended coalesced lookup costs one TryLock over the direct
+	// path. Anyone arriving while we hold the lock enqueues and is
+	// drained below (or rescues itself via its own TryLock after we
+	// release).
 	if !c.closedHint.Load() && c.combine.TryLock() {
 		c.requests.Add(1)
-		ks := [1]K{key}
-		var one [1]int
-		out, t := c.ix.FindBatchTagged(ks[:], one[:0])
+		rank, tag := c.ix.FindTagged(key)
 		c.waves.Add(1)
 		c.batched.Add(1)
 		if c.maxWave.Load() == 0 {
@@ -167,7 +166,7 @@ func (c *Coalescer[K]) Find(ctx context.Context, key K) (rank int, tag uint64, e
 				break
 			}
 		}
-		return out[0], t, nil
+		return rank, tag, nil
 	}
 	done := c.chanPool.Get().(chan cres)
 	r := creq[K]{key: key, done: done}

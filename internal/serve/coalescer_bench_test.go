@@ -26,20 +26,19 @@ func benchIndex(b *testing.B, n int) *concurrent.Index[uint64] {
 }
 
 // BenchmarkFindDirect is the per-request baseline: every client goroutine
-// answers its own query with a single-lane tagged batch call.
+// answers its own query with a scalar tagged lookup, as direct mode does.
 func BenchmarkFindDirect(b *testing.B) {
 	ix := benchIndex(b, 2_000_000)
 	b.SetParallelism(32)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		rnd := rand.New(rand.NewSource(7))
-		q := make([]uint64, 1)
-		var out []int
+		sum := 0
 		for pb.Next() {
-			q[0] = rnd.Uint64() % (1 << 27)
-			out, _ = ix.FindBatchTagged(q, out[:0])
-			_ = out
+			rank, _ := ix.FindTagged(rnd.Uint64() % (1 << 27))
+			sum += rank
 		}
+		_ = sum
 	})
 }
 

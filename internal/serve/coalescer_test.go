@@ -98,7 +98,9 @@ func prepareVersions(t testing.TB, primary *concurrent.Index[uint64], versions i
 
 // TestCoalescerMatchesScalarFind: on a quiescent index every coalesced
 // answer is bit-identical to the scalar Find path, and the tag matches
-// the installed version.
+// the installed version. Across the installs, the scalar FindTagged (the
+// coalescer's one-caller fast path and direct-mode find) agrees with a
+// one-lane FindBatchTagged on rank and tag.
 func TestCoalescerMatchesScalarFind(t *testing.T) {
 	primary := newPrimary(t, 60_000)
 	pool := QueryPool(7, 512, 500_000)
@@ -113,6 +115,44 @@ func TestCoalescerMatchesScalarFind(t *testing.T) {
 	co := NewCoalescer(serving, CoalescerConfig{})
 	defer co.Close()
 	ctx := context.Background()
+
+	// While versions install: a FindTagged bracketed by two one-lane
+	// FindBatchTagged calls that name the same version read that version's
+	// snapshot too (tags only grow), so all three ranks must agree.
+	stop := make(chan struct{})
+	var compared atomic.Int64
+	var checker sync.WaitGroup
+	checker.Add(1)
+	go func() {
+		defer checker.Done()
+		var (
+			out           []int
+			before, after uint64
+		)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			q := pool[i%len(pool)]
+			out, before = serving.FindBatchTagged([]uint64{q}, out[:0])
+			rank, tag := serving.FindTagged(q)
+			want := out[0]
+			out, after = serving.FindBatchTagged([]uint64{q}, out[:0])
+			if tag < before || tag > after {
+				t.Errorf("FindTagged(%d) tag %d outside the bracketing batch tags [%d, %d]", q, tag, before, after)
+				return
+			}
+			if before == after {
+				compared.Add(1)
+				if rank != want || out[0] != want {
+					t.Errorf("v%d: FindTagged(%d) = %d, one-lane FindBatchTagged = %d then %d", tag, q, rank, want, out[0])
+					return
+				}
+			}
+		}
+	}()
 
 	for _, op := range ops {
 		if op.st != nil {
@@ -144,10 +184,19 @@ func TestCoalescerMatchesScalarFind(t *testing.T) {
 						t.Errorf("v%d find(%d) = %d, scalar Find = %d", op.tag, pool[i], rank, want)
 						return
 					}
+					if r, tg := serving.FindTagged(pool[i]); r != rank || tg != tag {
+						t.Errorf("v%d FindTagged(%d) = (%d, v%d), coalesced (%d, v%d)", op.tag, pool[i], r, tg, rank, tag)
+						return
+					}
 				}
 			}(w)
 		}
 		wg.Wait()
+	}
+	close(stop)
+	checker.Wait()
+	if compared.Load() == 0 {
+		t.Error("no FindTagged call was bracketed by one version")
 	}
 	if st := co.Stats(); st.Waves == 0 || st.Batched < st.Waves {
 		t.Fatalf("implausible stats: %+v", st)

@@ -6,7 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/concurrent"
@@ -18,8 +21,9 @@ import (
 // documented defaults.
 type HandlerConfig struct {
 	// Coalesce routes point lookups through the wave coalescer; false
-	// answers each request with its own single-lane tagged batch call
-	// (the per-request baseline, shiftserver -mode direct).
+	// answers each request with its own scalar tagged lookup,
+	// Index.FindTagged (the per-request baseline, shiftserver -mode
+	// direct).
 	Coalesce bool
 	// MaxBatch caps how many keys one POST /v1/batch may carry
 	// (default 4096). Larger requests get 413.
@@ -52,28 +56,8 @@ func (c HandlerConfig) withDefaults() HandlerConfig {
 	return c
 }
 
-// findResponse is the JSON answer for a point lookup. Keys travel as
-// decimal strings end to end (uint64 keys overflow JSON numbers), ranks
-// and versions as numbers.
-type findResponse struct {
-	Rank    int    `json:"rank"`
-	Version uint64 `json:"version"`
-}
-
-type rangeResponse struct {
-	LoRank  int    `json:"lo_rank"`
-	HiRank  int    `json:"hi_rank"`
-	Count   int    `json:"count"`
-	Version uint64 `json:"version"`
-}
-
 type batchRequest struct {
 	Keys []string `json:"keys"`
-}
-
-type batchResponse struct {
-	Ranks   []int  `json:"ranks"`
-	Version uint64 `json:"version"`
 }
 
 // Handler is the query front end: HTTP/JSON over the lock-free serving
@@ -82,12 +66,13 @@ type batchResponse struct {
 // 503 while draining).
 //
 // Routes: GET /v1/find?key=K · GET /v1/range?lo=A&hi=B ·
-// POST /v1/batch {"keys":[...]} · GET /healthz · GET /statusz.
+// POST /v1/batch {"keys":[...]} · GET /healthz · GET /statusz. Keys
+// travel as decimal strings end to end (uint64 keys overflow JSON
+// numbers), ranks and versions as numbers.
 type Handler[K kv.Key] struct {
 	ix  *concurrent.Index[K]
 	co  *Coalescer[K]
 	cfg HandlerConfig
-	mux *http.ServeMux
 
 	inflight chan struct{}
 	draining atomic.Bool
@@ -118,16 +103,6 @@ func NewHandler[K kv.Key](ix *concurrent.Index[K], co *Coalescer[K], cfg Handler
 	if cfg.Coalesce && co == nil {
 		h.co = NewCoalescer(ix, CoalescerConfig{})
 	}
-	h.mux = http.NewServeMux()
-	h.mux.HandleFunc("GET /v1/find", h.handleFind)
-	h.mux.HandleFunc("GET /v1/range", h.handleRange)
-	h.mux.HandleFunc("POST /v1/batch", h.handleBatch)
-	h.mux.HandleFunc("GET /healthz", h.handleHealthz)
-	h.mux.HandleFunc("GET /statusz", h.handleStatusz)
-	if cfg.Admin {
-		h.mux.HandleFunc("POST /admin/drain", h.handleAdminDrain(true))
-		h.mux.HandleFunc("POST /admin/undrain", h.handleAdminDrain(false))
-	}
 	return h
 }
 
@@ -150,31 +125,86 @@ func (h *Handler[K]) SetDraining(v bool) { h.draining.Store(v) }
 func (h *Handler[K]) Served() uint64   { return h.served.Load() }
 func (h *Handler[K]) Rejected() uint64 { return h.rejected.Load() }
 
+// ServeHTTP routes on the exact path: a GET route also answers HEAD, a
+// known path with another method gets 405 with Allow, anything else 404.
+// It reads r and never changes or keeps it.
 func (h *Handler[K]) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	h.mux.ServeHTTP(w, r)
+	get := r.Method == http.MethodGet || r.Method == http.MethodHead
+	post := r.Method == http.MethodPost
+	allow := "GET, HEAD"
+	switch r.URL.Path {
+	case "/v1/find":
+		if get {
+			h.handleFind(w, r)
+			return
+		}
+	case "/v1/range":
+		if get {
+			h.handleRange(w, r)
+			return
+		}
+	case "/v1/batch":
+		if post {
+			h.handleBatch(w, r)
+			return
+		}
+		allow = "POST"
+	case "/healthz":
+		if get {
+			h.handleHealthz(w)
+			return
+		}
+	case "/statusz":
+		if get {
+			h.handleStatusz(w)
+			return
+		}
+	case "/admin/drain", "/admin/undrain":
+		if !h.cfg.Admin {
+			http.NotFound(w, r)
+			return
+		}
+		if post {
+			// The fleet roller's lever before (and after) upgrading a
+			// backend. Idempotent; the answer reports the resulting state.
+			v := r.URL.Path == "/admin/drain"
+			h.SetDraining(v)
+			writeJSON(w, map[string]any{"draining": v})
+			return
+		}
+		allow = "POST"
+	default:
+		http.NotFound(w, r)
+		return
+	}
+	w.Header().Set("Allow", allow)
+	http.Error(w, http.StatusText(http.StatusMethodNotAllowed), http.StatusMethodNotAllowed)
 }
 
 // admit performs the bounded-inflight admission for uncoalesced work.
 // It returns false after writing the refusal when the server is
-// draining or saturated; on true the caller must defer release().
-func (h *Handler[K]) admit(w http.ResponseWriter) (release func(), ok bool) {
+// draining or saturated; on true the caller must call release.
+func (h *Handler[K]) admit(w http.ResponseWriter) bool {
 	if h.draining.Load() {
 		httpError(w, http.StatusServiceUnavailable, "draining")
-		return nil, false
+		return false
 	}
 	select {
 	case h.inflight <- struct{}{}:
-		return func() { <-h.inflight }, true
+		return true
 	default:
 		h.rejected.Add(1)
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusTooManyRequests, "overloaded: inflight limit reached")
-		return nil, false
+		return false
 	}
 }
 
+// release returns the inflight slot admit took.
+func (h *Handler[K]) release() { <-h.inflight }
+
 func (h *Handler[K]) handleFind(w http.ResponseWriter, r *http.Request) {
-	key, err := parseKey[K](r.URL.Query().Get("key"))
+	key, err := parseKey[K](queryValue(r.URL.RawQuery, "key"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
@@ -194,27 +224,25 @@ func (h *Handler[K]) handleFind(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	} else {
-		release, ok := h.admit(w)
-		if !ok {
+		if !h.admit(w) {
 			return
 		}
-		var ranks [1]int
-		out, t := h.ix.FindBatchTagged([]K{key}, ranks[:0])
-		release()
-		rank, tag = out[0], t
+		rank, tag = h.ix.FindTagged(key)
+		h.release()
 	}
 	h.served.Add(1)
-	writeJSON(w, findResponse{Rank: rank, Version: tag})
+	b := getAnswer()
+	*b = appendFind(*b, rank, tag)
+	writeAnswer(w, b)
 }
 
 func (h *Handler[K]) handleRange(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	lo, err := parseKey[K](q.Get("lo"))
+	lo, err := parseKey[K](queryValue(r.URL.RawQuery, "lo"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "lo: "+err.Error())
 		return
 	}
-	hi, err := parseKey[K](q.Get("hi"))
+	hi, err := parseKey[K](queryValue(r.URL.RawQuery, "hi"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "hi: "+err.Error())
 		return
@@ -223,19 +251,19 @@ func (h *Handler[K]) handleRange(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "empty range: hi < lo")
 		return
 	}
-	release, ok := h.admit(w)
-	if !ok {
+	if !h.admit(w) {
 		return
 	}
 	// One tagged two-lane batch: both endpoint ranks come from the same
 	// snapshot, so the half-open count is consistent even mid-install.
-	ranks, tag := h.ix.FindBatchTagged([]K{lo, hi}, nil)
-	release()
+	qs := [2]K{lo, hi}
+	var two [2]int
+	ranks, tag := h.ix.FindBatchTagged(qs[:], two[:0])
+	h.release()
 	h.served.Add(1)
-	writeJSON(w, rangeResponse{
-		LoRank: ranks[0], HiRank: ranks[1],
-		Count: ranks[1] - ranks[0], Version: tag,
-	})
+	b := getAnswer()
+	*b = appendRange(*b, ranks[0], ranks[1], tag)
+	writeAnswer(w, b)
 }
 
 func (h *Handler[K]) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -263,14 +291,15 @@ func (h *Handler[K]) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		keys[i] = k
 	}
-	release, ok := h.admit(w)
-	if !ok {
+	if !h.admit(w) {
 		return
 	}
 	ranks, tag := h.ix.FindBatchTagged(keys, nil)
-	release()
+	h.release()
 	h.served.Add(1)
-	writeJSON(w, batchResponse{Ranks: ranks, Version: tag})
+	b := getAnswer()
+	*b = appendBatch(*b, ranks, tag)
+	writeAnswer(w, b)
 }
 
 // healthzResponse is the machine-readable probe answer the fleet tier
@@ -281,7 +310,7 @@ type healthzResponse struct {
 	Version uint64 `json:"version"`
 }
 
-func (h *Handler[K]) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func (h *Handler[K]) handleHealthz(w http.ResponseWriter) {
 	resp := healthzResponse{Status: "ready", Version: h.ix.Tag()}
 	switch {
 	case h.draining.Load():
@@ -297,17 +326,7 @@ func (h *Handler[K]) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
-// handleAdminDrain flips drain mode remotely — the lever the fleet
-// roller pulls before (and after) upgrading a backend. Idempotent; the
-// response reports the resulting state.
-func (h *Handler[K]) handleAdminDrain(v bool) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		h.SetDraining(v)
-		writeJSON(w, map[string]any{"draining": v})
-	}
-}
-
-func (h *Handler[K]) handleStatusz(w http.ResponseWriter, r *http.Request) {
+func (h *Handler[K]) handleStatusz(w http.ResponseWriter) {
 	st := map[string]any{
 		"version":  h.ix.Tag(),
 		"keys":     h.ix.Len(),
@@ -388,6 +407,98 @@ func parseKey[K kv.Key](s string) (K, error) {
 		return 0, fmt.Errorf("key %d out of range for %T", u, k)
 	}
 	return k, nil
+}
+
+// queryValue is url.ParseQuery(raw).Get(name) without building the map:
+// the value of the first pair named name. Like ParseQuery it skips empty
+// pairs and pairs that hold a ';' or a bad escape, and unescapes '%XX'
+// and '+' in names and values.
+func queryValue(raw, name string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.IndexByte(pair, ';') >= 0 {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, ok := queryUnescape(k); !ok || k != name {
+			continue
+		}
+		if v, ok := queryUnescape(v); ok {
+			return v
+		}
+	}
+	return ""
+}
+
+// queryUnescape is url.QueryUnescape, allocation-free when s holds
+// nothing to unescape.
+func queryUnescape(s string) (string, bool) {
+	if !strings.ContainsAny(s, "%+") {
+		return s, true
+	}
+	u, err := url.QueryUnescape(s)
+	return u, err == nil
+}
+
+// The 200 answers of the three data routes are appended into pooled
+// buffers, byte for byte what encoding/json's Encoder writes for
+// {"rank","version"}, {"lo_rank","hi_rank","count","version"} and
+// {"ranks","version"}, trailing newline included. Error bodies,
+// /healthz and /statusz keep encoding/json.
+var answers = sync.Pool{New: func() any { b := make([]byte, 0, 64); return &b }}
+
+// maxPooledAnswer caps the buffers put back: a 4,096-key batch answer
+// fits, a larger one goes to the collector.
+const maxPooledAnswer = 64 << 10
+
+func getAnswer() *[]byte {
+	b := answers.Get().(*[]byte)
+	*b = (*b)[:0]
+	return b
+}
+
+// writeAnswer writes the 200 answer in b and returns b to the pool.
+func writeAnswer(w http.ResponseWriter, b *[]byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(*b)
+	if cap(*b) <= maxPooledAnswer {
+		answers.Put(b)
+	}
+}
+
+func appendFind(b []byte, rank int, tag uint64) []byte {
+	b = append(b, `{"rank":`...)
+	b = strconv.AppendInt(b, int64(rank), 10)
+	return appendVersion(b, tag)
+}
+
+func appendRange(b []byte, lo, hi int, tag uint64) []byte {
+	b = append(b, `{"lo_rank":`...)
+	b = strconv.AppendInt(b, int64(lo), 10)
+	b = append(b, `,"hi_rank":`...)
+	b = strconv.AppendInt(b, int64(hi), 10)
+	b = append(b, `,"count":`...)
+	b = strconv.AppendInt(b, int64(hi-lo), 10)
+	return appendVersion(b, tag)
+}
+
+func appendBatch(b []byte, ranks []int, tag uint64) []byte {
+	b = append(b, `{"ranks":[`...)
+	for i, r := range ranks {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(r), 10)
+	}
+	b = append(b, ']')
+	return appendVersion(b, tag)
+}
+
+func appendVersion(b []byte, tag uint64) []byte {
+	b = append(b, `,"version":`...)
+	b = strconv.AppendUint(b, tag, 10)
+	return append(b, "}\n"...)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

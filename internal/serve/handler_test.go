@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -10,8 +11,28 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/concurrent"
 	"repro/internal/mapped"
 )
+
+// The data routes' answer shapes, as a client decodes them; the append
+// encoders must write exactly what encoding/json writes for these.
+type findResponse struct {
+	Rank    int    `json:"rank"`
+	Version uint64 `json:"version"`
+}
+
+type rangeResponse struct {
+	LoRank  int    `json:"lo_rank"`
+	HiRank  int    `json:"hi_rank"`
+	Count   int    `json:"count"`
+	Version uint64 `json:"version"`
+}
+
+type batchResponse struct {
+	Ranks   []int  `json:"ranks"`
+	Version uint64 `json:"version"`
+}
 
 func getJSON[T any](t *testing.T, h http.Handler, url string) (int, T) {
 	t.Helper()
@@ -362,4 +383,196 @@ func TestHandlerAdminDrain(t *testing.T) {
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("admin endpoint routable without Admin: status %d", rec.Code)
 	}
+}
+
+// wireCase is one request and the exact answer the handler must give:
+// status, the whole header map, and the body bytes.
+type wireCase struct {
+	method, target, reqBody string
+	code                    int
+	header                  map[string]string
+	body                    string
+}
+
+var (
+	jsonHeader = map[string]string{"Content-Type": "application/json"}
+	busyHeader = map[string]string{"Content-Type": "application/json", "Retry-After": "1"}
+	textHeader = map[string]string{"Content-Type": "text/plain; charset=utf-8", "X-Content-Type-Options": "nosniff"}
+)
+
+func allowHeader(methods string) map[string]string {
+	h := maps.Clone(textHeader)
+	h["Allow"] = methods
+	return h
+}
+
+// goldenIndex is newPrimary's 20,000 keys (i*7+1) installed as version 7,
+// so every answer's version field is non-zero.
+func goldenIndex(t *testing.T) *concurrent.Index[uint64] {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "full")
+	if err := concurrent.SaveStateFile(path, newPrimary(t, 20_000).Published()); err != nil {
+		t.Fatal(err)
+	}
+	st, err := concurrent.LoadStateFile[uint64](path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := concurrent.New[uint64](nil, concurrent.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix.Close()
+	if err := ix.InstallState(st, 7); err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
+func checkWire(t *testing.T, h http.Handler, mode string, cases []wireCase) {
+	t.Helper()
+	for _, c := range cases {
+		req := httptest.NewRequest(c.method, c.target, strings.NewReader(c.reqBody))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		got := map[string]string{}
+		for k, v := range rec.Header() {
+			got[k] = strings.Join(v, ",")
+		}
+		if rec.Code != c.code || !maps.Equal(got, c.header) || rec.Body.String() != c.body {
+			t.Errorf("%s %s %s %s:\n got %d %v %q\nwant %d %v %q", mode, c.method, c.target, c.reqBody,
+				rec.Code, got, rec.Body.String(), c.code, c.header, c.body)
+		}
+	}
+}
+
+// TestHandlerWireGolden pins the handler's wire format byte for byte:
+// status, headers and body (trailing newline included) of every answer
+// shape, in coalesced and direct mode.
+func TestHandlerWireGolden(t *testing.T) {
+	ix := goldenIndex(t)
+	const (
+		batch      = `{"keys":["1","500","999999999"]}`
+		badKeyBody = `{"error":"bad key \"xyz\": strconv.ParseUint: parsing \"xyz\": invalid syntax"}` + "\n"
+		missing    = `{"error":"missing key"}` + "\n"
+		drainBody  = `{"error":"draining"}` + "\n"
+	)
+	data := []wireCase{
+		{"GET", "/v1/find?key=77", "", 200, jsonHeader, `{"rank":11,"version":7}` + "\n"},
+		{"GET", "/v1/find?key=0", "", 200, jsonHeader, `{"rank":0,"version":7}` + "\n"},
+		{"GET", "/v1/find?key=18446744073709551615", "", 200, jsonHeader, `{"rank":20000,"version":7}` + "\n"},
+		{"GET", "/v1/find?key=%37%37", "", 200, jsonHeader, `{"rank":11,"version":7}` + "\n"},
+		{"GET", "/v1/find?key=77&key=5", "", 200, jsonHeader, `{"rank":11,"version":7}` + "\n"},
+		{"GET", "/v1/find?x=1;key=5&key=77", "", 200, jsonHeader, `{"rank":11,"version":7}` + "\n"},
+		{"HEAD", "/v1/find?key=77", "", 200, jsonHeader, `{"rank":11,"version":7}` + "\n"},
+		{"GET", "/v1/range?lo=1&hi=71", "", 200, jsonHeader, `{"lo_rank":0,"hi_rank":10,"count":10,"version":7}` + "\n"},
+		{"GET", "/v1/range?hi=500&lo=500", "", 200, jsonHeader, `{"lo_rank":72,"hi_rank":72,"count":0,"version":7}` + "\n"},
+		{"HEAD", "/v1/range?lo=1&hi=71", "", 200, jsonHeader, `{"lo_rank":0,"hi_rank":10,"count":10,"version":7}` + "\n"},
+		{"POST", "/v1/batch", batch, 200, jsonHeader, `{"ranks":[0,72,20000],"version":7}` + "\n"},
+		{"POST", "/v1/batch", `{"keys":["77"]}`, 200, jsonHeader, `{"ranks":[11],"version":7}` + "\n"},
+		{"GET", "/v1/find", "", 400, jsonHeader, missing},
+		{"GET", "/v1/find?key=", "", 400, jsonHeader, missing},
+		{"GET", "/v1/find?x=1;key=77", "", 400, jsonHeader, missing},
+		{"GET", "/v1/find?key=%zz", "", 400, jsonHeader, missing},
+		{"GET", "/v1/find?key=%zz&key=77", "", 200, jsonHeader, `{"rank":11,"version":7}` + "\n"},
+		{"GET", "/v1/find?key=xyz", "", 400, jsonHeader, badKeyBody},
+		{"GET", "/v1/find?key=-1", "", 400, jsonHeader, `{"error":"bad key \"-1\": strconv.ParseUint: parsing \"-1\": invalid syntax"}` + "\n"},
+		{"GET", "/v1/find?key=1+2", "", 400, jsonHeader, `{"error":"bad key \"1 2\": strconv.ParseUint: parsing \"1 2\": invalid syntax"}` + "\n"},
+		{"GET", "/v1/find?key=%3C%26%3E", "", 400, jsonHeader, `{"error":"bad key \"\u003c\u0026\u003e\": strconv.ParseUint: parsing \"\u003c\u0026\u003e\": invalid syntax"}` + "\n"},
+		{"GET", "/v1/find?key=18446744073709551616", "", 400, jsonHeader, `{"error":"bad key \"18446744073709551616\": strconv.ParseUint: parsing \"18446744073709551616\": value out of range"}` + "\n"},
+		{"GET", "/v1/range?lo=9&hi=3", "", 400, jsonHeader, `{"error":"empty range: hi \u003c lo"}` + "\n"},
+		{"GET", "/v1/range?lo=1", "", 400, jsonHeader, `{"error":"hi: missing key"}` + "\n"},
+		{"GET", "/v1/range?hi=1&lo=xyz", "", 400, jsonHeader, `{"error":"lo: bad key \"xyz\": strconv.ParseUint: parsing \"xyz\": invalid syntax"}` + "\n"},
+		{"POST", "/v1/batch", `{"keys":[]}`, 400, jsonHeader, `{"error":"empty batch"}` + "\n"},
+		{"POST", "/v1/batch", `{"keys":["1","2","3","4"]}`, 413, jsonHeader, `{"error":"batch of 4 exceeds limit 3"}` + "\n"},
+		{"POST", "/v1/batch", `{"keys":["1","nope"]}`, 400, jsonHeader, `{"error":"keys[1]: bad key \"nope\": strconv.ParseUint: parsing \"nope\": invalid syntax"}` + "\n"},
+		{"POST", "/v1/batch", `{`, 400, jsonHeader, `{"error":"bad batch body: unexpected EOF"}` + "\n"},
+		{"GET", "/healthz", "", 200, jsonHeader, `{"status":"ready","version":7}` + "\n"},
+		{"HEAD", "/healthz", "", 200, jsonHeader, `{"status":"ready","version":7}` + "\n"},
+		{"POST", "/v1/find?key=1", "", 405, allowHeader("GET, HEAD"), "Method Not Allowed\n"},
+		{"PUT", "/v1/range?lo=1&hi=2", "", 405, allowHeader("GET, HEAD"), "Method Not Allowed\n"},
+		{"GET", "/v1/batch", "", 405, allowHeader("POST"), "Method Not Allowed\n"},
+		{"HEAD", "/v1/batch", "", 405, allowHeader("POST"), "Method Not Allowed\n"},
+		{"DELETE", "/healthz", "", 405, allowHeader("GET, HEAD"), "Method Not Allowed\n"},
+		{"POST", "/statusz", "", 405, allowHeader("GET, HEAD"), "Method Not Allowed\n"},
+		{"GET", "/", "", 404, textHeader, "404 page not found\n"},
+		{"GET", "/v1/finds?key=1", "", 404, textHeader, "404 page not found\n"},
+		{"GET", "/v1/find/", "", 404, textHeader, "404 page not found\n"},
+		{"POST", "/admin/drain", "", 404, textHeader, "404 page not found\n"},
+	}
+	draining := []wireCase{
+		{"GET", "/v1/find?key=77", "", 503, jsonHeader, drainBody},
+		{"GET", "/v1/find?key=xyz", "", 400, jsonHeader, badKeyBody},
+		{"GET", "/v1/range?lo=1&hi=71", "", 503, jsonHeader, drainBody},
+		{"POST", "/v1/batch", batch, 503, jsonHeader, drainBody},
+		{"GET", "/healthz", "", 503, jsonHeader, `{"status":"draining","reason":"refusing new work; in-flight requests finishing","version":7}` + "\n"},
+	}
+	for _, coalesce := range []bool{true, false} {
+		mode := map[bool]string{true: "coalesced", false: "direct"}[coalesce]
+		h := NewHandler(ix, nil, HandlerConfig{Coalesce: coalesce, MaxBatch: 3, MaxInflight: 1}, nil)
+		checkWire(t, h, mode, data)
+		for _, method := range []string{"GET", "HEAD"} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(method, "/statusz", nil))
+			var st struct{ Version uint64 }
+			if err := json.Unmarshal(rec.Body.Bytes(), &st); rec.Code != 200 || rec.Header().Get("Content-Type") != "application/json" || err != nil || st.Version != 7 {
+				t.Errorf("%s %s /statusz: %d %v %q", mode, method, rec.Code, rec.Header(), rec.Body.String())
+			}
+		}
+
+		// Saturated: the one inflight slot is taken.
+		h.inflight <- struct{}{}
+		inflight := `{"error":"overloaded: inflight limit reached"}` + "\n"
+		sat := []wireCase{
+			{"GET", "/v1/range?lo=1&hi=71", "", 429, busyHeader, inflight},
+			{"POST", "/v1/batch", batch, 429, busyHeader, inflight},
+		}
+		if !coalesce {
+			sat = append(sat, wireCase{"GET", "/v1/find?key=77", "", 429, busyHeader, inflight})
+		}
+		checkWire(t, h, mode+" saturated", sat)
+		<-h.inflight
+
+		h.SetDraining(true)
+		checkWire(t, h, mode+" draining", draining)
+		h.SetDraining(false)
+		if coalesce {
+			h.Coalescer().Close()
+		}
+	}
+
+	// The coalescer's own refusals: a full queue behind a busy combiner,
+	// then a closed coalescer.
+	co := NewCoalescer(ix, CoalescerConfig{Queue: 1})
+	h := NewHandler(ix, co, HandlerConfig{Coalesce: true}, nil)
+	co.combine.Lock()
+	co.reqs <- creq[uint64]{key: 1, done: make(chan cres, 1)}
+	checkWire(t, h, "queue full", []wireCase{
+		{"GET", "/v1/find?key=77", "", 429, busyHeader, `{"error":"serve: overloaded: coalescer queue full"}` + "\n"},
+	})
+	co.combine.Unlock()
+	co.Close()
+	checkWire(t, h, "coalescer closed", []wireCase{
+		{"GET", "/v1/find?key=77", "", 503, jsonHeader, `{"error":"serve: draining: server is shutting down"}` + "\n"},
+	})
+
+	admin := NewHandler(ix, nil, HandlerConfig{Admin: true}, nil)
+	checkWire(t, admin, "admin", []wireCase{
+		{"POST", "/admin/drain", "", 200, jsonHeader, `{"draining":true}` + "\n"},
+		{"GET", "/v1/find?key=77", "", 503, jsonHeader, drainBody},
+		{"GET", "/admin/drain", "", 405, allowHeader("POST"), "Method Not Allowed\n"},
+		{"POST", "/admin/undrain", "", 200, jsonHeader, `{"draining":false}` + "\n"},
+		{"GET", "/v1/find?key=77", "", 200, jsonHeader, `{"rank":11,"version":7}` + "\n"},
+	})
+
+	// A uint32-keyed index refuses a key that does not fit.
+	small, err := concurrent.New([]uint32{1, 8, 15}, concurrent.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small.Close()
+	checkWire(t, NewHandler(small, nil, HandlerConfig{}, nil), "uint32", []wireCase{
+		{"GET", "/v1/find?key=4294967296", "", 400, jsonHeader, `{"error":"key 4294967296 out of range for uint32"}` + "\n"},
+		{"GET", "/v1/find?key=9", "", 200, jsonHeader, `{"rank":2,"version":0}` + "\n"},
+	})
 }

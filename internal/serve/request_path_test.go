@@ -1,0 +1,192 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// FuzzQueryValue: for any raw query and any of the handler's parameter
+// names, queryValue returns exactly url.ParseQuery(raw).Get(name).
+func FuzzQueryValue(f *testing.F) {
+	for _, raw := range []string{
+		"", "key=77", "key=%37%37", "k%65y=5", "key=1+2", "key+=1&key =2&key=3",
+		"x=1;key=77", "key=5;&key=77", "key=%zz&key=77", "key=%", "key=%4", "%=1&key=2",
+		"key=1&key=2", "key&key=3", "=&key=", "&&key=9&&", "lo=1&hi=71", "hi=%2B9&lo=+",
+		"lo=%00&hi=%ff", "key=%E2%82%AC", "key==1", "key=1=2",
+	} {
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		want, _ := url.ParseQuery(raw)
+		for _, name := range []string{"key", "lo", "hi"} {
+			if got := queryValue(raw, name); got != want.Get(name) {
+				t.Fatalf("queryValue(%q, %q) = %q, url.ParseQuery gives %q", raw, name, got, want.Get(name))
+			}
+		}
+	})
+}
+
+// TestAnswerEncodersMatchJSON: the append encoders write exactly the
+// bytes json.Encoder writes for the answer shapes, at the edges of every
+// field's range.
+func TestAnswerEncodersMatchJSON(t *testing.T) {
+	encode := func(v any) string {
+		var b bytes.Buffer
+		if err := json.NewEncoder(&b).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	ints := []int{0, 1, 9, 10, 72, 20_000, math.MaxInt, -1, math.MinInt}
+	tags := []uint64{0, 7, 1 << 32, math.MaxUint64}
+	for _, tag := range tags {
+		for _, lo := range ints {
+			if got, want := string(appendFind(nil, lo, tag)), encode(findResponse{Rank: lo, Version: tag}); got != want {
+				t.Errorf("appendFind(%d, %d) = %q, want %q", lo, tag, got, want)
+			}
+			for _, hi := range ints {
+				want := encode(rangeResponse{LoRank: lo, HiRank: hi, Count: hi - lo, Version: tag})
+				if got := string(appendRange(nil, lo, hi, tag)); got != want {
+					t.Errorf("appendRange(%d, %d, %d) = %q, want %q", lo, hi, tag, got, want)
+				}
+			}
+		}
+		for _, ranks := range [][]int{{}, {5}, ints} {
+			if got, want := string(appendBatch(nil, ranks, tag)), encode(batchResponse{Ranks: ranks, Version: tag}); got != want {
+				t.Errorf("appendBatch(%v, %d) = %q, want %q", ranks, tag, got, want)
+			}
+		}
+	}
+}
+
+// reusableWriter is an http.ResponseWriter that, once warm, allocates
+// nothing per call, so an allocation count is the handler's own.
+type reusableWriter struct {
+	header http.Header
+	code   int
+	body   bytes.Buffer
+}
+
+func (w *reusableWriter) Header() http.Header { return w.header }
+
+func (w *reusableWriter) WriteHeader(code int) {
+	if w.code == 0 {
+		w.code = code
+	}
+}
+
+func (w *reusableWriter) Write(b []byte) (int, error) {
+	w.WriteHeader(http.StatusOK)
+	return w.body.Write(b)
+}
+
+func (w *reusableWriter) reset() {
+	clear(w.header)
+	w.code = 0
+	w.body.Reset()
+}
+
+// findQueries is one GET /v1/find request and the raw queries it cycles
+// through, prepared so that a call allocates nothing of its own.
+func findQueries(n int) (*http.Request, []string) {
+	qs := make([]string, n)
+	for i := range qs {
+		qs[i] = "key=" + strconv.Itoa(i*13)
+	}
+	return httptest.NewRequest(http.MethodGet, "/v1/find", nil), qs
+}
+
+// TestHandlerFindAllocs: a served /v1/find allocates at most once (the
+// Content-Type header's value slice), coalesced and direct.
+func TestHandlerFindAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled buffers at random under the race detector")
+	}
+	ix := newPrimary(t, 20_000)
+	for _, coalesce := range []bool{true, false} {
+		h := NewHandler(ix, nil, HandlerConfig{Coalesce: coalesce}, nil)
+		req, qs := findQueries(256)
+		w := &reusableWriter{header: http.Header{}}
+		i := 0
+		call := func() {
+			req.URL.RawQuery = qs[i%len(qs)]
+			i++
+			w.reset()
+			h.ServeHTTP(w, req)
+			if w.code != http.StatusOK {
+				t.Fatalf("coalesce=%v %s: status %d %q", coalesce, req.URL.RawQuery, w.code, w.body.String())
+			}
+		}
+		call() // warm the pools and the writer
+		if n := testing.AllocsPerRun(1000, call); n > 1 {
+			t.Errorf("coalesce=%v: %v allocations per /v1/find, want at most 1", coalesce, n)
+		}
+		if coalesce {
+			h.Coalescer().Close()
+		}
+	}
+}
+
+// BenchmarkHandlerFind is one socketless /v1/find through the coalescing
+// handler: routing, key reading, the lookup and the encoded answer.
+func BenchmarkHandlerFind(b *testing.B) {
+	ix := benchIndex(b, 1_000_000)
+	h := NewHandler(ix, nil, HandlerConfig{Coalesce: true}, nil)
+	b.Cleanup(h.Coalescer().Close)
+	req, qs := findQueries(4096)
+	w := &reusableWriter{header: http.Header{}}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		req.URL.RawQuery = qs[i%len(qs)]
+		i++
+		w.reset()
+		h.ServeHTTP(w, req)
+		if w.code != http.StatusOK {
+			b.Fatalf("status %d %q", w.code, w.body.String())
+		}
+	}
+}
+
+// BenchmarkHandlerBatch is one socketless 16-key POST /v1/batch: body
+// decoding, the tagged batch lookup and the encoded answer.
+func BenchmarkHandlerBatch(b *testing.B) {
+	ix := benchIndex(b, 1_000_000)
+	h := NewHandler(ix, nil, HandlerConfig{}, nil)
+	bodies := make([]string, 256)
+	for i := range bodies {
+		keys := make([]string, 16)
+		for j := range keys {
+			keys[j] = fmt.Sprintf("%q", strconv.Itoa((i*16+j)*4099))
+		}
+		bodies[i] = `{"keys":[` + strings.Join(keys, ",") + `]}`
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/batch", nil)
+	w := &reusableWriter{header: http.Header{}}
+	rd := strings.NewReader("")
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		body := bodies[i%len(bodies)]
+		i++
+		rd.Reset(body)
+		req.Body, req.ContentLength = readCloser{rd}, int64(len(body))
+		w.reset()
+		h.ServeHTTP(w, req)
+		if w.code != http.StatusOK {
+			b.Fatalf("status %d %q", w.code, w.body.String())
+		}
+	}
+}
+
+type readCloser struct{ *strings.Reader }
+
+func (readCloser) Close() error { return nil }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"sync"
 	"time"
 )
 
@@ -83,7 +84,14 @@ func Run(ctx context.Context, srv *http.Server, drain time.Duration, onDrain fun
 
 // RunListener is Run over an already-bound listener (so callers can
 // report the bound address before serving, e.g. with ":0").
+//
+// A connection accepted but never sent a byte (http.StateNew) is closed
+// when the drain begins: Shutdown would otherwise wait it out, and an
+// HTTP client's pool can leave such a connection dialed and unused.
+// RunListener tracks them with a ConnState hook chained in front of any
+// hook srv already has.
 func RunListener(ctx context.Context, srv *http.Server, ln net.Listener, drain time.Duration, onDrain func()) error {
+	silent := trackSilent(srv)
 	errc := make(chan error, 1)
 	go func() {
 		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -101,6 +109,7 @@ func RunListener(ctx context.Context, srv *http.Server, ln net.Listener, drain t
 	if onDrain != nil {
 		onDrain()
 	}
+	silent.closeAll()
 	if drain <= 0 {
 		drain = 10 * time.Second
 	}
@@ -112,4 +121,48 @@ func RunListener(ctx context.Context, srv *http.Server, ln net.Listener, drain t
 		return fmt.Errorf("serve: drain exceeded %s: %w", drain, err)
 	}
 	return <-errc
+}
+
+// silentConns is the set of a server's connections still in
+// http.StateNew.
+type silentConns struct {
+	mu       sync.Mutex
+	conns    map[net.Conn]struct{}
+	draining bool
+}
+
+// trackSilent installs a ConnState hook on srv that keeps the set,
+// calling srv's previous hook after its own bookkeeping.
+func trackSilent(srv *http.Server) *silentConns {
+	sc := &silentConns{conns: map[net.Conn]struct{}{}}
+	prev := srv.ConnState
+	srv.ConnState = func(c net.Conn, st http.ConnState) {
+		sc.mu.Lock()
+		switch {
+		case st != http.StateNew:
+			delete(sc.conns, c)
+		case sc.draining:
+			// Accepted after the drain began: nothing will be served.
+			c.Close()
+		default:
+			sc.conns[c] = struct{}{}
+		}
+		sc.mu.Unlock()
+		if prev != nil {
+			prev(c, st)
+		}
+	}
+	return sc
+}
+
+// closeAll closes every connection still silent, and every one accepted
+// from now on before it speaks.
+func (sc *silentConns) closeAll() {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	sc.draining = true
+	for c := range sc.conns {
+		c.Close()
+	}
+	clear(sc.conns)
 }

@@ -126,3 +126,55 @@ func TestRunListenerDrainDeadline(t *testing.T) {
 		t.Fatal("RunListener never returned after deadline overrun")
 	}
 }
+
+// TestRunListenerDrainSilentConn: a connection that was accepted but never
+// sent a byte (as an HTTP client's pool can leave one) must not hold the
+// drain for its whole budget, and a ConnState hook the caller set still
+// sees every transition.
+func TestRunListenerDrainSilentConn(t *testing.T) {
+	srv := NewHTTPServer("", http.NotFoundHandler(), ServerConfig{})
+	accepted := make(chan struct{}, 1)
+	srv.ConnState = func(c net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			select {
+			case accepted <- struct{}{}:
+			default:
+			}
+		}
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	runErr := make(chan error, 1)
+	go func() { runErr <- RunListener(ctx, srv, ln, 5*time.Second, nil) }()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	select {
+	case <-accepted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("server never accepted the connection")
+	}
+	start := time.Now()
+	cancel()
+	select {
+	case err := <-runErr:
+		if err != nil {
+			t.Fatalf("RunListener = %v, want nil", err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("drain took %v with one silent connection open, want under 1s", d)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("drain still waiting on a silent connection after 1s")
+	}
+	conn.SetReadDeadline(time.Now().Add(time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Error("silent connection still open after drain")
+	}
+}
