@@ -442,7 +442,7 @@ func TestRollRollbackOnVerifyFailure(t *testing.T) {
 }
 
 // waitFleetReady blocks until the pool reports want eligible backends.
-func waitFleetReady(t *testing.T, p *Pool, want int, timeout time.Duration) {
+func waitFleetReady(t testing.TB, p *Pool, want int, timeout time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {

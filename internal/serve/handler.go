@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -84,6 +87,9 @@ type Handler[K kv.Key] struct {
 	// replica's sync status, for shiftserver).
 	status func() map[string]any
 
+	// batches pools each /v1/batch call's *batchScratch[K].
+	batches sync.Pool
+
 	// res, when set, is the residency manager whose tier stats /statusz
 	// surfaces alongside the mapped-serving block.
 	res atomic.Pointer[mapped.Residency]
@@ -100,6 +106,7 @@ func NewHandler[K kv.Key](ix *concurrent.Index[K], co *Coalescer[K], cfg Handler
 		inflight: make(chan struct{}, cfg.MaxInflight),
 		status:   status,
 	}
+	h.batches.New = func() any { return new(batchScratch[K]) }
 	if cfg.Coalesce && co == nil {
 		h.co = NewCoalescer(ix, CoalescerConfig{})
 	}
@@ -266,40 +273,146 @@ func (h *Handler[K]) handleRange(w http.ResponseWriter, r *http.Request) {
 	writeAnswer(w, b)
 }
 
+// maxBatchBody caps how many bytes of a /v1/batch body are read.
+const maxBatchBody = 1 << 24
+
+// batchScratch is one /v1/batch call's working memory: the body as read,
+// its keys and their ranks. Each Handler pools them; nothing in one
+// outlives the call that took it.
+type batchScratch[K kv.Key] struct {
+	body  []byte
+	keys  []K
+	ranks []int
+}
+
+// maxPooledKeys caps the key and rank slices put back, as maxPooledAnswer
+// caps the bytes; a batch of the default 4,096 keys fits.
+const maxPooledKeys = maxPooledAnswer / 8
+
+func (h *Handler[K]) putBatch(s *batchScratch[K]) {
+	if cap(s.body) <= maxPooledAnswer && cap(s.keys) <= maxPooledKeys && cap(s.ranks) <= maxPooledKeys {
+		h.batches.Put(s)
+	}
+}
+
+// handleBatch reads the whole body (up to maxBatchBody bytes) into pooled
+// scratch. scanBatch parses the canonical body in place; any other body
+// goes to decodeBatch, encoding/json over the same bytes.
 func (h *Handler[K]) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<24))
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad batch body: "+err.Error())
+	s := h.batches.Get().(*batchScratch[K])
+	defer h.putBatch(s)
+	rd := http.MaxBytesReader(w, r.Body, maxBatchBody)
+	s.body = s.body[:0]
+	var err error
+	for err == nil { // io.ReadAll's loop, into the pooled slice
+		if len(s.body) == cap(s.body) {
+			s.body = append(s.body, 0)[:len(s.body)]
+		}
+		var n int
+		n, err = rd.Read(s.body[len(s.body):cap(s.body)])
+		s.body = s.body[:len(s.body)+n]
+	}
+	keys, ok := scanBatch(s.body, s.keys[:0], h.cfg.MaxBatch)
+	if !ok {
+		if keys, ok = h.decodeBatch(w, &readThenFail{s.body, err}, s.keys[:0]); !ok {
+			return
+		}
+	}
+	s.keys = keys
+	if !h.admit(w) {
 		return
+	}
+	var tag uint64
+	s.ranks, tag = h.ix.FindBatchTagged(keys, s.ranks[:0])
+	h.release()
+	h.served.Add(1)
+	b := getAnswer()
+	*b = appendBatch(*b, s.ranks, tag)
+	writeAnswer(w, b)
+}
+
+// scanBatch parses the canonical /v1/batch body: optional JSON whitespace,
+// {"keys":[, then 1 to max strings of ASCII digits separated by commas,
+// each fitting uint64 and K, then ]}, then optional JSON whitespace. It
+// appends the keys to keys and reports whether b had that shape. From
+// such a body encoding/json plus parseKey get the same keys (json.Decoder
+// stops at the end of the first value, so a read error after it is moot).
+func scanBatch[K kv.Key](b []byte, keys []K, max int) ([]K, bool) {
+	const head, tail = `{"keys":[`, `]}`
+	b = bytes.Trim(b, " \t\r\n")
+	if len(b) < len(head)+len(tail) || string(b[:len(head)]) != head || string(b[len(b)-len(tail):]) != tail {
+		return keys, false
+	}
+	b = b[len(head) : len(b)-len(tail)]
+	for len(keys) < max && len(b) > 0 && b[0] == '"' {
+		var u uint64
+		i := 1
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			d := uint64(b[i] - '0')
+			if u > (math.MaxUint64-d)/10 {
+				return keys, false
+			}
+			u = u*10 + d
+		}
+		k := K(u)
+		if i == 1 || i == len(b) || b[i] != '"' || uint64(k) != u {
+			return keys, false
+		}
+		keys = append(keys, k)
+		if b = b[i+1:]; len(b) == 0 {
+			return keys, true
+		}
+		if b[0] != ',' {
+			return keys, false
+		}
+		b = b[1:]
+	}
+	return keys, false
+}
+
+// decodeBatch decodes every /v1/batch body scanBatch does not take with
+// encoding/json and parseKey, appending the keys to keys. On false it
+// has written the refusal.
+func (h *Handler[K]) decodeBatch(w http.ResponseWriter, body io.Reader, keys []K) ([]K, bool) {
+	var req batchRequest
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		httpError(w, http.StatusBadRequest, "bad batch body: "+err.Error())
+		return nil, false
 	}
 	if len(req.Keys) == 0 {
 		httpError(w, http.StatusBadRequest, "empty batch")
-		return
+		return nil, false
 	}
 	if len(req.Keys) > h.cfg.MaxBatch {
 		httpError(w, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("batch of %d exceeds limit %d", len(req.Keys), h.cfg.MaxBatch))
-		return
+		return nil, false
 	}
-	keys := make([]K, len(req.Keys))
 	for i, s := range req.Keys {
 		k, err := parseKey[K](s)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("keys[%d]: %v", i, err))
-			return
+			return nil, false
 		}
-		keys[i] = k
+		keys = append(keys, k)
 	}
-	if !h.admit(w) {
-		return
+	return keys, true
+}
+
+// readThenFail yields the bytes of a body already read, then the error
+// that ended the read: the stream json.Decoder would have read itself.
+type readThenFail struct {
+	b   []byte
+	err error
+}
+
+func (r *readThenFail) Read(p []byte) (int, error) {
+	if len(r.b) == 0 {
+		return 0, r.err
 	}
-	ranks, tag := h.ix.FindBatchTagged(keys, nil)
-	h.release()
-	h.served.Add(1)
-	b := getAnswer()
-	*b = appendBatch(*b, ranks, tag)
-	writeAnswer(w, b)
+	n := copy(p, r.b)
+	r.b = r.b[n:]
+	return n, nil
 }
 
 // healthzResponse is the machine-readable probe answer the fleet tier

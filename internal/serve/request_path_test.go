@@ -156,34 +156,77 @@ func BenchmarkHandlerFind(b *testing.B) {
 	}
 }
 
-// BenchmarkHandlerBatch is one socketless 16-key POST /v1/batch: body
-// decoding, the tagged batch lookup and the encoded answer.
+// batchCalls is one POST /v1/batch request and n canonical bodies of k
+// keys each, as shiftbench writes them, for it to cycle through.
+type batchCalls struct {
+	req    *http.Request
+	bodies []string
+	rd     strings.Reader
+	i      int
+}
+
+func newBatchCalls(n, k int) *batchCalls {
+	c := &batchCalls{req: httptest.NewRequest(http.MethodPost, "/v1/batch", nil), bodies: make([]string, n)}
+	for i := range c.bodies {
+		keys := make([]string, k)
+		for j := range keys {
+			keys[j] = strconv.Quote(strconv.Itoa((i*k + j) * 4099))
+		}
+		c.bodies[i] = `{"keys":[` + strings.Join(keys, ",") + `]}`
+	}
+	return c
+}
+
+// next points the request at the next body.
+func (c *batchCalls) next() *http.Request {
+	body := c.bodies[c.i%len(c.bodies)]
+	c.i++
+	c.rd.Reset(body)
+	c.req.Body, c.req.ContentLength = readCloser{&c.rd}, int64(len(body))
+	return c.req
+}
+
+// TestHandlerBatchAllocs: a served 64-key /v1/batch allocates at most once
+// (the Content-Type header's value slice), as /v1/find does.
+func TestHandlerBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled buffers at random under the race detector")
+	}
+	h := NewHandler(newPrimary(t, 20_000), nil, HandlerConfig{}, nil)
+	calls := newBatchCalls(256, 64)
+	w := &reusableWriter{header: http.Header{}}
+	call := func() {
+		w.reset()
+		h.ServeHTTP(w, calls.next())
+		if w.code != http.StatusOK {
+			t.Fatalf("status %d %q", w.code, w.body.String())
+		}
+	}
+	call() // warm the pools and the writer
+	if n := testing.AllocsPerRun(1000, call); n > 1 {
+		t.Errorf("%v allocations per 64-key /v1/batch, want at most 1", n)
+	}
+}
+
+// BenchmarkHandlerBatch is one socketless POST /v1/batch of 16 and of 64
+// keys (shiftbench's batch size): body scanning, the tagged batch lookup
+// and the encoded answer.
 func BenchmarkHandlerBatch(b *testing.B) {
 	ix := benchIndex(b, 1_000_000)
 	h := NewHandler(ix, nil, HandlerConfig{}, nil)
-	bodies := make([]string, 256)
-	for i := range bodies {
-		keys := make([]string, 16)
-		for j := range keys {
-			keys[j] = fmt.Sprintf("%q", strconv.Itoa((i*16+j)*4099))
-		}
-		bodies[i] = `{"keys":[` + strings.Join(keys, ",") + `]}`
-	}
-	req := httptest.NewRequest(http.MethodPost, "/v1/batch", nil)
-	w := &reusableWriter{header: http.Header{}}
-	rd := strings.NewReader("")
-	b.ReportAllocs()
-	i := 0
-	for b.Loop() {
-		body := bodies[i%len(bodies)]
-		i++
-		rd.Reset(body)
-		req.Body, req.ContentLength = readCloser{rd}, int64(len(body))
-		w.reset()
-		h.ServeHTTP(w, req)
-		if w.code != http.StatusOK {
-			b.Fatalf("status %d %q", w.code, w.body.String())
-		}
+	for _, k := range []int{16, 64} {
+		b.Run(fmt.Sprintf("keys=%d", k), func(b *testing.B) {
+			calls := newBatchCalls(256, k)
+			w := &reusableWriter{header: http.Header{}}
+			b.ReportAllocs()
+			for b.Loop() {
+				w.reset()
+				h.ServeHTTP(w, calls.next())
+				if w.code != http.StatusOK {
+					b.Fatalf("status %d %q", w.code, w.body.String())
+				}
+			}
+		})
 	}
 }
 
