@@ -414,22 +414,12 @@ func BenchmarkConcurrentFindBatch(b *testing.B) {
 	w := bench.NewWorkload(keys, 1<<16, benchSeed+1)
 	mask := len(w.Queries) - 1
 	for _, pending := range []int{0, 8_192} {
-		ix, err := concurrent.New(keys, concurrent.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		live := keys
-		if pending > 0 {
-			live = pendingWrites(ix, keys, pending)
-		}
+		ix, live := concurrentBenchIndex(b, keys, pending)
 		// Validate before timing: a benchmark must never measure a broken index.
 		for i, got := range ix.FindBatch(w.Queries, nil) {
 			if want := kv.LowerBound(live, w.Queries[i]); got != want {
 				b.Fatalf("pending=%d: FindBatch rank for %d = %d, want %d", pending, w.Queries[i], got, want)
 			}
-		}
-		if p := ix.Pending(); p != pending {
-			b.Fatalf("%d pending writes, want %d", p, pending)
 		}
 		gens := ix.Published().Gens()
 		b.Run(fmt.Sprintf("face64/pending=%d/batch=%d", pending, lanes), func(b *testing.B) {
@@ -447,6 +437,54 @@ func BenchmarkConcurrentFindBatch(b *testing.B) {
 		})
 		ix.Close()
 	}
+}
+
+// BenchmarkConcurrentFind is BenchmarkConcurrentFindBatch's set-up queried
+// one key at a time through the scalar Find: the base probe plus the
+// branch-free generation searches, with no batch pipeline. b.N counts
+// lookups; "gens" reports the generation-stack depth.
+func BenchmarkConcurrentFind(b *testing.B) {
+	keys := dataset.MustGenerate(dataset.Face, 64, 1_000_000, benchSeed)
+	w := bench.NewWorkload(keys, 1<<16, benchSeed+1)
+	mask := len(w.Queries) - 1
+	for _, pending := range []int{0, 8_192} {
+		ix, live := concurrentBenchIndex(b, keys, pending)
+		for _, q := range w.Queries {
+			if got, want := ix.Find(q), kv.LowerBound(live, q); got != want {
+				b.Fatalf("pending=%d: Find(%d) = %d, want %d", pending, q, got, want)
+			}
+		}
+		gens := ix.Published().Gens()
+		b.Run(fmt.Sprintf("face64/pending=%d", pending), func(b *testing.B) {
+			sink := 0
+			for i := 0; i < b.N; i++ {
+				sink += ix.Find(w.Queries[i&mask])
+			}
+			if sink == -1 {
+				b.Fatal("impossible")
+			}
+			b.ReportMetric(float64(gens), "gens")
+		})
+		ix.Close()
+	}
+}
+
+// concurrentBenchIndex builds the concurrent index over keys that the
+// Concurrent* benchmarks time, with pending writes applied
+// (pendingWrites), and returns it with its live multiset.
+func concurrentBenchIndex(b *testing.B, keys []uint64, pending int) (*concurrent.Index[uint64], []uint64) {
+	ix, err := concurrent.New(keys, concurrent.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	live := keys
+	if pending > 0 {
+		live = pendingWrites(ix, keys, pending)
+	}
+	if p := ix.Pending(); p != pending {
+		b.Fatalf("%d pending writes, want %d", p, pending)
+	}
+	return ix, live
 }
 
 // pendingWrites applies n writes to ix — every fourth deletes a distinct

@@ -183,7 +183,7 @@ func (ix *Index[K]) Lookup(q K) (rank int, found bool) {
 // writing result i into out[i] and returning the result slice (out when it
 // has capacity). The base probes run through the staged
 // core.Table.FindBatch pipeline of the base view; the generation
-// corrections are applied per lane.
+// corrections search each sorted run for all lanes in lockstep.
 //
 //shift:lockfree
 func (ix *Index[K]) FindBatch(qs []K, out []int) []int {
@@ -201,9 +201,7 @@ func (ix *Index[K]) FindBatch(qs []K, out []int) []int {
 func (ix *Index[K]) FindBatchTagged(qs []K, out []int) ([]int, uint64) {
 	s := ix.snap.Load()
 	out = s.view.FindBatch(qs, out)
-	for i, q := range qs {
-		out[i] += s.genRank(q)
-	}
+	s.genRankBatch(qs, out)
 	return out, s.tag
 }
 
@@ -237,10 +235,10 @@ func (ix *Index[K]) LookupBatch(qs []K, ranks []int, found []bool) ([]int, []boo
 	} else {
 		found = make([]bool, len(qs))
 	}
+	s.genRankBatch(qs, ranks)
 	for i, q := range qs {
 		c := counts[i]
 		for _, g := range s.gens {
-			ranks[i] += kv.LowerBound(g.ins, q) - kv.LowerBound(g.dels, q)
 			c += countEq(g.ins, q) - countEq(g.dels, q)
 		}
 		found[i] = c > 0

@@ -76,9 +76,10 @@ func FuzzLookup(f *testing.F) {
 			}
 		}
 
-		// Final sweep: batch ≡ scalar ≡ reference over a query ladder.
-		qs := make([]uint64, 0, 64)
-		for i := 0; i < 64; i++ {
+		// Final sweep: batch ≡ scalar ≡ reference over a query ladder
+		// longer than one 256-lane lockstep chunk.
+		qs := make([]uint64, 0, 300)
+		for i := 0; i < 300; i++ {
 			x = x*0x9E3779B97F4A7C15 + 17
 			qs = append(qs, x%(domain+2))
 		}

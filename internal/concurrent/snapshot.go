@@ -2,6 +2,7 @@ package concurrent
 
 import (
 	"repro/internal/kv"
+	"repro/internal/search"
 	"repro/internal/updatable"
 )
 
@@ -183,12 +184,73 @@ func (s *snapshot[K]) length() int {
 
 // genRank is the generations' correction to a view rank: inserted keys
 // below q add one each, tombstoned occurrences below q remove one each.
+// The searches are branch-free (search.Branchless): a run's comparisons
+// against uniform queries are coin flips a branch predictor cannot learn.
 func (s *snapshot[K]) genRank(q K) int {
 	r := 0
 	for _, g := range s.gens {
-		r += kv.LowerBound(g.ins, q) - kv.LowerBound(g.dels, q)
+		r += search.Branchless(g.ins, q) - search.Branchless(g.dels, q)
 	}
 	return r
+}
+
+// genRankBatch adds genRank(qs[i]) to out[i] for every lane, one run at a
+// time: each run is searched for all lanes in lockstep (addLowerBounds).
+// With no pending writes it returns before the lane scratch is declared,
+// so it does not pay for zeroing it.
+func (s *snapshot[K]) genRankBatch(qs []K, out []int) {
+	if s.pending() == 0 {
+		return
+	}
+	var lanes [lockstepLanes]int
+	for _, g := range s.gens {
+		addLowerBounds(g.ins, qs, out, 1, &lanes)
+		addLowerBounds(g.dels, qs, out, -1, &lanes)
+	}
+}
+
+// lockstepLanes is how many lanes addLowerBounds searches at once: their
+// positions live in a stack array, so a batch of any size allocates
+// nothing.
+const lockstepLanes = 256
+
+// addLowerBounds adds sign·LowerBound(run, qs[i]) to out[i] for every
+// lane. Every lane takes the same ⌈log2 len(run)⌉ halving steps, so the
+// lanes advance in lockstep: a step has no per-lane exit and issues one
+// independent load per lane, which the CPU overlaps instead of waiting
+// out one lane's chain of dependent loads after another. The step reads
+// a lane's position into a local and stores it back because a
+// read-modify-write of pos[i] under the comparison compiles to a branch;
+// this form compiles to a conditional move. lanes is scratch for the
+// positions. An empty run costs nothing.
+func addLowerBounds[K kv.Key](run, qs []K, out []int, sign int, lanes *[lockstepLanes]int) {
+	if len(run) == 0 {
+		return
+	}
+	for len(qs) > 0 {
+		c := min(len(qs), lockstepLanes)
+		q, pos, o := qs[:c], lanes[:c], out[:c]
+		clear(pos)
+		for n := len(run); n > 1; {
+			half := n >> 1
+			for i, x := range q {
+				v := pos[i]
+				if run[v+half-1] < x {
+					v += half
+				}
+				pos[i] = v
+			}
+			n -= half
+		}
+		for i, x := range q {
+			v := pos[i]
+			if run[v] < x {
+				v++
+			}
+			o[i] += sign * v
+		}
+		qs, out = qs[c:], out[c:]
+	}
 }
 
 // rank is the logical lower-bound rank of q: the number of live keys < q.
@@ -210,10 +272,9 @@ func (s *snapshot[K]) count(q K) int {
 func (s *snapshot[K]) lookup(q K) (rank, count int) {
 	rank, count = s.view.LookupCount(q)
 	for _, g := range s.gens {
-		rank += kv.LowerBound(g.ins, q) - kv.LowerBound(g.dels, q)
 		count += countEq(g.ins, q) - countEq(g.dels, q)
 	}
-	return rank, count
+	return rank + s.genRank(q), count
 }
 
 // scan yields every live key in [a, b] in sorted order: the base run

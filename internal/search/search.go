@@ -32,8 +32,17 @@ func BinaryRange[K kv.Key](keys []K, lo, hi int, q K) int {
 }
 
 // Branchless is a branch-free lower_bound: each step halves the candidate
-// range with a conditional add rather than a taken/not-taken branch, the
+// range with a masked add rather than a taken/not-taken branch, the
 // standard trick for avoiding branch mispredictions on uniform queries.
+// Every query over n keys takes the same ⌈log2 n⌉ steps.
+//
+// The loop's step is written as a 0/1 flag and a mask (lo += half & -b)
+// because that is the form the Go compiler lowers to SETcc/NEG/AND. The
+// plain forms, `if keys[lo+half-1] < q { lo += half }` or a conditional
+// assignment of lo, update the loop-carried lo under the comparison, and
+// inside the loop the compiler keeps those as a conditional jump (JCS on
+// amd64), which mispredicts on about half of all steps. The last step,
+// outside the loop, compiles to a CMOV as written.
 func Branchless[K kv.Key](keys []K, q K) int {
 	n := len(keys)
 	if n == 0 {
@@ -42,9 +51,11 @@ func Branchless[K kv.Key](keys []K, q K) int {
 	lo := 0
 	for n > 1 {
 		half := n >> 1
+		var b int
 		if keys[lo+half-1] < q {
-			lo += half
+			b = 1
 		}
+		lo += half & -b
 		n -= half
 	}
 	if keys[lo] < q {
