@@ -601,8 +601,8 @@ func BenchmarkCompaction(b *testing.B) {
 }
 
 // BenchmarkWarmStart times the three ways a process gets an index back
-// to serving (DESIGN.md §12): a cold build, a streaming load of its
-// snapshot onto the heap, and a mapped open of the same file. Before the
+// to serving (DESIGN.md §12): a cold build, a verified heap load of its
+// snapshot, and a mapped open of the same file. Before the
 // timer starts, each restored index must answer a fixed probe set exactly
 // like its cold twin, and where the platform maps files the open must
 // map. Sub-benchmark names follow "backend/path".

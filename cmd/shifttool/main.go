@@ -22,8 +22,8 @@
 // Snapshots are always saved in the page-aligned v2 layout (DESIGN.md
 // §12). With -mmap, -load opens the snapshot by mapping it in place — the
 // O(1) warm-start path — reporting the load mode and per-key load cost;
-// a v1 snapshot written by an earlier build falls back to the streaming
-// load.
+// a v1 snapshot written by an earlier build opens on the heap and says
+// so.
 //
 // -load old.snap -save new.snap is the one-way migration of such a v1
 // snapshot (DESIGN.md §13): the snapshot is loaded, self-validated, and
@@ -236,7 +236,7 @@ func loadIndex[K kv.Key](path string, useMmap bool) (index.Index[K], float64, st
 		return ix, float64(time.Since(start).Nanoseconds()) / 1e6, loadModeName(viaMap), err
 	}
 	ix, err := index.LoadFile[K](path)
-	return ix, float64(time.Since(start).Nanoseconds()) / 1e6, "heap (streamed)", err
+	return ix, float64(time.Since(start).Nanoseconds()) / 1e6, "heap (verified)", err
 }
 
 // finish summarises and self-validates a restored index, then saves it
@@ -270,7 +270,7 @@ func loadModeName(mapped bool) string {
 	if mapped {
 		return "mapped (zero-copy)"
 	}
-	return "heap (streamed; snapshot not mappable)"
+	return "heap (v1 snapshot, not mappable)"
 }
 
 func loadFailure(path string, err64, err32 error) error {

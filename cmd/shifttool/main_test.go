@@ -60,7 +60,7 @@ func TestRunSaveLoad(t *testing.T) {
 	if err := run("face64", 20_000, "im", "r", 0, "", 3, false, false, path, "", false); err != nil {
 		t.Fatal(err)
 	}
-	// The saved snapshot loads both streamed and mapped.
+	// The saved snapshot loads both onto the heap and mapped.
 	for _, mmap := range []bool{false, true} {
 		if err := run("face64", 0, "im", "r", 0, "", 3, false, false, "", path, mmap); err != nil {
 			t.Fatalf("load (mmap=%v): %v", mmap, err)

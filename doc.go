@@ -71,10 +71,10 @@
 // the key and fused-drift arrays are viewed in place over a refcounted
 // mmap region instead of decoded — the open parses a fixed-size footer
 // and table of contents and is O(sections), not O(keys): BenchmarkWarmStart
-// at 10M keys opens mapped 241x faster than the streaming load on a 2-vCPU
-// Xeon (0.81 ms vs 195 ms). Every full is written in this layout and v1
-// files from earlier builds still load through the streaming path
-// (DESIGN.md §13). A nommap build tag and non-unix ports fall back to heap
+// at 10M keys opens mapped 241x faster than the heap load on a 2-vCPU
+// Xeon (0.81 ms vs 195 ms). Every full is written in this layout, and v1
+// files from earlier builds open through the same section walker and
+// loaders onto the heap (DESIGN.md §13). A nommap build tag and non-unix ports fall back to heap
 // reads behind the same API, and replicas map their fetch-verified
 // artifacts with a path registry that defers spool GC while a mapping
 // is live. A tiered residency manager places the hottest router shards

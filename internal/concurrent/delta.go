@@ -135,7 +135,7 @@ func (p *PublishedState[K]) persistDelta(sw *snap.Writer, info DeltaInfo) error 
 // SaveDeltaFile writes the captured state's generation stack crash-safely
 // to path as a delta container. Deltas keep the v1 stream framing: a
 // delta is 1 + 2g sections of a few KiB each, which v2's per-section
-// page padding would inflate 1.6–3× (DESIGN.md §13), and it is parsed
+// page padding would inflate 1.6–3× (DESIGN.md §13), and it is read
 // onto the heap on arrival rather than mapped.
 func SaveDeltaFile[K kv.Key](path string, p *PublishedState[K], info DeltaInfo) error {
 	return snap.SaveStreamFile(path, DeltaKind, func(sw *snap.Writer) error {
@@ -160,18 +160,15 @@ func (d *Delta[K]) Pending() int {
 }
 
 // readDelta reads a delta container's sections.
-func readDelta[K kv.Key](sr *snap.Reader) (*Delta[K], error) {
-	if sr.Kind() != DeltaKind {
-		return nil, fmt.Errorf("concurrent: snapshot kind %q, want %q", sr.Kind(), DeltaKind)
+func readDelta[K kv.Key](m *snap.Mapped) (*Delta[K], error) {
+	if m.Kind() != DeltaKind {
+		return nil, fmt.Errorf("concurrent: snapshot kind %q, want %q", m.Kind(), DeltaKind)
 	}
-	ms, err := sr.Expect(secDeltaMeta)
+	ms, err := m.Expect(secDeltaMeta)
 	if err != nil {
 		return nil, err
 	}
-	meta, err := ms.Bytes(0)
-	if err != nil {
-		return nil, err
-	}
+	meta := ms.Data
 	if len(meta) != 24 {
 		return nil, fmt.Errorf("concurrent: delta meta section is %d bytes, want 24", len(meta))
 	}
@@ -187,37 +184,35 @@ func readDelta[K kv.Key](sr *snap.Reader) (*Delta[K], error) {
 	if d.Info.Version <= d.Info.Base {
 		return nil, fmt.Errorf("concurrent: delta version %d does not follow its base %d", d.Info.Version, d.Info.Base)
 	}
-	d.gens, err = readGens[K](sr, genCount)
-	if err != nil {
+	if d.gens, err = mapGens[K](m, genCount); err != nil {
+		return nil, err
+	}
+	if err := m.Done(); err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
-// LoadDelta reads a delta container; total is the input size in bytes
-// (-1 when unknown). The container checksum verifies before the delta is
-// returned.
+// LoadDelta reads a delta container onto the heap; total is the input
+// size in bytes (-1 to read to EOF). The container checksum verifies
+// before the delta is returned.
 func LoadDelta[K kv.Key](r io.Reader, total int64) (*Delta[K], error) {
-	var d *Delta[K]
-	err := snap.Load(r, total, func(sr *snap.Reader) (err error) {
-		d, err = readDelta[K](sr)
-		return err
-	})
+	m, err := snap.Read(r, total)
 	if err != nil {
 		return nil, err
 	}
-	return d, nil
+	return readDelta[K](m)
 }
 
 // LoadDeltaFile reads a delta container from a file.
 func LoadDeltaFile[K kv.Key](path string) (*Delta[K], error) {
-	var d *Delta[K]
-	err := snap.LoadFile(path, func(sr *snap.Reader) (err error) {
-		d, err = readDelta[K](sr)
-		return err
-	})
+	m, err := snap.ReadFile(path)
 	if err != nil {
 		return nil, err
+	}
+	d, err := readDelta[K](m)
+	if err != nil {
+		return nil, fmt.Errorf("concurrent: %s: %w", path, err)
 	}
 	return d, nil
 }

@@ -8,10 +8,10 @@ import (
 	"repro/internal/updatable"
 )
 
-// This file is the concurrent index's zero-copy restart path: the base
-// view's keys and layer are viewed from the mapped container (see
+// This file is the concurrent index's one load path: the base view's
+// keys and layer are viewed from the opened container (see
 // updatable.MapViewSections), while the pending write generations are
-// copied to the heap as usual. The dominant restart cost (key and layer
+// copied to the heap. The dominant restart cost (key and layer
 // copies, O(n·keywidth)) disappears; what remains is one pass over the
 // n/8-byte tombstone bitmap plus O(pending) generation copies.
 
@@ -22,6 +22,27 @@ func (ix *Index[K]) Mapped() bool { return ix.snap.Load().view.Table().Mapped() 
 // MappedBytes returns the size of the region backing the published base
 // table, 0 when heap-resident.
 func (ix *Index[K]) MappedBytes() int64 { return ix.snap.Load().view.Table().MappedBytes() }
+
+// mapGens reads genCount (ins, dels) section pairs — shared by full
+// snapshots and shipped deltas (delta.go).
+func mapGens[K kv.Key](m *snap.Mapped, genCount uint32) ([]*generation[K], error) {
+	gens := make([]*generation[K], 0, genCount)
+	for i := uint32(0); i < genCount; i++ {
+		ins, err := mapGenHalf[K](m, secConIns)
+		if err != nil {
+			return nil, err
+		}
+		dels, err := mapGenHalf[K](m, secConDels)
+		if err != nil {
+			return nil, err
+		}
+		if !kv.IsSorted(ins) || !kv.IsSorted(dels) {
+			return nil, fmt.Errorf("concurrent: generation %d is not sorted", i)
+		}
+		gens = append(gens, &generation[K]{ins: ins, dels: dels})
+	}
+	return gens, nil
+}
 
 // mapGenHalf reads one generation key section onto the heap (pending
 // writes are small and their lifetime is decoupled from the mapping's).
@@ -47,9 +68,9 @@ func MapIndex[K kv.Key](m *snap.Mapped) (*Index[K], error) {
 	return assemble(st), nil
 }
 
-// MapFile restores a concurrent index by mapping path when possible,
-// falling back to the verified streaming load otherwise (MapStateFile,
-// then assemble). The returned flag reports which path served.
+// MapFile restores a concurrent index by mapping path (MapStateFile,
+// then assemble). The returned flag reports whether the base serves from
+// the mapping.
 func MapFile[K kv.Key](path string) (*Index[K], bool, error) {
 	st, mapped, err := MapStateFile[K](path)
 	if err != nil {
@@ -59,11 +80,13 @@ func MapFile[K kv.Key](path string) (*Index[K], bool, error) {
 }
 
 // MapState reads a full-snapshot container into a not-yet-serving State
-// (the unit replicas install), viewing the base in place: same meta parse
-// and bounds as the streaming load, generations copied to the heap. The
-// caller owns integrity: either the artifact's bytes were CRC-verified as
-// they landed (the replica spool path) or Mapped.VerifyAll / an external
-// content checksum ran first.
+// (the unit replicas install), viewing the base in place and copying the
+// generations to the heap. It is the one decoder of the kind: the heap
+// loaders (LoadState, LoadStateFile) open and verify the container
+// first, and the O(n) base checks run exactly when it is verified. A
+// caller of the mapped open owns integrity: either the artifact's bytes
+// were CRC-verified as they landed (the replica spool path) or
+// Mapped.VerifyAll / an external content checksum ran first.
 func MapState[K kv.Key](m *snap.Mapped) (*State[K], error) {
 	m.Rewind()
 	var genCount uint32
@@ -76,7 +99,7 @@ func MapState[K kv.Key](m *snap.Mapped) (*State[K], error) {
 		if genCount, err = parseMeta(ms.Data); err != nil {
 			return nil, err
 		}
-	case updatable.SnapshotKind: // a bare view, as in readState
+	case updatable.SnapshotKind: // a bare view
 	default:
 		return nil, fmt.Errorf("concurrent: container holds %q, want %q", m.Kind(), SnapshotKind)
 	}
@@ -84,20 +107,9 @@ func MapState[K kv.Key](m *snap.Mapped) (*State[K], error) {
 	if err != nil {
 		return nil, err
 	}
-	gens := make([]*generation[K], 0, genCount)
-	for i := uint32(0); i < genCount; i++ {
-		ins, err := mapGenHalf[K](m, secConIns)
-		if err != nil {
-			return nil, err
-		}
-		dels, err := mapGenHalf[K](m, secConDels)
-		if err != nil {
-			return nil, err
-		}
-		if !kv.IsSorted(ins) || !kv.IsSorted(dels) {
-			return nil, fmt.Errorf("concurrent: generation %d is not sorted", i)
-		}
-		gens = append(gens, &generation[K]{ins: ins, dels: dels})
+	gens, err := mapGens[K](m, genCount)
+	if err != nil {
+		return nil, err
 	}
 	if err := m.Done(); err != nil {
 		return nil, err
@@ -105,22 +117,20 @@ func MapState[K kv.Key](m *snap.Mapped) (*State[K], error) {
 	return newState(base, ins, dels, gens)
 }
 
-// MapStateFile reads a full-snapshot container file into a State by
-// mapping when possible, falling back to the streaming load. The
-// returned flag reports which path served.
+// MapStateFile maps a full-snapshot container file into a State. The
+// returned flag reports whether the base serves from the mapping (a v1
+// container from an earlier build opens on the heap).
 func MapStateFile[K kv.Key](path string) (*State[K], bool, error) {
 	m, err := snap.MapFile(path)
-	if err == nil {
-		defer m.Close()
-		if st, merr := MapState[K](m); merr == nil {
-			return st, true, nil
-		}
+	if err != nil {
+		return nil, false, err
 	}
-	st, herr := LoadStateFile[K](path)
-	if herr != nil {
-		return nil, false, herr
+	defer m.Close()
+	st, err := MapState[K](m)
+	if err != nil {
+		return nil, false, fmt.Errorf("concurrent: %s: %w", path, err)
 	}
-	return st, false, nil
+	return st, m.Region() != nil, nil
 }
 
 // Mapped reports whether the state's base table is a mapped view.

@@ -19,15 +19,16 @@ import (
 // compactions without any locks — it streams whatever state one atomic
 // pointer load returned.
 //
-// Every loader reads a full snapshot into a State first — the unit a
-// replica installs — and the index loaders (Load, LoadFile, MapIndex,
-// MapFile, the registry) then assemble it into a live index: the
+// Every loader reads a full snapshot into a State first (MapState, the
+// one decoder; mapped.go) — the unit a replica installs — and the index
+// loaders (Load, LoadFile, MapIndex, MapFile, the registry) then
+// assemble it into a live index: the
 // persisted generations merge into one sealed run under a fresh write
 // head. Tombstones cancel by key value and rank, count and scan are sums
 // over generations, so the merged run reproduces the persisted multiset
 // exactly.
 //
-// The readers also accept the read-only legacy kind updatable.SnapshotKind
+// The loader also accepts the read-only legacy kind updatable.SnapshotKind
 // (a bare view, as earlier builds saved their single-threaded index), and
 // views that carry the insert buffer and tombstones those builds kept
 // inside the view: newState turns them into one generation under the
@@ -103,68 +104,6 @@ func parseMeta(meta []byte) (uint32, error) {
 	return genCount, nil
 }
 
-// readState reads a full snapshot's sections into a State. A legacy
-// updatable container is the view sequence alone: no meta, no
-// generations.
-func readState[K kv.Key](sr *snap.Reader) (*State[K], error) {
-	var genCount uint32
-	switch sr.Kind() {
-	case SnapshotKind:
-		ms, err := sr.Expect(secConMeta)
-		if err != nil {
-			return nil, err
-		}
-		meta, err := ms.Bytes(0)
-		if err != nil {
-			return nil, err
-		}
-		if genCount, err = parseMeta(meta); err != nil {
-			return nil, err
-		}
-	case updatable.SnapshotKind: // a bare view
-	default:
-		return nil, fmt.Errorf("concurrent: snapshot kind %q, want %q", sr.Kind(), SnapshotKind)
-	}
-	base, ins, dels, err := updatable.LoadView[K](sr)
-	if err != nil {
-		return nil, err
-	}
-	gens, err := readGens[K](sr, genCount)
-	if err != nil {
-		return nil, err
-	}
-	return newState(base, ins, dels, gens)
-}
-
-// readGens reads genCount (ins, dels) section pairs — shared by the full
-// snapshot loader and the shipped-delta loader (delta.go).
-func readGens[K kv.Key](sr *snap.Reader, genCount uint32) ([]*generation[K], error) {
-	gens := make([]*generation[K], 0, genCount)
-	for i := uint32(0); i < genCount; i++ {
-		is, err := sr.Expect(secConIns)
-		if err != nil {
-			return nil, err
-		}
-		ins, err := snap.ReadKeySection[K](is, 0)
-		if err != nil {
-			return nil, err
-		}
-		dls, err := sr.Expect(secConDels)
-		if err != nil {
-			return nil, err
-		}
-		dels, err := snap.ReadKeySection[K](dls, 0)
-		if err != nil {
-			return nil, err
-		}
-		if !kv.IsSorted(ins) || !kv.IsSorted(dels) {
-			return nil, fmt.Errorf("concurrent: generation %d is not sorted", i)
-		}
-		gens = append(gens, &generation[K]{ins: ins, dels: dels})
-	}
-	return gens, nil
-}
-
 // State is a verified full snapshot not yet serving: the loaded base view
 // with its layer configuration, and the generation stack — everything
 // InstallState (a replica) or assemble (a warm restart) needs, built
@@ -178,7 +117,7 @@ type State[K kv.Key] struct {
 // newState puts a loaded base under its persisted generations, rejecting
 // a stack that cancels more occurrences than exist. The pending writes an
 // earlier build stored inside the view (ins: its insert buffer, dels: its
-// tombstoned base keys; see updatable.LoadView) become one generation
+// tombstoned base keys; see updatable.MapViewSections) become one generation
 // under the persisted ones: they are the oldest writes, and a tombstone
 // cancels its value wherever the occurrence lies, so the state answers
 // rank for rank as the writer's did.
@@ -202,30 +141,28 @@ func (st *State[K]) Len() int {
 // ModelFingerprint returns the fingerprint of the state's base model.
 func (st *State[K]) ModelFingerprint() uint64 { return st.view.ModelFingerprint() }
 
-// LoadState reads a full-snapshot container into a State; total is the
-// input size in bytes (-1 when unknown). The container checksum verifies
-// before the state is returned.
+// LoadState reads a full-snapshot container onto the heap and into a
+// State; total is the input size in bytes (-1 to read to EOF). Every
+// checksum verifies, and the loader runs its O(n) checks, before the
+// state is returned.
 func LoadState[K kv.Key](r io.Reader, total int64) (*State[K], error) {
-	var st *State[K]
-	err := snap.Load(r, total, func(sr *snap.Reader) (err error) {
-		st, err = readState[K](sr)
-		return err
-	})
+	m, err := snap.Read(r, total)
 	if err != nil {
 		return nil, err
 	}
-	return st, nil
+	return MapState[K](m)
 }
 
-// LoadStateFile reads a full-snapshot container file into a State.
+// LoadStateFile reads a full-snapshot container file into a State,
+// verified in full like LoadState.
 func LoadStateFile[K kv.Key](path string) (*State[K], error) {
-	var st *State[K]
-	err := snap.LoadFile(path, func(sr *snap.Reader) (err error) {
-		st, err = readState[K](sr)
-		return err
-	})
+	m, err := snap.ReadFile(path)
 	if err != nil {
 		return nil, err
+	}
+	st, err := MapState[K](m)
+	if err != nil {
+		return nil, fmt.Errorf("concurrent: %s: %w", path, err)
 	}
 	return st, nil
 }

@@ -14,7 +14,8 @@ import (
 // kind "updatable", which earlier builds saved their single-threaded
 // index under: such a file loads as a concurrent index whose pending
 // writes are the buffer and tombstones it stored. Like Load, the loader
-// reads a State and assembles it. The restored index is live — its
+// reads a State (MapState) and assembles it, so both kinds map through
+// index.LoadFileMapped. The restored index is live — its
 // compactor goroutine waits for the next due write — so callers that
 // care about goroutine hygiene should assert to *Index and Close it.
 
@@ -24,13 +25,13 @@ func init() {
 }
 
 func registerLoader[K kv.Key]() {
-	load := func(sr *snap.Reader) (index.Index[K], error) {
-		st, err := readState[K](sr)
+	load := func(m *snap.Mapped) (index.Index[K], error) {
+		st, err := MapState[K](m)
 		if err != nil {
 			return nil, err
 		}
 		return assemble(st), nil
 	}
-	index.RegisterSnapshotLoader[K](SnapshotKind, load)
-	index.RegisterSnapshotLoader[K](updatable.SnapshotKind, load)
+	index.RegisterLoader[K](SnapshotKind, load)
+	index.RegisterLoader[K](updatable.SnapshotKind, load)
 }

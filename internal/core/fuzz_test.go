@@ -106,13 +106,14 @@ func FuzzFindLookup(f *testing.F) {
 }
 
 // FuzzLoad drives the two untrusted-input paths — the bare layer loader
-// (core.Load) and the snapshot-container loader (LoadTableSnapshot) —
-// over mutated and truncated byte corpora seeded from valid files. The
-// property is absolute: any input either loads (and then answers queries
-// identically to a freshly built table, when it loaded from an untampered
-// prefix this cannot happen by luck) or returns an error. No panics, no
-// unbounded allocation (readSliceChunked/Section.Bytes grow at most 1 MiB
-// per read, so a hostile length dies on the short read behind it).
+// (core.Load) and the snapshot-container loader (MapTableSnapshot over
+// snapshot.Open) — over mutated and truncated byte corpora seeded from
+// valid files. The property is absolute: any input either loads (and
+// then answers queries identically to a freshly built table, when it
+// loaded from an untampered prefix this cannot happen by luck) or
+// returns an error. No panics, no unbounded allocation (readSliceChunked
+// grows at most 1 MiB per read, so a hostile length dies on the short
+// read behind it; Open bounds every length by the bytes present).
 func FuzzLoad(f *testing.F) {
 	keys := fuzzKeys(7, 700, 16, 40)
 	model := cdfmodel.NewInterpolation(keys)
@@ -192,47 +193,33 @@ func FuzzLoad(f *testing.F) {
 				}
 			}
 		}
-		// Snapshot container: kind-checked, fingerprint-bound, checksummed.
-		_ = snapshot.Load(bytes.NewReader(data), int64(len(data)), func(sr *snapshot.Reader) error {
-			if sr.Kind() != SnapshotKindTable {
-				return nil
+		// Snapshot container through the one decoder, at both trust levels:
+		// the verified heap read (every checksum, then the loader's O(n)
+		// checks) and the unverified open (geometry only — the trust level
+		// a hostile mapped file meets). Whatever either accepts must be
+		// memory-safe to query: mis-answers are allowed, faults and
+		// out-of-range ranks are not.
+		probe := func(m *snapshot.Mapped) {
+			if m.Kind() != SnapshotKindTable {
+				return
 			}
-			tab, err := LoadTableSnapshot[uint64](sr)
+			tab, err := MapTableSnapshot[uint64](m)
 			if err != nil {
-				return err
+				return
 			}
 			for _, q := range []uint64{0, 1 << 30, ^uint64(0)} {
 				r := tab.Find(q)
 				if r < 0 || r > tab.N() {
-					t.Fatalf("snapshot table Find(%d) = %d out of [0, %d]", q, r, tab.N())
+					t.Fatalf("snapshot table (verified=%v) Find(%d) = %d out of [0, %d]",
+						m.Verified(), q, r, tab.N())
 				}
 			}
-			return nil
-		})
-		// And with unknown total size (the io.Reader path bounds
-		// allocations by chunking alone).
-		_ = snapshot.Load(bytes.NewReader(data), -1, func(sr *snapshot.Reader) error {
-			if sr.Kind() != SnapshotKindTable {
-				return nil
-			}
-			_, err := LoadTableSnapshot[uint64](sr)
-			return err
-		})
-		// v2 mapped open: geometry validates eagerly, payload CRCs lazily.
-		// Whatever survives the parse — even with VerifyAll unrun, the
-		// trust level a hostile file meets — must be memory-safe to query:
-		// mis-answers are allowed, faults and out-of-range ranks are not.
-		if m, err := snapshot.OpenMappedBytes(data); err == nil && m.Kind() == SnapshotKindTable {
-			verified := m.VerifyAll() == nil
-			if tab, err := MapTableSnapshot[uint64](m); err == nil {
-				for _, q := range []uint64{0, 1 << 30, ^uint64(0)} {
-					r := tab.Find(q)
-					if r < 0 || r > tab.N() {
-						t.Fatalf("mapped table (verified=%v) Find(%d) = %d out of [0, %d]",
-							verified, q, r, tab.N())
-					}
-				}
-			}
+		}
+		if m, err := snapshot.Read(bytes.NewReader(data), -1); err == nil {
+			probe(m)
+		}
+		if m, err := snapshot.Open(data); err == nil {
+			probe(m)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"runtime"
@@ -12,24 +13,25 @@ import (
 	"repro/internal/snapshot"
 )
 
-// This file is the zero-copy load path (DESIGN.md §12): a Table or
-// ModelIndex opened over a mapped v2 container views the key section and
-// the layer's drift/count arrays in place instead of copying them onto
-// the heap. Opening is O(1) in the key count — header and geometry
-// validation only — which is what turns warm restart from a scan of the
-// file into a handful of page touches.
+// This file is the one load path of the core snapshot kinds (DESIGN.md
+// §12): a Table or ModelIndex opened over a container (snapshot.Open,
+// over a mapping or a heap read) views the key section and the layer's
+// drift/count arrays in place instead of copying them. Opening is O(1)
+// in the key count — header and geometry validation only — which is
+// what turns warm restart from a scan of the file into a handful of
+// page touches.
 //
-// Trust shift relative to the streaming loaders: the O(n) invariants the
-// heap path checks eagerly (keys sorted, partition cardinalities summing
-// under N) are NOT re-checked here, and payload CRCs verify lazily
-// (snapshot.MappedSection.Verify / Mapped.VerifyAll). A mapped open
-// therefore trusts the file to be a snapshot this repository wrote —
-// appropriate for artifacts whose container CRC was verified at fetch or
-// publish time (the replica spool) — while remaining memory-safe against
-// arbitrary corruption: every slice is bounds-derived from validated
-// geometry, so hostile bytes can mis-answer queries but cannot fault.
-// Callers that need the eager guarantees use the streaming loaders,
-// which read v2 containers too.
+// Trust: the O(n) invariants — keys sorted, partition cardinalities
+// non-negative and summing under N, the model's full-sweep mean error —
+// are checked exactly when the container is verified in full
+// (snapshot.Mapped.Verified: VerifyAll ran, or a v1 container's checksum
+// was checked at open). The heap entry points always verify, so a heap
+// load stays eagerly checked. An unverified mapped open trusts the file
+// to be a snapshot this repository wrote — appropriate for artifacts
+// whose CRC was verified at fetch or publish time (the replica spool) —
+// while remaining memory-safe against arbitrary corruption: every slice
+// is bounds-derived from validated geometry, so hostile bytes can
+// mis-answer queries but cannot fault.
 
 // attachRegion gives a mapped structure its own region reference and
 // schedules the release for when the structure becomes unreachable.
@@ -108,7 +110,9 @@ func MapTableSections[K kv.Key](m *snapshot.Mapped) (*Table[K], error) {
 // MapTableWithKeys views the keyless model+layer section pair over
 // caller-supplied keys (themselves typically a view of the container's
 // key section — the router maps each shard this way against its slice of
-// the shared key section).
+// the shared key section). A v2 layer blob is viewed in place; the
+// split-array v1 blob of snapshots earlier builds wrote decodes onto the
+// heap through Load, which checks its counts eagerly.
 func MapTableWithKeys[K kv.Key](m *snapshot.Mapped, keys []K, modelID, layerID uint32) (*Table[K], error) {
 	model, err := mapModelSpec(m, modelID, keys)
 	if err != nil {
@@ -118,9 +122,17 @@ func MapTableWithKeys[K kv.Key](m *snapshot.Mapped, keys []K, modelID, layerID u
 	if err != nil {
 		return nil, err
 	}
+	if len(ls.Data) >= 16 && binary.LittleEndian.Uint64(ls.Data[8:]) == layerVersion {
+		return Load(bytes.NewReader(ls.Data), keys, model)
+	}
 	t, err := viewLayerV2(ls.Data, keys, model)
 	if err != nil {
 		return nil, fmt.Errorf("core: layer section: %w", err)
+	}
+	if m.Verified() {
+		if err := checkCounts(t.count, t.n); err != nil {
+			return nil, err
+		}
 	}
 	attachRegion(t, m.Region())
 	t.region = m.Region()
@@ -148,27 +160,43 @@ func MapModelIndexSnapshot[K kv.Key](m *snapshot.Mapped) (*ModelIndex[K], error)
 }
 
 // MapModelIndexWithKeys rebuilds a bare-model index over viewed keys.
-// The heap loader's full-sweep mean error (Eq. 10) is replaced by a
-// strided-sample estimate so the open stays sublinear; the cost model
-// consumes a statistic either way, not a guarantee.
+// A verified container gets the full-sweep mean error (Eq. 10) of
+// NewModelIndex; an unverified open takes a strided-sample estimate so
+// it stays sublinear — the cost model consumes a statistic either way,
+// not a guarantee.
 func MapModelIndexWithKeys[K kv.Key](m *snapshot.Mapped, keys []K, modelID uint32) (*ModelIndex[K], error) {
 	model, err := mapModelSpec(m, modelID, keys)
 	if err != nil {
 		return nil, err
 	}
-	ix := &ModelIndex[K]{keys: keys, model: model, meanErr: sampledModelError(keys, model)}
+	var ix *ModelIndex[K]
+	if m.Verified() {
+		if ix, err = NewModelIndex(keys, model); err != nil {
+			return nil, err
+		}
+	} else {
+		ix = &ModelIndex[K]{keys: keys, model: model, meanErr: sampledModelError(keys, model)}
+	}
 	attachRegion(ix, m.Region())
 	ix.region = m.Region()
 	return ix, nil
 }
 
-// mapKeys views one key section.
+// mapKeys views one key section, checking its order when the container
+// is verified.
 func mapKeys[K kv.Key](m *snapshot.Mapped, id uint32) ([]K, error) {
 	ks, err := m.Expect(id)
 	if err != nil {
 		return nil, err
 	}
-	return snapshot.MapKeySection[K](ks)
+	keys, err := snapshot.MapKeySection[K](ks)
+	if err != nil {
+		return nil, err
+	}
+	if m.Verified() && !kv.IsSorted(keys) {
+		return nil, fmt.Errorf("core: snapshot keys are not sorted")
+	}
+	return keys, nil
 }
 
 // mapModelSpec decodes a model spec section (small — it is copied, not
@@ -186,7 +214,7 @@ func mapModelSpec[K kv.Key](m *snapshot.Mapped, id uint32, keys []K) (cdfmodel.M
 
 // viewLayerV2 builds a Table whose drift arrays and counts alias data,
 // which must be a v2 layer blob (writeLayerV2). The header is validated
-// exactly as the streaming Load validates it — including the key and
+// exactly as Load validates a v1 header — including the key and
 // model fingerprints that bind the layer to its data — and the blob's
 // size must equal the geometry the header implies, byte for byte.
 func viewLayerV2[K kv.Key](data []byte, keys []K, model cdfmodel.Model[K]) (*Table[K], error) {

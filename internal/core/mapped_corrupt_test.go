@@ -48,69 +48,48 @@ func v2TableContainer(tb testing.TB) ([]byte, []uint64) {
 	return buf.Bytes(), keys
 }
 
-// loadMappedStrict is the fully verifying mapped open: parse the
-// geometry, check the kind, verify every section CRC, then view the
-// table. This is the trust level warm restart runs at (the replica
-// checks the whole file's CRC before an O(1) view).
-func loadMappedStrict(data []byte) error {
-	m, err := snapshot.OpenMappedBytes(data)
+// loadHeap is the heap load: read, verify every checksum (each section
+// and the whole container), then view the table with its O(n) checks.
+func loadHeap(data []byte) error {
+	m, err := snapshot.Read(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		return err
 	}
 	if m.Kind() != SnapshotKindTable {
 		return fmt.Errorf("kind %q", m.Kind())
 	}
-	if err := m.VerifyAll(); err != nil {
-		return err
-	}
 	_, err = MapTableSnapshot[uint64](m)
 	return err
 }
 
-// loadStreaming is the eagerly verifying v1/v2 streaming load.
-func loadStreaming(data []byte) error {
-	return snapshot.Load(bytes.NewReader(data), int64(len(data)), func(sr *snapshot.Reader) error {
-		_, err := LoadTableSnapshot[uint64](sr)
-		return err
-	})
-}
-
 // TestV2EveryByteFlip inverts each byte of a valid v2 container in turn.
-// Every flip must be rejected by the verifying mapped open — except the
-// footer's whole-container CRC word, which the mapped path does not
-// consume (it validates structure plus per-section CRCs instead); flips
-// there must still be caught by the streaming loader, which does.
+// Every flip must be rejected by the heap load — the footer's
+// whole-container CRC word included, which VerifyAll checks.
 func TestV2EveryByteFlip(t *testing.T) {
 	data, _ := v2TableContainer(t)
-	if err := loadMappedStrict(data); err != nil {
+	if err := loadHeap(data); err != nil {
 		t.Fatalf("pristine container rejected: %v", err)
 	}
-	contCRCOff := len(data) - 16 // foot[16:20] is the container CRC
 	for i := range data {
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0xFF
-		if err := loadMappedStrict(mut); err == nil {
-			if i < contCRCOff || i >= contCRCOff+4 {
-				t.Fatalf("flip at offset %d/%d accepted by the mapped open", i, len(data))
-			}
-			if err := loadStreaming(mut); err == nil {
-				t.Fatalf("container-CRC flip at offset %d accepted by the streaming load too", i)
-			}
+		if err := loadHeap(mut); err == nil {
+			t.Fatalf("flip at offset %d/%d accepted by the heap load", i, len(data))
 		}
 	}
 }
 
 // TestV2EveryTruncation feeds every strict prefix of a valid container
-// to both loaders; all must error (the footer anchors the parse, so no
-// prefix can masquerade as complete).
+// to the heap load and to the unverified open; all must error (the
+// footer anchors the parse, so no prefix can masquerade as complete).
 func TestV2EveryTruncation(t *testing.T) {
 	data, _ := v2TableContainer(t)
 	for i := 0; i < len(data); i++ {
-		if err := loadMappedStrict(data[:i]); err == nil {
-			t.Fatalf("mapped open accepted a %d/%d-byte prefix", i, len(data))
+		if err := loadHeap(data[:i]); err == nil {
+			t.Fatalf("heap load accepted a %d/%d-byte prefix", i, len(data))
 		}
-		if err := loadStreaming(data[:i]); err == nil {
-			t.Fatalf("streaming load accepted a %d/%d-byte prefix", i, len(data))
+		if _, err := snapshot.Open(data[:i]); err == nil {
+			t.Fatalf("open accepted a %d/%d-byte prefix", i, len(data))
 		}
 	}
 }
@@ -141,14 +120,14 @@ func TestV2CorruptedPadding(t *testing.T) {
 	firstOff := binary.LittleEndian.Uint64(data[tocOff+8:])
 	mut := append([]byte(nil), data...)
 	mut[firstOff-1] = 0xA5 // last pad byte before the first page-aligned payload
-	if err := loadMappedStrict(mut); err == nil {
-		t.Fatal("nonzero padding accepted by the mapped open")
+	if _, err := snapshot.Open(mut); err == nil {
+		t.Fatal("nonzero padding accepted by the open")
 	}
 }
 
 // TestV2SectionCRCMismatch edits a section's TOC CRC and restamps the
 // TOC checksum so the parse succeeds; VerifyAll must then reject the
-// section (this is the exact lie a lazily-verifying reader must catch).
+// container (this is the exact lie a lazily-verifying reader must catch).
 func TestV2SectionCRCMismatch(t *testing.T) {
 	data, _ := v2TableContainer(t)
 	tocOff, _ := v2Footer(data)
@@ -156,7 +135,7 @@ func TestV2SectionCRCMismatch(t *testing.T) {
 	e := mut[tocOff:]
 	binary.LittleEndian.PutUint32(e[4:8], binary.LittleEndian.Uint32(e[4:8])^0xDEADBEEF)
 	restampTocCRC(mut)
-	m, err := snapshot.OpenMappedBytes(mut)
+	m, err := snapshot.Open(mut)
 	if err != nil {
 		t.Fatalf("restamped container failed to parse: %v", err)
 	}
@@ -175,7 +154,7 @@ func TestV2MisalignedOffset(t *testing.T) {
 	e := mut[tocOff:]
 	binary.LittleEndian.PutUint64(e[8:16], binary.LittleEndian.Uint64(e[8:16])+8)
 	restampTocCRC(mut)
-	if _, err := snapshot.OpenMappedBytes(mut); err == nil {
-		t.Fatal("misaligned payload offset accepted by the mapped open")
+	if _, err := snapshot.Open(mut); err == nil {
+		t.Fatal("misaligned payload offset accepted by the open")
 	}
 }

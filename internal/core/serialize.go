@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -30,7 +31,8 @@ const (
 	// array at the common packed width — followed by 8-byte-aligned
 	// partition counts, so a loader over a page-aligned v2 snapshot
 	// section can view both in place with zero copies. Written only
-	// inside v2 snapshot containers; Load reads both versions.
+	// inside v2 snapshot containers and read only by MapTableWithKeys;
+	// Load reads version 1, which WriteTo writes.
 	layerVersion2 = 2
 )
 
@@ -223,86 +225,6 @@ func layerWidths(word uint64, mode Mode, m int) (width, lo, hi uint8, err error)
 	return width, lo, hi, nil
 }
 
-// loadBodyV2 reads the v2 body (widths word onward) from the stream.
-// The mapped loader parses the same bytes in place; this path serves
-// heap loads of v2 containers (fallback builds, shifttool without -mmap).
-func (t *Table[K]) loadBodyV2(br io.Reader, avail int64) error {
-	var word uint64
-	if err := binary.Read(br, binary.LittleEndian, &word); err != nil {
-		return fmt.Errorf("core: reading layer widths: %w", err)
-	}
-	if avail >= 0 {
-		avail -= 8
-	}
-	width, lo, hi, err := layerWidths(word, t.mode, t.m)
-	if err != nil {
-		return err
-	}
-	var data int64
-	switch t.mode {
-	case ModeRange:
-		t.pairs.width = width
-		t.loBits, t.hiBits = lo, hi
-		data = 2 * int64(t.m) * int64(width)
-		if t.m > 0 {
-			switch width {
-			case 1:
-				t.pairs.w8, err = readSliceChunked[int8](br, 2*t.m, 1, "fused drift entry", avail)
-			case 2:
-				t.pairs.w16, err = readSliceChunked[int16](br, 2*t.m, 2, "fused drift entry", avail)
-			case 4:
-				t.pairs.w32, err = readSliceChunked[int32](br, 2*t.m, 4, "fused drift entry", avail)
-			default:
-				t.pairs.w64, err = readSliceChunked[int64](br, 2*t.m, 8, "fused drift entry", avail)
-			}
-			if err != nil {
-				return fmt.Errorf("core: fused drift array: %w", err)
-			}
-		}
-	default:
-		t.shift.width = width
-		data = int64(t.m) * int64(width)
-		if t.m > 0 {
-			switch width {
-			case 1:
-				t.shift.w8, err = readSliceChunked[int8](br, t.m, 1, "drift entry", avail)
-			case 2:
-				t.shift.w16, err = readSliceChunked[int16](br, t.m, 2, "drift entry", avail)
-			case 4:
-				t.shift.w32, err = readSliceChunked[int32](br, t.m, 4, "drift entry", avail)
-			default:
-				t.shift.w64, err = readSliceChunked[int64](br, t.m, 8, "drift entry", avail)
-			}
-			if err != nil {
-				return fmt.Errorf("core: drift array: %w", err)
-			}
-		}
-	}
-	if avail >= 0 {
-		avail -= data
-	}
-	var padBuf [8]byte
-	pad := pad8(data)
-	//shift:allow-unbounded(pad8 maps any input to 0..7, so the slice is bounded by construction)
-	if _, err := io.ReadFull(br, padBuf[:pad]); err != nil {
-		return fmt.Errorf("core: reading layer padding: %w", err)
-	}
-	for _, b := range padBuf[:pad] {
-		if b != 0 {
-			return fmt.Errorf("core: nonzero layer padding")
-		}
-	}
-	if avail >= 0 {
-		avail -= pad
-	}
-	counts, err := readCounts(br, t.m, t.n, avail)
-	if err != nil {
-		return err
-	}
-	t.count = counts
-	return nil
-}
-
 // maxLayerFactor bounds M relative to N in loaded layer files. Builds
 // default to M = N and the paper's reduced configurations use M = N/X, so
 // a header claiming a layer orders of magnitude larger than its key set
@@ -318,16 +240,13 @@ const maxLayerFactor = 64
 // hostile header cannot demand terabytes), and truncation at any point
 // returns a wrapped, descriptive error — never a panic.
 func Load[K kv.Key](r io.Reader, keys []K, model cdfmodel.Model[K]) (*Table[K], error) {
-	// A reader that vouches for its length (a snapshot.Section over a
-	// stat-sized file) lets the array reads allocate once instead of
-	// growing chunk by chunk — the warm-restart hot path. avail tracks the
-	// vouched-for bytes still unread; -1 means untrusted.
+	// An in-memory reader (a bytes.Reader over a snapshot section) vouches
+	// for its length, which lets the array reads allocate once instead of
+	// growing chunk by chunk. avail tracks the vouched-for bytes still
+	// unread; -1 means untrusted.
 	avail := int64(-1)
-	if ts, ok := r.(interface {
-		Trusted() bool
-		Remaining() int64
-	}); ok && ts.Trusted() {
-		avail = ts.Remaining()
+	if br, ok := r.(*bytes.Reader); ok {
+		avail = int64(br.Len())
 	}
 	br := bufio.NewReaderSize(r, 1<<16)
 	var head [8]uint64
@@ -339,7 +258,7 @@ func Load[K kv.Key](r io.Reader, keys []K, model cdfmodel.Model[K]) (*Table[K], 
 	if head[0] != layerMagic {
 		return nil, fmt.Errorf("core: not a Shift-Table layer file")
 	}
-	if head[1] != layerVersion && head[1] != layerVersion2 {
+	if head[1] != layerVersion {
 		return nil, fmt.Errorf("core: unsupported layer version %d", head[1])
 	}
 	// Validate every remaining header field before using it: mode drives a
@@ -379,12 +298,6 @@ func Load[K kv.Key](r io.Reader, keys []K, model cdfmodel.Model[K]) (*Table[K], 
 	}
 	if avail >= 0 {
 		avail -= 8 * 8 // header already consumed
-	}
-	if head[1] == layerVersion2 {
-		if err := t.loadBodyV2(br, avail); err != nil {
-			return nil, err
-		}
-		return t, nil
 	}
 	switch t.mode {
 	case ModeRange:
@@ -449,24 +362,32 @@ func checkLayerM(raw uint64, n int) error {
 }
 
 // readCounts reads the per-partition cardinalities with incremental
-// allocation and validates them: counts are non-negative and their sum
-// never exceeds the key count (sampled builds record fewer).
+// allocation and validates them (checkCounts).
 func readCounts(r io.Reader, m, n int, avail int64) ([]int32, error) {
 	counts, err := readSliceChunked[int32](r, m, 4, "partition count", avail)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	if err := checkCounts(counts, n); err != nil {
+		return nil, err
+	}
+	return counts, nil
+}
+
+// checkCounts validates partition cardinalities: non-negative, and their
+// sum never exceeds the key count (sampled builds record fewer).
+func checkCounts(counts []int32, n int) error {
 	var sum int64
 	for k, c := range counts {
 		if c < 0 {
-			return nil, fmt.Errorf("core: negative cardinality %d for partition %d", c, k)
+			return fmt.Errorf("core: negative cardinality %d for partition %d", c, k)
 		}
 		sum += int64(c)
 		if sum > int64(n) {
-			return nil, fmt.Errorf("core: partition cardinalities sum past the %d indexed keys", n)
+			return fmt.Errorf("core: partition cardinalities sum past the %d indexed keys", n)
 		}
 	}
-	return counts, nil
+	return nil
 }
 
 // writePairsHalf streams one half of the fused pair array — lo entries

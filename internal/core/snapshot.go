@@ -16,7 +16,7 @@ import (
 // warm-loads the index instead of rebuilding it from raw keys. The layer
 // is embedded as one section in serialize.go's mappable v2 blob (v1 blobs
 // in old snapshots still load); its key and model fingerprints double as
-// the binding between sections.
+// the binding between sections. The loaders are in mapped.go.
 
 // Snapshot container kinds written by this package.
 const (
@@ -65,42 +65,13 @@ func (t *Table[K]) PersistModelAndLayer(sw *snapshot.Writer, modelID, layerID ui
 		return err
 	}
 	// Snapshots carry the mappable layer blob (fused drifts, aligned
-	// counts). Load still reads the split-array blob of v1 snapshots that
-	// earlier builds wrote.
+	// counts). MapTableWithKeys still reads the split-array blob of v1
+	// snapshots that earlier builds wrote.
 	lw, err := sw.SectionSized(layerID, t.layerSizeV2())
 	if err != nil {
 		return err
 	}
 	return t.writeLayerV2(lw)
-}
-
-// LoadTableSnapshot reads a shift-table snapshot: keys, model spec
-// (reconstructing the model and verifying its fingerprint), then the
-// layer through the hardened Load, whose own fingerprints bind it to the
-// keys and model just read. The caller owns checksum verification
-// (snapshot.Reader.Close) and must discard the result if it fails.
-func LoadTableSnapshot[K kv.Key](sr *snapshot.Reader) (*Table[K], error) {
-	keys, err := loadSortedKeys[K](sr, secTableKeys)
-	if err != nil {
-		return nil, err
-	}
-	return LoadTableWithKeys(sr, keys, secTableModel, secTableLayer)
-}
-
-// LoadTableWithKeys reads the keyless model+layer section pair written by
-// PersistModelAndLayer and attaches it to caller-supplied keys (which
-// the caller must already have validated as sorted). The layer's key
-// fingerprint still binds it to exactly these keys.
-func LoadTableWithKeys[K kv.Key](sr *snapshot.Reader, keys []K, modelID, layerID uint32) (*Table[K], error) {
-	model, err := loadModelSpecSection(sr, modelID, keys)
-	if err != nil {
-		return nil, err
-	}
-	ls, err := sr.Expect(layerID)
-	if err != nil {
-		return nil, err
-	}
-	return Load(ls, keys, model)
 }
 
 // SnapshotKind implements the index.Persister capability.
@@ -123,54 +94,6 @@ func (ix *ModelIndex[K]) PersistModelSpec(sw *snapshot.Writer, id uint32) error 
 		return err
 	}
 	return sw.Bytes(id, spec)
-}
-
-// LoadModelIndexSnapshot reads a model-index snapshot.
-func LoadModelIndexSnapshot[K kv.Key](sr *snapshot.Reader) (*ModelIndex[K], error) {
-	keys, err := loadSortedKeys[K](sr, secTableKeys)
-	if err != nil {
-		return nil, err
-	}
-	return LoadModelIndexWithKeys(sr, keys, secTableModel)
-}
-
-// LoadModelIndexWithKeys reads a model spec section and rebuilds the
-// bare-model index over caller-supplied (already sorted) keys.
-func LoadModelIndexWithKeys[K kv.Key](sr *snapshot.Reader, keys []K, modelID uint32) (*ModelIndex[K], error) {
-	model, err := loadModelSpecSection(sr, modelID, keys)
-	if err != nil {
-		return nil, err
-	}
-	return NewModelIndex(keys, model)
-}
-
-// loadSortedKeys reads a key section and validates ordering.
-func loadSortedKeys[K kv.Key](sr *snapshot.Reader, id uint32) ([]K, error) {
-	ks, err := sr.Expect(id)
-	if err != nil {
-		return nil, err
-	}
-	keys, err := snapshot.ReadKeySection[K](ks, 0)
-	if err != nil {
-		return nil, err
-	}
-	if !kv.IsSorted(keys) {
-		return nil, fmt.Errorf("core: snapshot keys are not sorted")
-	}
-	return keys, nil
-}
-
-// loadModelSpecSection reads and decodes one model spec section.
-func loadModelSpecSection[K kv.Key](sr *snapshot.Reader, id uint32, keys []K) (cdfmodel.Model[K], error) {
-	ms, err := sr.Expect(id)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := ms.Bytes(maxModelSpecLen)
-	if err != nil {
-		return nil, err
-	}
-	return decodeModelSpec(spec, keys)
 }
 
 // ModelParamser is the optional interface a model implements when its

@@ -30,17 +30,14 @@ func saveTable[K kv.Key](t *testing.T, tab *Table[K]) []byte {
 	return buf.Bytes()
 }
 
+// loadTable is the heap load: read, verify every checksum, then the
+// shift-table loader with its O(n) checks.
 func loadTable[K kv.Key](raw []byte) (*Table[K], error) {
-	var tab *Table[K]
-	err := snapshot.Load(bytes.NewReader(raw), int64(len(raw)), func(sr *snapshot.Reader) error {
-		var lerr error
-		tab, lerr = LoadTableSnapshot[K](sr)
-		return lerr
-	})
+	m, err := snapshot.Read(bytes.NewReader(raw), int64(len(raw)))
 	if err != nil {
 		return nil, err
 	}
-	return tab, nil
+	return MapTableSnapshot[K](m)
 }
 
 // TestTableSnapshotRoundTrip: a snapshot restores a table that answers
@@ -138,12 +135,11 @@ func TestModelIndexSnapshotRoundTrip(t *testing.T) {
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var loaded *ModelIndex[uint64]
-	err = snapshot.Load(bytes.NewReader(buf.Bytes()), int64(buf.Len()), func(sr *snapshot.Reader) error {
-		var lerr error
-		loaded, lerr = LoadModelIndexSnapshot[uint64](sr)
-		return lerr
-	})
+	m, err := snapshot.Read(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := MapModelIndexSnapshot[uint64](m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,12 +246,11 @@ func TestSnapshotSaveLoadFile(t *testing.T) {
 	if err := snapshot.SaveFile(path, tab.SnapshotKind(), tab.PersistSnapshot); err != nil {
 		t.Fatal(err)
 	}
-	var loaded *Table[uint64]
-	err = snapshot.LoadFile(path, func(sr *snapshot.Reader) error {
-		var lerr error
-		loaded, lerr = LoadTableSnapshot[uint64](sr)
-		return lerr
-	})
+	m, err := snapshot.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := MapTableSnapshot[uint64](m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,52 +8,9 @@ import (
 	"repro/internal/search"
 )
 
-// TestCrossVersionRead saves an index and loads the v2 file through both
-// the mapped open and the streaming loader; both restored indexes must
-// answer identically to the original. (The v1 half of the matrix — old
-// files through both entry points — runs over the committed fixtures in
-// the repository root's TestV1Fixtures.)
-func TestCrossVersionRead(t *testing.T) {
-	keys := dataset.MustGenerate(dataset.Face, 64, 30_000, 9)
-	orig, err := Build("IM+ST", keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2 := filepath.Join(t.TempDir(), "v2.snap")
-	if err := SaveFile(p2, orig); err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		label  string
-		path   string
-		mapped bool // try the mapped entry point
-		viaMap bool // and expect it to actually map
-	}{
-		{"v2/stream", p2, false, false},
-		{"v2/mapped", p2, true, true},
-	}
-	for _, c := range cases {
-		var ix Index[uint64]
-		var viaMap bool
-		var err error
-		if c.mapped {
-			ix, viaMap, err = LoadFileMapped[uint64](c.path)
-		} else {
-			ix, err = LoadFile[uint64](c.path)
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", c.label, err)
-		}
-		if viaMap != c.viaMap {
-			t.Fatalf("%s: viaMap = %v, want %v", c.label, viaMap, c.viaMap)
-		}
-		checkIdentical(t, c.label, orig, ix, keys, 3_000)
-	}
-}
-
 // TestMappedEqualsHeapRegistry is the mapped ≡ heap property test over
 // every Persister-capable registry backend: the v2 file loaded through
-// the mapped open and through the streaming heap loader must be
+// the mapped open and through the verified heap load must be
 // bit-identical to the original under the scalar, batch, and traced
 // query paths — the traced comparison checks the probe sequences too,
 // so a mapped layer that answered right by a different (wider) search

@@ -58,7 +58,7 @@ func Save[K kv.Key](w io.Writer, ix Index[K]) error {
 
 // SaveFile writes ix crash-safely to path (temp file + atomic rename) in
 // the mappable v2 layout (page-aligned sections, per-section CRCs),
-// loadable by both the streaming and mapped paths.
+// loadable by both the heap and the mapped entry points.
 func SaveFile[K kv.Key](path string, ix Index[K]) error {
 	p, ok := ix.(Persister)
 	if !ok {
@@ -67,74 +67,51 @@ func SaveFile[K kv.Key](path string, ix Index[K]) error {
 	return snapshot.SaveFile(path, p.SnapshotKind(), p.PersistSnapshot)
 }
 
-// Load reads one snapshot container and restores the index through the
-// loader registered for its kind. total is the input size in bytes (-1
-// when unknown; a known size lets the reader bound section lengths up
-// front). The container checksum is verified before the index is
-// returned.
+// Load reads one snapshot container onto the heap and restores the index
+// through the loader registered for its kind. total is the input size in
+// bytes (-1 to read to EOF). Every checksum is verified, and the loader
+// runs its O(n) checks, before the index is returned.
 func Load[K kv.Key](r io.Reader, total int64) (Index[K], error) {
-	var ix Index[K]
-	err := snapshot.Load(r, total, func(sr *snapshot.Reader) error {
-		var lerr error
-		ix, lerr = dispatchLoad[K](sr)
-		return lerr
-	})
+	m, err := snapshot.Read(r, total)
 	if err != nil {
 		return nil, err
 	}
-	return ix, nil
+	return dispatch[K](m)
 }
 
-// LoadFile restores an index from a snapshot file written by SaveFile.
+// LoadFile restores an index from a snapshot file written by SaveFile,
+// verified in full like Load.
 func LoadFile[K kv.Key](path string) (Index[K], error) {
-	var ix Index[K]
-	err := snapshot.LoadFile(path, func(sr *snapshot.Reader) error {
-		var lerr error
-		ix, lerr = dispatchLoad[K](sr)
-		return lerr
-	})
+	m, err := snapshot.ReadFile(path)
 	if err != nil {
 		return nil, err
+	}
+	ix, err := dispatch[K](m)
+	if err != nil {
+		return nil, fmt.Errorf("index: %s: %w", path, err)
 	}
 	return ix, nil
 }
 
-// LoadFileMapped restores an index by mapping the snapshot in place when
-// it can — a v2 container, a registered mapped loader for its kind, and
-// a layout the host can view — and falls back to the streaming heap load
-// otherwise (a v1 snapshot from an earlier build always does). The
-// returned flag reports which path served: callers print it (shifttool)
-// or export it (/statusz) so "warm restart was fast" is attributable. A
-// mapped open trusts the container structurally and defers payload CRCs
-// (see core's mapped loaders); the heap fallback keeps the eager full
-// verification.
+// LoadFileMapped restores an index by mapping the snapshot: a v2
+// container is viewed in place, and the returned flag reports that the
+// index serves from the mapping — callers print it (shifttool) or export
+// it (/statusz) so "warm restart was fast" is attributable. A v1
+// container from an earlier build opens on the heap through the same
+// loader and reports false. A mapped open trusts the container
+// structurally and defers payload CRCs (see core's mapped loaders);
+// LoadFile keeps the eager full verification.
 func LoadFileMapped[K kv.Key](path string) (Index[K], bool, error) {
 	m, err := snapshot.MapFile(path)
 	if err != nil {
-		ix, herr := LoadFile[K](path)
-		if herr != nil {
-			return nil, false, herr
-		}
-		return ix, false, nil
+		return nil, false, err
 	}
 	defer m.Close()
-	fn, ok := mapLoaders.Load(snapLoaderKey{kind: m.Kind(), width: kv.Width[K]()})
-	if !ok {
-		ix, herr := LoadFile[K](path)
-		return ix, false, herr
-	}
-	ix, err := fn.(func(*snapshot.Mapped) (Index[K], error))(m)
+	ix, err := dispatch[K](m)
 	if err != nil {
-		// A mapped parse rejection (corrupt geometry, misaligned view) is
-		// not necessarily fatal to the file: the streaming loader verifies
-		// end to end and gives the authoritative answer.
-		ix, herr := LoadFile[K](path)
-		if herr != nil {
-			return nil, false, herr
-		}
-		return ix, false, nil
+		return nil, false, fmt.Errorf("index: %s: %w", path, err)
 	}
-	return ix, true, nil
+	return ix, m.Region() != nil, nil
 }
 
 // NewShiftIndex wraps a built (or snapshot-restored) Shift-Table in the
@@ -145,36 +122,32 @@ func NewShiftIndex[K kv.Key](t *core.Table[K]) Index[K] {
 	return shiftIndex[K]{t}
 }
 
-func dispatchLoad[K kv.Key](sr *snapshot.Reader) (Index[K], error) {
-	fn, ok := snapLoaders.Load(snapLoaderKey{kind: sr.Kind(), width: kv.Width[K]()})
+// dispatch restores an index through the loader registered for the
+// container's kind and key width.
+func dispatch[K kv.Key](m *snapshot.Mapped) (Index[K], error) {
+	fn, ok := loaders.Load(loaderKey{kind: m.Kind(), width: kv.Width[K]()})
 	if !ok {
 		return nil, fmt.Errorf("index: no loader registered for snapshot kind %q (%d-byte keys)",
-			sr.Kind(), kv.Width[K]())
+			m.Kind(), kv.Width[K]())
 	}
-	return fn.(func(*snapshot.Reader) (Index[K], error))(sr)
+	return fn.(func(*snapshot.Mapped) (Index[K], error))(m)
 }
 
-type snapLoaderKey struct {
+type loaderKey struct {
 	kind  string
 	width int
 }
 
-var snapLoaders sync.Map // snapLoaderKey -> func(*snapshot.Reader) (Index[K], error)
-var mapLoaders sync.Map  // snapLoaderKey -> func(*snapshot.Mapped) (Index[K], error)
+var loaders sync.Map // loaderKey -> func(*snapshot.Mapped) (Index[K], error)
 
-// RegisterSnapshotLoader registers the restore function for a snapshot
-// kind, keyed by kind and key width. Called from package init functions
-// (this package registers the core kinds; internal/router registers its
-// own); later registrations for the same key replace earlier ones.
-func RegisterSnapshotLoader[K kv.Key](kind string, fn func(*snapshot.Reader) (Index[K], error)) {
-	snapLoaders.Store(snapLoaderKey{kind: kind, width: kv.Width[K]()}, fn)
-}
-
-// RegisterMappedLoader registers the zero-copy restore function for a
-// snapshot kind; kinds without one fall back to the streaming loader in
-// LoadFileMapped.
-func RegisterMappedLoader[K kv.Key](kind string, fn func(*snapshot.Mapped) (Index[K], error)) {
-	mapLoaders.Store(snapLoaderKey{kind: kind, width: kv.Width[K]()}, fn)
+// RegisterLoader registers the restore function for a snapshot kind,
+// keyed by kind and key width. Called from package init functions (this
+// package registers the core kinds; internal/router and
+// internal/concurrent register their own); later registrations for the
+// same key replace earlier ones. The loader reads an opened container
+// and runs its O(n) checks exactly when the container is verified.
+func RegisterLoader[K kv.Key](kind string, fn func(*snapshot.Mapped) (Index[K], error)) {
+	loaders.Store(loaderKey{kind: kind, width: kv.Width[K]()}, fn)
 }
 
 func init() {
@@ -185,8 +158,8 @@ func init() {
 // registerCoreLoaders wires the core kinds and the out-of-package model
 // families for one key width.
 func registerCoreLoaders[K kv.Key]() {
-	RegisterSnapshotLoader[K](core.SnapshotKindTable, func(sr *snapshot.Reader) (Index[K], error) {
-		t, err := core.LoadTableSnapshot[K](sr)
+	RegisterLoader[K](core.SnapshotKindTable, func(m *snapshot.Mapped) (Index[K], error) {
+		t, err := core.MapTableSnapshot[K](m)
 		if err != nil {
 			return nil, err
 		}
@@ -194,17 +167,7 @@ func registerCoreLoaders[K kv.Key]() {
 		// the Table 2 footprint convention (layer plus host model).
 		return shiftIndex[K]{t}, nil
 	})
-	RegisterSnapshotLoader[K](core.SnapshotKindModelIndex, func(sr *snapshot.Reader) (Index[K], error) {
-		return core.LoadModelIndexSnapshot[K](sr)
-	})
-	RegisterMappedLoader[K](core.SnapshotKindTable, func(m *snapshot.Mapped) (Index[K], error) {
-		t, err := core.MapTableSnapshot[K](m)
-		if err != nil {
-			return nil, err
-		}
-		return shiftIndex[K]{t}, nil
-	})
-	RegisterMappedLoader[K](core.SnapshotKindModelIndex, func(m *snapshot.Mapped) (Index[K], error) {
+	RegisterLoader[K](core.SnapshotKindModelIndex, func(m *snapshot.Mapped) (Index[K], error) {
 		return core.MapModelIndexSnapshot[K](m)
 	})
 	core.RegisterModelLoader[K]("RS", func(keys []K, params []byte) (cdfmodel.Model[K], error) {

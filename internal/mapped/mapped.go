@@ -194,7 +194,7 @@ var testHookBeforeMap func(path string)
 // hostLittleEndian reports the byte order views require: the v2 layout
 // stores all integers little-endian, and an in-place view is only a
 // reinterpretation — on a big-endian host every multi-byte read would be
-// byte-swapped, so View refuses and callers fall back to the heap path.
+// byte-swapped, so View refuses and the load fails with its error.
 var hostLittleEndian = func() bool {
 	x := uint16(0x0102)
 	return *(*byte)(unsafe.Pointer(&x)) == 0x02
@@ -203,8 +203,7 @@ var hostLittleEndian = func() bool {
 // View reinterprets b in place as a slice of T: no copy, no allocation.
 // It requires b's length to be a multiple of T's size, b's base address
 // to be aligned for T, and a little-endian host; any violation returns an
-// error so callers can fall back to a copying read instead of serving
-// garbage.
+// error instead of serving garbage.
 func View[T ~int8 | ~int16 | ~int32 | ~int64 | ~uint16 | ~uint32 | ~uint64](b []byte) ([]T, error) {
 	var zero T
 	size := int(unsafe.Sizeof(zero))

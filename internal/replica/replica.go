@@ -17,7 +17,6 @@ import (
 	"repro/internal/concurrent"
 	"repro/internal/kv"
 	"repro/internal/mapped"
-	snap "repro/internal/snapshot"
 )
 
 // stateName is the replica's local warm-restart record: which version is
@@ -31,15 +30,14 @@ type LoadMode int
 
 const (
 	// LoadAuto maps v2 artifacts in place when the platform supports
-	// real mappings, and streams otherwise. The default.
+	// real mappings, and reads them onto the heap otherwise. The default.
 	LoadAuto LoadMode = iota
-	// LoadHeap always uses the streaming heap load (the eager-verify
-	// path; every install re-parses and copies the artifact).
+	// LoadHeap always uses the verified heap load (the eager-verify
+	// path; every install re-reads and re-checks the artifact).
 	LoadHeap
-	// LoadMap always prefers the mapped open, even on platforms where
-	// the region is a heap read behind the same API. Artifacts that
-	// cannot map (v1 layout, corrupt geometry) still fall back to the
-	// streaming load rather than failing the install.
+	// LoadMap always uses the mapped open, even on platforms where the
+	// region is a heap read behind the same API. A v1 artifact from an
+	// earlier build opens on the heap through the same call.
 	LoadMap
 )
 
@@ -162,8 +160,10 @@ func (r *Replica[K]) useMap() bool {
 // loadState opens a verified-on-disk full artifact per the load mode.
 // The mapped open performs no second CRC pass: every byte of the file
 // was already checked against the manifest — by fetchArtifact's stream
-// CRC as it spooled, or by fileSum when reusing a leftover copy — and
-// the v2 geometry validation plus lazy section CRCs cover the rest.
+// CRC as it spooled, or by fileSum when reusing a leftover copy or
+// restoring a warm restart — and the v2 geometry validation plus lazy
+// section CRCs cover the rest. A v1 artifact from an earlier build
+// opens on the heap through the same call.
 func (r *Replica[K]) loadState(path string) (*concurrent.State[K], error) {
 	if r.useMap() {
 		st, _, err := concurrent.MapStateFile[K](path)
@@ -426,32 +426,16 @@ func (r *Replica[K]) warmRestart() {
 }
 
 // restoreBase re-verifies and reopens the recorded base artifact for a
-// warm restart, returning nil when anything disagrees. The mapped path
-// checks the recorded whole-file CRC over the mapped bytes — the same
-// content binding fileSum computes, but one zero-copy pass — and then
-// opens the state in O(1) instead of re-parsing; against a large base
-// that is the difference between touching pages and rebuilding the
-// heap image of the whole file.
+// warm restart, returning nil when anything disagrees: the file must
+// match the recorded whole-file CRC — the content binding the manifest
+// made — and then opens per the load mode (loadState), a mapped open
+// staying O(sections) after that one sequential pass.
 func (r *Replica[K]) restoreBase(basePath string, baseCRC uint32) *concurrent.State[K] {
-	if r.useMap() {
-		if m, err := snap.MapFile(basePath); err == nil {
-			data := m.Region().Bytes()
-			if len(data) > 0 && crc32.Checksum(data, castagnoli) == baseCRC {
-				if st, err := concurrent.MapState[K](m); err == nil {
-					m.Close()
-					return st
-				}
-			}
-			m.Close()
-		}
-		// Not mappable (v1 artifact, bad geometry): fall through to the
-		// streaming path, which verifies and loads both layouts.
-	}
 	sz, sum, err := fileSum(basePath)
 	if err != nil || sum != baseCRC || sz <= 0 {
 		return nil
 	}
-	st, err := concurrent.LoadStateFile[K](basePath)
+	st, err := r.loadState(basePath)
 	if err != nil {
 		return nil
 	}

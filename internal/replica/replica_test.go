@@ -317,8 +317,9 @@ func TestWarmRestartRefusesOtherRecordVersions(t *testing.T) {
 // TestSyncV1FixtureStore syncs from a store an earlier build published: a
 // version 1 manifest over a v1 concurrent full plus a delta
 // (testdata/v1/store; see testdata/v1/README.md for how it was made).
-// The full cannot map, so even a LoadMap replica installs it through the
-// streaming fallback, and every answer matches the oracle. A publisher of
+// The full is v1, so even a LoadMap replica's open puts it on the heap
+// (through the same loader as a mapped v2 full), and every answer
+// matches the oracle. A publisher of
 // this build then adopts the store: its next full is v2 and maps.
 func TestSyncV1FixtureStore(t *testing.T) {
 	ctx := context.Background()

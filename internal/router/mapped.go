@@ -11,9 +11,9 @@ import (
 	"repro/internal/snapshot"
 )
 
-// This file is the router's zero-copy load path plus the tiered residency
-// hook (DESIGN.md §12). A mapped router views the shared key section in
-// place and restores each shard over its slice of that view: shift-table
+// This file is the router's one load path plus the tiered residency
+// hook (DESIGN.md §12). The loader views the shared key section in place
+// and restores each shard over its slice of that view: shift-table
 // shards view their layer sections too, bare-model shards rebuild their
 // (parameter-free) models, and rebuild-mode shards build on the heap as
 // before — but even they index mapped key pages, so the big allocation
@@ -22,11 +22,13 @@ import (
 // byte budget, Find/FindBatch report per-shard heat, and EstimateNs
 // prices queries into cold shards with the memsim fault model.
 
-// mapSnapshot restores a router over a mapped container. The O(n)
-// invariants the streaming loader checks eagerly (keys sorted) are
-// trusted here — see the trust note in core's mapped loaders; the O(1)
+// mapSnapshot restores a router over an opened container: keys, plan,
+// then per shard either the keyless sections restored over the shard's
+// slice of the keys, or a rebuild of the recorded backend. The O(n)
+// invariant (keys sorted) is checked exactly when the container is
+// verified — see the trust note in core's mapped loaders; the O(1)
 // per-shard plan cross-checks (bound matches first key, no duplicate-run
-// cuts, lengths consistent) are all kept.
+// cuts, lengths consistent) always run.
 func mapSnapshot[K kv.Key](m *snapshot.Mapped) (*Router[K], error) {
 	if m.Kind() != SnapshotKind {
 		return nil, fmt.Errorf("router: container holds %q, want %q", m.Kind(), SnapshotKind)
@@ -39,6 +41,9 @@ func mapSnapshot[K kv.Key](m *snapshot.Mapped) (*Router[K], error) {
 	keys, err := snapshot.MapKeySection[K](ks)
 	if err != nil {
 		return nil, err
+	}
+	if m.Verified() && !kv.IsSorted(keys) {
+		return nil, fmt.Errorf("router: snapshot keys are not sorted")
 	}
 	ps, err := m.Expect(secRouterPlan)
 	if err != nil {
@@ -69,6 +74,8 @@ func mapSnapshot[K kv.Key](m *snapshot.Mapped) (*Router[K], error) {
 			return nil, fmt.Errorf("router: shard %d bound %d does not match key %d at rank %d",
 				i, e.bound, shardKeys[0], lo)
 		}
+		// A cut inside a duplicate run would break the local-rank + offset
+		// identity Find relies on (shardCuts never produces one).
 		if lo > 0 && keys[lo-1] == shardKeys[0] {
 			return nil, fmt.Errorf("router: shard %d cut at rank %d splits a duplicate run", i, lo)
 		}
@@ -157,10 +164,10 @@ func (r *Router[K]) SetResidency(budget int64) (*mapped.Residency, error) {
 func (r *Router[K]) Residency() *mapped.Residency { return r.res }
 
 func init() {
-	index.RegisterMappedLoader[uint64](SnapshotKind, func(m *snapshot.Mapped) (index.Index[uint64], error) {
+	index.RegisterLoader[uint64](SnapshotKind, func(m *snapshot.Mapped) (index.Index[uint64], error) {
 		return mapSnapshot[uint64](m)
 	})
-	index.RegisterMappedLoader[uint32](SnapshotKind, func(m *snapshot.Mapped) (index.Index[uint32], error) {
+	index.RegisterLoader[uint32](SnapshotKind, func(m *snapshot.Mapped) (index.Index[uint32], error) {
 		return mapSnapshot[uint32](m)
 	})
 }

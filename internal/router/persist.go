@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/kv"
 	"repro/internal/snapshot"
@@ -124,94 +123,6 @@ type planEntry struct {
 	backend  string
 }
 
-// loadSnapshot restores a router: keys, plan, then per shard either the
-// keyless sections restored over the shard's slice of the keys, or a
-// rebuild of the recorded backend.
-func loadSnapshot[K kv.Key](sr *snapshot.Reader) (*Router[K], error) {
-	ks, err := sr.Expect(secRouterKeys)
-	if err != nil {
-		return nil, err
-	}
-	keys, err := snapshot.ReadKeySection[K](ks, 0)
-	if err != nil {
-		return nil, err
-	}
-	if !kv.IsSorted(keys) {
-		return nil, fmt.Errorf("router: snapshot keys are not sorted")
-	}
-	ps, err := sr.Expect(secRouterPlan)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := ps.Bytes(0)
-	if err != nil {
-		return nil, err
-	}
-	entries, err := decodePlan(plan, len(keys))
-	if err != nil {
-		return nil, err
-	}
-	r := &Router[K]{keys: keys, n: len(keys)}
-	if len(entries) == 0 {
-		if r.n != 0 {
-			return nil, fmt.Errorf("router: snapshot plan has no shards over %d keys", r.n)
-		}
-		return r, nil
-	}
-	nsh := len(entries)
-	r.bounds = make([]K, nsh)
-	r.offs = make([]int, nsh)
-	r.shards = make([]index.Index[K], nsh)
-	r.choices = make([]Choice, nsh)
-	for i, e := range entries {
-		lo, hi := e.off, e.off+e.length
-		shardKeys := keys[lo:hi]
-		if uint64(shardKeys[0]) != e.bound {
-			return nil, fmt.Errorf("router: shard %d bound %d does not match key %d at rank %d",
-				i, e.bound, shardKeys[0], lo)
-		}
-		// A cut inside a duplicate run would break the local-rank + offset
-		// identity Find relies on (shardCuts never produces one).
-		if lo > 0 && keys[lo-1] == shardKeys[0] {
-			return nil, fmt.Errorf("router: shard %d cut at rank %d splits a duplicate run", i, lo)
-		}
-		var ix index.Index[K]
-		var serr error
-		switch e.mode {
-		case shardTable:
-			var tab *core.Table[K]
-			tab, serr = core.LoadTableWithKeys(sr, shardKeys, secRouterShardModel, secRouterShardLayer)
-			if serr == nil {
-				ix = index.NewShiftIndex(tab)
-			}
-		case shardModelIndex:
-			ix, serr = core.LoadModelIndexWithKeys(sr, shardKeys, secRouterShardModel)
-		case shardRebuild:
-			ix, serr = index.Build(e.backend, shardKeys)
-		default:
-			serr = fmt.Errorf("unknown shard persistence mode %d", e.mode)
-		}
-		if serr != nil {
-			return nil, fmt.Errorf("router: restoring shard %d (%s): %w", i, e.backend, serr)
-		}
-		if ix.Len() != e.length {
-			return nil, fmt.Errorf("router: shard %d restored with %d keys, plan records %d",
-				i, ix.Len(), e.length)
-		}
-		r.bounds[i] = shardKeys[0]
-		r.offs[i] = lo
-		r.shards[i] = ix
-		r.choices[i] = Choice{
-			Backend:  e.backend,
-			EstNs:    e.estNs,
-			FirstKey: e.bound,
-			Len:      e.length,
-			Measured: e.measured,
-		}
-	}
-	return r, nil
-}
-
 // decodePlan parses and cross-validates the plan section: shard count
 // bounded, offsets contiguous from zero, lengths positive and summing to
 // the key count. off and length are validated individually against n
@@ -272,13 +183,4 @@ func boolByte(b bool) byte {
 		return 1
 	}
 	return 0
-}
-
-func init() {
-	index.RegisterSnapshotLoader[uint64](SnapshotKind, func(sr *snapshot.Reader) (index.Index[uint64], error) {
-		return loadSnapshot[uint64](sr)
-	})
-	index.RegisterSnapshotLoader[uint32](SnapshotKind, func(sr *snapshot.Reader) (index.Index[uint32], error) {
-		return loadSnapshot[uint32](sr)
-	})
 }

@@ -6,42 +6,46 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
 	"sync/atomic"
 
 	"repro/internal/kv"
 	"repro/internal/mapped"
 )
 
-// This file is the zero-copy side of the v2 layout: Mapped parses a v2
-// container over an mmap'd byte region without reading the payloads.
-// Opening costs O(sections), not O(bytes) — the footer, TOC, headers and
-// padding are validated eagerly; payload CRCs verify lazily through
-// Verify/VerifyAll. Everything structural a hostile file could lie about
-// (offsets, lengths, counts, alignment) is cross-checked against the walk
-// the streaming reader would have performed, so a section handed to a
-// loader is exactly the byte range its header, its TOC entry and the
-// container geometry all agree on.
+// This file is the one decoder of both layouts: Open parses a container
+// over bytes already in memory — a mapping, or a heap read of the file —
+// into the list of its sections, and every loader walks that list.
+// Opening a v2 container costs O(sections), not O(bytes): the footer,
+// TOC, headers and padding are validated eagerly, payload CRCs verify
+// lazily through Verify/VerifyAll. Everything structural a hostile file
+// could lie about (offsets, lengths, counts, alignment) is cross-checked
+// against the section chain itself, so a section handed to a loader is
+// exactly the byte range its header, its TOC entry and the container
+// geometry all agree on. A v1 container has no TOC and no per-section
+// CRCs, so Open walks its section headers and checks its trailing
+// checksum at once; its sections are verified from the start.
 //
 // Trust model: an unverified payload is memory-safe to parse (every
 // slice is bounds-derived from validated geometry) but not yet known to
-// be the written bytes. Callers choose the verification point: the
-// replica maps artifacts whose whole-file CRC was verified at fetch time
-// and calls VerifyAll before trusting a warm-restart file; shifttool
-// verifies on demand.
+// be the written bytes. Verified reports whether the whole container
+// is known good — VerifyAll ran, or the container is v1 — and the
+// loaders run their O(n) invariant checks (keys sorted, partition
+// counts bounded) exactly then. The heap entry points (ReadFile, Read)
+// always verify in full; a mapped open (MapFile) leaves it to the
+// caller: the replica maps artifacts whose whole-file CRC it checked at
+// fetch time, and so serves them after an O(sections) open.
 
-// ErrNotMappable reports a container in the v1 streaming layout (or not
-// a container at all): it carries no TOC and no alignment, so it cannot
-// be viewed in place. Callers fall back to the heap loaders.
-var ErrNotMappable = errors.New("snapshot: not a mappable (v2) container")
-
-// MappedSection is one section of a mapped container. Data aliases the
-// mapping: read-only, and it must not outlive the region.
+// MappedSection is one section of an opened container. Data aliases the
+// container bytes (a heap copy in v1): read-only, and it must not outlive
+// the region.
 type MappedSection struct {
 	ID   uint32
-	Off  int64 // payload offset in the container (page-aligned)
+	Off  int64 // payload offset in the container (page-aligned in v2)
 	Data []byte
 
 	crc      uint32
+	v1       bool // stream-framed: key sections carry a 4-byte prefix
 	verified atomic.Bool
 }
 
@@ -60,50 +64,112 @@ func (s *MappedSection) Verify() error {
 	return nil
 }
 
-// Mapped is a parsed v2 container over a byte region.
+// Mapped is an opened container over a byte region.
 type Mapped struct {
-	region *mapped.Region
-	data   []byte
-	kind   string
-	secs   []MappedSection
-	cursor int
+	region   *mapped.Region
+	data     []byte
+	kind     string
+	secs     []MappedSection
+	cursor   int
+	verified bool
 }
 
-// MapFile maps path and parses it as a v2 container. The returned Mapped
-// owns one region reference; Close releases it. Loaders that build
-// long-lived structures over the mapping take their own references
-// (Region().Retain()) before the caller Closes.
+// MapFile maps path and opens it. A v2 container is viewed in place: the
+// returned Mapped owns one region reference, Close releases it, and
+// loaders that build long-lived structures over the mapping take their
+// own references (Region().Retain()) before the caller Closes. A v1
+// container keeps no region (Region returns nil): Open copies its
+// sections onto the heap, so nothing built from it reports a mapped open.
 func MapFile(path string) (*Mapped, error) {
 	region, err := mapped.Map(path)
 	if err != nil {
 		return nil, err
 	}
-	m, err := parseMapped(region.Bytes())
+	m, err := Open(region.Bytes())
 	if err != nil {
 		region.Release()
 		return nil, fmt.Errorf("snapshot: %s: %w", path, err)
+	}
+	if string(m.data[:8]) == string(magic[:]) {
+		region.Release() // the v1 sections are heap copies
+		m.data = nil
+		return m, nil
 	}
 	m.region = region
 	return m, nil
 }
 
-// OpenMappedBytes parses a v2 container over caller-owned bytes (tests
-// and fuzzing; no region, so Close is a no-op and Region returns nil).
-func OpenMappedBytes(data []byte) (*Mapped, error) {
-	return parseMapped(data)
+// ReadFile reads a container file onto the heap, opens it and verifies
+// every checksum: the eager, fully verified load.
+func ReadFile(path string) (*Mapped, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: reading %s: %w", path, err)
+	}
+	m, err := openVerified(data)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: %s: %w", path, err)
+	}
+	return m, nil
+}
+
+// Read is ReadFile over an arbitrary reader: total is the input size in
+// bytes, or -1 to read to EOF. The input is read incrementally, so a
+// lying total cannot allocate more than the bytes actually present.
+func Read(r io.Reader, total int64) (*Mapped, error) {
+	if total >= 0 {
+		r = io.LimitReader(r, total)
+	}
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: reading container: %w", err)
+	}
+	if total >= 0 && int64(len(data)) != total {
+		return nil, fmt.Errorf("snapshot: container truncated at %d of %d bytes", len(data), total)
+	}
+	return openVerified(data)
+}
+
+func openVerified(data []byte) (*Mapped, error) {
+	m, err := Open(data)
+	if err != nil {
+		return nil, err
+	}
+	if err := m.VerifyAll(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Open parses a container of either layout over caller-owned bytes (no
+// region: Close is a no-op and Region returns nil).
+func Open(data []byte) (*Mapped, error) {
+	kind, headEnd, v1, err := parseHeader(data)
+	if err != nil {
+		return nil, err
+	}
+	m := &Mapped{data: data, kind: kind}
+	if v1 {
+		err = m.parseStream(headEnd)
+	} else {
+		err = m.parseMapped(headEnd)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // Kind returns the backend kind recorded in the header.
 func (m *Mapped) Kind() string { return m.kind }
 
-// Region returns the backing region (nil for OpenMappedBytes).
+// Region returns the backing region (nil unless a v2 file was mapped).
 func (m *Mapped) Region() *mapped.Region { return m.region }
 
 // Sections returns the number of sections.
 func (m *Mapped) Sections() int { return len(m.secs) }
 
-// Rewind resets the section cursor (loaders walk sections in order, like
-// the streaming reader's Next/Expect).
+// Rewind resets the section cursor (loaders walk sections in order).
 func (m *Mapped) Rewind() { m.cursor = 0 }
 
 // Next returns the next section; io.EOF past the last.
@@ -131,8 +197,8 @@ func (m *Mapped) Expect(id uint32) (*MappedSection, error) {
 	return s, nil
 }
 
-// Done fails if sections remain unconsumed — the mapped analogue of the
-// streaming reader rejecting trailing sections.
+// Done fails if sections remain unconsumed: a loader accepts exactly the
+// section sequence its kind documents.
 func (m *Mapped) Done() error {
 	if m.cursor < len(m.secs) {
 		return fmt.Errorf("snapshot: %d unconsumed trailing sections (next id %d)",
@@ -141,18 +207,33 @@ func (m *Mapped) Done() error {
 	return nil
 }
 
-// VerifyAll checks every section payload against its TOC CRC — one
-// sequential hardware-CRC pass over the mapped bytes, the cheap
-// whole-file integrity check warm restart runs before trusting a file
-// that was not verified at fetch time.
+// VerifyAll checks every section payload against its TOC CRC and the
+// footer's whole-container CRC — one sequential hardware-CRC pass over
+// the bytes per check, the integrity a heap load runs before a loader
+// sees a section. After it succeeds, Verified reports true.
 func (m *Mapped) VerifyAll() error {
+	if m.verified {
+		return nil
+	}
 	for i := range m.secs {
 		if err := m.secs[i].Verify(); err != nil {
 			return err
 		}
 	}
+	end := len(m.data) - footerSize + 16
+	if stored, got := binary.LittleEndian.Uint32(m.data[end:]), crc32.Checksum(m.data[:end], crcTable); stored != got {
+		return fmt.Errorf("snapshot: checksum mismatch (stored %08x, computed %08x): corrupt or truncated container",
+			stored, got)
+	}
+	m.verified = true
 	return nil
 }
+
+// Verified reports whether every byte of the container has been checked
+// against its checksums: VerifyAll succeeded, or the container is v1,
+// whose one checksum Open checks. Loaders run their O(n) invariant
+// checks exactly when it is true.
+func (m *Mapped) Verified() bool { return m.verified }
 
 // Close releases the Mapped's own region reference. Structures that
 // retained the region keep it alive; Close only ends this handle.
@@ -165,65 +246,156 @@ func (m *Mapped) Close() error {
 	return nil
 }
 
-// MapKeySection views a v2 key section's keys in place: the 8-byte
-// prefix (width + alignment pad) is validated exactly as ReadKeySection
-// does, then the body is reinterpreted with no copy. The payload starts
-// page-aligned and the prefix is 8 bytes, so the key data is aligned for
-// any key width; a fallback buffer that happens to be misaligned fails
-// the View check and the caller falls back to the heap read.
+// MapKeySection returns a key section's keys: the prefix (the key width,
+// plus a zero alignment pad in v2) is validated, then a v2 body is
+// viewed in place with no copy — the payload starts page-aligned and the
+// prefix is 8 bytes, so the key data is aligned for any key width. A v1
+// body follows a 4-byte prefix and is decoded into a fresh slice.
 func MapKeySection[K kv.Key](s *MappedSection) ([]K, error) {
 	width := int64(kv.Width[K]())
-	if int64(len(s.Data)) < 8 {
+	prefix := int64(8)
+	if s.v1 {
+		prefix = 4
+	}
+	if int64(len(s.Data)) < prefix {
 		return nil, fmt.Errorf("snapshot: key section %d too short (%d bytes)", s.ID, len(s.Data))
 	}
 	if got := int64(binary.LittleEndian.Uint32(s.Data)); got != width {
 		return nil, fmt.Errorf("snapshot: key section %d has %d-byte keys, this index uses %d-byte keys", s.ID, got, width)
 	}
-	if pad := binary.LittleEndian.Uint32(s.Data[4:8]); pad != 0 {
-		return nil, fmt.Errorf("snapshot: key section %d has nonzero alignment pad %08x", s.ID, pad)
+	if !s.v1 {
+		if pad := binary.LittleEndian.Uint32(s.Data[4:8]); pad != 0 {
+			return nil, fmt.Errorf("snapshot: key section %d has nonzero alignment pad %08x", s.ID, pad)
+		}
 	}
-	body := s.Data[8:]
+	body := s.Data[prefix:]
 	if int64(len(body))%width != 0 {
 		return nil, fmt.Errorf("snapshot: key section %d payload %d bytes is not a multiple of the %d-byte key width",
 			s.ID, len(body), width)
 	}
-	return mapped.View[K](body)
+	if !s.v1 {
+		return mapped.View[K](body)
+	}
+	keys := make([]K, len(body)/int(width))
+	for i := range keys {
+		if width == 4 {
+			keys[i] = K(binary.LittleEndian.Uint32(body[4*i:]))
+		} else {
+			keys[i] = K(binary.LittleEndian.Uint64(body[8*i:]))
+		}
+	}
+	return keys, nil
 }
 
-// parseMapped validates the container geometry end to end. Every read is
-// bounds-checked against len(data) before it happens, and every TOC
-// claim is recomputed from the walk rather than believed.
-func parseMapped(data []byte) (*Mapped, error) {
+// parseHeader validates the fixed header both layouts share — magic,
+// version, kind — and returns the kind, the offset just past it, and
+// whether the container is stream-framed (v1). data may be a prefix of
+// the container.
+func parseHeader(data []byte) (kind string, headEnd int, v1 bool, err error) {
 	const headFixed = 8 + 4 + 4
-	if len(data) < headFixed+1+16+footerSize {
-		return nil, fmt.Errorf("%w (only %d bytes)", ErrNotMappable, len(data))
+	if len(data) < headFixed {
+		return "", 0, false, fmt.Errorf("snapshot: not a snapshot container (only %d bytes)", len(data))
 	}
-	if string(data[:8]) != string(magic2[:]) {
-		if string(data[:8]) == string(magic[:]) {
-			return nil, fmt.Errorf("%w (v1 streaming layout)", ErrNotMappable)
-		}
-		return nil, fmt.Errorf("%w (bad magic)", ErrNotMappable)
+	want := uint32(version2)
+	switch string(data[:8]) {
+	case string(magic[:]):
+		v1, want = true, version1
+	case string(magic2[:]):
+	default:
+		return "", 0, false, fmt.Errorf("snapshot: not a snapshot container (bad magic)")
 	}
-	if ver := binary.LittleEndian.Uint32(data[8:]); ver != version2 {
-		return nil, fmt.Errorf("snapshot: container version %d under v2 magic, this build reads %d: %w",
-			ver, version2, ErrVersionUnsupported)
+	if ver := binary.LittleEndian.Uint32(data[8:]); ver != want {
+		return "", 0, false, fmt.Errorf("snapshot: container version %d under %q magic, this build reads %d and %d: %w",
+			ver, data[:8], version1, version2, ErrVersionUnsupported)
 	}
 	kindLen := binary.LittleEndian.Uint32(data[12:])
 	if kindLen == 0 || kindLen > MaxKindLen {
-		return nil, fmt.Errorf("snapshot: invalid kind length %d (must be 1..%d)", kindLen, MaxKindLen)
+		return "", 0, false, fmt.Errorf("snapshot: invalid kind length %d (must be 1..%d)", kindLen, MaxKindLen)
 	}
-	headEnd := int64(headFixed) + int64(kindLen)
-	if headEnd+16+footerSize > int64(len(data)) {
-		return nil, fmt.Errorf("snapshot: container too short for its %d-byte kind", kindLen)
+	headEnd = headFixed + int(kindLen)
+	if headEnd > len(data) {
+		return "", 0, false, fmt.Errorf("snapshot: container too short for its %d-byte kind", kindLen)
 	}
-	kind := string(data[headFixed:headEnd])
+	return string(data[headFixed:headEnd]), headEnd, v1, nil
+}
 
+// ReadKindFile returns the backend kind recorded in a snapshot file
+// without loading it (tooling: shifttool -load prints it on mismatch).
+func ReadKindFile(path string) (string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	var head [16 + MaxKindLen]byte
+	n, err := io.ReadFull(f, head[:])
+	if err != nil && !errors.Is(err, io.ErrUnexpectedEOF) {
+		return "", fmt.Errorf("snapshot: %s: %w", path, err)
+	}
+	kind, _, _, err := parseHeader(head[:n])
+	if err != nil {
+		return "", fmt.Errorf("snapshot: %s: %w", path, err)
+	}
+	return kind, nil
+}
+
+// parseStream walks a v1 container's section chain from headEnd: every
+// header is bounded against the bytes that remain, the end marker must
+// have length 0, and the 8-byte trailer — the CRC-32C of everything
+// before it, zero-extended — must match and end the input. The sections
+// are then verified. Each payload is copied onto the heap: v1 offsets
+// carry no alignment, and the copy is 8-byte aligned like every heap
+// allocation of 16 bytes or more, so a v2 layer blob inside a v1
+// container still views in place.
+func (m *Mapped) parseStream(headEnd int) error {
+	data := m.data
+	pos := int64(headEnd)
+	for {
+		if pos+16 > int64(len(data)) {
+			return fmt.Errorf("snapshot: section header at %d truncated", pos)
+		}
+		h := data[pos:]
+		id := binary.LittleEndian.Uint32(h)
+		size := binary.LittleEndian.Uint64(h[8:])
+		pos += 16
+		if id == 0 {
+			if size != 0 {
+				return fmt.Errorf("snapshot: end marker with nonzero length %d", size)
+			}
+			break
+		}
+		if size > uint64(int64(len(data))-pos) {
+			return fmt.Errorf("snapshot: section %d length %d exceeds remaining input %d", id, size, int64(len(data))-pos)
+		}
+		m.secs = append(m.secs, MappedSection{ID: id, Off: pos, Data: append([]byte(nil), data[pos:pos+int64(size)]...), v1: true})
+		m.secs[len(m.secs)-1].verified.Store(true)
+		pos += int64(size)
+	}
+	if int64(len(data))-pos != 8 {
+		return fmt.Errorf("snapshot: container ends %d bytes after its end marker, want the 8-byte checksum", int64(len(data))-pos)
+	}
+	if stored, want := binary.LittleEndian.Uint64(data[pos:]), uint64(crc32.Checksum(data[:pos], crcTable)); stored != want {
+		return fmt.Errorf("snapshot: checksum mismatch (stored %016x, computed %016x): corrupt or truncated container",
+			stored, want)
+	}
+	m.verified = true
+	return nil
+}
+
+// parseMapped validates a v2 container's geometry end to end. Every read
+// is bounds-checked against len(data) before it happens, and every TOC
+// claim is recomputed from the walk rather than believed.
+func (m *Mapped) parseMapped(headEnd int) error {
+	data := m.data
+	if int64(headEnd)+16+footerSize > int64(len(data)) {
+		return fmt.Errorf("snapshot: v2 container truncated (%d bytes)", len(data))
+	}
 	foot := data[len(data)-footerSize:]
 	if string(foot[24:32]) != string(endMagic[:]) {
-		return nil, fmt.Errorf("snapshot: footer end magic %q, want %q: truncated or not a v2 container", foot[24:32], endMagic[:])
+		return fmt.Errorf("snapshot: footer end magic %q, want %q: truncated or not a v2 container", foot[24:32], endMagic[:])
 	}
 	if reserved := binary.LittleEndian.Uint32(foot[20:24]); reserved != 0 {
-		return nil, fmt.Errorf("snapshot: footer reserved word is %08x, want 0", reserved)
+		return fmt.Errorf("snapshot: footer reserved word is %08x, want 0", reserved)
 	}
 	tocOff := binary.LittleEndian.Uint64(foot[0:8])
 	tocCount := binary.LittleEndian.Uint32(foot[8:12])
@@ -231,25 +403,25 @@ func parseMapped(data []byte) (*Mapped, error) {
 	// Each section costs at least a 16-byte header, so a count beyond
 	// size/16 is structurally impossible — reject before any allocation.
 	if uint64(tocCount) > uint64(len(data))/16 {
-		return nil, fmt.Errorf("snapshot: TOC claims %d sections in a %d-byte container", tocCount, len(data))
+		return fmt.Errorf("snapshot: TOC claims %d sections in a %d-byte container", tocCount, len(data))
 	}
 	tocBytes := uint64(tocCount) * tocEntrySize
 	wantTocEnd := uint64(len(data) - footerSize)
 	if tocOff > wantTocEnd || wantTocEnd-tocOff != tocBytes {
-		return nil, fmt.Errorf("snapshot: TOC at offset %d with %d entries does not fill the %d bytes before the footer",
+		return fmt.Errorf("snapshot: TOC at offset %d with %d entries does not fill the %d bytes before the footer",
 			tocOff, tocCount, wantTocEnd)
 	}
 	crc := crc32.New(crcTable)
 	crc.Write(data[tocOff:wantTocEnd])
 	crc.Write(foot[0:12])
 	if got := crc.Sum32(); got != storedTocCRC {
-		return nil, fmt.Errorf("snapshot: TOC checksum mismatch (stored %08x, computed %08x)", storedTocCRC, got)
+		return fmt.Errorf("snapshot: TOC checksum mismatch (stored %08x, computed %08x)", storedTocCRC, got)
 	}
 
-	// Walk the section chain exactly as the streaming reader would,
-	// cross-checking each header and padding run against its TOC entry.
-	m := &Mapped{data: data, kind: kind, secs: make([]MappedSection, 0, tocCount)}
-	pos := headEnd
+	// Walk the section chain, cross-checking each header and padding run
+	// against its TOC entry.
+	m.secs = make([]MappedSection, 0, tocCount)
+	pos := int64(headEnd)
 	for i := uint32(0); i < tocCount; i++ {
 		e := data[tocOff+uint64(i)*tocEntrySize:]
 		id := binary.LittleEndian.Uint32(e)
@@ -257,20 +429,20 @@ func parseMapped(data []byte) (*Mapped, error) {
 		off := binary.LittleEndian.Uint64(e[8:])
 		length := binary.LittleEndian.Uint64(e[16:])
 		if id == 0 {
-			return nil, fmt.Errorf("snapshot: TOC entry %d has reserved id 0", i)
+			return fmt.Errorf("snapshot: TOC entry %d has reserved id 0", i)
 		}
 		if pos+16 > int64(tocOff) {
-			return nil, fmt.Errorf("snapshot: section %d header at %d overruns the TOC", i, pos)
+			return fmt.Errorf("snapshot: section %d header at %d overruns the TOC", i, pos)
 		}
 		h := data[pos:]
 		if hid := binary.LittleEndian.Uint32(h); hid != id {
-			return nil, fmt.Errorf("snapshot: section %d header id %d does not match TOC id %d", i, hid, id)
+			return fmt.Errorf("snapshot: section %d header id %d does not match TOC id %d", i, hid, id)
 		}
 		if r := binary.LittleEndian.Uint32(h[4:]); r != 0 {
-			return nil, fmt.Errorf("snapshot: section %d header reserved word is %08x", i, r)
+			return fmt.Errorf("snapshot: section %d header reserved word is %08x", i, r)
 		}
 		if hlen := binary.LittleEndian.Uint64(h[8:]); hlen != length {
-			return nil, fmt.Errorf("snapshot: section %d header length %d does not match TOC length %d", i, hlen, length)
+			return fmt.Errorf("snapshot: section %d header length %d does not match TOC length %d", i, hlen, length)
 		}
 		pos += 16
 		wantOff := pos + padTo(pos, pageAlign)
@@ -278,20 +450,20 @@ func parseMapped(data []byte) (*Mapped, error) {
 		// at least the 16-byte end marker must fit between the payload and
 		// the TOC, so wantOff ≤ tocOff-16 — which also bounds the zero-scan.
 		if wantOff+16 > int64(tocOff) {
-			return nil, fmt.Errorf("snapshot: section %d payload at %d overruns the TOC at %d", i, wantOff, tocOff)
+			return fmt.Errorf("snapshot: section %d payload at %d overruns the TOC at %d", i, wantOff, tocOff)
 		}
 		if off != uint64(wantOff) {
-			return nil, fmt.Errorf("snapshot: section %d payload offset %d is not the aligned %d", i, off, wantOff)
+			return fmt.Errorf("snapshot: section %d payload offset %d is not the aligned %d", i, off, wantOff)
 		}
 		for ; pos < wantOff; pos++ {
 			if data[pos] != 0 {
-				return nil, fmt.Errorf("snapshot: section %d has nonzero padding at offset %d", i, pos)
+				return fmt.Errorf("snapshot: section %d has nonzero padding at offset %d", i, pos)
 			}
 		}
 		// length is hostile until bounded: it must fit between the payload
 		// start and the end marker that precedes the TOC.
 		if room := tocOff - 16 - off; length > room {
-			return nil, fmt.Errorf("snapshot: section %d payload [%d, +%d) overruns the container", i, off, length)
+			return fmt.Errorf("snapshot: section %d payload [%d, +%d) overruns the container", i, off, length)
 		}
 		pos = int64(off + length)
 		m.secs = append(m.secs, MappedSection{
@@ -302,17 +474,17 @@ func parseMapped(data []byte) (*Mapped, error) {
 		})
 	}
 	if pos+16 != int64(tocOff) {
-		return nil, fmt.Errorf("snapshot: sections end at %d but the TOC starts at %d", pos+16, tocOff)
+		return fmt.Errorf("snapshot: sections end at %d but the TOC starts at %d", pos+16, tocOff)
 	}
 	end := data[pos:]
 	if id := binary.LittleEndian.Uint32(end); id != 0 {
-		return nil, fmt.Errorf("snapshot: end marker has id %d, want 0", id)
+		return fmt.Errorf("snapshot: end marker has id %d, want 0", id)
 	}
 	if r := binary.LittleEndian.Uint32(end[4:]); r != 0 {
-		return nil, fmt.Errorf("snapshot: end marker reserved word is %08x", r)
+		return fmt.Errorf("snapshot: end marker reserved word is %08x", r)
 	}
 	if l := binary.LittleEndian.Uint64(end[8:]); l != 0 {
-		return nil, fmt.Errorf("snapshot: end marker with nonzero length %d", l)
+		return fmt.Errorf("snapshot: end marker with nonzero length %d", l)
 	}
-	return m, nil
+	return nil
 }

@@ -42,7 +42,7 @@ func buildContainer(t *testing.T, v2 bool) []byte {
 	return buf.Bytes()
 }
 
-// framings names the two container layouts the reader accepts.
+// framings names the two container layouts Open accepts.
 var framings = []struct {
 	name string
 	v2   bool
@@ -61,37 +61,37 @@ func TestContainerRoundTrip(t *testing.T) {
 
 // roundTrip reads buildContainer's three sections back and verifies them.
 func roundTrip(raw []byte, total int64) error {
-	sr, err := NewReader(bytes.NewReader(raw), total)
+	m, err := Read(bytes.NewReader(raw), total)
 	if err != nil {
 		return err
 	}
-	if sr.Kind() != "test-kind" {
-		return fmt.Errorf("kind = %q", sr.Kind())
+	if m.Kind() != "test-kind" {
+		return fmt.Errorf("kind = %q", m.Kind())
 	}
-	s1, err := sr.Expect(1)
+	s1, err := m.Expect(1)
 	if err != nil {
 		return err
 	}
-	if b, err := s1.Bytes(0); err != nil || string(b) != "hello metadata" {
-		return fmt.Errorf("section 1 = %q, %v", b, err)
+	if string(s1.Data) != "hello metadata" {
+		return fmt.Errorf("section 1 = %q", s1.Data)
 	}
-	s2, err := sr.Expect(2)
+	s2, err := m.Expect(2)
 	if err != nil {
 		return err
 	}
-	if got, err := io.ReadAll(s2); err != nil || len(got) != 1000 {
-		return fmt.Errorf("section 2 read: %d bytes, %v", len(got), err)
+	if len(s2.Data) != 1000 {
+		return fmt.Errorf("section 2: %d bytes", len(s2.Data))
 	}
-	if s3, err := sr.Expect(3); err != nil || s3.Len != 0 {
+	if s3, err := m.Expect(3); err != nil || len(s3.Data) != 0 {
 		return fmt.Errorf("section 3: %v", err)
 	}
-	return sr.Close()
+	return m.Done()
 }
 
 // TestContainerRejectsEveryBitFlip is the core integrity property: any
 // single corrupted byte anywhere in the container must surface as an
-// error by the time Close returns — either a structural validation error
-// or the trailing checksum.
+// error from the verified open — either a structural validation error
+// or a checksum.
 func TestContainerRejectsEveryBitFlip(t *testing.T) {
 	for _, fr := range framings {
 		raw := buildContainer(t, fr.v2)
@@ -118,26 +118,14 @@ func TestContainerRejectsEveryTruncation(t *testing.T) {
 	}
 }
 
-// readAll parses a container the way a loader would: walks every section,
-// drains payloads, verifies the checksum.
+// readAll opens a container the way a heap load does: parse, then
+// verify every checksum.
 func readAll(raw []byte) error {
-	sr, err := NewReader(bytes.NewReader(raw), int64(len(raw)))
+	m, err := Open(raw)
 	if err != nil {
 		return err
 	}
-	for {
-		s, err := sr.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if _, err := io.Copy(io.Discard, s); err != nil {
-			return err
-		}
-	}
-	return sr.Close()
+	return m.VerifyAll()
 }
 
 func TestWriterValidation(t *testing.T) {
@@ -168,41 +156,49 @@ func TestWriterValidation(t *testing.T) {
 }
 
 func TestReaderValidation(t *testing.T) {
-	raw := buildContainer(t, true)
+	for _, fr := range framings {
+		raw := buildContainer(t, fr.v2)
 
-	// Wrong expected section id.
-	sr, _ := NewReader(bytes.NewReader(raw), int64(len(raw)))
-	if _, err := sr.Expect(7); err == nil {
-		t.Error("Expect(7) on section 1 accepted")
+		// Wrong expected section id.
+		m, err := Open(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Expect(7); err == nil {
+			t.Errorf("%s: Expect(7) on section 1 accepted", fr.name)
+		}
+
+		// Sections remaining at Done, none after the last.
+		m.Rewind()
+		if err := m.Done(); err == nil {
+			t.Errorf("%s: Done with unread sections accepted", fr.name)
+		}
+		for i := 0; i < m.Sections(); i++ {
+			m.Next()
+		}
+		if _, err := m.Next(); !errors.Is(err, io.EOF) {
+			t.Errorf("%s: Next past the last section = %v, want io.EOF", fr.name, err)
+		}
+		if _, err := m.Expect(1); err == nil {
+			t.Errorf("%s: Expect past the last section accepted", fr.name)
+		}
+
+		// A declared total shorter than the container, or trailing bytes
+		// after it, must be rejected.
+		if _, err := Read(bytes.NewReader(raw), 40); err == nil {
+			t.Errorf("%s: container cut by a short declared total accepted", fr.name)
+		}
+		if _, err := Read(bytes.NewReader(append(append([]byte(nil), raw...), 0)), -1); err == nil {
+			t.Errorf("%s: trailing byte after the container accepted", fr.name)
+		}
 	}
 
-	// Unread payload at Next.
-	sr, _ = NewReader(bytes.NewReader(raw), int64(len(raw)))
-	if _, err := sr.Expect(1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sr.Next(); err == nil {
-		t.Error("Next over an unread payload accepted")
-	}
-
-	// Close with sections remaining.
-	sr, _ = NewReader(bytes.NewReader(raw), int64(len(raw)))
-	if err := sr.Close(); err == nil {
-		t.Error("Close with unread sections accepted")
-	}
-
-	// Bytes cap.
-	sr, _ = NewReader(bytes.NewReader(raw), int64(len(raw)))
-	s, _ := sr.Expect(1)
-	if _, err := s.Bytes(4); err == nil {
-		t.Error("Bytes over cap accepted")
-	}
-
-	// A section length exceeding a known total must be rejected before
-	// any payload read.
-	sr, _ = NewReader(bytes.NewReader(raw), 40)
-	if _, err := sr.Next(); err == nil {
-		t.Error("section length beyond known total accepted")
+	// A v1 section length exceeding the input must be rejected before
+	// the payload is touched.
+	raw := buildContainer(t, false)
+	binary.LittleEndian.PutUint64(raw[16+len("test-kind")+8:], 1<<40)
+	if _, err := Open(raw); err == nil {
+		t.Error("section length beyond the input accepted")
 	}
 }
 
@@ -215,29 +211,31 @@ func TestSaveFileLoadFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []byte
-	err = LoadFile(path, func(sr *Reader) error {
-		if sr.Kind() != "file-kind" {
-			t.Errorf("kind = %q", sr.Kind())
-		}
-		s, err := sr.Expect(1)
-		if err != nil {
-			return err
-		}
-		got, err = s.Bytes(0)
-		return err
-	})
-	if err != nil || string(got) != "payload" {
-		t.Fatalf("LoadFile: %q, %v", got, err)
+	m, err := ReadFile(path)
+	if err != nil {
+		t.Fatalf("ReadFile: %v", err)
+	}
+	if m.Kind() != "file-kind" || !m.Verified() {
+		t.Errorf("kind = %q, verified = %v", m.Kind(), m.Verified())
+	}
+	if s, err := m.Expect(1); err != nil || string(s.Data) != "payload" {
+		t.Fatalf("ReadFile section: %v", err)
 	}
 	if kind, err := ReadKindFile(path); err != nil || kind != "file-kind" {
 		t.Fatalf("ReadKindFile: %q, %v", kind, err)
 	}
-	// SaveFile writes the mappable layout; SaveStreamFile the v1 framing,
-	// which the streaming reader still loads but the mapped open refuses.
-	m, err := MapFile(path)
+	// SaveFile writes the mappable layout: MapFile views it, unverified
+	// until VerifyAll. SaveStreamFile writes the v1 framing, which MapFile
+	// opens onto the heap (no region), verified by its checksum.
+	m, err = MapFile(path)
 	if err != nil {
 		t.Fatalf("SaveFile output does not map: %v", err)
+	}
+	if m.Region() == nil || m.Verified() {
+		t.Fatalf("v2 MapFile: region %v, verified %v", m.Region() != nil, m.Verified())
+	}
+	if err := m.VerifyAll(); err != nil || !m.Verified() {
+		t.Fatalf("v2 VerifyAll: %v", err)
 	}
 	m.Close()
 	stream := filepath.Join(dir, "stream.snap")
@@ -246,18 +244,17 @@ func TestSaveFileLoadFile(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MapFile(stream); !errors.Is(err, ErrNotMappable) {
-		t.Fatalf("stream-framed file: MapFile err = %v, want ErrNotMappable", err)
-	}
-	if err := LoadFile(stream, func(sr *Reader) error {
-		s, err := sr.Expect(1)
+	for _, open := range []func(string) (*Mapped, error){MapFile, ReadFile} {
+		m, err := open(stream)
 		if err != nil {
-			return err
+			t.Fatalf("stream-framed file: %v", err)
 		}
-		_, err = s.Bytes(0)
-		return err
-	}); err != nil {
-		t.Fatalf("stream-framed file: %v", err)
+		if m.Region() != nil || !m.Verified() {
+			t.Fatalf("stream-framed file: region %v, verified %v", m.Region() != nil, m.Verified())
+		}
+		if s, err := m.Expect(1); err != nil || string(s.Data) != "payload" {
+			t.Fatalf("stream-framed section: %v", err)
+		}
 	}
 
 	// A failing persist must leave no file behind (and not clobber an
@@ -281,7 +278,8 @@ func TestSaveFileLoadFile(t *testing.T) {
 }
 
 // TestKeySections round-trips key sections in both framings: fulls carry
-// the v2 width+pad prefix, deltas the v1 width-only prefix.
+// the v2 width+pad prefix and are viewed in place, deltas the v1
+// width-only prefix and are decoded.
 func TestKeySections(t *testing.T) {
 	keys := []uint64{1, 5, 5, 9, 1 << 60}
 	for _, fr := range framings {
@@ -296,38 +294,27 @@ func TestKeySections(t *testing.T) {
 		if err := sw.Close(); err != nil {
 			t.Fatal(err)
 		}
-		raw := buf.Bytes()
-
-		sr, _ := NewReader(bytes.NewReader(raw), int64(len(raw)))
-		s, _ := sr.Expect(1)
-		got, err := ReadKeySection[uint64](s, 0)
+		m, err := Open(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, _ := m.Expect(1)
+		got, err := MapKeySection[uint64](s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != len(keys) || got[0] != 1 || got[4] != 1<<60 {
 			t.Fatalf("%s: keys round trip = %v", fr.name, got)
 		}
-		s, _ = sr.Expect(2)
-		empty, err := ReadKeySection[uint64](s, 0)
+		s2, _ := m.Expect(2)
+		empty, err := MapKeySection[uint64](s2)
 		if err != nil || len(empty) != 0 {
 			t.Fatalf("%s: empty keys round trip = %v, %v", fr.name, empty, err)
 		}
-		if err := sr.Close(); err != nil {
-			t.Fatal(err)
-		}
 
 		// Width mismatch: reading a 64-bit section as 32-bit keys.
-		sr, _ = NewReader(bytes.NewReader(raw), int64(len(raw)))
-		s, _ = sr.Expect(1)
-		if _, err := ReadKeySection[uint32](s, 0); err == nil {
+		if _, err := MapKeySection[uint32](s); err == nil {
 			t.Errorf("%s: width mismatch accepted", fr.name)
-		}
-
-		// Count cap.
-		sr, _ = NewReader(bytes.NewReader(raw), int64(len(raw)))
-		s, _ = sr.Expect(1)
-		if _, err := ReadKeySection[uint64](s, 2); err == nil {
-			t.Errorf("%s: key count beyond cap accepted", fr.name)
 		}
 	}
 }
@@ -340,7 +327,7 @@ func TestVersionSkewTyped(t *testing.T) {
 	for _, fr := range framings {
 		future := buildContainer(t, fr.v2)
 		binary.LittleEndian.PutUint32(future[8:], version2+1) // version field follows the 8-byte magic
-		_, err := NewReader(bytes.NewReader(future), int64(len(future)))
+		_, err := Open(future)
 		if err == nil {
 			t.Fatalf("%s: future-version container accepted", fr.name)
 		}
@@ -359,20 +346,7 @@ func TestVersionSkewTyped(t *testing.T) {
 	// (The last byte of a v1 container is inside its checksum.)
 	flipped := buildContainer(t, false)
 	flipped[len(flipped)-1] ^= 0xFF
-	err := Load(bytes.NewReader(flipped), int64(len(flipped)), func(sr *Reader) error {
-		for {
-			s, err := sr.Next()
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			if _, err := s.Bytes(0); err != nil {
-				return err
-			}
-		}
-	})
+	_, err := Read(bytes.NewReader(flipped), int64(len(flipped)))
 	if err == nil {
 		t.Fatal("corrupt container accepted")
 	}

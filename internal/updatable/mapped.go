@@ -8,14 +8,17 @@ import (
 	"repro/internal/snapshot"
 )
 
-// MapViewSections views the updatable section sequence from the
+// MapViewSections reads the updatable section sequence from the
 // container's current cursor — the embedded form internal/concurrent
-// persists inside its own kind — and returns what LoadView does. The
-// base table (keys, drift arrays, counts) is viewed in place through
-// core's mapped loaders; the legacy pending writes are copied to the
-// heap, because their lifetime is decoupled from the mapping's. The
-// restart cost is one pass over the n/8-byte bitmap, not O(n·keywidth)
-// key and layer copies.
+// persists inside its own kind: the base, with its configuration, and
+// the pending writes an older writer may have stored with it — ins, its
+// insert buffer, and dels, the keys of its tombstoned base slots — each
+// sorted, and both empty for every file this build writes. The base
+// table (keys, drift arrays, counts) is viewed in place through core's
+// loaders; the legacy pending writes are copied to the heap, because
+// their lifetime is decoupled from the mapping's. The restart cost is
+// one pass over the n/8-byte bitmap, not O(n·keywidth) key and layer
+// copies.
 func MapViewSections[K kv.Key](m *snapshot.Mapped) (ix *Index[K], ins, dels []K, err error) {
 	ms, err := m.Expect(secUpdMeta)
 	if err != nil {

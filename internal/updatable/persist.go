@@ -17,9 +17,10 @@ import (
 // buffer. The last two held the pending writes of the single-threaded
 // index earlier builds had. This build writes them empty — an all-zero
 // bitmap covering the base and an empty buffer, the bytes every earlier
-// writer produced for a view without pending writes — and the readers
-// return whatever an older file stored in them as plain sorted slices,
-// which internal/concurrent serves as one write generation.
+// writer produced for a view without pending writes — and the loader
+// (MapViewSections, mapped.go) returns whatever an older file stored in
+// them as plain sorted slices, which internal/concurrent serves as one
+// write generation.
 
 // SnapshotKind is the container kind earlier builds saved a bare
 // updatable index under. This build writes no such container; it is
@@ -67,56 +68,6 @@ func PersistView[K kv.Key](sw *snapshot.Writer, v *View[K], cfg Config) error {
 	return snapshot.WriteKeySection[K](sw, secUpdDelta, nil)
 }
 
-// LoadView reads the updatable section sequence back: the base, with its
-// configuration, and the pending writes an older writer may have stored
-// with it — ins, its insert buffer, and dels, the keys of its tombstoned
-// base slots — each sorted, and both empty for every file this build
-// writes. The caller owns checksum verification and must discard the
-// result when it fails.
-func LoadView[K kv.Key](sr *snapshot.Reader) (ix *Index[K], ins, dels []K, err error) {
-	ms, err := sr.Expect(secUpdMeta)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	meta, err := ms.Bytes(0)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	cfg, deadCount, err := decodeMeta(meta)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-
-	table, err := core.LoadTableSnapshot[K](sr)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-
-	ds, err := sr.Expect(secUpdDead)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	n := table.N()
-	want := int64((n + 7) / 8)
-	if ds.Len != want {
-		return nil, nil, nil, fmt.Errorf("updatable: tombstone bitmap is %d bytes, want %d for %d keys", ds.Len, want, n)
-	}
-	bitmap, err := ds.Bytes(want + 1)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-
-	dls, err := sr.Expect(secUpdDelta)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ins, err = snapshot.ReadKeySection[K](dls, 0)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return assemble(cfg, deadCount, table, bitmap, ins)
-}
-
 // decodeMeta parses and bounds the meta section, returning the
 // configuration and the recorded tombstone count.
 func decodeMeta(meta []byte) (Config, uint64, error) {
@@ -142,8 +93,7 @@ func decodeMeta(meta []byte) (Config, uint64, error) {
 }
 
 // assemble validates the cross-section invariants and returns the base
-// plus the legacy pending writes — the half of loading shared by the
-// streaming and mapped paths. ins must already be heap-backed.
+// plus the legacy pending writes. ins must already be heap-backed.
 func assemble[K kv.Key](cfg Config, deadCount uint64, table *core.Table[K], bitmap []byte, ins []K) (*Index[K], []K, []K, error) {
 	base := table.Keys()
 	n := len(base)

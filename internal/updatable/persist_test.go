@@ -68,32 +68,37 @@ func container(t *testing.T, persist func(sw *snapshot.Writer) error) []byte {
 	return buf.Bytes()
 }
 
-// loaded is what the readers return.
+// loaded is what the loader returns.
 type loaded struct {
 	ix        *Index[uint64]
 	ins, dels []uint64
 }
 
+// loadBytes is the heap load: read, verify every checksum, then the
+// loader with its O(n) checks.
 func loadBytes(raw []byte) (loaded, error) {
 	var l loaded
-	err := snapshot.Load(bytes.NewReader(raw), int64(len(raw)), func(sr *snapshot.Reader) (err error) {
-		l.ix, l.ins, l.dels, err = LoadView[uint64](sr)
-		return err
-	})
+	m, err := snapshot.Read(bytes.NewReader(raw), int64(len(raw)))
+	if err != nil {
+		return l, err
+	}
+	l.ix, l.ins, l.dels, err = MapViewSections[uint64](m)
 	return l, err
 }
 
-// loaders are the two entry points over a file: streaming and mapped.
+// loaders are the two entry points over a file: the verified heap read
+// and the mapped open.
 var loaders = []struct {
 	name string
 	load func(path string) (loaded, error)
 }{
 	{"LoadFile", func(path string) (loaded, error) {
 		var l loaded
-		err := snapshot.LoadFile(path, func(sr *snapshot.Reader) (err error) {
-			l.ix, l.ins, l.dels, err = LoadView[uint64](sr)
-			return err
-		})
+		m, err := snapshot.ReadFile(path)
+		if err != nil {
+			return l, err
+		}
+		l.ix, l.ins, l.dels, err = MapViewSections[uint64](m)
 		return l, err
 	}},
 	{"MapView", func(path string) (loaded, error) {
@@ -103,7 +108,6 @@ var loaders = []struct {
 			return l, err
 		}
 		defer m.Close()
-		m.Rewind()
 		l.ix, l.ins, l.dels, err = MapViewSections[uint64](m)
 		return l, err
 	}},
@@ -111,8 +115,8 @@ var loaders = []struct {
 
 // TestUpdatableSnapshotRoundTrip: PersistView writes exactly what an
 // earlier writer wrote for a view without pending writes (threshold and
-// tombstone count 0, an all-zero bitmap, an empty buffer), and LoadView
-// restores the base with no pending writes.
+// tombstone count 0, an all-zero bitmap, an empty buffer), and
+// MapViewSections restores the base with no pending writes.
 func TestUpdatableSnapshotRoundTrip(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Face, 64, 20_000, 5)
 	ix, err := New(keys, Config{})
@@ -149,8 +153,8 @@ func goldenInserts(keys []uint64) []uint64 {
 
 // TestTombstoneFreeGolden: the committed file, written by an earlier
 // build's single-threaded index holding a 100-key insert buffer, is
-// exactly the legacy layout writeLegacy reproduces, and both readers
-// return its base and its buffer.
+// exactly the legacy layout writeLegacy reproduces, and both entry
+// points return its base and its buffer.
 func TestTombstoneFreeGolden(t *testing.T) {
 	golden := filepath.Join("testdata", "tombstone-free.snap")
 	want, err := os.ReadFile(golden)
@@ -184,7 +188,7 @@ func TestTombstoneFreeGolden(t *testing.T) {
 	}
 }
 
-// TestLoadersRestoreTombstoneState: both readers return a legacy file's
+// TestLoadersRestoreTombstoneState: both entry points return a legacy file's
 // tombstoned base keys (sorted, duplicates included) and its insert
 // buffer as plain slices, and the base as persisted.
 func TestLoadersRestoreTombstoneState(t *testing.T) {

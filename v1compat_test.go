@@ -43,7 +43,7 @@ type finder interface{ Find(q uint64) int }
 
 // TestV1Fixtures: fulls of every kind that an earlier build wrote in the
 // v1 stream framing still load through both entry points. The mapped
-// entry point must fall back to the streaming load (viaMap false), and
+// entry point opens them onto the heap (viaMap false), and
 // every restored index must be rank-identical to one rebuilt from the
 // same keys and writes.
 func TestV1Fixtures(t *testing.T) {
@@ -122,8 +122,7 @@ func TestV1Fixtures(t *testing.T) {
 // is a v2 container of the legacy "updatable" kind whose view holds a
 // 100-key insert buffer (recipe: that directory's README). Both registry
 // entry points load it as a concurrent index rank-identical to one built
-// from the same keys with the buffered keys inserted; the kind has no
-// mapped loader, so the mapped entry point streams it.
+// from the same keys with the buffered keys inserted.
 func TestLegacyUpdatableGolden(t *testing.T) {
 	keys := v1FixtureKeys()
 	want, err := concurrent.New(keys, concurrent.Config{})
