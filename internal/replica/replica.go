@@ -48,7 +48,7 @@ type ReplicaConfig struct {
 	// Seed seeds the backoff jitter (0 = fixed default seed; pass
 	// something per-process for fleet decorrelation).
 	Seed int64
-	// LoadMode selects streaming vs mapped installs (default LoadAuto).
+	// LoadMode selects heap vs mapped installs (default LoadAuto).
 	LoadMode LoadMode
 }
 
@@ -318,10 +318,10 @@ func (r *Replica[K]) installFull(ctx context.Context, e *Entry) error {
 		return err
 	}
 	// Warm load off the serving path: mapped installs view the spooled
-	// (already stream-verified) artifact in place; streaming installs —
-	// and mapped ones over a v1 artifact from an older publisher —
-	// re-verify the container checksum during the parse. Either way
-	// nothing touches the serving index until the state stands.
+	// (already stream-verified) artifact in place; heap installs — and
+	// mapped ones over a v1 artifact from an older publisher — re-verify
+	// the container checksums at open. Either way nothing touches the
+	// serving index until the state stands.
 	st, err := r.loadState(path)
 	if err != nil {
 		os.Remove(path)
