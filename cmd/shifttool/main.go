@@ -81,7 +81,7 @@ func run(ds string, n int, modelName, mode string, m int, file string, seed int6
 		bits = 32
 	}
 	if load != "" {
-		return restoreSnapshot(load, useMmap, save)
+		return loadSnapshot(load, useMmap, save)
 	}
 	var keys []uint64
 	var err error
@@ -208,14 +208,14 @@ func rankBackends(keys []uint64, seed int64) error {
 	return nil
 }
 
-// restoreSnapshot restores a snapshot file — the warm-start path — and
+// loadSnapshot restores a snapshot file — the warm-start path — and
 // summarises it; with save set it then writes the restored index back out
 // in the v2 layout (the migration of a v1 snapshot). Snapshots record
 // their key width in their key sections; both widths are tried
 // (shifttool-built snapshots are 64-bit), and on failure both errors are
 // reported so a corrupt 32-bit file is not masked by the 64-bit attempt's
 // width-mismatch message.
-func restoreSnapshot(path string, useMmap bool, save string) error {
+func loadSnapshot(path string, useMmap bool, save string) error {
 	ix64, ms, mode, err64 := loadIndex[uint64](path, useMmap)
 	if err64 == nil {
 		return finish(ix64, path, ms, mode, save)

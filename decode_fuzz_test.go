@@ -3,15 +3,21 @@ package repro_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/concurrent"
 	"repro/internal/dataset"
 	"repro/internal/index"
 	"repro/internal/router"
+	"repro/internal/snapshot"
+	"repro/internal/updatable"
 )
 
 // FuzzDecode drives every snapshot decoder — the shift-table,
@@ -397,4 +403,88 @@ func sectionsOf(t *testing.T, data []byte, v1 bool) map[uint32][2]int {
 		}
 	}
 	return out
+}
+
+// TestMappedV1LayerOutlivesHandle: a v2 container whose layer section
+// holds the split-array v1 blob (Table.WriteTo) decodes that layer onto
+// the heap but still views its keys in the mapping, so the restored
+// index must keep the region alive after LoadFileMapped closes its own
+// handle. Both a shift-table and a concurrent file are answered against
+// the table the blob was written from. The shift-table input is
+// committed as testdata/fuzz/FuzzDecode/v2-with-v1-layer.
+func TestMappedV1LayerOutlivesHandle(t *testing.T) {
+	keys := v1FixtureKeys()[:400]
+	base, err := updatable.New(keys, updatable.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := base.View().Table()
+	conc, err := concurrent.New(keys, concurrent.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conc.Close()
+	want := answers(table)
+	dir := t.TempDir()
+	for _, ix := range []index.Index[uint64]{table, conc} {
+		path := filepath.Join(dir, "v1-layer.snap")
+		if err := index.SaveFile(path, ix); err != nil {
+			t.Fatal(err)
+		}
+		data := withV1Layer(t, readFile(t, path), table)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := index.LoadFileMapped[uint64](path)
+		if err != nil {
+			t.Fatalf("%s: %v", ix.Name(), err)
+		}
+		runtime.GC()
+		if a := answers(got); !slices.Equal(a, want) {
+			t.Fatalf("%s: mapped open with a v1 layer answers %v, want %v", ix.Name(), a[:8], want[:8])
+		}
+		closeIndex(got)
+	}
+}
+
+// withV1Layer rewrites a v2 container with its one v2 layer section
+// replaced by table's v1 layer blob (every checksum written afresh).
+func withV1Layer(t *testing.T, data []byte, table io.WriterTo) []byte {
+	t.Helper()
+	var blob bytes.Buffer
+	if _, err := table.WriteTo(&blob); err != nil {
+		t.Fatal(err)
+	}
+	m, err := snapshot.Open(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	sw, err := snapshot.NewWriter(&out, m.Kind())
+	if err != nil {
+		t.Fatal(err)
+	}
+	replaced := 0
+	for {
+		s, err := m.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		payload := s.Data
+		const layerMagic = 0x53485442
+		if len(payload) >= 16 && binary.LittleEndian.Uint64(payload) == layerMagic && binary.LittleEndian.Uint64(payload[8:]) == 2 {
+			payload = blob.Bytes()
+			replaced++
+		}
+		if err := sw.Bytes(s.ID, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if replaced != 1 {
+		t.Fatalf("replaced %d layer sections, want 1", replaced)
+	}
+	return out.Bytes()
 }

@@ -20,10 +20,8 @@
 //     tainted delta, and io.ReadFull into a slice whose high bound is
 //     tainted.
 //
-// snapshot.ReadFixed is the sanctioned channel for untrusted lengths —
-// it validates against the stat'd input size and reads in bounded
-// chunks — so taint flowing into it is not a finding. Residual
-// intentional sites are waived with //shift:allow-unbounded(reason).
+// Residual intentional sites are waived with
+// //shift:allow-unbounded(reason).
 package boundedmake
 
 import (
@@ -159,7 +157,7 @@ func checkFunc(pass *analysis.Pass, idx *shiftcomment.File, fd *ast.FuncDecl) {
 			for _, arg := range call.Args[1:] {
 				if st.hot(arg) {
 					report(pass, idx, fd, call.Pos(),
-						"make sized by an integer decoded from untrusted input; bound it against the stat'd input size first, or read through snapshot.ReadFixed")
+						"make sized by an integer decoded from untrusted input; bound it against the stat'd input size first")
 					break
 				}
 			}
@@ -185,7 +183,7 @@ func checkFunc(pass *analysis.Pass, idx *shiftcomment.File, fd *ast.FuncDecl) {
 			}
 			if hot {
 				report(pass, idx, fd, call.Pos(),
-					"io.ReadFull into a slice bounded by an untrusted decoded length; validate the length against the stat'd input size first, or use snapshot.ReadFixed")
+					"io.ReadFull into a slice bounded by an untrusted decoded length; validate the length against the stat'd input size first")
 			}
 		}
 		return true
@@ -305,9 +303,7 @@ func isSource(pass *analysis.Pass, call *ast.CallExpr) bool {
 }
 
 // isUntaintingCall reports calls whose results are inherently bounded by
-// in-memory data: len/cap/min/max builtins and snapshot.ReadFixed (the
-// sanctioned bounded reader — taint flowing into it is the fix, and its
-// result is validated).
+// in-memory data: the len/cap/min/max builtins.
 func isUntaintingCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	if id, ok := call.Fun.(*ast.Ident); ok {
 		if _, isB := pass.TypesInfo.Uses[id].(*types.Builtin); isB {
@@ -315,12 +311,6 @@ func isUntaintingCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 			case "len", "cap", "min", "max":
 				return true
 			}
-		}
-	}
-	callee := typeutil.Callee(pass.TypesInfo, call)
-	if fn, ok := callee.(*types.Func); ok && fn.Name() == "ReadFixed" && fn.Pkg() != nil {
-		if path := fn.Pkg().Path(); path == "snapshot" || strings.HasSuffix(path, "/snapshot") {
-			return true
 		}
 	}
 	return false

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"io"
 	"slices"
-
-	"snapshot"
 )
 
 func Unbounded(b []byte) []int {
@@ -59,13 +57,6 @@ func UnboundedReadFull(r io.Reader, b, buf []byte) error {
 	n := binary.LittleEndian.Uint32(b)
 	_, err := io.ReadFull(r, buf[:n]) // want `io\.ReadFull into a slice bounded by an untrusted decoded length`
 	return err
-}
-
-// ViaReadFixed routes the untrusted length through the sanctioned
-// bounded reader: that is the fix, no finding.
-func ViaReadFixed(r io.Reader, b []byte, avail int64) ([]byte, error) {
-	n := binary.LittleEndian.Uint64(b)
-	return snapshot.ReadFixed(r, n, avail)
 }
 
 func Waived(b []byte) []int {

@@ -51,11 +51,7 @@ func mapGenHalf[K kv.Key](m *snap.Mapped, id uint32) ([]K, error) {
 	if err != nil {
 		return nil, err
 	}
-	view, err := snap.MapKeySection[K](s)
-	if err != nil {
-		return nil, err
-	}
-	return append(make([]K, 0, len(view)), view...), nil
+	return snap.CopyKeySection[K](s)
 }
 
 // MapIndex restores a concurrent index over a mapped v2 container and

@@ -247,7 +247,7 @@ func TestFindBatchAfterLoad(t *testing.T) {
 	if _, err := tab.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf, keys, model)
+	loaded, err := Load(buf.Bytes(), keys, model)
 	if err != nil {
 		t.Fatal(err)
 	}

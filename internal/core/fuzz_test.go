@@ -111,9 +111,9 @@ func FuzzFindLookup(f *testing.F) {
 // valid files. The property is absolute: any input either loads (and
 // then answers queries identically to a freshly built table, when it
 // loaded from an untampered prefix this cannot happen by luck) or
-// returns an error. No panics, no unbounded allocation (readSliceChunked
-// grows at most 1 MiB per read, so a hostile length dies on the short
-// read behind it; Open bounds every length by the bytes present).
+// returns an error. No panics, no unbounded allocation (Load checks every
+// array's byte length against the blob before allocating it; Open
+// bounds every length by the bytes present).
 func FuzzLoad(f *testing.F) {
 	keys := fuzzKeys(7, 700, 16, 40)
 	model := cdfmodel.NewInterpolation(keys)
@@ -183,7 +183,7 @@ func FuzzLoad(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Bare layer format against the real keys and model.
-		if tab, err := Load(bytes.NewReader(data), keys, model); err == nil {
+		if tab, err := Load(data, keys, model); err == nil {
 			// Whatever loaded claims to be a layer over these keys; probing
 			// it must at least never step out of bounds.
 			for _, q := range []uint64{0, keys[0], keys[len(keys)/2], keys[len(keys)-1], ^uint64(0)} {
@@ -288,7 +288,7 @@ func FuzzBuildLayout(f *testing.F) {
 			if _, err := par.WriteTo(&buf1); err != nil {
 				t.Fatalf("WriteTo: %v", err)
 			}
-			loaded, err := Load(bytes.NewReader(buf1.Bytes()), keys, model)
+			loaded, err := Load(buf1.Bytes(), keys, model)
 			if err != nil {
 				t.Fatalf("Load: %v", err)
 			}

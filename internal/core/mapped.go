@@ -1,11 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"repro/internal/cdfmodel"
 	"repro/internal/kv"
@@ -112,7 +110,8 @@ func MapTableSections[K kv.Key](m *snapshot.Mapped) (*Table[K], error) {
 // key section — the router maps each shard this way against its slice of
 // the shared key section). A v2 layer blob is viewed in place; the
 // split-array v1 blob of snapshots earlier builds wrote decodes onto the
-// heap through Load, which checks its counts eagerly.
+// heap through Load, which checks its counts eagerly. Either way the
+// table retains the region, since its keys may view it.
 func MapTableWithKeys[K kv.Key](m *snapshot.Mapped, keys []K, modelID, layerID uint32) (*Table[K], error) {
 	model, err := mapModelSpec(m, modelID, keys)
 	if err != nil {
@@ -122,16 +121,19 @@ func MapTableWithKeys[K kv.Key](m *snapshot.Mapped, keys []K, modelID, layerID u
 	if err != nil {
 		return nil, err
 	}
+	var t *Table[K]
 	if len(ls.Data) >= 16 && binary.LittleEndian.Uint64(ls.Data[8:]) == layerVersion {
-		return Load(bytes.NewReader(ls.Data), keys, model)
-	}
-	t, err := viewLayerV2(ls.Data, keys, model)
-	if err != nil {
-		return nil, fmt.Errorf("core: layer section: %w", err)
-	}
-	if m.Verified() {
-		if err := checkCounts(t.count, t.n); err != nil {
+		if t, err = Load(ls.Data, keys, model); err != nil {
 			return nil, err
+		}
+	} else {
+		if t, err = viewLayerV2(ls.Data, keys, model); err != nil {
+			return nil, fmt.Errorf("core: layer section: %w", err)
+		}
+		if m.Verified() {
+			if err := checkCounts(t.count, t.n); err != nil {
+				return nil, err
+			}
 		}
 	}
 	attachRegion(t, m.Region())
@@ -221,41 +223,12 @@ func viewLayerV2[K kv.Key](data []byte, keys []K, model cdfmodel.Model[K]) (*Tab
 	if len(data) < layerV2DataOff {
 		return nil, fmt.Errorf("core: layer blob %d bytes, v2 header is %d", len(data), layerV2DataOff)
 	}
-	var head [9]uint64
-	for i := range head {
-		head[i] = binary.LittleEndian.Uint64(data[i*8:])
-	}
-	if head[0] != layerMagic {
-		return nil, fmt.Errorf("core: not a Shift-Table layer blob")
-	}
-	if head[1] != layerVersion2 {
-		return nil, fmt.Errorf("core: layer version %d is not mappable (v2 only)", head[1])
-	}
-	if head[2] != uint64(ModeRange) && head[2] != uint64(ModeMidpoint) {
-		return nil, fmt.Errorf("core: invalid mode %d in layer header", head[2])
-	}
-	if head[3] != uint64(len(keys)) {
-		return nil, fmt.Errorf("core: layer built over %d keys, got %d", head[3], len(keys))
-	}
-	n := len(keys)
-	if err := checkLayerM(head[4], n); err != nil {
+	t, err := layerHeader(data, layerVersion2, keys, model)
+	if err != nil {
 		return nil, err
 	}
-	m := int(head[4])
-	if head[5] > 1 {
-		return nil, fmt.Errorf("core: invalid monotone flag %d in layer header", head[5])
-	}
-	if got := keysFingerprint(keys); got != head[6] {
-		return nil, fmt.Errorf("core: key fingerprint mismatch (layer is stale or for other data)")
-	}
-	if model == nil {
-		return nil, fmt.Errorf("core: nil model")
-	}
-	if got := modelFingerprint(model); got != head[7] {
-		return nil, fmt.Errorf("core: model mismatch (layer was built over %q-class model)", model.Name())
-	}
-	mode := Mode(head[2])
-	width, lo, hi, err := layerWidths(head[8], mode, m)
+	mode, m := t.mode, t.m
+	width, lo, hi, err := layerWidths(binary.LittleEndian.Uint64(data[layerHeadLen:]), mode, m)
 	if err != nil {
 		return nil, err
 	}
@@ -275,16 +248,6 @@ func viewLayerV2[K kv.Key](data []byte, keys []K, model cdfmodel.Model[K]) (*Tab
 		if b != 0 {
 			return nil, fmt.Errorf("core: nonzero layer padding")
 		}
-	}
-	t := &Table[K]{
-		keys:      keys,
-		model:     model,
-		mode:      mode,
-		n:         n,
-		m:         m,
-		monotone:  head[5] != 0,
-		scratch:   new(sync.Pool),
-		buildPool: new(sync.Pool),
 	}
 	switch mode {
 	case ModeRange:

@@ -2,14 +2,11 @@ package core
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"sync"
-
-	"repro/internal/snapshot"
 
 	"repro/internal/cdfmodel"
 	"repro/internal/kv"
@@ -231,38 +228,77 @@ func layerWidths(word uint64, mode Mode, m int) (width, lo, hi uint8, err error)
 // is corrupt (or hostile), not a configuration this repository produces.
 const maxLayerFactor = 64
 
-// Load reads a layer previously written with WriteTo and attaches it to the
-// given keys and model. The keys and model must be the ones the layer was
-// built over; fingerprint mismatches are rejected.
+// Load decodes a layer blob previously written with WriteTo (version 1,
+// the split-array layout) and attaches it to the given keys and model.
+// The keys and model must be the ones the layer was built over;
+// fingerprint mismatches are rejected.
 //
-// The input is untrusted: every header field is bounds-checked before it
-// drives an allocation, array reads allocate incrementally (so a 64-byte
-// hostile header cannot demand terabytes), and truncation at any point
-// returns a wrapped, descriptive error — never a panic.
-func Load[K kv.Key](r io.Reader, keys []K, model cdfmodel.Model[K]) (*Table[K], error) {
-	// An in-memory reader (a bytes.Reader over a snapshot section) vouches
-	// for its length, which lets the array reads allocate once instead of
-	// growing chunk by chunk. avail tracks the vouched-for bytes still
-	// unread; -1 means untrusted.
-	avail := int64(-1)
-	if br, ok := r.(*bytes.Reader); ok {
-		avail = int64(br.Len())
+// The blob is untrusted: every header field is validated before it is
+// used, each array's byte length is checked against the bytes that
+// remain before it is allocated (so a 64-byte hostile header cannot
+// demand terabytes), and the blob must end exactly where its geometry
+// says — truncation or trailing bytes are descriptive errors, never a
+// panic. Partition counts are checked eagerly (checkCounts).
+func Load[K kv.Key](data []byte, keys []K, model cdfmodel.Model[K]) (*Table[K], error) {
+	t, err := layerHeader(data, layerVersion, keys, model)
+	if err != nil {
+		return nil, err
 	}
-	br := bufio.NewReaderSize(r, 1<<16)
-	var head [8]uint64
-	for i := range head {
-		if err := binary.Read(br, binary.LittleEndian, &head[i]); err != nil {
-			return nil, fmt.Errorf("core: reading layer header: %w", err)
+	body := data[layerHeadLen:]
+	switch t.mode {
+	case ModeRange:
+		// Decode the split arrays of the file format, then fuse them into
+		// the interleaved query-path layout, keeping the split widths for
+		// the next WriteTo.
+		var lo, hi driftArray
+		if body, err = decodeDrifts(body, &lo, t.m); err != nil {
+			return nil, fmt.Errorf("core: lo drift array: %w", err)
+		}
+		if body, err = decodeDrifts(body, &hi, t.m); err != nil {
+			return nil, fmt.Errorf("core: hi drift array: %w", err)
+		}
+		if t.m > 0 {
+			t.pairs = fusePairs(&lo, &hi)
+		}
+		t.loBits, t.hiBits = lo.width, hi.width
+	default: // ModeMidpoint; anything else was rejected above
+		if body, err = decodeDrifts(body, &t.shift, t.m); err != nil {
+			return nil, fmt.Errorf("core: drift array: %w", err)
 		}
 	}
-	if head[0] != layerMagic {
-		return nil, fmt.Errorf("core: not a Shift-Table layer file")
+	if want := 4 * int64(t.m); int64(len(body)) != want {
+		return nil, fmt.Errorf("core: %d bytes of partition counts, want %d", len(body), want)
 	}
-	if head[1] != layerVersion {
-		return nil, fmt.Errorf("core: unsupported layer version %d", head[1])
+	t.count = decodeFixed[int32](body, t.m)
+	if err := checkCounts(t.count, t.n); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// layerHeadLen is the size of the header both layer versions share.
+const layerHeadLen = 8 * 8
+
+// layerHeader validates the 64-byte header both layer versions share —
+// magic, version, mode, key count, partition count, monotone flag, and
+// the key and model fingerprints that bind the layer to its data — and
+// returns the table shell it describes (no arrays yet).
+func layerHeader[K kv.Key](data []byte, version uint64, keys []K, model cdfmodel.Model[K]) (*Table[K], error) {
+	if len(data) < layerHeadLen {
+		return nil, fmt.Errorf("core: layer blob is %d bytes, its header is %d", len(data), layerHeadLen)
+	}
+	var head [8]uint64
+	for i := range head {
+		head[i] = binary.LittleEndian.Uint64(data[8*i:])
+	}
+	if head[0] != layerMagic {
+		return nil, fmt.Errorf("core: not a Shift-Table layer blob")
+	}
+	if head[1] != version {
+		return nil, fmt.Errorf("core: layer version %d, want %d", head[1], version)
 	}
 	// Validate every remaining header field before using it: mode drives a
-	// switch, n and m drive allocations, monotone drives the query path.
+	// switch, n and m size the arrays, monotone drives the query path.
 	if head[2] != uint64(ModeRange) && head[2] != uint64(ModeMidpoint) {
 		return nil, fmt.Errorf("core: invalid mode %d in layer header", head[2])
 	}
@@ -273,7 +309,6 @@ func Load[K kv.Key](r io.Reader, keys []K, model cdfmodel.Model[K]) (*Table[K], 
 	if err := checkLayerM(head[4], n); err != nil {
 		return nil, err
 	}
-	m := int(head[4])
 	if head[5] > 1 {
 		return nil, fmt.Errorf("core: invalid monotone flag %d in layer header", head[5])
 	}
@@ -286,55 +321,16 @@ func Load[K kv.Key](r io.Reader, keys []K, model cdfmodel.Model[K]) (*Table[K], 
 	if got := modelFingerprint(model); got != head[7] {
 		return nil, fmt.Errorf("core: model mismatch (layer was built over %q-class model)", model.Name())
 	}
-	t := &Table[K]{
+	return &Table[K]{
 		keys:      keys,
 		model:     model,
 		mode:      Mode(head[2]),
 		n:         n,
-		m:         m,
+		m:         int(head[4]),
 		monotone:  head[5] != 0,
 		scratch:   new(sync.Pool),
 		buildPool: new(sync.Pool),
-	}
-	if avail >= 0 {
-		avail -= 8 * 8 // header already consumed
-	}
-	switch t.mode {
-	case ModeRange:
-		// Read the split arrays of the file format, then fuse them into
-		// the interleaved query-path layout, keeping the split widths for
-		// the next WriteTo.
-		var lo, hi driftArray
-		if err := readDrifts(br, &lo, t.m, avail); err != nil {
-			return nil, fmt.Errorf("core: lo drift array: %w", err)
-		}
-		if avail >= 0 {
-			avail -= 8 + int64(t.m)*int64(lo.width)
-		}
-		if err := readDrifts(br, &hi, t.m, avail); err != nil {
-			return nil, fmt.Errorf("core: hi drift array: %w", err)
-		}
-		if avail >= 0 {
-			avail -= 8 + int64(t.m)*int64(hi.width)
-		}
-		if t.m > 0 {
-			t.pairs = fusePairs(&lo, &hi)
-		}
-		t.loBits, t.hiBits = lo.width, hi.width
-	default: // ModeMidpoint; anything else was rejected above
-		if err := readDrifts(br, &t.shift, t.m, avail); err != nil {
-			return nil, fmt.Errorf("core: drift array: %w", err)
-		}
-		if avail >= 0 {
-			avail -= 8 + int64(t.m)*int64(t.shift.width)
-		}
-	}
-	counts, err := readCounts(br, t.m, n, avail)
-	if err != nil {
-		return nil, err
-	}
-	t.count = counts
-	return t, nil
+	}, nil
 }
 
 // checkLayerM validates the partition-count header field: non-negative
@@ -359,19 +355,6 @@ func checkLayerM(raw uint64, n int) error {
 		return fmt.Errorf("core: layer header claims %d partitions over %d keys (limit %d)", raw, n, limit)
 	}
 	return nil
-}
-
-// readCounts reads the per-partition cardinalities with incremental
-// allocation and validates them (checkCounts).
-func readCounts(r io.Reader, m, n int, avail int64) ([]int32, error) {
-	counts, err := readSliceChunked[int32](r, m, 4, "partition count", avail)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if err := checkCounts(counts, n); err != nil {
-		return nil, err
-	}
-	return counts, nil
 }
 
 // checkCounts validates partition cardinalities: non-negative, and their
@@ -482,58 +465,72 @@ func writeDrifts(w io.Writer, d *driftArray, m int) error {
 	}
 }
 
-// readDrifts reads one packed drift array: the width header, then m
-// entries at that width. The width is validated before any allocation, a
-// width/m combination the stream cannot back fails with a wrapped
-// short-read error, and entries are allocated incrementally so the
-// allocation never outruns the bytes actually read.
-func readDrifts(r io.Reader, d *driftArray, m int, avail int64) error {
-	var bits uint64
-	if err := binary.Read(r, binary.LittleEndian, &bits); err != nil {
-		return fmt.Errorf("reading drift width: %w", err)
+// decodeDrifts decodes one packed drift array from the front of b — the
+// width header, then m entries at that width — and returns the bytes
+// after it. The width is validated, and the entries' byte length checked
+// against b, before anything is allocated.
+func decodeDrifts(b []byte, d *driftArray, m int) ([]byte, error) {
+	if len(b) < 8 {
+		return nil, fmt.Errorf("drift width: %d bytes left, want 8", len(b))
 	}
-	if avail >= 0 {
-		avail -= 8
-	}
+	bits := binary.LittleEndian.Uint64(b)
+	b = b[8:]
 	switch bits {
 	case 0:
 		// An empty table packs to width 0; a populated layer never does.
 		if m != 0 {
-			return fmt.Errorf("invalid drift entry width 0 for %d partitions", m)
+			return nil, fmt.Errorf("invalid drift entry width 0 for %d partitions", m)
 		}
 		d.width = 0
-		return nil
+		return b, nil
 	case 8, 16, 32, 64:
 		if m == 0 {
-			return fmt.Errorf("drift entry width %d for an empty layer", bits)
+			return nil, fmt.Errorf("drift entry width %d for an empty layer", bits)
 		}
 	default:
-		return fmt.Errorf("invalid drift entry width %d", bits)
+		return nil, fmt.Errorf("invalid drift entry width %d", bits)
 	}
-	d.width = uint8(bits / 8)
-	var err error
-	switch bits {
-	case 8:
-		d.w8, err = readSliceChunked[int8](r, m, 1, "drift entry", avail)
-	case 16:
-		d.w16, err = readSliceChunked[int16](r, m, 2, "drift entry", avail)
-	case 32:
-		d.w32, err = readSliceChunked[int32](r, m, 4, "drift entry", avail)
+	width := int(bits / 8)
+	if need := int64(m) * int64(width); need > int64(len(b)) {
+		return nil, fmt.Errorf("%d drift entries need %d bytes, %d left", m, need, len(b))
+	}
+	d.width = uint8(width)
+	switch width {
+	case 1:
+		d.w8 = decodeFixed[int8](b, m)
+	case 2:
+		d.w16 = decodeFixed[int16](b, m)
+	case 4:
+		d.w32 = decodeFixed[int32](b, m)
 	default:
-		d.w64, err = readSliceChunked[int64](r, m, 8, "drift entry", avail)
+		d.w64 = decodeFixed[int64](b, m)
 	}
-	if err != nil {
-		d.width = 0
-	}
-	return err
+	return b[m*width:], nil
 }
 
-// readSliceChunked reads m fixed-width values through the one shared
-// chunked-read implementation (snapshot.ReadFixed): one-shot allocation
-// when avail vouches the bytes are present, bounded incremental growth
-// otherwise — the protection the old single make([]T, m) did not have.
-func readSliceChunked[T int8 | int16 | int32 | int64](r io.Reader, m, elemSize int, what string, avail int64) ([]T, error) {
-	return snapshot.ReadFixed[T](r, m, elemSize, what, avail)
+// decodeFixed decodes n little-endian values of T's width from b, which
+// the caller has checked holds at least that many bytes.
+func decodeFixed[T int8 | int16 | int32 | int64](b []byte, n int) []T {
+	out := make([]T, n)
+	switch any(out).(type) {
+	case []int8:
+		for i := range out {
+			out[i] = T(int8(b[i]))
+		}
+	case []int16:
+		for i := range out {
+			out[i] = T(int16(binary.LittleEndian.Uint16(b[2*i:])))
+		}
+	case []int32:
+		for i := range out {
+			out[i] = T(int32(binary.LittleEndian.Uint32(b[4*i:])))
+		}
+	default:
+		for i := range out {
+			out[i] = T(int64(binary.LittleEndian.Uint64(b[8*i:])))
+		}
+	}
+	return out
 }
 
 // keysFingerprint hashes a structural sample of the keys (size, endpoints,

@@ -33,7 +33,7 @@ func TestLayerRoundTrip(t *testing.T) {
 			if n != int64(buf.Len()) {
 				t.Errorf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
 			}
-			loaded, err := Load(bytes.NewReader(buf.Bytes()), keys, model)
+			loaded, err := Load(buf.Bytes(), keys, model)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,34 +68,38 @@ func TestLoadRejectsMismatches(t *testing.T) {
 
 	// Wrong data.
 	other := dataset.MustGenerate(dataset.Face, 64, 10_000, 6)
-	if _, err := Load(bytes.NewReader(buf.Bytes()), other, cdfmodel.NewInterpolation(other)); err == nil {
+	if _, err := Load(buf.Bytes(), other, cdfmodel.NewInterpolation(other)); err == nil {
 		t.Error("Load must reject a layer built over different keys")
 	}
 	// Wrong length.
-	if _, err := Load(bytes.NewReader(buf.Bytes()), keys[:500], model); err == nil {
+	if _, err := Load(buf.Bytes(), keys[:500], model); err == nil {
 		t.Error("Load must reject a key-count mismatch")
 	}
 	// Wrong model family.
-	if _, err := Load(bytes.NewReader(buf.Bytes()), keys, cdfmodel.NewLinear(keys)); err == nil {
+	if _, err := Load(buf.Bytes(), keys, cdfmodel.NewLinear(keys)); err == nil {
 		t.Error("Load must reject a different model")
 	}
 	// Nil model.
-	if _, err := Load[uint64](bytes.NewReader(buf.Bytes()), keys, nil); err == nil {
+	if _, err := Load[uint64](buf.Bytes(), keys, nil); err == nil {
 		t.Error("Load must reject a nil model")
 	}
 	// Corrupted magic.
 	bad := append([]byte(nil), buf.Bytes()...)
 	bad[0] ^= 0xFF
-	if _, err := Load(bytes.NewReader(bad), keys, model); err == nil {
+	if _, err := Load(bad, keys, model); err == nil {
 		t.Error("Load must reject a corrupted header")
 	}
 	// Truncated stream.
-	if _, err := Load(bytes.NewReader(buf.Bytes()[:buf.Len()/2]), keys, model); err == nil {
+	if _, err := Load(buf.Bytes()[:buf.Len()/2], keys, model); err == nil {
 		t.Error("Load must reject a truncated stream")
 	}
 	// Empty stream.
-	if _, err := Load(bytes.NewReader(nil), keys, model); err == nil {
+	if _, err := Load(nil, keys, model); err == nil {
 		t.Error("Load must reject an empty stream")
+	}
+	// Trailing bytes.
+	if _, err := Load(append(append([]byte(nil), buf.Bytes()...), 0), keys, model); err == nil {
+		t.Error("Load must reject bytes past the layer's geometry")
 	}
 }
 
@@ -122,7 +126,7 @@ func TestLoadCorruptHeader(t *testing.T) {
 		mutate := func(name string, field int, val uint64) {
 			bad := append([]byte(nil), valid...)
 			binary.LittleEndian.PutUint64(bad[field*8:], val)
-			_, err := Load(bytes.NewReader(bad), keys, model)
+			_, err := Load(bad, keys, model)
 			if err == nil {
 				t.Errorf("%v/%s=%d: corrupt header accepted", cfg.Mode, name, val)
 			} else if err.Error() == "" {
@@ -158,14 +162,14 @@ func TestLoadCorruptHeader(t *testing.T) {
 		bad := append([]byte(nil), valid...)
 		countOff := len(bad) - 4*tab.M()
 		bad[countOff+3] |= 0x80
-		if _, err := Load(bytes.NewReader(bad), keys, model); err == nil {
+		if _, err := Load(bad, keys, model); err == nil {
 			t.Errorf("%v: negative partition count accepted", cfg.Mode)
 		}
 
 		// Truncation at a stride of positions, including mid-header and
 		// mid-array, must always error.
 		for cut := 0; cut < len(valid); cut += 13 {
-			if _, err := Load(bytes.NewReader(valid[:cut]), keys, model); err == nil {
+			if _, err := Load(valid[:cut], keys, model); err == nil {
 				t.Errorf("%v: truncation to %d of %d bytes accepted", cfg.Mode, cut, len(valid))
 			}
 		}
@@ -188,7 +192,7 @@ func TestLoadHostileHeaderBoundedAllocation(t *testing.T) {
 		head = binary.LittleEndian.AppendUint64(head, v)
 	}
 	before := allocatedBytes()
-	if _, err := Load(bytes.NewReader(head), keys, model); err == nil {
+	if _, err := Load(head, keys, model); err == nil {
 		t.Fatal("hostile header accepted")
 	}
 	if grew := allocatedBytes() - before; grew > 16<<20 {

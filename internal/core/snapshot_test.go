@@ -168,7 +168,7 @@ func TestSnapshotEmptyTable(t *testing.T) {
 		if _, err := tab.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := Load(bytes.NewReader(buf.Bytes()), nil, cdfmodel.NewInterpolation[uint64](nil))
+		loaded, err := Load(buf.Bytes(), nil, cdfmodel.NewInterpolation[uint64](nil))
 		if err != nil {
 			t.Fatalf("empty %v layer round trip: %v", mode, err)
 		}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/concurrent"
 	"repro/internal/kv"
 	"repro/internal/mapped"
+	snap "repro/internal/snapshot"
 )
 
 // stateName is the replica's local warm-restart record: which version is
@@ -160,9 +161,8 @@ func (r *Replica[K]) useMap() bool {
 // loadState opens a verified-on-disk full artifact per the load mode.
 // The mapped open performs no second CRC pass: every byte of the file
 // was already checked against the manifest — by fetchArtifact's stream
-// CRC as it spooled, or by fileSum when reusing a leftover copy or
-// restoring a warm restart — and the v2 geometry validation plus lazy
-// section CRCs cover the rest. A v1 artifact from an earlier build
+// CRC as it spooled, or by fileSum when reusing a leftover copy — and
+// the v2 geometry validation plus lazy section CRCs cover the rest. A v1 artifact from an earlier build
 // opens on the heap through the same call.
 func (r *Replica[K]) loadState(path string) (*concurrent.State[K], error) {
 	if r.useMap() {
@@ -426,16 +426,25 @@ func (r *Replica[K]) warmRestart() {
 }
 
 // restoreBase re-verifies and reopens the recorded base artifact for a
-// warm restart, returning nil when anything disagrees: the file must
-// match the recorded whole-file CRC — the content binding the manifest
-// made — and then opens per the load mode (loadState), a mapped open
-// staying O(sections) after that one sequential pass.
+// warm restart, returning nil when anything disagrees. The container
+// bytes the state will serve — the mapping, or the heap read per the
+// load mode — must match the recorded whole-file CRC, the content
+// binding the manifest made; a mapped open then stays O(sections) after
+// that one sequential pass over the mapped bytes.
 func (r *Replica[K]) restoreBase(basePath string, baseCRC uint32) *concurrent.State[K] {
-	sz, sum, err := fileSum(basePath)
-	if err != nil || sum != baseCRC || sz <= 0 {
+	open := snap.ReadFile
+	if r.useMap() {
+		open = snap.MapFile
+	}
+	m, err := open(basePath)
+	if err != nil {
 		return nil
 	}
-	st, err := r.loadState(basePath)
+	defer m.Close()
+	if crc32.Checksum(m.Bytes(), castagnoli) != baseCRC {
+		return nil
+	}
+	st, err := concurrent.MapState[K](m)
 	if err != nil {
 		return nil
 	}

@@ -37,8 +37,7 @@ import (
 // fetch time, and so serves them after an O(sections) open.
 
 // MappedSection is one section of an opened container. Data aliases the
-// container bytes (a heap copy in v1): read-only, and it must not outlive
-// the region.
+// container bytes: read-only, and it must not outlive the region.
 type MappedSection struct {
 	ID   uint32
 	Off  int64 // payload offset in the container (page-aligned in v2)
@@ -78,22 +77,23 @@ type Mapped struct {
 // returned Mapped owns one region reference, Close releases it, and
 // loaders that build long-lived structures over the mapping take their
 // own references (Region().Retain()) before the caller Closes. A v1
-// container keeps no region (Region returns nil): Open copies its
-// sections onto the heap, so nothing built from it reports a mapped open.
+// container is never viewed in place — its payloads are unaligned, and
+// its loaders decode them — so it is read onto the heap instead
+// (ReadFile) and keeps no region: nothing built from it reports a
+// mapped open.
 func MapFile(path string) (*Mapped, error) {
 	region, err := mapped.Map(path)
 	if err != nil {
 		return nil, err
 	}
+	if data := region.Bytes(); len(data) >= 8 && string(data[:8]) == string(magic[:]) {
+		region.Release()
+		return ReadFile(path)
+	}
 	m, err := Open(region.Bytes())
 	if err != nil {
 		region.Release()
 		return nil, fmt.Errorf("snapshot: %s: %w", path, err)
-	}
-	if string(m.data[:8]) == string(magic[:]) {
-		region.Release() // the v1 sections are heap copies
-		m.data = nil
-		return m, nil
 	}
 	m.region = region
 	return m, nil
@@ -165,6 +165,10 @@ func (m *Mapped) Kind() string { return m.kind }
 
 // Region returns the backing region (nil unless a v2 file was mapped).
 func (m *Mapped) Region() *mapped.Region { return m.region }
+
+// Bytes returns the whole container the sections alias: the mapping, or
+// the heap bytes it was opened over.
+func (m *Mapped) Bytes() []byte { return m.data }
 
 // Sections returns the number of sections.
 func (m *Mapped) Sections() int { return len(m.secs) }
@@ -250,7 +254,8 @@ func (m *Mapped) Close() error {
 // plus a zero alignment pad in v2) is validated, then a v2 body is
 // viewed in place with no copy — the payload starts page-aligned and the
 // prefix is 8 bytes, so the key data is aligned for any key width. A v1
-// body follows a 4-byte prefix and is decoded into a fresh slice.
+// body follows a 4-byte prefix at no particular alignment and is decoded
+// into a fresh slice.
 func MapKeySection[K kv.Key](s *MappedSection) ([]K, error) {
 	width := int64(kv.Width[K]())
 	prefix := int64(8)
@@ -285,6 +290,17 @@ func MapKeySection[K kv.Key](s *MappedSection) ([]K, error) {
 		}
 	}
 	return keys, nil
+}
+
+// CopyKeySection is MapKeySection for keys that must outlive the
+// container (pending writes): the result never aliases it. A v1 section
+// is already decoded into a fresh slice; a v2 view is copied once.
+func CopyKeySection[K kv.Key](s *MappedSection) ([]K, error) {
+	keys, err := MapKeySection[K](s)
+	if err != nil || s.v1 {
+		return keys, err
+	}
+	return append(make([]K, 0, len(keys)), keys...), nil
 }
 
 // parseHeader validates the fixed header both layouts share — magic,
@@ -343,10 +359,9 @@ func ReadKindFile(path string) (string, error) {
 // header is bounded against the bytes that remain, the end marker must
 // have length 0, and the 8-byte trailer — the CRC-32C of everything
 // before it, zero-extended — must match and end the input. The sections
-// are then verified. Each payload is copied onto the heap: v1 offsets
-// carry no alignment, and the copy is 8-byte aligned like every heap
-// allocation of 16 bytes or more, so a v2 layer blob inside a v1
-// container still views in place.
+// are then verified. Payloads alias data at whatever alignment their
+// offsets give; the kinds v1 containers carry decode their sections
+// rather than view them.
 func (m *Mapped) parseStream(headEnd int) error {
 	data := m.data
 	pos := int64(headEnd)
@@ -367,7 +382,8 @@ func (m *Mapped) parseStream(headEnd int) error {
 		if size > uint64(int64(len(data))-pos) {
 			return fmt.Errorf("snapshot: section %d length %d exceeds remaining input %d", id, size, int64(len(data))-pos)
 		}
-		m.secs = append(m.secs, MappedSection{ID: id, Off: pos, Data: append([]byte(nil), data[pos:pos+int64(size)]...), v1: true})
+		end := pos + int64(size)
+		m.secs = append(m.secs, MappedSection{ID: id, Off: pos, Data: data[pos:end:end], v1: true})
 		m.secs[len(m.secs)-1].verified.Store(true)
 		pos += int64(size)
 	}

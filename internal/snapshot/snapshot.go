@@ -122,11 +122,6 @@ var ErrVersionUnsupported = errors.New("format version unsupported")
 // unbounded name allocation.
 const MaxKindLen = 64
 
-// readChunk is the incremental-allocation unit: payload slices grow by at
-// most this many bytes per read, so a hostile length field cannot trigger
-// an allocation larger than the input that backs it.
-const readChunk = 1 << 20
-
 var (
 	magic    = [8]byte{'S', 'T', 'S', 'N', 'A', 'P', '0', '1'}
 	magic2   = [8]byte{'S', 'T', 'S', 'N', 'A', 'P', '0', '2'}
@@ -435,72 +430,6 @@ func WriteKeySection[K kv.Key](sw *Writer, id uint32, keys []K) error {
 	return nil
 }
 
-// ReadFixed reads n little-endian values of elemSize bytes each, in
-// chunks of at most 1 MiB through one reused buffer. avail is the number
-// of input bytes a trusted source vouches are actually present (-1 when
-// unknown): with a voucher covering the array the result is allocated
-// once (the restart hot path — no chunk-growth copies); without one the
-// slice grows chunk by chunk, so a lying length dies on the short read
-// behind it after at most one chunk of over-allocation. internal/core
-// reads the drift and count arrays of v1 layer blobs through it.
-func ReadFixed[T ~int8 | ~int16 | ~int32 | ~int64 | ~uint32 | ~uint64](r io.Reader, n, elemSize int, what string, avail int64) ([]T, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("snapshot: negative %s count %d", what, n)
-	}
-	need := int64(n) * int64(elemSize)
-	if avail >= 0 && need > avail {
-		return nil, fmt.Errorf("snapshot: %ss need %d bytes, input holds %d", what, need, avail)
-	}
-	chunk := readChunk / elemSize
-	var out []T
-	if avail >= 0 {
-		out = make([]T, 0, n)
-	}
-	buf := make([]byte, int(min64(int64(n), int64(chunk)))*elemSize)
-	filled := 0
-	for filled < n {
-		c := n - filled
-		if c > chunk {
-			c = chunk
-		}
-		b := buf[:c*elemSize]
-		if _, err := io.ReadFull(r, b); err != nil {
-			if errors.Is(err, io.EOF) {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, fmt.Errorf("snapshot: reading %ss %d..%d of %d: %w", what, filled, filled+c-1, n, err)
-		}
-		if cap(out) >= filled+c {
-			out = out[:filled+c]
-		} else {
-			out = append(out, make([]T, c)...)
-		}
-		dst := out[filled : filled+c]
-		// Same-width conversions wrap, so the unsigned reads bit-copy into
-		// signed targets exactly.
-		switch elemSize {
-		case 1:
-			for i := range dst {
-				dst[i] = T(b[i])
-			}
-		case 2:
-			for i := range dst {
-				dst[i] = T(binary.LittleEndian.Uint16(b[2*i:]))
-			}
-		case 4:
-			for i := range dst {
-				dst[i] = T(binary.LittleEndian.Uint32(b[4*i:]))
-			}
-		default:
-			for i := range dst {
-				dst[i] = T(binary.LittleEndian.Uint64(b[8*i:]))
-			}
-		}
-		filled += c
-	}
-	return out, nil
-}
-
 // WriteFileAtomic publishes path crash-safely: write streams into a
 // dot-prefixed temporary file in path's directory, which is fsynced,
 // closed, and atomically renamed over path; the directory is then synced
@@ -593,11 +522,4 @@ func writeU32(w io.Writer, v uint32) error {
 	binary.LittleEndian.PutUint32(b[:], v)
 	_, err := w.Write(b[:])
 	return err
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -44,9 +44,9 @@ func MapViewSections[K kv.Key](m *snapshot.Mapped) (ix *Index[K], ins, dels []K,
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	insView, err := snapshot.MapKeySection[K](dls)
+	ins, err = snapshot.CopyKeySection[K](dls)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return assemble(cfg, deadCount, table, ds.Data, append([]K(nil), insView...))
+	return assemble(cfg, deadCount, table, ds.Data, ins)
 }
