@@ -19,7 +19,9 @@ import (
 
 // BenchmarkAblationWindowThreshold justifies Alg. 1's linear-to-binary
 // switch (8 keys in the paper, §3.8): linear vs binary bounded search over
-// window sizes bracketing the threshold.
+// window sizes bracketing the threshold. The switch governs scalar Find
+// only; the batch probe searches every window width branch-free in
+// lockstep (DESIGN.md §5).
 func BenchmarkAblationWindowThreshold(b *testing.B) {
 	keys := keysFor(b, dataset.Spec{Name: dataset.USpr, Bits: 64})
 	w := bench100kWindows(keys)

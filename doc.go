@@ -14,9 +14,9 @@
 // Beyond the paper, the query layer has a batched engine (DESIGN.md §5):
 // core.Table.FindBatch, LookupBatch and FindRangeBatch run a staged
 // pipeline — one cdfmodel.PredictBatch call per chunk, drift-entry gathers
-// with the packed-width switch hoisted out of the inner loop, and
-// interleaved window probes whose independent cache misses overlap instead
-// of serialising — and FindBatchParallel shards a batch across GOMAXPROCS
+// with the packed-width switch hoisted out of the inner loop, and one
+// lockstep, branch-free window search whose independent cache misses
+// overlap instead of serialising — and FindBatchParallel shards a batch across GOMAXPROCS
 // workers. Batch results are bit-identical to the scalar path (property
 // tested); see examples/batch for usage and `figures -fig batch` for the
 // throughput sweep.

@@ -21,16 +21,18 @@ import (
 //  2. gather the drift entries with one typed loop per packed width (the
 //     width switch runs once per chunk, and the gather loads are
 //     independent, so their misses overlap);
-//  3. probe the key array in an interleaved order — every round issues one
-//     independent load per unfinished lane before any comparison consumes
-//     one — so the memory-level parallelism of the machine hides the
-//     latency the scalar path pays serially.
+//  3. search every lane's window in lockstep — each round issues one
+//     independent load per lane before any comparison consumes one, and
+//     moves the lane with a conditional move instead of a branch — so
+//     the memory-level parallelism of the machine hides the latency the
+//     scalar path pays serially.
 //
 // This is the group-prefetching scheme of the in-memory-index literature
 // (SOSD-style batched harnesses; AMAC/group prefetch for hash and tree
 // probes), expressed in portable Go: instead of prefetch intrinsics, the
-// touch pass loads the target cache line into a scratch slot that the
-// finishing pass then consumes.
+// lockstep rounds keep a chunk's independent loads in flight together
+// (range mode), and midpoint mode's touch pass loads every gallop's first
+// line into a scratch slot before the scalar finish.
 //
 // Every batch entry point returns results bit-identical to its scalar
 // twin; the property tests in batch_test.go enforce this on every mode and
@@ -42,18 +44,18 @@ import (
 // independent misses than it can service concurrently.
 const batchChunk = 256
 
-// batchScratch is the per-chunk lane state (~13 KiB). It is pooled on the
-// Table (Table.scratch) so steady-state batches allocate nothing; every
-// slot is written before it is read within a chunk, so a recycled scratch
-// needs no zeroing. Each concurrent FindBatch (e.g. the shards of
-// FindBatchParallel) gets its own instance from the pool.
+// batchScratch is the per-chunk lane state (10.25 KiB for 8-byte keys). It
+// is pooled on the Table (Table.scratch) so steady-state batches allocate
+// nothing; every slot is written before it is read within a chunk, so a
+// recycled scratch needs no zeroing. Each concurrent FindBatch (e.g. the
+// shards of FindBatchParallel) gets its own instance from the pool.
 type batchScratch[K kv.Key] struct {
 	pred  [batchChunk]int   // stage 1: model predictions
-	wlo   [batchChunk]int   // stage 2/3: window start, then binary-search lo
-	wend  [batchChunk]int   // stage 2/3: window end (half-open), then hi
-	mid   [batchChunk]int   // stage 3: probe position per round
-	probe [batchChunk]K     // stage 3: touched key per lane
-	lanes [batchChunk]int32 // stage 3: unfinished-lane worklist
+	wlo   [batchChunk]int   // stage 2/3: window start, then search base
+	wend  [batchChunk]int   // stage 2/3: window end (half-open), then length
+	probe [batchChunk]K     // stage 3 (midpoint mode): touched key per lane
+	next  [batchChunk]K     // FindRangeBatch: one chunk's b+1 queries
+	lanes [batchChunk]uint8 // stage 3 (range mode): lanes wider than one key
 }
 
 // ensureInts returns out if it can hold n results, a fresh slice otherwise.
@@ -73,25 +75,30 @@ func ensureInts(out []int, n int) []int {
 //shift:lockfree
 func (t *Table[K]) FindBatch(qs []K, out []int) []int {
 	out = ensureInts(out, len(qs))
-	if t.n == 0 {
-		for i := range out {
-			out[i] = 0
-		}
-		return out
-	}
-	st, _ := t.scratch.Get().(*batchScratch[K])
-	if st == nil {
-		st = new(batchScratch[K])
-	}
-	for base := 0; base < len(qs); base += batchChunk {
-		c := len(qs) - base
-		if c > batchChunk {
-			c = batchChunk
-		}
-		t.findChunk(qs[base:base+c], out[base:base+c], st)
-	}
+	st := t.getScratch()
+	t.findBatch(qs, out, st)
 	t.scratch.Put(st)
 	return out
+}
+
+// getScratch takes a lane-state scratch from the Table's pool.
+func (t *Table[K]) getScratch() *batchScratch[K] {
+	if st, ok := t.scratch.Get().(*batchScratch[K]); ok {
+		return st
+	}
+	return new(batchScratch[K])
+}
+
+// findBatch runs the staged pipeline over qs one chunk at a time.
+func (t *Table[K]) findBatch(qs []K, out []int, st *batchScratch[K]) {
+	if t.n == 0 {
+		clear(out)
+		return
+	}
+	for base := 0; base < len(qs); base += batchChunk {
+		c := min(len(qs)-base, batchChunk)
+		t.findChunk(qs[base:base+c], out[base:base+c], st)
+	}
 }
 
 // findChunk runs the staged pipeline over one chunk of at most batchChunk
@@ -212,69 +219,72 @@ func (t *Table[K]) gatherStarts(pred, wlo []int) {
 	t.shift.gatherAdd(pred, wlo, t.partitioner())
 }
 
-// probeWindows resolves every lane's window [wlo, wend) to its lower bound.
-// Short windows (Alg. 1's linear regime) get a touch pass that loads the
-// first key of every window with independent, overlapping misses, then a
-// scalar finish on now-warm lines. Long windows run an interleaved binary
-// search: each round issues one independent probe load per unfinished lane
-// before any lane consumes its comparison.
+// probeWindows resolves every lane's window [wlo, wend) to its lower bound
+// with one lockstep, branch-free search (Khuong & Morin's "Array Layouts
+// for Comparison-Based Searching"). Each lane keeps a base and a length;
+// every searching lane runs the same halving rounds, as many as the
+// chunk's widest window needs, and each round moves the base with a
+// conditional move instead of a branch on what is effectively a coin
+// flip. The loads of one round are independent across lanes, so their
+// misses overlap. A lane whose length has reached 1 re-reads a key
+// already in L1; a final step against the base emits the answer.
+//
+// An empty window's answer is wlo itself: the lane is answered at once,
+// with length 0 and base 0, so it never loads a line of its own. When
+// fewer than a quarter of the lanes search (uniform queries over a sparse
+// key range, where most windows are empty or one key wide), the rounds
+// step only the lanes listed in st.lanes. Otherwise (queries that hit
+// the keys) they step every lane in order, cheaper per lane, and the
+// finished or empty ones re-read a line in L1.
 func (t *Table[K]) probeWindows(qs []K, out []int, st *batchScratch[K]) {
 	c := len(qs)
 	keys := t.keys
-	wlo, wend := st.wlo[:c], st.wend[:c]
-
-	long := st.lanes[:0]
-	for i := 0; i < c; i++ {
-		if wend[i]-wlo[i] > search.WindowThreshold {
-			long = append(long, int32(i))
+	base, size, lanes := st.wlo[:c], st.wend[:c], st.lanes[:c]
+	searching, widest := 0, 1
+	for i := range base {
+		w := size[i] - base[i]
+		if w < 1 {
+			out[i] = base[i]
+			base[i], w = 0, 0
+		}
+		size[i] = w
+		widest = max(widest, w)
+		lanes[searching] = uint8(i)
+		if w > 1 {
+			searching++
 		}
 	}
-
-	// Touch pass for the short windows (most lanes with M=N, where windows
-	// are a handful of keys): one independent load per lane.
-	for i := 0; i < c; i++ {
-		if w := wend[i] - wlo[i]; w > 0 && w <= search.WindowThreshold {
-			st.probe[i] = keys[wlo[i]]
+	if 4*searching < c {
+		for ; widest > 1; widest -= widest >> 1 {
+			for _, i := range lanes[:searching] {
+				n, v := size[i], base[i]
+				h := n >> 1
+				if keys[v+h] < qs[i] {
+					v += h
+				}
+				base[i], size[i] = v, n-h
+			}
 		}
 	}
-	// Finish the short windows. The first comparison consumes the touched
-	// key; the rest of the scan stays within the fetched line(s).
-	for i := 0; i < c; i++ {
-		lo, end := wlo[i], wend[i]
-		if end-lo > search.WindowThreshold {
+	for ; widest > 1; widest -= widest >> 1 {
+		for i, q := range qs {
+			n, v := size[i], base[i]
+			h := n >> 1
+			if keys[v+h] < q {
+				v += h
+			}
+			base[i], size[i] = v, n-h
+		}
+	}
+	for i, q := range qs {
+		if size[i] == 0 {
 			continue
 		}
-		if lo < end && st.probe[i] < qs[i] {
-			lo = search.LinearRange(keys, lo+1, end, qs[i])
+		v := base[i]
+		if keys[v] < q {
+			v++
 		}
-		out[i] = lo
-	}
-
-	// Interleaved binary search over the long windows. The worklist is
-	// filtered in place each round (append lands at or before the read
-	// position), so a lane's result must be emitted the moment it
-	// converges — the original list is clobbered by the filtering.
-	act := long
-	for len(act) > 0 {
-		for _, ix := range act {
-			m := int(uint(wlo[ix]+wend[ix]) >> 1)
-			st.mid[ix] = m
-			st.probe[ix] = keys[m] // independent loads: misses overlap
-		}
-		next := act[:0]
-		for _, ix := range act {
-			if st.probe[ix] < qs[ix] {
-				wlo[ix] = st.mid[ix] + 1
-			} else {
-				wend[ix] = st.mid[ix]
-			}
-			if wlo[ix] < wend[ix] {
-				next = append(next, ix)
-			} else {
-				out[ix] = wlo[ix]
-			}
-		}
-		act = next
+		out[i] = v
 	}
 }
 
@@ -297,21 +307,28 @@ func (t *Table[K]) LookupBatch(qs []K, pos []int, found []bool) ([]int, []bool) 
 
 // FindRangeBatch answers FindRange for every pair (as[i], bs[i]): the
 // half-open position range [firsts[i], lasts[i]) of keys in the inclusive
-// key range [as[i], bs[i]]. Both lower-bound passes run through FindBatch.
+// key range [as[i], bs[i]]. Both lower-bound passes run the FindBatch
+// pipeline on one pooled scratch, so sized outputs allocate nothing.
 func (t *Table[K]) FindRangeBatch(as, bs []K, firsts, lasts []int) ([]int, []int) {
 	if len(as) != len(bs) {
 		panic("core: FindRangeBatch slice length mismatch")
 	}
-	firsts = t.FindBatch(as, firsts)
+	firsts = ensureInts(firsts, len(as))
 	lasts = ensureInts(lasts, len(bs))
-	// Second pass queries b+1; the wrap at the domain maximum resolves to
-	// last = n, exactly as FindRange does.
+	st := t.getScratch()
+	t.findBatch(as, firsts, st)
+	// Second pass queries b+1, one chunk at a time through the scratch's
+	// query array; the wrap at the domain maximum resolves to last = n,
+	// exactly as FindRange does.
 	max := maxOf[K]()
-	qs := make([]K, len(bs))
-	for i, b := range bs {
-		qs[i] = b + 1 // wraps to 0 when b == max; overwritten below
+	for base := 0; base < len(bs); base += batchChunk {
+		piece := bs[base:min(base+batchChunk, len(bs))]
+		for i, b := range piece {
+			st.next[i] = b + 1 // wraps to 0 when b == max; overwritten below
+		}
+		t.findBatch(st.next[:len(piece)], lasts[base:base+len(piece)], st)
 	}
-	lasts = t.FindBatch(qs, lasts)
+	t.scratch.Put(st)
 	for i, b := range bs {
 		switch {
 		case b < as[i]:

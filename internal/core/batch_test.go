@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cdfmodel"
 	"repro/internal/kv"
+	"repro/internal/search"
 )
 
 // opaqueModel hides a model's concrete type so it does not satisfy
@@ -257,6 +258,200 @@ func TestFindBatchAfterLoad(t *testing.T) {
 	for i := range qs {
 		if got[i] != want[i] {
 			t.Fatalf("loaded FindBatch[%d] = %d, built = %d", i, got[i], want[i])
+		}
+	}
+}
+
+// checkBatch asserts FindBatch ≡ scalar Find ≡ kv.LowerBound on qs.
+func checkBatch(t *testing.T, tab *Table[uint64], keys, qs []uint64) {
+	t.Helper()
+	got := tab.FindBatch(qs, nil)
+	for i, q := range qs {
+		want := kv.LowerBound(keys, q)
+		if got[i] != want || tab.Find(q) != want {
+			t.Fatalf("q=%d (lane %d of %d): FindBatch = %d, Find = %d, kv.LowerBound = %d",
+				q, i, len(qs), got[i], tab.Find(q), want)
+		}
+	}
+}
+
+// windowOf returns the raw window bounds Table.Window gives q and the
+// width of the clamped half-open window the batch probe searches.
+func windowOf(tab *Table[uint64], q uint64) (lo, hi, width int) {
+	lo, hi = tab.Window(q)
+	n := tab.Len()
+	end := min(hi, n-1) + 1
+	return lo, hi, min(end, n) - kv.Clamp(lo, 0, n)
+}
+
+// TestFindBatchWindowShapes drives the lockstep window probe over every
+// window shape it can meet: empty, 1-key, short and long windows in one
+// chunk, windows clamped at 0 and at n, windows wider than 2^15 behind
+// 32-bit drift entries, 1- and 2-key tables, and short chunk tails.
+func TestFindBatchWindowShapes(t *testing.T) {
+	build := func(t *testing.T, keys []uint64) *Table[uint64] {
+		t.Helper()
+		tab, err := Build(keys, cdfmodel.NewInterpolation(keys), Config{Mode: ModeRange})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+	// Uniform keys, then a dense cluster, then duplicate runs: the
+	// interpolation model's error, and so the window width, varies by
+	// region.
+	rng := rand.New(rand.NewSource(41))
+	var mixed []uint64
+	v := uint64(1000)
+	for i := 0; i < 30_000; i++ {
+		switch {
+		case i < 10_000:
+			v += 900 + uint64(rng.Intn(200))
+		case i < 20_000:
+			v += uint64(rng.Intn(3))
+		case i%7 != 0:
+		default:
+			v += 1 + uint64(rng.Intn(5000))
+		}
+		mixed = append(mixed, v)
+	}
+
+	t.Run("mixed-chunk", func(t *testing.T) {
+		tab := build(t, mixed)
+		// Bucket candidate queries by window width: empty, one key, the
+		// scalar path's linear regime, and wider.
+		var buckets [4][]uint64
+		for _, q := range append(batchQueries(mixed, 20_000, 43), ^uint64(0), mixed[len(mixed)-1]+1) {
+			_, _, w := windowOf(tab, q)
+			b := 3
+			switch {
+			case w <= 0:
+				b = 0
+			case w == 1:
+				b = 1
+			case w <= search.WindowThreshold:
+				b = 2
+			}
+			if len(buckets[b]) < batchChunk/4 {
+				buckets[b] = append(buckets[b], q)
+			}
+		}
+		for b := range buckets {
+			if len(buckets[b]) == 0 {
+				t.Fatalf("no query with a window of shape %d; buckets %d/%d/%d/%d", b,
+					len(buckets[0]), len(buckets[1]), len(buckets[2]), len(buckets[3]))
+			}
+		}
+		// One chunk with every shape in equal parts (most lanes search, so
+		// the rounds step every lane), and one where only 1 lane in 8
+		// searches (the rounds step the listed lanes only).
+		var even, sparse []uint64
+		for i := 0; i < batchChunk; i++ {
+			b := i % 4
+			even = append(even, buckets[b][i/4%len(buckets[b])])
+			switch {
+			case i%16 == 0:
+				b = 3
+			case i%16 == 8:
+				b = 2
+			default:
+				b = i % 2
+			}
+			sparse = append(sparse, buckets[b][i%len(buckets[b])])
+		}
+		checkBatch(t, tab, mixed, even)
+		checkBatch(t, tab, mixed, sparse)
+	})
+
+	t.Run("clamped", func(t *testing.T) {
+		tab := build(t, mixed)
+		n := len(mixed)
+		qs := []uint64{0, mixed[0] - 1, mixed[0], mixed[0] + 1, mixed[1],
+			mixed[n-2], mixed[n-1] - 1, mixed[n-1], mixed[n-1] + 1, ^uint64(0)}
+		var atZero, atN bool
+		for _, q := range qs {
+			lo, hi, _ := windowOf(tab, q)
+			atZero = atZero || lo <= 0
+			atN = atN || hi >= n-1
+		}
+		if !atZero || !atN {
+			t.Fatalf("clamping not exercised: at 0 %v, at n %v", atZero, atN)
+		}
+		checkBatch(t, tab, mixed, qs)
+	})
+
+	t.Run("32-bit-drifts", func(t *testing.T) {
+		// One outlier far above a dense run: the model crowds every other
+		// key into the first partitions, so drifts approach n.
+		keys := make([]uint64, 0, 80_001)
+		for i := 0; i < 80_000; i++ {
+			keys = append(keys, uint64(1000+3*i))
+		}
+		keys = append(keys, 1<<62)
+		tab := build(t, keys)
+		if got := tab.EntryBits(); got != 32 {
+			t.Fatalf("EntryBits = %d, want 32", got)
+		}
+		qs := append(batchQueries(keys, 3*batchChunk, 47), keys[40_000], keys[79_999]+1, 1<<61)
+		wide := 0
+		for _, q := range qs {
+			if _, _, w := windowOf(tab, q); w > 1<<15 {
+				wide++
+			}
+		}
+		if wide == 0 {
+			t.Fatal("no window wider than 2^15")
+		}
+		checkBatch(t, tab, keys, qs)
+	})
+
+	t.Run("tiny-tables", func(t *testing.T) {
+		for _, keys := range [][]uint64{{50}, {50, 90}, {50, 50}} {
+			tab := build(t, keys)
+			qs := []uint64{0, 49, 50, 51, 89, 90, 91, ^uint64(0)}
+			checkBatch(t, tab, keys, append(qs, qs...))
+		}
+	})
+
+	t.Run("chunk-tails", func(t *testing.T) {
+		tab := build(t, mixed)
+		for _, lanes := range []int{1, batchChunk - 1, batchChunk + 1, 2*batchChunk - 1} {
+			checkBatch(t, tab, mixed, batchQueries(mixed, lanes, int64(lanes)))
+		}
+	})
+}
+
+// TestBatchAllocatesNothing pins the steady state of the range-mode batch
+// entry points: with sized outputs, a batch allocates nothing (the lane
+// state is pooled on the Table and the b+1 pass of FindRangeBatch runs
+// through a fixed-size array).
+func TestBatchAllocatesNothing(t *testing.T) {
+	keys := batchKeys(20_000, 1, 0)
+	tab, err := Build(keys, cdfmodel.NewInterpolation(keys), Config{Mode: ModeRange})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := batchQueries(keys, batchChunk, 53)
+	out := make([]int, len(qs))
+	if a := testing.AllocsPerRun(100, func() { tab.FindBatch(qs, out) }); a != 0 {
+		t.Fatalf("FindBatch of %d lanes allocates %.1f times per call", len(qs), a)
+	}
+
+	as := batchQueries(keys, 3*batchChunk-7, 59)
+	bs := make([]uint64, len(as))
+	for i, a := range as {
+		bs[i] = a + uint64(i%4000)
+		if bs[i] < a {
+			bs[i] = ^uint64(0)
+		}
+	}
+	firsts, lasts := make([]int, len(as)), make([]int, len(as))
+	if a := testing.AllocsPerRun(100, func() { tab.FindRangeBatch(as, bs, firsts, lasts) }); a != 0 {
+		t.Fatalf("FindRangeBatch of %d pairs allocates %.1f times per call", len(as), a)
+	}
+	for i := range as {
+		if wf, wl := tab.FindRange(as[i], bs[i]); firsts[i] != wf || lasts[i] != wl {
+			t.Fatalf("FindRangeBatch[%d] = [%d,%d), FindRange = [%d,%d)", i, firsts[i], lasts[i], wf, wl)
 		}
 	}
 }

@@ -40,16 +40,29 @@ func fuzzKeys(seed uint64, n int, dup, drift uint8) []uint64 {
 
 // FuzzFindLookup drives core.Find, Lookup and the batch engine over fuzzed
 // datasets and configurations, with kv.LowerBound as the rank oracle and
-// batch ≡ scalar as the pipeline oracle.
+// batch ≡ scalar as the pipeline oracle. modeBits&16 scales the key count
+// 64-fold and crowds it under one outlier, so the layer packs 32-bit
+// drifts and the batch probe meets windows wider than 2^15.
 func FuzzFindLookup(f *testing.F) {
 	f.Add(uint64(7), uint16(500), uint8(0), uint8(3), uint8(0), uint64(12345))
 	f.Add(uint64(3), uint16(800), uint8(255), uint8(1), uint8(1), uint64(99))      // duplicate-heavy
 	f.Add(uint64(11), uint16(1000), uint8(8), uint8(255), uint8(2), uint64(1<<40)) // adversarially drifted
 	f.Add(uint64(1), uint16(0), uint8(0), uint8(0), uint8(0), uint64(0))           // empty keys
 	f.Add(uint64(5), uint16(64), uint8(32), uint8(200), uint8(7), uint64(1))       // sampled midpoint, reduced M
+	f.Add(uint64(13), uint16(1500), uint8(0), uint8(40), uint8(16), uint64(777))   // 96,001 crowded keys: 32-bit drifts
 
 	f.Fuzz(func(t *testing.T, seed uint64, n uint16, dup, drift, modeBits uint8, q uint64) {
-		keys := fuzzKeys(seed, int(n)%2048, dup, drift)
+		nk := int(n) % 2048
+		if modeBits&16 != 0 {
+			nk *= 64
+		}
+		keys := fuzzKeys(seed, nk, dup, drift)
+		if modeBits&16 != 0 && len(keys) > 0 {
+			// One outlier far above the rest: the model crowds every other
+			// key into the first partitions, so drifts approach n and need
+			// 32-bit entries once n passes 2^15.
+			keys = append(keys, keys[len(keys)-1]|1<<62)
+		}
 		cfg := Config{}
 		if modeBits&1 != 0 {
 			cfg.Mode = ModeMidpoint

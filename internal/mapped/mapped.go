@@ -80,22 +80,26 @@ func Map(path string) (*Region, error) {
 	if testHookBeforeMap != nil {
 		testHookBeforeMap(path)
 	}
-	data, real, err := mapFile(f, int(st.Size()))
-	if err != nil {
-		return nil, fmt.Errorf("mapped: mapping %s: %w", path, err)
-	}
+	data, real, mapErr := mapFile(f, int(st.Size()))
 	// Re-stat through the same still-open fd and refuse if the size moved
 	// between the stat and the mapping (a writer truncating or appending
 	// concurrently). Without this check a shrunk file turns later page
 	// faults into SIGBUS — a crash the verifier can never catch, because
-	// every byte currently mapped still checksums clean.
-	if st2, err := f.Stat(); err != nil || st2.Size() != st.Size() {
+	// every byte currently mapped still checksums clean. The check comes
+	// before mapFile's own error: the heap fallback's read of a shrunk
+	// file comes up short, and the resize is the cause to report.
+	st2, statErr := f.Stat()
+	if statErr == nil && st2.Size() != st.Size() {
 		unmap(data, real)
-		if err != nil {
-			return nil, fmt.Errorf("mapped: re-stat %s: %w", path, err)
-		}
 		return nil, fmt.Errorf("mapped: %s changed size from %d to %d bytes while being mapped (concurrent writer)",
 			path, st.Size(), st2.Size())
+	}
+	if mapErr != nil {
+		return nil, fmt.Errorf("mapped: mapping %s: %w", path, mapErr)
+	}
+	if statErr != nil {
+		unmap(data, real)
+		return nil, fmt.Errorf("mapped: re-stat %s: %w", path, statErr)
 	}
 	r := &Region{data: data, path: abs, real: real}
 	r.refs.Store(1)
