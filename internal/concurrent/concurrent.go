@@ -221,28 +221,32 @@ func (ix *Index[K]) FindTagged(q K) (rank int, tag uint64) {
 func (ix *Index[K]) Tag() uint64 { return ix.snap.Load().tag }
 
 // LookupBatch answers Lookup for every query in qs against one snapshot:
-// one staged base-table batch probe per lane (View.LookupCountBatch), then
-// the generation corrections. Like FindBatch it reuses the supplied slices
-// when they have capacity.
+// one staged base-table batch probe per lane (View.FindBatch), each lane's
+// multiplicity counted from its base rank before the generation
+// corrections move the ranks. Like FindBatch it reuses the supplied
+// slices when they have capacity, and then allocates nothing.
 //
 //shift:lockfree
 func (ix *Index[K]) LookupBatch(qs []K, ranks []int, found []bool) ([]int, []bool) {
 	s := ix.snap.Load()
-	var counts []int
-	ranks, counts = s.view.LookupCountBatch(qs, ranks, nil)
+	ranks = s.view.FindBatch(qs, ranks)
 	if cap(found) >= len(qs) {
 		found = found[:len(qs)]
 	} else {
 		found = make([]bool, len(qs))
 	}
-	s.genRankBatch(qs, ranks)
+	base := s.view.Keys()
 	for i, q := range qs {
-		c := counts[i]
+		c := 0
+		for p := ranks[i]; p < len(base) && base[p] == q; p++ {
+			c++
+		}
 		for _, g := range s.gens {
 			c += countEq(g.ins, q) - countEq(g.dels, q)
 		}
 		found[i] = c > 0
 	}
+	s.genRankBatch(qs, ranks)
 	return ranks, found
 }
 

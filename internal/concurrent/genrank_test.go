@@ -109,7 +109,7 @@ func testGenRankBatch[K kv.Key](t *testing.T) {
 
 // TestFindBatchTaggedAllocs: a batch against a sealed run and a write
 // head allocates nothing once out is sized, at a full lockstep chunk and
-// across several chunks.
+// across several chunks; nor does LookupBatch once ranks and found are.
 func TestFindBatchTaggedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector measure the detector")
@@ -154,6 +154,17 @@ func TestFindBatchTaggedAllocs(t *testing.T) {
 			}
 			if n := testing.AllocsPerRun(100, func() { out, _ = ix.FindBatchTagged(qs, out) }); n != 0 {
 				t.Errorf("%v allocations per FindBatchTagged of %d lanes, want 0", n, lanes)
+			}
+			ranks, found := make([]int, lanes), make([]bool, lanes)
+			ranks, found = ix.LookupBatch(qs, ranks, found)
+			for i, q := range qs {
+				want := kv.LowerBound(ref.keys, q)
+				if wantFound := want < len(ref.keys) && ref.keys[want] == q; ranks[i] != want || found[i] != wantFound {
+					t.Fatalf("LookupBatch(%d) = (%d,%v), want (%d,%v)", q, ranks[i], found[i], want, wantFound)
+				}
+			}
+			if n := testing.AllocsPerRun(100, func() { ranks, found = ix.LookupBatch(qs, ranks, found) }); n != 0 {
+				t.Errorf("%v allocations per LookupBatch of %d lanes, want 0", n, lanes)
 			}
 		})
 	}

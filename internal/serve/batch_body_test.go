@@ -59,16 +59,7 @@ func (h *Handler[K]) referenceBatch(w http.ResponseWriter, r *http.Request) {
 // reference.
 func batchPairs(t testing.TB) map[string][2]http.HandlerFunc {
 	t.Helper()
-	small := make([]uint32, 20_000)
-	for i := range small {
-		small[i] = uint32(i)*7 + 1
-	}
-	ix32, err := concurrent.New(small, concurrent.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix32.Close()
-	ix64 := newPrimary(t, 20_000)
+	ix32, ix64 := newIndex32(t), newPrimary(t, 20_000)
 	pairs := map[string][2]http.HandlerFunc{}
 	for _, max := range []int{3, 4096} {
 		cfg := HandlerConfig{MaxBatch: max}
@@ -79,6 +70,22 @@ func batchPairs(t testing.TB) map[string][2]http.HandlerFunc {
 	return pairs
 }
 
+// newIndex32 is a closed 20,000-key uint32 index, for the differential
+// checks' out-of-range keys.
+func newIndex32(t testing.TB) *concurrent.Index[uint32] {
+	t.Helper()
+	keys := make([]uint32, 20_000)
+	for i := range keys {
+		keys[i] = uint32(i)*7 + 1
+	}
+	ix, err := concurrent.New(keys, concurrent.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix.Close()
+	return ix
+}
+
 // postTo records one POST /v1/batch of body through serve.
 func postTo(serve http.HandlerFunc, body string) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
@@ -86,17 +93,28 @@ func postTo(serve http.HandlerFunc, body string) *httptest.ResponseRecorder {
 	return rec
 }
 
-// checkBatchBody fails unless every pair answers body with the reference's
-// status, headers and body bytes.
-func checkBatchBody(t *testing.T, pairs map[string][2]http.HandlerFunc, body string) {
+// checkSame fails unless every pair answers the request newReq makes with
+// the reference's status, headers and body bytes; what names the request
+// in the failure.
+func checkSame(t *testing.T, pairs map[string][2]http.HandlerFunc, what string, newReq func() *http.Request) {
 	t.Helper()
 	for name, p := range pairs {
-		got, want := postTo(p[0], body), postTo(p[1], body)
+		got, want := httptest.NewRecorder(), httptest.NewRecorder()
+		p[0](got, newReq())
+		p[1](want, newReq())
 		if got.Code != want.Code || !maps.EqualFunc(got.Header(), want.Header(), slices.Equal) || got.Body.String() != want.Body.String() {
-			t.Fatalf("%s %.200q:\n got %d %v %q\nwant %d %v %q", name, body,
+			t.Fatalf("%s %.200q:\n got %d %v %q\nwant %d %v %q", name, what,
 				got.Code, got.Header(), got.Body.String(), want.Code, want.Header(), want.Body.String())
 		}
 	}
+}
+
+// checkBatchBody is checkSame for one POST /v1/batch of body.
+func checkBatchBody(t *testing.T, pairs map[string][2]http.HandlerFunc, body string) {
+	t.Helper()
+	checkSame(t, pairs, body, func() *http.Request {
+		return httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(body))
+	})
 }
 
 // FuzzBatchBody: for any body, the /v1/batch handler writes exactly what

@@ -148,8 +148,9 @@ func (c *Coalescer[K]) Find(ctx context.Context, key K) (rank int, tag uint64, e
 	// Fast path: nobody is combining, so self-serve with one scalar
 	// FindTagged, without touching the queue or a result channel — the
 	// uncontended coalesced lookup costs one TryLock over the direct
-	// path. Anyone arriving while we hold the lock enqueues and is
-	// drained below (or rescues itself via its own TryLock after we
+	// path, and an empty queue is not even drained, so it takes no wave
+	// scratch either. Anyone arriving while we hold the lock enqueues and
+	// is drained below (or rescues itself via its own TryLock after we
 	// release).
 	if !c.closedHint.Load() && c.combine.TryLock() {
 		c.requests.Add(1)
@@ -160,7 +161,9 @@ func (c *Coalescer[K]) Find(ctx context.Context, key K) (rank int, tag uint64, e
 			c.maxWave.CompareAndSwap(0, 1)
 		}
 		for {
-			c.runWaves()
+			if len(c.reqs) > 0 {
+				c.runWaves()
+			}
 			c.combine.Unlock()
 			if len(c.reqs) == 0 || !c.combine.TryLock() {
 				break

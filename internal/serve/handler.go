@@ -210,11 +210,17 @@ func (h *Handler[K]) admit(w http.ResponseWriter) bool {
 // release returns the inflight slot admit took.
 func (h *Handler[K]) release() { <-h.inflight }
 
+// handleFind answers GET /v1/find?key=K. scanFindKey reads the canonical
+// query in one pass; any other query goes to queryValue and parseKey, the
+// authority on every other shape.
 func (h *Handler[K]) handleFind(w http.ResponseWriter, r *http.Request) {
-	key, err := parseKey[K](queryValue(r.URL.RawQuery, "key"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
+	key, ok := scanFindKey[K](r.URL.RawQuery)
+	var err error
+	if !ok {
+		if key, err = parseKey[K](queryValue(r.URL.RawQuery, "key")); err != nil {
+			httpError(w, http.StatusBadRequest, err.Error())
+			return
+		}
 	}
 	var (
 		rank int
@@ -522,6 +528,28 @@ func parseKey[K kv.Key](s string) (K, error) {
 	return k, nil
 }
 
+// scanFindKey parses the canonical /v1/find query: key= then 1 to 20
+// ASCII digits and nothing else, the value fitting uint64 and K. It
+// reports whether raw had that shape. From such a query queryValue plus
+// parseKey get the same key: no pair holds a ';', an escape or a '+', and
+// the one pair is named key.
+func scanFindKey[K kv.Key](raw string) (K, bool) {
+	const name = "key="
+	if len(raw) <= len(name) || len(raw) > len(name)+20 || raw[:len(name)] != name {
+		return 0, false
+	}
+	var u uint64
+	for i := len(name); i < len(raw); i++ {
+		d := uint64(raw[i] - '0')
+		if d > 9 || u > (math.MaxUint64-d)/10 {
+			return 0, false
+		}
+		u = u*10 + d
+	}
+	k := K(u)
+	return k, uint64(k) == u
+}
+
 // queryValue is url.ParseQuery(raw).Get(name) without building the map:
 // the value of the first pair named name. Like ParseQuery it skips empty
 // pairs and pairs that hold a ';' or a bad escape, and unescapes '%XX'
@@ -571,9 +599,20 @@ func getAnswer() *[]byte {
 	return b
 }
 
-// writeAnswer writes the 200 answer in b and returns b to the pool.
+// jsonContentType is the Content-Type value of every 200 answer.
+// writeAnswer assigns it into the header map as is: the key is already
+// canonical, so Header.Set's canonicalisation and its []string per call
+// are skipped. Sharing the one slice is safe because nothing writes into
+// a header value slice: net/http's server reads a handler's header,
+// Clones it or deletes keys from it; Set replaces a key's slice; Add
+// appends, which copies this len-1, cap-1 slice; and no code in this
+// module writes into a value slice.
+var jsonContentType = []string{"application/json"}
+
+// writeAnswer writes the 200 answer in b and returns b to the pool. It
+// allocates nothing.
 func writeAnswer(w http.ResponseWriter, b *[]byte) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.Write(*b)
 	if cap(*b) <= maxPooledAnswer {
 		answers.Put(b)
