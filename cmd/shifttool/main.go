@@ -21,13 +21,14 @@
 //
 // Snapshots are always saved in the page-aligned v2 layout (DESIGN.md
 // §12). With -mmap, -load opens the snapshot by mapping it in place — the
-// O(1) warm-start path — reporting the load mode and per-key load cost;
-// a v1 snapshot written by an earlier build opens on the heap and says
-// so.
+// O(1) warm-start path — reporting the load mode and per-key load cost.
 //
-// -load old.snap -save new.snap is the one-way migration of such a v1
-// snapshot (DESIGN.md §13): the snapshot is loaded, self-validated, and
-// written back out in the v2 layout, without rebuilding the index.
+// A full snapshot in a form only earlier builds wrote does not load
+// (snapshot.ErrLegacy): -load without -save exits non-zero naming the
+// migration, and -load old.snap -save new.snap is that one-way migration
+// (DESIGN.md §13): internal/migrate rewrites the file into the current
+// form, which is loaded through the verified heap load and self-validated
+// before it is written out, without rebuilding the index.
 //
 // With -rank, the tool generalises the advisor across the whole backend
 // registry (internal/index): it measures this machine's L(s) curve, asks
@@ -37,6 +38,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -46,10 +48,12 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cdfmodel"
+	_ "repro/internal/concurrent" // registers the "concurrent" snapshot kind
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/index"
 	"repro/internal/kv"
+	"repro/internal/migrate"
 	"repro/internal/radixspline"
 	"repro/internal/snapshot"
 )
@@ -210,7 +214,7 @@ func rankBackends(keys []uint64, seed int64) error {
 
 // loadSnapshot restores a snapshot file — the warm-start path — and
 // summarises it; with save set it then writes the restored index back out
-// in the v2 layout (the migration of a v1 snapshot). Snapshots record
+// in the v2 layout, migrating a legacy full on the way. Snapshots record
 // their key width in their key sections; both widths are tried
 // (shifttool-built snapshots are 64-bit), and on failure both errors are
 // reported so a corrupt 32-bit file is not masked by the 64-bit attempt's
@@ -224,7 +228,16 @@ func loadSnapshot(path string, useMmap bool, save string) error {
 	if err32 == nil {
 		return finish(ix32, path, ms, mode, save)
 	}
-	return loadFailure(path, err64, err32)
+	for _, err := range []error{err64, err32} {
+		if !errors.Is(err, snapshot.ErrLegacy) {
+			continue
+		}
+		if save == "" {
+			return fmt.Errorf("loading %s: %w", path, err)
+		}
+		return migrateSnapshot(path, save)
+	}
+	return fmt.Errorf("loading %s failed both ways:\n  as 64-bit keys: %v\n  as 32-bit keys: %v", path, err64, err32)
 }
 
 // loadIndex restores path with K-wide keys, timing the load and naming
@@ -232,11 +245,36 @@ func loadSnapshot(path string, useMmap bool, save string) error {
 func loadIndex[K kv.Key](path string, useMmap bool) (index.Index[K], float64, string, error) {
 	start := time.Now()
 	if useMmap {
-		ix, viaMap, err := index.LoadFileMapped[K](path)
-		return ix, float64(time.Since(start).Nanoseconds()) / 1e6, loadModeName(viaMap), err
+		ix, err := index.LoadFileMapped[K](path)
+		return ix, float64(time.Since(start).Nanoseconds()) / 1e6, "mapped (zero-copy)", err
 	}
 	ix, err := index.LoadFile[K](path)
 	return ix, float64(time.Since(start).Nanoseconds()) / 1e6, "heap (verified)", err
+}
+
+// migrateSnapshot writes the current form of the legacy full at path to
+// save (internal/migrate). The written temporary file is loaded through
+// the verified heap load and self-validated before it replaces save, so a
+// failure leaves save (which may be path itself) untouched.
+func migrateSnapshot(path, save string) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	cur, err := migrate.Full(data)
+	if err != nil {
+		return fmt.Errorf("migrating %s: %w", path, err)
+	}
+	if err := snapshot.WriteFileAtomic(save, func(f *os.File) error {
+		if _, err := f.Write(cur); err != nil {
+			return err
+		}
+		return loadSnapshot(f.Name(), false, "")
+	}); err != nil {
+		return err
+	}
+	fmt.Printf("saved snapshot %s (migrated from %s, v2 layout, %s)\n", save, path, human(len(cur)))
+	return nil
 }
 
 // finish summarises and self-validates a restored index, then saves it
@@ -264,22 +302,6 @@ func saveSnapshot[K kv.Key](path string, ix index.Index[K]) error {
 	fmt.Printf("saved snapshot %s (v2 layout, %s, %.1f ms)\n",
 		path, human(int(st.Size())), float64(time.Since(start).Nanoseconds())/1e6)
 	return nil
-}
-
-func loadModeName(mapped bool) string {
-	if mapped {
-		return "mapped (zero-copy)"
-	}
-	return "heap (v1 snapshot, not mappable)"
-}
-
-func loadFailure(path string, err64, err32 error) error {
-	kind, kerr := snapshot.ReadKindFile(path)
-	if kerr != nil {
-		return fmt.Errorf("loading %s: %w", path, err64)
-	}
-	return fmt.Errorf("loading %q snapshot %s failed both ways:\n  as 64-bit keys: %v\n  as 32-bit keys: %v",
-		kind, path, err64, err32)
 }
 
 // summarize prints the restored index and self-validates it against its

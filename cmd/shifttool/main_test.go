@@ -1,11 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/index"
+	"repro/internal/migrate"
 	"repro/internal/snapshot"
 )
 
@@ -81,33 +86,71 @@ func TestRunSaveLoad(t *testing.T) {
 	}
 }
 
-// TestRunMigrate: -load of a v1 snapshot an earlier build wrote, with
-// -save, writes a v2 snapshot that maps and answers identically. Covers
-// every registry kind the fixtures hold.
+// TestRunMigrate: -load of a full an earlier build wrote fails without
+// -save, naming the migration (snapshot.ErrLegacy). With -save it writes
+// the migration (internal/migrate) of the file: byte for byte what
+// migrate.Full returns, loadable through the verified heap load and the
+// mapped open, and reproduced exactly by a load and a save. Covers every
+// full under testdata/v1 (the registry kinds, the retired updatable kind,
+// and the concurrent kind, which needs the concurrent loader linked) and
+// the updatable golden file.
 func TestRunMigrate(t *testing.T) {
 	dir := t.TempDir()
-	for _, kind := range []string{"shift-table", "model-index", "router"} {
-		src := filepath.Join("..", "..", "testdata", "v1", kind+".snap")
-		dst := filepath.Join(dir, kind+".snap")
+	v1 := filepath.Join("..", "..", "testdata", "v1")
+	for _, src := range []string{
+		filepath.Join(v1, "shift-table.snap"),
+		filepath.Join(v1, "model-index.snap"),
+		filepath.Join(v1, "router.snap"),
+		filepath.Join(v1, "updatable.snap"),
+		filepath.Join(v1, "concurrent.snap"),
+		filepath.Join(v1, "store", "full-00000001.snap"),
+		filepath.Join("..", "..", "internal", "updatable", "testdata", "tombstone-free.snap"),
+	} {
+		name := filepath.Base(src)
+		err := run("face64", 0, "im", "r", 0, "", 3, false, false, "", src, false)
+		if !errors.Is(err, snapshot.ErrLegacy) || !strings.Contains(err.Error(), "shifttool -load OLD -save NEW") {
+			t.Fatalf("%s: -load without -save: %v, want snapshot.ErrLegacy naming the migration", name, err)
+		}
+		dst := filepath.Join(dir, name)
 		if err := run("face64", 0, "im", "r", 0, "", 3, false, false, dst, src, false); err != nil {
-			t.Fatalf("%s: migrate: %v", kind, err)
+			t.Fatalf("%s: migrate: %v", name, err)
 		}
 		if err := run("face64", 0, "im", "r", 0, "", 3, false, false, "", dst, true); err != nil {
-			t.Fatalf("%s: load migrated: %v", kind, err)
+			t.Fatalf("%s: load migrated: %v", name, err)
 		}
-		old, err := index.LoadFile[uint64](src)
+		legacy, err := os.ReadFile(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		migrated, viaMap, err := index.LoadFileMapped[uint64](dst)
-		if err != nil || !viaMap {
-			t.Fatalf("%s: migrated snapshot: viaMap=%v err=%v", kind, viaMap, err)
+		want, err := migrate.Full(legacy)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, k := range old.(interface{ Keys() []uint64 }).Keys() {
-			for _, q := range []uint64{k - 1, k, k + 1} {
-				if got, want := migrated.Find(q), old.Find(q); got != want {
-					t.Fatalf("%s: migrated Find(%d) = %d, v1 snapshot %d", kind, q, got, want)
-				}
+		got, err := os.ReadFile(dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: shifttool wrote %d bytes, migrate.Full returns %d other bytes", name, len(got), len(want))
+		}
+		heap, err := index.LoadFile[uint64](dst)
+		if err != nil {
+			t.Fatalf("%s: heap load of the migrated file: %v", name, err)
+		}
+		mm, err := index.LoadFileMapped[uint64](dst)
+		if err != nil || !mm.(interface{ Mapped() bool }).Mapped() {
+			t.Fatalf("%s: mapped open of the migrated file: %v", name, err)
+		}
+		resaved := filepath.Join(dir, "resaved-"+name)
+		if err := index.SaveFile(resaved, heap); err != nil {
+			t.Fatal(err)
+		}
+		if again, err := os.ReadFile(resaved); err != nil || !bytes.Equal(again, got) {
+			t.Fatalf("%s: load and save of the migrated file differ from it (%v)", name, err)
+		}
+		for _, ix := range []index.Index[uint64]{heap, mm} {
+			if c, ok := ix.(interface{ Close() }); ok {
+				c.Close()
 			}
 		}
 	}

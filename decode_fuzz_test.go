@@ -10,26 +10,31 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/concurrent"
 	"repro/internal/dataset"
 	"repro/internal/index"
+	"repro/internal/migrate"
 	"repro/internal/router"
 	"repro/internal/snapshot"
 	"repro/internal/updatable"
 )
 
 // FuzzDecode drives every snapshot decoder — the shift-table,
-// model-index, router, concurrent and legacy updatable kinds through the
-// index registry, and generation deltas through concurrent.LoadDelta —
-// with arbitrary bytes. Half the inputs are resealed first (every
-// checksum recomputed), so a mutation reaches the section decoders
-// instead of dying at a CRC. The property: whatever the verified heap
-// load accepts, the unverified mapped open of the same bytes accepts
-// too and answers identically; whatever the mapped open accepts
-// answers every rank in [0, Len] without panicking; deltas load or fail
-// without panicking.
+// model-index, router and concurrent kinds through the index registry,
+// and generation deltas through concurrent.LoadDelta — with arbitrary
+// bytes. Half the inputs are resealed first (every checksum recomputed),
+// so a mutation reaches the section decoders instead of dying at a CRC.
+// The property: whatever the verified heap load accepts, the unverified
+// mapped open of the same bytes accepts too and answers identically;
+// whatever the heap load refuses as a legacy full, the mapped open
+// refuses as one too; whatever the mapped open accepts answers every
+// rank in [0, Len] without panicking; deltas load or fail without
+// panicking. The seeds include every full earlier builds wrote, which
+// both entry points refuse (snapshot.ErrLegacy).
 //
 //	go test . -run xxx -fuzz FuzzDecode -fuzztime 60s
 func FuzzDecode(f *testing.F) {
@@ -80,7 +85,8 @@ func closeIndex(ix index.Index[uint64]) {
 func checkDecode(t *testing.T, dir string, data []byte) {
 	t.Helper()
 	var heap []int
-	if ix, err := index.Load[uint64](bytes.NewReader(data), int64(len(data))); err == nil {
+	ix, heapErr := index.Load[uint64](bytes.NewReader(data), int64(len(data)))
+	if heapErr == nil {
 		heap = answers(ix)
 		closeIndex(ix)
 	}
@@ -96,10 +102,12 @@ func checkDecode(t *testing.T, dir string, data []byte) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ix, _, err := index.LoadFileMapped[uint64](path)
+	ix, err = index.LoadFileMapped[uint64](path)
 	switch {
 	case err != nil && heap != nil:
 		t.Fatalf("the verified heap load accepted what the mapped open rejects: %v", err)
+	case errors.Is(heapErr, snapshot.ErrLegacy) && !errors.Is(err, snapshot.ErrLegacy):
+		t.Fatalf("the heap load refused a legacy full (%v), the mapped open says %v", heapErr, err)
 	case err == nil:
 		got := answers(ix)
 		closeIndex(ix)
@@ -281,8 +289,10 @@ func resealed(data []byte) []byte {
 // TestHeapLoadRejectsResealedInvalid: containers whose every checksum is
 // valid but whose content breaks an O(n) invariant — keys out of order,
 // partition counts summing past N — are rejected by the verified heap
-// load of every kind, v1 and v2. The unverified mapped open of a v2 file
-// does not run those checks (it stays O(sections)), so it accepts them.
+// load of every kind. The unverified mapped open of a v2 file does not
+// run those checks (it stays O(sections)), so it accepts them. A v1
+// full is refused as legacy, and its migration does not launder the
+// damage: the heap load rejects the migrated container too.
 func TestHeapLoadRejectsResealedInvalid(t *testing.T) {
 	keys := v1FixtureKeys()
 	dir := t.TempDir()
@@ -353,6 +363,14 @@ func TestHeapLoadRejectsResealedInvalid(t *testing.T) {
 				mutants["counts past N"] = resealed(over)
 			}
 			for what, data := range mutants {
+				if c.v1 {
+					if _, err := index.Load[uint64](bytes.NewReader(data), int64(len(data))); !errors.Is(err, snapshot.ErrLegacy) {
+						t.Fatalf("%s: the heap load of a v1 full with %s: %v, want snapshot.ErrLegacy", c.name, what, err)
+					}
+					if data, err = migrate.Full(data); err != nil {
+						continue
+					}
+				}
 				if ix, err := index.Load[uint64](bytes.NewReader(data), int64(len(data))); err == nil {
 					closeIndex(ix)
 					t.Fatalf("%s: the heap load accepted a container with %s", c.name, what)
@@ -364,7 +382,7 @@ func TestHeapLoadRejectsResealedInvalid(t *testing.T) {
 				if err := os.WriteFile(path, data, 0o644); err != nil {
 					t.Fatal(err)
 				}
-				ix, _, err := index.LoadFileMapped[uint64](path)
+				ix, err := index.LoadFileMapped[uint64](path)
 				if err != nil {
 					t.Fatalf("%s: the unverified mapped open rejected %s: %v", c.name, what, err)
 				}
@@ -406,55 +424,88 @@ func sectionsOf(t *testing.T, data []byte, v1 bool) map[uint32][2]int {
 }
 
 // TestMappedV1LayerOutlivesHandle: a v2 container whose layer section
-// holds the split-array v1 blob (Table.WriteTo) decodes that layer onto
-// the heap but still views its keys in the mapping, so the restored
-// index must keep the region alive after LoadFileMapped closes its own
-// handle. Both a shift-table and a concurrent file are answered against
-// the table the blob was written from. The shift-table input is
-// committed as testdata/fuzz/FuzzDecode/v2-with-v1-layer.
+// holds the split-array v1 blob earlier builds wrote once decoded that
+// layer onto the heap while its keys viewed the mapping, and lost the
+// mapping when the open's handle closed. Such a container is now a
+// legacy full: every serving entry point refuses it with
+// snapshot.ErrLegacy. Its migration opens mapped, and the restored index
+// keeps the region alive after LoadFileMapped closes its own handle.
+// The shift-table input is the committed corpus input
+// testdata/fuzz/FuzzDecode/v2-with-v1-layer; the concurrent one splices
+// its layer blob into a concurrent file over the same table. Both are
+// answered against that table.
 func TestMappedV1LayerOutlivesHandle(t *testing.T) {
 	keys := v1FixtureKeys()[:400]
 	base, err := updatable.New(keys, updatable.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	table := base.View().Table()
+	want := answers(base.View().Table())
+	shift := corpusInput(t, "testdata/fuzz/FuzzDecode/v2-with-v1-layer")
 	conc, err := concurrent.New(keys, concurrent.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	conc.Close()
-	want := answers(table)
 	dir := t.TempDir()
-	for _, ix := range []index.Index[uint64]{table, conc} {
-		path := filepath.Join(dir, "v1-layer.snap")
-		if err := index.SaveFile(path, ix); err != nil {
+	path := filepath.Join(dir, "concurrent.snap")
+	if err := index.SaveFile(path, conc); err != nil {
+		t.Fatal(err)
+	}
+	inputs := []struct {
+		name string
+		data []byte
+		// entry points that take the kind (a shift-table is no
+		// concurrent file, legacy or not)
+		entry []string
+	}{
+		{"shift-table", shift, []string{"index."}},
+		{"concurrent", withLayer(t, readFile(t, path), layerOf(t, shift)), []string{"index.", "concurrent."}},
+	}
+	for _, in := range inputs {
+		name := in.name
+		legacy := filepath.Join(dir, name+"-v1-layer.snap")
+		if err := os.WriteFile(legacy, in.data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		data := withV1Layer(t, readFile(t, path), table)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := index.LoadFileMapped[uint64](path)
+		checkRefused(t, legacy, in.entry...)
+		got, err := index.LoadFileMapped[uint64](migrateFixture(t, legacy))
 		if err != nil {
-			t.Fatalf("%s: %v", ix.Name(), err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		runtime.GC()
 		if a := answers(got); !slices.Equal(a, want) {
-			t.Fatalf("%s: mapped open with a v1 layer answers %v, want %v", ix.Name(), a[:8], want[:8])
+			t.Fatalf("%s: the migrated file answers %v, want %v", name, a[:8], want[:8])
 		}
 		closeIndex(got)
 	}
 }
 
-// withV1Layer rewrites a v2 container with its one v2 layer section
-// replaced by table's v1 layer blob (every checksum written afresh).
-func withV1Layer(t *testing.T, data []byte, table io.WriterTo) []byte {
+// corpusInput reads the []byte argument of a committed fuzz corpus file.
+func corpusInput(t *testing.T, path string) []byte {
 	t.Helper()
-	var blob bytes.Buffer
-	if _, err := table.WriteTo(&blob); err != nil {
-		t.Fatal(err)
+	lines := strings.Split(string(readFile(t, filepath.FromSlash(path))), "\n")
+	if len(lines) < 2 || !strings.HasPrefix(lines[1], "[]byte(") {
+		t.Fatalf("%s: not a []byte corpus input", path)
 	}
+	data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(data)
+}
+
+// layerOf returns the payload of a v2 container's layer section (id 3).
+func layerOf(t *testing.T, data []byte) []byte {
+	t.Helper()
+	secs := sectionsOf(t, data, false)
+	return data[secs[3][0] : secs[3][0]+secs[3][1]]
+}
+
+// withLayer rewrites a v2 container with its one layer section replaced
+// by blob (every checksum written afresh).
+func withLayer(t *testing.T, data, blob []byte) []byte {
+	t.Helper()
 	m, err := snapshot.Open(data)
 	if err != nil {
 		t.Fatal(err)
@@ -464,17 +515,14 @@ func withV1Layer(t *testing.T, data []byte, table io.WriterTo) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replaced := 0
 	for {
 		s, err := m.Next()
 		if errors.Is(err, io.EOF) {
 			break
 		}
 		payload := s.Data
-		const layerMagic = 0x53485442
-		if len(payload) >= 16 && binary.LittleEndian.Uint64(payload) == layerMagic && binary.LittleEndian.Uint64(payload[8:]) == 2 {
-			payload = blob.Bytes()
-			replaced++
+		if s.ID == 3 {
+			payload = blob
 		}
 		if err := sw.Bytes(s.ID, payload); err != nil {
 			t.Fatal(err)
@@ -482,9 +530,6 @@ func withV1Layer(t *testing.T, data []byte, table io.WriterTo) []byte {
 	}
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if replaced != 1 {
-		t.Fatalf("replaced %d layer sections, want 1", replaced)
 	}
 	return out.Bytes()
 }

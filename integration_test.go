@@ -5,6 +5,7 @@ package repro_test
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -216,7 +217,11 @@ func TestRangeScanConsistency(t *testing.T) {
 // abstract claims, at test scale with robust margins: the Shift-Table layer
 // (a) massively improves a dummy model on real-world-like data, (b) beats
 // on-the-fly binary search there, and (c) is correctly not worth it on
-// dense uniform data.
+// dense uniform data. Each claim compares wall-clock latencies, so each
+// table is built once and every configuration is timed in
+// headlineRepeats interleaved rounds (the order rotating per round); a
+// claim is decided on the medians, not on one round a scheduler hiccup
+// can flip.
 func TestPaperHeadlineShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration scale")
@@ -225,14 +230,6 @@ func TestPaperHeadlineShape(t *testing.T) {
 		t.Skip("race instrumentation distorts relative latencies")
 	}
 	const n = 400_000
-	measure := func(keys []uint64, find func(uint64) int) float64 {
-		w := bench.NewWorkload(keys, 20_000, 9)
-		ns, err := w.Measure(find, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ns
-	}
 	for _, name := range []dataset.Name{dataset.Face, dataset.Osmc, dataset.Wiki, dataset.Amzn} {
 		keys := dataset.MustGenerate(name, 64, n, 123)
 		model := cdfmodel.NewInterpolation(keys)
@@ -240,9 +237,11 @@ func TestPaperHeadlineShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		withST := measure(keys, tab.Find)
-		alone := measure(keys, func(q uint64) int { return core.ModelFind(keys, model, q) })
-		bs := measure(keys, func(q uint64) int { return kv.LowerBound(keys, q) })
+		ns := medianLatencies(t, keys,
+			tab.Find,
+			func(q uint64) int { return core.ModelFind(keys, model, q) },
+			func(q uint64) int { return kv.LowerBound(keys, q) })
+		withST, alone, bs := ns[0], ns[1], ns[2]
 		if withST >= alone {
 			t.Errorf("%s: IM+ST (%.0f ns) should beat IM alone (%.0f ns)", name, withST, alone)
 		}
@@ -257,8 +256,8 @@ func TestPaperHeadlineShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withST := measure(keys, tab.Find)
-	alone := measure(keys, func(q uint64) int { return core.ModelFind(keys, model, q) })
+	ns := medianLatencies(t, keys, tab.Find, func(q uint64) int { return core.ModelFind(keys, model, q) })
+	withST, alone := ns[0], ns[1]
 	// At test scale both configurations are cache-resident and within a few
 	// nanoseconds, so only assert the layer is not a significant win here
 	// (the paper's 40 vs 67 ns gap needs the 200M-key working set).
@@ -268,6 +267,35 @@ func TestPaperHeadlineShape(t *testing.T) {
 	if adv := tab.Advise(); adv.UseShiftTable {
 		t.Errorf("uden: advisor should disable the layer: %+v", adv)
 	}
+}
+
+// headlineRepeats is the number of interleaved timing rounds behind each
+// TestPaperHeadlineShape median.
+const headlineRepeats = 5
+
+// medianLatencies times each find over one fixed workload in
+// headlineRepeats interleaved rounds, rotating which goes first, and
+// returns each one's median ns per lookup.
+func medianLatencies(t *testing.T, keys []uint64, finds ...func(uint64) int) []float64 {
+	t.Helper()
+	w := bench.NewWorkload(keys, 20_000, 9)
+	runs := make([][]float64, len(finds))
+	for r := 0; r < headlineRepeats; r++ {
+		for k := range finds {
+			i := (r + k) % len(finds)
+			ns, err := w.Measure(finds[i], 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs[i] = append(runs[i], ns)
+		}
+	}
+	medians := make([]float64, len(finds))
+	for i, ns := range runs {
+		slices.Sort(ns)
+		medians[i] = ns[len(ns)/2]
+	}
+	return medians
 }
 
 // TestConcurrentReaders checks that a built Shift-Table is safe for

@@ -34,13 +34,11 @@ func TestWarmBeatsCold(t *testing.T) {
 	registry := func(name string) func() (index.Index[uint64], error) {
 		return func() (index.Index[uint64], error) { return index.Build(name, keys) }
 	}
-	mapRegistry := func(path string) (index.Index[uint64], bool, error) {
-		return index.LoadFileMapped[uint64](path)
-	}
+	mapRegistry := index.LoadFileMapped[uint64]
 	backends := []struct {
 		name string
 		cold func() (index.Index[uint64], error)
-		open func(path string) (index.Index[uint64], bool, error)
+		open func(path string) (index.Index[uint64], error)
 	}{
 		{"IM", registry("IM"), mapRegistry},
 		{"IM+ST", registry("IM+ST"), mapRegistry},
@@ -61,13 +59,13 @@ func TestWarmBeatsCold(t *testing.T) {
 				}
 			}
 			return ix, nil
-		}, func(path string) (index.Index[uint64], bool, error) {
-			ix, viaMap, err := concurrent.MapFile[uint64](path)
+		}, func(path string) (index.Index[uint64], error) {
+			ix, err := concurrent.MapFile[uint64](path)
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
 			ix.Close()
-			return ix, viaMap, nil
+			return ix, nil
 		}},
 	}
 	for _, be := range backends {
@@ -85,12 +83,12 @@ func TestWarmBeatsCold(t *testing.T) {
 					t.Fatal(err)
 				}
 				start = time.Now()
-				warm, viaMap, err := be.open(path)
+				warm, err := be.open(path)
 				mapD = time.Since(start)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !viaMap {
+				if !warm.(interface{ Mapped() bool }).Mapped() {
 					t.Fatalf("%s did not open mapped", path)
 				}
 				for _, q := range qs {

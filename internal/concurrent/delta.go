@@ -197,7 +197,7 @@ func readDelta[K kv.Key](m *snap.Mapped) (*Delta[K], error) {
 // size in bytes (-1 to read to EOF). The container checksum verifies
 // before the delta is returned.
 func LoadDelta[K kv.Key](r io.Reader, total int64) (*Delta[K], error) {
-	m, err := snap.Read(r, total)
+	m, err := snap.ReadStream(r, total)
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +206,7 @@ func LoadDelta[K kv.Key](r io.Reader, total int64) (*Delta[K], error) {
 
 // LoadDeltaFile reads a delta container from a file.
 func LoadDeltaFile[K kv.Key](path string) (*Delta[K], error) {
-	m, err := snap.ReadFile(path)
+	m, err := snap.ReadStreamFile(path)
 	if err != nil {
 		return nil, err
 	}

@@ -13,7 +13,7 @@ import (
 // updatable.MapViewSections), while the pending write generations are
 // copied to the heap. The dominant restart cost (key and layer
 // copies, O(n·keywidth)) disappears; what remains is one pass over the
-// n/8-byte tombstone bitmap plus O(pending) generation copies.
+// n/8-byte all-zero tombstone bitmap plus O(pending) generation copies.
 
 // Mapped reports whether the published snapshot's base table serves
 // from a mapped region (the first compaction rebuilds onto the heap).
@@ -65,14 +65,13 @@ func MapIndex[K kv.Key](m *snap.Mapped) (*Index[K], error) {
 }
 
 // MapFile restores a concurrent index by mapping path (MapStateFile,
-// then assemble). The returned flag reports whether the base serves from
-// the mapping.
-func MapFile[K kv.Key](path string) (*Index[K], bool, error) {
-	st, mapped, err := MapStateFile[K](path)
+// then assemble): its base serves from the mapping.
+func MapFile[K kv.Key](path string) (*Index[K], error) {
+	st, err := MapStateFile[K](path)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	return assemble(st), mapped, nil
+	return assemble(st), nil
 }
 
 // MapState reads a full-snapshot container into a not-yet-serving State
@@ -95,11 +94,12 @@ func MapState[K kv.Key](m *snap.Mapped) (*State[K], error) {
 		if genCount, err = parseMeta(ms.Data); err != nil {
 			return nil, err
 		}
-	case updatable.SnapshotKind: // a bare view
+	case legacyKind:
+		return nil, fmt.Errorf("concurrent: container holds the retired %q kind: %w", legacyKind, snap.ErrLegacy)
 	default:
 		return nil, fmt.Errorf("concurrent: container holds %q, want %q", m.Kind(), SnapshotKind)
 	}
-	base, ins, dels, err := updatable.MapViewSections[K](m)
+	base, err := updatable.MapViewSections[K](m)
 	if err != nil {
 		return nil, err
 	}
@@ -110,23 +110,28 @@ func MapState[K kv.Key](m *snap.Mapped) (*State[K], error) {
 	if err := m.Done(); err != nil {
 		return nil, err
 	}
-	return newState(base, ins, dels, gens)
+	// The base goes under its persisted generations, which must not
+	// cancel more occurrences than exist.
+	st := &State[K]{view: base.View(), layer: base.Config().Layer, gens: gens}
+	if st.Len() < 0 {
+		return nil, fmt.Errorf("concurrent: state generations cancel more occurrences than exist (corrupt snapshot)")
+	}
+	return st, nil
 }
 
-// MapStateFile maps a full-snapshot container file into a State. The
-// returned flag reports whether the base serves from the mapping (a v1
-// container from an earlier build opens on the heap).
-func MapStateFile[K kv.Key](path string) (*State[K], bool, error) {
+// MapStateFile maps a full-snapshot container file into a State whose
+// base serves from the mapping.
+func MapStateFile[K kv.Key](path string) (*State[K], error) {
 	m, err := snap.MapFile(path)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	defer m.Close()
 	st, err := MapState[K](m)
 	if err != nil {
-		return nil, false, fmt.Errorf("concurrent: %s: %w", path, err)
+		return nil, fmt.Errorf("concurrent: %s: %w", path, err)
 	}
-	return st, m.Region() != nil, nil
+	return st, nil
 }
 
 // Mapped reports whether the state's base table is a mapped view.

@@ -28,14 +28,20 @@ import (
 // over generations, so the merged run reproduces the persisted multiset
 // exactly.
 //
-// The loader also accepts the read-only legacy kind updatable.SnapshotKind
-// (a bare view, as earlier builds saved their single-threaded index), and
-// views that carry the insert buffer and tombstones those builds kept
-// inside the view: newState turns them into one generation under the
-// persisted stack.
+// The loader reads only what this build writes. The retired kind
+// "updatable" (a bare view, as earlier builds saved their single-threaded
+// index) and views that carry the insert buffer or tombstones those
+// builds kept inside the view are refused with snapshot.ErrLegacy;
+// internal/migrate turns them into the oldest generation of a concurrent
+// container.
 
 // SnapshotKind identifies concurrent-index snapshots.
 const SnapshotKind = "concurrent"
+
+// legacyKind is the kind earlier builds saved their single-threaded
+// index under. No loader reads it: MapState refuses it with
+// snapshot.ErrLegacy.
+const legacyKind = "updatable"
 
 // Section ids of the concurrent kind (the embedded view uses the
 // updatable ids in between).
@@ -112,24 +118,6 @@ type State[K kv.Key] struct {
 	view  *updatable.View[K]
 	layer core.Config
 	gens  []*generation[K]
-}
-
-// newState puts a loaded base under its persisted generations, rejecting
-// a stack that cancels more occurrences than exist. The pending writes an
-// earlier build stored inside the view (ins: its insert buffer, dels: its
-// tombstoned base keys; see updatable.MapViewSections) become one generation
-// under the persisted ones: they are the oldest writes, and a tombstone
-// cancels its value wherever the occurrence lies, so the state answers
-// rank for rank as the writer's did.
-func newState[K kv.Key](base *updatable.Index[K], ins, dels []K, gens []*generation[K]) (*State[K], error) {
-	if len(ins)+len(dels) > 0 {
-		gens = append([]*generation[K]{{ins: ins, dels: dels}}, gens...)
-	}
-	st := &State[K]{view: base.View(), layer: base.Config().Layer, gens: gens}
-	if st.Len() < 0 {
-		return nil, fmt.Errorf("concurrent: state generations cancel more occurrences than exist (corrupt snapshot)")
-	}
-	return st, nil
 }
 
 // Len returns the state's live key count.

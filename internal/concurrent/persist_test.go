@@ -3,6 +3,7 @@ package concurrent
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/kv"
+	"repro/internal/migrate"
 	snap "repro/internal/snapshot"
 	"repro/internal/updatable"
 )
@@ -214,10 +216,12 @@ func TestConcurrentSnapshotFile(t *testing.T) {
 }
 
 // TestLegacyPolicyMetaIgnored: testdata/v1/concurrent.snap was written
-// by an earlier build with a manual compaction policy in its meta. Both
-// file entry points load it rank-identical to the recipe that made it
-// (testdata/v1/README.md), without compacting on load; the stored policy
-// is ignored, so the first write past the rule compacts it.
+// by an earlier build, stream-framed and with a manual compaction policy
+// in its meta. Both file entry points refuse it with snapshot.ErrLegacy;
+// its migration (internal/migrate) drops the policy, and both load the
+// migrated file rank-identical to the recipe that made it
+// (testdata/v1/README.md), without compacting on load, so the first
+// write past the rule compacts it.
 func TestLegacyPolicyMetaIgnored(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Face, 64, 2000, 12)
 	want, err := New(keys, Config{})
@@ -236,17 +240,25 @@ func TestLegacyPolicyMetaIgnored(t *testing.T) {
 			}
 		}
 	}
-	path := filepath.Join("..", "..", "testdata", "v1", "concurrent.snap")
-	restores := map[string]func() (*Index[uint64], error){
-		"LoadFile": func() (*Index[uint64], error) { return LoadFile[uint64](path) },
-		"MapFile": func() (*Index[uint64], error) {
-			ix, _, err := MapFile[uint64](path)
-			return ix, err
-		},
+	legacy := filepath.Join("..", "..", "testdata", "v1", "concurrent.snap")
+	path := migrated(t, legacy)
+	m, err := snap.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ms, err := m.Expect(secConMeta); err != nil || !bytes.Equal(ms.Data[:metaReserved], make([]byte, metaReserved)) {
+		t.Fatalf("migrated meta: %v (%v), want zero reserved bytes", ms, err)
+	}
+	restores := map[string]func(string) (*Index[uint64], error){
+		"LoadFile": LoadFile[uint64],
+		"MapFile":  MapFile[uint64],
 	}
 	for name, restore := range restores {
 		t.Run(name, func(t *testing.T) {
-			ix, err := restore()
+			if _, err := restore(legacy); !errors.Is(err, snap.ErrLegacy) {
+				t.Fatalf("the v1 file: %v, want snapshot.ErrLegacy", err)
+			}
+			ix, err := restore(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -391,31 +403,34 @@ func writeLegacyView(t *testing.T, path string, keys []uint64) []uint64 {
 }
 
 // TestLegacyViewWritesLoad: a concurrent file whose view carries
-// tombstones and an insert buffer loads through the mapped and the
-// streaming entry points rank-identical to the multiset it holds; the
-// view's pending writes become a generation under the persisted one, and
-// the restored index keeps serving writes and compacts them away.
+// tombstones and an insert buffer is refused by the mapped and the heap
+// entry points with snapshot.ErrLegacy. Its migration (internal/migrate)
+// turns the view's pending writes into the oldest generation under the
+// persisted one, and both entry points load the migrated file
+// rank-identical to the multiset it holds; the restored index keeps
+// serving writes and compacts them away.
 func TestLegacyViewWritesLoad(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Wiki, 64, 2_000, 7)
-	path := filepath.Join(t.TempDir(), "legacy-view.snap")
-	ref := writeLegacyView(t, path, keys)
+	legacy := filepath.Join(t.TempDir(), "legacy-view.snap")
+	ref := writeLegacyView(t, legacy, keys)
+	path := migrated(t, legacy)
 	s := &stream{ref: &reference{keys: ref}, rng: rand.New(rand.NewSource(3)), domain: keys[len(keys)-1] + 2}
-	restores := map[string]func() (*Index[uint64], bool, error){
-		"LoadFile": func() (*Index[uint64], bool, error) {
-			ix, err := LoadFile[uint64](path)
-			return ix, false, err
-		},
-		"MapFile": func() (*Index[uint64], bool, error) { return MapFile[uint64](path) },
+	restores := map[string]func(string) (*Index[uint64], error){
+		"LoadFile": LoadFile[uint64],
+		"MapFile":  MapFile[uint64],
 	}
 	for name, restore := range restores {
 		t.Run(name, func(t *testing.T) {
-			ix, viaMap, err := restore()
+			if _, err := restore(legacy); !errors.Is(err, snap.ErrLegacy) {
+				t.Fatalf("the legacy view: %v, want snapshot.ErrLegacy", err)
+			}
+			ix, err := restore(path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer ix.Close()
-			if wantMap := name == "MapFile"; viaMap != wantMap {
-				t.Fatalf("viaMap = %v, want %v", viaMap, wantMap)
+			if wantMap := name == "MapFile"; ix.Mapped() != wantMap {
+				t.Fatalf("Mapped() = %v, want %v", ix.Mapped(), wantMap)
 			}
 			checkReads(t, ix, ref, s.queries(512), true)
 			ix.Close()
@@ -432,4 +447,23 @@ func TestLegacyViewWritesLoad(t *testing.T) {
 			checkReads(t, ix, want, s.queries(256), true)
 		})
 	}
+}
+
+// migrated writes the migration of the full at path (internal/migrate)
+// next to a temporary copy and returns its path.
+func migrated(t *testing.T, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := migrate.Full(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(t.TempDir(), "migrated.snap")
+	if err := os.WriteFile(out, cur, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

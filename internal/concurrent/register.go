@@ -4,20 +4,19 @@ import (
 	"repro/internal/index"
 	"repro/internal/kv"
 	snap "repro/internal/snapshot"
-	"repro/internal/updatable"
 )
 
 // The concurrent index registers its snapshot kind with the index
 // registry (same router pattern as internal/router), so a replicated
 // artifact of kind "concurrent" loads through the generic
-// index.Load/LoadFile dispatch. It also registers the read-only legacy
-// kind "updatable", which earlier builds saved their single-threaded
-// index under: such a file loads as a concurrent index whose pending
-// writes are the buffer and tombstones it stored. Like Load, the loader
-// reads a State (MapState) and assembles it, so both kinds map through
-// index.LoadFileMapped. The restored index is live — its
-// compactor goroutine waits for the next due write — so callers that
-// care about goroutine hygiene should assert to *Index and Close it.
+// index.Load/LoadFile dispatch. Like Load, the loader reads a State
+// (MapState) and assembles it, so the kind maps through
+// index.LoadFileMapped. The retired kind "updatable" goes to the same
+// loader, whose refusal (snapshot.ErrLegacy) then names the migration
+// instead of the registry reporting an unknown kind. The restored index
+// is live — its compactor goroutine waits for the next due write — so
+// callers that care about goroutine hygiene should assert to *Index and
+// Close it.
 
 func init() {
 	registerLoader[uint64]()
@@ -33,5 +32,5 @@ func registerLoader[K kv.Key]() {
 		return assemble(st), nil
 	}
 	index.RegisterLoader[K](SnapshotKind, load)
-	index.RegisterLoader[K](updatable.SnapshotKind, load)
+	index.RegisterLoader[K](legacyKind, load)
 }

@@ -323,10 +323,7 @@ func TestWarmRestartFoldsDeepStack(t *testing.T) {
 			return Load[uint64](bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 		},
 		"LoadFile": func() (*Index[uint64], error) { return LoadFile[uint64](path) },
-		"MapFile": func() (*Index[uint64], error) {
-			ix, _, err := MapFile[uint64](path)
-			return ix, err
-		},
+		"MapFile":  func() (*Index[uint64], error) { return MapFile[uint64](path) },
 	}
 	s := &stream{ref: &reference{keys: ref}, rng: rand.New(rand.NewSource(5)), domain: keys[len(keys)-1] + 2}
 	for name, restore := range restores {

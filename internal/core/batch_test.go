@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -234,9 +233,10 @@ func TestFindBatchEdgeCases(t *testing.T) {
 	}
 }
 
-// TestFindBatchAfterLoad ensures a deserialized layer (whose drift arrays
-// are reconstructed by readDrifts, not packDrifts) answers batches
-// identically — guarding the width cache across the serialize round-trip.
+// TestFindBatchAfterLoad ensures a layer viewed from its persisted blob
+// (whose drift arrays alias the blob rather than come from packPairs)
+// answers batches identically — guarding the width cache across the
+// serialize round trip.
 func TestFindBatchAfterLoad(t *testing.T) {
 	keys := batchKeys(8_000, 5, 3)
 	model := cdfmodel.NewInterpolation(keys)
@@ -244,11 +244,7 @@ func TestFindBatchAfterLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := tab.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(buf.Bytes(), keys, model)
+	loaded, err := viewLayerV2(layerBlob(t, tab), keys, model)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,12 +84,11 @@ type Table[K kv.Key] struct {
 	// [p+lo[k], p+hi[k]] (Eq. 5–6: Δ=lo, C=hi−lo). With M=N this
 	// degenerates to the paper's <Δk, Ck>.
 	pairs driftPairs
-	// loBits/hiBits are the independent packed widths of the two halves —
-	// the serialization format (and the paper's §3.9 width discussion)
-	// stores lo and hi as separate arrays, each at its own narrowest width;
-	// WriteTo de-interleaves back to that split layout. They share an
-	// 8-byte slot with monotone (fieldalignment: grouping the three
-	// 1-byte fields keeps Table at 336 bytes instead of 344).
+	// loBits/hiBits are the independent narrowest widths of the two
+	// halves (the paper's §3.9 width discussion treats lo and hi as
+	// separate arrays); the layer blob's widths word records them. They
+	// share an 8-byte slot with monotone (fieldalignment: grouping the
+	// three 1-byte fields keeps Table at 336 bytes instead of 344).
 	loBits, hiBits uint8
 	monotone       bool // model guarantees windows (§3.8)
 

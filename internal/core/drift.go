@@ -49,8 +49,7 @@ func packDrifts(vals []int64) driftArray {
 }
 
 // packDriftsWidth packs vals at an explicit entry width (callers that
-// tracked the magnitude during generation skip the extra reduction pass;
-// serialization re-packs at the recorded width).
+// tracked the magnitude during generation skip the extra reduction pass).
 func packDriftsWidth(vals []int64, width uint8) driftArray {
 	switch width {
 	case 1:
@@ -119,8 +118,7 @@ func (d *driftArray) entryBits() int {
 // driftPairs is the fused cache-conscious layout for range mode: the
 // per-partition <lo, hi> drift bounds interleaved as [lo₀,hi₀,lo₁,hi₁,…]
 // at one packed width, so the correction step of a lookup touches a single
-// cache line where the split lo/hi arrays of the serialized format touch
-// two. Exactly one backing slice is non-nil, of length 2·M; width caches
+// cache line where split lo/hi arrays would touch two. Exactly one backing slice is non-nil, of length 2·M; width caches
 // the dispatch byte exactly as driftArray does.
 type driftPairs struct {
 	width uint8 // entry width in bytes (1, 2, 4, 8); 0 for an empty array
@@ -200,58 +198,6 @@ func (d *driftPairs) sizeBytes() int {
 // entryBits returns the selected per-entry width in bits.
 func (d *driftPairs) entryBits() int {
 	return int(d.width) * 8
-}
-
-// split de-interleaves the pairs back into independent lo/hi arrays at the
-// given split widths — the serialization format (version 1) stores the two
-// arrays separately, each at its own narrowest width.
-func (d *driftPairs) split(loBits, hiBits uint8) (lo, hi driftArray) {
-	m := d.len()
-	loW := make([]int64, m)
-	hiW := make([]int64, m)
-	for k := 0; k < m; k++ {
-		l, h := d.pair(k)
-		loW[k], hiW[k] = int64(l), int64(h)
-	}
-	return packDriftsWidth(loW, loBits), packDriftsWidth(hiW, hiBits)
-}
-
-// fusePairs interleaves two split driftArrays (as read from a serialized
-// layer) into the fused query-path layout at their common width, directly
-// — no int64 staging, so Load's transient footprint is just the split
-// arrays it read anyway.
-func fusePairs(lo, hi *driftArray) driftPairs {
-	m := lo.len()
-	w := lo.width
-	if hi.width > w {
-		w = hi.width
-	}
-	switch w {
-	case 1:
-		out := make([]int8, 2*m)
-		for k := 0; k < m; k++ {
-			out[2*k], out[2*k+1] = int8(lo.get(k)), int8(hi.get(k))
-		}
-		return driftPairs{width: 1, w8: out}
-	case 2:
-		out := make([]int16, 2*m)
-		for k := 0; k < m; k++ {
-			out[2*k], out[2*k+1] = int16(lo.get(k)), int16(hi.get(k))
-		}
-		return driftPairs{width: 2, w16: out}
-	case 4:
-		out := make([]int32, 2*m)
-		for k := 0; k < m; k++ {
-			out[2*k], out[2*k+1] = int32(lo.get(k)), int32(hi.get(k))
-		}
-		return driftPairs{width: 4, w32: out}
-	default:
-		out := make([]int64, 2*m)
-		for k := 0; k < m; k++ {
-			out[2*k], out[2*k+1] = int64(lo.get(k)), int64(hi.get(k))
-		}
-		return driftPairs{width: 8, w64: out}
-	}
 }
 
 // gatherAdd writes wlo[i] = pred[i] + lo[part(pred[i])] and wend[i] =

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cdfmodel"
 	"repro/internal/kv"
+	"repro/internal/migrate"
 	"repro/internal/snapshot"
 )
 
@@ -118,14 +119,15 @@ func FuzzFindLookup(f *testing.F) {
 	})
 }
 
-// FuzzLoad drives the two untrusted-input paths — the bare layer loader
-// (core.Load) and the snapshot-container loader (MapTableSnapshot over
-// snapshot.Open) — over mutated and truncated byte corpora seeded from
-// valid files. The property is absolute: any input either loads (and
-// then answers queries identically to a freshly built table, when it
-// loaded from an untampered prefix this cannot happen by luck) or
-// returns an error. No panics, no unbounded allocation (Load checks every
-// array's byte length against the blob before allocating it; Open
+// FuzzLoad drives the two untrusted-input paths a layer blob meets — a
+// bare blob through the migration's layer converter (migrate.Layer, which
+// turns the split-array v1 blob earlier builds wrote into the v2 blob)
+// and then the v2 view, and the snapshot-container loader
+// (MapTableSnapshot over snapshot.Open) — over mutated and truncated
+// byte corpora seeded from valid files. The property is absolute: any
+// input either loads (and then answers in bounds) or returns an error.
+// No panics, no unbounded allocation (the converter checks every array's
+// byte length against the blob before sizing anything by it; Open
 // bounds every length by the bytes present).
 func FuzzLoad(f *testing.F) {
 	keys := fuzzKeys(7, 700, 16, 40)
@@ -139,13 +141,10 @@ func FuzzLoad(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		var layer bytes.Buffer
-		if _, err := tab.WriteTo(&layer); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(layer.Bytes())
-		f.Add(layer.Bytes()[:layer.Len()/2])
-		mut := append([]byte(nil), layer.Bytes()...)
+		layer := v1Layer(tab)
+		f.Add(layer)
+		f.Add(layer[:len(layer)/2])
+		mut := append([]byte(nil), layer...)
 		mut[35] ^= 0x81 // inside the m field
 		f.Add(mut)
 
@@ -180,7 +179,8 @@ func FuzzLoad(f *testing.F) {
 		mut5[tocOff+8] ^= 0x08
 		f.Add(mut5)
 	}
-	// A v1 stream-framed container, as earlier builds wrote every full.
+	// A v1 stream-framed container, as earlier builds wrote every full:
+	// every entry point refuses it.
 	cont, err := os.ReadFile("../../testdata/v1/shift-table.snap")
 	if err != nil {
 		f.Fatal(err)
@@ -195,14 +195,16 @@ func FuzzLoad(f *testing.F) {
 	f.Add([]byte("STSNAP02"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Bare layer format against the real keys and model.
-		if tab, err := Load(data, keys, model); err == nil {
-			// Whatever loaded claims to be a layer over these keys; probing
-			// it must at least never step out of bounds.
-			for _, q := range []uint64{0, keys[0], keys[len(keys)/2], keys[len(keys)-1], ^uint64(0)} {
-				r := tab.Find(q)
-				if r < 0 || r > tab.N() {
-					t.Fatalf("loaded layer Find(%d) = %d out of [0, %d]", q, r, tab.N())
+		// Bare layer blob, converted, against the real keys and model.
+		if blob, err := migrate.Layer(data); err == nil {
+			if tab, err := viewLayerV2(blob, keys, model); err == nil {
+				// Whatever loaded claims to be a layer over these keys;
+				// probing it must at least never step out of bounds.
+				for _, q := range []uint64{0, keys[0], keys[len(keys)/2], keys[len(keys)-1], ^uint64(0)} {
+					r := tab.Find(q)
+					if r < 0 || r > tab.N() {
+						t.Fatalf("converted layer Find(%d) = %d out of [0, %d]", q, r, tab.N())
+					}
 				}
 			}
 		}
@@ -237,13 +239,11 @@ func FuzzLoad(f *testing.F) {
 	})
 }
 
-// FuzzBuildLayout is the build-pipeline and fused-layout oracle: for a
+// FuzzBuildLayout is the build-pipeline and layer-blob oracle: for a
 // fuzzed corpus and configuration it checks (1) the arena-sharded parallel
 // build is bit-identical to the serial build — widths, drifts, counts,
-// cached stats; (2) the fused interleaved pair layout de-interleaves to
-// exactly the split arrays the serialization format stores, and fusing
-// them back reproduces the query layout; (3) a serialize/load round trip
-// preserves the layer byte-for-byte and answers queries identically.
+// cached stats; (2) writing the layer blob, viewing it and writing the
+// view again is byte-identical, and the view answers queries identically.
 func FuzzBuildLayout(f *testing.F) {
 	f.Add(uint64(7), uint16(5000), uint8(0), uint8(3), uint8(0), uint8(3))
 	f.Add(uint64(3), uint16(6000), uint8(255), uint8(1), uint8(1), uint8(8))  // duplicate-heavy
@@ -274,43 +274,16 @@ func FuzzBuildLayout(f *testing.F) {
 			t.Fatalf("parallel(%d) differs from serial (n=%d cfg=%+v): %s", w, len(keys), cfg, d)
 		}
 
-		// Fused ≡ split at the layout level.
-		if cfg.Mode == ModeRange && serial.n > 0 {
-			lo, hi := serial.pairs.split(serial.loBits, serial.hiBits)
-			for k := 0; k < serial.m; k++ {
-				plo, phi := serial.pairs.pair(k)
-				if lo.get(k) != plo || hi.get(k) != phi {
-					t.Fatalf("split[%d] = <%d,%d>, fused <%d,%d>", k, lo.get(k), hi.get(k), plo, phi)
-				}
-			}
-			refused := fusePairs(&lo, &hi)
-			for k := 0; k < serial.m; k++ {
-				alo, ahi := refused.pair(k)
-				plo, phi := serial.pairs.pair(k)
-				if alo != plo || ahi != phi {
-					t.Fatalf("refuse[%d] = <%d,%d>, want <%d,%d>", k, alo, ahi, plo, phi)
-				}
-			}
-		}
-
-		// Serialize → load → serialize: byte-identical files, identical
-		// answers (the split on-disk format survives the fused in-memory
-		// layout).
+		// writeLayerV2 → viewLayerV2 → writeLayerV2: byte-identical blobs,
+		// identical answers.
 		if serial.n > 0 {
-			var buf1 bytes.Buffer
-			if _, err := par.WriteTo(&buf1); err != nil {
-				t.Fatalf("WriteTo: %v", err)
-			}
-			loaded, err := Load(buf1.Bytes(), keys, model)
+			blob := layerBlob(t, par)
+			loaded, err := viewLayerV2(blob, keys, model)
 			if err != nil {
-				t.Fatalf("Load: %v", err)
+				t.Fatalf("viewLayerV2: %v", err)
 			}
-			var buf2 bytes.Buffer
-			if _, err := loaded.WriteTo(&buf2); err != nil {
-				t.Fatalf("re-WriteTo: %v", err)
-			}
-			if !bytes.Equal(buf1.Bytes(), buf2.Bytes()) {
-				t.Fatal("serialize/load/serialize not byte-identical")
+			if !bytes.Equal(layerBlob(t, loaded), blob) {
+				t.Fatal("write/view/write not byte-identical")
 			}
 			x := seed
 			for i := 0; i < 32; i++ {
@@ -326,4 +299,42 @@ func FuzzBuildLayout(f *testing.F) {
 			}
 		}
 	})
+}
+
+// v1Layer writes tab's layer as the split-array v1 blob earlier builds
+// wrote — the header with version 1, the lo and hi halves (range mode)
+// or the shifts (midpoint mode) each as a width in bits and the entries
+// at that width, then the counts — the input migrate.Layer converts.
+func v1Layer[K kv.Key](tab *Table[K]) []byte {
+	le := binary.LittleEndian
+	var out []byte
+	for _, v := range []uint64{layerMagic, 1, uint64(tab.mode), uint64(tab.n), uint64(tab.m),
+		boolU64(tab.monotone), keysFingerprint(tab.keys), modelFingerprint(tab.model)} {
+		out = le.AppendUint64(out, v)
+	}
+	half := func(width uint8, get func(k int) int) {
+		out = le.AppendUint64(out, 8*uint64(width))
+		for k := 0; k < tab.m; k++ {
+			switch v := get(k); width {
+			case 1:
+				out = append(out, byte(v))
+			case 2:
+				out = le.AppendUint16(out, uint16(v))
+			case 4:
+				out = le.AppendUint32(out, uint32(v))
+			default:
+				out = le.AppendUint64(out, uint64(v))
+			}
+		}
+	}
+	if tab.mode == ModeRange {
+		half(tab.loBits, func(k int) int { lo, _ := tab.pairs.pair(k); return lo })
+		half(tab.hiBits, func(k int) int { _, hi := tab.pairs.pair(k); return hi })
+	} else {
+		half(tab.shift.width, tab.shift.get)
+	}
+	for _, c := range tab.count {
+		out = le.AppendUint32(out, uint32(c))
+	}
+	return out
 }

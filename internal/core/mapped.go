@@ -22,9 +22,9 @@ import (
 // Trust: the O(n) invariants — keys sorted, partition cardinalities
 // non-negative and summing under N, the model's full-sweep mean error —
 // are checked exactly when the container is verified in full
-// (snapshot.Mapped.Verified: VerifyAll ran, or a v1 container's checksum
-// was checked at open). The heap entry points always verify, so a heap
-// load stays eagerly checked. An unverified mapped open trusts the file
+// (snapshot.Mapped.Verified: VerifyAll ran). The heap entry points
+// always verify, so a heap load stays eagerly checked. An unverified
+// mapped open trusts the file
 // to be a snapshot this repository wrote — appropriate for artifacts
 // whose CRC was verified at fetch or publish time (the replica spool) —
 // while remaining memory-safe against arbitrary corruption: every slice
@@ -108,10 +108,8 @@ func MapTableSections[K kv.Key](m *snapshot.Mapped) (*Table[K], error) {
 // MapTableWithKeys views the keyless model+layer section pair over
 // caller-supplied keys (themselves typically a view of the container's
 // key section — the router maps each shard this way against its slice of
-// the shared key section). A v2 layer blob is viewed in place; the
-// split-array v1 blob of snapshots earlier builds wrote decodes onto the
-// heap through Load, which checks its counts eagerly. Either way the
-// table retains the region, since its keys may view it.
+// the shared key section). The v2 layer blob is viewed in place, and the
+// table retains the region.
 func MapTableWithKeys[K kv.Key](m *snapshot.Mapped, keys []K, modelID, layerID uint32) (*Table[K], error) {
 	model, err := mapModelSpec(m, modelID, keys)
 	if err != nil {
@@ -121,19 +119,13 @@ func MapTableWithKeys[K kv.Key](m *snapshot.Mapped, keys []K, modelID, layerID u
 	if err != nil {
 		return nil, err
 	}
-	var t *Table[K]
-	if len(ls.Data) >= 16 && binary.LittleEndian.Uint64(ls.Data[8:]) == layerVersion {
-		if t, err = Load(ls.Data, keys, model); err != nil {
+	t, err := viewLayerV2(ls.Data, keys, model)
+	if err != nil {
+		return nil, fmt.Errorf("core: layer section: %w", err)
+	}
+	if m.Verified() {
+		if err := checkCounts(t.count, t.n); err != nil {
 			return nil, err
-		}
-	} else {
-		if t, err = viewLayerV2(ls.Data, keys, model); err != nil {
-			return nil, fmt.Errorf("core: layer section: %w", err)
-		}
-		if m.Verified() {
-			if err := checkCounts(t.count, t.n); err != nil {
-				return nil, err
-			}
 		}
 	}
 	attachRegion(t, m.Region())
@@ -215,15 +207,15 @@ func mapModelSpec[K kv.Key](m *snapshot.Mapped, id uint32, keys []K) (cdfmodel.M
 }
 
 // viewLayerV2 builds a Table whose drift arrays and counts alias data,
-// which must be a v2 layer blob (writeLayerV2). The header is validated
-// exactly as Load validates a v1 header — including the key and
-// model fingerprints that bind the layer to its data — and the blob's
-// size must equal the geometry the header implies, byte for byte.
+// which must be a v2 layer blob (writeLayerV2). Every header field is
+// validated — including the key and model fingerprints that bind the
+// layer to its data — and the blob's size must equal the geometry the
+// header implies, byte for byte.
 func viewLayerV2[K kv.Key](data []byte, keys []K, model cdfmodel.Model[K]) (*Table[K], error) {
 	if len(data) < layerV2DataOff {
 		return nil, fmt.Errorf("core: layer blob %d bytes, v2 header is %d", len(data), layerV2DataOff)
 	}
-	t, err := layerHeader(data, layerVersion2, keys, model)
+	t, err := layerHeader(data, keys, model)
 	if err != nil {
 		return nil, err
 	}
@@ -249,48 +241,37 @@ func viewLayerV2[K kv.Key](data []byte, keys []K, model cdfmodel.Model[K]) (*Tab
 			return nil, fmt.Errorf("core: nonzero layer padding")
 		}
 	}
-	switch mode {
-	case ModeRange:
-		t.pairs.width = width
-		t.loBits, t.hiBits = lo, hi
-		if m > 0 {
-			switch width {
-			case 1:
-				t.pairs.w8, err = mapped.View[int8](drift)
-			case 2:
-				t.pairs.w16, err = mapped.View[int16](drift)
-			case 4:
-				t.pairs.w32, err = mapped.View[int32](drift)
-			default:
-				t.pairs.w64, err = mapped.View[int64](drift)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("core: fused drift view: %w", err)
-			}
-		}
-	default:
+	if mode == ModeRange {
+		t.pairs.width, t.loBits, t.hiBits = width, lo, hi
+		t.pairs.w8, t.pairs.w16, t.pairs.w32, t.pairs.w64, err = viewDrifts(drift, width)
+	} else {
 		t.shift.width = width
-		if m > 0 {
-			switch width {
-			case 1:
-				t.shift.w8, err = mapped.View[int8](drift)
-			case 2:
-				t.shift.w16, err = mapped.View[int16](drift)
-			case 4:
-				t.shift.w32, err = mapped.View[int32](drift)
-			default:
-				t.shift.w64, err = mapped.View[int64](drift)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("core: drift view: %w", err)
-			}
-		}
+		t.shift.w8, t.shift.w16, t.shift.w32, t.shift.w64, err = viewDrifts(drift, width)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: drift view: %w", err)
 	}
 	t.count, err = mapped.View[int32](data[int64(layerV2DataOff)+dataBytes+pad:])
 	if err != nil {
 		return nil, fmt.Errorf("core: count view: %w", err)
 	}
 	return t, nil
+}
+
+// viewDrifts views packed drift entries of the given width in place
+// (nothing for width 0, an empty layer).
+func viewDrifts(b []byte, width uint8) (w8 []int8, w16 []int16, w32 []int32, w64 []int64, err error) {
+	switch width {
+	case 1:
+		w8, err = mapped.View[int8](b)
+	case 2:
+		w16, err = mapped.View[int16](b)
+	case 4:
+		w32, err = mapped.View[int32](b)
+	case 8:
+		w64, err = mapped.View[int64](b)
+	}
+	return w8, w16, w32, w64, err
 }
 
 // sampledModelError estimates the model's mean absolute drift from a

@@ -10,82 +10,34 @@ import (
 
 	"repro/internal/cdfmodel"
 	"repro/internal/kv"
+	"repro/internal/snapshot"
 )
 
 // This file implements layer persistence. A Shift-Table is cheap to rebuild
 // (one pass, §3.3) but at the paper's 200M-key scale that pass still reads
 // ~1.6 GB; persisting the layer makes index startup I/O-bound instead.
-// The file stores only the correction layer — the keys live in the caller's
-// clustered storage and the model is re-derived or stored by the caller —
-// plus fingerprints of both so a stale layer cannot be attached silently.
+// The blob stores only the correction layer — the keys live in their own
+// snapshot section and the model is re-derived from its spec — plus
+// fingerprints of both so a stale layer cannot be attached silently.
 
 const (
-	layerMagic   = 0x53485442 // "SHTB"
-	layerVersion = 1
-	// layerVersion2 is the mappable layout (DESIGN.md §12): instead of the
-	// v1 split lo/hi arrays it stores range-mode drifts exactly as the
-	// query path holds them — the fused interleaved [lo₀,hi₀,lo₁,hi₁,…]
-	// array at the common packed width — followed by 8-byte-aligned
-	// partition counts, so a loader over a page-aligned v2 snapshot
-	// section can view both in place with zero copies. Written only
-	// inside v2 snapshot containers and read only by MapTableWithKeys;
-	// Load reads version 1, which WriteTo writes.
+	layerMagic = 0x53485442 // "SHTB"
+	// layerVersion2 is the mappable layout (DESIGN.md §12): range-mode
+	// drifts stored exactly as the query path holds them — the fused
+	// interleaved [lo₀,hi₀,lo₁,hi₁,…] array at the common packed width —
+	// followed by 8-byte-aligned partition counts, so a loader over a
+	// page-aligned v2 snapshot section views both in place with zero
+	// copies. Version 1, the split lo/hi arrays earlier builds wrote, is
+	// refused with snapshot.ErrLegacy; internal/migrate converts it.
 	layerVersion2 = 2
 )
 
 // Layer v2 body offsets, relative to the layer blob start. The 64-byte
 // header is followed by one widths word (byte 0: the stored entry width;
-// bytes 1–2, range mode only: the split lo/hi widths WriteTo would use),
-// then the drift data, zero padding to an 8-byte boundary, and the
-// int32 partition counts.
+// bytes 1–2, range mode only: the independent narrowest widths of the lo
+// and hi halves, §3.9's per-array widths), then the drift data, zero
+// padding to an 8-byte boundary, and the int32 partition counts.
 const layerV2DataOff = 8*8 + 8
-
-// WriteTo serialises the layer (not the keys or the model) to w.
-func (t *Table[K]) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	cw := &countWriter{w: bw}
-	head := []uint64{
-		layerMagic,
-		layerVersion,
-		uint64(t.mode),
-		uint64(t.n),
-		uint64(t.m),
-		boolU64(t.monotone),
-		keysFingerprint(t.keys),
-		modelFingerprint(t.model),
-	}
-	for _, v := range head {
-		if err := binary.Write(cw, binary.LittleEndian, v); err != nil {
-			return cw.n, err
-		}
-	}
-	// The on-disk format (version 1) stores range-mode lo/hi as two split
-	// arrays, each at its own narrowest width; de-interleave the in-memory
-	// fused layout back to that shape so files round-trip byte-identically
-	// across the layout change (DESIGN.md §8). The de-interleave streams in
-	// fixed-size chunks — at M = N = 200M keys a materialised split copy
-	// would transiently double the layer footprint.
-	switch t.mode {
-	case ModeRange:
-		if err := writePairsHalf(cw, &t.pairs, t.m, t.loBits, false); err != nil {
-			return cw.n, err
-		}
-		if err := writePairsHalf(cw, &t.pairs, t.m, t.hiBits, true); err != nil {
-			return cw.n, err
-		}
-	default:
-		if err := writeDrifts(cw, &t.shift, t.m); err != nil {
-			return cw.n, err
-		}
-	}
-	if err := binary.Write(cw, binary.LittleEndian, t.count); err != nil {
-		return cw.n, err
-	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
-}
 
 // layerSizeV2 is the exact byte size writeLayerV2 will produce, so the
 // snapshot writer can reserve the section (SectionSized) and the mapped
@@ -106,8 +58,8 @@ func (t *Table[K]) layerSizeV2() int64 {
 // 8-aligned layerV2DataOff, so alignment is preserved end to end).
 func pad8(n int64) int64 { return (8 - n%8) % 8 }
 
-// writeLayerV2 serialises the layer in the mappable v2 shape: the same
-// 64-byte header as v1 (version field 2), one widths word, then the
+// writeLayerV2 serialises the layer in the mappable v2 shape: the 64-byte
+// header (version field 2), one widths word, then the
 // drift data exactly as the query path holds it — fused interleaved
 // pairs for range mode, the packed shift array for midpoint — zero
 // padding to an 8-byte boundary, and the partition counts. No per-array
@@ -147,33 +99,12 @@ func (t *Table[K]) writeLayerV2(w io.Writer) error {
 			return err
 		}
 	}
-	var err error
-	switch t.mode {
-	case ModeRange:
-		switch {
-		case t.pairs.w8 != nil:
-			err = binary.Write(bw, binary.LittleEndian, t.pairs.w8)
-		case t.pairs.w16 != nil:
-			err = binary.Write(bw, binary.LittleEndian, t.pairs.w16)
-		case t.pairs.w32 != nil:
-			err = binary.Write(bw, binary.LittleEndian, t.pairs.w32)
-		case t.pairs.w64 != nil:
-			err = binary.Write(bw, binary.LittleEndian, t.pairs.w64)
+	// Exactly one drift slice is non-nil (none for an empty layer); the
+	// nil ones write nothing.
+	for _, d := range []any{t.pairs.w8, t.pairs.w16, t.pairs.w32, t.pairs.w64, t.shift.w8, t.shift.w16, t.shift.w32, t.shift.w64} {
+		if err := binary.Write(bw, binary.LittleEndian, d); err != nil {
+			return err
 		}
-	default:
-		switch {
-		case t.shift.w8 != nil:
-			err = binary.Write(bw, binary.LittleEndian, t.shift.w8)
-		case t.shift.w16 != nil:
-			err = binary.Write(bw, binary.LittleEndian, t.shift.w16)
-		case t.shift.w32 != nil:
-			err = binary.Write(bw, binary.LittleEndian, t.shift.w32)
-		case t.shift.w64 != nil:
-			err = binary.Write(bw, binary.LittleEndian, t.shift.w64)
-		}
-	}
-	if err != nil {
-		return err
 	}
 	var zeros [8]byte
 	if _, err := bw.Write(zeros[:pad8(data)]); err != nil {
@@ -187,7 +118,7 @@ func (t *Table[K]) writeLayerV2(w io.Writer) error {
 
 // layerWidths unpacks and validates the v2 widths word against the mode
 // and partition count. Returns the stored entry width plus the split
-// lo/hi widths (range mode only) a future v1 WriteTo would use.
+// lo/hi widths (range mode only).
 func layerWidths(word uint64, mode Mode, m int) (width, lo, hi uint8, err error) {
 	if word>>24 != 0 {
 		return 0, 0, 0, fmt.Errorf("core: layer widths word %#x has reserved bytes set", word)
@@ -208,7 +139,7 @@ func layerWidths(word uint64, mode Mode, m int) (width, lo, hi uint8, err error)
 	}
 	if mode == ModeRange {
 		// The fused array packs both halves at the wider of the two split
-		// widths (fusePairs); anything else cannot round-trip to v1.
+		// widths (Build); no writer records anything else.
 		want := lo
 		if hi > want {
 			want = hi
@@ -228,65 +159,14 @@ func layerWidths(word uint64, mode Mode, m int) (width, lo, hi uint8, err error)
 // is corrupt (or hostile), not a configuration this repository produces.
 const maxLayerFactor = 64
 
-// Load decodes a layer blob previously written with WriteTo (version 1,
-// the split-array layout) and attaches it to the given keys and model.
-// The keys and model must be the ones the layer was built over;
-// fingerprint mismatches are rejected.
-//
-// The blob is untrusted: every header field is validated before it is
-// used, each array's byte length is checked against the bytes that
-// remain before it is allocated (so a 64-byte hostile header cannot
-// demand terabytes), and the blob must end exactly where its geometry
-// says — truncation or trailing bytes are descriptive errors, never a
-// panic. Partition counts are checked eagerly (checkCounts).
-func Load[K kv.Key](data []byte, keys []K, model cdfmodel.Model[K]) (*Table[K], error) {
-	t, err := layerHeader(data, layerVersion, keys, model)
-	if err != nil {
-		return nil, err
-	}
-	body := data[layerHeadLen:]
-	switch t.mode {
-	case ModeRange:
-		// Decode the split arrays of the file format, then fuse them into
-		// the interleaved query-path layout, keeping the split widths for
-		// the next WriteTo.
-		var lo, hi driftArray
-		if body, err = decodeDrifts(body, &lo, t.m); err != nil {
-			return nil, fmt.Errorf("core: lo drift array: %w", err)
-		}
-		if body, err = decodeDrifts(body, &hi, t.m); err != nil {
-			return nil, fmt.Errorf("core: hi drift array: %w", err)
-		}
-		if t.m > 0 {
-			t.pairs = fusePairs(&lo, &hi)
-		}
-		t.loBits, t.hiBits = lo.width, hi.width
-	default: // ModeMidpoint; anything else was rejected above
-		if body, err = decodeDrifts(body, &t.shift, t.m); err != nil {
-			return nil, fmt.Errorf("core: drift array: %w", err)
-		}
-	}
-	if want := 4 * int64(t.m); int64(len(body)) != want {
-		return nil, fmt.Errorf("core: %d bytes of partition counts, want %d", len(body), want)
-	}
-	t.count = decodeFixed[int32](body, t.m)
-	if err := checkCounts(t.count, t.n); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// layerHeadLen is the size of the header both layer versions share.
+// layerHeadLen is the size of the layer blob header.
 const layerHeadLen = 8 * 8
 
-// layerHeader validates the 64-byte header both layer versions share —
-// magic, version, mode, key count, partition count, monotone flag, and
-// the key and model fingerprints that bind the layer to its data — and
-// returns the table shell it describes (no arrays yet).
-func layerHeader[K kv.Key](data []byte, version uint64, keys []K, model cdfmodel.Model[K]) (*Table[K], error) {
-	if len(data) < layerHeadLen {
-		return nil, fmt.Errorf("core: layer blob is %d bytes, its header is %d", len(data), layerHeadLen)
-	}
+// layerHeader validates the 64-byte layer header — magic, version, mode,
+// key count, partition count, monotone flag, and the key and model
+// fingerprints that bind the layer to its data — and returns the table
+// shell it describes (no arrays yet). data holds at least the header.
+func layerHeader[K kv.Key](data []byte, keys []K, model cdfmodel.Model[K]) (*Table[K], error) {
 	var head [8]uint64
 	for i := range head {
 		head[i] = binary.LittleEndian.Uint64(data[8*i:])
@@ -294,8 +174,12 @@ func layerHeader[K kv.Key](data []byte, version uint64, keys []K, model cdfmodel
 	if head[0] != layerMagic {
 		return nil, fmt.Errorf("core: not a Shift-Table layer blob")
 	}
-	if head[1] != version {
-		return nil, fmt.Errorf("core: layer version %d, want %d", head[1], version)
+	switch head[1] {
+	case layerVersion2:
+	case 1:
+		return nil, fmt.Errorf("core: split-array v1 layer blob: %w", snapshot.ErrLegacy)
+	default:
+		return nil, fmt.Errorf("core: layer version %d, want %d", head[1], layerVersion2)
 	}
 	// Validate every remaining header field before using it: mode drives a
 	// switch, n and m size the arrays, monotone drives the query path.
@@ -335,8 +219,7 @@ func layerHeader[K kv.Key](data []byte, version uint64, keys []K, model cdfmodel
 
 // checkLayerM validates the partition-count header field: non-negative
 // when converted, zero exactly for an empty table, and sane relative to
-// the key count so the drift-array reads that follow stay bounded by real
-// input.
+// the key count.
 func checkLayerM(raw uint64, n int) error {
 	if n == 0 {
 		if raw != 0 {
@@ -371,166 +254,6 @@ func checkCounts(counts []int32, n int) error {
 		}
 	}
 	return nil
-}
-
-// writePairsHalf streams one half of the fused pair array — lo entries
-// (hiHalf false) or hi entries (hiHalf true) — in the split on-disk shape:
-// the width header, then the values packed at bits, de-interleaved through
-// a fixed-size chunk buffer. Byte-identical to writeDrifts over the
-// materialised split array.
-func writePairsHalf(w io.Writer, d *driftPairs, m int, width uint8, hiHalf bool) error {
-	if d.len() != m {
-		return fmt.Errorf("core: drift pair length %d, want %d", d.len(), m)
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint64(width)*8); err != nil {
-		return err
-	}
-	const chunk = 8192
-	val := func(k int) int {
-		lo, hi := d.pair(k)
-		if hiHalf {
-			return hi
-		}
-		return lo
-	}
-	switch width {
-	case 1:
-		buf := make([]int8, 0, chunk)
-		for k := 0; k < m; k++ {
-			buf = append(buf, int8(val(k)))
-			if len(buf) == chunk {
-				if err := binary.Write(w, binary.LittleEndian, buf); err != nil {
-					return err
-				}
-				buf = buf[:0]
-			}
-		}
-		return binary.Write(w, binary.LittleEndian, buf)
-	case 2:
-		buf := make([]int16, 0, chunk)
-		for k := 0; k < m; k++ {
-			buf = append(buf, int16(val(k)))
-			if len(buf) == chunk {
-				if err := binary.Write(w, binary.LittleEndian, buf); err != nil {
-					return err
-				}
-				buf = buf[:0]
-			}
-		}
-		return binary.Write(w, binary.LittleEndian, buf)
-	case 4:
-		buf := make([]int32, 0, chunk)
-		for k := 0; k < m; k++ {
-			buf = append(buf, int32(val(k)))
-			if len(buf) == chunk {
-				if err := binary.Write(w, binary.LittleEndian, buf); err != nil {
-					return err
-				}
-				buf = buf[:0]
-			}
-		}
-		return binary.Write(w, binary.LittleEndian, buf)
-	default:
-		buf := make([]int64, 0, chunk)
-		for k := 0; k < m; k++ {
-			buf = append(buf, int64(val(k)))
-			if len(buf) == chunk {
-				if err := binary.Write(w, binary.LittleEndian, buf); err != nil {
-					return err
-				}
-				buf = buf[:0]
-			}
-		}
-		return binary.Write(w, binary.LittleEndian, buf)
-	}
-}
-
-// writeDrifts stores the entry width then the packed array.
-func writeDrifts(w io.Writer, d *driftArray, m int) error {
-	if d.len() != m {
-		return fmt.Errorf("core: drift array length %d, want %d", d.len(), m)
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint64(d.entryBits())); err != nil {
-		return err
-	}
-	switch {
-	case d.w8 != nil:
-		return binary.Write(w, binary.LittleEndian, d.w8)
-	case d.w16 != nil:
-		return binary.Write(w, binary.LittleEndian, d.w16)
-	case d.w32 != nil:
-		return binary.Write(w, binary.LittleEndian, d.w32)
-	default:
-		return binary.Write(w, binary.LittleEndian, d.w64)
-	}
-}
-
-// decodeDrifts decodes one packed drift array from the front of b — the
-// width header, then m entries at that width — and returns the bytes
-// after it. The width is validated, and the entries' byte length checked
-// against b, before anything is allocated.
-func decodeDrifts(b []byte, d *driftArray, m int) ([]byte, error) {
-	if len(b) < 8 {
-		return nil, fmt.Errorf("drift width: %d bytes left, want 8", len(b))
-	}
-	bits := binary.LittleEndian.Uint64(b)
-	b = b[8:]
-	switch bits {
-	case 0:
-		// An empty table packs to width 0; a populated layer never does.
-		if m != 0 {
-			return nil, fmt.Errorf("invalid drift entry width 0 for %d partitions", m)
-		}
-		d.width = 0
-		return b, nil
-	case 8, 16, 32, 64:
-		if m == 0 {
-			return nil, fmt.Errorf("drift entry width %d for an empty layer", bits)
-		}
-	default:
-		return nil, fmt.Errorf("invalid drift entry width %d", bits)
-	}
-	width := int(bits / 8)
-	if need := int64(m) * int64(width); need > int64(len(b)) {
-		return nil, fmt.Errorf("%d drift entries need %d bytes, %d left", m, need, len(b))
-	}
-	d.width = uint8(width)
-	switch width {
-	case 1:
-		d.w8 = decodeFixed[int8](b, m)
-	case 2:
-		d.w16 = decodeFixed[int16](b, m)
-	case 4:
-		d.w32 = decodeFixed[int32](b, m)
-	default:
-		d.w64 = decodeFixed[int64](b, m)
-	}
-	return b[m*width:], nil
-}
-
-// decodeFixed decodes n little-endian values of T's width from b, which
-// the caller has checked holds at least that many bytes.
-func decodeFixed[T int8 | int16 | int32 | int64](b []byte, n int) []T {
-	out := make([]T, n)
-	switch any(out).(type) {
-	case []int8:
-		for i := range out {
-			out[i] = T(int8(b[i]))
-		}
-	case []int16:
-		for i := range out {
-			out[i] = T(int16(binary.LittleEndian.Uint16(b[2*i:])))
-		}
-	case []int32:
-		for i := range out {
-			out[i] = T(int32(binary.LittleEndian.Uint32(b[4*i:])))
-		}
-	default:
-		for i := range out {
-			out[i] = T(int64(binary.LittleEndian.Uint64(b[8*i:])))
-		}
-	}
-	return out
 }
 
 // keysFingerprint hashes a structural sample of the keys (size, endpoints,
@@ -575,15 +298,4 @@ func boolU64(b bool) uint64 {
 		return 1
 	}
 	return 0
-}
-
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }

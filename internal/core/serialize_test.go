@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -10,7 +11,21 @@ import (
 	"repro/internal/cdfmodel"
 	"repro/internal/dataset"
 	"repro/internal/kv"
+	"repro/internal/snapshot"
 )
+
+// layerBlob returns tab's v2 layer blob, as snapshots embed it.
+func layerBlob[K kv.Key](tb testing.TB, tab *Table[K]) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := tab.writeLayerV2(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	if int64(buf.Len()) != tab.layerSizeV2() {
+		tb.Fatalf("writeLayerV2 wrote %d bytes, layerSizeV2 says %d", buf.Len(), tab.layerSizeV2())
+	}
+	return buf.Bytes()
+}
 
 func TestLayerRoundTrip(t *testing.T) {
 	for _, name := range []dataset.Name{dataset.Face, dataset.Wiki, dataset.UDen} {
@@ -25,20 +40,16 @@ func TestLayerRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var buf bytes.Buffer
-			n, err := orig.WriteTo(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n != int64(buf.Len()) {
-				t.Errorf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
-			}
-			loaded, err := Load(buf.Bytes(), keys, model)
+			blob := layerBlob(t, orig)
+			loaded, err := viewLayerV2(blob, keys, model)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if loaded.M() != orig.M() || loaded.Mode() != orig.Mode() || loaded.N() != orig.N() {
 				t.Fatal("round-trip metadata mismatch")
+			}
+			if again := layerBlob(t, loaded); !bytes.Equal(again, blob) {
+				t.Fatalf("%s %v: a viewed layer does not write back byte for byte", name, cfg.Mode)
 			}
 			rng := rand.New(rand.NewSource(3))
 			for i := 0; i < 3000; i++ {
@@ -61,54 +72,56 @@ func TestLoadRejectsMismatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := tab.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
+	blob := layerBlob(t, tab)
 
 	// Wrong data.
 	other := dataset.MustGenerate(dataset.Face, 64, 10_000, 6)
-	if _, err := Load(buf.Bytes(), other, cdfmodel.NewInterpolation(other)); err == nil {
-		t.Error("Load must reject a layer built over different keys")
+	if _, err := viewLayerV2(blob, other, cdfmodel.NewInterpolation(other)); err == nil {
+		t.Error("a layer built over different keys was accepted")
 	}
 	// Wrong length.
-	if _, err := Load(buf.Bytes(), keys[:500], model); err == nil {
-		t.Error("Load must reject a key-count mismatch")
+	if _, err := viewLayerV2(blob, keys[:500], model); err == nil {
+		t.Error("a key-count mismatch was accepted")
 	}
 	// Wrong model family.
-	if _, err := Load(buf.Bytes(), keys, cdfmodel.NewLinear(keys)); err == nil {
-		t.Error("Load must reject a different model")
+	if _, err := viewLayerV2(blob, keys, cdfmodel.NewLinear(keys)); err == nil {
+		t.Error("a different model was accepted")
 	}
 	// Nil model.
-	if _, err := Load[uint64](buf.Bytes(), keys, nil); err == nil {
-		t.Error("Load must reject a nil model")
+	if _, err := viewLayerV2[uint64](blob, keys, nil); err == nil {
+		t.Error("a nil model was accepted")
 	}
 	// Corrupted magic.
-	bad := append([]byte(nil), buf.Bytes()...)
+	bad := append([]byte(nil), blob...)
 	bad[0] ^= 0xFF
-	if _, err := Load(bad, keys, model); err == nil {
-		t.Error("Load must reject a corrupted header")
+	if _, err := viewLayerV2(bad, keys, model); err == nil {
+		t.Error("a corrupted header was accepted")
 	}
-	// Truncated stream.
-	if _, err := Load(buf.Bytes()[:buf.Len()/2], keys, model); err == nil {
-		t.Error("Load must reject a truncated stream")
+	// Truncated blob.
+	if _, err := viewLayerV2(blob[:len(blob)/2], keys, model); err == nil {
+		t.Error("a truncated blob was accepted")
 	}
-	// Empty stream.
-	if _, err := Load(nil, keys, model); err == nil {
-		t.Error("Load must reject an empty stream")
+	// Empty blob.
+	if _, err := viewLayerV2(nil, keys, model); err == nil {
+		t.Error("an empty blob was accepted")
 	}
 	// Trailing bytes.
-	if _, err := Load(append(append([]byte(nil), buf.Bytes()...), 0), keys, model); err == nil {
-		t.Error("Load must reject bytes past the layer's geometry")
+	if _, err := viewLayerV2(append(append([]byte(nil), blob...), 0), keys, model); err == nil {
+		t.Error("bytes past the layer's geometry were accepted")
+	}
+	// A split-array v1 blob (version 1) is a legacy layer, refused typed.
+	v1 := append([]byte(nil), blob...)
+	binary.LittleEndian.PutUint64(v1[8:], 1)
+	if _, err := viewLayerV2(v1, keys, model); !errors.Is(err, snapshot.ErrLegacy) {
+		t.Errorf("a version 1 layer: %v, want snapshot.ErrLegacy", err)
 	}
 }
 
-// TestLoadCorruptHeader mutates every header field of a valid layer file —
-// magic, version, mode, n, m, monotone, both fingerprints — plus the drift
-// width fields and the partition counts, and asserts each mutation is
+// TestLoadCorruptHeader mutates every header field of a valid layer blob —
+// magic, version, mode, n, m, monotone, both fingerprints — plus the
+// widths word and the partition counts, and asserts each mutation is
 // rejected with a descriptive error instead of a panic or a giant
-// allocation. This is the regression suite for the hardened loader: the
-// old code fed head[4] straight into make([]int32, m).
+// allocation.
 func TestLoadCorruptHeader(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Face, 64, 8_000, 5)
 	model := cdfmodel.NewInterpolation(keys)
@@ -117,16 +130,12 @@ func TestLoadCorruptHeader(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if _, err := tab.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		valid := buf.Bytes()
+		valid := layerBlob(t, tab)
 
 		mutate := func(name string, field int, val uint64) {
 			bad := append([]byte(nil), valid...)
 			binary.LittleEndian.PutUint64(bad[field*8:], val)
-			_, err := Load(bad, keys, model)
+			_, err := viewLayerV2(bad, keys, model)
 			if err == nil {
 				t.Errorf("%v/%s=%d: corrupt header accepted", cfg.Mode, name, val)
 			} else if err.Error() == "" {
@@ -134,7 +143,8 @@ func TestLoadCorruptHeader(t *testing.T) {
 			}
 		}
 		mutate("magic", 0, 0xDEADBEEF)
-		mutate("version", 1, 2)
+		mutate("version", 1, 1)
+		mutate("version", 1, 3)
 		mutate("version", 1, ^uint64(0))
 		mutate("mode", 2, 2)
 		mutate("mode", 2, ^uint64(0))
@@ -142,57 +152,56 @@ func TestLoadCorruptHeader(t *testing.T) {
 		mutate("n", 3, ^uint64(0))
 		mutate("m", 4, 0)
 		mutate("m", 4, uint64(len(keys))*maxLayerFactor+1) // beyond the sane-M bound
-		mutate("m", 4, 1<<40)                              // would have been a 1 TiB counts allocation
-		mutate("m", 4, ^uint64(0))                         // would have wrapped negative
-		mutate("m", 4, uint64(tab.M()+1))                  // sane-looking but wrong: drift reads run past the stream
+		mutate("m", 4, 1<<40)                              // would size a 1 TiB counts view
+		mutate("m", 4, ^uint64(0))                         // would wrap negative
+		mutate("m", 4, uint64(tab.M()+1))                  // sane-looking but wrong: geometry past the blob
 		mutate("monotone", 5, 2)
 		mutate("keys-fingerprint", 6, binary.LittleEndian.Uint64(valid[6*8:])^1)
 		mutate("model-fingerprint", 7, binary.LittleEndian.Uint64(valid[7*8:])^1)
 
-		// Drift width field (first u64 after the 64-byte header): zero,
-		// non-power-of-two, and absurd widths must all be rejected before
-		// any entry allocation.
-		for _, bits := range []uint64{0, 7, 12, 128, ^uint64(0)} {
-			mutate("drift-width", 8, bits)
+		// The widths word (the u64 after the 64-byte header): zero,
+		// non-power-of-two, wider than stored, and reserved bytes set.
+		word := binary.LittleEndian.Uint64(valid[8*8:])
+		for _, w := range []uint64{0, 3, 12, word ^ 0x0F, word | 1<<40, ^uint64(0)} {
+			mutate("widths", 8, w)
 		}
 
 		// Partition counts: a negative cardinality (high bit set) must be
-		// rejected; counts live after the drift arrays, so locate them from
-		// the end.
+		// rejected by the check a verified load runs; counts end the blob.
 		bad := append([]byte(nil), valid...)
 		countOff := len(bad) - 4*tab.M()
 		bad[countOff+3] |= 0x80
-		if _, err := Load(bad, keys, model); err == nil {
+		if viewed, err := viewLayerV2(bad, keys, model); err == nil && checkCounts(viewed.count, viewed.n) == nil {
 			t.Errorf("%v: negative partition count accepted", cfg.Mode)
 		}
 
 		// Truncation at a stride of positions, including mid-header and
 		// mid-array, must always error.
 		for cut := 0; cut < len(valid); cut += 13 {
-			if _, err := Load(valid[:cut], keys, model); err == nil {
+			if _, err := viewLayerV2(valid[:cut], keys, model); err == nil {
 				t.Errorf("%v: truncation to %d of %d bytes accepted", cfg.Mode, cut, len(valid))
 			}
 		}
 	}
 }
 
-// TestLoadHostileHeaderBoundedAllocation: a 64-byte header claiming a
-// gigantic layer over a stream that ends right after it must fail after
-// at most one incremental chunk, not try to allocate the claimed size.
+// TestLoadHostileHeaderBoundedAllocation: a header claiming a gigantic
+// layer over a blob that ends right after it must fail on its geometry,
+// not size anything by the claim.
 func TestLoadHostileHeaderBoundedAllocation(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Face, 64, 1_000_000, 5)
 	model := cdfmodel.NewInterpolation(keys)
 	head := make([]byte, 0, 80)
 	for _, v := range []uint64{
-		0x53485442, 1, uint64(ModeMidpoint), uint64(len(keys)),
-		uint64(len(keys)) * 32, // m: sane relative to n, far beyond the 72 bytes that follow
+		0x53485442, 2, uint64(ModeMidpoint), uint64(len(keys)),
+		uint64(len(keys)) * 32, // m: sane relative to n, far beyond the bytes that follow
 		1, keysFingerprint(keys), modelFingerprint(model),
-		64, // drift width: 64-bit entries ⇒ claimed array is 256 MiB
+		8, // widths word: 64-bit entries ⇒ the claimed array is 256 MiB
 	} {
 		head = binary.LittleEndian.AppendUint64(head, v)
 	}
 	before := allocatedBytes()
-	if _, err := Load(head, keys, model); err == nil {
+	if _, err := viewLayerV2(head, keys, model); err == nil {
 		t.Fatal("hostile header accepted")
 	}
 	if grew := allocatedBytes() - before; grew > 16<<20 {

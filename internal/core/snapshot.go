@@ -14,9 +14,9 @@ import (
 // snapshots (DESIGN.md §9): a Shift-Table or bare-model index persisted as
 // one verified container — keys, model identity, and layer — so a restart
 // warm-loads the index instead of rebuilding it from raw keys. The layer
-// is embedded as one section in serialize.go's mappable v2 blob (v1 blobs
-// in old snapshots still load); its key and model fingerprints double as
-// the binding between sections. The loaders are in mapped.go.
+// is embedded as one section in serialize.go's mappable v2 blob; its key
+// and model fingerprints double as the binding between sections. The
+// loaders are in mapped.go.
 
 // Snapshot container kinds written by this package.
 const (
@@ -65,8 +65,7 @@ func (t *Table[K]) PersistModelAndLayer(sw *snapshot.Writer, modelID, layerID ui
 		return err
 	}
 	// Snapshots carry the mappable layer blob (fused drifts, aligned
-	// counts). MapTableWithKeys still reads the split-array blob of v1
-	// snapshots that earlier builds wrote.
+	// counts).
 	lw, err := sw.SectionSized(layerID, t.layerSizeV2())
 	if err != nil {
 		return err

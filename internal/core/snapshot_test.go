@@ -163,12 +163,8 @@ func TestSnapshotEmptyTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Bare layer format.
-		var buf bytes.Buffer
-		if _, err := tab.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := Load(buf.Bytes(), nil, cdfmodel.NewInterpolation[uint64](nil))
+		// Bare layer blob.
+		loaded, err := viewLayerV2(layerBlob(t, tab), nil, cdfmodel.NewInterpolation[uint64](nil))
 		if err != nil {
 			t.Fatalf("empty %v layer round trip: %v", mode, err)
 		}

@@ -31,11 +31,11 @@ func TestMappedEqualsHeapRegistry(t *testing.T) {
 		if err != nil {
 			t.Fatalf("heap-loading %s: %v", name, err)
 		}
-		mm, viaMap, err := LoadFileMapped[uint64](path)
+		mm, err := LoadFileMapped[uint64](path)
 		if err != nil {
 			t.Fatalf("map-loading %s: %v", name, err)
 		}
-		if !viaMap {
+		if !mm.(interface{ Mapped() bool }).Mapped() {
 			t.Fatalf("%s: v2 snapshot did not open mapped", name)
 		}
 		// Scalar + batch, each restored index against the original.

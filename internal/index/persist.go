@@ -93,25 +93,22 @@ func LoadFile[K kv.Key](path string) (Index[K], error) {
 	return ix, nil
 }
 
-// LoadFileMapped restores an index by mapping the snapshot: a v2
-// container is viewed in place, and the returned flag reports that the
-// index serves from the mapping — callers print it (shifttool) or export
-// it (/statusz) so "warm restart was fast" is attributable. A v1
-// container from an earlier build opens on the heap through the same
-// loader and reports false. A mapped open trusts the container
+// LoadFileMapped restores an index by mapping the snapshot: the v2
+// container is viewed in place, so warm start costs O(sections) rather
+// than a read of the file. A mapped open trusts the container
 // structurally and defers payload CRCs (see core's mapped loaders);
 // LoadFile keeps the eager full verification.
-func LoadFileMapped[K kv.Key](path string) (Index[K], bool, error) {
+func LoadFileMapped[K kv.Key](path string) (Index[K], error) {
 	m, err := snapshot.MapFile(path)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	defer m.Close()
 	ix, err := dispatch[K](m)
 	if err != nil {
-		return nil, false, fmt.Errorf("index: %s: %w", path, err)
+		return nil, fmt.Errorf("index: %s: %w", path, err)
 	}
-	return ix, m.Region() != nil, nil
+	return ix, nil
 }
 
 // NewShiftIndex wraps a built (or snapshot-restored) Shift-Table in the

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -30,15 +31,14 @@ const stateName = "REPLICA_STATE"
 type LoadMode int
 
 const (
-	// LoadAuto maps v2 artifacts in place when the platform supports
+	// LoadAuto maps full artifacts in place when the platform supports
 	// real mappings, and reads them onto the heap otherwise. The default.
 	LoadAuto LoadMode = iota
 	// LoadHeap always uses the verified heap load (the eager-verify
 	// path; every install re-reads and re-checks the artifact).
 	LoadHeap
 	// LoadMap always uses the mapped open, even on platforms where the
-	// region is a heap read behind the same API. A v1 artifact from an
-	// earlier build opens on the heap through the same call.
+	// region is a heap read behind the same API.
 	LoadMap
 )
 
@@ -162,12 +162,12 @@ func (r *Replica[K]) useMap() bool {
 // The mapped open performs no second CRC pass: every byte of the file
 // was already checked against the manifest — by fetchArtifact's stream
 // CRC as it spooled, or by fileSum when reusing a leftover copy — and
-// the v2 geometry validation plus lazy section CRCs cover the rest. A v1 artifact from an earlier build
-// opens on the heap through the same call.
+// the v2 geometry validation plus lazy section CRCs cover the rest. A
+// legacy full (snapshot.ErrLegacy) is refused by either path; Sync
+// reports it and does not retry it, since no refetch can change it.
 func (r *Replica[K]) loadState(path string) (*concurrent.State[K], error) {
 	if r.useMap() {
-		st, _, err := concurrent.MapStateFile[K](path)
-		return st, err
+		return concurrent.MapStateFile[K](path)
 	}
 	return concurrent.LoadStateFile[K](path)
 }
@@ -318,8 +318,7 @@ func (r *Replica[K]) installFull(ctx context.Context, e *Entry) error {
 		return err
 	}
 	// Warm load off the serving path: mapped installs view the spooled
-	// (already stream-verified) artifact in place; heap installs — and
-	// mapped ones over a v1 artifact from an older publisher — re-verify
+	// (already stream-verified) artifact in place; heap installs re-verify
 	// the container checksums at open. Either way nothing touches the
 	// serving index until the state stands.
 	st, err := r.loadState(path)
@@ -393,8 +392,11 @@ func (r *Replica[K]) persistLocalState(deltaFile string) {
 
 // warmRestart re-installs the recorded local state, re-verifying every
 // artifact from disk. Any discrepancy — missing file, content drift,
-// corrupt record — is swallowed and the replica cold-starts at version 0
-// instead; a wrong warm start must never out-rank a correct empty one.
+// corrupt record — means the replica cold-starts at version 0 instead; a
+// wrong warm start must never out-rank a correct empty one. A recorded
+// base that no longer loads (a legacy full an earlier build fetched,
+// snapshot.ErrLegacy) is also reported through Status.LastErr until the
+// first Sync.
 func (r *Replica[K]) warmRestart() {
 	data, err := os.ReadFile(filepath.Join(r.dir, stateName))
 	if err != nil {
@@ -404,8 +406,11 @@ func (r *Replica[K]) warmRestart() {
 	if err != nil || ls.baseFile == "" {
 		return
 	}
-	st := r.restoreBase(filepath.Join(r.dir, ls.baseFile), ls.baseCRC)
-	if st == nil {
+	st, err := r.restoreBase(filepath.Join(r.dir, ls.baseFile), ls.baseCRC)
+	if err != nil {
+		if errors.Is(err, snap.ErrLegacy) {
+			r.lastErr = fmt.Errorf("replica: warm restart: %w", err)
+		}
 		return
 	}
 	if err := r.ix.InstallState(st, ls.baseVer); err != nil {
@@ -426,29 +431,25 @@ func (r *Replica[K]) warmRestart() {
 }
 
 // restoreBase re-verifies and reopens the recorded base artifact for a
-// warm restart, returning nil when anything disagrees. The container
-// bytes the state will serve — the mapping, or the heap read per the
-// load mode — must match the recorded whole-file CRC, the content
-// binding the manifest made; a mapped open then stays O(sections) after
-// that one sequential pass over the mapped bytes.
-func (r *Replica[K]) restoreBase(basePath string, baseCRC uint32) *concurrent.State[K] {
+// warm restart, failing when anything disagrees. The container bytes the
+// state will serve — the mapping, or the heap read per the load mode — must
+// match the recorded whole-file CRC, the content binding the manifest
+// made; a mapped open then stays O(sections) after that one sequential
+// pass over the mapped bytes.
+func (r *Replica[K]) restoreBase(basePath string, baseCRC uint32) (*concurrent.State[K], error) {
 	open := snap.ReadFile
 	if r.useMap() {
 		open = snap.MapFile
 	}
 	m, err := open(basePath)
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	defer m.Close()
-	if crc32.Checksum(m.Bytes(), castagnoli) != baseCRC {
-		return nil
+	if got := crc32.Checksum(m.Bytes(), castagnoli); got != baseCRC {
+		return nil, fmt.Errorf("replica: %s sums to %08x, the record says %08x", basePath, got, baseCRC)
 	}
-	st, err := concurrent.MapState[K](m)
-	if err != nil {
-		return nil
-	}
-	return st
+	return concurrent.MapState[K](m)
 }
 
 // localState is the parsed warm-restart record. Only the version 1

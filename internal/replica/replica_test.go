@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"net/http/httptest"
 	"os"
@@ -317,13 +319,14 @@ func TestWarmRestartRefusesOtherRecordVersions(t *testing.T) {
 // TestSyncV1FixtureStore syncs from a store an earlier build published: a
 // version 1 manifest over a v1 concurrent full plus a delta
 // (testdata/v1/store; see testdata/v1/README.md for how it was made).
-// The full is v1, so even a LoadMap replica's open puts it on the heap
-// (through the same loader as a mapped v2 full), and every answer
-// matches the oracle. A publisher of
-// this build then adopts the store: its next full is v2 and maps.
+// The full is a legacy full, so a LoadMap replica refuses it with
+// snapshot.ErrLegacy in Status.LastErr, after exactly one fetch of the
+// artifact (a refusal is not retried), and keeps serving its last-good
+// state. A publisher of this build then adopts the store: its next full
+// is v2, and the replica serves it mapped.
 func TestSyncV1FixtureStore(t *testing.T) {
 	ctx := context.Background()
-	store := DirStore{Dir: t.TempDir()}
+	dir := t.TempDir()
 	src := filepath.Join("..", "..", "testdata", "v1", "store")
 	ents, err := os.ReadDir(src)
 	if err != nil {
@@ -334,9 +337,29 @@ func TestSyncV1FixtureStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(store.Dir, e.Name()), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+	store := NewFaultStore(DirStore{Dir: dir})
+
+	r, err := NewReplica[uint64](store, t.TempDir(), ReplicaConfig{Retry: fastRetry, LoadMode: LoadMap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.Sync(ctx); !errors.Is(err, snapshot.ErrLegacy) {
+		t.Fatalf("sync from the v1 store: %v, want snapshot.ErrLegacy", err)
+	}
+	if gets, _ := store.Ops(); gets != 2 {
+		t.Fatalf("one Sync made %d store reads, want 2 (the manifest and the full, once)", gets)
+	}
+	st := r.Status()
+	if !errors.Is(st.LastErr, snapshot.ErrLegacy) || st.Version != 0 || st.Latest != 2 || !st.Stale {
+		t.Fatalf("after the refusal: %+v", st)
+	}
+	if n := r.Index().Len(); n != 0 {
+		t.Fatalf("the refused full was served: %d keys, want the empty last-good state", n)
 	}
 
 	// The primary state the fixture store published, rebuilt: version 1
@@ -344,21 +367,7 @@ func TestSyncV1FixtureStore(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Face, 64, 2000, 12)
 	primary := newPrimary(t, slices.Clone(keys))
 	fixtureWrites(keys, 1500, primary)
-
-	r, err := NewReplica[uint64](store, t.TempDir(), ReplicaConfig{Retry: fastRetry, LoadMode: LoadMap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if err := r.Sync(ctx); err != nil {
-		t.Fatalf("sync from the v1 store: %v", err)
-	}
-	checkServing(t, r, primary.Published(), 2)
-	if st := r.Status(); st.Mapped {
-		t.Fatalf("v1 full reported mapped: %+v", st)
-	}
-
-	pub, err := NewPublisher(ctx, store, primary, PublisherConfig{Spool: t.TempDir()})
+	pub, err := NewPublisher(ctx, Store(store), primary, PublisherConfig{Spool: t.TempDir()})
 	if err != nil {
 		t.Fatalf("adopting the v1 store: %v", err)
 	}
@@ -366,18 +375,41 @@ func TestSyncV1FixtureStore(t *testing.T) {
 	if err != nil || !full || v != 3 {
 		t.Fatalf("first publish over the v1 store: v=%d full=%v err=%v (want v=3 full)", v, full, err)
 	}
-	man := pub.Manifest()
-	m, err := snapshot.MapFile(filepath.Join(store.Dir, man.Lookup(v).File))
-	if err != nil {
-		t.Fatalf("new full does not map: %v", err)
-	}
-	m.Close()
 	if err := r.Sync(ctx); err != nil {
 		t.Fatal(err)
 	}
 	checkServing(t, r, primary.Published(), 3)
-	if st := r.Status(); !st.Mapped {
-		t.Fatalf("v2 full installed unmapped under LoadMap: %+v", st)
+	if st := r.Status(); !st.Mapped || st.LastErr != nil {
+		t.Fatalf("v2 full under LoadMap: %+v", st)
+	}
+}
+
+// TestWarmRestartRefusesLegacyBase: a replica directory whose
+// warm-restart record names a legacy full (a v1 full an earlier build
+// fetched) cold-starts, and Status.LastErr reports the refusal.
+func TestWarmRestartRefusesLegacyBase(t *testing.T) {
+	full, err := os.ReadFile(filepath.Join("..", "..", "testdata", "v1", "store", "full-00000001.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []LoadMode{LoadHeap, LoadMap} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "full-00000001.snap"), full, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rec := fmt.Sprintf("shift-replica-state 1\nversion 1\nbase 1 %08x full-00000001.snap\n", crc32.Checksum(full, castagnoli))
+		if err := os.WriteFile(filepath.Join(dir, stateName), reseal([]byte(rec)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReplica[uint64](RefuseStore{}, dir, ReplicaConfig{Retry: fastRetry, LoadMode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := r.Status()
+		r.Close()
+		if st.Version != 0 || !errors.Is(st.LastErr, snapshot.ErrLegacy) {
+			t.Fatalf("load mode %d: warm restart over a legacy base: %+v, want version 0 and snapshot.ErrLegacy", mode, st)
+		}
 	}
 }
 

@@ -183,8 +183,10 @@ func TestRouterSnapshotFile(t *testing.T) {
 	if err := index.SaveFile[uint64](path, orig); err != nil {
 		t.Fatal(err)
 	}
-	if kind, err := snapshot.ReadKindFile(path); err != nil || kind != SnapshotKind {
-		t.Fatalf("kind = %q, %v", kind, err)
+	if m, err := snapshot.ReadFile(path); err != nil {
+		t.Fatal(err)
+	} else if m.Kind() != SnapshotKind {
+		t.Fatalf("kind = %q, want %q", m.Kind(), SnapshotKind)
 	}
 	loaded, err := index.LoadFile[uint64](path)
 	if err != nil {

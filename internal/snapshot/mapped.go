@@ -13,9 +13,10 @@ import (
 	"repro/internal/mapped"
 )
 
-// This file is the one decoder of both layouts: Open parses a container
-// over bytes already in memory — a mapping, or a heap read of the file —
-// into the list of its sections, and every loader walks that list.
+// This file is the one decoder of both layouts: Open (fulls, v2) and
+// OpenStream (deltas, v1) parse a container over bytes already in memory
+// — a mapping, or a heap read of the file — into the list of its
+// sections, and every loader walks that list.
 // Opening a v2 container costs O(sections), not O(bytes): the footer,
 // TOC, headers and padding are validated eagerly, payload CRCs verify
 // lazily through Verify/VerifyAll. Everything structural a hostile file
@@ -23,7 +24,7 @@ import (
 // against the section chain itself, so a section handed to a loader is
 // exactly the byte range its header, its TOC entry and the container
 // geometry all agree on. A v1 container has no TOC and no per-section
-// CRCs, so Open walks its section headers and checks its trailing
+// CRCs, so OpenStream walks its section headers and checks its trailing
 // checksum at once; its sections are verified from the start.
 //
 // Trust model: an unverified payload is memory-safe to parse (every
@@ -31,10 +32,11 @@ import (
 // be the written bytes. Verified reports whether the whole container
 // is known good — VerifyAll ran, or the container is v1 — and the
 // loaders run their O(n) invariant checks (keys sorted, partition
-// counts bounded) exactly then. The heap entry points (ReadFile, Read)
-// always verify in full; a mapped open (MapFile) leaves it to the
-// caller: the replica maps artifacts whose whole-file CRC it checked at
-// fetch time, and so serves them after an O(sections) open.
+// counts bounded) exactly then. The heap entry points (ReadFile, Read
+// and their stream twins) always verify in full; a mapped open (MapFile)
+// leaves it to the caller: the replica maps artifacts whose whole-file
+// CRC it checked at fetch time, and so serves them after an O(sections)
+// open.
 
 // MappedSection is one section of an opened container. Data aliases the
 // container bytes: read-only, and it must not outlive the region.
@@ -73,22 +75,15 @@ type Mapped struct {
 	verified bool
 }
 
-// MapFile maps path and opens it. A v2 container is viewed in place: the
-// returned Mapped owns one region reference, Close releases it, and
-// loaders that build long-lived structures over the mapping take their
-// own references (Region().Retain()) before the caller Closes. A v1
-// container is never viewed in place — its payloads are unaligned, and
-// its loaders decode them — so it is read onto the heap instead
-// (ReadFile) and keeps no region: nothing built from it reports a
-// mapped open.
+// MapFile maps path and opens it as a full (Open): the v2 container is
+// viewed in place. The returned Mapped owns one region reference, Close
+// releases it, and loaders that build long-lived structures over the
+// mapping take their own references (Region().Retain()) before the
+// caller Closes.
 func MapFile(path string) (*Mapped, error) {
 	region, err := mapped.Map(path)
 	if err != nil {
 		return nil, err
-	}
-	if data := region.Bytes(); len(data) >= 8 && string(data[:8]) == string(magic[:]) {
-		region.Release()
-		return ReadFile(path)
 	}
 	m, err := Open(region.Bytes())
 	if err != nil {
@@ -99,14 +94,19 @@ func MapFile(path string) (*Mapped, error) {
 	return m, nil
 }
 
-// ReadFile reads a container file onto the heap, opens it and verifies
-// every checksum: the eager, fully verified load.
-func ReadFile(path string) (*Mapped, error) {
+// ReadFile reads a full's container file onto the heap, opens it and
+// verifies every checksum: the eager, fully verified load.
+func ReadFile(path string) (*Mapped, error) { return readFile(path, Open) }
+
+// ReadStreamFile is ReadFile for a stream-framed container (a delta).
+func ReadStreamFile(path string) (*Mapped, error) { return readFile(path, OpenStream) }
+
+func readFile(path string, open func([]byte) (*Mapped, error)) (*Mapped, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: reading %s: %w", path, err)
 	}
-	m, err := openVerified(data)
+	m, err := openVerified(data, open)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %s: %w", path, err)
 	}
@@ -116,7 +116,12 @@ func ReadFile(path string) (*Mapped, error) {
 // Read is ReadFile over an arbitrary reader: total is the input size in
 // bytes, or -1 to read to EOF. The input is read incrementally, so a
 // lying total cannot allocate more than the bytes actually present.
-func Read(r io.Reader, total int64) (*Mapped, error) {
+func Read(r io.Reader, total int64) (*Mapped, error) { return read(r, total, Open) }
+
+// ReadStream is Read for a stream-framed container (a delta).
+func ReadStream(r io.Reader, total int64) (*Mapped, error) { return read(r, total, OpenStream) }
+
+func read(r io.Reader, total int64, open func([]byte) (*Mapped, error)) (*Mapped, error) {
 	if total >= 0 {
 		r = io.LimitReader(r, total)
 	}
@@ -127,11 +132,11 @@ func Read(r io.Reader, total int64) (*Mapped, error) {
 	if total >= 0 && int64(len(data)) != total {
 		return nil, fmt.Errorf("snapshot: container truncated at %d of %d bytes", len(data), total)
 	}
-	return openVerified(data)
+	return openVerified(data, open)
 }
 
-func openVerified(data []byte) (*Mapped, error) {
-	m, err := Open(data)
+func openVerified(data []byte, open func([]byte) (*Mapped, error)) (*Mapped, error) {
+	m, err := open(data)
 	if err != nil {
 		return nil, err
 	}
@@ -141,17 +146,32 @@ func openVerified(data []byte) (*Mapped, error) {
 	return m, nil
 }
 
-// Open parses a container of either layout over caller-owned bytes (no
-// region: Close is a no-op and Region returns nil).
-func Open(data []byte) (*Mapped, error) {
+// Open parses a full's v2 container over caller-owned bytes (no region:
+// Close is a no-op and Region returns nil). A stream-framed container is
+// refused with ErrLegacy: fulls are v2, and only deltas are
+// stream-framed.
+func Open(data []byte) (*Mapped, error) { return open(data, false) }
+
+// OpenStream parses a stream-framed (v1) container over caller-owned
+// bytes and checks its checksum: the framing of generation deltas, and
+// of the fulls earlier builds wrote, which only the offline migration
+// reads. A v2 container is refused.
+func OpenStream(data []byte) (*Mapped, error) { return open(data, true) }
+
+func open(data []byte, stream bool) (*Mapped, error) {
 	kind, headEnd, v1, err := parseHeader(data)
 	if err != nil {
 		return nil, err
 	}
 	m := &Mapped{data: data, kind: kind}
-	if v1 {
+	switch {
+	case v1 && !stream:
+		return nil, fmt.Errorf("snapshot: %q container is stream-framed, and a full must be v2: %w", kind, ErrLegacy)
+	case v1:
 		err = m.parseStream(headEnd)
-	} else {
+	case stream:
+		return nil, fmt.Errorf("snapshot: %q container is v2, want the stream framing of a delta", kind)
+	default:
 		err = m.parseMapped(headEnd)
 	}
 	if err != nil {
@@ -163,7 +183,7 @@ func Open(data []byte) (*Mapped, error) {
 // Kind returns the backend kind recorded in the header.
 func (m *Mapped) Kind() string { return m.kind }
 
-// Region returns the backing region (nil unless a v2 file was mapped).
+// Region returns the backing region (nil unless a file was mapped).
 func (m *Mapped) Region() *mapped.Region { return m.region }
 
 // Bytes returns the whole container the sections alias: the mapping, or
@@ -235,7 +255,7 @@ func (m *Mapped) VerifyAll() error {
 
 // Verified reports whether every byte of the container has been checked
 // against its checksums: VerifyAll succeeded, or the container is v1,
-// whose one checksum Open checks. Loaders run their O(n) invariant
+// whose one checksum OpenStream checks. Loaders run their O(n) invariant
 // checks exactly when it is true.
 func (m *Mapped) Verified() bool { return m.verified }
 
@@ -254,8 +274,8 @@ func (m *Mapped) Close() error {
 // plus a zero alignment pad in v2) is validated, then a v2 body is
 // viewed in place with no copy — the payload starts page-aligned and the
 // prefix is 8 bytes, so the key data is aligned for any key width. A v1
-// body follows a 4-byte prefix at no particular alignment and is decoded
-// into a fresh slice.
+// (delta) body follows a 4-byte prefix at no particular alignment and is
+// decoded into a fresh slice.
 func MapKeySection[K kv.Key](s *MappedSection) ([]K, error) {
 	width := int64(kv.Width[K]())
 	prefix := int64(8)
@@ -293,8 +313,9 @@ func MapKeySection[K kv.Key](s *MappedSection) ([]K, error) {
 }
 
 // CopyKeySection is MapKeySection for keys that must outlive the
-// container (pending writes): the result never aliases it. A v1 section
-// is already decoded into a fresh slice; a v2 view is copied once.
+// container (pending write generations): the result never aliases it. A v1
+// section is already decoded into a fresh slice; a v2 view is copied
+// once.
 func CopyKeySection[K kv.Key](s *MappedSection) ([]K, error) {
 	keys, err := MapKeySection[K](s)
 	if err != nil || s.v1 {
@@ -335,33 +356,13 @@ func parseHeader(data []byte) (kind string, headEnd int, v1 bool, err error) {
 	return string(data[headFixed:headEnd]), headEnd, v1, nil
 }
 
-// ReadKindFile returns the backend kind recorded in a snapshot file
-// without loading it (tooling: shifttool -load prints it on mismatch).
-func ReadKindFile(path string) (string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	var head [16 + MaxKindLen]byte
-	n, err := io.ReadFull(f, head[:])
-	if err != nil && !errors.Is(err, io.ErrUnexpectedEOF) {
-		return "", fmt.Errorf("snapshot: %s: %w", path, err)
-	}
-	kind, _, _, err := parseHeader(head[:n])
-	if err != nil {
-		return "", fmt.Errorf("snapshot: %s: %w", path, err)
-	}
-	return kind, nil
-}
-
 // parseStream walks a v1 container's section chain from headEnd: every
 // header is bounded against the bytes that remain, the end marker must
 // have length 0, and the 8-byte trailer — the CRC-32C of everything
 // before it, zero-extended — must match and end the input. The sections
 // are then verified. Payloads alias data at whatever alignment their
-// offsets give; the kinds v1 containers carry decode their sections
-// rather than view them.
+// offsets give; the delta loader decodes its sections rather than views
+// them.
 func (m *Mapped) parseStream(headEnd int) error {
 	data := m.data
 	pos := int64(headEnd)

@@ -11,11 +11,13 @@
 // provides the artifact; the backends provide the payloads.
 //
 // The container layout is a fixed property of the artifact kind (DESIGN.md
-// §13): every full snapshot is written in the version 2 layout below, and
-// only replication's generation deltas keep the version 1 stream framing,
-// whose lack of page padding suits their few small sections. Open parses
-// both into one list of sections (mapped.go), so version 1 fulls written
-// by earlier builds load through the same loaders as everything else.
+// §13): every full snapshot is in the version 2 layout below, and only
+// replication's generation deltas use the version 1 stream framing, whose
+// lack of page padding suits their few small sections. Both parse into
+// one list of sections (mapped.go), but through separate entry points:
+// Open, Read, ReadFile and MapFile take fulls and refuse a stream-framed
+// container with ErrLegacy, while OpenStream, ReadStream and
+// ReadStreamFile take deltas and nothing else.
 //
 // # Container layout (version 1)
 //
@@ -34,8 +36,9 @@
 // version bump accompanies any layout change (version negotiation is
 // strict equality; the field exists so a future reader can accept a
 // range). The trailing checksum covers everything from the magic through
-// the end marker and must be the last 8 bytes of the input; Open checks
-// it before returning, so every v1 section it hands out is verified.
+// the end marker and must be the last 8 bytes of the input; OpenStream
+// checks it before returning, so every v1 section it hands out is
+// verified.
 //
 // # Trust model
 //
@@ -43,9 +46,10 @@
 // section lengths, offsets and counts are validated against the input
 // before they index it, so a hostile or truncated header fails with an
 // error instead of faulting or asking the allocator for terabytes. The
-// heap entry points (ReadFile, Read) verify every checksum before a
-// loader sees a section; a mapped open (MapFile) validates structure and
-// leaves the payload checksums to Verify/VerifyAll.
+// heap entry points (ReadFile, Read, and their stream twins) verify every
+// checksum before a loader sees a section; a mapped open (MapFile)
+// validates structure and leaves the payload checksums to
+// Verify/VerifyAll.
 //
 // # Container layout (version 2)
 //
@@ -100,12 +104,20 @@ import (
 )
 
 // version1 is the stream-framed container layout; version2 is the
-// page-aligned mappable layout. NewWriter and SaveFile write v2,
-// SaveStreamFile writes v1 (generation deltas only), and Open reads both.
+// page-aligned mappable layout. NewWriter and SaveFile write v2, which
+// Open reads; SaveStreamFile writes v1 (generation deltas only), which
+// OpenStream reads.
 const (
 	version1 = 1
 	version2 = 2
 )
+
+// ErrLegacy reports a full snapshot in a form only earlier builds wrote:
+// stream-framed, or (checked by the kind loaders) holding a v1 layer
+// blob, of the retired "updatable" kind, or a view with pending writes.
+// No serving entry point reads one, and a replica must not retry it: the
+// offline migration rewrites it once. Match with errors.Is.
+var ErrLegacy = errors.New("legacy full snapshot: migrate it with shifttool -load OLD -save NEW")
 
 // ErrVersionUnsupported reports version skew: an artifact (snapshot
 // container, replication manifest, or replica state file) declares a format

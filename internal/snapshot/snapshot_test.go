@@ -42,17 +42,21 @@ func buildContainer(t *testing.T, v2 bool) []byte {
 	return buf.Bytes()
 }
 
-// framings names the two container layouts Open accepts.
+// framings names the two container layouts with the entry points that
+// read each: v2 (fulls) through Open and Read, the v1 stream framing
+// (deltas) through OpenStream and ReadStream.
 var framings = []struct {
 	name string
 	v2   bool
-}{{"v1", false}, {"v2", true}}
+	open func([]byte) (*Mapped, error)
+	read func(io.Reader, int64) (*Mapped, error)
+}{{"v1", false, OpenStream, ReadStream}, {"v2", true, Open, Read}}
 
 func TestContainerRoundTrip(t *testing.T) {
 	for _, fr := range framings {
 		raw := buildContainer(t, fr.v2)
 		for _, total := range []int64{int64(len(raw)), -1} {
-			if err := roundTrip(raw, total); err != nil {
+			if err := roundTrip(fr.read, raw, total); err != nil {
 				t.Fatalf("%s (total=%d): %v", fr.name, total, err)
 			}
 		}
@@ -60,8 +64,8 @@ func TestContainerRoundTrip(t *testing.T) {
 }
 
 // roundTrip reads buildContainer's three sections back and verifies them.
-func roundTrip(raw []byte, total int64) error {
-	m, err := Read(bytes.NewReader(raw), total)
+func roundTrip(read func(io.Reader, int64) (*Mapped, error), raw []byte, total int64) error {
+	m, err := read(bytes.NewReader(raw), total)
 	if err != nil {
 		return err
 	}
@@ -98,7 +102,7 @@ func TestContainerRejectsEveryBitFlip(t *testing.T) {
 		for i := range raw {
 			bad := append([]byte(nil), raw...)
 			bad[i] ^= 0x40
-			if err := readAll(bad); err == nil {
+			if err := readAll(fr.open, bad); err == nil {
 				t.Fatalf("%s: flipping byte %d of %d went undetected", fr.name, i, len(raw))
 			}
 		}
@@ -111,7 +115,7 @@ func TestContainerRejectsEveryTruncation(t *testing.T) {
 	for _, fr := range framings {
 		raw := buildContainer(t, fr.v2)
 		for cut := 0; cut < len(raw); cut++ {
-			if err := readAll(raw[:cut]); err == nil {
+			if err := readAll(fr.open, raw[:cut]); err == nil {
 				t.Fatalf("%s: truncation to %d of %d bytes went undetected", fr.name, cut, len(raw))
 			}
 		}
@@ -120,8 +124,8 @@ func TestContainerRejectsEveryTruncation(t *testing.T) {
 
 // readAll opens a container the way a heap load does: parse, then
 // verify every checksum.
-func readAll(raw []byte) error {
-	m, err := Open(raw)
+func readAll(open func([]byte) (*Mapped, error), raw []byte) error {
+	m, err := open(raw)
 	if err != nil {
 		return err
 	}
@@ -160,7 +164,7 @@ func TestReaderValidation(t *testing.T) {
 		raw := buildContainer(t, fr.v2)
 
 		// Wrong expected section id.
-		m, err := Open(raw)
+		m, err := fr.open(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,10 +189,10 @@ func TestReaderValidation(t *testing.T) {
 
 		// A declared total shorter than the container, or trailing bytes
 		// after it, must be rejected.
-		if _, err := Read(bytes.NewReader(raw), 40); err == nil {
+		if _, err := fr.read(bytes.NewReader(raw), 40); err == nil {
 			t.Errorf("%s: container cut by a short declared total accepted", fr.name)
 		}
-		if _, err := Read(bytes.NewReader(append(append([]byte(nil), raw...), 0)), -1); err == nil {
+		if _, err := fr.read(bytes.NewReader(append(append([]byte(nil), raw...), 0)), -1); err == nil {
 			t.Errorf("%s: trailing byte after the container accepted", fr.name)
 		}
 	}
@@ -197,8 +201,49 @@ func TestReaderValidation(t *testing.T) {
 	// the payload is touched.
 	raw := buildContainer(t, false)
 	binary.LittleEndian.PutUint64(raw[16+len("test-kind")+8:], 1<<40)
-	if _, err := Open(raw); err == nil {
+	if _, err := OpenStream(raw); err == nil {
 		t.Error("section length beyond the input accepted")
+	}
+}
+
+// TestFramingEntryPoints: fulls are v2 and deltas are stream-framed, and
+// the entry points decide it. Every full entry point refuses a
+// stream-framed container with ErrLegacy, whose message names the
+// migration; the stream entry points refuse a v2 container, and not as
+// legacy.
+func TestFramingEntryPoints(t *testing.T) {
+	dir := t.TempDir()
+	stream, v2 := buildContainer(t, false), buildContainer(t, true)
+	streamPath, v2Path := filepath.Join(dir, "stream.snap"), filepath.Join(dir, "v2.snap")
+	for path, data := range map[string][]byte{streamPath: stream, v2Path: v2} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fulls := map[string]func() (*Mapped, error){
+		"Open":     func() (*Mapped, error) { return Open(stream) },
+		"Read":     func() (*Mapped, error) { return Read(bytes.NewReader(stream), int64(len(stream))) },
+		"ReadFile": func() (*Mapped, error) { return ReadFile(streamPath) },
+		"MapFile":  func() (*Mapped, error) { return MapFile(streamPath) },
+	}
+	for name, open := range fulls {
+		_, err := open()
+		if !errors.Is(err, ErrLegacy) {
+			t.Fatalf("%s of a stream-framed container: %v, want ErrLegacy", name, err)
+		}
+		if !strings.Contains(err.Error(), "shifttool -load OLD -save NEW") {
+			t.Errorf("%s: %q does not name the migration", name, err)
+		}
+	}
+	deltas := map[string]func() (*Mapped, error){
+		"OpenStream":     func() (*Mapped, error) { return OpenStream(v2) },
+		"ReadStream":     func() (*Mapped, error) { return ReadStream(bytes.NewReader(v2), int64(len(v2))) },
+		"ReadStreamFile": func() (*Mapped, error) { return ReadStreamFile(v2Path) },
+	}
+	for name, open := range deltas {
+		if _, err := open(); err == nil || errors.Is(err, ErrLegacy) {
+			t.Fatalf("%s of a v2 container: %v, want a non-legacy refusal", name, err)
+		}
 	}
 }
 
@@ -221,12 +266,10 @@ func TestSaveFileLoadFile(t *testing.T) {
 	if s, err := m.Expect(1); err != nil || string(s.Data) != "payload" {
 		t.Fatalf("ReadFile section: %v", err)
 	}
-	if kind, err := ReadKindFile(path); err != nil || kind != "file-kind" {
-		t.Fatalf("ReadKindFile: %q, %v", kind, err)
-	}
 	// SaveFile writes the mappable layout: MapFile views it, unverified
-	// until VerifyAll. SaveStreamFile writes the v1 framing, which MapFile
-	// opens onto the heap (no region), verified by its checksum.
+	// until VerifyAll. SaveStreamFile writes the v1 framing, which
+	// ReadStreamFile reads onto the heap (no region), verified by its
+	// checksum.
 	m, err = MapFile(path)
 	if err != nil {
 		t.Fatalf("SaveFile output does not map: %v", err)
@@ -244,17 +287,15 @@ func TestSaveFileLoadFile(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	for _, open := range []func(string) (*Mapped, error){MapFile, ReadFile} {
-		m, err := open(stream)
-		if err != nil {
-			t.Fatalf("stream-framed file: %v", err)
-		}
-		if m.Region() != nil || !m.Verified() {
-			t.Fatalf("stream-framed file: region %v, verified %v", m.Region() != nil, m.Verified())
-		}
-		if s, err := m.Expect(1); err != nil || string(s.Data) != "payload" {
-			t.Fatalf("stream-framed section: %v", err)
-		}
+	ms, err := ReadStreamFile(stream)
+	if err != nil {
+		t.Fatalf("stream-framed file: %v", err)
+	}
+	if ms.Region() != nil || !ms.Verified() {
+		t.Fatalf("stream-framed file: region %v, verified %v", ms.Region() != nil, ms.Verified())
+	}
+	if s, err := ms.Expect(1); err != nil || string(s.Data) != "payload" {
+		t.Fatalf("stream-framed section: %v", err)
 	}
 
 	// A failing persist must leave no file behind (and not clobber an
@@ -294,7 +335,7 @@ func TestKeySections(t *testing.T) {
 		if err := sw.Close(); err != nil {
 			t.Fatal(err)
 		}
-		m, err := Open(buf.Bytes())
+		m, err := fr.open(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,7 +368,7 @@ func TestVersionSkewTyped(t *testing.T) {
 	for _, fr := range framings {
 		future := buildContainer(t, fr.v2)
 		binary.LittleEndian.PutUint32(future[8:], version2+1) // version field follows the 8-byte magic
-		_, err := Open(future)
+		_, err := fr.open(future)
 		if err == nil {
 			t.Fatalf("%s: future-version container accepted", fr.name)
 		}
@@ -346,7 +387,7 @@ func TestVersionSkewTyped(t *testing.T) {
 	// (The last byte of a v1 container is inside its checksum.)
 	flipped := buildContainer(t, false)
 	flipped[len(flipped)-1] ^= 0xFF
-	_, err := Read(bytes.NewReader(flipped), int64(len(flipped)))
+	_, err := ReadStream(bytes.NewReader(flipped), int64(len(flipped)))
 	if err == nil {
 		t.Fatal("corrupt container accepted")
 	}

@@ -7,8 +7,8 @@ import (
 	"repro/internal/core"
 )
 
-// TestBatchMatchesScalar verifies FindBatch and LookupCountBatch are
-// bit-identical to their scalar twins on a duplicate-heavy base and a
+// TestBatchMatchesScalar verifies FindBatch is bit-identical to scalar
+// Find on a duplicate-heavy base and a
 // mixed query batch, in both layer modes.
 func TestBatchMatchesScalar(t *testing.T) {
 	for _, mode := range []core.Mode{core.ModeRange, core.ModeMidpoint} {
@@ -37,14 +37,9 @@ func TestBatchMatchesScalar(t *testing.T) {
 				}
 			}
 			out := view.FindBatch(qs, nil)
-			ranks, counts := view.LookupCountBatch(qs, nil, nil)
 			for i, q := range qs {
 				if want := view.Find(q); out[i] != want {
 					t.Fatalf("FindBatch[%d] (q=%d) = %d, scalar = %d", i, q, out[i], want)
-				}
-				wr, wc := view.LookupCount(q)
-				if ranks[i] != wr || counts[i] != wc {
-					t.Fatalf("LookupCountBatch[%d] (q=%d) = (%d,%d), scalar = (%d,%d)", i, q, ranks[i], counts[i], wr, wc)
 				}
 			}
 		})
@@ -57,10 +52,9 @@ func TestBatchEmptyIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranks, counts := ix.View().LookupCountBatch([]uint64{1, 2}, nil, nil)
-	for i := range ranks {
-		if ranks[i] != 0 || counts[i] != 0 {
-			t.Fatalf("empty index lane %d: (%d,%d), want (0,0)", i, ranks[i], counts[i])
+	for i, r := range ix.View().FindBatch([]uint64{1, 2}, nil) {
+		if r != 0 {
+			t.Fatalf("empty index lane %d: %d, want 0", i, r)
 		}
 	}
 	if got := ix.View().FindBatch(nil, nil); len(got) != 0 {

@@ -10,43 +10,53 @@ import (
 
 // MapViewSections reads the updatable section sequence from the
 // container's current cursor — the embedded form internal/concurrent
-// persists inside its own kind: the base, with its configuration, and
-// the pending writes an older writer may have stored with it — ins, its
-// insert buffer, and dels, the keys of its tombstoned base slots — each
-// sorted, and both empty for every file this build writes. The base
-// table (keys, drift arrays, counts) is viewed in place through core's
-// loaders; the legacy pending writes are copied to the heap, because
-// their lifetime is decoupled from the mapping's. The restart cost is
-// one pass over the n/8-byte bitmap, not O(n·keywidth) key and layer
-// copies.
-func MapViewSections[K kv.Key](m *snapshot.Mapped) (ix *Index[K], ins, dels []K, err error) {
+// persists inside its own kind: the base, viewed in place through core's
+// loaders, and its configuration. A view that stores pending writes (a
+// set tombstone bit, a non-empty insert buffer) is refused with
+// snapshot.ErrLegacy. The restart cost is one pass over the n/8-byte
+// bitmap, not O(n·keywidth) key and layer copies.
+func MapViewSections[K kv.Key](m *snapshot.Mapped) (*Index[K], error) {
 	ms, err := m.Expect(secUpdMeta)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	cfg, deadCount, err := decodeMeta(ms.Data)
+	cfg, err := decodeMeta(ms.Data)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	table, err := core.MapTableSections[K](m)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
+	}
+	n := table.N()
+	// The meta's layer M sizes every future compaction rebuild, so it
+	// gets the layer loader's sanity bound: a hostile value would
+	// otherwise load fine and crash the first compaction instead.
+	if uint64(cfg.Layer.M) > 64*uint64(n+1) {
+		return nil, fmt.Errorf("updatable: snapshot layer config M=%d is not credible for %d base keys", cfg.Layer.M, n)
 	}
 	ds, err := m.Expect(secUpdDead)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	n := table.N()
 	if want := (n + 7) / 8; len(ds.Data) != want {
-		return nil, nil, nil, fmt.Errorf("updatable: tombstone bitmap is %d bytes, want %d for %d keys", len(ds.Data), want, n)
+		return nil, fmt.Errorf("updatable: tombstone bitmap is %d bytes, want %d for %d keys", len(ds.Data), want, n)
+	}
+	for _, b := range ds.Data {
+		if b != 0 {
+			return nil, fmt.Errorf("updatable: view has tombstoned base keys: %w", snapshot.ErrLegacy)
+		}
 	}
 	dls, err := m.Expect(secUpdDelta)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	ins, err = snapshot.CopyKeySection[K](dls)
+	buffer, err := snapshot.MapKeySection[K](dls)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	return assemble(cfg, deadCount, table, ds.Data, ins)
+	if len(buffer) != 0 {
+		return nil, fmt.Errorf("updatable: view holds a %d-key insert buffer: %w", len(buffer), snapshot.ErrLegacy)
+	}
+	return &Index[K]{cfg: cfg, v: &View[K]{base: table.Keys(), table: table}}, nil
 }

@@ -3,6 +3,7 @@ package updatable
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
@@ -12,6 +13,10 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/snapshot"
 )
+
+// legacyKind is the container kind earlier builds saved their
+// single-threaded index under (the loaders under test ignore the kind).
+const legacyKind = "updatable"
 
 // writeLegacy writes the updatable section sequence field by field, as
 // earlier builds' single-threaded index did: the meta with its
@@ -55,7 +60,7 @@ func bitmapOf(n int, slots []int) []byte {
 func container(t *testing.T, persist func(sw *snapshot.Writer) error) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	sw, err := snapshot.NewWriter(&buf, SnapshotKind)
+	sw, err := snapshot.NewWriter(&buf, legacyKind)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,48 +73,36 @@ func container(t *testing.T, persist func(sw *snapshot.Writer) error) []byte {
 	return buf.Bytes()
 }
 
-// loaded is what the loader returns.
-type loaded struct {
-	ix        *Index[uint64]
-	ins, dels []uint64
-}
-
 // loadBytes is the heap load: read, verify every checksum, then the
 // loader with its O(n) checks.
-func loadBytes(raw []byte) (loaded, error) {
-	var l loaded
+func loadBytes(raw []byte) (*Index[uint64], error) {
 	m, err := snapshot.Read(bytes.NewReader(raw), int64(len(raw)))
 	if err != nil {
-		return l, err
+		return nil, err
 	}
-	l.ix, l.ins, l.dels, err = MapViewSections[uint64](m)
-	return l, err
+	return MapViewSections[uint64](m)
 }
 
 // loaders are the two entry points over a file: the verified heap read
 // and the mapped open.
 var loaders = []struct {
 	name string
-	load func(path string) (loaded, error)
+	load func(path string) (*Index[uint64], error)
 }{
-	{"LoadFile", func(path string) (loaded, error) {
-		var l loaded
+	{"LoadFile", func(path string) (*Index[uint64], error) {
 		m, err := snapshot.ReadFile(path)
 		if err != nil {
-			return l, err
+			return nil, err
 		}
-		l.ix, l.ins, l.dels, err = MapViewSections[uint64](m)
-		return l, err
+		return MapViewSections[uint64](m)
 	}},
-	{"MapView", func(path string) (loaded, error) {
-		var l loaded
+	{"MapView", func(path string) (*Index[uint64], error) {
 		m, err := snapshot.MapFile(path)
 		if err != nil {
-			return l, err
+			return nil, err
 		}
 		defer m.Close()
-		l.ix, l.ins, l.dels, err = MapViewSections[uint64](m)
-		return l, err
+		return MapViewSections[uint64](m)
 	}},
 }
 
@@ -130,14 +123,11 @@ func TestUpdatableSnapshotRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("PersistView wrote %d bytes that differ from the %d-byte legacy layout", len(got), len(want))
 	}
-	l, err := loadBytes(got)
+	restored, err := loadBytes(got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(l.ins)+len(l.dels) != 0 {
-		t.Fatalf("restored %d buffered inserts and %d tombstones, want none", len(l.ins), len(l.dels))
-	}
-	answersLike(t, "restored", l.ix.View(), keys, probesFor(keys, 4_000, 9))
+	answersLike(t, "restored", restored.View(), keys, probesFor(keys, 4_000, 9))
 }
 
 // goldenInserts replays the insert buffer testdata/tombstone-free.snap
@@ -154,7 +144,8 @@ func goldenInserts(keys []uint64) []uint64 {
 // TestTombstoneFreeGolden: the committed file, written by an earlier
 // build's single-threaded index holding a 100-key insert buffer, is
 // exactly the legacy layout writeLegacy reproduces, and both entry
-// points return its base and its buffer.
+// points refuse its buffer as legacy (internal/migrate moves it into a
+// generation).
 func TestTombstoneFreeGolden(t *testing.T) {
 	golden := filepath.Join("testdata", "tombstone-free.snap")
 	want, err := os.ReadFile(golden)
@@ -167,7 +158,7 @@ func TestTombstoneFreeGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "legacy.snap")
-	err = snapshot.SaveFile(path, SnapshotKind, func(sw *snapshot.Writer) error {
+	err = snapshot.SaveFile(path, legacyKind, func(sw *snapshot.Writer) error {
 		return writeLegacy(sw, ix.View(), Config{}, 0, 0, nil, goldenInserts(keys))
 	})
 	if err != nil {
@@ -177,20 +168,17 @@ func TestTombstoneFreeGolden(t *testing.T) {
 		t.Fatalf("legacy layout (%d bytes, %v) differs from the %d-byte golden file", len(got), err, len(want))
 	}
 	for _, l := range loaders {
-		got, err := l.load(golden)
-		if err != nil {
-			t.Fatalf("%s: %v", l.name, err)
+		if _, err := l.load(golden); !errors.Is(err, snapshot.ErrLegacy) {
+			t.Fatalf("%s: %v, want snapshot.ErrLegacy", l.name, err)
 		}
-		if !slices.Equal(got.ins, goldenInserts(keys)) || len(got.dels) != 0 {
-			t.Fatalf("%s: restored %d buffered inserts and %d tombstones, want 100 and none", l.name, len(got.ins), len(got.dels))
-		}
-		answersLike(t, l.name, got.ix.View(), keys, probesFor(keys, 1_000, 3))
 	}
 }
 
-// TestLoadersRestoreTombstoneState: both entry points return a legacy file's
-// tombstoned base keys (sorted, duplicates included) and its insert
-// buffer as plain slices, and the base as persisted.
+// TestLoadersRestoreTombstoneState: both entry points refuse a view that
+// stores tombstone state or an insert buffer with snapshot.ErrLegacy —
+// the golden file (a buffer) and a hand-written file with tombstoned base
+// slots and a buffer — and restore the same base once the view stores
+// none.
 func TestLoadersRestoreTombstoneState(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Face, 64, 2000, 12)
 	ix, err := New(keys, Config{})
@@ -198,54 +186,48 @@ func TestLoadersRestoreTombstoneState(t *testing.T) {
 		t.Fatal(err)
 	}
 	slots := []int{0, 7, 8, 9, 500, 1999}
-	dels := make([]uint64, len(slots))
-	for i, p := range slots {
-		dels[i] = keys[p]
-	}
 	buffer := []uint64{keys[3], keys[3], keys[1500] + 1}
-	tombstoned := filepath.Join(t.TempDir(), "tombstoned.snap")
-	err = snapshot.SaveFile(tombstoned, SnapshotKind, func(sw *snapshot.Writer) error {
-		return writeLegacy(sw, ix.View(), Config{}, 1<<20, uint64(len(slots)), bitmapOf(len(keys), slots), buffer)
-	})
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	tombstoned, clean := filepath.Join(dir, "tombstoned.snap"), filepath.Join(dir, "clean.snap")
+	for path, persist := range map[string]func(sw *snapshot.Writer) error{
+		tombstoned: func(sw *snapshot.Writer) error {
+			return writeLegacy(sw, ix.View(), Config{}, 1<<20, uint64(len(slots)), bitmapOf(len(keys), slots), buffer)
+		},
+		clean: func(sw *snapshot.Writer) error { return PersistView(sw, ix.View(), Config{}) },
+	} {
+		if err := snapshot.SaveFile(path, legacyKind, persist); err != nil {
+			t.Fatal(err)
+		}
 	}
-	files := []struct {
-		name      string
-		path      string
-		ins, dels []uint64
-	}{
-		{"tombstone-free", filepath.Join("testdata", "tombstone-free.snap"), goldenInserts(keys), nil},
-		{"tombstoned", tombstoned, buffer, dels},
+	files := []struct{ name, path string }{
+		{"tombstone-free", filepath.Join("testdata", "tombstone-free.snap")},
+		{"tombstoned", tombstoned},
 	}
 	for _, f := range files {
 		for _, l := range loaders {
 			t.Run(f.name+"/"+l.name, func(t *testing.T) {
-				got, err := l.load(f.path)
+				if _, err := l.load(f.path); !errors.Is(err, snapshot.ErrLegacy) {
+					t.Fatalf("%v, want snapshot.ErrLegacy", err)
+				}
+				got, err := l.load(clean)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !slices.Equal(got.ins, f.ins) || !slices.Equal(got.dels, f.dels) {
-					t.Fatalf("restored ins %v dels %v, want ins %v dels %v", got.ins, got.dels, f.ins, f.dels)
-				}
-				answersLike(t, "restored base", got.ix.View(), keys, probesFor(keys, 500, 7))
+				answersLike(t, "restored base", got.View(), keys, probesFor(keys, 500, 7))
 			})
 		}
 	}
 }
 
-// TestUpdatableSnapshotCorruption: flips across a legacy container with
-// tombstones and a buffer must be rejected; the updatable sections ride
-// the same checksum.
+// TestUpdatableSnapshotCorruption: flips across a view container must be
+// rejected; the updatable sections ride the same checksum.
 func TestUpdatableSnapshotCorruption(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Face, 64, 2_000, 7)
 	ix, err := New(keys, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := container(t, func(sw *snapshot.Writer) error {
-		return writeLegacy(sw, ix.View(), Config{}, 0, 2, bitmapOf(len(keys), []int{4, 40}), []uint64{keys[9]})
-	})
+	raw := container(t, func(sw *snapshot.Writer) error { return PersistView(sw, ix.View(), ix.Config()) })
 	if _, err := loadBytes(raw); err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +243,7 @@ func TestUpdatableSnapshotCorruption(t *testing.T) {
 // TestUpdatableSnapshotHostileLayerM: a checksummed-but-hostile snapshot
 // whose meta claims an absurd layer configuration M must be rejected at
 // load, not deferred to a makeslice panic in the first compaction; so
-// must legacy pending writes that contradict themselves.
+// must legacy pending writes, consistent or not.
 func TestUpdatableSnapshotHostileLayerM(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Face, 64, 2_001, 5)
 	ix, err := New(keys, Config{})
@@ -309,7 +291,7 @@ func TestUpdatableSnapshotFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "upd.snap")
-	err = snapshot.SaveFile(path, SnapshotKind, func(sw *snapshot.Writer) error {
+	err = snapshot.SaveFile(path, legacyKind, func(sw *snapshot.Writer) error {
 		return PersistView(sw, ix.View(), cfg)
 	})
 	if err != nil {
@@ -320,9 +302,9 @@ func TestUpdatableSnapshotFile(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", l.name, err)
 		}
-		if got.ix.Config() != cfg {
-			t.Fatalf("%s: config %+v, want %+v", l.name, got.ix.Config(), cfg)
+		if got.Config() != cfg {
+			t.Fatalf("%s: config %+v, want %+v", l.name, got.Config(), cfg)
 		}
-		answersLike(t, l.name, got.ix.View(), keys, probesFor(keys, 1_000, 5))
+		answersLike(t, l.name, got.View(), keys, probesFor(keys, 1_000, 5))
 	}
 }

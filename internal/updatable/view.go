@@ -60,23 +60,6 @@ func (v *View[K]) LookupCount(q K) (rank, count int) {
 	return rank, v.countAt(q, rank)
 }
 
-// LookupCountBatch answers LookupCount for every query in qs through the
-// staged base-table batch pipeline: one base probe per lane, then the
-// multiplicity from that position. Reuses the supplied slices when they
-// have capacity.
-func (v *View[K]) LookupCountBatch(qs []K, ranks, counts []int) ([]int, []int) {
-	ranks = v.table.FindBatch(qs, ranks)
-	if cap(counts) >= len(qs) {
-		counts = counts[:len(qs)]
-	} else {
-		counts = make([]int, len(qs))
-	}
-	for i, q := range qs {
-		counts[i] = v.countAt(q, ranks[i])
-	}
-	return ranks, counts
-}
-
 // FindBatch answers Find for every query in qs through the staged
 // core.Table.FindBatch pipeline, writing result i into out[i] and
 // returning the result slice (out when it has capacity). Results are

@@ -1,13 +1,19 @@
 package repro_test
 
 import (
+	"bytes"
+	"errors"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/concurrent"
 	"repro/internal/dataset"
 	"repro/internal/index"
+	"repro/internal/migrate"
 	"repro/internal/router"
+	"repro/internal/snapshot"
 )
 
 // v1FixtureKeys is the key set every fixture under testdata/v1 was built
@@ -41,11 +47,130 @@ func closedWrites(keys []uint64, n int) func(t *testing.T) finder {
 // finder is the query surface every restored fixture shares.
 type finder interface{ Find(q uint64) int }
 
+// servingEntryPoints are the entry points through which a full reaches a
+// serving index, each reduced to "load the file with 64-bit keys and
+// release what it returns". (Replica sync and warm restart run over the
+// same concurrent loaders; internal/replica's tests cover them.)
+var servingEntryPoints = map[string]func(path string) error{
+	"index.Load": func(path string) error {
+		return viaBytes(path, func(data []byte) error {
+			ix, err := index.Load[uint64](bytes.NewReader(data), int64(len(data)))
+			return release(ix, err)
+		})
+	},
+	"index.LoadFile": func(path string) error { return release(index.LoadFile[uint64](path)) },
+	"index.LoadFileMapped": func(path string) error {
+		return release(index.LoadFileMapped[uint64](path))
+	},
+	"concurrent.Load": func(path string) error {
+		return viaBytes(path, func(data []byte) error {
+			return release(concurrent.Load[uint64](bytes.NewReader(data), int64(len(data))))
+		})
+	},
+	"concurrent.LoadFile": func(path string) error { return release(concurrent.LoadFile[uint64](path)) },
+	"concurrent.LoadState": func(path string) error {
+		return viaBytes(path, func(data []byte) error {
+			_, err := concurrent.LoadState[uint64](bytes.NewReader(data), int64(len(data)))
+			return err
+		})
+	},
+	"concurrent.LoadStateFile": func(path string) error {
+		_, err := concurrent.LoadStateFile[uint64](path)
+		return err
+	},
+	"concurrent.MapIndex": func(path string) error {
+		return viaBytes(path, func(data []byte) error {
+			m, err := snapshot.Open(data)
+			if err != nil {
+				return err
+			}
+			return release(concurrent.MapIndex[uint64](m))
+		})
+	},
+	"concurrent.MapState": func(path string) error {
+		m, err := snapshot.MapFile(path)
+		if err != nil {
+			return err
+		}
+		defer m.Close()
+		_, err = concurrent.MapState[uint64](m)
+		return err
+	},
+	"concurrent.MapFile": func(path string) error { return release(concurrent.MapFile[uint64](path)) },
+	"concurrent.MapStateFile": func(path string) error {
+		_, err := concurrent.MapStateFile[uint64](path)
+		return err
+	},
+}
+
+func viaBytes(path string, load func([]byte) error) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	return load(data)
+}
+
+// release stops a restored concurrent index's compactor and passes err on.
+func release[T any](ix T, err error) error {
+	if c, ok := any(ix).(interface{ Close() }); ok && err == nil {
+		c.Close()
+	}
+	return err
+}
+
+// checkRefused asserts that every serving entry point whose name starts
+// with one of prefixes refuses path with snapshot.ErrLegacy.
+func checkRefused(t *testing.T, path string, prefixes ...string) {
+	t.Helper()
+	for name, load := range servingEntryPoints {
+		for _, p := range prefixes {
+			if !strings.HasPrefix(name, p) {
+				continue
+			}
+			if err := load(path); !errors.Is(err, snapshot.ErrLegacy) {
+				t.Fatalf("%s: %v, want snapshot.ErrLegacy", name, err)
+			}
+		}
+	}
+}
+
+// migrateFixture migrates the legacy full at path (internal/migrate, the
+// rewrite `shifttool -load OLD -save NEW` runs) into a temporary file,
+// checks that a load and save of it reproduce its bytes, and returns its
+// path.
+func migrateFixture(t *testing.T, path string) string {
+	t.Helper()
+	cur, err := migrate.Full(readFile(t, path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	out := filepath.Join(dir, "migrated.snap")
+	if err := os.WriteFile(out, cur, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := index.LoadFile[uint64](out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeIndex(ix)
+	resaved := filepath.Join(dir, "resaved.snap")
+	if err := index.SaveFile(resaved, ix); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(readFile(t, resaved), cur) {
+		t.Fatal("loading and saving the migrated file does not reproduce it")
+	}
+	return out
+}
+
 // TestV1Fixtures: fulls of every kind that an earlier build wrote in the
-// v1 stream framing still load through both entry points. The mapped
-// entry point opens them onto the heap (viaMap false), and
-// every restored index must be rank-identical to one rebuilt from the
-// same keys and writes.
+// v1 stream framing are refused by every serving entry point with
+// snapshot.ErrLegacy. Each migrates into a file that loads and saves
+// back to itself, opens through the verified heap load and the mapped
+// open (which maps it), and answers rank for rank like an index rebuilt
+// from the same keys and writes.
 func TestV1Fixtures(t *testing.T) {
 	keys := v1FixtureKeys()
 	pw := dataset.Piecewise(2000, 12)
@@ -58,53 +183,43 @@ func TestV1Fixtures(t *testing.T) {
 			return ix
 		}
 	}
-	loadIndex := func(path string, mapped bool) (finder, bool, error) {
-		if mapped {
-			return index.LoadFileMapped[uint64](path)
-		}
-		ix, err := index.LoadFile[uint64](path)
-		return ix, false, err
-	}
 	cases := []struct {
 		file    string
 		probes  []uint64
 		rebuild func(t *testing.T) finder
-		load    func(path string, mapped bool) (finder, bool, error)
 	}{
-		{"shift-table.snap", keys, registry("IM+ST"), loadIndex},
-		{"model-index.snap", keys, registry("IM"), loadIndex},
+		{"shift-table.snap", keys, registry("IM+ST")},
+		{"model-index.snap", keys, registry("IM")},
 		{"router.snap", pw, func(t *testing.T) finder {
 			r, err := router.New(pw, router.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return r
-		}, loadIndex},
-		// An earlier build's single-threaded index, with a live insert
-		// buffer and tombstones; it loads as a concurrent index.
-		{"updatable.snap", keys, closedWrites(keys, 600), loadIndex},
-		{"concurrent.snap", keys, closedWrites(keys, 1500), func(path string, mapped bool) (finder, bool, error) {
-			if mapped {
-				return concurrent.MapFile[uint64](path)
-			}
-			ix, err := concurrent.LoadFile[uint64](path)
-			return ix, false, err
 		}},
+		// An earlier build's single-threaded index, with a live insert
+		// buffer and tombstones; it migrates to a concurrent index.
+		{"updatable.snap", keys, closedWrites(keys, 600)},
+		{"concurrent.snap", keys, closedWrites(keys, 1500)},
 	}
 	for _, c := range cases {
 		t.Run(c.file, func(t *testing.T) {
 			want := c.rebuild(t)
 			path := filepath.Join("testdata", "v1", c.file)
+			checkRefused(t, path, "index.", "concurrent.")
+			migrated := migrateFixture(t, path)
 			for _, mapped := range []bool{false, true} {
-				got, viaMap, err := c.load(path, mapped)
+				load := index.LoadFile[uint64]
+				if mapped {
+					load = index.LoadFileMapped[uint64]
+				}
+				got, err := load(migrated)
 				if err != nil {
 					t.Fatalf("mapped=%v: %v", mapped, err)
 				}
-				if viaMap {
-					t.Fatalf("mapped=%v: a v1 container reported a mapped open", mapped)
-				}
-				if ix, ok := got.(interface{ Close() }); ok {
-					defer ix.Close()
+				defer closeIndex(got)
+				if m := got.(interface{ Mapped() bool }).Mapped(); m != mapped {
+					t.Fatalf("mapped=%v: the restored index reports Mapped() = %v", mapped, m)
 				}
 				for _, k := range c.probes {
 					for _, q := range []uint64{0, k - 1, k, k + 1, ^uint64(0)} {
@@ -119,10 +234,12 @@ func TestV1Fixtures(t *testing.T) {
 }
 
 // TestLegacyUpdatableGolden: internal/updatable/testdata/tombstone-free.snap
-// is a v2 container of the legacy "updatable" kind whose view holds a
-// 100-key insert buffer (recipe: that directory's README). Both registry
-// entry points load it as a concurrent index rank-identical to one built
-// from the same keys with the buffered keys inserted.
+// is a v2 container of the retired "updatable" kind whose view holds a
+// 100-key insert buffer (recipe: that directory's README). Every serving
+// entry point refuses it with snapshot.ErrLegacy; its migration loads
+// through both registry entry points as a concurrent index with the
+// buffer pending, rank-identical to one built from the same keys with
+// the buffered keys inserted.
 func TestLegacyUpdatableGolden(t *testing.T) {
 	keys := v1FixtureKeys()
 	want, err := concurrent.New(keys, concurrent.Config{})
@@ -134,28 +251,25 @@ func TestLegacyUpdatableGolden(t *testing.T) {
 		want.Insert(keys[(i*13)%2000] + uint64(i%5))
 	}
 	path := filepath.Join("internal", "updatable", "testdata", "tombstone-free.snap")
-	for _, mapped := range []bool{false, true} {
-		var got index.Index[uint64]
-		if mapped {
-			got, _, err = index.LoadFileMapped[uint64](path)
-		} else {
-			got, err = index.LoadFile[uint64](path)
-		}
+	checkRefused(t, path, "index.", "concurrent.")
+	migrated := migrateFixture(t, path)
+	for _, load := range []func(string) (index.Index[uint64], error){index.LoadFile[uint64], index.LoadFileMapped[uint64]} {
+		got, err := load(migrated)
 		if err != nil {
-			t.Fatalf("mapped=%v: %v", mapped, err)
+			t.Fatal(err)
 		}
 		ix, ok := got.(*concurrent.Index[uint64])
 		if !ok {
-			t.Fatalf("mapped=%v: loaded a %T, want a concurrent index", mapped, got)
+			t.Fatalf("loaded a %T, want a concurrent index", got)
 		}
 		defer ix.Close()
 		if ix.Len() != want.Len() || ix.Pending() != 100 {
-			t.Fatalf("mapped=%v: %d live keys, %d pending; want %d and 100", mapped, ix.Len(), ix.Pending(), want.Len())
+			t.Fatalf("mapped=%v: %d live keys, %d pending; want %d and 100", ix.Mapped(), ix.Len(), ix.Pending(), want.Len())
 		}
 		for _, k := range keys {
 			for _, q := range []uint64{k - 1, k, k + 1, k + 4} {
 				if g, w := ix.Find(q), want.Find(q); g != w {
-					t.Fatalf("mapped=%v: Find(%d) = %d, rebuilt index says %d", mapped, q, g, w)
+					t.Fatalf("mapped=%v: Find(%d) = %d, rebuilt index says %d", ix.Mapped(), q, g, w)
 				}
 			}
 		}
