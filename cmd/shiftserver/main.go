@@ -15,10 +15,12 @@
 //	shiftserver -fleet URL1,URL2,... [-addr :8421] [-probe 100ms]
 //
 // The server refuses to start until a first version is installed (or
-// warm-restarted from -dir), so it never serves an empty index. Every
-// response carries the snapshot version tag that produced it, which
-// shiftload -verify correlates against the per-version oracles the
-// publisher wrote (shiftrepl publish -oracle).
+// warm-restarted from -dir), so it never serves an empty index. Fetched
+// full artifacts serve mapped in place where the platform maps files
+// (linux, darwin) and from a verified heap read elsewhere; /statusz
+// reports which. Every response carries the snapshot version tag that
+// produced it, which shiftload -verify correlates against the
+// per-version oracles the publisher wrote (shiftrepl publish -oracle).
 //
 // With -wait-ready=false the server listens immediately and reports
 // "starting" on /healthz until the first version installs — the shape a
@@ -65,7 +67,6 @@ func run() error {
 	queue := flag.Int("queue", 0, "coalescer admission queue bound (0 = 4x wave)")
 	inflight := flag.Int("inflight", 256, "max concurrent uncoalesced requests")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown deadline")
-	loadMode := flag.String("load", "auto", "artifact load mode: auto (map v2 artifacts when the platform supports it), mmap, or heap")
 	admin := flag.Bool("admin", false, "enable POST /admin/drain and /admin/undrain")
 	waitReady := flag.Bool("wait-ready", true, "block until a first version installs before listening (false: listen immediately, /healthz reports starting)")
 	fleetURLs := flag.String("fleet", "", "run as the fleet front tier over these comma-separated backend URLs instead of serving a replica")
@@ -76,17 +77,6 @@ func run() error {
 	}
 	if *store == "" || *dir == "" {
 		return fmt.Errorf("-store and -dir are required")
-	}
-	var lm replica.LoadMode
-	switch *loadMode {
-	case "auto":
-		lm = replica.LoadAuto
-	case "mmap":
-		lm = replica.LoadMap
-	case "heap":
-		lm = replica.LoadHeap
-	default:
-		return fmt.Errorf("-load %q: want auto, mmap, or heap", *loadMode)
 	}
 	coalesce := false
 	switch *mode {
@@ -101,7 +91,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	r, err := replica.NewReplica[uint64](s, *dir, replica.ReplicaConfig{LoadMode: lm})
+	r, err := replica.NewReplica[uint64](s, *dir, replica.ReplicaConfig{})
 	if err != nil {
 		return err
 	}

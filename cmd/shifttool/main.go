@@ -305,7 +305,8 @@ func saveSnapshot[K kv.Key](path string, ix index.Index[K]) error {
 }
 
 // summarize prints the restored index and self-validates it against its
-// own keys where the backend exposes them.
+// own keys: the key slice where the backend exposes one, else the live
+// keys a full Scan yields (the concurrent index).
 func summarize[K kv.Key](ix index.Index[K], path string, loadMs float64, loadMode string) error {
 	fmt.Printf("loaded %s from %s in %.1f ms (%d-bit keys)\n",
 		ix.Name(), path, loadMs, 8*kv.Width[K]())
@@ -315,12 +316,20 @@ func summarize[K kv.Key](ix index.Index[K], path string, loadMs float64, loadMod
 	}
 	fmt.Printf("  load mode: %s, %.2f ns/key\n", loadMode, perKey)
 	fmt.Printf("  %d keys, index footprint %s\n", ix.Len(), human(ix.SizeBytes()))
-	kp, ok := ix.(interface{ Keys() []K })
-	if !ok {
-		fmt.Println("  (backend does not expose keys; skipping self-validation)")
+	var keys []K
+	switch kx := ix.(type) {
+	case interface{ Keys() []K }:
+		keys = kx.Keys()
+	case interface{ Scan(a, b K, fn func(K) bool) }:
+		keys = make([]K, 0, ix.Len())
+		kx.Scan(0, kv.MaxKey[K](), func(k K) bool { keys = append(keys, k); return true })
+		if len(keys) != ix.Len() {
+			return fmt.Errorf("self-validation failed: Scan yields %d keys, Len is %d", len(keys), ix.Len())
+		}
+	default:
+		fmt.Println("  (backend exposes neither keys nor a scan; skipping self-validation)")
 		return nil
 	}
-	keys := kp.Keys()
 	stride := len(keys)/512 + 1
 	probes := 0
 	for i := 0; i < len(keys); i += stride {

@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -86,14 +88,38 @@ func TestRunSaveLoad(t *testing.T) {
 	}
 }
 
+// captureStdout runs fn with os.Stdout redirected and returns what it
+// printed.
+func captureStdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	done := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- b
+	}()
+	ferr := fn()
+	os.Stdout = stdout
+	w.Close()
+	out := <-done
+	r.Close()
+	return string(out), ferr
+}
+
 // TestRunMigrate: -load of a full an earlier build wrote fails without
 // -save, naming the migration (snapshot.ErrLegacy). With -save it writes
 // the migration (internal/migrate) of the file: byte for byte what
 // migrate.Full returns, loadable through the verified heap load and the
-// mapped open, and reproduced exactly by a load and a save. Covers every
-// full under testdata/v1 (the registry kinds, the retired updatable kind,
-// and the concurrent kind, which needs the concurrent loader linked) and
-// the updatable golden file.
+// mapped open, self-validated by shifttool's mapped load, and reproduced
+// exactly by a load and a save. Covers every full under testdata/v1 (the
+// registry kinds, the retired updatable kind, and the concurrent kind,
+// which needs the concurrent loader linked) and the updatable golden
+// file.
 func TestRunMigrate(t *testing.T) {
 	dir := t.TempDir()
 	v1 := filepath.Join("..", "..", "testdata", "v1")
@@ -115,8 +141,14 @@ func TestRunMigrate(t *testing.T) {
 		if err := run("face64", 0, "im", "r", 0, "", 3, false, false, dst, src, false); err != nil {
 			t.Fatalf("%s: migrate: %v", name, err)
 		}
-		if err := run("face64", 0, "im", "r", 0, "", 3, false, false, "", dst, true); err != nil {
+		out, err := captureStdout(t, func() error {
+			return run("face64", 0, "im", "r", 0, "", 3, false, false, "", dst, true)
+		})
+		if err != nil {
 			t.Fatalf("%s: load migrated: %v", name, err)
+		}
+		if !regexp.MustCompile(`self-validation: \d+ strided lower-bound probes OK`).MatchString(out) {
+			t.Fatalf("%s: load of the migrated file did not self-validate:\n%s", name, out)
 		}
 		legacy, err := os.ReadFile(src)
 		if err != nil {

@@ -72,15 +72,14 @@
 // mmap region instead of decoded — the open parses a fixed-size footer
 // and table of contents and is O(sections), not O(keys): BenchmarkWarmStart
 // at 10M keys opens mapped 241x faster than the heap load on a 2-vCPU
-// Xeon (0.81 ms vs 195 ms). Every full is written in this layout, and v1
-// files from earlier builds open through the same section walker and
-// loaders onto the heap (DESIGN.md §13). A nommap build tag and non-unix ports fall back to heap
-// reads behind the same API, and replicas map their fetch-verified
-// artifacts with a path registry that defers spool GC while a mapping
-// is live. A tiered residency manager places the hottest router shards
-// under a memory budget (madvise WILLNEED/DONTNEED), internal/memsim
-// prices resident vs cold shards for the cost model, and /statusz
-// reports mapped bytes, shard residency and fault counts. See
+// Xeon (0.81 ms vs 195 ms). Every full is written in this layout and
+// only this layout is served: a full an earlier build wrote is refused
+// with snapshot.ErrLegacy, and `shifttool -load OLD -save NEW` migrates
+// it offline (internal/migrate, DESIGN.md §13). A nommap build tag and
+// non-unix ports fall back to heap reads behind the same API, and
+// replicas map their fetch-verified artifacts with a path registry that
+// defers spool GC while a mapping is live. /statusz reports the mapped
+// bytes and the process's page-fault counts. See
 // `shifttool -load -mmap`.
 //
 // Snapshots replicate (internal/replica, DESIGN.md §10): a primary

@@ -60,11 +60,11 @@ func TestWarmBeatsCold(t *testing.T) {
 			}
 			return ix, nil
 		}, func(path string) (index.Index[uint64], error) {
-			ix, err := concurrent.MapFile[uint64](path)
+			ix, err := mapRegistry(path)
 			if err != nil {
 				return nil, err
 			}
-			ix.Close()
+			ix.(*concurrent.Index[uint64]).Close()
 			return ix, nil
 		}},
 	}

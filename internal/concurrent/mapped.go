@@ -54,30 +54,10 @@ func mapGenHalf[K kv.Key](m *snap.Mapped, id uint32) ([]K, error) {
 	return snap.CopyKeySection[K](s)
 }
 
-// MapIndex restores a concurrent index over a mapped v2 container and
-// warm-restarts it exactly as Load does (MapState, then assemble).
-func MapIndex[K kv.Key](m *snap.Mapped) (*Index[K], error) {
-	st, err := MapState[K](m)
-	if err != nil {
-		return nil, err
-	}
-	return assemble(st), nil
-}
-
-// MapFile restores a concurrent index by mapping path (MapStateFile,
-// then assemble): its base serves from the mapping.
-func MapFile[K kv.Key](path string) (*Index[K], error) {
-	st, err := MapStateFile[K](path)
-	if err != nil {
-		return nil, err
-	}
-	return assemble(st), nil
-}
-
 // MapState reads a full-snapshot container into a not-yet-serving State
 // (the unit replicas install), viewing the base in place and copying the
 // generations to the heap. It is the one decoder of the kind: the heap
-// loaders (LoadState, LoadStateFile) open and verify the container
+// loaders (LoadStateFile, LoadFile) open and verify the container
 // first, and the O(n) base checks run exactly when it is verified. A
 // caller of the mapped open owns integrity: either the artifact's bytes
 // were CRC-verified as they landed (the replica spool path) or

@@ -21,12 +21,12 @@ import (
 //
 // Every loader reads a full snapshot into a State first (MapState, the
 // one decoder; mapped.go) — the unit a replica installs — and the index
-// loaders (Load, LoadFile, MapIndex, MapFile, the registry) then
-// assemble it into a live index: the
-// persisted generations merge into one sealed run under a fresh write
-// head. Tombstones cancel by key value and rank, count and scan are sums
-// over generations, so the merged run reproduces the persisted multiset
-// exactly.
+// loaders (LoadFile and the registered loader behind index.Load,
+// index.LoadFile and index.LoadFileMapped) then assemble it into a live
+// index: the persisted generations merge into one sealed run under a
+// fresh write head. Tombstones cancel by key value and rank, count and
+// scan are sums over generations, so the merged run reproduces the
+// persisted multiset exactly.
 //
 // The loader reads only what this build writes. The retired kind
 // "updatable" (a bare view, as earlier builds saved their single-threaded
@@ -129,20 +129,9 @@ func (st *State[K]) Len() int {
 // ModelFingerprint returns the fingerprint of the state's base model.
 func (st *State[K]) ModelFingerprint() uint64 { return st.view.ModelFingerprint() }
 
-// LoadState reads a full-snapshot container onto the heap and into a
-// State; total is the input size in bytes (-1 to read to EOF). Every
-// checksum verifies, and the loader runs its O(n) checks, before the
-// state is returned.
-func LoadState[K kv.Key](r io.Reader, total int64) (*State[K], error) {
-	m, err := snap.Read(r, total)
-	if err != nil {
-		return nil, err
-	}
-	return MapState[K](m)
-}
-
 // LoadStateFile reads a full-snapshot container file into a State,
-// verified in full like LoadState.
+// verifying every checksum, and running the loader's O(n) checks, before
+// the state is returned.
 func LoadStateFile[K kv.Key](path string) (*State[K], error) {
 	m, err := snap.ReadFile(path)
 	if err != nil {
@@ -155,18 +144,8 @@ func LoadStateFile[K kv.Key](path string) (*State[K], error) {
 	return st, nil
 }
 
-// Load restores a concurrent index from a snapshot container and
-// warm-restarts it (LoadState, then assemble). total is the input size in
-// bytes (-1 when unknown).
-func Load[K kv.Key](r io.Reader, total int64) (*Index[K], error) {
-	st, err := LoadState[K](r, total)
-	if err != nil {
-		return nil, err
-	}
-	return assemble(st), nil
-}
-
-// LoadFile restores a concurrent index from a snapshot file.
+// LoadFile restores a concurrent index from a snapshot file
+// (LoadStateFile, then assemble).
 func LoadFile[K kv.Key](path string) (*Index[K], error) {
 	st, err := LoadStateFile[K](path)
 	if err != nil {

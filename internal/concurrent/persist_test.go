@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/index"
 	"repro/internal/kv"
 	"repro/internal/migrate"
 	snap "repro/internal/snapshot"
@@ -51,6 +52,26 @@ func fixtureWrites(ix *Index[uint64], keys []uint64, n int) {
 	}
 }
 
+// loadBytes restores a concurrent index from container bytes through the
+// registered loader (index.Load).
+func loadBytes(data []byte) (*Index[uint64], error) {
+	ix, err := index.Load[uint64](bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		return nil, err
+	}
+	return ix.(*Index[uint64]), nil
+}
+
+// mapFile restores a concurrent index by mapping path through the
+// registered loader (index.LoadFileMapped).
+func mapFile(path string) (*Index[uint64], error) {
+	ix, err := index.LoadFileMapped[uint64](path)
+	if err != nil {
+		return nil, err
+	}
+	return ix.(*Index[uint64]), nil
+}
+
 func collect(ix *Index[uint64]) []uint64 {
 	var out []uint64
 	ix.Scan(0, ^uint64(0), func(k uint64) bool { out = append(out, k); return true })
@@ -72,7 +93,7 @@ func TestConcurrentSnapshotRoundTrip(t *testing.T) {
 	if err := Save(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load[uint64](bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	loaded, err := loadBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +182,7 @@ func TestConcurrentSnapshotWhileWriting(t *testing.T) {
 		if err := Save(&buf, orig); err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := Load[uint64](bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+		loaded, err := loadBytes(buf.Bytes())
 		if err != nil {
 			t.Fatalf("snapshot taken mid-write failed to load: %v", err)
 		}
@@ -251,7 +272,7 @@ func TestLegacyPolicyMetaIgnored(t *testing.T) {
 	}
 	restores := map[string]func(string) (*Index[uint64], error){
 		"LoadFile": LoadFile[uint64],
-		"MapFile":  MapFile[uint64],
+		"MapFile":  mapFile,
 	}
 	for name, restore := range restores {
 		t.Run(name, func(t *testing.T) {
@@ -291,7 +312,7 @@ func TestConcurrentSnapshotCorruption(t *testing.T) {
 	for i := 0; i < len(raw); i += 5 {
 		bad := append([]byte(nil), raw...)
 		bad[i] ^= 0x02
-		ix, err := Load[uint64](bytes.NewReader(bad), int64(len(bad)))
+		ix, err := loadBytes(bad)
 		if err == nil {
 			ix.Close()
 			t.Fatalf("flipped byte %d of %d went undetected", i, len(raw))
@@ -417,7 +438,7 @@ func TestLegacyViewWritesLoad(t *testing.T) {
 	s := &stream{ref: &reference{keys: ref}, rng: rand.New(rand.NewSource(3)), domain: keys[len(keys)-1] + 2}
 	restores := map[string]func(string) (*Index[uint64], error){
 		"LoadFile": LoadFile[uint64],
-		"MapFile":  MapFile[uint64],
+		"MapFile":  mapFile,
 	}
 	for name, restore := range restores {
 		t.Run(name, func(t *testing.T) {

@@ -9,8 +9,8 @@ import (
 // The concurrent index registers its snapshot kind with the index
 // registry (same router pattern as internal/router), so a replicated
 // artifact of kind "concurrent" loads through the generic
-// index.Load/LoadFile dispatch. Like Load, the loader reads a State
-// (MapState) and assembles it, so the kind maps through
+// index.Load/LoadFile dispatch. Like LoadFile, the loader reads a
+// State (MapState) and assembles it, so the kind maps through
 // index.LoadFileMapped. The retired kind "updatable" goes to the same
 // loader, whose refusal (snapshot.ErrLegacy) then names the migration
 // instead of the registry reporting an unknown kind. The restored index

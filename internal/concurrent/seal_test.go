@@ -319,11 +319,9 @@ func TestWarmRestartFoldsDeepStack(t *testing.T) {
 		t.Fatal(err)
 	}
 	restores := map[string]func() (*Index[uint64], error){
-		"Load": func() (*Index[uint64], error) {
-			return Load[uint64](bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-		},
+		"Load":     func() (*Index[uint64], error) { return loadBytes(buf.Bytes()) },
 		"LoadFile": func() (*Index[uint64], error) { return LoadFile[uint64](path) },
-		"MapFile":  func() (*Index[uint64], error) { return MapFile[uint64](path) },
+		"MapFile":  func() (*Index[uint64], error) { return mapFile(path) },
 	}
 	s := &stream{ref: &reference{keys: ref}, rng: rand.New(rand.NewSource(5)), domain: keys[len(keys)-1] + 2}
 	for name, restore := range restores {

@@ -1,9 +1,8 @@
 // Package mapped provides the memory-mapped region type behind zero-copy
 // snapshot serving (DESIGN.md §12): a refcounted read-only byte region
 // backed by mmap where the platform supports it and by a plain heap read
-// where it does not, typed in-place views over the region's bytes, and a
-// tiered residency manager that decides — under a memory budget — which
-// spans of the region are pinned hot and which fault in on demand.
+// where it does not, typed in-place views over the region's bytes, and
+// the process's page-fault counters.
 //
 // # Lifetime protocol
 //

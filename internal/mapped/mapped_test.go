@@ -99,116 +99,6 @@ func TestViewAlignmentAndSize(t *testing.T) {
 	}
 }
 
-func TestResidencyBudgetAndHeat(t *testing.T) {
-	path := writeRegionFile(t, 8*PageSize)
-	r, err := Map(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Release()
-	spans := make([]Span, 8)
-	for i := range spans {
-		spans[i] = Span{Off: int64(i) * PageSize, Len: PageSize}
-	}
-	// Budget for three spans; everything starts cold.
-	res, err := NewResidency(r, spans, 3*PageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Spans() != 8 {
-		t.Fatalf("Spans() = %d", res.Spans())
-	}
-	res.Touch(5, 10)
-	res.Touch(6, 7)
-	res.Touch(2, 3)
-	res.Touch(0, 1)
-	st := res.Stats()
-	if st.Touches != 21 || st.ColdTouches != 21 {
-		t.Fatalf("pre-plan stats %+v: every touch should be cold", st)
-	}
-	if n := res.Plan(); n != 3 {
-		t.Fatalf("Plan admitted %d spans under a 3-span budget", n)
-	}
-	// The three hottest spans won the knapsack.
-	for _, i := range []int{5, 6, 2} {
-		if !res.Resident(i) {
-			t.Errorf("hot span %d not resident", i)
-		}
-	}
-	for _, i := range []int{0, 1, 3, 4, 7} {
-		if res.Resident(i) {
-			t.Errorf("cold span %d resident", i)
-		}
-	}
-	res.Touch(5, 1)
-	res.Touch(3, 1)
-	st = res.Stats()
-	if st.ColdTouches != 22 { // only the touch on span 3 landed cold
-		t.Fatalf("ColdTouches = %d, want 22", st.ColdTouches)
-	}
-	if st.ResidentSpans != 3 || st.ColdSpans != 5 || st.ResidentBytes != 3*PageSize {
-		t.Fatalf("stats %+v", st)
-	}
-	// Out-of-range and non-positive touches are ignored, not panics.
-	res.Touch(-1, 5)
-	res.Touch(99, 5)
-	res.Touch(1, 0)
-	if got := res.Stats().Touches; got != st.Touches {
-		t.Fatalf("invalid touches counted: %d != %d", got, st.Touches)
-	}
-	if res.Resident(-1) || res.Resident(99) {
-		t.Error("out-of-range spans reported resident")
-	}
-
-	// Unlimited budget admits everything; a heat shift re-tiers.
-	all, err := NewResidency(r, spans, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := all.Plan(); n != 8 {
-		t.Fatalf("unlimited Plan admitted %d of 8", n)
-	}
-
-	// A span outside the region is rejected up front.
-	if _, err := NewResidency(r, []Span{{Off: 7 * PageSize, Len: 2 * PageSize}}, 0); err == nil {
-		t.Error("accepted a span past the region end")
-	}
-	if _, err := NewResidency(nil, spans, 0); err == nil {
-		t.Error("accepted a nil region")
-	}
-}
-
-func TestResidencyReplanFollowsHeat(t *testing.T) {
-	path := writeRegionFile(t, 4*PageSize)
-	r, err := Map(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Release()
-	spans := []Span{
-		{Off: 0, Len: PageSize},
-		{Off: PageSize, Len: PageSize},
-		{Off: 2 * PageSize, Len: PageSize},
-		{Off: 3 * PageSize, Len: PageSize},
-	}
-	res, err := NewResidency(r, spans, PageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Plan() // no heat: span order decides, span 0 wins
-	if !res.Resident(0) || res.Resident(3) {
-		t.Fatal("cold-start plan did not admit the leading span")
-	}
-	res.Touch(3, 100)
-	res.Plan()
-	if res.Resident(0) || !res.Resident(3) {
-		t.Fatal("re-plan did not follow the heat to span 3")
-	}
-	if got := res.Stats().Plans; got != 2 {
-		t.Fatalf("Plans = %d, want 2", got)
-	}
-}
-
 // TestMapRefusesConcurrentResize closes the stat→mmap TOCTOU window: a
 // file whose size changes between the initial stat and the mapping must
 // be refused, never returned as a region whose length disagrees with

@@ -13,7 +13,7 @@ func Supported() bool { return true }
 
 // mapFile maps size bytes of f read-only and shared — shared, not
 // private, so the pages stay clean page-cache pages the kernel can drop
-// and refault at will, which is what lets the residency tiers work.
+// and refault at will.
 func mapFile(f *os.File, size int) ([]byte, bool, error) {
 	data, err := syscall.Mmap(int(f.Fd()), 0, size, syscall.PROT_READ, syscall.MAP_SHARED)
 	if err != nil {

@@ -211,31 +211,3 @@ func (s *Sim) Flush() {
 		}
 	}
 }
-
-// Page-fault pricing for mapped snapshots (DESIGN.md §12). A query that
-// lands on a non-resident span of a mapped index pays page faults on top
-// of its cache misses: a soft (minor) fault when the page is still in
-// the page cache and only the mapping needs fixing up — the common case
-// right after a snapshot install, since the publisher just wrote the
-// bytes — and a hard (major) fault when the page must come from storage.
-// The constants are modelling anchors in the spirit of the 36 ns DRAM
-// floor, not measurements of any one machine.
-const (
-	// MinorFaultNs prices a soft fault (page-cache hit, PTE fixup).
-	MinorFaultNs = 4000.0
-	// MajorFaultNs prices a hard fault (page read from storage; NVMe-era
-	// figure — spinning disks are far worse).
-	MajorFaultNs = 120000.0
-	// ColdQueryPages is how many distinct pages one point lookup into a
-	// cold shard of a mapped index touches before its working set warms:
-	// the model/drift metadata page plus the probe's key pages. Local
-	// search stays within a corrected window, so this is small and does
-	// not grow with the shard.
-	ColdQueryPages = 3
-)
-
-// ColdQueryNs prices one lookup into a cold (non-resident) span of a
-// mapped index: ColdQueryPages faults at the minor-fault cost. Used by
-// the router's cost model to keep routing honest when part of the index
-// is deliberately left cold under a residency budget.
-func ColdQueryNs() float64 { return ColdQueryPages * MinorFaultNs }

@@ -27,21 +27,6 @@ import (
 // wrong with it means a cold start, never a wrong answer.
 const stateName = "REPLICA_STATE"
 
-// LoadMode selects how fetched full artifacts become serving state.
-type LoadMode int
-
-const (
-	// LoadAuto maps full artifacts in place when the platform supports
-	// real mappings, and reads them onto the heap otherwise. The default.
-	LoadAuto LoadMode = iota
-	// LoadHeap always uses the verified heap load (the eager-verify
-	// path; every install re-reads and re-checks the artifact).
-	LoadHeap
-	// LoadMap always uses the mapped open, even on platforms where the
-	// region is a heap read behind the same API.
-	LoadMap
-)
-
 // ReplicaConfig parameterises NewReplica.
 type ReplicaConfig struct {
 	// Retry bounds every fetch (zero value = documented defaults).
@@ -49,8 +34,6 @@ type ReplicaConfig struct {
 	// Seed seeds the backoff jitter (0 = fixed default seed; pass
 	// something per-process for fleet decorrelation).
 	Seed int64
-	// LoadMode selects heap vs mapped installs (default LoadAuto).
-	LoadMode LoadMode
 }
 
 // Replica serves one continuously-refreshed copy of a published index.
@@ -146,27 +129,16 @@ func (r *Replica[K]) Status() Status {
 	}
 }
 
-// useMap resolves the configured load mode against the platform.
-func (r *Replica[K]) useMap() bool {
-	switch r.cfg.LoadMode {
-	case LoadHeap:
-		return false
-	case LoadMap:
-		return true
-	default:
-		return mapped.Supported()
-	}
-}
-
-// loadState opens a verified-on-disk full artifact per the load mode.
-// The mapped open performs no second CRC pass: every byte of the file
-// was already checked against the manifest — by fetchArtifact's stream
-// CRC as it spooled, or by fileSum when reusing a leftover copy — and
-// the v2 geometry validation plus lazy section CRCs cover the rest. A
-// legacy full (snapshot.ErrLegacy) is refused by either path; Sync
+// loadState opens a verified-on-disk full artifact: mapped in place
+// where the platform maps files, read onto the heap and verified
+// otherwise. The mapped open performs no second CRC pass: every byte of
+// the file was already checked against the manifest — by fetchArtifact's
+// stream CRC as it spooled, or by fileSum when reusing a leftover copy —
+// and the v2 geometry validation plus lazy section CRCs cover the rest.
+// A legacy full (snapshot.ErrLegacy) is refused by either path; Sync
 // reports it and does not retry it, since no refetch can change it.
 func (r *Replica[K]) loadState(path string) (*concurrent.State[K], error) {
-	if r.useMap() {
+	if mapped.Supported() {
 		return concurrent.MapStateFile[K](path)
 	}
 	return concurrent.LoadStateFile[K](path)
@@ -432,13 +404,13 @@ func (r *Replica[K]) warmRestart() {
 
 // restoreBase re-verifies and reopens the recorded base artifact for a
 // warm restart, failing when anything disagrees. The container bytes the
-// state will serve — the mapping, or the heap read per the load mode — must
-// match the recorded whole-file CRC, the content binding the manifest
-// made; a mapped open then stays O(sections) after that one sequential
-// pass over the mapped bytes.
+// state will serve — the mapping, or the heap read where the platform
+// does not map — must match the recorded whole-file CRC, the content
+// binding the manifest made; a mapped open then stays O(sections) after
+// that one sequential pass over the mapped bytes.
 func (r *Replica[K]) restoreBase(basePath string, baseCRC uint32) (*concurrent.State[K], error) {
 	open := snap.ReadFile
-	if r.useMap() {
+	if mapped.Supported() {
 		open = snap.MapFile
 	}
 	m, err := open(basePath)
@@ -563,10 +535,10 @@ func (r *Replica[K]) gc(keep ...string) {
 			// A superseded artifact may still back a live mapping: the
 			// previous state's base table views its bytes, and readers
 			// (or a captured State) can hold that table indefinitely.
-			// Unlinking would be safe on POSIX but strands invisible
-			// disk space and breaks the fallback (non-mmap) region,
-			// which re-reads from the path. Leave it; the sweep after
-			// the next install retries once the region is released.
+			// Unlinking would be safe on POSIX, which keeps the pages
+			// until munmap, but strands disk space no directory
+			// listing shows. Leave it; the sweep after the next
+			// install retries once the region is released.
 			if mapped.PathInUse(p) {
 				continue
 			}

@@ -18,6 +18,7 @@ import (
 	"repro/internal/concurrent"
 	"repro/internal/dataset"
 	"repro/internal/kv"
+	"repro/internal/mapped"
 	"repro/internal/snapshot"
 )
 
@@ -319,11 +320,11 @@ func TestWarmRestartRefusesOtherRecordVersions(t *testing.T) {
 // TestSyncV1FixtureStore syncs from a store an earlier build published: a
 // version 1 manifest over a v1 concurrent full plus a delta
 // (testdata/v1/store; see testdata/v1/README.md for how it was made).
-// The full is a legacy full, so a LoadMap replica refuses it with
+// The full is a legacy full, so the replica refuses it with
 // snapshot.ErrLegacy in Status.LastErr, after exactly one fetch of the
 // artifact (a refusal is not retried), and keeps serving its last-good
 // state. A publisher of this build then adopts the store: its next full
-// is v2, and the replica serves it mapped.
+// is v2, and the replica serves it, mapped where the platform maps files.
 func TestSyncV1FixtureStore(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -343,7 +344,7 @@ func TestSyncV1FixtureStore(t *testing.T) {
 	}
 	store := NewFaultStore(DirStore{Dir: dir})
 
-	r, err := NewReplica[uint64](store, t.TempDir(), ReplicaConfig{Retry: fastRetry, LoadMode: LoadMap})
+	r, err := NewReplica[uint64](store, t.TempDir(), ReplicaConfig{Retry: fastRetry})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,8 +380,8 @@ func TestSyncV1FixtureStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkServing(t, r, primary.Published(), 3)
-	if st := r.Status(); !st.Mapped || st.LastErr != nil {
-		t.Fatalf("v2 full under LoadMap: %+v", st)
+	if st := r.Status(); st.Mapped != mapped.Supported() || st.LastErr != nil {
+		t.Fatalf("v2 full: %+v, want Mapped=%v and no error", st, mapped.Supported())
 	}
 }
 
@@ -392,24 +393,22 @@ func TestWarmRestartRefusesLegacyBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []LoadMode{LoadHeap, LoadMap} {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "full-00000001.snap"), full, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		rec := fmt.Sprintf("shift-replica-state 1\nversion 1\nbase 1 %08x full-00000001.snap\n", crc32.Checksum(full, castagnoli))
-		if err := os.WriteFile(filepath.Join(dir, stateName), reseal([]byte(rec)), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		r, err := NewReplica[uint64](RefuseStore{}, dir, ReplicaConfig{Retry: fastRetry, LoadMode: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := r.Status()
-		r.Close()
-		if st.Version != 0 || !errors.Is(st.LastErr, snapshot.ErrLegacy) {
-			t.Fatalf("load mode %d: warm restart over a legacy base: %+v, want version 0 and snapshot.ErrLegacy", mode, st)
-		}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "full-00000001.snap"), full, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec := fmt.Sprintf("shift-replica-state 1\nversion 1\nbase 1 %08x full-00000001.snap\n", crc32.Checksum(full, castagnoli))
+	if err := os.WriteFile(filepath.Join(dir, stateName), reseal([]byte(rec)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReplica[uint64](RefuseStore{}, dir, ReplicaConfig{Retry: fastRetry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := r.Status()
+	r.Close()
+	if st.Version != 0 || !errors.Is(st.LastErr, snapshot.ErrLegacy) {
+		t.Fatalf("warm restart over a legacy base: %+v, want version 0 and snapshot.ErrLegacy", st)
 	}
 }
 

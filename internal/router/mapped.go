@@ -11,16 +11,12 @@ import (
 	"repro/internal/snapshot"
 )
 
-// This file is the router's one load path plus the tiered residency
-// hook (DESIGN.md §12). The loader views the shared key section in place
-// and restores each shard over its slice of that view: shift-table
-// shards view their layer sections too, bare-model shards rebuild their
-// (parameter-free) models, and rebuild-mode shards build on the heap as
-// before — but even they index mapped key pages, so the big allocation
-// (the keys) never happens. The router's shard boundaries then double as
-// residency spans: SetResidency puts the per-shard key ranges under a
-// byte budget, Find/FindBatch report per-shard heat, and EstimateNs
-// prices queries into cold shards with the memsim fault model.
+// This file is the router's one load path (DESIGN.md §12). The loader
+// views the shared key section in place and restores each shard over its
+// slice of that view: shift-table shards view their layer sections too,
+// bare-model shards rebuild their (parameter-free) models, and
+// rebuild-mode shards build on the heap as before — but even they index
+// mapped key pages, so the big allocation (the keys) never happens.
 
 // mapSnapshot restores a router over an opened container: keys, plan,
 // then per shard either the keyless sections restored over the shard's
@@ -65,8 +61,6 @@ func mapSnapshot[K kv.Key](m *snapshot.Mapped) (*Router[K], error) {
 	r.offs = make([]int, nsh)
 	r.shards = make([]index.Index[K], nsh)
 	r.choices = make([]Choice, nsh)
-	r.keySpans = make([]mapped.Span, nsh)
-	width := int64(kv.Width[K]())
 	for i, e := range entries {
 		lo, hi := e.off, e.off+e.length
 		shardKeys := keys[lo:hi]
@@ -112,12 +106,6 @@ func mapSnapshot[K kv.Key](m *snapshot.Mapped) (*Router[K], error) {
 			Len:      e.length,
 			Measured: e.measured,
 		}
-		// The shard's residency span: its slice of the key section's
-		// payload (8-byte prefix, then keys at the recorded width).
-		r.keySpans[i] = mapped.Span{
-			Off: ks.Off + 8 + int64(lo)*width,
-			Len: int64(e.length) * width,
-		}
 	}
 	if err := m.Done(); err != nil {
 		return nil, err
@@ -140,28 +128,6 @@ func (r *Router[K]) MappedBytes() int64 {
 	}
 	return int64(r.region.Len())
 }
-
-// SetResidency installs a tiered residency manager over the router's
-// per-shard key spans under a byte budget (≤ 0 = unlimited) and runs the
-// first Plan, which — with no heat yet — admits the leading shards. The
-// manager is consulted by Find/FindBatch (heat) and EstimateNs (cold
-// pricing); call Residency().Plan() periodically to re-tier under
-// observed traffic. Only mapped routers can tier.
-func (r *Router[K]) SetResidency(budget int64) (*mapped.Residency, error) {
-	if r.region == nil {
-		return nil, fmt.Errorf("router: residency needs a mapped router")
-	}
-	res, err := mapped.NewResidency(r.region, r.keySpans, budget)
-	if err != nil {
-		return nil, err
-	}
-	res.Plan()
-	r.res = res
-	return res, nil
-}
-
-// Residency returns the installed residency manager, nil when untiered.
-func (r *Router[K]) Residency() *mapped.Residency { return r.res }
 
 func init() {
 	index.RegisterLoader[uint64](SnapshotKind, func(m *snapshot.Mapped) (index.Index[uint64], error) {

@@ -26,7 +26,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/kv"
 	"repro/internal/mapped"
-	"repro/internal/memsim"
 	"repro/internal/search"
 )
 
@@ -110,12 +109,9 @@ type Router[K kv.Key] struct {
 	choices []Choice
 	n       int
 
-	// Mapped-snapshot state (mapped.go): the backing region, the
-	// per-shard key spans (residency units), and the optional tiered
-	// residency manager. All nil/empty for heap-built routers.
-	region   *mapped.Region
-	keySpans []mapped.Span
-	res      *mapped.Residency
+	// The backing region of a mapped snapshot (mapped.go); nil for
+	// heap-built routers.
+	region *mapped.Region
 }
 
 // New builds the router: shard the key space (never splitting a duplicate
@@ -308,9 +304,6 @@ func (r *Router[K]) Find(q K) int {
 		return 0
 	}
 	s := r.routeOf(q)
-	if r.res != nil {
-		r.res.Touch(s, 1)
-	}
 	return r.offs[s] + r.shards[s].Find(q)
 }
 
@@ -377,9 +370,6 @@ func (r *Router[K]) FindBatch(qs []K, out []int) []int {
 		if lo == hi {
 			continue
 		}
-		if r.res != nil {
-			r.res.Touch(s, int64(hi-lo))
-		}
 		res = index.FindBatch(r.shards[s], scatterQ[lo:hi], res)
 		off := r.offs[s]
 		for j, v := range res {
@@ -437,11 +427,6 @@ func (r *Router[K]) EstimateNs(l func(s int) float64) float64 {
 			ns = ce.EstimateNs(l)
 		} else {
 			ns = r.choices[i].EstNs
-		}
-		// Under a residency budget, queries into a cold shard pay page
-		// faults the cache model does not see (DESIGN.md §12).
-		if r.res != nil && !r.res.Resident(i) {
-			ns += memsim.ColdQueryNs()
 		}
 		acc += ns * float64(s.Len())
 	}

@@ -89,10 +89,6 @@ type Handler[K kv.Key] struct {
 
 	// batches pools each /v1/batch call's *batchScratch[K].
 	batches sync.Pool
-
-	// res, when set, is the residency manager whose tier stats /statusz
-	// surfaces alongside the mapped-serving block.
-	res atomic.Pointer[mapped.Residency]
 }
 
 // NewHandler builds the query handler over ix. co may be nil when
@@ -115,13 +111,6 @@ func NewHandler[K kv.Key](ix *concurrent.Index[K], co *Coalescer[K], cfg Handler
 
 // Coalescer exposes the handler's coalescer (nil in direct mode).
 func (h *Handler[K]) Coalescer() *Coalescer[K] { return h.co }
-
-// SetResidency attaches a residency manager so /statusz reports
-// resident/cold span counts and first-touch counters for the mapped
-// serving tier. Safe to call (or swap) while serving.
-//
-//shift:swap(residency manager install; whole-pointer swap is the design)
-func (h *Handler[K]) SetResidency(res *mapped.Residency) { h.res.Store(res) }
 
 // SetDraining flips the handler into drain mode: every data request is
 // refused with 503 so load balancers fail over while http.Server's
@@ -463,15 +452,6 @@ func (h *Handler[K]) handleStatusz(w http.ResponseWriter) {
 		"mapped_bytes": h.ix.MappedBytes(),
 		"minor_faults": minflt,
 		"major_faults": majflt,
-	}
-	if res := h.res.Load(); res != nil {
-		rs := res.Stats()
-		mm["resident_spans"] = rs.ResidentSpans
-		mm["cold_spans"] = rs.ColdSpans
-		mm["resident_bytes"] = rs.ResidentBytes
-		mm["budget_bytes"] = rs.BudgetBytes
-		mm["touches"] = rs.Touches
-		mm["cold_touches"] = rs.ColdTouches
 	}
 	st["mmap"] = mm
 	if h.co != nil {

@@ -6,13 +6,11 @@ import (
 	"maps"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/concurrent"
-	"repro/internal/mapped"
 )
 
 // The data routes' answer shapes, as a client decodes them; the append
@@ -241,59 +239,13 @@ func TestHandlerStatusz(t *testing.T) {
 	if mm["mapped"] != false {
 		t.Errorf("heap-built primary reports mapped=%v", mm["mapped"])
 	}
-	if _, ok := mm["resident_spans"]; ok {
-		t.Errorf("residency stats present with no manager attached")
+	if len(mm) != 5 {
+		t.Errorf("statusz mmap block has %d keys, want the 5 above (got %v)", len(mm), mm)
 	}
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"ready"`) {
 		t.Fatalf("healthz: status %d body %q", rec.Code, rec.Body.String())
-	}
-}
-
-// TestHandlerStatuszResidency attaches a residency manager and checks
-// the tier stats surface in the mmap block.
-func TestHandlerStatuszResidency(t *testing.T) {
-	ix := newPrimary(t, 1_000)
-	h := NewHandler(ix, nil, HandlerConfig{}, nil)
-
-	path := filepath.Join(t.TempDir(), "region.bin")
-	if err := os.WriteFile(path, make([]byte, 16384), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	region, err := mapped.Map(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer region.Release()
-	res, err := mapped.NewResidency(region, []mapped.Span{{Off: 0, Len: 8192}, {Off: 8192, Len: 8192}}, 8192)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Touch(0, 3) // everything starts cold: 3 cold touches
-	res.Plan()      // span 0 is hottest and fits the budget; span 1 stays cold
-	res.Touch(1, 1) // one more cold touch
-	h.SetResidency(res)
-
-	code, st := getJSON[map[string]any](t, h, "/statusz")
-	if code != http.StatusOK {
-		t.Fatalf("statusz: status %d", code)
-	}
-	mm, ok := st["mmap"].(map[string]any)
-	if !ok {
-		t.Fatalf("statusz mmap block is %T", st["mmap"])
-	}
-	if got := mm["resident_spans"]; got != float64(1) {
-		t.Errorf("resident_spans = %v, want 1", got)
-	}
-	if got := mm["cold_spans"]; got != float64(1) {
-		t.Errorf("cold_spans = %v, want 1", got)
-	}
-	if got := mm["cold_touches"]; got != float64(4) {
-		t.Errorf("cold_touches = %v, want 4", got)
-	}
-	if got := mm["budget_bytes"]; got != float64(8192) {
-		t.Errorf("budget_bytes = %v, want 8192", got)
 	}
 }
 

@@ -9,8 +9,8 @@
 // The read state lives in View (view.go); persist.go and mapped.go write
 // and read its section sequence. Files written by older builds may carry
 // an insert buffer and tombstoned base slots inside that sequence; the
-// readers hand them back as plain sorted slices, which internal/concurrent
-// serves as one write generation.
+// readers refuse them with snapshot.ErrLegacy, and internal/migrate turns
+// them into one write generation of a concurrent container.
 package updatable
 
 import (

@@ -62,30 +62,10 @@ var servingEntryPoints = map[string]func(path string) error{
 	"index.LoadFileMapped": func(path string) error {
 		return release(index.LoadFileMapped[uint64](path))
 	},
-	"concurrent.Load": func(path string) error {
-		return viaBytes(path, func(data []byte) error {
-			return release(concurrent.Load[uint64](bytes.NewReader(data), int64(len(data))))
-		})
-	},
 	"concurrent.LoadFile": func(path string) error { return release(concurrent.LoadFile[uint64](path)) },
-	"concurrent.LoadState": func(path string) error {
-		return viaBytes(path, func(data []byte) error {
-			_, err := concurrent.LoadState[uint64](bytes.NewReader(data), int64(len(data)))
-			return err
-		})
-	},
 	"concurrent.LoadStateFile": func(path string) error {
 		_, err := concurrent.LoadStateFile[uint64](path)
 		return err
-	},
-	"concurrent.MapIndex": func(path string) error {
-		return viaBytes(path, func(data []byte) error {
-			m, err := snapshot.Open(data)
-			if err != nil {
-				return err
-			}
-			return release(concurrent.MapIndex[uint64](m))
-		})
 	},
 	"concurrent.MapState": func(path string) error {
 		m, err := snapshot.MapFile(path)
@@ -96,7 +76,6 @@ var servingEntryPoints = map[string]func(path string) error{
 		_, err = concurrent.MapState[uint64](m)
 		return err
 	},
-	"concurrent.MapFile": func(path string) error { return release(concurrent.MapFile[uint64](path)) },
 	"concurrent.MapStateFile": func(path string) error {
 		_, err := concurrent.MapStateFile[uint64](path)
 		return err
