@@ -29,7 +29,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/kv"
 	"repro/internal/memsim"
-	"repro/internal/router"
 	"repro/internal/search"
 )
 
@@ -619,7 +618,6 @@ func BenchmarkWarmStart(b *testing.B) {
 		build func() (index.Index[uint64], error)
 	}{
 		{"IM+ST", func() (index.Index[uint64], error) { return index.Build("IM+ST", keys) }},
-		{"router", func() (index.Index[uint64], error) { return router.New(keys, router.Config{}) }},
 	}
 	for _, be := range backends {
 		b.Run(be.name, func(b *testing.B) {

@@ -26,7 +26,7 @@
 // "starting" on /healthz until the first version installs — the shape a
 // fleet-managed backend wants, where the front tier routes around a
 // member that is still warming. -admin enables POST /admin/drain and
-// /admin/undrain, the levers the rolling-upgrade driver uses.
+// /admin/undrain, the levers an operator rolls a fleet with.
 //
 // With -fleet, the binary is instead the front tier (internal/fleet):
 // it health-checks the listed backends, proxies /v1/* around draining

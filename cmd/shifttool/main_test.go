@@ -126,7 +126,6 @@ func TestRunMigrate(t *testing.T) {
 	for _, src := range []string{
 		filepath.Join(v1, "shift-table.snap"),
 		filepath.Join(v1, "model-index.snap"),
-		filepath.Join(v1, "router.snap"),
 		filepath.Join(v1, "updatable.snap"),
 		filepath.Join(v1, "concurrent.snap"),
 		filepath.Join(v1, "store", "full-00000001.snap"),

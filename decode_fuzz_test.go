@@ -15,16 +15,14 @@ import (
 	"testing"
 
 	"repro/internal/concurrent"
-	"repro/internal/dataset"
 	"repro/internal/index"
 	"repro/internal/migrate"
-	"repro/internal/router"
 	"repro/internal/snapshot"
 	"repro/internal/updatable"
 )
 
 // FuzzDecode drives every snapshot decoder — the shift-table,
-// model-index, router and concurrent kinds through the index registry,
+// model-index and concurrent kinds through the index registry,
 // and generation deltas through concurrent.LoadDelta — with arbitrary
 // bytes. Half the inputs are resealed first (every checksum recomputed),
 // so a mutation reaches the section decoders instead of dying at a CRC.
@@ -51,15 +49,13 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// decodeProbes are the queries every decoded index answers: both
-// fixture key sets (the registry kinds and the router), their
-// neighbours, and the extremes.
+// decodeProbes are the queries every decoded index answers: the fixture
+// keys, their neighbours, and the extremes.
 var decodeProbes = func() []uint64 {
 	qs := []uint64{0, 1, ^uint64(0)}
-	for _, keys := range [][]uint64{v1FixtureKeys(), dataset.Piecewise(2000, 12)} {
-		for i := 0; i < len(keys); i += 29 {
-			qs = append(qs, keys[i]-1, keys[i], keys[i]+1)
-		}
+	keys := v1FixtureKeys()
+	for i := 0; i < len(keys); i += 29 {
+		qs = append(qs, keys[i]-1, keys[i], keys[i]+1)
 	}
 	return qs
 }()
@@ -140,7 +136,6 @@ func decodeSeeds(tb testing.TB) [][]byte {
 	for _, p := range []string{
 		"testdata/v1/shift-table.snap",
 		"testdata/v1/model-index.snap",
-		"testdata/v1/router.snap",
 		"testdata/v1/updatable.snap",
 		"testdata/v1/concurrent.snap",
 		"testdata/v1/store/MANIFEST",
@@ -174,8 +169,10 @@ func decodeSeeds(tb testing.TB) [][]byte {
 	return seeds
 }
 
-// freshSnapshots writes one small v2 file of each kind this build writes,
-// and one delta.
+// freshSnapshots writes small v2 files of each kind this build writes —
+// a Shift-Table over each model family that persists a spec, a bare
+// model, a concurrent index with and without pending generations — and
+// one delta.
 func freshSnapshots(tb testing.TB) [][]byte {
 	tb.Helper()
 	dir := tb.TempDir()
@@ -188,23 +185,19 @@ func freshSnapshots(tb testing.TB) [][]byte {
 		}
 		out = append(out, readFile(tb, path))
 	}
-	for _, name := range []string{"IM+ST", "RS+ST", "IM"} {
+	for _, name := range []string{"IM+ST", "RS+ST", "RMI+ST", "IM"} {
 		ix, err := index.Build(name, keys)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		save(name+".snap", ix)
 	}
-	r, err := router.New(dataset.Piecewise(400, 12), router.Config{})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	save("router.snap", r)
 	c, err := concurrent.New(keys, concurrent.Config{})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	c.Close()
+	save("concurrent-compacted.snap", c) // no generations
 	for i := 0; i < 60; i++ {
 		if i%4 == 3 {
 			c.Delete(keys[i*5])
@@ -311,10 +304,6 @@ func TestHeapLoadRejectsResealedInvalid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := router.New(dataset.Piecewise(2000, 12), router.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	conc, err := concurrent.New(keys, concurrent.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -328,7 +317,6 @@ func TestHeapLoadRejectsResealedInvalid(t *testing.T) {
 	}{
 		{"shift-table", v2(shift), false, true},
 		{"model-index", v2(model), false, false},
-		{"router", v2(r), false, false},
 		{"concurrent", v2(conc), false, true},
 		{"v1/shift-table", readFile(t, "testdata/v1/shift-table.snap"), true, false},
 		{"v1/concurrent", readFile(t, "testdata/v1/concurrent.snap"), true, false},

@@ -35,9 +35,9 @@
 // Every backend — the Shift-Table and the whole competitor set —
 // implements the unified index abstraction of internal/index (DESIGN.md
 // §7): one core Index contract (Find/Len/Name/SizeBytes) plus optional
-// capability interfaces (Ranger, BatchFinder, Tracer, CostEstimator,
-// Log2Errer), registered in a declarative registry the bench harness,
-// the cmd front-ends and one cross-backend conformance suite enumerate.
+// capability interfaces (Ranger, BatchFinder, Tracer, CostEstimator),
+// registered in a declarative registry the bench harness, the cmd
+// front-ends and one cross-backend conformance suite enumerate.
 // On top of it, internal/router is a range-partitioned hybrid index: the
 // paper's §3.7 cost model, generalised to the CostEstimator capability,
 // picks the cheapest backend per key-space shard (a bare interpolation

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/cdfmodel"
@@ -35,7 +34,7 @@ type BatchConfig struct {
 }
 
 // BatchPoint is one (dataset, mode, batch size) measurement. Nanoseconds
-// are per lookup; Mops are million lookups per second.
+// are per lookup.
 type BatchPoint struct {
 	Dataset   string
 	Mode      string
@@ -47,14 +46,6 @@ type BatchPoint struct {
 
 	SpeedupBatch    float64 // ScalarNs / BatchNs
 	SpeedupParallel float64 // ScalarNs / ParallelNs
-}
-
-// Mops converts a per-lookup latency to million lookups per second.
-func Mops(nsPerOp float64) float64 {
-	if nsPerOp <= 0 {
-		return 0
-	}
-	return 1e3 / nsPerOp
 }
 
 // RunBatch measures the batched-vs-scalar throughput sweep.
@@ -186,19 +177,4 @@ func (w *Workload[K]) MeasureBatch(findBatch func(qs []K, out []int) []int, batc
 		panic("unreachable; defeats dead-code elimination")
 	}
 	return best, nil
-}
-
-// FormatBatch renders the throughput sweep as an aligned table.
-func FormatBatch(pts []BatchPoint) string {
-	var b strings.Builder
-	b.WriteString("Batched query throughput: scalar Find vs FindBatch vs FindBatchParallel\n")
-	b.WriteString("(ns per lookup; speedups are over the scalar path on the same workload)\n\n")
-	fmt.Fprintf(&b, "%-8s %-4s %7s %9s %9s %9s %8s %8s %9s %9s\n",
-		"dataset", "mode", "batch", "scalar", "batch", "parallel", "x-batch", "x-par", "Mops-b", "Mops-p")
-	for _, p := range pts {
-		fmt.Fprintf(&b, "%-8s %-4s %7d %9.1f %9.1f %9.1f %7.2fx %7.2fx %9.1f %9.1f\n",
-			p.Dataset, p.Mode, p.BatchSize, p.ScalarNs, p.BatchNs, p.ParallelNs,
-			p.SpeedupBatch, p.SpeedupParallel, Mops(p.BatchNs), Mops(p.ParallelNs))
-	}
-	return b.String()
 }

@@ -6,7 +6,7 @@
 //
 // The backend set is not wired here: the harness enumerates the
 // declarative registry of internal/index (DESIGN.md §7) and probes
-// capability interfaces (Tracer, Log2Errer) where a figure needs them, so
+// capability interfaces (Tracer) where a figure needs them, so
 // adding a backend to the registry adds it to Table 2, Fig. 7 and the
 // conformance suite with no harness change.
 package bench

@@ -9,7 +9,6 @@ import (
 	"repro/internal/concurrent"
 	"repro/internal/dataset"
 	"repro/internal/index"
-	"repro/internal/router"
 )
 
 // TestWarmBeatsCold asserts the mapped v2 warm start beats cold rebuild
@@ -43,7 +42,6 @@ func TestWarmBeatsCold(t *testing.T) {
 		{"IM", registry("IM"), mapRegistry},
 		{"IM+ST", registry("IM+ST"), mapRegistry},
 		{"RS+ST", registry("RS+ST"), mapRegistry},
-		{"router", func() (index.Index[uint64], error) { return router.New(keys, router.Config{}) }, mapRegistry},
 		{"concurrent", func() (index.Index[uint64], error) {
 			ix, err := concurrent.New(keys, concurrent.Config{})
 			if err != nil {

@@ -131,9 +131,6 @@ func NewBulk[K kv.Key](keys []K, vals []uint64, fanout int) (*Tree[K], error) {
 // Len returns the number of stored entries.
 func (t *Tree[K]) Len() int { return t.size }
 
-// Height returns the number of levels (leaves count as 1; 0 when empty).
-func (t *Tree[K]) Height() int { return t.height }
-
 // Name identifies the backend in benchmark output, matching the paper's
 // Table 2 column label.
 func (t *Tree[K]) Name() string { return "B+tree" }
@@ -176,9 +173,6 @@ func (t *Tree[K]) EstimateNs(l func(s int) float64) float64 {
 	}
 	return float64(t.height) * l(t.fanout)
 }
-
-// Fanout returns the maximum keys per node.
-func (t *Tree[K]) Fanout() int { return t.fanout }
 
 // SizeBytes approximates the tree's memory footprint.
 func (t *Tree[K]) SizeBytes() int {

@@ -226,8 +226,8 @@ func TestEmptyAndTiny(t *testing.T) {
 	if it := tr.LowerBound(9); !it.Valid() || it.Key() != 9 {
 		t.Error("single-key lower bound broken")
 	}
-	if tr.Height() != 1 {
-		t.Errorf("single-leaf height = %d, want 1", tr.Height())
+	if tr.height != 1 {
+		t.Errorf("single-leaf height = %d, want 1", tr.height)
 	}
 }
 
@@ -235,14 +235,14 @@ func TestHeightAndSizeScale(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.USpr, 64, 10000, 3)
 	small, _ := NewBulk(keys, nil, 4)
 	large, _ := NewBulk(keys, nil, 128)
-	if small.Height() <= large.Height() {
-		t.Errorf("fanout 4 height %d should exceed fanout 128 height %d", small.Height(), large.Height())
+	if small.height <= large.height {
+		t.Errorf("fanout 4 height %d should exceed fanout 128 height %d", small.height, large.height)
 	}
 	if small.SizeBytes() <= 0 || large.SizeBytes() <= 0 {
 		t.Error("size accounting broken")
 	}
-	if small.Fanout() != 4 || large.Fanout() != 128 {
-		t.Error("fanout accessor broken")
+	if small.fanout != 4 || large.fanout != 128 {
+		t.Error("fanout not recorded")
 	}
 }
 

@@ -102,47 +102,39 @@ type Linear[K kv.Key] struct {
 // keys near 2^64 its rounding error alone exceeds hundreds of positions.
 func NewLinear[K kv.Key](keys []K) *Linear[K] {
 	m := &Linear[K]{n: len(keys)}
-	m.slope, m.xref, m.yref = fitLine(keys, 0)
-	return m
-}
-
-// NewLinearSegment fits a line to keys[first:first+count] mapping into
-// global positions first..first+count-1. Used for RMI leaves.
-func NewLinearSegment[K kv.Key](keys []K, first, count, total int) *Linear[K] {
-	m := &Linear[K]{n: total}
-	m.slope, m.xref, m.yref = fitLine(keys[first:first+count], first)
+	m.slope, m.xref, m.yref = fitLine(keys)
 	return m
 }
 
 // fitLine returns the least-squares slope and a reference point (xref, yref)
-// such that ŷ = yref + slope·(x − xref), for positions
-// base..base+len(keys)-1 as a function of key value.
+// such that ŷ = yref + slope·(x − xref), for positions 0..len(keys)-1 as
+// a function of key value.
 //
 // All sums are taken over offsets from the first key rather than raw key
 // values: accumulating thousands of ~2^64 floats loses ~2^21 per addition,
 // which (observed in tests) corrupts the mean by ~10^5 and halves the slope.
 // Differences between nearby float64 values are exact, so offset sums are
 // well conditioned.
-func fitLine[K kv.Key](keys []K, base int) (slope, xref, yref float64) {
+func fitLine[K kv.Key](keys []K) (slope, xref, yref float64) {
 	n := len(keys)
 	switch n {
 	case 0:
 		return 0, 0, 0
 	case 1:
-		return 0, float64(keys[0]), float64(base)
+		return 0, float64(keys[0]), 0
 	}
 	x0 := float64(keys[0])
 	var obar, ybar float64
 	for i, k := range keys {
 		obar += float64(k) - x0
-		ybar += float64(base + i)
+		ybar += float64(i)
 	}
 	obar /= float64(n)
 	ybar /= float64(n)
 	var sxy, sxx float64
 	for i, k := range keys {
 		dx := (float64(k) - x0) - obar
-		sxy += dx * (float64(base+i) - ybar)
+		sxy += dx * (float64(i) - ybar)
 		sxx += dx * dx
 	}
 	if sxx == 0 {
@@ -223,7 +215,7 @@ func NewCubic[K kv.Key](keys []K) *Cubic[K] {
 	} else {
 		// Degenerate system: fall back to a linear fit, re-expressed in
 		// the scaled coordinate u = (x-min)/span.
-		slope, xb, yb := fitLine(keys, 0)
+		slope, xb, yb := fitLine(keys)
 		m.c = [4]float64{yb + slope*(m.min-xb), slope * span, 0, 0}
 	}
 	return m

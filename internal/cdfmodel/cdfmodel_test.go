@@ -100,20 +100,6 @@ func TestLinearHugeKeys(t *testing.T) {
 	}
 }
 
-func TestLinearSegment(t *testing.T) {
-	keys := make([]uint64, 100)
-	for i := range keys {
-		keys[i] = uint64(i * i) // quadratic overall, linear-ish per segment
-	}
-	m := NewLinearSegment(keys, 40, 20, 100)
-	for i := 40; i < 60; i++ {
-		got := m.Predict(keys[i])
-		if got < i-3 || got > i+3 {
-			t.Fatalf("segment Predict(keys[%d]) = %d, want within 3", i, got)
-		}
-	}
-}
-
 func TestLinearDegenerate(t *testing.T) {
 	if got := NewLinear([]uint64{}).Predict(1); got != 0 {
 		t.Error("empty linear model should predict 0")

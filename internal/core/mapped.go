@@ -106,10 +106,8 @@ func MapTableSections[K kv.Key](m *snapshot.Mapped) (*Table[K], error) {
 }
 
 // MapTableWithKeys views the keyless model+layer section pair over
-// caller-supplied keys (themselves typically a view of the container's
-// key section — the router maps each shard this way against its slice of
-// the shared key section). The v2 layer blob is viewed in place, and the
-// table retains the region.
+// caller-supplied keys (a view of the container's key section). The v2
+// layer blob is viewed in place, and the table retains the region.
 func MapTableWithKeys[K kv.Key](m *snapshot.Mapped, keys []K, modelID, layerID uint32) (*Table[K], error) {
 	model, err := mapModelSpec(m, modelID, keys)
 	if err != nil {

@@ -52,10 +52,7 @@ func (t *Table[K]) PersistSnapshot(sw *snapshot.Writer) error {
 }
 
 // PersistModelAndLayer writes the keyless part of a table snapshot — the
-// model spec and the layer — under the given section ids. Containers
-// that already carry the keys (the router persists each Shift-Table
-// shard this way, attached to its slice of the router's one key section)
-// embed tables through this instead of duplicating the key data.
+// model spec and the layer — under the given section ids.
 func (t *Table[K]) PersistModelAndLayer(sw *snapshot.Writer, modelID, layerID uint32) error {
 	spec, err := encodeModelSpec(t.model)
 	if err != nil {
@@ -85,8 +82,7 @@ func (ix *ModelIndex[K]) PersistSnapshot(sw *snapshot.Writer) error {
 }
 
 // PersistModelSpec writes just the model spec section — the keyless form
-// of a model-index snapshot (the router persists bare-model shards this
-// way).
+// of a model-index snapshot.
 func (ix *ModelIndex[K]) PersistModelSpec(sw *snapshot.Writer, id uint32) error {
 	spec, err := encodeModelSpec(ix.model)
 	if err != nil {

@@ -83,7 +83,7 @@ func (t *Table[K]) ComputeStats() Stats {
 	return s
 }
 
-// Log2Error implements the index Log2Errer capability: the mean log2 of
+// Log2Error is the Fig. 8 "average log2 error" metric: the mean log2 of
 // the last-mile search window, i.e. the expected binary-search iteration
 // count after correction (§4.2). O(1) on built tables (the build caches
 // its stats); O(M) otherwise — never a model sweep.

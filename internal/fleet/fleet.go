@@ -1,14 +1,12 @@
 // Package fleet is the front tier of a replica fleet: one Pool
-// health-checks N shiftserver backends, routes queries around draining
-// or dead ones (retrying transparently, so a client never sees a
-// mid-upgrade backend), and drives the rolling-upgrade state machine —
-// drain one backend, upgrade it, wait for readiness, verify its answers,
-// readmit it, move on; roll back and halt on any verification failure
-// (DESIGN.md §13).
+// health-checks N shiftserver backends and routes queries around
+// draining or dead ones, retrying transparently, so a client never sees
+// a mid-upgrade backend (DESIGN.md §13).
 //
-// The pool knows nothing about snapshots: a rollout needs only the
-// /healthz ready/starting/draining protocol and the /admin drain lever
-// the serve handler exposes.
+// The pool knows nothing about snapshots or upgrades: an operator rolls
+// a fleet with each backend's /admin/drain lever and a restart, and the
+// pool follows through the /healthz ready/starting/draining protocol the
+// serve handler exposes.
 package fleet
 
 import (
@@ -61,7 +59,6 @@ func (c PoolConfig) withDefaults() PoolConfig {
 type backend struct {
 	url     string
 	healthy atomic.Bool
-	admin   atomic.Bool  // held out of rotation by the roller
 	state   atomic.Value // string: last probe verdict
 	version atomic.Uint64
 	fails   int // consecutive probe failures; probe goroutine only
@@ -69,11 +66,10 @@ type backend struct {
 
 // BackendStatus is one backend's row in the pool's status report.
 type BackendStatus struct {
-	URL      string `json:"url"`
-	Healthy  bool   `json:"healthy"`
-	Draining bool   `json:"draining"` // admin-held by the roller
-	State    string `json:"state"`    // ready | starting | draining | unreachable
-	Version  uint64 `json:"version"`  // last version the probe saw
+	URL     string `json:"url"`
+	Healthy bool   `json:"healthy"`
+	State   string `json:"state"`   // ready | starting | draining | unreachable
+	Version uint64 `json:"version"` // last version the probe saw
 }
 
 // Pool fronts N backends. It is an http.Handler: /v1/* proxies to an
@@ -132,11 +128,10 @@ func (p *Pool) Backends() []BackendStatus {
 	out := make([]BackendStatus, len(p.bes))
 	for i, be := range p.bes {
 		out[i] = BackendStatus{
-			URL:      be.url,
-			Healthy:  be.healthy.Load(),
-			Draining: be.admin.Load(),
-			State:    be.state.Load().(string),
-			Version:  be.version.Load(),
+			URL:     be.url,
+			Healthy: be.healthy.Load(),
+			State:   be.state.Load().(string),
+			Version: be.version.Load(),
 		}
 	}
 	return out
@@ -163,8 +158,11 @@ func (p *Pool) Proxied() uint64  { return p.proxied.Load() }
 func (p *Pool) Retries() uint64  { return p.retries.Load() }
 func (p *Pool) Failures() uint64 { return p.failures.Load() }
 
-// eligible reports whether a backend may receive traffic.
-func (be *backend) eligible() bool { return be.healthy.Load() && !be.admin.Load() }
+// eligible reports whether a backend may receive traffic: its last
+// probes found it ready. A drained backend answers /healthz with 503, so
+// it leaves rotation after FailAfter probes, and the proxy fails over on
+// the 503s it answers meanwhile.
+func (be *backend) eligible() bool { return be.healthy.Load() }
 
 func (p *Pool) eligibleCount() int {
 	n := 0

@@ -267,44 +267,34 @@ func TestRollingUpgradeZeroDrop(t *testing.T) {
 		t.Fatalf("delta publish: v=%d full=%v err=%v", v, full, err)
 	}
 
-	// Roll the fleet: each backend's replica is replaced by a new one over
-	// the same dir, which warm-restarts and resyncs.
-	byURL := map[string]*testBackend{}
-	for _, b := range backends {
-		byURL[b.srv.URL] = b
-	}
-	var verified atomic.Int32
-	err = fp.Roll(ctx, RollHooks{
-		ReadyTimeout: 10 * time.Second,
-		Log:          t.Logf,
-		Upgrade: func(ctx context.Context, url string) error {
-			return byURL[url].install()
-		},
-		Verify: func(ctx context.Context, url string) error {
-			for slot, q := range pool {
-				res, err := client.Get(fmt.Sprintf("%s/v1/find?key=%d", url, q))
-				if err != nil {
-					return err
-				}
-				var fr findResponse
-				err = json.NewDecoder(res.Body).Decode(&fr)
-				res.Body.Close()
-				if err != nil {
-					return err
-				}
-				if err := book.check(fr.Version, slot, fr.Rank); err != nil {
-					return err
-				}
+	// Roll the fleet the way an operator does, and as CI's real-process
+	// fleet smoke does: drain a backend, wait until the pool's probes take
+	// it out of rotation, reinstall it (a new process warm-restarting over
+	// the same dir and resyncing), undrain, wait until the pool readmits
+	// it, and verify its answers directly before the next backend goes.
+	for i, b := range backends {
+		postAdmin(t, client, b.srv.URL, "drain")
+		waitEligible(t, fp, i, false, 5*time.Second)
+		if err := b.install(); err != nil {
+			t.Fatalf("backend %d: reinstall: %v", i, err)
+		}
+		postAdmin(t, client, b.srv.URL, "undrain")
+		waitEligible(t, fp, i, true, 10*time.Second)
+		for slot, q := range pool {
+			res, err := client.Get(fmt.Sprintf("%s/v1/find?key=%d", b.srv.URL, q))
+			if err != nil {
+				t.Fatalf("backend %d: verify: %v", i, err)
 			}
-			verified.Add(1)
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatalf("roll: %v", err)
-	}
-	if verified.Load() != 3 {
-		t.Fatalf("verify hook ran %d times, want 3", verified.Load())
+			var fr findResponse
+			err = json.NewDecoder(res.Body).Decode(&fr)
+			res.Body.Close()
+			if err == nil {
+				err = book.check(fr.Version, slot, fr.Rank)
+			}
+			if err != nil {
+				t.Fatalf("backend %d: verify: %v", i, err)
+			}
+		}
 	}
 
 	// After the roll: a compaction, so the next publish is a full every
@@ -360,87 +350,6 @@ func TestRollingUpgradeZeroDrop(t *testing.T) {
 	t.Logf("served %d requests across the rolling upgrade, %d failover retries", served.Load(), fp.Retries())
 }
 
-// TestRollRollbackOnVerifyFailure: a backend whose upgrade fails
-// verification is rolled back, re-verified on its old state, readmitted,
-// and the roll halts with a descriptive error — it never proceeds to
-// the next backend past a failed one.
-func TestRollRollbackOnVerifyFailure(t *testing.T) {
-	ctx := context.Background()
-	store := replica.DirStore{Dir: t.TempDir()}
-	keys := make([]uint64, 2000)
-	for i := range keys {
-		keys[i] = uint64(i+1) * 31
-	}
-	primary, err := concurrent.New(keys, concurrent.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	primary.Close() // no background compaction: explicit Compact calls only
-	pub, err := replica.NewPublisher(ctx, store, primary, replica.PublisherConfig{Spool: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := pub.Publish(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	var backends []*testBackend
-	var urls []string
-	for i := 0; i < 2; i++ {
-		b := newTestBackend(t, store)
-		defer b.startSyncLoop(20 * time.Millisecond)()
-		backends = append(backends, b)
-		urls = append(urls, b.srv.URL)
-	}
-	fp, err := NewPool(urls, PoolConfig{Probe: 10 * time.Millisecond, Timeout: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fp.Close()
-	waitFleetReady(t, fp, 2, 5*time.Second)
-
-	byURL := map[string]*testBackend{}
-	for _, b := range backends {
-		byURL[b.srv.URL] = b
-	}
-	var upgrades, rollbacks atomic.Int32
-	err = fp.Roll(ctx, RollHooks{
-		ReadyTimeout: 10 * time.Second,
-		Log:          t.Logf,
-		Upgrade: func(ctx context.Context, url string) error {
-			upgrades.Add(1)
-			return byURL[url].install()
-		},
-		Verify: func(ctx context.Context, url string) error {
-			// The first post-upgrade verification fails; the rollback's
-			// re-verification (and anything later) passes.
-			if upgrades.Load() == 1 && rollbacks.Load() == 0 {
-				return fmt.Errorf("injected verification failure")
-			}
-			return nil
-		},
-		Rollback: func(ctx context.Context, url string) error {
-			rollbacks.Add(1)
-			return byURL[url].install()
-		},
-	})
-	if err == nil {
-		t.Fatal("roll succeeded through a failed verification")
-	}
-	if rollbacks.Load() != 1 {
-		t.Fatalf("rollback ran %d times, want 1", rollbacks.Load())
-	}
-	if upgrades.Load() != 1 {
-		t.Fatalf("roll continued past the failed backend (%d upgrades)", upgrades.Load())
-	}
-	// The rolled-back backend is readmitted and serving the published
-	// version (Roll follows pool order = urls order, so it is the first).
-	waitFleetReady(t, fp, 2, 5*time.Second)
-	if st := backends[0].current().Status(); st.Version != 1 || st.LastErr != nil {
-		t.Fatalf("rolled-back backend status %+v, want version 1 with no sync error", st)
-	}
-}
-
 // waitFleetReady blocks until the pool reports want eligible backends.
 func waitFleetReady(t testing.TB, p *Pool, want int, timeout time.Duration) {
 	t.Helper()
@@ -453,5 +362,31 @@ func waitFleetReady(t testing.TB, p *Pool, want int, timeout time.Duration) {
 			t.Fatalf("fleet stuck at %d eligible backends, want %d: %+v", p.eligibleCount(), want, p.Backends())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// waitEligible blocks until the pool's verdict on backend i is want.
+func waitEligible(t testing.TB, p *Pool, i int, want bool, timeout time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for p.bes[i].eligible() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("backend %d still eligible=%v after %v: %+v", i, !want, timeout, p.Backends()[i])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// postAdmin pulls one of a backend's /admin levers.
+func postAdmin(t testing.TB, c *http.Client, url, verb string) {
+	t.Helper()
+	res, err := c.Post(url+"/admin/"+verb, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, res.Body)
+	res.Body.Close()
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s/admin/%s: status %d", url, verb, res.StatusCode)
 	}
 }

@@ -128,7 +128,7 @@ func conform[K kv.Key](t *testing.T, ix Index[K], keys []K, rng *rand.Rand) {
 		} else {
 			a, b = K(rng.Uint64()), K(rng.Uint64())
 		}
-		first, last := FindRange(ix, a, b)
+		first, last := findRange(ix, a, b)
 		wf, wl := 0, 0
 		if b >= a {
 			wf = kv.LowerBound(keys, a)
@@ -196,4 +196,20 @@ func TestConformance32(t *testing.T) {
 			}
 		})
 	}
+}
+
+// findRange answers a range query through ix, using its native Ranger
+// capability when present and two lower-bound Finds otherwise.
+func findRange[K kv.Key](ix Index[K], a, b K) (first, last int) {
+	if r, ok := ix.(Ranger[K]); ok {
+		return r.FindRange(a, b)
+	}
+	if b < a {
+		return 0, 0
+	}
+	first = ix.Find(a)
+	if b == kv.MaxKey[K]() {
+		return first, ix.Len()
+	}
+	return first, ix.Find(b + 1)
 }

@@ -62,28 +62,6 @@ type CostEstimator interface {
 	EstimateNs(l func(s int) float64) float64
 }
 
-// Log2Errer is the optional learned-index error metric: the mean log2 of
-// the last-mile search window (the paper's Fig. 8 "average Log2 error").
-type Log2Errer interface {
-	Log2Error() float64
-}
-
-// FindRange answers a range query through ix, using its native Ranger
-// capability when present and two lower-bound Finds otherwise.
-func FindRange[K kv.Key](ix Index[K], a, b K) (first, last int) {
-	if r, ok := ix.(Ranger[K]); ok {
-		return r.FindRange(a, b)
-	}
-	if b < a {
-		return 0, 0
-	}
-	first = ix.Find(a)
-	if b == kv.MaxKey[K]() {
-		return first, ix.Len()
-	}
-	return first, ix.Find(b + 1)
-}
-
 // FindBatch answers a batch of lower-bound queries through ix, using its
 // native BatchFinder pipeline when present and a scalar loop otherwise.
 // Result i for qs[i] lands in out[i]; the returned slice is out when it
@@ -101,15 +79,6 @@ func FindBatch[K kv.Key](ix Index[K], qs []K, out []int) []int {
 		out[i] = ix.Find(q)
 	}
 	return out
-}
-
-// Log2Err returns the backend's mean log2 last-mile window when it reports
-// one, -1 otherwise (the harness's "not meaningful" sentinel).
-func Log2Err[K kv.Key](ix Index[K]) float64 {
-	if e, ok := ix.(Log2Errer); ok {
-		return e.Log2Error()
-	}
-	return -1
 }
 
 // TraceFindFn returns the backend's instrumented lookup when it has one,

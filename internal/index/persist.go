@@ -24,20 +24,14 @@ import (
 // Persister is the optional persistence capability: a backend that can
 // write its complete state (keys included) as snapshot sections, keyed by
 // a kind string a registered loader restores it from. Implemented
-// natively by core.Table, core.ModelIndex and router.Router; probe with a
-// type assertion like the other capabilities.
+// natively by core.Table and core.ModelIndex, and by concurrent.Index;
+// probe with a type assertion like the other capabilities.
 type Persister interface {
 	// SnapshotKind names the section layout, e.g. "shift-table".
 	SnapshotKind() string
 	// PersistSnapshot writes the backend's sections. The caller owns the
 	// container header and checksum (see Save).
 	PersistSnapshot(w *snapshot.Writer) error
-}
-
-// Persistable reports whether ix can be saved with Save.
-func Persistable[K kv.Key](ix Index[K]) bool {
-	_, ok := ix.(Persister)
-	return ok
 }
 
 // Save writes ix as one verified snapshot container.
@@ -111,14 +105,6 @@ func LoadFileMapped[K kv.Key](path string) (Index[K], error) {
 	return ix, nil
 }
 
-// NewShiftIndex wraps a built (or snapshot-restored) Shift-Table in the
-// registry's IM+ST/RS+ST backend shape, whose SizeBytes reports the
-// Table 2 convention (layer plus host model). internal/router restores
-// its Shift-Table shards through this.
-func NewShiftIndex[K kv.Key](t *core.Table[K]) Index[K] {
-	return shiftIndex[K]{t}
-}
-
 // dispatch restores an index through the loader registered for the
 // container's kind and key width.
 func dispatch[K kv.Key](m *snapshot.Mapped) (Index[K], error) {
@@ -139,8 +125,8 @@ var loaders sync.Map // loaderKey -> func(*snapshot.Mapped) (Index[K], error)
 
 // RegisterLoader registers the restore function for a snapshot kind,
 // keyed by kind and key width. Called from package init functions (this
-// package registers the core kinds; internal/router and
-// internal/concurrent register their own); later registrations for the
+// package registers the core kinds; internal/concurrent registers its
+// own); later registrations for the
 // same key replace earlier ones. The loader reads an opened container
 // and runs its O(n) checks exactly when the container is verified.
 func RegisterLoader[K kv.Key](kind string, fn func(*snapshot.Mapped) (Index[K], error)) {

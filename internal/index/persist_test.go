@@ -26,7 +26,7 @@ func TestRegistrySnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("building %s: %v", name, err)
 		}
-		if !Persistable(orig) {
+		if _, ok := orig.(Persister); !ok {
 			t.Fatalf("%s lost the Persister capability", name)
 		}
 		var buf bytes.Buffer
@@ -85,7 +85,7 @@ func TestSaveRejectsNonPersistable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Persistable(ix) {
+	if _, ok := ix.(Persister); ok {
 		t.Skip("B+tree grew a Persister capability; update this test's subject")
 	}
 	if err := Save(&bytes.Buffer{}, ix); err == nil {
@@ -125,7 +125,7 @@ func TestLoadRejectsUnknownKindAndWidth(t *testing.T) {
 	}
 }
 
-// TestRouterlessSnapshotFileRoundTrip drives SaveFile/LoadFile.
+// TestSnapshotFileRoundTrip drives SaveFile/LoadFile.
 func TestSnapshotFileRoundTrip(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Osmc, 64, 20_000, 3)
 	ix, err := Build("RS+ST", keys)

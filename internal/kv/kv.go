@@ -46,12 +46,6 @@ func UpperBound[K Key](keys []K, q K) int {
 	return lo
 }
 
-// EqualRange returns the half-open index range [first, last) of keys equal
-// to q.
-func EqualRange[K Key](keys []K, q K) (first, last int) {
-	return LowerBound(keys, q), UpperBound(keys, q)
-}
-
 // FirstOccurrence maps every position i to the index of the first key in the
 // run of duplicates containing keys[i]. This realises the paper's §3.2
 // definition of the empirical CDF for lower-bound queries: N·F(x) is the

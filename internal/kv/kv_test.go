@@ -47,18 +47,6 @@ func TestBoundsEmpty(t *testing.T) {
 	}
 }
 
-func TestEqualRange(t *testing.T) {
-	keys := []uint64{1, 3, 3, 3, 7}
-	first, last := EqualRange(keys, 3)
-	if first != 1 || last != 4 {
-		t.Errorf("EqualRange(3) = [%d,%d), want [1,4)", first, last)
-	}
-	first, last = EqualRange(keys, 5)
-	if first != last {
-		t.Errorf("EqualRange(absent) = [%d,%d), want empty", first, last)
-	}
-}
-
 func TestLowerBoundMatchesSortSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {

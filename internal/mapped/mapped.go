@@ -8,7 +8,7 @@
 //
 // A Region starts with one reference, owned by whoever mapped it. Every
 // long-lived structure that aliases the region's bytes (a mapped
-// core.Table, a mapped router) takes its own reference with Retain and
+// core.Table, a mapped concurrent view) takes its own reference with Retain and
 // arranges Release when it becomes unreachable (runtime.AddCleanup). The
 // munmap happens only when the count reaches zero, so a snapshot swap
 // cannot yank pages from under an in-flight query wave: readers reach
@@ -39,11 +39,6 @@ import (
 	"sync/atomic"
 	"unsafe"
 )
-
-// PageSize is the alignment unit of the v2 snapshot layout. It is fixed
-// at 4 KiB — the layout constant — independent of the runtime page size,
-// which is 4 KiB on every platform this repository targets.
-const PageSize = 4096
 
 // Region is a refcounted read-only byte region over a file.
 type Region struct {
@@ -143,9 +138,6 @@ func (r *Region) Release() {
 	r.data = nil
 	unmap(data, r.real)
 }
-
-// Refs returns the current reference count (tests and diagnostics).
-func (r *Region) Refs() int64 { return r.refs.Load() }
 
 // pathRegistry counts live regions per backing file, so artifact GC can
 // ask PathInUse before deleting a snapshot file.

@@ -8,6 +8,10 @@ import (
 	"testing"
 )
 
+// pageSize is the v2 snapshot layout's alignment unit (snapshot's
+// pageAlign): the file sizes these tests map.
+const pageSize = 4096
+
 // writeRegionFile writes n bytes where byte i is the low byte of i —
 // recognisable content for view checks.
 func writeRegionFile(t *testing.T, n int) string {
@@ -24,7 +28,7 @@ func writeRegionFile(t *testing.T, n int) string {
 }
 
 func TestRegionLifetimeAndPathRegistry(t *testing.T) {
-	path := writeRegionFile(t, 3*PageSize)
+	path := writeRegionFile(t, 3*pageSize)
 	if PathInUse(path) {
 		t.Fatal("path in use before any mapping")
 	}
@@ -32,8 +36,8 @@ func TestRegionLifetimeAndPathRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Len() != 3*PageSize || r.Refs() != 1 {
-		t.Fatalf("Len=%d Refs=%d after Map", r.Len(), r.Refs())
+	if r.Len() != 3*pageSize || r.refs.Load() != 1 {
+		t.Fatalf("Len=%d Refs=%d after Map", r.Len(), r.refs.Load())
 	}
 	if r.Mapped() != Supported() {
 		t.Fatalf("Mapped()=%v with Supported()=%v", r.Mapped(), Supported())
@@ -41,8 +45,8 @@ func TestRegionLifetimeAndPathRegistry(t *testing.T) {
 	if !PathInUse(path) {
 		t.Fatal("mapped path not registered")
 	}
-	if got := r.Bytes()[PageSize+5]; got != byte((PageSize+5)%256) {
-		t.Fatalf("byte %d is %d", PageSize+5, got)
+	if got := r.Bytes()[pageSize+5]; got != byte((pageSize+5)%256) {
+		t.Fatalf("byte %d is %d", pageSize+5, got)
 	}
 
 	// A second independent mapping keeps the path pinned until both die.
@@ -109,7 +113,7 @@ func TestMapRefusesConcurrentResize(t *testing.T) {
 		resize func(path string, t *testing.T)
 	}{
 		{"truncated", func(path string, t *testing.T) {
-			if err := os.Truncate(path, PageSize); err != nil {
+			if err := os.Truncate(path, pageSize); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -118,7 +122,7 @@ func TestMapRefusesConcurrentResize(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := f.Write(make([]byte, PageSize)); err != nil {
+			if _, err := f.Write(make([]byte, pageSize)); err != nil {
 				t.Fatal(err)
 			}
 			f.Close()
@@ -126,7 +130,7 @@ func TestMapRefusesConcurrentResize(t *testing.T) {
 	} {
 		t.Run(dir.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "region.bin")
-			if err := os.WriteFile(path, make([]byte, 3*PageSize), 0o644); err != nil {
+			if err := os.WriteFile(path, make([]byte, 3*pageSize), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			testHookBeforeMap = func(p string) { dir.resize(path, t) }

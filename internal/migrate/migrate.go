@@ -24,13 +24,11 @@ import (
 var le = binary.LittleEndian
 
 // Section ids of the kinds this package rewrites (the owning packages
-// document them: internal/core, internal/router, internal/updatable,
-// internal/concurrent).
+// document them: internal/core, internal/updatable, internal/concurrent).
 const (
 	secKeys       = 1  // every kind: the sorted key section
 	secModel      = 2  // shift-table, and the view's embedded table
 	secTableLayer = 3  // shift-table, and the view's embedded table
-	secShardLayer = 4  // router: one per Shift-Table shard
 	secViewMeta   = 10 // the view's layer configuration
 	secViewDead   = 11 // the view's tombstone bitmap
 	secViewBuffer = 12 // the view's insert buffer
@@ -49,7 +47,6 @@ const (
 var layerIDs = map[string]uint32{
 	"shift-table": secTableLayer,
 	"model-index": 0,
-	"router":      secShardLayer,
 }
 
 // Full rewrites one full snapshot container into the current form and

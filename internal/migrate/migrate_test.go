@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/index"
-	"repro/internal/router"
 	"repro/internal/snapshot"
 )
 
@@ -254,7 +253,6 @@ func TestFullInvertsLegacy(t *testing.T) {
 		save(core.Build(keys32, cdfmodel.NewInterpolation(keys32), core.Config{Mode: mode, M: 700}))
 	}
 	save(core.NewModelIndex(keys, cdfmodel.NewInterpolation(keys)))
-	save(router.New(dataset.Piecewise(3_000, 4), router.Config{}))
 	for i, current := range currents {
 		for name, in := range map[string][]byte{"legacy": legacyOf(t, dir, current), "current": current} {
 			got, err := Full(in)
@@ -311,10 +309,10 @@ func TestFullRejects(t *testing.T) {
 // FuzzMigrate: any bytes either fail to migrate with an error, or
 // migrate to a container that the verified heap load accepts and that
 // migrates to itself. Seeded with every file under testdata/v1, the
-// updatable golden file, and shift-tables with midpoint-mode v1 layers,
-// stream-framed and in a v2 container; the checksums the input must
-// carry keep mutations at the container checks, which is where a
-// migration meets a damaged file.
+// updatable and concurrent golden files, and shift-tables with
+// midpoint-mode v1 layers, stream-framed and in a v2 container; the
+// checksums the input must carry keep mutations at the container checks,
+// which is where a migration meets a damaged file.
 //
 //	go test ./internal/migrate -run xxx -fuzz FuzzMigrate -fuzztime 60s
 func FuzzMigrate(f *testing.F) {
@@ -322,13 +320,13 @@ func FuzzMigrate(f *testing.F) {
 	for _, p := range []string{
 		"testdata/v1/shift-table.snap",
 		"testdata/v1/model-index.snap",
-		"testdata/v1/router.snap",
 		"testdata/v1/updatable.snap",
 		"testdata/v1/concurrent.snap",
 		"testdata/v1/store/MANIFEST",
 		"testdata/v1/store/full-00000001.snap",
 		"testdata/v1/store/delta-00000002.snap",
 		"internal/updatable/testdata/tombstone-free.snap",
+		"internal/concurrent/testdata/golden.snap",
 	} {
 		f.Add(readFile(f, filepath.Join(root, filepath.FromSlash(p))))
 	}

@@ -240,9 +240,6 @@ func (idx *Index[K]) SizeBytes() int {
 // Name implements cdfmodel.Model.
 func (idx *Index[K]) Name() string { return "PGM" }
 
-// Epsilon returns the per-segment error bound.
-func (idx *Index[K]) Epsilon() int { return idx.eps }
-
 // Len returns the number of indexed keys.
 func (idx *Index[K]) Len() int { return idx.n }
 
@@ -273,17 +270,6 @@ func (idx *Index[K]) EstimateNs(l func(s int) float64) float64 {
 	}
 	return levels*l(1) + l(2*idx.eps+1)
 }
-
-// Segments returns the level-0 segment count.
-func (idx *Index[K]) Segments() int {
-	if len(idx.levels) == 0 {
-		return 0
-	}
-	return len(idx.levels[0])
-}
-
-// Levels returns the number of levels including the root.
-func (idx *Index[K]) Levels() int { return len(idx.levels) }
 
 // Find returns the smallest index i with keys[i] >= q, searching the ±ε
 // window around the PGM prediction, with validation and exponential

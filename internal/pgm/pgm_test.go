@@ -87,16 +87,16 @@ func TestMultiLevelStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.Levels() < 2 {
-		t.Errorf("tight ε with tiny fanout should recurse: levels = %d", idx.Levels())
+	if len(idx.levels) < 2 {
+		t.Errorf("tight ε with tiny fanout should recurse: levels = %d", len(idx.levels))
 	}
-	if idx.Segments() <= idx.Levels() {
+	if len(idx.levels[0]) <= len(idx.levels) {
 		t.Error("level-0 segment count should dominate")
 	}
 	// Tighter ε → more segments.
 	loose, _ := New(keys, Config{Epsilon: 512})
-	if idx.Segments() <= loose.Segments() {
-		t.Errorf("ε=4 segments (%d) should exceed ε=512 (%d)", idx.Segments(), loose.Segments())
+	if len(idx.levels[0]) <= len(loose.levels[0]) {
+		t.Errorf("ε=4 segments (%d) should exceed ε=512 (%d)", len(idx.levels[0]), len(loose.levels[0]))
 	}
 	if idx.SizeBytes() <= loose.SizeBytes() {
 		t.Error("size should follow segment count")

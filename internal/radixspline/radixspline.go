@@ -261,9 +261,6 @@ func (idx *Index[K]) EstimateNs(l func(s int) float64) float64 {
 	return l(1) + l(2*idx.maxErr+1)
 }
 
-// SplinePoints returns the number of fitted spline points.
-func (idx *Index[K]) SplinePoints() int { return len(idx.splineX) }
-
 // Find returns the smallest index i with keys[i] >= q, searching the ±ε
 // window around the spline prediction. Long duplicate runs can push the
 // true lower bound of a non-indexed query outside the window (the spline is

@@ -90,9 +90,9 @@ func TestSmallerEpsilonMoreSplinePoints(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Face, 64, 30000, 5)
 	tight, _ := New(keys, Config{MaxError: 2})
 	loose, _ := New(keys, Config{MaxError: 256})
-	if tight.SplinePoints() <= loose.SplinePoints() {
+	if len(tight.splineX) <= len(loose.splineX) {
 		t.Errorf("ε=2 spline (%d pts) should be larger than ε=256 (%d pts)",
-			tight.SplinePoints(), loose.SplinePoints())
+			len(tight.splineX), len(loose.splineX))
 	}
 	if tight.SizeBytes() <= loose.SizeBytes() {
 		t.Error("size accounting should follow spline growth")
@@ -190,7 +190,7 @@ func TestAccessors(t *testing.T) {
 	if idx.MaxError() != 24 {
 		t.Errorf("MaxError = %d, want 24", idx.MaxError())
 	}
-	if idx.SplinePoints() < 2 {
+	if len(idx.splineX) < 2 {
 		t.Error("spline must have at least two points")
 	}
 }

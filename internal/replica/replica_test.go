@@ -154,7 +154,7 @@ func TestPublishFetchRoundTrip(t *testing.T) {
 	// Warm restart: a new replica over the same dir serves version 4
 	// without touching the store.
 	r.Close()
-	r2, err := NewReplica[uint64](RefuseStore{}, dir, ReplicaConfig{Retry: fastRetry})
+	r2, err := NewReplica[uint64](refuseStore{}, dir, ReplicaConfig{Retry: fastRetry})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestWarmRestartRefusesOtherRecordVersions(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, stateName), reseal(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := NewReplica[uint64](RefuseStore{}, dir, ReplicaConfig{Retry: fastRetry})
+	r2, err := NewReplica[uint64](refuseStore{}, dir, ReplicaConfig{Retry: fastRetry})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func TestWarmRestartRefusesLegacyBase(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, stateName), reseal([]byte(rec)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReplica[uint64](RefuseStore{}, dir, ReplicaConfig{Retry: fastRetry})
+	r, err := NewReplica[uint64](refuseStore{}, dir, ReplicaConfig{Retry: fastRetry})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,22 +80,6 @@ func (d DirStore) Put(ctx context.Context, name string, r io.Reader) error {
 	})
 }
 
-// RefuseStore is a Store with no backend: every operation fails. It
-// stands in for a dead transport — a replica opened over it can serve
-// only what its local last-good state provides, which is exactly what
-// the warm-restart bench and tests want to prove.
-type RefuseStore struct{}
-
-// Get always fails.
-func (RefuseStore) Get(ctx context.Context, name string) (io.ReadCloser, error) {
-	return nil, fmt.Errorf("replica: store offline: GET %s refused", name)
-}
-
-// Put always fails.
-func (RefuseStore) Put(ctx context.Context, name string, r io.Reader) error {
-	return fmt.Errorf("replica: store offline: PUT %s refused", name)
-}
-
 // HTTPStore is a Store over a base URL: GET base/name fetches, PUT
 // base/name publishes (the shiftrepl serve subcommand exposes a DirStore
 // this way). The zero Client uses http.DefaultClient; per-attempt

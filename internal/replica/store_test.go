@@ -16,6 +16,20 @@ import (
 	"time"
 )
 
+// refuseStore is a Store with no backend: every operation fails. It
+// stands in for a dead transport — a replica opened over it can serve
+// only what its local last-good state provides, which is exactly what
+// the warm-restart tests want to prove.
+type refuseStore struct{}
+
+func (refuseStore) Get(ctx context.Context, name string) (io.ReadCloser, error) {
+	return nil, fmt.Errorf("replica: store offline: GET %s refused", name)
+}
+
+func (refuseStore) Put(ctx context.Context, name string, r io.Reader) error {
+	return fmt.Errorf("replica: store offline: PUT %s refused", name)
+}
+
 // TestDirStorePutAtomic: Put publishes atomically (overwrite included),
 // leaves no temporary behind on success or failure, and a failing reader
 // must not clobber the previous object.

@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/kv"
-	"repro/internal/mapped"
 	"repro/internal/search"
 )
 
@@ -108,10 +107,6 @@ type Router[K kv.Key] struct {
 	shards  []index.Index[K]
 	choices []Choice
 	n       int
-
-	// The backing region of a mapped snapshot (mapped.go); nil for
-	// heap-built routers.
-	region *mapped.Region
 }
 
 // New builds the router: shard the key space (never splitting a duplicate

@@ -161,7 +161,7 @@ func (h *Handler[K]) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if post {
-			// The fleet roller's lever before (and after) upgrading a
+			// An operator's lever before (and after) upgrading a
 			// backend. Idempotent; the answer reports the resulting state.
 			v := r.URL.Path == "/admin/drain"
 			h.SetDraining(v)

@@ -190,9 +190,6 @@ func (m *Mapped) Region() *mapped.Region { return m.region }
 // the heap bytes it was opened over.
 func (m *Mapped) Bytes() []byte { return m.data }
 
-// Sections returns the number of sections.
-func (m *Mapped) Sections() int { return len(m.secs) }
-
 // Rewind resets the section cursor (loaders walk sections in order).
 func (m *Mapped) Rewind() { m.cursor = 0 }
 

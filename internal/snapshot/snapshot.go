@@ -24,7 +24,7 @@
 //	magic    8 bytes  "STSNAP01"
 //	version  u32      1
 //	kindLen  u32      ≤ 64
-//	kind     bytes    backend kind, e.g. "shift-table", "router"
+//	kind     bytes    backend kind, e.g. "shift-table", "concurrent"
 //	section* —        id u32 (nonzero), reserved u32, len u64, payload
 //	end      16 bytes a zero section header (id 0, reserved 0, len 0)
 //	checksum 8 bytes  CRC-32C of every preceding byte, zero-extended

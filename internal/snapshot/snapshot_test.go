@@ -177,7 +177,7 @@ func TestReaderValidation(t *testing.T) {
 		if err := m.Done(); err == nil {
 			t.Errorf("%s: Done with unread sections accepted", fr.name)
 		}
-		for i := 0; i < m.Sections(); i++ {
+		for i := 0; i < len(m.secs); i++ {
 			m.Next()
 		}
 		if _, err := m.Next(); !errors.Is(err, io.EOF) {

@@ -12,7 +12,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/index"
 	"repro/internal/migrate"
-	"repro/internal/router"
 	"repro/internal/snapshot"
 )
 
@@ -152,7 +151,6 @@ func migrateFixture(t *testing.T, path string) string {
 // from the same keys and writes.
 func TestV1Fixtures(t *testing.T) {
 	keys := v1FixtureKeys()
-	pw := dataset.Piecewise(2000, 12)
 	registry := func(name string) func(t *testing.T) finder {
 		return func(t *testing.T) finder {
 			ix, err := index.Build(name, keys)
@@ -169,13 +167,6 @@ func TestV1Fixtures(t *testing.T) {
 	}{
 		{"shift-table.snap", keys, registry("IM+ST")},
 		{"model-index.snap", keys, registry("IM")},
-		{"router.snap", pw, func(t *testing.T) finder {
-			r, err := router.New(pw, router.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return r
-		}},
 		// An earlier build's single-threaded index, with a live insert
 		// buffer and tombstones; it migrates to a concurrent index.
 		{"updatable.snap", keys, closedWrites(keys, 600)},
