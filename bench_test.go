@@ -517,29 +517,6 @@ func pendingWrites(ix *concurrent.Index[uint64], keys []uint64, n int) []uint64 
 	return live
 }
 
-// BenchmarkFindBatchParallel measures the sharded throughput path: the
-// whole query block per call, GOMAXPROCS workers.
-func BenchmarkFindBatchParallel(b *testing.B) {
-	for _, spec := range batchBenchSpecs {
-		for _, mode := range []core.Mode{core.ModeRange, core.ModeMidpoint} {
-			tab, w := stBuiltFor(b, spec, mode)
-			qs := w.Queries
-			b.Run(fmt.Sprintf("%s/%s", spec, mode), func(b *testing.B) {
-				out := make([]int, len(qs))
-				sink := 0
-				b.ResetTimer()
-				for i := 0; i < b.N; i += len(qs) {
-					res := tab.FindBatchParallel(qs, out, 0)
-					sink += res[0]
-				}
-				if sink == -1 {
-					b.Fatal("impossible")
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkBuild measures Shift-Table construction: the serial pipeline
 // and the arena-sharded parallel pipeline at 2/4/GOMAXPROCS workers, both
 // modes. b.N counts keys, so ns/op is build ns per key; on a 1-core box
@@ -558,7 +535,7 @@ func BenchmarkBuild(b *testing.B) {
 				b.Run(name, func(b *testing.B) {
 					for i := 0; i < b.N; i += len(keys) {
 						tab, err := core.BuildParallel(keys, model, core.Config{Mode: mode}, workers)
-						if err != nil || tab.N() != len(keys) {
+						if err != nil || tab.Len() != len(keys) {
 							b.Fatal(err)
 						}
 					}

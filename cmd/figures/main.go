@@ -10,11 +10,11 @@
 // them). Besides the paper's figures there are three pseudo-figures. "L"
 // prints the §2.3 error-to-latency micro-benchmark (the L(s) curve
 // parameterising the §3.7 cost model). "batch" prints the batched-query
-// throughput sweep (scalar Find vs FindBatch vs FindBatchParallel across
-// batch sizes, R and S modes). "router" builds the cost-model-routed
-// hybrid index (internal/router) over a piecewise dataset and prints its
-// latency against every homogeneous candidate backend, with the per-shard
-// routing decisions as comment lines.
+// throughput sweep (scalar Find vs FindBatch across batch sizes, R and S
+// modes). "router" builds the cost-model-routed hybrid index
+// (internal/router) over a piecewise dataset and prints its latency
+// against every homogeneous candidate backend, with the per-shard routing
+// decisions as comment lines.
 //
 // All CSV output flows through the shared bench.Grid emitter, the same
 // layout cmd/report renders as markdown.
@@ -205,10 +205,10 @@ func batchSweep(o opts) error {
 	if err != nil {
 		return err
 	}
-	g := bench.NewGrid("dataset", "mode", "batch_size", "scalar_ns", "batch_ns", "parallel_ns", "speedup_batch", "speedup_parallel")
-	verbs := []string{"%s", "%s", "%d", "%.1f", "%.1f", "%.1f", "%.2f", "%.2f"}
+	g := bench.NewGrid("dataset", "mode", "batch_size", "scalar_ns", "batch_ns", "speedup_batch")
+	verbs := []string{"%s", "%s", "%d", "%.1f", "%.1f", "%.2f"}
 	for _, p := range pts {
-		g.Rowf(verbs, p.Dataset, p.Mode, p.BatchSize, p.ScalarNs, p.BatchNs, p.ParallelNs, p.SpeedupBatch, p.SpeedupParallel)
+		g.Rowf(verbs, p.Dataset, p.Mode, p.BatchSize, p.ScalarNs, p.BatchNs, p.SpeedupBatch)
 	}
 	emit(g)
 	return nil

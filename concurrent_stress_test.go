@@ -50,7 +50,6 @@ func TestConcurrentIndexStorm(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			qs := make([]uint64, 128)
 			out := make([]int, 128)
-			var found []bool
 			for !stop.Load() {
 				reads.Add(1)
 				switch rng.Intn(4) {
@@ -78,15 +77,17 @@ func TestConcurrentIndexStorm(t *testing.T) {
 						return
 					}
 				case 1:
-					// Sentinel dataset keys are never deleted; LookupBatch
-					// must always find them.
-					for i := range qs {
-						qs[i] = initial[rng.Intn(len(initial))]
+					// Sentinel dataset keys are never deleted, so every
+					// snapshot holds each one: one FindBatch (one
+					// snapshot) ranks q+1 above q.
+					for i := 0; i < len(qs); i += 2 {
+						q := initial[rng.Intn(len(initial))]
+						qs[i], qs[i+1] = q, q+1
 					}
-					out, found = ix.LookupBatch(qs, out, found)
-					for i := range found {
-						if !found[i] {
-							errs <- "sentinel key vanished from LookupBatch"
+					out = ix.FindBatch(qs, out)
+					for i := 0; i < len(out); i += 2 {
+						if out[i+1] <= out[i] {
+							errs <- "sentinel key vanished from FindBatch"
 							return
 						}
 					}

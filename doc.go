@@ -12,14 +12,14 @@
 // every table and figure in the paper's evaluation (internal/bench).
 //
 // Beyond the paper, the query layer has a batched engine (DESIGN.md §5):
-// core.Table.FindBatch, LookupBatch and FindRangeBatch run a staged
-// pipeline — one cdfmodel.PredictBatch call per chunk, drift-entry gathers
-// with the packed-width switch hoisted out of the inner loop, and one
-// lockstep, branch-free window search whose independent cache misses
-// overlap instead of serialising — and FindBatchParallel shards a batch across GOMAXPROCS
-// workers. Batch results are bit-identical to the scalar path (property
-// tested); see examples/batch for usage and `figures -fig batch` for the
-// throughput sweep.
+// core.Table.FindBatch runs a staged pipeline — one
+// cdfmodel.PredictBatch call per chunk, drift-entry gathers with the
+// packed-width switch hoisted out of the inner loop, and one lockstep,
+// branch-free window search whose independent cache misses overlap
+// instead of serialising. Batch results are bit-identical to the scalar
+// path (property tested), and existence checks and range bounds are read
+// off the batch ranks; see examples/batch for usage and `figures -fig
+// batch` for the throughput sweep.
 //
 // Construction mirrors it (DESIGN.md §8): one build pipeline behind
 // core.Build, core.BuildParallel and core.Table.BuildNext shards the model
@@ -35,7 +35,7 @@
 // Every backend — the Shift-Table and the whole competitor set —
 // implements the unified index abstraction of internal/index (DESIGN.md
 // §7): one core Index contract (Find/Len/Name/SizeBytes) plus optional
-// capability interfaces (Ranger, BatchFinder, Tracer, CostEstimator),
+// capability interfaces (BatchFinder, Tracer, CostEstimator),
 // registered in a declarative registry the bench harness, the cmd
 // front-ends and one cross-backend conformance suite enumerate.
 // On top of it, internal/router is a range-partitioned hybrid index: the

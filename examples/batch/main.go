@@ -44,22 +44,27 @@ func main() {
 	fmt.Printf("FindBatch: %d queries, first: Find(%d) = %d\n",
 		len(queries), queries[0], out[0])
 
-	// LookupBatch adds the existence check; FindRangeBatch answers many
-	// range queries per call.
-	_, found := table.LookupBatch(queries[:4], out[:4], nil)
-	fmt.Printf("LookupBatch(first 4): found = %v\n", found)
+	// Existence and ranges come from the same ranks. A query is present
+	// when the key at its rank equals it (what Lookup reports), and the
+	// inclusive range [a, b] is the rank span [rank(a), rank(b+1)) (what
+	// FindRange reports), so one batch carries both bounds of every range.
+	found := make([]bool, 4)
+	for i, q := range queries[:4] {
+		found[i] = out[i] < len(keys) && keys[out[i]] == q
+	}
+	fmt.Printf("present (first 4): %v\n", found)
 
 	as := []uint64{keys[1000], keys[5000]}
 	bs := []uint64{keys[1020], keys[5100]}
-	firsts, lasts := table.FindRangeBatch(as, bs, nil, nil)
+	bounds := table.FindBatch([]uint64{as[0], as[1], bs[0] + 1, bs[1] + 1}, nil)
 	for i := range as {
-		fmt.Printf("FindRangeBatch[%d]: [%d, %d] -> %d records\n",
-			i, as[i], bs[i], lasts[i]-firsts[i])
+		fmt.Printf("range [%d, %d] -> %d records\n",
+			as[i], bs[i], bounds[len(as)+i]-bounds[i])
 	}
 
-	// The throughput story: scalar loop vs batched vs sharded-parallel
-	// over the same query stream. (Batch results are bit-identical to
-	// scalar Find; the property tests enforce it.)
+	// The throughput story: scalar loop vs batched over the same query
+	// stream. (Batch results are bit-identical to scalar Find; the
+	// property tests enforce it.)
 	reps := 8
 	start := time.Now()
 	sink := 0
@@ -76,13 +81,6 @@ func main() {
 		sink += out[0]
 	}
 	batched := time.Since(start)
-
-	start = time.Now()
-	for r := 0; r < reps; r++ {
-		table.FindBatchParallel(queries, out, 0) // 0 = GOMAXPROCS workers
-		sink += out[0]
-	}
-	parallel := time.Since(start)
 	_ = sink
 
 	perOp := func(d time.Duration) float64 {
@@ -90,5 +88,4 @@ func main() {
 	}
 	fmt.Printf("scalar:   %6.1f ns/lookup\n", perOp(scalar))
 	fmt.Printf("batched:  %6.1f ns/lookup (%.2fx)\n", perOp(batched), perOp(scalar)/perOp(batched))
-	fmt.Printf("parallel: %6.1f ns/lookup (%.2fx)\n", perOp(parallel), perOp(scalar)/perOp(parallel))
 }

@@ -74,19 +74,6 @@ func (t *Tree[K]) Find(q K) int {
 	return int(v)
 }
 
-// FindRange returns the half-open rank range of keys in the inclusive key
-// range [a, b], under the same bulk-loaded-positions assumption as Find.
-func (t *Tree[K]) FindRange(a, b K) (first, last int) {
-	if b < a {
-		return 0, 0
-	}
-	first = t.Find(a)
-	if b == kv.MaxKey[K]() {
-		return first, t.size
-	}
-	return first, t.Find(b + 1)
-}
-
 // EstimateNs implements the index CostEstimator capability (§3.7
 // generalised): a descent touches roughly one node per key byte (path
 // compression shortens this; radix-width pruning shortens it further on

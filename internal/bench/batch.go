@@ -11,11 +11,10 @@ import (
 )
 
 // This file is the batched-throughput experiment: scalar Find vs the
-// staged FindBatch pipeline vs the sharded FindBatchParallel, across batch
-// sizes, datasets, and both layer modes (R and S). It extends the paper's
-// latency evaluation with the serving-side question the ROADMAP asks:
-// how many lookups per second does the index sustain when queries arrive
-// in batches rather than one at a time?
+// staged FindBatch pipeline, across batch sizes, datasets, and both layer
+// modes (R and S). It extends the paper's latency evaluation with the
+// serving-side question: how many lookups per second does the index
+// sustain when queries arrive in batches rather than one at a time?
 
 // BatchConfig parameterises RunBatch.
 type BatchConfig struct {
@@ -40,12 +39,9 @@ type BatchPoint struct {
 	Mode      string
 	BatchSize int
 
-	ScalarNs   float64 // scalar Find baseline on the same workload
-	BatchNs    float64 // FindBatch at this batch size
-	ParallelNs float64 // FindBatchParallel at this batch size, GOMAXPROCS workers
-
-	SpeedupBatch    float64 // ScalarNs / BatchNs
-	SpeedupParallel float64 // ScalarNs / ParallelNs
+	ScalarNs     float64 // scalar Find baseline on the same workload
+	BatchNs      float64 // FindBatch at this batch size
+	SpeedupBatch float64 // ScalarNs / BatchNs
 }
 
 // RunBatch measures the batched-vs-scalar throughput sweep.
@@ -108,21 +104,13 @@ func batchRow[K kv.Key](keys []K, ds string, cfg BatchConfig) ([]BatchPoint, err
 			if err != nil {
 				return nil, err
 			}
-			parNs, err := w.MeasureBatch(func(qs []K, res []int) []int {
-				return tab.FindBatchParallel(qs, res, 0)
-			}, bs, cfg.Reps)
-			if err != nil {
-				return nil, err
-			}
 			out = append(out, BatchPoint{
-				Dataset:         ds,
-				Mode:            mode.String(),
-				BatchSize:       bs,
-				ScalarNs:        scalarNs,
-				BatchNs:         batchNs,
-				ParallelNs:      parNs,
-				SpeedupBatch:    scalarNs / batchNs,
-				SpeedupParallel: scalarNs / parNs,
+				Dataset:      ds,
+				Mode:         mode.String(),
+				BatchSize:    bs,
+				ScalarNs:     scalarNs,
+				BatchNs:      batchNs,
+				SpeedupBatch: scalarNs / batchNs,
 			})
 		}
 	}

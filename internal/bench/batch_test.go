@@ -29,7 +29,7 @@ func TestRunBatchSmall(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, p := range pts {
-		if p.BatchNs <= 0 || p.ScalarNs <= 0 || p.ParallelNs <= 0 {
+		if p.BatchNs <= 0 || p.ScalarNs <= 0 {
 			t.Fatalf("non-positive timing in %+v", p)
 		}
 		seen[p.Dataset+"/"+p.Mode] = true

@@ -147,19 +147,6 @@ func (t *Tree[K]) Find(q K) int {
 	return int(it.Value())
 }
 
-// FindRange returns the half-open rank range of keys in the inclusive key
-// range [a, b], under the same bulk-loaded-positions assumption as Find.
-func (t *Tree[K]) FindRange(a, b K) (first, last int) {
-	if b < a {
-		return 0, 0
-	}
-	first = t.Find(a)
-	if b == kv.MaxKey[K]() {
-		return first, t.size
-	}
-	return first, t.Find(b + 1)
-}
-
 // EstimateNs implements the index CostEstimator capability (§3.7
 // generalised): every level of the descent is one dependent non-cached
 // node fetch plus a lower-bound search over up to fanout in-node keys,

@@ -1,6 +1,9 @@
 package concurrent
 
-import "repro/internal/updatable"
+import (
+	"repro/internal/kv"
+	"repro/internal/updatable"
+)
 
 // due is the background compaction rule: a snapshot is due once its
 // pending writes reach 1/64 of the live key count, with a floor of one
@@ -97,7 +100,7 @@ func (ix *Index[K]) Compact() error {
 	// from the predecessor, so steady-state compaction allocates only the
 	// merged keys and the packed layer itself.
 	merged := make([]K, 0, sealed.length())
-	sealed.scan(0, maxOf[K](), func(k K) bool {
+	sealed.scan(0, kv.MaxKey[K](), func(k K) bool {
 		merged = append(merged, k)
 		return true
 	})

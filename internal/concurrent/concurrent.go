@@ -11,9 +11,9 @@
 // base table is rebuilt. The design here is the classic read/write
 // decoupling (stable state vs pending updates):
 //
-//   - Reads (Find, Lookup, Scan, FindBatch, LookupBatch) load an immutable
-//     snapshot through an atomic.Pointer and never block, never take a
-//     lock, and never observe a torn state. A snapshot is an immutable
+//   - Reads (Find, Lookup, Scan, FindBatch) load an immutable snapshot
+//     through an atomic.Pointer and never block, never take a lock, and
+//     never observe a torn state. A snapshot is an immutable
 //     updatable.View plus immutable write generations (snapshot.go).
 //   - Writes (Insert, Delete) serialise through a mutex, build a successor
 //     snapshot with a fresh copy of the small write head, and publish it
@@ -220,36 +220,6 @@ func (ix *Index[K]) FindTagged(q K) (rank int, tag uint64) {
 //shift:lockfree
 func (ix *Index[K]) Tag() uint64 { return ix.snap.Load().tag }
 
-// LookupBatch answers Lookup for every query in qs against one snapshot:
-// one staged base-table batch probe per lane (View.FindBatch), each lane's
-// multiplicity counted from its base rank before the generation
-// corrections move the ranks. Like FindBatch it reuses the supplied
-// slices when they have capacity, and then allocates nothing.
-//
-//shift:lockfree
-func (ix *Index[K]) LookupBatch(qs []K, ranks []int, found []bool) ([]int, []bool) {
-	s := ix.snap.Load()
-	ranks = s.view.FindBatch(qs, ranks)
-	if cap(found) >= len(qs) {
-		found = found[:len(qs)]
-	} else {
-		found = make([]bool, len(qs))
-	}
-	base := s.view.Keys()
-	for i, q := range qs {
-		c := 0
-		for p := ranks[i]; p < len(base) && base[p] == q; p++ {
-			c++
-		}
-		for _, g := range s.gens {
-			c += countEq(g.ins, q) - countEq(g.dels, q)
-		}
-		found[i] = c > 0
-	}
-	s.genRankBatch(qs, ranks)
-	return ranks, found
-}
-
 // Scan calls fn for every live key in [a, b] in sorted order, all from one
 // snapshot; fn returning false stops the scan.
 //
@@ -317,12 +287,6 @@ func (ix *Index[K]) maybeWake(s *snapshot[K]) {
 	case ix.wake <- struct{}{}:
 	default:
 	}
-}
-
-// maxOf returns the largest value of the key type.
-func maxOf[K kv.Key]() K {
-	var zero K
-	return ^zero
 }
 
 // Stats summarises the index composition.

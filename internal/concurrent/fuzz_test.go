@@ -83,15 +83,15 @@ func FuzzLookup(f *testing.F) {
 			x = x*0x9E3779B97F4A7C15 + 17
 			qs = append(qs, x%(domain+2))
 		}
-		ranks, found := ix.LookupBatch(qs, nil, nil)
 		out := ix.FindBatch(qs, nil)
 		for i, q := range qs {
 			want := kv.LowerBound(ref.keys, q)
-			if got := ix.Find(q); out[i] != want || ranks[i] != want || got != want {
-				t.Fatalf("rank for %d: batch (%d,%d), scalar %d, want %d", q, out[i], ranks[i], got, want)
+			if got := ix.Find(q); out[i] != want || got != want {
+				t.Fatalf("rank for %d: batch %d, scalar %d, want %d", q, out[i], got, want)
 			}
-			if wantFound := want < len(ref.keys) && ref.keys[want] == q; found[i] != wantFound {
-				t.Fatalf("batch found for %d = %v, want %v", q, found[i], wantFound)
+			wantFound := want < len(ref.keys) && ref.keys[want] == q
+			if r, f := ix.Lookup(q); r != want || f != wantFound {
+				t.Fatalf("Lookup(%d) = (%d,%v), want (%d,%v)", q, r, f, want, wantFound)
 			}
 		}
 		// And the scan: the whole multiset, then the window [qs[0], qs[1]].

@@ -24,7 +24,7 @@ func TestGenRankBatchMatchesScalar(t *testing.T) {
 
 func testGenRankBatch[K kv.Key](t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
-	top := maxOf[K]()
+	top := kv.MaxKey[K]()
 	// pick draws dense values (duplicates likely), values spread over the
 	// whole key range, and the two extremes.
 	pick := func() K {
@@ -109,7 +109,8 @@ func testGenRankBatch[K kv.Key](t *testing.T) {
 
 // TestFindBatchTaggedAllocs: a batch against a sealed run and a write
 // head allocates nothing once out is sized, at a full lockstep chunk and
-// across several chunks; nor does LookupBatch once ranks and found are.
+// across several chunks, and Lookup pairs each lane's rank with the right
+// existence bit.
 func TestFindBatchTaggedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector measure the detector")
@@ -155,16 +156,11 @@ func TestFindBatchTaggedAllocs(t *testing.T) {
 			if n := testing.AllocsPerRun(100, func() { out, _ = ix.FindBatchTagged(qs, out) }); n != 0 {
 				t.Errorf("%v allocations per FindBatchTagged of %d lanes, want 0", n, lanes)
 			}
-			ranks, found := make([]int, lanes), make([]bool, lanes)
-			ranks, found = ix.LookupBatch(qs, ranks, found)
 			for i, q := range qs {
-				want := kv.LowerBound(ref.keys, q)
-				if wantFound := want < len(ref.keys) && ref.keys[want] == q; ranks[i] != want || found[i] != wantFound {
-					t.Fatalf("LookupBatch(%d) = (%d,%v), want (%d,%v)", q, ranks[i], found[i], want, wantFound)
+				wantFound := out[i] < len(ref.keys) && ref.keys[out[i]] == q
+				if r, f := ix.Lookup(q); r != out[i] || f != wantFound {
+					t.Fatalf("Lookup(%d) = (%d,%v), want (%d,%v)", q, r, f, out[i], wantFound)
 				}
-			}
-			if n := testing.AllocsPerRun(100, func() { ranks, found = ix.LookupBatch(qs, ranks, found) }); n != 0 {
-				t.Errorf("%v allocations per LookupBatch of %d lanes, want 0", n, lanes)
 			}
 		})
 	}

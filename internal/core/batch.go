@@ -1,9 +1,6 @@
 package core
 
 import (
-	"runtime"
-	"sync"
-
 	"repro/internal/cdfmodel"
 	"repro/internal/kv"
 	"repro/internal/search"
@@ -34,9 +31,8 @@ import (
 // (range mode), and midpoint mode's touch pass loads every gallop's first
 // line into a scratch slot before the scalar finish.
 //
-// Every batch entry point returns results bit-identical to its scalar
-// twin; the property tests in batch_test.go enforce this on every mode and
-// configuration.
+// FindBatch returns results bit-identical to scalar Find; the property
+// tests in batch_test.go enforce this on every mode and configuration.
 
 // batchChunk is the number of queries staged per pipeline pass. Chosen so
 // the per-lane state (prediction, partition, window bounds, probe slot)
@@ -44,26 +40,17 @@ import (
 // independent misses than it can service concurrently.
 const batchChunk = 256
 
-// batchScratch is the per-chunk lane state (10.25 KiB for 8-byte keys). It
+// batchScratch is the per-chunk lane state (8.25 KiB for 8-byte keys). It
 // is pooled on the Table (Table.scratch) so steady-state batches allocate
 // nothing; every slot is written before it is read within a chunk, so a
-// recycled scratch needs no zeroing. Each concurrent FindBatch (e.g. the
-// shards of FindBatchParallel) gets its own instance from the pool.
+// recycled scratch needs no zeroing. Each concurrent FindBatch gets its
+// own instance from the pool.
 type batchScratch[K kv.Key] struct {
 	pred  [batchChunk]int   // stage 1: model predictions
 	wlo   [batchChunk]int   // stage 2/3: window start, then search base
 	wend  [batchChunk]int   // stage 2/3: window end (half-open), then length
 	probe [batchChunk]K     // stage 3 (midpoint mode): touched key per lane
-	next  [batchChunk]K     // FindRangeBatch: one chunk's b+1 queries
 	lanes [batchChunk]uint8 // stage 3 (range mode): lanes wider than one key
-}
-
-// ensureInts returns out if it can hold n results, a fresh slice otherwise.
-func ensureInts(out []int, n int) []int {
-	if cap(out) >= n {
-		return out[:n]
-	}
-	return make([]int, n)
 }
 
 // FindBatch answers lower-bound queries for every element of qs, writing
@@ -74,31 +61,25 @@ func ensureInts(out []int, n int) []int {
 //
 //shift:lockfree
 func (t *Table[K]) FindBatch(qs []K, out []int) []int {
-	out = ensureInts(out, len(qs))
-	st := t.getScratch()
-	t.findBatch(qs, out, st)
-	t.scratch.Put(st)
-	return out
-}
-
-// getScratch takes a lane-state scratch from the Table's pool.
-func (t *Table[K]) getScratch() *batchScratch[K] {
-	if st, ok := t.scratch.Get().(*batchScratch[K]); ok {
-		return st
+	if cap(out) >= len(qs) {
+		out = out[:len(qs)]
+	} else {
+		out = make([]int, len(qs))
 	}
-	return new(batchScratch[K])
-}
-
-// findBatch runs the staged pipeline over qs one chunk at a time.
-func (t *Table[K]) findBatch(qs []K, out []int, st *batchScratch[K]) {
 	if t.n == 0 {
 		clear(out)
-		return
+		return out
+	}
+	st, ok := t.scratch.Get().(*batchScratch[K])
+	if !ok {
+		st = new(batchScratch[K])
 	}
 	for base := 0; base < len(qs); base += batchChunk {
 		c := min(len(qs)-base, batchChunk)
 		t.findChunk(qs[base:base+c], out[base:base+c], st)
 	}
+	t.scratch.Put(st)
+	return out
 }
 
 // findChunk runs the staged pipeline over one chunk of at most batchChunk
@@ -286,87 +267,4 @@ func (t *Table[K]) probeWindows(qs []K, out []int, st *batchScratch[K]) {
 		}
 		out[i] = v
 	}
-}
-
-// LookupBatch pairs FindBatch with the existence check of Lookup: pos[i]
-// is the lower-bound position of qs[i] and found[i] reports whether the key
-// at that position equals qs[i]. Like FindBatch it reuses the supplied
-// slices when they have capacity.
-func (t *Table[K]) LookupBatch(qs []K, pos []int, found []bool) ([]int, []bool) {
-	pos = t.FindBatch(qs, pos)
-	if cap(found) >= len(qs) {
-		found = found[:len(qs)]
-	} else {
-		found = make([]bool, len(qs))
-	}
-	for i, p := range pos {
-		found[i] = p < t.n && t.keys[p] == qs[i]
-	}
-	return pos, found
-}
-
-// FindRangeBatch answers FindRange for every pair (as[i], bs[i]): the
-// half-open position range [firsts[i], lasts[i]) of keys in the inclusive
-// key range [as[i], bs[i]]. Both lower-bound passes run the FindBatch
-// pipeline on one pooled scratch, so sized outputs allocate nothing.
-func (t *Table[K]) FindRangeBatch(as, bs []K, firsts, lasts []int) ([]int, []int) {
-	if len(as) != len(bs) {
-		panic("core: FindRangeBatch slice length mismatch")
-	}
-	firsts = ensureInts(firsts, len(as))
-	lasts = ensureInts(lasts, len(bs))
-	st := t.getScratch()
-	t.findBatch(as, firsts, st)
-	// Second pass queries b+1, one chunk at a time through the scratch's
-	// query array; the wrap at the domain maximum resolves to last = n,
-	// exactly as FindRange does.
-	max := maxOf[K]()
-	for base := 0; base < len(bs); base += batchChunk {
-		piece := bs[base:min(base+batchChunk, len(bs))]
-		for i, b := range piece {
-			st.next[i] = b + 1 // wraps to 0 when b == max; overwritten below
-		}
-		t.findBatch(st.next[:len(piece)], lasts[base:base+len(piece)], st)
-	}
-	t.scratch.Put(st)
-	for i, b := range bs {
-		switch {
-		case b < as[i]:
-			firsts[i], lasts[i] = 0, 0
-		case b == max:
-			lasts[i] = t.n
-		}
-	}
-	return firsts, lasts
-}
-
-// FindBatchParallel shards a batch across workers (GOMAXPROCS when
-// workers <= 0), mirroring BuildParallel on the query side: each worker
-// runs the staged FindBatch pipeline over a contiguous shard, so the
-// per-core memory-level parallelism of FindBatch multiplies across cores.
-// Results are bit-identical to FindBatch (and therefore to scalar Find);
-// the table is immutable, so shards share it without synchronisation.
-func (t *Table[K]) FindBatchParallel(qs []K, out []int, workers int) []int {
-	out = ensureInts(out, len(qs))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if shards := (len(qs) + batchChunk - 1) / batchChunk; workers > shards {
-		workers = shards
-	}
-	if workers <= 1 {
-		return t.FindBatch(qs, out)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := len(qs) * w / workers
-		hi := len(qs) * (w + 1) / workers
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			t.FindBatch(qs[lo:hi], out[lo:hi])
-		}(lo, hi)
-	}
-	wg.Wait()
-	return out
 }

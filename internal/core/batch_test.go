@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/cdfmodel"
@@ -111,7 +113,11 @@ func TestFindBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-func TestFindBatchParallelBitIdentical(t *testing.T) {
+// TestFindBatchConcurrentCallers splits one batch into contiguous shards
+// answered by concurrent FindBatch calls on one table: each call draws its
+// own lane state from the table's pool, so the shards' results must be
+// bit-identical to one serial FindBatch.
+func TestFindBatchConcurrentCallers(t *testing.T) {
 	for _, tc := range batchCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			tab, err := Build(tc.keys, tc.model(tc.keys), tc.cfg)
@@ -120,11 +126,21 @@ func TestFindBatchParallelBitIdentical(t *testing.T) {
 			}
 			qs := batchQueries(tc.keys, 30_000, 11)
 			want := tab.FindBatch(qs, nil)
-			for _, workers := range []int{0, 1, 2, 3, 7} {
-				got := tab.FindBatchParallel(qs, nil, workers)
+			for _, workers := range []int{2, 3, 7} {
+				got := make([]int, len(qs))
+				var wg sync.WaitGroup
+				for w := 0; w < workers; w++ {
+					lo, hi := len(qs)*w/workers, len(qs)*(w+1)/workers
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						tab.FindBatch(qs[lo:hi], got[lo:hi])
+					}()
+				}
+				wg.Wait()
 				for i := range qs {
 					if got[i] != want[i] {
-						t.Fatalf("workers=%d: FindBatchParallel[%d] = %d, FindBatch = %d", workers, i, got[i], want[i])
+						t.Fatalf("workers=%d: sharded FindBatch[%d] = %d, serial = %d", workers, i, got[i], want[i])
 					}
 				}
 			}
@@ -132,7 +148,10 @@ func TestFindBatchParallelBitIdentical(t *testing.T) {
 	}
 }
 
-func TestLookupBatchMatchesScalar(t *testing.T) {
+// TestLookupMatchesFindBatch checks Lookup's existence pairing against the
+// batch ranks: Lookup(q) is q's FindBatch rank and whether the key there
+// equals q.
+func TestLookupMatchesFindBatch(t *testing.T) {
 	for _, tc := range batchCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			tab, err := Build(tc.keys, tc.model(tc.keys), tc.cfg)
@@ -140,18 +159,23 @@ func TestLookupBatchMatchesScalar(t *testing.T) {
 				t.Fatal(err)
 			}
 			qs := batchQueries(tc.keys, 5_000, 13)
-			pos, found := tab.LookupBatch(qs, nil, nil)
+			ranks := tab.FindBatch(qs, nil)
 			for i, q := range qs {
-				wp, wf := tab.Lookup(q)
-				if pos[i] != wp || found[i] != wf {
-					t.Fatalf("LookupBatch[%d] (q=%d) = (%d,%v), scalar = (%d,%v)", i, q, pos[i], found[i], wp, wf)
+				r := ranks[i]
+				wf := r < len(tc.keys) && tc.keys[r] == q
+				if p, f := tab.Lookup(q); p != r || f != wf {
+					t.Fatalf("Lookup(%d) = (%d,%v), FindBatch rank gives (%d,%v)", q, p, f, r, wf)
 				}
 			}
 		})
 	}
 }
 
-func TestFindRangeBatchMatchesScalar(t *testing.T) {
+// TestFindRangeMatchesFindBatch checks FindRange against ranges computed
+// from one FindBatch over both bounds of every range: [a, b] is
+// [rank(a), rank(b+1)), empty when b < a and ending at n when b is the
+// domain maximum (where b+1 wraps to 0).
+func TestFindRangeMatchesFindBatch(t *testing.T) {
 	for _, tc := range batchCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			tab, err := Build(tc.keys, tc.model(tc.keys), tc.cfg)
@@ -173,12 +197,22 @@ func TestFindRangeBatchMatchesScalar(t *testing.T) {
 					as[i], bs[i] = a, a+uint64(rng.Intn(5000))
 				}
 			}
-			firsts, lasts := tab.FindRangeBatch(as, bs, nil, nil)
+			bounds := append(slices.Clone(as), bs...)
+			for i := range bs {
+				bounds[nq+i]++
+			}
+			ranks := tab.FindBatch(bounds, nil)
 			for i := range as {
-				wf, wl := tab.FindRange(as[i], bs[i])
-				if firsts[i] != wf || lasts[i] != wl {
-					t.Fatalf("FindRangeBatch[%d] (%d,%d) = [%d,%d), scalar = [%d,%d)",
-						i, as[i], bs[i], firsts[i], lasts[i], wf, wl)
+				wf, wl := ranks[i], ranks[nq+i]
+				switch {
+				case bs[i] < as[i]:
+					wf, wl = 0, 0
+				case bs[i] == ^uint64(0):
+					wl = len(tc.keys)
+				}
+				if f, l := tab.FindRange(as[i], bs[i]); f != wf || l != wl {
+					t.Fatalf("FindRange(%d, %d) = [%d,%d), FindBatch bounds = [%d,%d)",
+						as[i], bs[i], f, l, wf, wl)
 				}
 			}
 		})
@@ -227,9 +261,8 @@ func TestFindBatchEdgeCases(t *testing.T) {
 			t.Fatalf("empty table FindBatch[%d] = %d, want 0", i, r)
 		}
 	}
-	pos, found := empty.LookupBatch([]uint64{9}, nil, nil)
-	if pos[0] != 0 || found[0] {
-		t.Fatalf("empty table LookupBatch = (%d,%v), want (0,false)", pos[0], found[0])
+	if pos, found := empty.Lookup(9); pos != 0 || found {
+		t.Fatalf("empty table Lookup = (%d,%v), want (0,false)", pos, found)
 	}
 }
 
@@ -259,7 +292,7 @@ func TestFindBatchAfterLoad(t *testing.T) {
 }
 
 // checkBatch asserts FindBatch ≡ scalar Find ≡ kv.LowerBound on qs.
-func checkBatch(t *testing.T, tab *Table[uint64], keys, qs []uint64) {
+func checkBatch[K kv.Key](t *testing.T, tab *Table[K], keys, qs []K) {
 	t.Helper()
 	got := tab.FindBatch(qs, nil)
 	for i, q := range qs {
@@ -280,10 +313,31 @@ func windowOf(tab *Table[uint64], q uint64) (lo, hi, width int) {
 	return lo, hi, min(end, n) - kv.Clamp(lo, 0, n)
 }
 
+// checkDomainEdges drives 0, MaxKey-1 and MaxKey through FindBatch in
+// mode, mixed with hits, on keys that stop short of both ends of the key
+// domain and on the same keys widened to 0 and to MaxKey-1 and MaxKey.
+func checkDomainEdges[K kv.Key](t *testing.T, mode Mode, inner []K) {
+	t.Helper()
+	top := kv.MaxKey[K]()
+	wide := append(append([]K{0}, inner...), top-1, top)
+	for _, keys := range [][]K{inner, wide} {
+		tab, err := Build(keys, cdfmodel.NewInterpolation(keys), Config{Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var qs []K
+		for i := 0; i < batchChunk+5; i++ {
+			qs = append(qs, 0, top-1, top, keys[i*7%len(keys)])
+		}
+		checkBatch(t, tab, keys, qs)
+	}
+}
+
 // TestFindBatchWindowShapes drives the lockstep window probe over every
 // window shape it can meet: empty, 1-key, short and long windows in one
 // chunk, windows clamped at 0 and at n, windows wider than 2^15 behind
-// 32-bit drift entries, 1- and 2-key tables, and short chunk tails.
+// 32-bit drift entries, 1- and 2-key tables, short chunk tails, and the
+// key domain's edges on 32- and 64-bit keys in both modes.
 func TestFindBatchWindowShapes(t *testing.T) {
 	build := func(t *testing.T, keys []uint64) *Table[uint64] {
 		t.Helper()
@@ -409,6 +463,18 @@ func TestFindBatchWindowShapes(t *testing.T) {
 		}
 	})
 
+	t.Run("domain-edges", func(t *testing.T) {
+		keys := batchKeys(5_000, 61, 0)
+		keys32 := make([]uint32, len(keys))
+		for i, k := range keys {
+			keys32[i] = uint32(k)
+		}
+		for _, mode := range []Mode{ModeRange, ModeMidpoint} {
+			checkDomainEdges(t, mode, keys)
+			checkDomainEdges(t, mode, keys32)
+		}
+	})
+
 	t.Run("chunk-tails", func(t *testing.T) {
 		tab := build(t, mixed)
 		for _, lanes := range []int{1, batchChunk - 1, batchChunk + 1, 2*batchChunk - 1} {
@@ -417,37 +483,22 @@ func TestFindBatchWindowShapes(t *testing.T) {
 	})
 }
 
-// TestBatchAllocatesNothing pins the steady state of the range-mode batch
-// entry points: with sized outputs, a batch allocates nothing (the lane
-// state is pooled on the Table and the b+1 pass of FindRangeBatch runs
-// through a fixed-size array).
+// TestBatchAllocatesNothing pins the steady state of FindBatch: with a
+// sized output, a batch allocates nothing, whether it fits one chunk or
+// spans several with a short tail (the lane state is pooled on the Table).
 func TestBatchAllocatesNothing(t *testing.T) {
 	keys := batchKeys(20_000, 1, 0)
-	tab, err := Build(keys, cdfmodel.NewInterpolation(keys), Config{Mode: ModeRange})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := batchQueries(keys, batchChunk, 53)
-	out := make([]int, len(qs))
-	if a := testing.AllocsPerRun(100, func() { tab.FindBatch(qs, out) }); a != 0 {
-		t.Fatalf("FindBatch of %d lanes allocates %.1f times per call", len(qs), a)
-	}
-
-	as := batchQueries(keys, 3*batchChunk-7, 59)
-	bs := make([]uint64, len(as))
-	for i, a := range as {
-		bs[i] = a + uint64(i%4000)
-		if bs[i] < a {
-			bs[i] = ^uint64(0)
+	for _, mode := range []Mode{ModeRange, ModeMidpoint} {
+		tab, err := Build(keys, cdfmodel.NewInterpolation(keys), Config{Mode: mode})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	firsts, lasts := make([]int, len(as)), make([]int, len(as))
-	if a := testing.AllocsPerRun(100, func() { tab.FindRangeBatch(as, bs, firsts, lasts) }); a != 0 {
-		t.Fatalf("FindRangeBatch of %d pairs allocates %.1f times per call", len(as), a)
-	}
-	for i := range as {
-		if wf, wl := tab.FindRange(as[i], bs[i]); firsts[i] != wf || lasts[i] != wl {
-			t.Fatalf("FindRangeBatch[%d] = [%d,%d), FindRange = [%d,%d)", i, firsts[i], lasts[i], wf, wl)
+		for _, lanes := range []int{batchChunk, 3*batchChunk - 7} {
+			qs := batchQueries(keys, lanes, 53)
+			out := make([]int, len(qs))
+			if a := testing.AllocsPerRun(100, func() { tab.FindBatch(qs, out) }); a != 0 {
+				t.Fatalf("%s: FindBatch of %d lanes allocates %.1f times per call", mode, len(qs), a)
+			}
 		}
 	}
 }

@@ -162,11 +162,7 @@ func (t *Table[K]) predRange(k int) (pmin, pmax int64) {
 	return pmin, pmax
 }
 
-// N returns the number of indexed keys.
-func (t *Table[K]) N() int { return t.n }
-
-// Len returns the number of indexed keys (the index-contract spelling of N,
-// see internal/index).
+// Len returns the number of indexed keys.
 func (t *Table[K]) Len() int { return t.n }
 
 // Name identifies the backend in benchmark output: the host model's name

@@ -89,17 +89,11 @@ func (t *Table[K]) FindRange(a, b K) (first, last int) {
 		return 0, 0
 	}
 	first = t.Find(a)
-	if b == maxOf[K]() {
+	if b == kv.MaxKey[K]() {
 		return first, t.n
 	}
 	last = t.Find(b + 1)
 	return first, last
-}
-
-// maxOf returns the largest value of the key type.
-func maxOf[K kv.Key]() K {
-	var zero K
-	return ^zero
 }
 
 // ModelFind performs a lookup with the model alone — no correction layer —

@@ -104,16 +104,9 @@ func FuzzFindLookup(f *testing.F) {
 		}
 		// Batch ≡ scalar, through the staged pipeline.
 		out := table.FindBatch(qs, nil)
-		ranks, found := table.LookupBatch(qs, nil, nil)
 		for i, qq := range qs {
-			want := kv.LowerBound(keys, qq)
-			if out[i] != want || ranks[i] != want {
-				t.Fatalf("FindBatch[%d]=%d LookupBatch[%d]=%d for q=%d, want %d",
-					i, out[i], i, ranks[i], qq, want)
-			}
-			if found[i] != (want < len(keys) && keys[want] == qq) {
-				t.Fatalf("LookupBatch found[%d]=%v for q=%d, want %v",
-					i, found[i], qq, !found[i])
+			if want := kv.LowerBound(keys, qq); out[i] != want {
+				t.Fatalf("FindBatch[%d]=%d for q=%d, want %d", i, out[i], qq, want)
 			}
 		}
 	})
@@ -202,8 +195,8 @@ func FuzzLoad(f *testing.F) {
 				// probing it must at least never step out of bounds.
 				for _, q := range []uint64{0, keys[0], keys[len(keys)/2], keys[len(keys)-1], ^uint64(0)} {
 					r := tab.Find(q)
-					if r < 0 || r > tab.N() {
-						t.Fatalf("converted layer Find(%d) = %d out of [0, %d]", q, r, tab.N())
+					if r < 0 || r > tab.Len() {
+						t.Fatalf("converted layer Find(%d) = %d out of [0, %d]", q, r, tab.Len())
 					}
 				}
 			}
@@ -224,9 +217,9 @@ func FuzzLoad(f *testing.F) {
 			}
 			for _, q := range []uint64{0, 1 << 30, ^uint64(0)} {
 				r := tab.Find(q)
-				if r < 0 || r > tab.N() {
+				if r < 0 || r > tab.Len() {
 					t.Fatalf("snapshot table (verified=%v) Find(%d) = %d out of [0, %d]",
-						m.Verified(), q, r, tab.N())
+						m.Verified(), q, r, tab.Len())
 				}
 			}
 		}

@@ -96,24 +96,14 @@ func MapTableSnapshot[K kv.Key](m *snapshot.Mapped) (*Table[K], error) {
 // MapTableSections views the shift-table section triplet (keys, model,
 // layer) from the container's current cursor — the embedded form other
 // kinds persist through Table.PersistSnapshot (the updatable and
-// concurrent containers carry one mid-stream).
+// concurrent containers carry one mid-stream). The v2 layer blob is
+// viewed in place, and the table retains the region.
 func MapTableSections[K kv.Key](m *snapshot.Mapped) (*Table[K], error) {
-	keys, err := mapKeys[K](m, secTableKeys)
+	keys, model, err := mapKeysAndModel[K](m)
 	if err != nil {
 		return nil, err
 	}
-	return MapTableWithKeys(m, keys, secTableModel, secTableLayer)
-}
-
-// MapTableWithKeys views the keyless model+layer section pair over
-// caller-supplied keys (a view of the container's key section). The v2
-// layer blob is viewed in place, and the table retains the region.
-func MapTableWithKeys[K kv.Key](m *snapshot.Mapped, keys []K, modelID, layerID uint32) (*Table[K], error) {
-	model, err := mapModelSpec(m, modelID, keys)
-	if err != nil {
-		return nil, err
-	}
-	ls, err := m.Expect(layerID)
+	ls, err := m.Expect(secTableLayer)
 	if err != nil {
 		return nil, err
 	}
@@ -131,33 +121,17 @@ func MapTableWithKeys[K kv.Key](m *snapshot.Mapped, keys []K, modelID, layerID u
 	return t, nil
 }
 
-// MapModelIndexSnapshot opens a model-index container in place.
+// MapModelIndexSnapshot opens a model-index container in place, keys
+// viewed and the model rebuilt over them. A verified container gets the
+// full-sweep mean error (Eq. 10) of NewModelIndex; an unverified open
+// takes a strided-sample estimate so it stays sublinear — the cost model
+// consumes a statistic either way, not a guarantee.
 func MapModelIndexSnapshot[K kv.Key](m *snapshot.Mapped) (*ModelIndex[K], error) {
 	if m.Kind() != SnapshotKindModelIndex {
 		return nil, fmt.Errorf("core: container holds %q, want %q", m.Kind(), SnapshotKindModelIndex)
 	}
 	m.Rewind()
-	keys, err := mapKeys[K](m, secTableKeys)
-	if err != nil {
-		return nil, err
-	}
-	ix, err := MapModelIndexWithKeys(m, keys, secTableModel)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Done(); err != nil {
-		return nil, err
-	}
-	return ix, nil
-}
-
-// MapModelIndexWithKeys rebuilds a bare-model index over viewed keys.
-// A verified container gets the full-sweep mean error (Eq. 10) of
-// NewModelIndex; an unverified open takes a strided-sample estimate so
-// it stays sublinear — the cost model consumes a statistic either way,
-// not a guarantee.
-func MapModelIndexWithKeys[K kv.Key](m *snapshot.Mapped, keys []K, modelID uint32) (*ModelIndex[K], error) {
-	model, err := mapModelSpec(m, modelID, keys)
+	keys, model, err := mapKeysAndModel[K](m)
 	if err != nil {
 		return nil, err
 	}
@@ -169,39 +143,41 @@ func MapModelIndexWithKeys[K kv.Key](m *snapshot.Mapped, keys []K, modelID uint3
 	} else {
 		ix = &ModelIndex[K]{keys: keys, model: model, meanErr: sampledModelError(keys, model)}
 	}
+	if err := m.Done(); err != nil {
+		return nil, err
+	}
 	attachRegion(ix, m.Region())
 	ix.region = m.Region()
 	return ix, nil
 }
 
-// mapKeys views one key section, checking its order when the container
-// is verified.
-func mapKeys[K kv.Key](m *snapshot.Mapped, id uint32) ([]K, error) {
-	ks, err := m.Expect(id)
+// mapKeysAndModel views the key section, checking its order when the
+// container is verified, then decodes the model spec section (small — it
+// is copied, not viewed) and rebuilds the model over the viewed keys.
+func mapKeysAndModel[K kv.Key](m *snapshot.Mapped) ([]K, cdfmodel.Model[K], error) {
+	ks, err := m.Expect(secTableKeys)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	keys, err := snapshot.MapKeySection[K](ks)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if m.Verified() && !kv.IsSorted(keys) {
-		return nil, fmt.Errorf("core: snapshot keys are not sorted")
+		return nil, nil, fmt.Errorf("core: snapshot keys are not sorted")
 	}
-	return keys, nil
-}
-
-// mapModelSpec decodes a model spec section (small — it is copied, not
-// viewed) and rebuilds the model over the viewed keys.
-func mapModelSpec[K kv.Key](m *snapshot.Mapped, id uint32, keys []K) (cdfmodel.Model[K], error) {
-	ms, err := m.Expect(id)
+	ms, err := m.Expect(secTableModel)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if int64(len(ms.Data)) > maxModelSpecLen {
-		return nil, fmt.Errorf("core: model spec section %d bytes, cap is %d", len(ms.Data), maxModelSpecLen)
+		return nil, nil, fmt.Errorf("core: model spec section %d bytes, cap is %d", len(ms.Data), maxModelSpecLen)
 	}
-	return decodeModelSpec(ms.Data, keys)
+	model, err := decodeModelSpec(ms.Data, keys)
+	if err != nil {
+		return nil, nil, err
+	}
+	return keys, model, nil
 }
 
 // viewLayerV2 builds a Table whose drift arrays and counts alias data,

@@ -48,18 +48,6 @@ func (ix *ModelIndex[K]) TraceFind(q K, touch search.Touch) int {
 	return TraceModelFind(ix.keys, ix.model, q, touch)
 }
 
-// FindRange returns the half-open position range of keys in [a, b].
-func (ix *ModelIndex[K]) FindRange(a, b K) (first, last int) {
-	if b < a {
-		return 0, 0
-	}
-	first = ix.Find(a)
-	if b == kv.MaxKey[K]() {
-		return first, len(ix.keys)
-	}
-	return first, ix.Find(b + 1)
-}
-
 // Len returns the number of indexed keys.
 func (ix *ModelIndex[K]) Len() int { return len(ix.keys) }
 

@@ -45,7 +45,7 @@ func TestLayerRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if loaded.M() != orig.M() || loaded.Mode() != orig.Mode() || loaded.N() != orig.N() {
+			if loaded.M() != orig.M() || loaded.Mode() != orig.Mode() || loaded.Len() != orig.Len() {
 				t.Fatal("round-trip metadata mismatch")
 			}
 			if again := layerBlob(t, loaded); !bytes.Equal(again, blob) {

@@ -45,25 +45,12 @@ func (t *Table[K]) SnapshotKind() string { return SnapshotKindTable }
 // as the shift-table section sequence. The caller owns the container
 // (header and checksum); see index.Save.
 func (t *Table[K]) PersistSnapshot(sw *snapshot.Writer) error {
-	if err := snapshot.WriteKeySection(sw, secTableKeys, t.keys); err != nil {
-		return err
-	}
-	return t.PersistModelAndLayer(sw, secTableModel, secTableLayer)
-}
-
-// PersistModelAndLayer writes the keyless part of a table snapshot — the
-// model spec and the layer — under the given section ids.
-func (t *Table[K]) PersistModelAndLayer(sw *snapshot.Writer, modelID, layerID uint32) error {
-	spec, err := encodeModelSpec(t.model)
-	if err != nil {
-		return err
-	}
-	if err := sw.Bytes(modelID, spec); err != nil {
+	if err := writeKeysAndModel(sw, t.keys, t.model); err != nil {
 		return err
 	}
 	// Snapshots carry the mappable layer blob (fused drifts, aligned
 	// counts).
-	lw, err := sw.SectionSized(layerID, t.layerSizeV2())
+	lw, err := sw.SectionSized(secTableLayer, t.layerSizeV2())
 	if err != nil {
 		return err
 	}
@@ -75,20 +62,20 @@ func (ix *ModelIndex[K]) SnapshotKind() string { return SnapshotKindModelIndex }
 
 // PersistSnapshot writes the bare-model index: keys and model spec.
 func (ix *ModelIndex[K]) PersistSnapshot(sw *snapshot.Writer) error {
-	if err := snapshot.WriteKeySection(sw, secTableKeys, ix.keys); err != nil {
-		return err
-	}
-	return ix.PersistModelSpec(sw, secTableModel)
+	return writeKeysAndModel(sw, ix.keys, ix.model)
 }
 
-// PersistModelSpec writes just the model spec section — the keyless form
-// of a model-index snapshot.
-func (ix *ModelIndex[K]) PersistModelSpec(sw *snapshot.Writer, id uint32) error {
-	spec, err := encodeModelSpec(ix.model)
+// writeKeysAndModel writes the key and model-spec sections both kinds
+// begin with.
+func writeKeysAndModel[K kv.Key](sw *snapshot.Writer, keys []K, model cdfmodel.Model[K]) error {
+	if err := snapshot.WriteKeySection(sw, secTableKeys, keys); err != nil {
+		return err
+	}
+	spec, err := encodeModelSpec(model)
 	if err != nil {
 		return err
 	}
-	return sw.Bytes(id, spec)
+	return sw.Bytes(secTableModel, spec)
 }
 
 // ModelParamser is the optional interface a model implements when its

@@ -64,7 +64,7 @@ func TestTableSnapshotRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: %v", model.Name(), cfg.Mode, err)
 			}
-			if loaded.N() != orig.N() || loaded.M() != orig.M() || loaded.Mode() != orig.Mode() {
+			if loaded.Len() != orig.Len() || loaded.M() != orig.M() || loaded.Mode() != orig.Mode() {
 				t.Fatal("metadata mismatch after snapshot round trip")
 			}
 			if loaded.Model().Name() != model.Name() {

@@ -184,19 +184,6 @@ func (t *Blocked[K]) Name() string { return "FAST" }
 // Len returns the number of indexed keys.
 func (t *Blocked[K]) Len() int { return t.n }
 
-// FindRange returns the half-open rank range of keys in the inclusive key
-// range [a, b].
-func (t *Blocked[K]) FindRange(a, b K) (first, last int) {
-	if b < a {
-		return 0, 0
-	}
-	first = t.Find(a)
-	if b == kv.MaxKey[K]() {
-		return first, t.n
-	}
-	return first, t.Find(b + 1)
-}
-
 // EstimateNs implements the index CostEstimator capability (§3.7
 // generalised): the descent visits one cache-line node per level of the
 // implicit (B+1)-ary tree, each a non-cached probe priced at L(1).

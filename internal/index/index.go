@@ -1,7 +1,9 @@
 // Package index defines the repository-wide index abstraction: the one
 // contract every backend — the Shift-Table itself (internal/core) and the
 // paper's Table 2 competitor set — implements natively, plus the optional
-// capability interfaces the harness and the hybrid router probe for.
+// capability interfaces the harness and the hybrid router probe for. The
+// contract has no range method: a range query [a, b] is two lower bounds,
+// Find(a) and Find(b+1), as in the paper (§1).
 //
 // The paper's central claim is that the Shift-Table is a *layer* that
 // composes with any CDF model, and that its §3.7 cost model predicts when
@@ -33,12 +35,6 @@ type Index[K kv.Key] interface {
 	Name() string
 	// SizeBytes is the index footprint excluding the key data itself.
 	SizeBytes() int
-}
-
-// Ranger is the optional range-query capability: the half-open position
-// range [first, last) of keys in the inclusive key range [a, b].
-type Ranger[K kv.Key] interface {
-	FindRange(a, b K) (first, last int)
 }
 
 // BatchFinder is the optional batched-lookup capability (DESIGN.md §5):

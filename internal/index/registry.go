@@ -202,8 +202,8 @@ func isTooSlow[K kv.Key](keys []K) string {
 }
 
 // shiftIndex hosts a built Shift-Table as a registry backend. The
-// embedded table contributes Find/FindRange/FindBatch/TraceFind/Len/Name/
-// Log2Error/EstimateNs natively; only the footprint changes: the Table 2
+// embedded table contributes Find/FindBatch/TraceFind/Len/Name/Log2Error/
+// EstimateNs natively; only the footprint changes: the Table 2
 // size column counts layer plus host model, whereas Table.SizeBytes is
 // layer-only by the Fig. 8 convention.
 type shiftIndex[K kv.Key] struct {

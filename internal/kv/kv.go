@@ -101,9 +101,8 @@ func HasDuplicates[K Key](keys []K) bool {
 	return false
 }
 
-// MaxKey returns the largest value of the key type. FindRange
-// implementations use it to detect the b == max sentinel where b+1 would
-// wrap.
+// MaxKey returns the largest value of the key type: a range query's
+// upper bound b == MaxKey has no b+1, so it ends at the last key.
 func MaxKey[K Key]() K {
 	var zero K
 	return ^zero

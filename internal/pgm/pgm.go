@@ -243,19 +243,6 @@ func (idx *Index[K]) Name() string { return "PGM" }
 // Len returns the number of indexed keys.
 func (idx *Index[K]) Len() int { return idx.n }
 
-// FindRange returns the half-open rank range of keys in the inclusive key
-// range [a, b].
-func (idx *Index[K]) FindRange(a, b K) (first, last int) {
-	if b < a {
-		return 0, 0
-	}
-	first = idx.Find(a)
-	if b == kv.MaxKey[K]() {
-		return first, idx.n
-	}
-	return first, idx.Find(b + 1)
-}
-
 // EstimateNs implements the index CostEstimator capability (§3.7
 // generalised): one ±ε binary search per recursive level to locate the
 // segment, then the ±ε last-mile search — each level one non-cached probe

@@ -94,19 +94,6 @@ func (idx *Index[K]) Name() string { return "RBS" }
 // Len returns the number of indexed keys.
 func (idx *Index[K]) Len() int { return idx.n }
 
-// FindRange returns the half-open rank range of keys in the inclusive key
-// range [a, b].
-func (idx *Index[K]) FindRange(a, b K) (first, last int) {
-	if b < a {
-		return 0, 0
-	}
-	first = idx.Find(a)
-	if b == kv.MaxKey[K]() {
-		return first, idx.n
-	}
-	return first, idx.Find(b + 1)
-}
-
 // EstimateNs implements the index CostEstimator capability (§3.7
 // generalised): one non-cached radix-table probe plus a binary search over
 // the expected bucket width — the mean number of keys per occupied table

@@ -10,7 +10,7 @@
 // dataset.
 //
 // The router itself implements the full index contract: scalar Find,
-// Ranger, BatchFinder (scatter to shards, reuse each shard's native batch
+// BatchFinder (scatter to shards, reuse each shard's native batch
 // pipeline, gather in input order), Tracer where every shard has a twin,
 // and CostEstimator (the query-weighted mean of its shards).
 package router
@@ -306,19 +306,6 @@ func (r *Router[K]) Find(q K) int {
 func (r *Router[K]) Lookup(q K) (pos int, found bool) {
 	pos = r.Find(q)
 	return pos, pos < r.n && r.keys[pos] == q
-}
-
-// FindRange returns the half-open rank range of keys in the inclusive key
-// range [a, b]; the two bounding searches may land in different shards.
-func (r *Router[K]) FindRange(a, b K) (first, last int) {
-	if b < a {
-		return 0, 0
-	}
-	first = r.Find(a)
-	if b == kv.MaxKey[K]() {
-		return first, r.n
-	}
-	return first, r.Find(b + 1)
 }
 
 // FindBatch answers a batch of lower-bound queries: scatter queries to

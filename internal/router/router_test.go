@@ -80,18 +80,6 @@ func TestRouterConformance(t *testing.T) {
 			if len(keys) > 0 && touches == 0 {
 				t.Error("TraceFind reported no accesses")
 			}
-			// Range queries across shard boundaries.
-			for trial := 0; trial < 300; trial++ {
-				a := rng.Uint64()
-				b := a + uint64(rng.Intn(1<<30))
-				first, last := r.FindRange(a, b)
-				if wf := kv.LowerBound(keys, a); first != wf {
-					t.Fatalf("FindRange first = %d, want %d", first, wf)
-				}
-				if wl := kv.LowerBound(keys, b+1); last != wl && b+1 != 0 {
-					t.Fatalf("FindRange last = %d, want %d", last, wl)
-				}
-			}
 		})
 	}
 }
@@ -175,9 +163,6 @@ func TestRouterCapabilities(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ix index.Index[uint64] = r
-	if _, ok := ix.(index.Ranger[uint64]); !ok {
-		t.Error("router does not implement Ranger")
-	}
 	if _, ok := ix.(index.BatchFinder[uint64]); !ok {
 		t.Error("router does not implement BatchFinder")
 	}

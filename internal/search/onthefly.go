@@ -26,19 +26,6 @@ func (o *OnTheFly[K]) Len() int { return len(o.keys) }
 // SizeBytes is zero: on-the-fly methods keep no structure beyond the data.
 func (o *OnTheFly[K]) SizeBytes() int { return 0 }
 
-// findRange locates the half-open position range of the inclusive key
-// range [a, b] with two lower-bound searches through find.
-func (o *OnTheFly[K]) findRange(find func(K) int, a, b K) (first, last int) {
-	if b < a {
-		return 0, 0
-	}
-	first = find(a)
-	if b == kv.MaxKey[K]() {
-		return first, len(o.keys)
-	}
-	return first, find(b + 1)
-}
-
 // BinarySearch is whole-array binary search (BS) as an index backend.
 type BinarySearch[K kv.Key] struct{ OnTheFly[K] }
 
@@ -56,11 +43,6 @@ func (s *BinarySearch[K]) Name() string { return "BS" }
 // TraceFind replays Find through a touch callback for the cache simulator.
 func (s *BinarySearch[K]) TraceFind(q K, touch Touch) int {
 	return BinaryTraced(s.keys, q, touch)
-}
-
-// FindRange returns the half-open position range of keys in [a, b].
-func (s *BinarySearch[K]) FindRange(a, b K) (first, last int) {
-	return s.findRange(s.Find, a, b)
 }
 
 // EstimateNs implements the index CostEstimator capability: binary search
@@ -87,11 +69,6 @@ func (s *TIPSearch[K]) Find(q K) int { return TIP(s.keys, q) }
 // Name identifies the backend in benchmark output.
 func (s *TIPSearch[K]) Name() string { return "TIP" }
 
-// FindRange returns the half-open position range of keys in [a, b].
-func (s *TIPSearch[K]) FindRange(a, b K) (first, last int) {
-	return s.findRange(s.Find, a, b)
-}
-
 // InterpolationSearch is classic interpolation search (IS) as an index
 // backend. Its applicability check (the paper's "takes too much time"
 // N/A policy) lives with the registry, which calibrates Capped on a
@@ -108,11 +85,6 @@ func (s *InterpolationSearch[K]) Find(q K) int { return Interpolation(s.keys, q)
 
 // Name identifies the backend in benchmark output.
 func (s *InterpolationSearch[K]) Name() string { return "IS" }
-
-// FindRange returns the half-open position range of keys in [a, b].
-func (s *InterpolationSearch[K]) FindRange(a, b K) (first, last int) {
-	return s.findRange(s.Find, a, b)
-}
 
 // Capped reports whether interpolation search answers q within maxIter
 // probes; the registry's N/A calibration uses it.

@@ -28,7 +28,7 @@ func MapViewSections[K kv.Key](m *snapshot.Mapped) (*Index[K], error) {
 	if err != nil {
 		return nil, err
 	}
-	n := table.N()
+	n := table.Len()
 	// The meta's layer M sizes every future compaction rebuild, so it
 	// gets the layer loader's sanity bound: a hostile value would
 	// otherwise load fine and crash the first compaction instead.
