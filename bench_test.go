@@ -517,11 +517,10 @@ func pendingWrites(ix *concurrent.Index[uint64], keys []uint64, n int) []uint64 
 	return live
 }
 
-// BenchmarkBuild measures Shift-Table construction: the serial pipeline
-// and the arena-sharded parallel pipeline at 2/4/GOMAXPROCS workers, both
-// modes. b.N counts keys, so ns/op is build ns per key; on a 1-core box
-// the worker variants measure the sharded code path itself rather than a
-// speedup.
+// BenchmarkBuild measures Shift-Table construction: the one build
+// pipeline at 1/2/4/GOMAXPROCS workers, both modes. b.N counts keys, so
+// ns/op is build ns per key; on a 1-core box the worker variants measure
+// the sharded code path itself rather than a speedup.
 func BenchmarkBuild(b *testing.B) {
 	for _, spec := range batchBenchSpecs {
 		keys := keysFor(b, spec)
@@ -534,7 +533,7 @@ func BenchmarkBuild(b *testing.B) {
 				}
 				b.Run(name, func(b *testing.B) {
 					for i := 0; i < b.N; i += len(keys) {
-						tab, err := core.BuildParallel(keys, model, core.Config{Mode: mode}, workers)
+						tab, err := (*core.Table[uint64])(nil).BuildNext(keys, model, core.Config{Mode: mode}, workers)
 						if err != nil || tab.Len() != len(keys) {
 							b.Fatal(err)
 						}

@@ -131,7 +131,7 @@ func run(ds string, n int, modelName, mode string, m int, file string, seed int6
 		return fmt.Errorf("unknown mode %q (want r or s)", mode)
 	}
 	start := time.Now()
-	tab, err := core.BuildParallel(keys, model, cfg, 0) // GOMAXPROCS workers
+	tab, err := core.Build(keys, model, cfg) // GOMAXPROCS workers
 	if err != nil {
 		return err
 	}

@@ -22,15 +22,14 @@
 // batch` for the throughput sweep.
 //
 // Construction mirrors it (DESIGN.md §8): one build pipeline behind
-// core.Build, core.BuildParallel and core.Table.BuildNext shards the model
-// sweep and — for monotone models — the per-partition accumulation across
-// workers into a single pooled arena, packs range-mode drift bounds into a
-// fused interleaved <lo, hi> layout so a lookup's correction step touches
-// one cache line instead of two, and caches the layer statistics from its
-// one model sweep. Rebuild chains (compaction, the router's shard builds,
-// RMI grid tuning) reuse the predecessor's arena and scratch pools. All
-// build paths are property-tested bit-identical; BenchmarkBuild times
-// them across worker counts.
+// core.Build and core.Table.BuildNext shards the model sweep and — for
+// monotone models — the per-partition accumulation across workers into a
+// single pooled arena, and packs the drift entries into one array at the
+// narrowest width that fits: range-mode <lo, hi> bounds interleaved so a
+// lookup's correction step touches one cache line instead of two.
+// Compaction's rebuild chain reuses the predecessor's arena and scratch
+// pools through BuildNext. Every worker count is property-tested
+// bit-identical; BenchmarkBuild times them.
 //
 // Every backend — the Shift-Table and the whole competitor set —
 // implements the unified index abstraction of internal/index (DESIGN.md

@@ -134,8 +134,7 @@ func RunFig8(cfg Fig8Config) ([]Fig8Point, error) {
 		if err != nil {
 			return nil, err
 		}
-		st := tab.ComputeStats()
-		if err := add("IM+ST", tab.SizeBytes(), st.MeanLog2Bounds, tab.Find, tab.TraceFind); err != nil {
+		if err := add("IM+ST", tab.SizeBytes(), tab.Log2Error(), tab.Find, tab.TraceFind); err != nil {
 			return nil, err
 		}
 	}
@@ -149,8 +148,7 @@ func RunFig8(cfg Fig8Config) ([]Fig8Point, error) {
 		if err != nil {
 			return nil, err
 		}
-		st := tab.ComputeStats()
-		if err := add("RS+ST", tab.SizeBytes()+rsm.SizeBytes(), st.MeanLog2Bounds, tab.Find, tab.TraceFind); err != nil {
+		if err := add("RS+ST", tab.SizeBytes()+rsm.SizeBytes(), tab.Log2Error(), tab.Find, tab.TraceFind); err != nil {
 			return nil, err
 		}
 	}

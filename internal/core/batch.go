@@ -170,7 +170,7 @@ func (t *Table[K]) partitioner() func(int) int {
 // lane's <lo, hi> entries are adjacent, so half the independent misses of
 // the split-layout gather fetch both bounds.
 func (t *Table[K]) gatherWindows(pred, wlo, wend []int) {
-	t.pairs.gatherAdd(pred, wlo, wend, t.partitioner())
+	t.drift.gatherPairs(pred, wlo, wend, t.partitioner())
 	// Clamp to search.Window's semantics: lo into [0, n], inclusive hi cut
 	// at n-1, then one slot past the window (§3.1) capped at n.
 	n := t.n
@@ -197,7 +197,7 @@ func (t *Table[K]) gatherWindows(pred, wlo, wend []int) {
 // gatherStarts computes, per lane, the midpoint-corrected start position
 // pred + shift.
 func (t *Table[K]) gatherStarts(pred, wlo []int) {
-	t.shift.gatherAdd(pred, wlo, t.partitioner())
+	t.drift.gatherAdd(pred, wlo, t.partitioner())
 }
 
 // probeWindows resolves every lane's window [wlo, wend) to its lower bound

@@ -18,34 +18,30 @@ import (
 // scales with cores and the transient memory is reusable:
 //
 //  1. Model predictions are the dominant cost of pass 1 and are a pure map
-//     over the keys, so parallel builds compute them into a pre-sized
-//     prediction arena with one worker per key range.
+//     over the keys, so every build computes them into a pre-sized
+//     prediction arena with one worker per key range. A sampled build
+//     (§3.4) predicts only every stride-th key.
 //  2. Once predictions are fixed, the per-partition accumulation is
 //     independent per partition. With a monotone model (§3.8) predictions
 //     are non-decreasing over the sorted keys, so each partition's keys are
 //     one contiguous range: shard the key range on partition starts and
 //     every worker owns a disjoint span of partitions, writing min/end/sum
 //     directly into the single shared accumulator arena — no per-worker
-//     copies, no merge. (Non-monotone models keep the parallel prediction
-//     stage and accumulate serially; duplicate runs never straddle shards
-//     because equal keys share a prediction and hence a partition.)
+//     copies, no merge. (Single-worker builds, sampled builds and
+//     non-monotone predictions accumulate on one goroutine; duplicate runs
+//     never straddle shards because equal keys share a prediction and
+//     hence a partition.)
 //  3. Pass 2 derives the drift bounds in place over the same arena,
 //     tracking the value magnitudes as it goes, so the packed entry width
 //     (§3.9) needs no extra reduction pass; range mode packs straight into
 //     the fused interleaved <lo, hi> layout the query paths dispatch on.
 //
-// The one model sweep also feeds the layer statistics: mean/max model
-// drift fall out of pass 1 (as exact integer sums, so the parallel build
-// is bit-identical to the serial one), the mean log2 window falls out of
-// pass 2's per-partition widths, and the finished table carries the Stats
-// so ComputeStats and Log2Error need no second sweep.
-//
-// Every entry point produces tables bit-identical to every other — widths,
-// drifts, counts and stats — property-tested in parallel_test.go and
-// fuzzed in fuzz_test.go.
+// Every worker count produces the same table bit for bit — widths, drifts
+// and counts — property-tested in parallel_test.go and fuzzed in
+// fuzz_test.go.
 
 // parallelBuildMin is the key count below which sharding is not worth the
-// goroutine fan-out and builds stay serial.
+// goroutine fan-out and builds take one worker.
 const parallelBuildMin = 4096
 
 // buildArena holds the transient arrays of one build: the prediction arena
@@ -55,20 +51,18 @@ const parallelBuildMin = 4096
 // — so BuildNext can recycle them through Table.buildPool and steady-state
 // compaction allocates only the packed product.
 type buildArena struct {
-	pred   []int32 // stage 1: per-key model predictions (parallel builds)
+	pred   []int32 // stage 1: per-key model predictions
 	minPos []int64 // pass 1: first run position per partition; pass 2: lo drift
 	endPos []int64 // pass 1: last position per partition; pass 2: hi drift
 	sum    []int64 // pass 1: Σ drift per partition (midpoint mode only)
 }
 
 // slices grows the arena to the build's sizes and returns the views.
-func (a *buildArena) slices(n, m int, needPred, needSum bool) (pred []int32, minPos, endPos, sumW []int64) {
-	if needPred {
-		if cap(a.pred) < n {
-			a.pred = make([]int32, n)
-		}
-		pred = a.pred[:n]
+func (a *buildArena) slices(n, m int, needSum bool) (pred []int32, minPos, endPos, sumW []int64) {
+	if cap(a.pred) < n {
+		a.pred = make([]int32, n)
 	}
+	pred = a.pred[:n]
 	if cap(a.minPos) < m {
 		a.minPos = make([]int64, m)
 	}
@@ -89,34 +83,22 @@ func (a *buildArena) slices(n, m int, needPred, needSum bool) (pred []int32, min
 // Build constructs a Shift-Table over sorted keys corrected against the
 // given model (Alg. 2 plus the empty-partition backfill of §3.1). Build is
 // O(N · cost(Fθ) + M), a single pass over the data and a single backward
-// pass over the layer (§3.3).
+// pass over the layer (§3.3), with the model runs spread over GOMAXPROCS
+// workers (§3.3: "in case that running the model is expensive, model
+// executions can be parallelized for faster execution"). The int32
+// prediction arena and partition counts bound the input: Build returns an
+// error for more than math.MaxInt32 keys.
 func Build[K kv.Key](keys []K, model cdfmodel.Model[K], cfg Config) (*Table[K], error) {
-	return buildPipeline(keys, model, cfg, 1, nil)
+	return buildPipeline(keys, model, cfg, runtime.GOMAXPROCS(0), nil)
 }
 
-// BuildParallel is Build with pass 1 sharded across workers — the §3.3
-// optimisation ("in case that running the model is expensive, model
-// executions can be parallelized for faster execution"), extended so the
-// per-partition accumulation parallelises too (see the pipeline comment at
-// the top of this file). workers <= 0 uses GOMAXPROCS. The result is
-// bit-identical to Build.
-//
-// Midpoint sampling (Config.SampleStride) depends on global key indices,
-// so sampled builds take the serial path.
-func BuildParallel[K kv.Key](keys []K, model cdfmodel.Model[K], cfg Config, workers int) (*Table[K], error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return buildPipeline(keys, model, cfg, workers, nil)
-}
-
-// BuildNext builds a successor table — same pipeline as BuildParallel
-// (workers <= 0 uses GOMAXPROCS) — drawing the build arena from prev's
-// pool and handing both of prev's pools (batch scratches and build arenas)
-// to the new table. Rebuild chains — internal/concurrent's compaction,
-// through updatable.NewFrom — therefore re-allocate neither query scratch
-// nor build scratch in steady state. A nil prev degenerates to
-// BuildParallel.
+// BuildNext builds a successor table through Build's pipeline with the
+// given worker count (workers <= 0 uses GOMAXPROCS), drawing the build
+// arena from prev's pool and handing both of prev's pools (batch scratches
+// and build arenas) to the new table. Rebuild chains — internal/
+// concurrent's compaction, through updatable.NewFrom — therefore
+// re-allocate neither query scratch nor build scratch in steady state. A
+// nil prev is a fresh build.
 func (prev *Table[K]) BuildNext(keys []K, model cdfmodel.Model[K], cfg Config, workers int) (*Table[K], error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -132,13 +114,15 @@ func (prev *Table[K]) BuildNext(keys []K, model cdfmodel.Model[K], cfg Config, w
 	return t, err
 }
 
-// buildPipeline is the shared implementation behind Build, BuildParallel
-// and BuildNext. pool, when non-nil, supplies (and gets back) the build
-// arena.
+// buildPipeline is the implementation behind Build and BuildNext. pool,
+// when non-nil, supplies (and gets back) the build arena.
 func buildPipeline[K kv.Key](keys []K, model cdfmodel.Model[K], cfg Config, workers int, pool *sync.Pool) (*Table[K], error) {
 	n := len(keys)
 	if model == nil {
 		return nil, fmt.Errorf("core: nil model")
+	}
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("core: %d keys, the build limit is %d", n, math.MaxInt32)
 	}
 	if !kv.IsSorted(keys) {
 		return nil, fmt.Errorf("core: keys are not sorted")
@@ -176,9 +160,9 @@ func buildPipeline[K kv.Key](keys []K, model cdfmodel.Model[K], cfg Config, work
 	if cfg.Mode == ModeMidpoint && cfg.SampleStride > 1 {
 		stride = cfg.SampleStride
 	}
-	// Sampled builds depend on global key indices; the int32 prediction
-	// arena bounds n (far beyond any in-memory dataset here).
-	if stride > 1 || n < parallelBuildMin || n > math.MaxInt32 {
+	// Sampled builds leave the unsampled predictions unwritten, and the
+	// stage B shard cuts would read them, so they take one worker.
+	if stride > 1 || n < parallelBuildMin {
 		workers = 1
 	}
 
@@ -190,21 +174,14 @@ func buildPipeline[K kv.Key](keys []K, model cdfmodel.Model[K], cfg Config, work
 		ar = new(buildArena)
 	}
 	needSum := cfg.Mode == ModeMidpoint
-	pred, minPos, endPos, sumW := ar.slices(n, m, workers > 1, needSum)
+	pred, minPos, endPos, sumW := ar.slices(n, m, needSum)
 	cnt := make([]int32, m) // retained by the table; not arena-backed
 
 	// Pass 1 (Alg. 2 lines 3–9): accumulate per-partition statistics. With
 	// a monotone model the keys of one partition form a contiguous run of
 	// positions [minPos, endPos]; the drift bounds derive from that run in
-	// pass 2. driftSum/maxDrift are the §4.1 "error before correction"
-	// statistics, accumulated as exact integers so every build schedule
-	// sums to the same value.
-	var driftSum, maxDrift int64
-	if workers > 1 {
-		driftSum, maxDrift = t.passOneParallel(pred, minPos, endPos, sumW, cnt, workers)
-	} else {
-		driftSum, maxDrift = t.passOneSerial(stride, minPos, endPos, sumW, cnt)
-	}
+	// pass 2.
+	t.passOne(pred, minPos, endPos, sumW, cnt, stride, workers)
 
 	// Pass 2: derive per-partition drift bounds in place — minPos becomes
 	// the lo drift, endPos the hi drift — and backfill empty partitions
@@ -272,7 +249,7 @@ func buildPipeline[K kv.Key](keys []K, model cdfmodel.Model[K], cfg Config, work
 		if wh > w {
 			w = wh
 		}
-		t.pairs = packPairs(loW, hiW, w)
+		t.drift = packPairs(loW, hiW, w)
 		t.loBits, t.hiBits = wl, wh
 	case ModeMidpoint:
 		var maxMid int64
@@ -292,82 +269,29 @@ func buildPipeline[K kv.Key](keys []K, model cdfmodel.Model[K], cfg Config, work
 				maxMid = v
 			}
 		}
-		t.shift = packDriftsWidth(sumW, driftWidth(maxMid))
+		t.drift = packDriftsWidth(sumW, driftWidth(maxMid))
 	}
 
-	if stride == 1 {
-		t.stats = t.buildStats(driftSum, maxDrift)
-	}
 	if pool != nil {
 		pool.Put(ar)
 	}
 	return t, nil
 }
 
-// passOneSerial is the single-goroutine pass 1: one model sweep over the
-// keys accumulating per-partition statistics and the drift stats.
-func (t *Table[K]) passOneSerial(stride int, minPos, endPos, sumW []int64, cnt []int32) (driftSum, maxDrift int64) {
-	for k := range minPos {
-		minPos[k] = math.MaxInt64
-		endPos[k] = math.MinInt64
-	}
-	for k := range sumW {
-		sumW[k] = 0
-	}
-	keys := t.keys
-	firstOcc := 0 // position of the first key in the current duplicate run (§3.2)
-	for i := 0; i < t.n; i++ {
-		if i > 0 && keys[i] != keys[i-1] {
-			firstOcc = i
-		}
-		if stride > 1 && i%stride != 0 {
-			continue
-		}
-		pred := t.model.Predict(keys[i])
-		k := t.partitionOf(pred)
-		d := int64(firstOcc) - int64(pred)
-		if sumW != nil {
-			sumW[k] += d
-		}
-		cnt[k]++
-		if int64(firstOcc) < minPos[k] {
-			minPos[k] = int64(firstOcc)
-		}
-		if int64(i) > endPos[k] {
-			endPos[k] = int64(i)
-		}
-		if d < 0 {
-			d = -d
-		}
-		driftSum += d
-		if d > maxDrift {
-			maxDrift = d
-		}
-	}
-	return driftSum, maxDrift
-}
-
-// shardStat is one worker's drift-stat partial, padded so adjacent workers
-// do not share a cache line while accumulating.
-type shardStat struct {
-	driftSum, maxDrift int64
-	_                  [6]int64
-}
-
-// passOneParallel is the sharded pass 1. Stage A computes every prediction
-// into the arena with one worker per key range. Stage B accumulates: with
-// a verified-monotone prediction array each worker owns a disjoint span of
-// partitions (shards cut on partition starts) and writes straight into the
-// shared accumulators; otherwise accumulation falls back to one goroutine
-// over the precomputed predictions — the model sweep, the expensive part,
-// stays parallel either way.
-func (t *Table[K]) passOneParallel(pred []int32, minPos, endPos, sumW []int64, cnt []int32, workers int) (driftSum, maxDrift int64) {
+// passOne is pass 1. Stage A computes the predictions into the arena with
+// one worker per key range (a sampled build predicts only every stride-th
+// key). Stage B accumulates: with several workers and a verified-monotone
+// prediction array each worker owns a disjoint span of partitions (shards
+// cut on partition starts) and writes straight into the shared
+// accumulators; otherwise one goroutine accumulates over the whole range —
+// the model sweep, the expensive part, stays parallel either way.
+func (t *Table[K]) passOne(pred []int32, minPos, endPos, sumW []int64, cnt []int32, stride, workers int) {
 	n, keys := t.n, t.keys
 
-	// Stage A: predict in parallel. Monotone models must produce
-	// non-decreasing predictions over sorted keys; verify while writing
-	// (cheap ALU against an in-register neighbour) so a model mis-declaring
-	// Monotone degrades to the serial accumulate instead of racing.
+	// Stage A: predict. Monotone models must produce non-decreasing
+	// predictions over sorted keys; verify while writing (cheap ALU against
+	// an in-register neighbour) so a model mis-declaring Monotone degrades
+	// to the one-goroutine accumulate instead of racing.
 	var nonMonotone atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -380,6 +304,9 @@ func (t *Table[K]) passOneParallel(pred []int32, minPos, endPos, sumW []int64, c
 			defer wg.Done()
 			prev := int32(math.MinInt32)
 			for i := lo; i < hi; i++ {
+				if stride > 1 && i%stride != 0 {
+					continue
+				}
 				p := int32(t.model.Predict(keys[i]))
 				pred[i] = p
 				if p < prev {
@@ -390,7 +317,7 @@ func (t *Table[K]) passOneParallel(pred []int32, minPos, endPos, sumW []int64, c
 		}(lo, hi)
 	}
 	wg.Wait()
-	ordered := t.monotone && !nonMonotone.Load()
+	ordered := workers > 1 && t.monotone && !nonMonotone.Load()
 	if ordered {
 		// Seam check: stage A only verified within each worker's range.
 		for w := 1; w < workers; w++ {
@@ -402,17 +329,16 @@ func (t *Table[K]) passOneParallel(pred []int32, minPos, endPos, sumW []int64, c
 	}
 
 	if !ordered {
-		// Non-monotone model (§3.8): partitions are not contiguous key
-		// ranges; accumulate on one goroutine over the precomputed
-		// predictions (identical arithmetic to the serial pass).
+		// One worker, or a non-monotone model (§3.8) whose partitions are
+		// not contiguous key ranges: accumulate on one goroutine over the
+		// precomputed predictions.
 		for k := range minPos {
 			minPos[k] = math.MaxInt64
 			endPos[k] = math.MinInt64
 		}
-		for k := range sumW {
-			sumW[k] = 0
-		}
-		return t.accumulatePred(pred, 0, n, minPos, endPos, sumW, cnt)
+		clear(sumW)
+		t.accumulatePred(pred, 0, n, stride, minPos, endPos, sumW, cnt)
+		return
 	}
 
 	// Stage B: shard boundaries advanced to partition starts. A partition
@@ -432,12 +358,10 @@ func (t *Table[K]) passOneParallel(pred []int32, minPos, endPos, sumW []int64, c
 	}
 	bounds = append(bounds, n)
 
-	stats := make([]shardStat, len(bounds)-1)
 	for s := 0; s < len(bounds)-1; s++ {
 		wg.Add(1)
-		go func(s int) {
+		go func(lo, hi int) {
 			defer wg.Done()
-			lo, hi := bounds[s], bounds[s+1]
 			// This worker's partition span; gaps between spans are
 			// partitions no key maps to, left untouched (pass 2 reads
 			// their accumulators only when cnt > 0).
@@ -448,43 +372,35 @@ func (t *Table[K]) passOneParallel(pred []int32, minPos, endPos, sumW []int64, c
 				endPos[k] = math.MinInt64
 			}
 			if sumW != nil {
-				for k := pLo; k < pHi; k++ {
-					sumW[k] = 0
-				}
+				clear(sumW[pLo:pHi])
 			}
-			ds, md := t.accumulatePred(pred, lo, hi, minPos, endPos, sumW, cnt)
-			stats[s] = shardStat{driftSum: ds, maxDrift: md}
-		}(s)
+			t.accumulatePred(pred, lo, hi, 1, minPos, endPos, sumW, cnt)
+		}(bounds[s], bounds[s+1])
 	}
 	wg.Wait()
-	for _, st := range stats { // integer merge: associative, bit-identical
-		driftSum += st.driftSum
-		if st.maxDrift > maxDrift {
-			maxDrift = st.maxDrift
-		}
-	}
-	return driftSum, maxDrift
 }
 
 // accumulatePred is the pass 1 accumulation body over keys[lo:hi) with
-// predictions read from the arena — shared by the stage B workers (each
-// over its shard) and the non-monotone fallback (one call over the whole
-// range). lo must be a §3.2 duplicate-run start; the caller has
-// initialised the accumulators for every partition the range can touch.
-// The arithmetic mirrors passOneSerial exactly (bit-identity depends on
-// it); only the prediction source differs.
-func (t *Table[K]) accumulatePred(pred []int32, lo, hi int, minPos, endPos, sumW []int64, cnt []int32) (driftSum, maxDrift int64) {
+// predictions read from the arena — run by every stage B worker over its
+// shard, or once over the whole range. Keys whose index is not a multiple
+// of stride were not predicted and are skipped (§3.4 sampling), though
+// they still advance the §3.2 duplicate-run tracking. lo must be a
+// duplicate-run start; the caller has initialised the accumulators for
+// every partition the range can touch.
+func (t *Table[K]) accumulatePred(pred []int32, lo, hi, stride int, minPos, endPos, sumW []int64, cnt []int32) {
 	keys := t.keys
 	firstOcc := lo
 	for i := lo; i < hi; i++ {
 		if i > lo && keys[i] != keys[i-1] {
 			firstOcc = i
 		}
+		if stride > 1 && i%stride != 0 {
+			continue
+		}
 		p := int(pred[i])
 		k := t.partitionOf(p)
-		d := int64(firstOcc) - int64(p)
 		if sumW != nil {
-			sumW[k] += d
+			sumW[k] += int64(firstOcc) - int64(p)
 		}
 		cnt[k]++
 		if int64(firstOcc) < minPos[k] {
@@ -493,66 +409,5 @@ func (t *Table[K]) accumulatePred(pred []int32, lo, hi int, minPos, endPos, sumW
 		if int64(i) > endPos[k] {
 			endPos[k] = int64(i)
 		}
-		if d < 0 {
-			d = -d
-		}
-		driftSum += d
-		if d > maxDrift {
-			maxDrift = d
-		}
 	}
-	return driftSum, maxDrift
-}
-
-// buildStats assembles the Stats summary from quantities the build already
-// produced: the pass 1 drift totals and the pass 2 window widths. The mean
-// log2 window is grouped by partition (each key of partition k searches a
-// window of hi[k]−lo[k]+1 slots regardless of its own prediction), which is
-// also how the slow path in stats.go computes it.
-func (t *Table[K]) buildStats(driftSum, maxDrift int64) *Stats {
-	s := Stats{
-		N:         t.n,
-		M:         t.m,
-		Mode:      t.mode,
-		EntryBits: t.EntryBits(),
-		SizeBytes: t.SizeBytes(),
-		AvgErrEq8: t.AvgError(),
-	}
-	for _, c := range t.count {
-		if c == 0 {
-			s.EmptyParts++
-		}
-		if int(c) > s.MaxCount {
-			s.MaxCount = int(c)
-		}
-	}
-	if t.n == 0 {
-		return &s
-	}
-	s.MeanAbsDrift = float64(driftSum) / float64(t.n)
-	s.MaxAbsDrift = int(maxDrift)
-	s.MeanLog2Bounds = t.meanLog2Bounds()
-	return &s
-}
-
-// meanLog2Bounds computes the expected binary-search iteration count after
-// correction (§4.2) from the per-partition window widths — O(M), no model
-// sweep. Midpoint windows are degenerate ([s, s], width 1), contributing 0.
-func (t *Table[K]) meanLog2Bounds() float64 {
-	if t.n == 0 || t.mode != ModeRange {
-		return 0
-	}
-	var log2Sum float64
-	for k := 0; k < t.m; k++ {
-		if t.count[k] == 0 {
-			continue
-		}
-		lo, hi := t.pairs.pair(k)
-		w := hi - lo + 1
-		if w < 1 {
-			w = 1
-		}
-		log2Sum += float64(t.count[k]) * math.Log2(float64(w))
-	}
-	return log2Sum / float64(t.n)
 }

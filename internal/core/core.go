@@ -77,35 +77,26 @@ type Table[K kv.Key] struct {
 	n     int
 	m     int
 
-	// Range mode: per-partition drift bounds, stored fused — the <lo, hi>
-	// pair of partition k interleaved at one packed width so a lookup's
-	// correction step touches a single cache line (DESIGN.md §8). The
-	// window for a query with prediction p in partition k is
-	// [p+lo[k], p+hi[k]] (Eq. 5–6: Δ=lo, C=hi−lo). With M=N this
-	// degenerates to the paper's <Δk, Ck>.
-	pairs driftPairs
-	// loBits/hiBits are the independent narrowest widths of the two
-	// halves (the paper's §3.9 width discussion treats lo and hi as
-	// separate arrays); the layer blob's widths word records them. They
-	// share an 8-byte slot with monotone (fieldalignment: grouping the
-	// three 1-byte fields keeps Table at 336 bytes instead of 344).
+	// drift holds the packed per-partition drift entries (drift.go). Range
+	// mode stores the fused <lo, hi> bounds, interleaved at one packed
+	// width so a lookup's correction step touches a single cache line
+	// (DESIGN.md §8); the window for a query with prediction p in
+	// partition k is [p+lo[k], p+hi[k]] (Eq. 5–6: Δ=lo, C=hi−lo), which
+	// with M=N degenerates to the paper's <Δk, Ck>. Midpoint mode stores
+	// the rounded mean drift Δ̄k (Eq. 7).
+	drift driftArray
+	// loBits/hiBits (range mode only) are the independent narrowest widths
+	// of the two halves (the paper's §3.9 width discussion treats lo and
+	// hi as separate arrays); the layer blob's widths word records them.
+	// They share an 8-byte slot with monotone (fieldalignment: grouping the
+	// three 1-byte fields keeps Table at 224 bytes instead of 232).
 	loBits, hiBits uint8
 	monotone       bool // model guarantees windows (§3.8)
-
-	// Midpoint mode: per-partition rounded mean drift Δ̄ (Eq. 7).
-	shift driftArray
 
 	// count[k] is the number of keys mapped to partition k (the paper's
 	// Ck cardinality), kept for the error estimate (Eq. 8) and cost model
 	// (Eq. 9–10). Stored at build time; not touched during lookups.
 	count []int32
-
-	// stats caches the build-time statistics summary (stats.go). The build
-	// pipeline derives every Stats field from the one model sweep it
-	// already does (DESIGN.md §8), so ComputeStats and Log2Error on a
-	// freshly built table cost O(1) instead of a second sweep. nil on
-	// tables whose build skipped it (sampled midpoint builds, Load).
-	stats *Stats
 
 	// scratch pools *batchScratch[K] instances for the batched query
 	// engine (batch.go); concurrent batches each draw their own. It is a
@@ -213,24 +204,12 @@ func (t *Table[K]) AdoptScratch(prev *Table[K]) {
 // interleaved array — the layout lookups actually touch — which equals the
 // split footprint whenever lo and hi pack to the same width (the common
 // case) and rounds the narrower half up to the common width otherwise.
-func (t *Table[K]) SizeBytes() int {
-	switch t.mode {
-	case ModeRange:
-		return t.pairs.sizeBytes()
-	default:
-		return t.shift.sizeBytes()
-	}
-}
+func (t *Table[K]) SizeBytes() int { return t.drift.sizeBytes() }
 
-// EntryBits reports the per-entry width selected for the drift arrays
+// EntryBits reports the per-entry width selected for the drift array
 // (§3.9: "if the error is smaller than 2^16/2, then a 16-bit integer can be
 // used"). Range mode reports the fused pair width, max(lo, hi).
-func (t *Table[K]) EntryBits() int {
-	if t.mode == ModeRange {
-		return t.pairs.entryBits()
-	}
-	return t.shift.entryBits()
-}
+func (t *Table[K]) EntryBits() int { return t.drift.entryBits() }
 
 func ceilDiv(a, b int64) int64 {
 	return (a + b - 1) / b

@@ -176,15 +176,26 @@ func TestEdgeCaseSizes(t *testing.T) {
 }
 
 func TestEmptyKeys(t *testing.T) {
-	tab, err := Build(nil, cdfmodel.NewInterpolation[uint64](nil), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tab.Find(5); got != 0 {
-		t.Errorf("empty Find = %d, want 0", got)
-	}
-	if tab.AvgError() != 0 || tab.MeasuredError() != 0 {
-		t.Error("empty table should report zero error")
+	for _, mode := range []Mode{ModeRange, ModeMidpoint} {
+		tab, err := Build(nil, cdfmodel.NewInterpolation[uint64](nil), Config{Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tab.Find(5); got != 0 {
+			t.Errorf("%v: empty Find = %d, want 0", mode, got)
+		}
+		if tab.AvgError() != 0 || tab.MeasuredError() != 0 {
+			t.Errorf("%v: empty table should report zero error", mode)
+		}
+		// The empty window at 0: inclusive [0, -1] in range mode, the
+		// degenerate [0, 0] in midpoint mode.
+		wantHi := 0
+		if mode == ModeRange {
+			wantHi = -1
+		}
+		if lo, hi := tab.Window(5); lo != 0 || hi != wantHi {
+			t.Errorf("%v: empty Window = (%d, %d), want (0, %d)", mode, lo, hi, wantHi)
+		}
 	}
 }
 

@@ -60,10 +60,10 @@ func (t *Table[K]) EstimateWithout(modelNs float64, l LatencyFn) CostEstimate {
 			}
 			var drift int
 			if t.mode == ModeRange {
-				dlo, _ := t.pairs.pair(k)
+				dlo, _ := t.drift.pair(k)
 				drift = dlo + int(c)/2
 			} else {
-				drift = t.shift.get(k)
+				drift = t.drift.get(k)
 			}
 			if drift < 0 {
 				drift = -drift

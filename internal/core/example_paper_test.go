@@ -142,7 +142,7 @@ func TestPaperTable1CompactLayer(t *testing.T) {
 	// Δ̄23 = −40, Δ̄24 = −42 (Table 1; partition 22's content differs by
 	// the quantisation note above but its mean is unchanged at −41).
 	for _, c := range []struct{ part, want int }{{22, -41}, {23, -40}, {24, -42}} {
-		if got := tab.shift.get(c.part); got != c.want {
+		if got := tab.drift.get(c.part); got != c.want {
 			t.Errorf("midpoint shift of partition %d = %d, want %d", c.part, got, c.want)
 		}
 	}

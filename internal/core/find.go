@@ -23,7 +23,7 @@ func (t *Table[K]) Find(q K) int {
 	case ModeRange:
 		// Fused layout: the <lo, hi> pair is adjacent in memory, so the
 		// correction step costs one cache line, not two (DESIGN.md §8).
-		dlo, dhi := t.pairs.pair(k)
+		dlo, dhi := t.drift.pair(k)
 		lo := pred + dlo
 		hi := pred + dhi
 		r := search.Window(t.keys, lo, hi, q)
@@ -38,7 +38,7 @@ func (t *Table[K]) Find(q K) int {
 		}
 		return search.Exponential(t.keys, (lo+hi)/2, q)
 	default: // ModeMidpoint
-		start := pred + t.shift.get(k)
+		start := pred + t.drift.get(k)
 		return search.Exponential(t.keys, start, q)
 	}
 }
@@ -62,13 +62,20 @@ func (t *Table[K]) valid(r int, q K) bool {
 // [start, start] window (midpoint mode). Exposed for analysis tools and the
 // cost model; Find is the query path.
 func (t *Table[K]) Window(q K) (lo, hi int) {
+	if t.n == 0 {
+		// The empty window at 0, the answer Find gives.
+		if t.mode == ModeRange {
+			return 0, -1
+		}
+		return 0, 0
+	}
 	pred := t.model.Predict(q)
 	k := t.partitionOf(pred)
 	if t.mode == ModeRange {
-		dlo, dhi := t.pairs.pair(k)
+		dlo, dhi := t.drift.pair(k)
 		return pred + dlo, pred + dhi
 	}
-	s := pred + t.shift.get(k)
+	s := pred + t.drift.get(k)
 	return s, s
 }
 

@@ -233,9 +233,8 @@ func FuzzLoad(f *testing.F) {
 }
 
 // FuzzBuildLayout is the build-pipeline and layer-blob oracle: for a
-// fuzzed corpus and configuration it checks (1) the arena-sharded parallel
-// build is bit-identical to the serial build — widths, drifts, counts,
-// cached stats; (2) writing the layer blob, viewing it and writing the
+// fuzzed corpus and configuration it checks (1) the build at 2–17 workers
+// is bit-identical to the build at one — widths, drifts, counts; (2) writing the layer blob, viewing it and writing the
 // view again is byte-identical, and the view answers queries identically.
 func FuzzBuildLayout(f *testing.F) {
 	f.Add(uint64(7), uint16(5000), uint8(0), uint8(3), uint8(0), uint8(3))
@@ -255,16 +254,16 @@ func FuzzBuildLayout(f *testing.F) {
 		}
 		w := int(workers)%16 + 2
 		model := cdfmodel.NewInterpolation(keys)
-		serial, err := Build(keys, model, cfg)
+		serial, err := buildPipeline(keys, model, cfg, 1, nil)
 		if err != nil {
-			t.Fatalf("Build(%d keys, %+v): %v", len(keys), cfg, err)
+			t.Fatalf("buildPipeline(%d keys, %+v, 1): %v", len(keys), cfg, err)
 		}
-		par, err := BuildParallel(keys, model, cfg, w)
+		par, err := buildPipeline(keys, model, cfg, w, nil)
 		if err != nil {
-			t.Fatalf("BuildParallel(%d keys, %+v, %d): %v", len(keys), cfg, w, err)
+			t.Fatalf("buildPipeline(%d keys, %+v, %d): %v", len(keys), cfg, w, err)
 		}
 		if d := diffLayer(serial, par); d != "" {
-			t.Fatalf("parallel(%d) differs from serial (n=%d cfg=%+v): %s", w, len(keys), cfg, d)
+			t.Fatalf("%d workers differ from 1 (n=%d cfg=%+v): %s", w, len(keys), cfg, d)
 		}
 
 		// writeLayerV2 → viewLayerV2 → writeLayerV2: byte-identical blobs,
@@ -321,10 +320,10 @@ func v1Layer[K kv.Key](tab *Table[K]) []byte {
 		}
 	}
 	if tab.mode == ModeRange {
-		half(tab.loBits, func(k int) int { lo, _ := tab.pairs.pair(k); return lo })
-		half(tab.hiBits, func(k int) int { _, hi := tab.pairs.pair(k); return hi })
+		half(tab.loBits, func(k int) int { lo, _ := tab.drift.pair(k); return lo })
+		half(tab.hiBits, func(k int) int { _, hi := tab.drift.pair(k); return hi })
 	} else {
-		half(tab.shift.width, tab.shift.get)
+		half(tab.drift.width, tab.drift.get)
 	}
 	for _, c := range tab.count {
 		out = le.AppendUint32(out, uint32(c))

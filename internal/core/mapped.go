@@ -198,12 +198,7 @@ func viewLayerV2[K kv.Key](data []byte, keys []K, model cdfmodel.Model[K]) (*Tab
 	if err != nil {
 		return nil, err
 	}
-	var dataBytes int64
-	if mode == ModeRange {
-		dataBytes = 2 * int64(m) * int64(width)
-	} else {
-		dataBytes = int64(m) * int64(width)
-	}
+	dataBytes := int64(m) * entriesPerPartition(mode) * int64(width)
 	pad := pad8(dataBytes)
 	want := int64(layerV2DataOff) + dataBytes + pad + 4*int64(m)
 	if int64(len(data)) != want {
@@ -215,14 +210,8 @@ func viewLayerV2[K kv.Key](data []byte, keys []K, model cdfmodel.Model[K]) (*Tab
 			return nil, fmt.Errorf("core: nonzero layer padding")
 		}
 	}
-	if mode == ModeRange {
-		t.pairs.width, t.loBits, t.hiBits = width, lo, hi
-		t.pairs.w8, t.pairs.w16, t.pairs.w32, t.pairs.w64, err = viewDrifts(drift, width)
-	} else {
-		t.shift.width = width
-		t.shift.w8, t.shift.w16, t.shift.w32, t.shift.w64, err = viewDrifts(drift, width)
-	}
-	if err != nil {
+	t.loBits, t.hiBits = lo, hi
+	if t.drift, err = viewDrifts(drift, width); err != nil {
 		return nil, fmt.Errorf("core: drift view: %w", err)
 	}
 	t.count, err = mapped.View[int32](data[int64(layerV2DataOff)+dataBytes+pad:])
@@ -234,18 +223,19 @@ func viewLayerV2[K kv.Key](data []byte, keys []K, model cdfmodel.Model[K]) (*Tab
 
 // viewDrifts views packed drift entries of the given width in place
 // (nothing for width 0, an empty layer).
-func viewDrifts(b []byte, width uint8) (w8 []int8, w16 []int16, w32 []int32, w64 []int64, err error) {
+func viewDrifts(b []byte, width uint8) (d driftArray, err error) {
+	d.width = width
 	switch width {
 	case 1:
-		w8, err = mapped.View[int8](b)
+		d.w8, err = mapped.View[int8](b)
 	case 2:
-		w16, err = mapped.View[int16](b)
+		d.w16, err = mapped.View[int16](b)
 	case 4:
-		w32, err = mapped.View[int32](b)
+		d.w32, err = mapped.View[int32](b)
 	case 8:
-		w64, err = mapped.View[int64](b)
+		d.w64, err = mapped.View[int64](b)
 	}
-	return w8, w16, w32, w64, err
+	return d, err
 }
 
 // sampledModelError estimates the model's mean absolute drift from a

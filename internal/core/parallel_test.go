@@ -36,22 +36,15 @@ func buildCorpora64() map[string][]uint64 {
 }
 
 // diffLayer reports the first difference between two built tables —
-// widths, fused drifts, counts, and cached stats must all be
-// bit-identical — or "" when they match.
+// widths, drifts and counts must all be bit-identical — or "" when they
+// match.
 func diffLayer[K kv.Key](a, b *Table[K]) string {
 	if a.m != b.m || a.n != b.n || a.mode != b.mode {
 		return fmt.Sprintf("shape: m=%d/%d n=%d/%d mode=%v/%v", a.m, b.m, a.n, b.n, a.mode, b.mode)
 	}
-	switch a.mode {
-	case ModeRange:
-		if a.pairs.width != b.pairs.width || a.loBits != b.loBits || a.hiBits != b.hiBits {
-			return fmt.Sprintf("widths: pair=%d/%d lo=%d/%d hi=%d/%d",
-				a.pairs.width, b.pairs.width, a.loBits, b.loBits, a.hiBits, b.hiBits)
-		}
-	default:
-		if a.shift.width != b.shift.width {
-			return fmt.Sprintf("shift width: %d/%d", a.shift.width, b.shift.width)
-		}
+	if a.drift.width != b.drift.width || a.loBits != b.loBits || a.hiBits != b.hiBits {
+		return fmt.Sprintf("widths: entry=%d/%d lo=%d/%d hi=%d/%d",
+			a.drift.width, b.drift.width, a.loBits, b.loBits, a.hiBits, b.hiBits)
 	}
 	for k := 0; k < a.m; k++ {
 		if a.count[k] != b.count[k] {
@@ -59,29 +52,24 @@ func diffLayer[K kv.Key](a, b *Table[K]) string {
 		}
 		switch a.mode {
 		case ModeRange:
-			alo, ahi := a.pairs.pair(k)
-			blo, bhi := b.pairs.pair(k)
+			alo, ahi := a.drift.pair(k)
+			blo, bhi := b.drift.pair(k)
 			if alo != blo || ahi != bhi {
 				return fmt.Sprintf("pair[%d]: <%d,%d>/<%d,%d>", k, alo, ahi, blo, bhi)
 			}
 		default:
-			if a.shift.get(k) != b.shift.get(k) {
-				return fmt.Sprintf("shift[%d]: %d/%d", k, a.shift.get(k), b.shift.get(k))
+			if a.drift.get(k) != b.drift.get(k) {
+				return fmt.Sprintf("shift[%d]: %d/%d", k, a.drift.get(k), b.drift.get(k))
 			}
 		}
-	}
-	if (a.stats == nil) != (b.stats == nil) {
-		return fmt.Sprintf("stats cached: %v/%v", a.stats != nil, b.stats != nil)
-	}
-	if a.stats != nil && *a.stats != *b.stats {
-		return fmt.Sprintf("stats: %+v / %+v", *a.stats, *b.stats)
 	}
 	return ""
 }
 
 // TestParallelBuildIdenticalToSerial checks bit-identical layers from the
-// arena-sharded and serial builds across corpora, modes, layer sizes and
-// worker counts — including the fused pair widths and the cached stats.
+// build at one worker and at several (the arena-sharded accumulate) across
+// corpora, modes, layer sizes and worker counts — including the fused pair
+// widths.
 func TestParallelBuildIdenticalToSerial(t *testing.T) {
 	for name, keys := range buildCorpora64() {
 		model := cdfmodel.NewInterpolation(keys)
@@ -94,17 +82,17 @@ func TestParallelBuildIdenticalToSerial(t *testing.T) {
 			if cfg.M > len(keys) && len(keys) > 0 {
 				continue
 			}
-			serial, err := Build(keys, model, cfg)
+			serial, err := buildPipeline(keys, model, cfg, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 3, 7, 16} {
-				par, err := BuildParallel(keys, model, cfg, workers)
+				par, err := buildPipeline(keys, model, cfg, workers, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if d := diffLayer(serial, par); d != "" {
-					t.Fatalf("%s cfg=%v/%d workers=%d: parallel differs from serial: %s",
+					t.Fatalf("%s cfg=%v/%d workers=%d: differs from 1 worker: %s",
 						name, cfg.Mode, cfg.M, workers, d)
 				}
 			}
@@ -119,11 +107,11 @@ func TestParallelBuild32Bit(t *testing.T) {
 		keys := dataset.U32(dataset.MustGenerate(name, 32, 20_000, 9))
 		model := cdfmodel.NewInterpolation(keys)
 		for _, mode := range []Mode{ModeRange, ModeMidpoint} {
-			serial, err := Build(keys, model, Config{Mode: mode})
+			serial, err := buildPipeline(keys, model, Config{Mode: mode}, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := BuildParallel(keys, model, Config{Mode: mode}, 5)
+			par, err := buildPipeline(keys, model, Config{Mode: mode}, 5, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,18 +124,18 @@ func TestParallelBuild32Bit(t *testing.T) {
 
 // TestParallelBuildNonMonotone pins the non-monotone path (§3.8): the
 // prediction stage stays parallel, accumulation falls back to one
-// goroutine, and the result is bit-identical to the serial build.
+// goroutine, and the result is bit-identical to the one-worker build.
 func TestParallelBuildNonMonotone(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Osmc, 64, 20_000, 4)
 	model := cdfmodel.NewCubic(keys)
 	if model.Monotone() {
 		t.Fatal("cubic model should be non-monotone")
 	}
-	serial, err := Build(keys, model, Config{Mode: ModeRange})
+	serial, err := buildPipeline(keys, model, Config{Mode: ModeRange}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := BuildParallel(keys, model, Config{Mode: ModeRange}, 8)
+	par, err := buildPipeline(keys, model, Config{Mode: ModeRange}, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,16 +157,16 @@ func (m *lyingModel) SizeBytes() int       { return m.inner.SizeBytes() }
 func (m *lyingModel) Name() string         { return "lying" }
 
 // TestParallelBuildDetectsNonMonotonePredictions: a model mis-declaring
-// Monotone must degrade to the serial accumulate, not race — and still
-// produce the serial build's exact table.
+// Monotone must degrade to the one-goroutine accumulate, not race — and
+// still produce the one-worker build's exact table.
 func TestParallelBuildDetectsNonMonotonePredictions(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Face, 64, 20_000, 8)
 	model := &lyingModel{inner: cdfmodel.NewInterpolation(keys), n: len(keys)}
-	serial, err := Build(keys, model, Config{Mode: ModeRange})
+	serial, err := buildPipeline(keys, model, Config{Mode: ModeRange}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := BuildParallel(keys, model, Config{Mode: ModeRange}, 8)
+	par, err := buildPipeline(keys, model, Config{Mode: ModeRange}, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,15 +191,15 @@ func TestFusedSplitRoundTrip(t *testing.T) {
 		}
 		var maxLo, maxHi int64
 		for k := 0; k < tab.m; k++ {
-			lo, hi := tab.pairs.pair(k)
+			lo, hi := tab.drift.pair(k)
 			maxLo = max(maxLo, int64(lo), -int64(lo))
 			maxHi = max(maxHi, int64(hi), -int64(hi))
 		}
 		if wl, wh := driftWidth(maxLo), driftWidth(maxHi); wl != tab.loBits || wh != tab.hiBits {
 			t.Fatalf("%s: split widths %d/%d, the halves need %d/%d", name, tab.loBits, tab.hiBits, wl, wh)
 		}
-		if w := max(tab.loBits, tab.hiBits); tab.pairs.width != w {
-			t.Fatalf("%s: fused width %d, want %d", name, tab.pairs.width, w)
+		if w := max(tab.loBits, tab.hiBits); tab.drift.width != w {
+			t.Fatalf("%s: fused width %d, want %d", name, tab.drift.width, w)
 		}
 	}
 }
@@ -219,10 +207,18 @@ func TestFusedSplitRoundTrip(t *testing.T) {
 func TestParallelBuildFallbacks(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Face, 64, 10_000, 5)
 	model := cdfmodel.NewInterpolation(keys)
-	// Sampled midpoint builds take the serial path but must still work.
-	tab, err := BuildParallel(keys, model, Config{Mode: ModeMidpoint, SampleStride: 8}, 4)
+	// Sampled midpoint builds take one worker but must still work.
+	sampled := Config{Mode: ModeMidpoint, SampleStride: 8}
+	tab, err := buildPipeline(keys, model, sampled, 4, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	one, err := buildPipeline(keys, model, sampled, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := diffLayer(one, tab); d != "" {
+		t.Fatalf("sampled build at 4 workers differs from 1: %s", d)
 	}
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 500; i++ {
@@ -231,16 +227,12 @@ func TestParallelBuildFallbacks(t *testing.T) {
 			t.Fatal("sampled parallel fallback broken")
 		}
 	}
-	// Sampled builds skip the stats cache (pass 1 sees a subset of keys);
-	// ComputeStats must fall back to the scan.
-	if tab.stats != nil {
-		t.Error("sampled build must not cache stats")
-	}
+	// Pass 1 sees a subset of the keys; ComputeStats still covers them all.
 	if got := tab.ComputeStats(); got.N != len(keys) {
-		t.Errorf("fallback stats N = %d, want %d", got.N, len(keys))
+		t.Errorf("sampled stats N = %d, want %d", got.N, len(keys))
 	}
 	// Errors still surface through the shared validation.
-	if _, err := BuildParallel([]uint64{3, 1, 2}, model, Config{}, 4); err == nil {
+	if _, err := buildPipeline([]uint64{3, 1, 2}, model, Config{}, 4, nil); err == nil {
 		t.Error("unsorted keys must error")
 	}
 }
@@ -256,7 +248,7 @@ func Build0(keys []uint64, model cdfmodel.Model[uint64]) *Table[uint64] {
 
 func TestParallelBuildSmallInput(t *testing.T) {
 	keys := []uint64{1, 2, 3}
-	tab, err := BuildParallel(keys, cdfmodel.NewInterpolation(keys), Config{}, 8)
+	tab, err := buildPipeline(keys, cdfmodel.NewInterpolation(keys), Config{}, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,12 +264,12 @@ func TestParallelBuildSmallInput(t *testing.T) {
 }
 
 // TestParallelBuildServesBatch pins the scratch-pool initialisation of the
-// BuildParallel path: a parallel-built table must run the batched query
-// engine (which draws from Table.scratch) without a nil pool.
+// multi-worker build: its table must run the batched query engine (which
+// draws from Table.scratch) without a nil pool.
 func TestParallelBuildServesBatch(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Face, 64, 10_000, 3)
 	model := cdfmodel.NewInterpolation(keys)
-	table, err := BuildParallel(keys, model, Config{}, 4)
+	table, err := buildPipeline(keys, model, Config{}, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +318,7 @@ func TestBuildNextReusesPools(t *testing.T) {
 		}
 		cur = next
 	}
-	// A nil receiver degenerates to BuildParallel.
+	// A nil receiver is a fresh build.
 	var nilTab *Table[uint64]
 	tab, err := nilTab.BuildNext(keys, model, Config{}, 2)
 	if err != nil || tab == nil {
@@ -334,29 +326,5 @@ func TestBuildNextReusesPools(t *testing.T) {
 	}
 	if tab.Find(keys[10]) != Build0(keys, model).Find(keys[10]) {
 		t.Fatal("nil BuildNext table broken")
-	}
-}
-
-// TestBuildStatsCached: the build's one model sweep must leave ComputeStats
-// and Log2Error O(1) and equal to the slow recomputation.
-func TestBuildStatsCached(t *testing.T) {
-	for _, mode := range []Mode{ModeRange, ModeMidpoint} {
-		keys := dataset.MustGenerate(dataset.Osmc, 64, 20_000, 2)
-		tab, err := BuildParallel(keys, cdfmodel.NewInterpolation(keys), Config{Mode: mode}, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tab.stats == nil {
-			t.Fatal("built table must cache stats")
-		}
-		cached := tab.ComputeStats()
-		tab.stats = nil // force the slow path
-		slow := tab.ComputeStats()
-		if cached != slow {
-			t.Fatalf("mode %v: cached stats %+v != recomputed %+v", mode, cached, slow)
-		}
-		if l := tab.Log2Error(); l != slow.MeanLog2Bounds {
-			t.Fatalf("mode %v: Log2Error %v != MeanLog2Bounds %v", mode, l, slow.MeanLog2Bounds)
-		}
 	}
 }

@@ -43,13 +43,7 @@ const layerV2DataOff = 8*8 + 8
 // snapshot writer can reserve the section (SectionSized) and the mapped
 // loader can cross-check geometry before viewing anything.
 func (t *Table[K]) layerSizeV2() int64 {
-	var data int64
-	switch t.mode {
-	case ModeRange:
-		data = 2 * int64(t.m) * int64(t.pairs.width)
-	default:
-		data = int64(t.m) * int64(t.shift.width)
-	}
+	data := int64(t.drift.sizeBytes())
 	return layerV2DataOff + data + pad8(data) + 4*int64(t.m)
 }
 
@@ -66,23 +60,11 @@ func pad8(n int64) int64 { return (8 - n%8) % 8 }
 // width prefixes: all widths live in the widths word so every payload
 // offset is computable from the header alone.
 func (t *Table[K]) writeLayerV2(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var width, lo, hi uint8
-	var data int64
-	switch t.mode {
-	case ModeRange:
-		if t.pairs.len() != t.m {
-			return fmt.Errorf("core: drift pair length %d, want %d", t.pairs.len(), t.m)
-		}
-		width, lo, hi = t.pairs.width, t.loBits, t.hiBits
-		data = 2 * int64(t.m) * int64(width)
-	default:
-		if t.shift.len() != t.m {
-			return fmt.Errorf("core: drift array length %d, want %d", t.shift.len(), t.m)
-		}
-		width = t.shift.width
-		data = int64(t.m) * int64(width)
+	if want := int64(t.m) * entriesPerPartition(t.mode); int64(t.drift.len()) != want {
+		return fmt.Errorf("core: drift array length %d, want %d", t.drift.len(), want)
 	}
+	bw := bufio.NewWriterSize(w, 1<<16)
+	data := int64(t.drift.sizeBytes())
 	head := []uint64{
 		layerMagic,
 		layerVersion2,
@@ -92,7 +74,7 @@ func (t *Table[K]) writeLayerV2(w io.Writer) error {
 		boolU64(t.monotone),
 		keysFingerprint(t.keys),
 		modelFingerprint(t.model),
-		uint64(width) | uint64(lo)<<8 | uint64(hi)<<16,
+		uint64(t.drift.width) | uint64(t.loBits)<<8 | uint64(t.hiBits)<<16,
 	}
 	for _, v := range head {
 		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
@@ -101,7 +83,7 @@ func (t *Table[K]) writeLayerV2(w io.Writer) error {
 	}
 	// Exactly one drift slice is non-nil (none for an empty layer); the
 	// nil ones write nothing.
-	for _, d := range []any{t.pairs.w8, t.pairs.w16, t.pairs.w32, t.pairs.w64, t.shift.w8, t.shift.w16, t.shift.w32, t.shift.w64} {
+	for _, d := range []any{t.drift.w8, t.drift.w16, t.drift.w32, t.drift.w64} {
 		if err := binary.Write(bw, binary.LittleEndian, d); err != nil {
 			return err
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"repro/internal/cdfmodel"
 	"repro/internal/kv"
 )
@@ -34,22 +36,18 @@ type Stats struct {
 	MeanLog2Bounds float64 // mean log2(window) — binary-search iterations for last-mile (§4.2)
 }
 
-// ComputeStats reports the summary. Built tables carry it from the build's
-// one model sweep (build.go), so this is O(1) after Build/BuildParallel/
-// BuildNext; tables without the cache (sampled midpoint builds, Load) scan
-// the keys once. The cache is never populated lazily — a Table is immutable
-// after build and shared by concurrent readers.
+// ComputeStats reports the summary: the partition-count fields read off
+// the layer, the model error before correction from one model sweep over
+// the keys (ModelError), and Log2Error's O(M) window sum.
 func (t *Table[K]) ComputeStats() Stats {
-	if t.stats != nil {
-		return *t.stats
-	}
 	s := Stats{
-		N:         t.n,
-		M:         t.m,
-		Mode:      t.mode,
-		EntryBits: t.EntryBits(),
-		SizeBytes: t.SizeBytes(),
-		AvgErrEq8: t.AvgError(),
+		N:              t.n,
+		M:              t.m,
+		Mode:           t.mode,
+		EntryBits:      t.EntryBits(),
+		SizeBytes:      t.SizeBytes(),
+		AvgErrEq8:      t.AvgError(),
+		MeanLog2Bounds: t.Log2Error(),
 	}
 	for _, c := range t.count {
 		if c == 0 {
@@ -59,39 +57,33 @@ func (t *Table[K]) ComputeStats() Stats {
 			s.MaxCount = int(c)
 		}
 	}
-	if t.n == 0 {
-		return s
-	}
-	var driftSum int64
-	firstOcc := 0
-	for i, x := range t.keys {
-		if i > 0 && x != t.keys[i-1] {
-			firstOcc = i
-		}
-		pred := t.model.Predict(x)
-		d := firstOcc - pred
-		if d < 0 {
-			d = -d
-		}
-		driftSum += int64(d)
-		if d > s.MaxAbsDrift {
-			s.MaxAbsDrift = d
-		}
-	}
-	s.MeanAbsDrift = float64(driftSum) / float64(t.n)
-	s.MeanLog2Bounds = t.meanLog2Bounds()
+	s.MeanAbsDrift, s.MaxAbsDrift = ModelError(t.keys, t.model)
 	return s
 }
 
 // Log2Error is the Fig. 8 "average log2 error" metric: the mean log2 of
 // the last-mile search window, i.e. the expected binary-search iteration
-// count after correction (§4.2). O(1) on built tables (the build caches
-// its stats); O(M) otherwise — never a model sweep.
+// count after correction (§4.2). It sums the per-partition window widths,
+// O(M) with no model sweep: each key of partition k searches a window of
+// hi[k]−lo[k]+1 slots regardless of its own prediction. Midpoint windows
+// are degenerate ([s, s], width 1) and contribute 0.
 func (t *Table[K]) Log2Error() float64 {
-	if t.stats != nil {
-		return t.stats.MeanLog2Bounds
+	if t.n == 0 || t.mode != ModeRange {
+		return 0
 	}
-	return t.meanLog2Bounds()
+	var log2Sum float64
+	for k := 0; k < t.m; k++ {
+		if t.count[k] == 0 {
+			continue
+		}
+		lo, hi := t.drift.pair(k)
+		w := hi - lo + 1
+		if w < 1 {
+			w = 1
+		}
+		log2Sum += float64(t.count[k]) * math.Log2(float64(w))
+	}
+	return log2Sum / float64(t.n)
 }
 
 // ModelError measures a model's accuracy over its training keys without any

@@ -28,7 +28,7 @@ func (t *Table[K]) TraceFind(q K, touch search.Touch) int {
 		// of 2·width bytes, one cache line — the split layout's second
 		// array access (and its potential second miss) is gone.
 		t.touchPair(k, touch)
-		dlo, dhi := t.pairs.pair(k)
+		dlo, dhi := t.drift.pair(k)
 		lo := pred + dlo
 		hi := pred + dhi
 		r := search.WindowTraced(t.keys, lo, hi, q, touch)
@@ -40,14 +40,16 @@ func (t *Table[K]) TraceFind(q K, touch search.Touch) int {
 		}
 		return search.ExponentialTraced(t.keys, (lo+hi)/2, q, touch)
 	default:
-		t.touchEntry(&t.shift, k, touch)
-		start := pred + t.shift.get(k)
+		t.touchEntry(k, touch)
+		start := pred + t.drift.get(k)
 		return search.ExponentialTraced(t.keys, start, q, touch)
 	}
 }
 
-// touchEntry reports the address of drift entry k at its packed width.
-func (t *Table[K]) touchEntry(d *driftArray, k int, touch search.Touch) {
+// touchEntry reports the address of midpoint drift entry k at its packed
+// width.
+func (t *Table[K]) touchEntry(k int, touch search.Touch) {
+	d := &t.drift
 	switch d.width {
 	case 1:
 		touch(kv.Addr(d.w8, k), 1)
@@ -63,7 +65,7 @@ func (t *Table[K]) touchEntry(d *driftArray, k int, touch search.Touch) {
 // touchPair reports the fused <lo, hi> entry of partition k as one access
 // of 2·width bytes (the pair is contiguous by construction).
 func (t *Table[K]) touchPair(k int, touch search.Touch) {
-	d := &t.pairs
+	d := &t.drift
 	switch d.width {
 	case 1:
 		touch(kv.Addr(d.w8, 2*k), 2)

@@ -215,16 +215,15 @@ func (s shiftIndex[K]) SizeBytes() int {
 }
 
 // buildShift wraps a model constructor into a backend builder producing
-// model+Shift-Table (range mode, M=N — the paper's default configuration),
-// built through the parallel pipeline (bit-identical to the serial build;
-// DESIGN.md §8).
+// model+Shift-Table (range mode, M=N — the paper's default configuration)
+// at GOMAXPROCS build workers (DESIGN.md §8).
 func buildShift[K kv.Key](mk func(keys []K) (cdfmodel.Model[K], error)) func(keys []K) (Index[K], error) {
 	return func(keys []K) (Index[K], error) {
 		model, err := mk(keys)
 		if err != nil {
 			return nil, err
 		}
-		tab, err := core.BuildParallel(keys, model, core.Config{Mode: core.ModeRange}, 0)
+		tab, err := core.Build(keys, model, core.Config{Mode: core.ModeRange})
 		if err != nil {
 			return nil, err
 		}
