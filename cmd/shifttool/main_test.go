@@ -118,8 +118,9 @@ func captureStdout(t *testing.T, fn func() error) (string, error) {
 // mapped open, self-validated by shifttool's mapped load, and reproduced
 // exactly by a load and a save. Covers every full under testdata/v1 (the
 // registry kinds, the retired updatable kind, and the concurrent kind,
-// which needs the concurrent loader linked) and the updatable golden
-// file.
+// which needs the concurrent loader linked), the updatable golden file
+// and its v2-layer original, and the concurrent golden file's v2-layer
+// original.
 func TestRunMigrate(t *testing.T) {
 	dir := t.TempDir()
 	v1 := filepath.Join("..", "..", "testdata", "v1")
@@ -130,6 +131,8 @@ func TestRunMigrate(t *testing.T) {
 		filepath.Join(v1, "concurrent.snap"),
 		filepath.Join(v1, "store", "full-00000001.snap"),
 		filepath.Join("..", "..", "internal", "updatable", "testdata", "tombstone-free.snap"),
+		filepath.Join("..", "..", "internal", "updatable", "testdata", "tombstone-free-v2.snap"),
+		filepath.Join("..", "..", "internal", "concurrent", "testdata", "golden-v2.snap"),
 	} {
 		name := filepath.Base(src)
 		err := run("face64", 0, "im", "r", 0, "", 3, false, false, "", src, false)

@@ -142,7 +142,9 @@ func decodeSeeds(tb testing.TB) [][]byte {
 		"testdata/v1/store/full-00000001.snap",
 		"testdata/v1/store/delta-00000002.snap",
 		"internal/concurrent/testdata/golden.snap",
+		"internal/concurrent/testdata/golden-v2.snap",
 		"internal/updatable/testdata/tombstone-free.snap",
+		"internal/updatable/testdata/tombstone-free-v2.snap",
 	} {
 		data, err := os.ReadFile(filepath.FromSlash(p))
 		if err != nil {
@@ -280,9 +282,9 @@ func resealed(data []byte) []byte {
 }
 
 // TestHeapLoadRejectsResealedInvalid: containers whose every checksum is
-// valid but whose content breaks an O(n) invariant — keys out of order,
-// partition counts summing past N — are rejected by the verified heap
-// load of every kind. The unverified mapped open of a v2 file does not
+// valid but whose content breaks an O(n) invariant — keys out of order, a
+// range layer's partitions starting outside the keys — are rejected by
+// the verified heap load of every kind. The unverified mapped open of a v2 file does not
 // run those checks (it stays O(sections)), so it accepts them. A v1
 // full is refused as legacy, and its migration does not launder the
 // damage: the heap load rejects the migrated container too.
@@ -309,7 +311,7 @@ func TestHeapLoadRejectsResealedInvalid(t *testing.T) {
 		t.Fatal(err)
 	}
 	conc.Close()
-	// layer marks the kinds whose section 3 is a v2 shift-table layer.
+	// layer marks the kinds whose section 3 is a v3 range-mode layer.
 	cases := []struct {
 		name      string
 		data      []byte
@@ -340,15 +342,20 @@ func TestHeapLoadRejectsResealedInvalid(t *testing.T) {
 			copy(a, b)
 			copy(b, tmp)
 			mutants := map[string][]byte{"unsorted keys": resealed(unsorted)}
-			// Partition counts summing past N: the first count of the base
-			// layer (section 3, a v2 blob ending in its m int32 counts) set
-			// to the key count plus one.
+			// Partitions starting outside the keys: in the base layer
+			// (section 3, a v3 blob whose widths word at byte 64 is followed
+			// by the m+1 lower bounds) the sign bit of lo[0] set, so the
+			// first partition starts before position 0, or the closing
+			// entry lo[m] made nonzero.
 			if c.layer {
 				layer := secs[3]
-				over := append([]byte(nil), c.data...)
-				m := binary.LittleEndian.Uint64(over[layer[0]+32:])
-				binary.LittleEndian.PutUint32(over[layer[0]+layer[1]-4*int(m):], uint32(len(keys)+1))
-				mutants["counts past N"] = resealed(over)
+				width := int(c.data[layer[0]+64])
+				negative := append([]byte(nil), c.data...)
+				negative[layer[0]+72+width-1] |= 0x80
+				mutants["a partition starting before the keys"] = resealed(negative)
+				closing := append([]byte(nil), c.data...)
+				closing[layer[0]+layer[1]-width] ^= 1
+				mutants["a nonzero closing bound"] = resealed(closing)
 			}
 			for what, data := range mutants {
 				if c.v1 {

@@ -25,8 +25,12 @@
 // core.Build and core.Table.BuildNext shards the model sweep and — for
 // monotone models — the per-partition accumulation across workers into a
 // single pooled arena, and packs the drift entries into one array at the
-// narrowest width that fits: range-mode <lo, hi> bounds interleaved so a
-// lookup's correction step touches one cache line instead of two.
+// narrowest width that fits. Range mode stores M+1 lower bounds: a
+// lookup in partition k reads lo[k] and lo[k+1], adjacent entries, and
+// its window ends where partition k+1's begins. A build whose model
+// mis-declares Monotone fails the build's coverage check and validates
+// its answers; partition counts are swept from the model when an
+// analysis asks for them, not stored.
 // Compaction's rebuild chain reuses the predecessor's arena and scratch
 // pools through BuildNext. Every worker count is property-tested
 // bit-identical; BenchmarkBuild times them.
@@ -67,7 +71,7 @@
 //
 // Snapshot layout v2 makes warm start zero-copy (internal/mapped,
 // DESIGN.md §12): sections are page-aligned and individually CRC'd, so
-// the key and fused-drift arrays are viewed in place over a refcounted
+// the key and drift arrays are viewed in place over a refcounted
 // mmap region instead of decoded — the open parses a fixed-size footer
 // and table of contents and is O(sections), not O(keys): BenchmarkWarmStart
 // at 10M keys opens mapped 241x faster than the heap load on a 2-vCPU

@@ -47,7 +47,7 @@ func main() {
 	// corrected error (the paper's Fig. 6 in two lines).
 	before, _ := core.ModelError(keys, model)
 	fmt.Printf("model error: %.0f records -> corrected: %.1f records\n", before, table.MeasuredError())
-	fmt.Printf("layer: %d entries x %d bits = %.1f MiB\n",
+	fmt.Printf("layer: %d partitions, %d-bit entries, %.1f MiB\n",
 		table.M(), table.EntryBits(), float64(table.SizeBytes())/(1<<20))
 
 	// The tuning rules of §4.1, as an advisor.

@@ -70,18 +70,42 @@ func TestRunTable2Small(t *testing.T) {
 
 func TestLatencyCurveShape(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.USpr, 64, 500_000, 3)
-	points := MeasureLatencyCurve(keys, 1<<12, 2_000, 5)
-	if len(points) < 10 {
-		t.Fatalf("too few curve points: %d", len(points))
+	// Each round is one wall-clock pass over every window size; the claims
+	// are decided on the per-size medians of fig2Repeats rounds, so one
+	// descheduled pass cannot flip them.
+	var rounds [][]LatencyPoint
+	for r := 0; r < fig2Repeats; r++ {
+		points := MeasureLatencyCurve(keys, 1<<12, 2_000, int64(5+r))
+		if len(points) < 10 {
+			t.Fatalf("too few curve points: %d", len(points))
+		}
+		rounds = append(rounds, points)
+	}
+	median := func(col func(LatencyPoint) float64, at int) float64 {
+		ns := make([]float64, len(rounds))
+		for r, points := range rounds {
+			ns[r] = col(points[at])
+		}
+		slices.Sort(ns)
+		return ns[len(ns)/2]
+	}
+	points := make([]LatencyPoint, len(rounds[0]))
+	for i := range points {
+		points[i] = LatencyPoint{
+			WindowSize: rounds[0][i].WindowSize,
+			LinearNs:   median(func(p LatencyPoint) float64 { return p.LinearNs }, i),
+			BinaryNs:   median(func(p LatencyPoint) float64 { return p.BinaryNs }, i),
+			ExpNs:      median(func(p LatencyPoint) float64 { return p.ExpNs }, i),
+		}
 	}
 	// Latency must grow with window size (allowing noise between adjacent
 	// sizes, compare the ends).
 	first, last := points[0], points[len(points)-1]
 	if last.BinaryNs <= first.BinaryNs {
-		t.Errorf("binary L(s) should grow: %f -> %f", first.BinaryNs, last.BinaryNs)
+		t.Errorf("binary L(s) should grow: median %f -> %f", first.BinaryNs, last.BinaryNs)
 	}
 	if last.LinearNs <= first.LinearNs {
-		t.Errorf("linear L(s) should grow: %f -> %f", first.LinearNs, last.LinearNs)
+		t.Errorf("linear L(s) should grow: median %f -> %f", first.LinearNs, last.LinearNs)
 	}
 	fn := FitLatencyFn(points)
 	if fn(1) <= 0 || fn(1000) <= fn(1) {
@@ -106,9 +130,10 @@ func TestPlantedWorkload(t *testing.T) {
 	}
 }
 
-// fig2Repeats is the number of RunFig2a rounds behind each
-// TestRunFig2Small timing median: a single timing pass per search is at
-// the mercy of scheduler noise.
+// fig2Repeats is the number of rounds behind each timing median of
+// TestRunFig2Small (RunFig2a) and TestLatencyCurveShape
+// (MeasureLatencyCurve): a single timing pass per search is at the mercy
+// of scheduler noise.
 const fig2Repeats = 5
 
 func TestRunFig2Small(t *testing.T) {

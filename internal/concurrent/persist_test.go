@@ -320,10 +320,13 @@ func TestConcurrentSnapshotCorruption(t *testing.T) {
 	}
 }
 
-// TestSaveFileGolden: testdata/golden.snap was written by an earlier
-// build from the recipe in testdata/README.md. This build's SaveFile of
-// the same index must reproduce it byte for byte: the persisted format
-// does not change.
+// TestSaveFileGolden: testdata/golden.snap was written from the recipe in
+// testdata/README.md. This build's SaveFile of the same index must
+// reproduce it byte for byte, so the persisted format does not change
+// unnoticed. testdata/golden-v2.snap, the same index as a build with v2
+// layer blobs wrote it, must migrate byte for byte to what the golden
+// file migrates to (the migration also folds the write head into the
+// sealed run, so neither migrates to the golden file itself).
 func TestSaveFileGolden(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Face, 64, 2000, 12)
 	ix, err := New(keys, Config{})
@@ -346,6 +349,18 @@ func TestSaveFileGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("SaveFile wrote %d bytes that differ from the %d-byte golden file", len(got), len(want))
+	}
+	legacy, err := os.ReadFile(filepath.Join("testdata", "golden-v2.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	current, err := migrate.Full(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if migrated, err := migrate.Full(legacy); err != nil || !bytes.Equal(migrated, current) {
+		t.Fatalf("golden-v2.snap does not migrate to what the golden file does (%d vs %d bytes, %v)",
+			len(migrated), len(current), err)
 	}
 }
 

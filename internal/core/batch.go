@@ -165,12 +165,17 @@ func (t *Table[K]) partitioner() func(int) int {
 }
 
 // gatherWindows computes, per lane, the clamped local-search window
-// [wlo, wend) exactly as search.Window derives it from the raw drift
-// bounds. The fused pair layout makes this one gather instead of two: each
-// lane's <lo, hi> entries are adjacent, so half the independent misses of
-// the split-layout gather fetch both bounds.
+// [wlo, wend) exactly as search.Window derives it from Table.window's
+// bounds. Each lane reads lo[k] and lo[k+1], adjacent entries, so one
+// miss fetches both; below M = N the span term is added in a second loop
+// that touches no memory.
 func (t *Table[K]) gatherWindows(pred, wlo, wend []int) {
-	t.drift.gatherPairs(pred, wlo, wend, t.partitioner())
+	t.drift.gatherBounds(pred, wlo, wend, t.partitioner())
+	if t.m != t.n {
+		for i, p := range pred {
+			wend[i] += t.span(t.partitionOf(p))
+		}
+	}
 	// Clamp to search.Window's semantics: lo into [0, n], inclusive hi cut
 	// at n-1, then one slot past the window (§3.1) capped at n.
 	n := t.n

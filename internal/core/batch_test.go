@@ -267,7 +267,7 @@ func TestFindBatchEdgeCases(t *testing.T) {
 }
 
 // TestFindBatchAfterLoad ensures a layer viewed from its persisted blob
-// (whose drift arrays alias the blob rather than come from packPairs)
+// (whose drift array aliases the blob rather than comes from the build)
 // answers batches identically — guarding the width cache across the
 // serialize round trip.
 func TestFindBatchAfterLoad(t *testing.T) {
@@ -277,7 +277,7 @@ func TestFindBatchAfterLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := viewLayerV2(layerBlob(t, tab), keys, model)
+	loaded, err := viewLayer(layerBlob(t, tab), keys, model)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,12 +33,14 @@ import (
 //     hence a partition.)
 //  3. Pass 2 derives the drift bounds in place over the same arena,
 //     tracking the value magnitudes as it goes, so the packed entry width
-//     (§3.9) needs no extra reduction pass; range mode packs straight into
-//     the fused interleaved <lo, hi> layout the query paths dispatch on.
+//     (§3.9) needs no extra reduction pass. Range mode keeps only the M+1
+//     lower bounds; it checks on the way that every partition's window
+//     derived from the next lower bound covers the window its own keys
+//     need, and a table that fails the check does not trust its windows.
 //
 // Every worker count produces the same table bit for bit — widths, drifts
-// and counts — property-tested in parallel_test.go and fuzzed in
-// fuzz_test.go.
+// and the monotone flag — property-tested in parallel_test.go and fuzzed
+// in fuzz_test.go.
 
 // parallelBuildMin is the key count below which sharding is not worth the
 // goroutine fan-out and builds take one worker.
@@ -46,27 +48,34 @@ const parallelBuildMin = 4096
 
 // buildArena holds the transient arrays of one build: the prediction arena
 // of stage 1 and the per-partition accumulators that pass 2 then rewrites
-// in place into drift bounds. Arenas carry no results — everything
-// retained by the finished table is freshly allocated at its packed width
+// in place into drift bounds. Arenas carry no results — the finished table
+// retains only its drift entries, freshly allocated at their packed width
 // — so BuildNext can recycle them through Table.buildPool and steady-state
 // compaction allocates only the packed product.
 type buildArena struct {
 	pred   []int32 // stage 1: per-key model predictions
-	minPos []int64 // pass 1: first run position per partition; pass 2: lo drift
-	endPos []int64 // pass 1: last position per partition; pass 2: hi drift
+	minPos []int64 // pass 1: first run position per partition; pass 2: lo drift (M+1 entries)
+	endPos []int64 // pass 1: last position per partition
 	sum    []int64 // pass 1: Σ drift per partition (midpoint mode only)
+	cnt    []int32 // pass 1: keys per partition
 }
 
-// slices grows the arena to the build's sizes and returns the views.
-func (a *buildArena) slices(n, m int, needSum bool) (pred []int32, minPos, endPos, sumW []int64) {
+// slices grows the arena to the build's sizes and returns the views;
+// minPos has one extra slot for the entry that closes the last partition.
+func (a *buildArena) slices(n, m int, needSum bool) (pred []int32, minPos, endPos, sumW []int64, cnt []int32) {
 	if cap(a.pred) < n {
 		a.pred = make([]int32, n)
 	}
 	pred = a.pred[:n]
-	if cap(a.minPos) < m {
-		a.minPos = make([]int64, m)
+	if cap(a.minPos) < m+1 {
+		a.minPos = make([]int64, m+1)
 	}
 	minPos = a.minPos[:m]
+	if cap(a.cnt) < m {
+		a.cnt = make([]int32, m)
+	}
+	cnt = a.cnt[:m]
+	clear(cnt)
 	if cap(a.endPos) < m {
 		a.endPos = make([]int64, m)
 	}
@@ -97,19 +106,20 @@ func Build[K kv.Key](keys []K, model cdfmodel.Model[K], cfg Config) (*Table[K], 
 // arena from prev's pool and handing both of prev's pools (batch scratches
 // and build arenas) to the new table. Rebuild chains — internal/
 // concurrent's compaction, through updatable.NewFrom — therefore
-// re-allocate neither query scratch nor build scratch in steady state. A
-// nil prev is a fresh build.
+// re-allocate neither query scratch nor build scratch in steady state.
+// Neither pool carries table-specific state: every batch-scratch slot is
+// written before it is read within a chunk, and build arenas are
+// re-initialised per build. A nil prev is a fresh build.
 func (prev *Table[K]) BuildNext(keys []K, model cdfmodel.Model[K], cfg Config, workers int) (*Table[K], error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	var pool *sync.Pool
-	if prev != nil {
-		pool = prev.buildPool
+	if prev == nil || prev.buildPool == nil {
+		return buildPipeline(keys, model, cfg, workers, nil)
 	}
-	t, err := buildPipeline(keys, model, cfg, workers, pool)
+	t, err := buildPipeline(keys, model, cfg, workers, prev.buildPool)
 	if t != nil {
-		t.AdoptScratch(prev)
+		t.scratch, t.buildPool = prev.scratch, prev.buildPool
 	}
 	return t, err
 }
@@ -174,8 +184,7 @@ func buildPipeline[K kv.Key](keys []K, model cdfmodel.Model[K], cfg Config, work
 		ar = new(buildArena)
 	}
 	needSum := cfg.Mode == ModeMidpoint
-	pred, minPos, endPos, sumW := ar.slices(n, m, needSum)
-	cnt := make([]int32, m) // retained by the table; not arena-backed
+	pred, minPos, endPos, sumW, cnt := ar.slices(n, m, needSum)
 
 	// Pass 1 (Alg. 2 lines 3–9): accumulate per-partition statistics. With
 	// a monotone model the keys of one partition form a contiguous run of
@@ -184,73 +193,64 @@ func buildPipeline[K kv.Key](keys []K, model cdfmodel.Model[K], cfg Config, work
 	t.passOne(pred, minPos, endPos, sumW, cnt, stride, workers)
 
 	// Pass 2: derive per-partition drift bounds in place — minPos becomes
-	// the lo drift, endPos the hi drift — and backfill empty partitions
-	// with pseudo-values pointing at the first key of the next non-empty
-	// partition (§3.1 — the paper's Alg. 2 pseudo-code reads from k−1,
-	// contradicting the text; we implement the text, see DESIGN.md §4).
+	// the lo drift — and backfill empty partitions with pseudo-values
+	// pointing at the first key of the next non-empty partition (§3.1 —
+	// the paper's Alg. 2 pseudo-code reads from k−1, contradicting the
+	// text; we implement the text, see DESIGN.md §4).
 	//
 	// For a query q in partition k, monotonicity gives: keys of partitions
 	// < k are < q and keys of partitions > k are > q, so the answer lies in
 	// [minPos[k], endPos[k]+1]. The query's own prediction p can be any
 	// value in the partition's feasible range [pmin, pmax] (Eq. 5–6
-	// generalised to M<N), so the stored relative bounds must cover the
-	// absolute window from every such p:
+	// generalised to M<N), so the relative bounds must cover the absolute
+	// window from every such p:
 	//
 	//	lo[k] = minPos[k] − pmax,  hi[k] = endPos[k] − pmin.
 	//
 	// With M = N, pmin = pmax = k and these reduce exactly to the paper's
-	// Δk = minPos−k and window length Ck (Alg. 2). Value magnitudes are
-	// tracked as the bounds are produced, so packing needs no extra
-	// reduction pass over the layer.
-	loW, hiW := minPos, endPos
-	var maxLo, maxHi int64
+	// Δk = minPos−k and window length Ck (Alg. 2). Only lo is stored: the
+	// lookup derives hi[k] as lo[k+1] + span(k), which equals it whenever
+	// partition k's keys end where partition k+1's begin. The loop checks
+	// that the derived bound covers hi[k] for every k; a non-monotone or
+	// mis-declared model can fail it, and then the table clears monotone
+	// so the windows become §3.8 hints that Find validates. Value
+	// magnitudes are tracked as the bounds are produced, so packing needs
+	// no extra reduction pass over the layer.
+	loW := minPos[:m+1]
+	loW[m] = 0 // partition M: answer N, predicted at N (predRange)
+	covered := true
+	var maxLo int64
 	nextFirst := int64(n) // first position of the nearest non-empty partition to the right
+	nextPmax := int64(n)  // pmax(k+1)
 	for k := m - 1; k >= 0; k-- {
 		pmin, pmax := t.predRange(k)
+		var hi int64
 		if cnt[k] > 0 {
 			first := minPos[k]
 			loW[k] = first - pmax
-			hiW[k] = endPos[k] - pmin
+			hi = endPos[k] - pmin
 			nextFirst = first
 		} else {
 			// Empty partition: any query landing here resolves exactly to
 			// position nextFirst; encode a window whose just-after slot is
-			// nextFirst for every feasible prediction. cnt stays 0: these
-			// are pseudo-entries (§3.1), not real keys.
+			// nextFirst for every feasible prediction.
 			loW[k] = nextFirst - pmax
-			hiW[k] = nextFirst - 1 - pmin
+			hi = nextFirst - 1 - pmin
 			if needSum {
 				sumW[k] = nextFirst - (pmin+pmax)/2 // midpoint aim
 			}
 		}
-		v := loW[k]
-		if v < 0 {
-			v = -v
+		if loW[k+1]+nextPmax-pmin-1 < hi {
+			covered = false
 		}
-		if v > maxLo {
-			maxLo = v
-		}
-		if v = hiW[k]; v < 0 {
-			v = -v
-		}
-		if v > maxHi {
-			maxHi = v
-		}
+		nextPmax = pmax
+		maxLo = max(maxLo, loW[k], -loW[k])
 	}
 
-	t.count = cnt
 	switch cfg.Mode {
 	case ModeRange:
-		// One interleaved array at the common width (the fused query
-		// layout); the independent split widths are kept for the
-		// serialization format and the §3.9 width report.
-		wl, wh := driftWidth(maxLo), driftWidth(maxHi)
-		w := wl
-		if wh > w {
-			w = wh
-		}
-		t.drift = packPairs(loW, hiW, w)
-		t.loBits, t.hiBits = wl, wh
+		t.drift = packDriftsWidth(loW, driftWidth(maxLo))
+		t.monotone = t.monotone && covered
 	case ModeMidpoint:
 		var maxMid int64
 		for k := 0; k < m; k++ {
@@ -262,12 +262,7 @@ func buildPipeline[K kv.Key](keys []K, model cdfmodel.Model[K], cfg Config, work
 				v = roundHalfAway(float64(v) / float64(cnt[k]))
 			}
 			sumW[k] = v
-			if v < 0 {
-				v = -v
-			}
-			if v > maxMid {
-				maxMid = v
-			}
+			maxMid = max(maxMid, v, -v)
 		}
 		t.drift = packDriftsWidth(sumW, driftWidth(maxMid))
 	}

@@ -8,12 +8,14 @@
 // and stores, per partition, how far ahead the actual records are. Two modes
 // are provided, matching the paper's evaluation (§3.4, Fig. 9):
 //
-//   - ModeRange ("R"): each partition stores the <Δ, C> pair of §3 — the
-//     minimum drift and the window length — giving a guaranteed range for a
-//     bounded local search (binary or linear, Alg. 1).
+//   - ModeRange ("R"): each partition stores the minimum drift Δk of §3.
+//     Under a monotone model the window length Ck follows from Δk+1, so
+//     the layer is M+1 lower bounds, and a lookup reads two adjacent
+//     entries to get a guaranteed range for a bounded local search
+//     (binary or linear, Alg. 1).
 //   - ModeMidpoint ("S"): each partition stores a single midpoint shift Δ̄
-//     (Eq. 7) — half the footprint, no guaranteed bounds, so local search
-//     is exponential (§3.4).
+//     (Eq. 7) — one entry per partition, no guaranteed bounds, so local
+//     search is exponential (§3.4).
 //
 // The layer size M defaults to N (one partition per key, the paper's
 // recommended default, §3.9) and can be reduced (M = N/X, the paper's "S-X"
@@ -33,11 +35,13 @@ import (
 type Mode int
 
 const (
-	// ModeRange stores <Δ, C> pairs: guaranteed windows, bounded local
-	// search (the paper's "R" configurations).
+	// ModeRange stores M+1 lower bounds Δk, each window running to the
+	// next partition's: guaranteed windows, bounded local search (the
+	// paper's "R" configurations).
 	ModeRange Mode = iota
-	// ModeMidpoint stores single midpoint shifts Δ̄: half the memory, local
-	// search is unbounded exponential (the paper's "S" configurations).
+	// ModeMidpoint stores single midpoint shifts Δ̄: no guaranteed bounds,
+	// local search is unbounded exponential (the paper's "S"
+	// configurations).
 	ModeMidpoint
 )
 
@@ -54,7 +58,7 @@ func (m Mode) String() string {
 
 // Config controls how a Shift-Table is built.
 type Config struct {
-	// Mode selects range pairs (R) or midpoint shifts (S). Default R.
+	// Mode selects range bounds (R) or midpoint shifts (S). Default R.
 	Mode Mode
 	// M is the number of partitions. 0 means N, the paper's default
 	// (§3.9): "using a mapping layer that has the same number of entries
@@ -77,31 +81,21 @@ type Table[K kv.Key] struct {
 	n     int
 	m     int
 
-	// drift holds the packed per-partition drift entries (drift.go). Range
-	// mode stores the fused <lo, hi> bounds, interleaved at one packed
-	// width so a lookup's correction step touches a single cache line
-	// (DESIGN.md §8); the window for a query with prediction p in
-	// partition k is [p+lo[k], p+hi[k]] (Eq. 5–6: Δ=lo, C=hi−lo), which
-	// with M=N degenerates to the paper's <Δk, Ck>. Midpoint mode stores
-	// the rounded mean drift Δ̄k (Eq. 7).
-	drift driftArray
-	// loBits/hiBits (range mode only) are the independent narrowest widths
-	// of the two halves (the paper's §3.9 width discussion treats lo and
-	// hi as separate arrays); the layer blob's widths word records them.
-	// They share an 8-byte slot with monotone (fieldalignment: grouping the
-	// three 1-byte fields keeps Table at 224 bytes instead of 232).
-	loBits, hiBits uint8
-	monotone       bool // model guarantees windows (§3.8)
-
-	// count[k] is the number of keys mapped to partition k (the paper's
-	// Ck cardinality), kept for the error estimate (Eq. 8) and cost model
-	// (Eq. 9–10). Stored at build time; not touched during lookups.
-	count []int32
+	// drift holds the packed drift entries (drift.go). Range mode stores
+	// M+1 lower bounds: the window for a query with prediction p in
+	// partition k is [p+lo[k], p+lo[k+1]+span(k)] (Eq. 5–6: Δ=lo, and the
+	// next partition's first key ends this one's window), which with M=N
+	// (span 0) degenerates to the paper's <Δk, Ck>. Midpoint mode stores
+	// the rounded mean drift Δ̄k (Eq. 7). Partition cardinalities are not
+	// stored: the analysis readers count them with one model sweep
+	// (stats.go).
+	drift    driftArray
+	monotone bool // windows are guaranteed (§3.8): a monotone model whose windows the build checked
 
 	// scratch pools *batchScratch[K] instances for the batched query
 	// engine (batch.go); concurrent batches each draw their own. It is a
 	// pointer so a rebuilt table can adopt its predecessor's warmed pool
-	// (AdoptScratch): snapshot generations under internal/concurrent then
+	// (BuildNext): snapshot generations under internal/concurrent then
 	// share one pool instead of re-allocating scratches after every
 	// compaction.
 	scratch *sync.Pool
@@ -114,7 +108,7 @@ type Table[K kv.Key] struct {
 	buildPool *sync.Pool
 
 	// region, when non-nil, is the mapped snapshot region whose pages
-	// back keys, drift arrays, and counts (mapped.go in this package).
+	// back keys and the drift array (mapped.go in this package).
 	// The table holds one reference, released by a runtime cleanup when
 	// the table becomes unreachable — readers reach the bytes only
 	// through a table they hold, so reachability implies the mapping is
@@ -136,7 +130,9 @@ func (t *Table[K]) partitionOf(pred int) int {
 
 // predRange returns the inclusive range of predictions that map to
 // partition k: the feasible positions a query landing in an empty partition
-// can have been predicted at.
+// can have been predicted at. Partition M, one past the layer, is
+// predicted only at N: the range-mode entry M that closes the last
+// partition is written as if it were an empty partition whose answer is N.
 func (t *Table[K]) predRange(k int) (pmin, pmax int64) {
 	if t.m == t.n {
 		return int64(k), int64(k)
@@ -144,13 +140,34 @@ func (t *Table[K]) predRange(k int) (pmin, pmax int64) {
 	// partitionOf(p) == k  ⟺  k·n ≤ p·m < (k+1)·n.
 	pmin = ceilDiv(int64(k)*int64(t.n), int64(t.m))
 	pmax = ceilDiv(int64(k+1)*int64(t.n), int64(t.m)) - 1
-	if pmax > int64(t.n-1) {
-		pmax = int64(t.n - 1)
+	if pmax > int64(t.n) {
+		pmax = int64(t.n) // only partition M reaches past N−1
 	}
 	if pmin > pmax {
 		pmin = pmax // degenerate partition no prediction maps to
 	}
 	return pmin, pmax
+}
+
+// span is the range-mode term that turns partition k+1's lower bound into
+// partition k's upper bound: pmax(k+1) − pmin(k) − 1. The two partitions'
+// keys are adjacent runs under a monotone model, so the last slot of k's
+// window from every feasible prediction of k is the slot before k+1's
+// first key from every feasible prediction of k+1. It is 0 at M = N.
+func (t *Table[K]) span(k int) int {
+	if t.m == t.n {
+		return 0
+	}
+	pmin, _ := t.predRange(k)
+	_, pmax := t.predRange(k + 1)
+	return int(pmax - pmin - 1)
+}
+
+// window returns the range-mode local-search window [lo, hi] of a query
+// with prediction pred in partition k.
+func (t *Table[K]) window(pred, k int) (lo, hi int) {
+	dlo, dnext := t.drift.bounds(k)
+	return pred + dlo, pred + dnext + t.span(k)
 }
 
 // Len returns the number of indexed keys.
@@ -179,36 +196,15 @@ func (t *Table[K]) ModelFingerprint() uint64 { return modelFingerprint(t.model) 
 // Keys returns the indexed keys (shared, not copied).
 func (t *Table[K]) Keys() []K { return t.keys }
 
-// AdoptScratch makes t draw its batch scratches and build arenas from
-// prev's pools instead of its own, so a table rebuilt after a compaction
-// keeps the warmed-up instances of its predecessor (neither carries
-// table-specific state: every batch-scratch slot is written before it is
-// read within a chunk, and build arenas are fully re-initialised per
-// build). Call before t is visible to concurrent readers; a nil or
-// zero-value prev is a no-op. BuildNext calls this itself.
-func (t *Table[K]) AdoptScratch(prev *Table[K]) {
-	if prev == nil {
-		return
-	}
-	if prev.scratch != nil {
-		t.scratch = prev.scratch
-	}
-	if prev.buildPool != nil {
-		t.buildPool = prev.buildPool
-	}
-}
-
 // SizeBytes reports the footprint of the correction layer itself (the
 // paper's Fig. 8 index-size axis counts the mapping array; the model size is
-// reported separately by the model). Range mode reports the fused
-// interleaved array — the layout lookups actually touch — which equals the
-// split footprint whenever lo and hi pack to the same width (the common
-// case) and rounds the narrower half up to the common width otherwise.
+// reported separately by the model): every byte the layer holds, M+1
+// packed lower bounds in range mode and M packed shifts in midpoint mode.
 func (t *Table[K]) SizeBytes() int { return t.drift.sizeBytes() }
 
 // EntryBits reports the per-entry width selected for the drift array
 // (§3.9: "if the error is smaller than 2^16/2, then a 16-bit integer can be
-// used"). Range mode reports the fused pair width, max(lo, hi).
+// used"): the narrowest width that holds every stored entry.
 func (t *Table[K]) EntryBits() int { return t.drift.entryBits() }
 
 func ceilDiv(a, b int64) int64 {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -409,13 +411,96 @@ func TestWindowContainsAnswerForMonotoneModels(t *testing.T) {
 	}
 }
 
-func TestMidpointShiftsHalveRangeFootprint(t *testing.T) {
+// TestLayerFootprint: a range layer holds M+1 lower bounds and a midpoint
+// layer M shifts, each at its packed width, and SizeBytes reports exactly
+// those bytes. At equal widths the range layer is one entry larger (§3.4
+// halved the stored <Δ, C> pairs; a lower bound per partition is the
+// same count as a shift).
+func TestLayerFootprint(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Face, 64, 8000, 5)
 	model := cdfmodel.NewInterpolation(keys)
-	r, _ := Build(keys, model, Config{Mode: ModeRange})
-	s, _ := Build(keys, model, Config{Mode: ModeMidpoint})
-	if s.SizeBytes()*2 != r.SizeBytes() {
-		t.Errorf("S-1 footprint %d should be half of R-1 %d (§3.4)", s.SizeBytes(), r.SizeBytes())
+	for _, m := range []int{0, 2000} {
+		r, _ := Build(keys, model, Config{Mode: ModeRange, M: m})
+		s, _ := Build(keys, model, Config{Mode: ModeMidpoint, M: m})
+		if want := (r.M() + 1) * r.EntryBits() / 8; r.SizeBytes() != want {
+			t.Errorf("M=%d: R footprint %d, want %d", r.M(), r.SizeBytes(), want)
+		}
+		if want := s.M() * s.EntryBits() / 8; s.SizeBytes() != want {
+			t.Errorf("M=%d: S footprint %d, want %d", s.M(), s.SizeBytes(), want)
+		}
+		if r.EntryBits() == s.EntryBits() && r.SizeBytes() != s.SizeBytes()+r.EntryBits()/8 {
+			t.Errorf("M=%d: R footprint %d should be S's %d plus one entry", r.M(), r.SizeBytes(), s.SizeBytes())
+		}
+	}
+}
+
+// TestAnalysisReadersMatchBruteForce pins every reader of the partition
+// counts — AvgError, ComputeStats, Log2Error, EstimateWith and
+// EstimateWithout — to the formulas evaluated over counts and bounds
+// brute-forced by storedBounds, in both modes, at M = N and M = N/4, on
+// the IM, linear and cubic models. Where the table trusts its windows the
+// window widths are the stored <lo, hi> pairs; the cubic model's are the
+// derived windows its lookups search.
+func TestAnalysisReadersMatchBruteForce(t *testing.T) {
+	keys := dataset.MustGenerate(dataset.Osmc, 64, 12_000, 7)
+	l := func(s int) float64 { return 36 + 20*math.Log2(float64(s)) }
+	for _, model := range []cdfmodel.Model[uint64]{
+		cdfmodel.NewInterpolation(keys), cdfmodel.NewLinear(keys), cdfmodel.NewCubic(keys),
+	} {
+		for _, cfg := range []Config{
+			{Mode: ModeRange}, {Mode: ModeRange, M: len(keys) / 4},
+			{Mode: ModeMidpoint}, {Mode: ModeMidpoint, M: len(keys) / 4},
+		} {
+			name := fmt.Sprintf("%s/%v/M=%d", model.Name(), cfg.Mode, cfg.M)
+			tab, err := Build(keys, model, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tab.monotone != model.Monotone() {
+				t.Fatalf("%s: monotone = %v", name, tab.monotone)
+			}
+			lo, hi, cnt := storedBounds(tab)
+			n := float64(len(keys))
+			var sq, log2, with, without float64
+			empty, most := 0, 0
+			for k, c := range cnt {
+				if c == 0 {
+					empty++
+					continue
+				}
+				most = max(most, int(c))
+				cf := float64(c)
+				sq += cf * cf
+				with += cf * l(int(c))
+				drift := tab.drift.get(k)
+				if cfg.Mode == ModeRange {
+					wlo, whi := lo[k], hi[k]
+					if !tab.monotone {
+						a, b := tab.window(0, k)
+						wlo, whi = int64(a), int64(b)
+					}
+					log2 += cf * math.Log2(float64(max(whi-wlo+1, 1)))
+					drift = int(lo[k]) + int(c)/2
+				}
+				without += cf * l(max(drift, -drift, 1))
+			}
+			check := func(what string, got, want float64) {
+				if got != want {
+					t.Errorf("%s: %s = %v, brute force gives %v", name, what, got, want)
+				}
+			}
+			check("AvgError", tab.AvgError(), sq/(2*n))
+			check("Log2Error", tab.Log2Error(), log2/n)
+			check("EstimateWith", tab.EstimateWith(5, 40, l).TotalNs, 45+with/n)
+			check("EstimateWithout", tab.EstimateWithout(5, l).TotalNs, 5+without/n)
+			s := tab.ComputeStats()
+			check("Stats.AvgErrEq8", s.AvgErrEq8, sq/(2*n))
+			check("Stats.MeanLog2Bounds", s.MeanLog2Bounds, log2/n)
+			if s.EmptyParts != empty || s.MaxCount != most {
+				t.Errorf("%s: stats count %d empty partitions and a largest of %d, brute force %d and %d",
+					name, s.EmptyParts, s.MaxCount, empty, most)
+			}
+		}
 	}
 }
 

@@ -29,12 +29,13 @@ type CostEstimate struct {
 // where the per-partition window Ck is what remains to search after
 // correction. modelNs is the measured model execution latency and layerNs
 // the cost of the one extra (non-cached) lookup into the mapping array
-// (≈40 ns in the paper's setup, §4.1).
+// (≈40 ns in the paper's setup, §4.1). The counts Ck come from one model
+// sweep over the keys.
 func (t *Table[K]) EstimateWith(modelNs, layerNs float64, l LatencyFn) CostEstimate {
 	est := CostEstimate{ModelNs: modelNs, LayerNs: layerNs}
 	if t.n > 0 {
 		var acc float64
-		for _, c := range t.count {
+		for _, c := range t.partitionCounts() {
 			if c > 0 {
 				acc += float64(c) * l(int(c))
 			}
@@ -49,19 +50,20 @@ func (t *Table[K]) EstimateWith(modelNs, layerNs float64, l LatencyFn) CostEstim
 // model, estimable from the already-built layer without running a benchmark
 // (§3.7): the model error for the keys of partition k is Δ̄k = Δk + Ck/2, so
 //
-//	Latency = Latency(Fθ) + 1/N · Σ_k Ck·L(|Δ̄k|).
+//	Latency = Latency(Fθ) + 1/N · Σ_k Ck·L(|Δ̄k|),
+//
+// with the counts Ck from one model sweep over the keys.
 func (t *Table[K]) EstimateWithout(modelNs float64, l LatencyFn) CostEstimate {
 	est := CostEstimate{ModelNs: modelNs}
 	if t.n > 0 {
 		var acc float64
-		for k, c := range t.count {
+		for k, c := range t.partitionCounts() {
 			if c == 0 {
 				continue
 			}
 			var drift int
 			if t.mode == ModeRange {
-				dlo, _ := t.drift.pair(k)
-				drift = dlo + int(c)/2
+				drift = t.drift.get(k) + int(c)/2
 			} else {
 				drift = t.drift.get(k)
 			}

@@ -5,11 +5,12 @@ package core
 // follow the model's maximum error (16-bit entries when the error fits in
 // ±2^15, and so on). A table holds one, in one of two shapes:
 //
-//   - range mode: 2·M entries, the <lo, hi> bounds of partition k
-//     interleaved at 2k and 2k+1 ([lo₀,hi₀,lo₁,hi₁,…]), read with pair
-//     and gatherPairs. The fused layout is cache-conscious: the
-//     correction step of a lookup touches a single cache line where split
-//     lo/hi arrays would touch two.
+//   - range mode: M+1 lower bounds lo₀…lo_M, read with bounds and
+//     gatherBounds. Partition k's window runs from lo[k] to
+//     lo[k+1]+span(k) (DESIGN.md §8): the next partition's lower bound
+//     is this one's upper bound, so no upper bound is stored, and the two
+//     entries a lookup reads are adjacent. Entry M closes the last
+//     partition.
 //   - midpoint mode: M entries, the shifts Δ̄k, read with get and
 //     gatherAdd.
 //
@@ -69,39 +70,8 @@ func packDriftsWidth(vals []int64, width uint8) driftArray {
 	}
 }
 
-// packPairs interleaves loW/hiW at the given common entry width (the max of
-// the two split widths, so every value fits).
-func packPairs(loW, hiW []int64, width uint8) driftArray {
-	m := len(loW)
-	switch width {
-	case 1:
-		out := make([]int8, 2*m)
-		for k := 0; k < m; k++ {
-			out[2*k], out[2*k+1] = int8(loW[k]), int8(hiW[k])
-		}
-		return driftArray{width: 1, w8: out}
-	case 2:
-		out := make([]int16, 2*m)
-		for k := 0; k < m; k++ {
-			out[2*k], out[2*k+1] = int16(loW[k]), int16(hiW[k])
-		}
-		return driftArray{width: 2, w16: out}
-	case 4:
-		out := make([]int32, 2*m)
-		for k := 0; k < m; k++ {
-			out[2*k], out[2*k+1] = int32(loW[k]), int32(hiW[k])
-		}
-		return driftArray{width: 4, w32: out}
-	default:
-		out := make([]int64, 2*m)
-		for k := 0; k < m; k++ {
-			out[2*k], out[2*k+1] = loW[k], hiW[k]
-		}
-		return driftArray{width: 8, w64: out}
-	}
-}
-
-// get returns the midpoint-mode shift of partition k.
+// get returns entry k: partition k's midpoint shift, or its range-mode
+// lower bound.
 func (d *driftArray) get(k int) int {
 	switch d.width {
 	case 1:
@@ -115,24 +85,24 @@ func (d *driftArray) get(k int) int {
 	}
 }
 
-// pair returns the range-mode <lo, hi> drift bounds of partition k — two
-// adjacent loads from one cache line (entries are at most 8 bytes, so the
-// 16-byte pair never spans more than it would split).
-func (d *driftArray) pair(k int) (lo, hi int) {
+// bounds returns the range-mode entries of partition k, lo[k] and
+// lo[k+1]: two adjacent loads, from one cache line unless the pair
+// straddles a line boundary.
+func (d *driftArray) bounds(k int) (lo, next int) {
 	switch d.width {
 	case 1:
-		return int(d.w8[2*k]), int(d.w8[2*k+1])
+		return int(d.w8[k]), int(d.w8[k+1])
 	case 2:
-		return int(d.w16[2*k]), int(d.w16[2*k+1])
+		return int(d.w16[k]), int(d.w16[k+1])
 	case 4:
-		return int(d.w32[2*k]), int(d.w32[2*k+1])
+		return int(d.w32[k]), int(d.w32[k+1])
 	default:
-		return int(d.w64[2*k]), int(d.w64[2*k+1])
+		return int(d.w64[k]), int(d.w64[k+1])
 	}
 }
 
-// len returns the number of entries (2·M in range mode, M in midpoint
-// mode).
+// len returns the number of entries (M+1 in range mode, M in midpoint
+// mode, 0 for an empty layer).
 func (d *driftArray) len() int {
 	switch d.width {
 	case 1:
@@ -156,45 +126,44 @@ func (d *driftArray) entryBits() int {
 	return int(d.width) * 8
 }
 
-// entriesPerPartition is the number of drift entries a partition holds:
-// the <lo, hi> pair in range mode, one shift in midpoint mode.
-func entriesPerPartition(mode Mode) int64 {
-	if mode == ModeRange {
-		return 2
+// driftEntries is the number of drift entries of an m-partition layer:
+// m+1 lower bounds in range mode, m shifts in midpoint mode, none for an
+// empty layer.
+func driftEntries(mode Mode, m int) int64 {
+	if mode == ModeRange && m > 0 {
+		return int64(m) + 1
 	}
-	return 1
+	return int64(m)
 }
 
-// gatherPairs writes wlo[i] = pred[i] + lo[part(pred[i])] and wend[i] =
-// pred[i] + hi[part(pred[i])] with the packed width dispatched once per
-// call. The fused layout makes the two gathers one: each lane loads its
-// <lo, hi> pair from adjacent entries on one line, halving the independent
-// miss count of the split-layout gather.
-func (d *driftArray) gatherPairs(pred, wlo, wend []int, part func(int) int) {
+// gatherBounds writes wlo[i] = pred[i] + lo[k] and wend[i] = pred[i] +
+// lo[k+1], k = part(pred[i]), with the packed width dispatched once per
+// call. The two entries are adjacent, so each lane's loads share a line.
+func (d *driftArray) gatherBounds(pred, wlo, wend []int, part func(int) int) {
 	switch d.width {
 	case 1:
 		a := d.w8
 		for i, p := range pred {
 			k := part(p)
-			wlo[i], wend[i] = p+int(a[2*k]), p+int(a[2*k+1])
+			wlo[i], wend[i] = p+int(a[k]), p+int(a[k+1])
 		}
 	case 2:
 		a := d.w16
 		for i, p := range pred {
 			k := part(p)
-			wlo[i], wend[i] = p+int(a[2*k]), p+int(a[2*k+1])
+			wlo[i], wend[i] = p+int(a[k]), p+int(a[k+1])
 		}
 	case 4:
 		a := d.w32
 		for i, p := range pred {
 			k := part(p)
-			wlo[i], wend[i] = p+int(a[2*k]), p+int(a[2*k+1])
+			wlo[i], wend[i] = p+int(a[k]), p+int(a[k+1])
 		}
 	default:
 		a := d.w64
 		for i, p := range pred {
 			k := part(p)
-			wlo[i], wend[i] = p+int(a[2*k]), p+int(a[2*k+1])
+			wlo[i], wend[i] = p+int(a[k]), p+int(a[k+1])
 		}
 	}
 }

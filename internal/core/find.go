@@ -21,11 +21,9 @@ func (t *Table[K]) Find(q K) int {
 	k := t.partitionOf(pred)
 	switch t.mode {
 	case ModeRange:
-		// Fused layout: the <lo, hi> pair is adjacent in memory, so the
-		// correction step costs one cache line, not two (DESIGN.md §8).
-		dlo, dhi := t.drift.pair(k)
-		lo := pred + dlo
-		hi := pred + dhi
+		// lo[k] and lo[k+1] are adjacent in memory, so the correction
+		// step costs one cache line (DESIGN.md §8).
+		lo, hi := t.window(pred, k)
 		r := search.Window(t.keys, lo, hi, q)
 		if t.monotone {
 			return r
@@ -72,8 +70,7 @@ func (t *Table[K]) Window(q K) (lo, hi int) {
 	pred := t.model.Predict(q)
 	k := t.partitionOf(pred)
 	if t.mode == ModeRange {
-		dlo, dhi := t.drift.pair(k)
-		return pred + dlo, pred + dhi
+		return t.window(pred, k)
 	}
 	s := pred + t.drift.get(k)
 	return s, s

@@ -114,8 +114,8 @@ func FuzzFindLookup(f *testing.F) {
 
 // FuzzLoad drives the two untrusted-input paths a layer blob meets — a
 // bare blob through the migration's layer converter (migrate.Layer, which
-// turns the split-array v1 blob earlier builds wrote into the v2 blob)
-// and then the v2 view, and the snapshot-container loader
+// turns the v1 and v2 blobs earlier builds wrote into the v3 blob) and
+// then the v3 view, and the snapshot-container loader
 // (MapTableSnapshot over snapshot.Open) — over mutated and truncated
 // byte corpora seeded from valid files. The property is absolute: any
 // input either loads (and then answers in bounds) or returns an error.
@@ -126,22 +126,24 @@ func FuzzLoad(f *testing.F) {
 	keys := fuzzKeys(7, 700, 16, 40)
 	model := cdfmodel.NewInterpolation(keys)
 
-	// Seed with valid artifacts of both formats and both modes, plus
-	// mutated and truncated variants so the fuzzer starts at the
-	// interesting boundaries.
+	// Seed with valid layer blobs of every version in both modes, and
+	// containers, plus mutated and truncated variants so the fuzzer starts
+	// at the interesting boundaries.
 	for _, cfg := range []Config{{Mode: ModeRange}, {Mode: ModeMidpoint}, {Mode: ModeRange, M: 77}} {
 		tab, err := Build(keys, model, cfg)
 		if err != nil {
 			f.Fatal(err)
 		}
-		layer := v1Layer(tab)
+		layer := legacyLayer(tab, 1)
 		f.Add(layer)
 		f.Add(layer[:len(layer)/2])
 		mut := append([]byte(nil), layer...)
 		mut[35] ^= 0x81 // inside the m field
 		f.Add(mut)
+		f.Add(legacyLayer(tab, 2))
+		f.Add(layerBlob(f, tab))
 
-		// The v2 (page-aligned, mappable) container: full, truncated
+		// The v2 (page-aligned, mappable) container of the v3 layer: full, truncated
 		// mid-section and mid-footer, and with a flipped byte in the first
 		// page (header/padding territory) so the fuzzer starts at the
 		// geometry validators.
@@ -190,7 +192,7 @@ func FuzzLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Bare layer blob, converted, against the real keys and model.
 		if blob, err := migrate.Layer(data); err == nil {
-			if tab, err := viewLayerV2(blob, keys, model); err == nil {
+			if tab, err := viewLayer(blob, keys, model); err == nil {
 				// Whatever loaded claims to be a layer over these keys;
 				// probing it must at least never step out of bounds.
 				for _, q := range []uint64{0, keys[0], keys[len(keys)/2], keys[len(keys)-1], ^uint64(0)} {
@@ -234,8 +236,11 @@ func FuzzLoad(f *testing.F) {
 
 // FuzzBuildLayout is the build-pipeline and layer-blob oracle: for a
 // fuzzed corpus and configuration it checks (1) the build at 2–17 workers
-// is bit-identical to the build at one — widths, drifts, counts; (2) writing the layer blob, viewing it and writing the
-// view again is byte-identical, and the view answers queries identically.
+// is bit-identical to the build at one — widths, drifts and the monotone
+// flag; (2) writing the layer blob, viewing it and writing the view again
+// is byte-identical, and the view answers queries identically; (3) the
+// migration of the v1 and v2 blobs earlier builds wrote for the same
+// table is that blob, byte for byte.
 func FuzzBuildLayout(f *testing.F) {
 	f.Add(uint64(7), uint16(5000), uint8(0), uint8(3), uint8(0), uint8(3))
 	f.Add(uint64(3), uint16(6000), uint8(255), uint8(1), uint8(1), uint8(8))  // duplicate-heavy
@@ -266,16 +271,21 @@ func FuzzBuildLayout(f *testing.F) {
 			t.Fatalf("%d workers differ from 1 (n=%d cfg=%+v): %s", w, len(keys), cfg, d)
 		}
 
-		// writeLayerV2 → viewLayerV2 → writeLayerV2: byte-identical blobs,
+		// writeLayer → viewLayer → writeLayer: byte-identical blobs,
 		// identical answers.
 		if serial.n > 0 {
 			blob := layerBlob(t, par)
-			loaded, err := viewLayerV2(blob, keys, model)
+			loaded, err := viewLayer(blob, keys, model)
 			if err != nil {
-				t.Fatalf("viewLayerV2: %v", err)
+				t.Fatalf("viewLayer: %v", err)
 			}
 			if !bytes.Equal(layerBlob(t, loaded), blob) {
 				t.Fatal("write/view/write not byte-identical")
+			}
+			for _, version := range []uint64{1, 2} {
+				if got, err := migrate.Layer(legacyLayer(par, version)); err != nil || !bytes.Equal(got, blob) {
+					t.Fatalf("the migrated v%d blob differs from the build's (%v)", version, err)
+				}
 			}
 			x := seed
 			for i := 0; i < 32; i++ {
@@ -293,39 +303,71 @@ func FuzzBuildLayout(f *testing.F) {
 	})
 }
 
-// v1Layer writes tab's layer as the split-array v1 blob earlier builds
-// wrote — the header with version 1, the lo and hi halves (range mode)
-// or the shifts (midpoint mode) each as a width in bits and the entries
-// at that width, then the counts — the input migrate.Layer converts.
-func v1Layer[K kv.Key](tab *Table[K]) []byte {
+// legacyLayer writes tab's layer as an earlier build wrote it for the
+// same table, the input migrate.Layer converts. Both legacy versions open
+// with the eight header words (version 1 or 2, and the monotone flag as
+// the model declares it) and end with the m int32 partition counts.
+// Version 1 holds, per drift half (range mode: lo, then hi; midpoint: the
+// shifts), its width in bits and its entries at that width. Version 2
+// holds one widths word (the common width, then range mode's lo and hi
+// widths) and the halves interleaved at the common width, zero-padded to
+// 8 bytes. Bounds and counts come from storedBounds.
+func legacyLayer[K kv.Key](tab *Table[K], version uint64) []byte {
 	le := binary.LittleEndian
 	var out []byte
-	for _, v := range []uint64{layerMagic, 1, uint64(tab.mode), uint64(tab.n), uint64(tab.m),
-		boolU64(tab.monotone), keysFingerprint(tab.keys), modelFingerprint(tab.model)} {
+	for _, v := range []uint64{layerMagic, version, uint64(tab.mode), uint64(tab.n), uint64(tab.m),
+		boolU64(tab.model.Monotone()), keysFingerprint(tab.keys), modelFingerprint(tab.model)} {
 		out = le.AppendUint64(out, v)
 	}
-	half := func(width uint8, get func(k int) int) {
-		out = le.AppendUint64(out, 8*uint64(width))
-		for k := 0; k < tab.m; k++ {
-			switch v := get(k); width {
-			case 1:
-				out = append(out, byte(v))
-			case 2:
-				out = le.AppendUint16(out, uint16(v))
-			case 4:
-				out = le.AppendUint32(out, uint32(v))
-			default:
-				out = le.AppendUint64(out, uint64(v))
-			}
+	lo, hi, cnt := storedBounds(tab)
+	halves := [][]int64{lo, hi}
+	if tab.mode == ModeMidpoint {
+		shifts := make([]int64, tab.m)
+		for k := range shifts {
+			shifts[k] = int64(tab.drift.get(k))
+		}
+		halves = [][]int64{shifts}
+	}
+	widths := make([]uint8, len(halves))
+	var common uint8
+	for h, vals := range halves {
+		var maxAbs int64
+		for _, v := range vals {
+			maxAbs = max(maxAbs, v, -v)
+		}
+		if tab.m > 0 {
+			widths[h] = driftWidth(maxAbs)
+		}
+		common = max(common, widths[h])
+	}
+	put := func(v int64, width uint8) {
+		for j := uint8(0); j < width; j++ {
+			out = append(out, byte(v>>(8*j)))
 		}
 	}
-	if tab.mode == ModeRange {
-		half(tab.loBits, func(k int) int { lo, _ := tab.drift.pair(k); return lo })
-		half(tab.hiBits, func(k int) int { _, hi := tab.drift.pair(k); return hi })
+	if version == 1 {
+		for h, vals := range halves {
+			out = le.AppendUint64(out, 8*uint64(widths[h]))
+			for _, v := range vals {
+				put(v, widths[h])
+			}
+		}
 	} else {
-		half(tab.drift.width, tab.drift.get)
+		word := uint64(common)
+		if tab.mode == ModeRange {
+			word |= uint64(widths[0])<<8 | uint64(widths[1])<<16
+		}
+		out = le.AppendUint64(out, word)
+		for k := 0; k < tab.m; k++ {
+			for _, vals := range halves {
+				put(vals[k], common)
+			}
+		}
+		for len(out)%8 != 0 {
+			out = append(out, 0)
+		}
 	}
-	for _, c := range tab.count {
+	for _, c := range cnt {
 		out = le.AppendUint32(out, uint32(c))
 	}
 	return out

@@ -14,14 +14,14 @@ import (
 // This file is the one load path of the core snapshot kinds (DESIGN.md
 // §12): a Table or ModelIndex opened over a container (snapshot.Open,
 // over a mapping or a heap read) views the key section and the layer's
-// drift/count arrays in place instead of copying them. Opening is O(1)
+// drift array in place instead of copying it. Opening is O(1)
 // in the key count — header and geometry validation only — which is
 // what turns warm restart from a scan of the file into a handful of
 // page touches.
 //
-// Trust: the O(n) invariants — keys sorted, partition cardinalities
-// non-negative and summing under N, the model's full-sweep mean error —
-// are checked exactly when the container is verified in full
+// Trust: the O(n) invariants — keys sorted, every range-mode partition
+// starting inside the keys, the model's full-sweep mean error — are
+// checked exactly when the container is verified in full
 // (snapshot.Mapped.Verified: VerifyAll ran). The heap entry points
 // always verify, so a heap load stays eagerly checked. An unverified
 // mapped open trusts the file
@@ -74,8 +74,7 @@ func (ix *ModelIndex[K]) MappedBytes() int64 {
 func (ix *ModelIndex[K]) Region() *mapped.Region { return ix.region }
 
 // MapTableSnapshot opens a shift-table container in place: keys viewed
-// from the key section, drift pairs and counts viewed from the layer
-// section, model rebuilt from its spec (O(1) for the parameter-free
+// from the key section, drift entries viewed from the layer section, model rebuilt from its spec (O(1) for the parameter-free
 // families). The returned table retains the region; the caller may Close
 // the Mapped handle afterwards.
 func MapTableSnapshot[K kv.Key](m *snapshot.Mapped) (*Table[K], error) {
@@ -96,7 +95,7 @@ func MapTableSnapshot[K kv.Key](m *snapshot.Mapped) (*Table[K], error) {
 // MapTableSections views the shift-table section triplet (keys, model,
 // layer) from the container's current cursor — the embedded form other
 // kinds persist through Table.PersistSnapshot (the updatable and
-// concurrent containers carry one mid-stream). The v2 layer blob is
+// concurrent containers carry one mid-stream). The v3 layer blob is
 // viewed in place, and the table retains the region.
 func MapTableSections[K kv.Key](m *snapshot.Mapped) (*Table[K], error) {
 	keys, model, err := mapKeysAndModel[K](m)
@@ -107,12 +106,12 @@ func MapTableSections[K kv.Key](m *snapshot.Mapped) (*Table[K], error) {
 	if err != nil {
 		return nil, err
 	}
-	t, err := viewLayerV2(ls.Data, keys, model)
+	t, err := viewLayer(ls.Data, keys, model)
 	if err != nil {
 		return nil, fmt.Errorf("core: layer section: %w", err)
 	}
 	if m.Verified() {
-		if err := checkCounts(t.count, t.n); err != nil {
+		if err := t.checkBounds(); err != nil {
 			return nil, err
 		}
 	}
@@ -180,43 +179,29 @@ func mapKeysAndModel[K kv.Key](m *snapshot.Mapped) ([]K, cdfmodel.Model[K], erro
 	return keys, model, nil
 }
 
-// viewLayerV2 builds a Table whose drift arrays and counts alias data,
-// which must be a v2 layer blob (writeLayerV2). Every header field is
-// validated — including the key and model fingerprints that bind the
-// layer to its data — and the blob's size must equal the geometry the
-// header implies, byte for byte.
-func viewLayerV2[K kv.Key](data []byte, keys []K, model cdfmodel.Model[K]) (*Table[K], error) {
-	if len(data) < layerV2DataOff {
-		return nil, fmt.Errorf("core: layer blob %d bytes, v2 header is %d", len(data), layerV2DataOff)
+// viewLayer builds a Table whose drift array aliases data, which must be
+// a v3 layer blob (writeLayer). Every header field is validated —
+// including the key and model fingerprints that bind the layer to its
+// data — and the blob's size must equal the geometry the header implies,
+// byte for byte.
+func viewLayer[K kv.Key](data []byte, keys []K, model cdfmodel.Model[K]) (*Table[K], error) {
+	if len(data) < layerDataOff {
+		return nil, fmt.Errorf("core: layer blob %d bytes, its header is %d", len(data), layerDataOff)
 	}
 	t, err := layerHeader(data, keys, model)
 	if err != nil {
 		return nil, err
 	}
-	mode, m := t.mode, t.m
-	width, lo, hi, err := layerWidths(binary.LittleEndian.Uint64(data[layerHeadLen:]), mode, m)
+	width, err := layerWidth(binary.LittleEndian.Uint64(data[layerHeadLen:]), t.m)
 	if err != nil {
 		return nil, err
 	}
-	dataBytes := int64(m) * entriesPerPartition(mode) * int64(width)
-	pad := pad8(dataBytes)
-	want := int64(layerV2DataOff) + dataBytes + pad + 4*int64(m)
+	want := int64(layerDataOff) + driftEntries(t.mode, t.m)*int64(width)
 	if int64(len(data)) != want {
 		return nil, fmt.Errorf("core: layer blob is %d bytes, header geometry implies %d", len(data), want)
 	}
-	drift := data[layerV2DataOff : int64(layerV2DataOff)+dataBytes]
-	for _, b := range data[int64(layerV2DataOff)+dataBytes : int64(layerV2DataOff)+dataBytes+pad] {
-		if b != 0 {
-			return nil, fmt.Errorf("core: nonzero layer padding")
-		}
-	}
-	t.loBits, t.hiBits = lo, hi
-	if t.drift, err = viewDrifts(drift, width); err != nil {
+	if t.drift, err = viewDrifts(data[layerDataOff:], width); err != nil {
 		return nil, fmt.Errorf("core: drift view: %w", err)
-	}
-	t.count, err = mapped.View[int32](data[int64(layerV2DataOff)+dataBytes+pad:])
-	if err != nil {
-		return nil, fmt.Errorf("core: count view: %w", err)
 	}
 	return t, nil
 }

@@ -36,34 +36,58 @@ func buildCorpora64() map[string][]uint64 {
 }
 
 // diffLayer reports the first difference between two built tables —
-// widths, drifts and counts must all be bit-identical — or "" when they
-// match.
+// widths, drifts and the monotone flag must all be bit-identical — or ""
+// when they match.
 func diffLayer[K kv.Key](a, b *Table[K]) string {
-	if a.m != b.m || a.n != b.n || a.mode != b.mode {
-		return fmt.Sprintf("shape: m=%d/%d n=%d/%d mode=%v/%v", a.m, b.m, a.n, b.n, a.mode, b.mode)
+	if a.m != b.m || a.n != b.n || a.mode != b.mode || a.monotone != b.monotone {
+		return fmt.Sprintf("shape: m=%d/%d n=%d/%d mode=%v/%v monotone=%v/%v",
+			a.m, b.m, a.n, b.n, a.mode, b.mode, a.monotone, b.monotone)
 	}
-	if a.drift.width != b.drift.width || a.loBits != b.loBits || a.hiBits != b.hiBits {
-		return fmt.Sprintf("widths: entry=%d/%d lo=%d/%d hi=%d/%d",
-			a.drift.width, b.drift.width, a.loBits, b.loBits, a.hiBits, b.hiBits)
+	if a.drift.width != b.drift.width || a.drift.len() != b.drift.len() {
+		return fmt.Sprintf("drift: width=%d/%d len=%d/%d", a.drift.width, b.drift.width, a.drift.len(), b.drift.len())
 	}
-	for k := 0; k < a.m; k++ {
-		if a.count[k] != b.count[k] {
-			return fmt.Sprintf("count[%d]: %d/%d", k, a.count[k], b.count[k])
-		}
-		switch a.mode {
-		case ModeRange:
-			alo, ahi := a.drift.pair(k)
-			blo, bhi := b.drift.pair(k)
-			if alo != blo || ahi != bhi {
-				return fmt.Sprintf("pair[%d]: <%d,%d>/<%d,%d>", k, alo, ahi, blo, bhi)
-			}
-		default:
-			if a.drift.get(k) != b.drift.get(k) {
-				return fmt.Sprintf("shift[%d]: %d/%d", k, a.drift.get(k), b.drift.get(k))
-			}
+	for k := 0; k < a.drift.len(); k++ {
+		if a.drift.get(k) != b.drift.get(k) {
+			return fmt.Sprintf("entry[%d]: %d/%d", k, a.drift.get(k), b.drift.get(k))
 		}
 	}
 	return ""
+}
+
+// storedBounds recomputes by brute force, from the keys and the model,
+// what range layers stored before they kept only lower bounds: per
+// partition lo[k] = minPos−pmax and hi[k] = endPos−pmin, empty partitions
+// backfilled from the next non-empty one (§3.1), and the number of keys
+// the model maps to each partition.
+func storedBounds[K kv.Key](tab *Table[K]) (lo, hi []int64, cnt []int32) {
+	m := tab.m
+	minPos, endPos := make([]int64, m), make([]int64, m)
+	cnt = make([]int32, m)
+	first := 0
+	for i, x := range tab.keys {
+		if i > 0 && x != tab.keys[i-1] {
+			first = i
+		}
+		k := tab.partitionOf(tab.model.Predict(x))
+		if cnt[k] == 0 || int64(first) < minPos[k] {
+			minPos[k] = int64(first)
+		}
+		if cnt[k] == 0 || int64(i) > endPos[k] {
+			endPos[k] = int64(i)
+		}
+		cnt[k]++
+	}
+	lo, hi = make([]int64, m), make([]int64, m)
+	next := int64(tab.n)
+	for k := m - 1; k >= 0; k-- {
+		pmin, pmax := tab.predRange(k)
+		if cnt[k] > 0 {
+			lo[k], hi[k], next = minPos[k]-pmax, endPos[k]-pmin, minPos[k]
+		} else {
+			lo[k], hi[k] = next-pmax, next-1-pmin
+		}
+	}
+	return lo, hi, cnt
 }
 
 // TestParallelBuildIdenticalToSerial checks bit-identical layers from the
@@ -156,50 +180,161 @@ func (m *lyingModel) Monotone() bool       { return true }
 func (m *lyingModel) SizeBytes() int       { return m.inner.SizeBytes() }
 func (m *lyingModel) Name() string         { return "lying" }
 
+// swapModel declares Monotone but swaps the predictions of two adjacent
+// keys, a lie confined to one pair of partitions.
+type swapModel struct {
+	inner *cdfmodel.Interpolation[uint64]
+	a, b  uint64 // the two keys whose predictions trade places
+}
+
+func (m *swapModel) Predict(k uint64) int {
+	switch k {
+	case m.a:
+		return m.inner.Predict(m.b)
+	case m.b:
+		return m.inner.Predict(m.a)
+	}
+	return m.inner.Predict(k)
+}
+func (m *swapModel) Monotone() bool { return true }
+func (m *swapModel) SizeBytes() int { return m.inner.SizeBytes() }
+func (m *swapModel) Name() string   { return "swap" }
+
 // TestParallelBuildDetectsNonMonotonePredictions: a model mis-declaring
 // Monotone must degrade to the one-goroutine accumulate, not race — and
-// still produce the one-worker build's exact table.
+// still produce the one-worker build's exact table, whose coverage check
+// clears monotone, so every Find and FindBatch answer, on keys and
+// between them, is the true lower bound.
 func TestParallelBuildDetectsNonMonotonePredictions(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Face, 64, 20_000, 8)
 	model := &lyingModel{inner: cdfmodel.NewInterpolation(keys), n: len(keys)}
-	serial, err := buildPipeline(keys, model, Config{Mode: ModeRange}, 1, nil)
-	if err != nil {
-		t.Fatal(err)
+	qs := make([]uint64, 0, 3*len(keys)+2)
+	for _, k := range keys {
+		qs = append(qs, k-1, k, k+1)
 	}
-	par, err := buildPipeline(keys, model, Config{Mode: ModeRange}, 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := diffLayer(serial, par); d != "" {
-		t.Fatalf("lying-monotone parallel differs: %s", d)
-	}
-}
-
-// TestFusedSplitRoundTrip: the fused layout records, for each drift
-// half, the narrowest width that holds it, and packs the pairs at the
-// wider of the two — the widths word of the layer blob, which a
-// conversion to or from the split arrays of v1 blobs (internal/migrate)
-// relies on to lose nothing.
-func TestFusedSplitRoundTrip(t *testing.T) {
-	for name, keys := range buildCorpora64() {
-		tab, err := Build(keys, cdfmodel.NewInterpolation(keys), Config{Mode: ModeRange})
+	qs = append(qs, 0, ^uint64(0))
+	for _, m := range []int{0, len(keys) / 4} {
+		cfg := Config{Mode: ModeRange, M: m}
+		serial, err := buildPipeline(keys, model, cfg, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tab.n == 0 {
-			continue
+		par, err := buildPipeline(keys, model, cfg, 8, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		var maxLo, maxHi int64
-		for k := 0; k < tab.m; k++ {
-			lo, hi := tab.drift.pair(k)
-			maxLo = max(maxLo, int64(lo), -int64(lo))
-			maxHi = max(maxHi, int64(hi), -int64(hi))
+		if d := diffLayer(serial, par); d != "" {
+			t.Fatalf("M=%d: lying-monotone parallel differs: %s", m, d)
 		}
-		if wl, wh := driftWidth(maxLo), driftWidth(maxHi); wl != tab.loBits || wh != tab.hiBits {
-			t.Fatalf("%s: split widths %d/%d, the halves need %d/%d", name, tab.loBits, tab.hiBits, wl, wh)
+		if par.monotone {
+			t.Fatalf("M=%d: the coverage check kept monotone for reversed predictions", m)
 		}
-		if w := max(tab.loBits, tab.hiBits); tab.drift.width != w {
-			t.Fatalf("%s: fused width %d, want %d", name, tab.drift.width, w)
+		batch := par.FindBatch(qs, nil)
+		for i, q := range qs {
+			want := kv.LowerBound(keys, q)
+			if got := par.Find(q); got != want {
+				t.Fatalf("M=%d: Find(%d) = %d, want %d", m, q, got, want)
+			}
+			if batch[i] != want {
+				t.Fatalf("M=%d: FindBatch[%d] = %d for q=%d, want %d", m, i, batch[i], q, want)
+			}
+		}
+	}
+}
+
+// TestCoverageCheckClearsMonotone: the build keeps a range table's
+// monotone flag exactly when the model declares it and every partition's
+// window derived from the next lower bound covers the window its own keys
+// need. A lie the predictions show (reversed, or two adjacent keys
+// swapped) clears it; an honest model keeps it; a model that declares
+// itself non-monotone never has it. Midpoint tables keep the declaration:
+// they never trust a window.
+func TestCoverageCheckClearsMonotone(t *testing.T) {
+	keys := dataset.MustGenerate(dataset.Osmc, 64, 10_000, 4)
+	im := cdfmodel.NewInterpolation(keys)
+	at := len(keys) / 2
+	for im.Predict(keys[at]) == im.Predict(keys[at+1]) {
+		at++ // two adjacent keys the model tells apart
+	}
+	swap := &swapModel{inner: im, a: keys[at], b: keys[at+1]}
+	for _, c := range []struct {
+		name  string
+		model cdfmodel.Model[uint64]
+		cfg   Config
+		want  bool
+	}{
+		{"IM", im, Config{}, true},
+		{"IM/M=N4", im, Config{M: len(keys) / 4}, true},
+		{"linear", cdfmodel.NewLinear(keys), Config{}, true},
+		{"cubic", cdfmodel.NewCubic(keys), Config{}, false},
+		{"reversed", &lyingModel{inner: im, n: len(keys)}, Config{}, false},
+		{"reversed/M=N4", &lyingModel{inner: im, n: len(keys)}, Config{M: len(keys) / 4}, false},
+		{"swapped", swap, Config{}, false},
+		{"swapped/midpoint", swap, Config{Mode: ModeMidpoint}, true},
+	} {
+		tab, err := Build(keys, c.model, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tab.monotone != c.want {
+			t.Errorf("%s: monotone = %v, want %v", c.name, tab.monotone, c.want)
+		}
+		for i := 0; i < len(keys); i += 7 {
+			for _, q := range []uint64{keys[i] - 1, keys[i], keys[i] + 1} {
+				if got, want := tab.Find(q), kv.LowerBound(keys, q); got != want {
+					t.Fatalf("%s: Find(%d) = %d, want %d", c.name, q, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDerivedWindowsMatchStoredBounds: under a monotone model (IM,
+// linear), the window a range lookup derives from lo[k] and lo[k+1] is
+// exactly the window layers stored as a <lo, hi> pair before
+// (brute-forced by storedBounds), at M = N, below it and above it; entry
+// M is 0, and the entries are packed at the narrowest width that holds
+// them.
+func TestDerivedWindowsMatchStoredBounds(t *testing.T) {
+	for name, keys := range buildCorpora64() {
+		for _, c := range []struct {
+			model cdfmodel.Model[uint64]
+			m     int
+		}{
+			{cdfmodel.NewInterpolation(keys), 0},
+			{cdfmodel.NewInterpolation(keys), 999},
+			{cdfmodel.NewInterpolation(keys), 2*len(keys) + 1},
+			{cdfmodel.NewLinear(keys), 0},
+			{cdfmodel.NewLinear(keys), len(keys)/4 + 1},
+		} {
+			tab, err := Build(keys, c.model, Config{Mode: ModeRange, M: c.m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tab.n == 0 {
+				continue
+			}
+			name := name + "/" + c.model.Name()
+			if !tab.monotone {
+				t.Fatalf("%s M=%d: the table lost its monotone flag", name, tab.m)
+			}
+			lo, hi, _ := storedBounds(tab)
+			var maxAbs int64
+			for k := 0; k < tab.m; k++ {
+				dlo, dhi := tab.window(0, k)
+				if int64(dlo) != lo[k] || int64(dhi) != hi[k] {
+					t.Fatalf("%s M=%d: partition %d window [%d, %d], stored [%d, %d]",
+						name, tab.m, k, dlo, dhi, lo[k], hi[k])
+				}
+				maxAbs = max(maxAbs, lo[k], -lo[k])
+			}
+			if got := tab.drift.get(tab.m); got != 0 {
+				t.Fatalf("%s M=%d: closing entry %d, want 0", name, tab.m, got)
+			}
+			if w := driftWidth(maxAbs); tab.drift.width != w || tab.drift.len() != tab.m+1 {
+				t.Fatalf("%s M=%d: %d entries of %d bytes, want %d of %d",
+					name, tab.m, tab.drift.len(), tab.drift.width, tab.m+1, w)
+			}
 		}
 	}
 }

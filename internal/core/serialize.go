@@ -22,59 +22,48 @@ import (
 
 const (
 	layerMagic = 0x53485442 // "SHTB"
-	// layerVersion2 is the mappable layout (DESIGN.md §12): range-mode
-	// drifts stored exactly as the query path holds them — the fused
-	// interleaved [lo₀,hi₀,lo₁,hi₁,…] array at the common packed width —
-	// followed by 8-byte-aligned partition counts, so a loader over a
-	// page-aligned v2 snapshot section views both in place with zero
-	// copies. Version 1, the split lo/hi arrays earlier builds wrote, is
-	// refused with snapshot.ErrLegacy; internal/migrate converts it.
-	layerVersion2 = 2
+	// layerVersion3 is the mappable layout (DESIGN.md §12): the drift
+	// entries stored exactly as the query path holds them — range mode's
+	// M+1 lower bounds or midpoint mode's M shifts, at the packed width —
+	// so a loader over a page-aligned snapshot section views them in
+	// place with zero copies. Versions 1 (split lo/hi arrays and counts)
+	// and 2 (interleaved <lo, hi> pairs and counts), which earlier builds
+	// wrote, are refused with snapshot.ErrLegacy; internal/migrate
+	// converts them.
+	layerVersion3 = 3
 )
 
-// Layer v2 body offsets, relative to the layer blob start. The 64-byte
-// header is followed by one widths word (byte 0: the stored entry width;
-// bytes 1–2, range mode only: the independent narrowest widths of the lo
-// and hi halves, §3.9's per-array widths), then the drift data, zero
-// padding to an 8-byte boundary, and the int32 partition counts.
-const layerV2DataOff = 8*8 + 8
+// Layer v3 body offsets, relative to the layer blob start. The 64-byte
+// header is followed by one widths word (byte 0: the entry width; the
+// other bytes are zero), then the drift entries, which end the blob.
+const layerDataOff = 8*8 + 8
 
-// layerSizeV2 is the exact byte size writeLayerV2 will produce, so the
+// layerSize is the exact byte size writeLayer will produce, so the
 // snapshot writer can reserve the section (SectionSized) and the mapped
 // loader can cross-check geometry before viewing anything.
-func (t *Table[K]) layerSizeV2() int64 {
-	data := int64(t.drift.sizeBytes())
-	return layerV2DataOff + data + pad8(data) + 4*int64(t.m)
+func (t *Table[K]) layerSize() int64 {
+	return layerDataOff + int64(t.drift.sizeBytes())
 }
 
-// pad8 returns the zero-padding after n bytes of drift data so the int32
-// counts that follow start 8-byte aligned (the data begins at the
-// 8-aligned layerV2DataOff, so alignment is preserved end to end).
-func pad8(n int64) int64 { return (8 - n%8) % 8 }
-
-// writeLayerV2 serialises the layer in the mappable v2 shape: the 64-byte
-// header (version field 2), one widths word, then the
-// drift data exactly as the query path holds it — fused interleaved
-// pairs for range mode, the packed shift array for midpoint — zero
-// padding to an 8-byte boundary, and the partition counts. No per-array
-// width prefixes: all widths live in the widths word so every payload
-// offset is computable from the header alone.
-func (t *Table[K]) writeLayerV2(w io.Writer) error {
-	if want := int64(t.m) * entriesPerPartition(t.mode); int64(t.drift.len()) != want {
+// writeLayer serialises the layer in the mappable v3 shape: the 64-byte
+// header (version field 3), one widths word, then the drift entries
+// exactly as the query path holds them. The width lives in the widths
+// word, so every payload offset is computable from the header alone.
+func (t *Table[K]) writeLayer(w io.Writer) error {
+	if want := driftEntries(t.mode, t.m); int64(t.drift.len()) != want {
 		return fmt.Errorf("core: drift array length %d, want %d", t.drift.len(), want)
 	}
 	bw := bufio.NewWriterSize(w, 1<<16)
-	data := int64(t.drift.sizeBytes())
 	head := []uint64{
 		layerMagic,
-		layerVersion2,
+		layerVersion3,
 		uint64(t.mode),
 		uint64(t.n),
 		uint64(t.m),
 		boolU64(t.monotone),
 		keysFingerprint(t.keys),
 		modelFingerprint(t.model),
-		uint64(t.drift.width) | uint64(t.loBits)<<8 | uint64(t.hiBits)<<16,
+		uint64(t.drift.width),
 	}
 	for _, v := range head {
 		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
@@ -88,51 +77,23 @@ func (t *Table[K]) writeLayerV2(w io.Writer) error {
 			return err
 		}
 	}
-	var zeros [8]byte
-	if _, err := bw.Write(zeros[:pad8(data)]); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, t.count); err != nil {
-		return err
-	}
 	return bw.Flush()
 }
 
-// layerWidths unpacks and validates the v2 widths word against the mode
-// and partition count. Returns the stored entry width plus the split
-// lo/hi widths (range mode only).
-func layerWidths(word uint64, mode Mode, m int) (width, lo, hi uint8, err error) {
-	if word>>24 != 0 {
-		return 0, 0, 0, fmt.Errorf("core: layer widths word %#x has reserved bytes set", word)
+// layerWidth unpacks and validates the widths word against the partition
+// count and returns the entry width.
+func layerWidth(word uint64, m int) (uint8, error) {
+	width := uint8(word)
+	if word>>8 != 0 {
+		return 0, fmt.Errorf("core: layer widths word %#x has reserved bytes set", word)
 	}
-	width, lo, hi = uint8(word), uint8(word>>8), uint8(word>>16)
-	okWidth := func(w uint8) bool { return w == 0 || w == 1 || w == 2 || w == 4 || w == 8 }
-	if !okWidth(width) || !okWidth(lo) || !okWidth(hi) {
-		return 0, 0, 0, fmt.Errorf("core: invalid layer entry widths %d/%d/%d", width, lo, hi)
+	if width != 0 && width != 1 && width != 2 && width != 4 && width != 8 {
+		return 0, fmt.Errorf("core: invalid layer entry width %d", width)
 	}
-	if m == 0 {
-		if width != 0 || lo != 0 || hi != 0 {
-			return 0, 0, 0, fmt.Errorf("core: nonzero entry widths %d/%d/%d for an empty layer", width, lo, hi)
-		}
-		return 0, 0, 0, nil
+	if (width == 0) != (m == 0) {
+		return 0, fmt.Errorf("core: entry width %d for %d partitions", width, m)
 	}
-	if width == 0 {
-		return 0, 0, 0, fmt.Errorf("core: entry width 0 for %d partitions", m)
-	}
-	if mode == ModeRange {
-		// The fused array packs both halves at the wider of the two split
-		// widths (Build); no writer records anything else.
-		want := lo
-		if hi > want {
-			want = hi
-		}
-		if lo == 0 || hi == 0 || width != want {
-			return 0, 0, 0, fmt.Errorf("core: range-mode widths %d/%d/%d are inconsistent", width, lo, hi)
-		}
-	} else if lo != 0 || hi != 0 {
-		return 0, 0, 0, fmt.Errorf("core: split widths %d/%d set for midpoint mode", lo, hi)
-	}
-	return width, lo, hi, nil
+	return width, nil
 }
 
 // maxLayerFactor bounds M relative to N in loaded layer files. Builds
@@ -157,11 +118,11 @@ func layerHeader[K kv.Key](data []byte, keys []K, model cdfmodel.Model[K]) (*Tab
 		return nil, fmt.Errorf("core: not a Shift-Table layer blob")
 	}
 	switch head[1] {
-	case layerVersion2:
-	case 1:
-		return nil, fmt.Errorf("core: split-array v1 layer blob: %w", snapshot.ErrLegacy)
+	case layerVersion3:
+	case 1, 2:
+		return nil, fmt.Errorf("core: v%d layer blob with partition counts: %w", head[1], snapshot.ErrLegacy)
 	default:
-		return nil, fmt.Errorf("core: layer version %d, want %d", head[1], layerVersion2)
+		return nil, fmt.Errorf("core: layer version %d, want %d", head[1], layerVersion3)
 	}
 	// Validate every remaining header field before using it: mode drives a
 	// switch, n and m size the arrays, monotone drives the query path.
@@ -222,17 +183,20 @@ func checkLayerM(raw uint64, n int) error {
 	return nil
 }
 
-// checkCounts validates partition cardinalities: non-negative, and their
-// sum never exceeds the key count (sampled builds record fewer).
-func checkCounts(counts []int32, n int) error {
-	var sum int64
-	for k, c := range counts {
-		if c < 0 {
-			return fmt.Errorf("core: negative cardinality %d for partition %d", c, k)
-		}
-		sum += int64(c)
-		if sum > int64(n) {
-			return fmt.Errorf("core: partition cardinalities sum past the %d indexed keys", n)
+// checkBounds validates a range layer's lower bounds, the O(M) check a
+// verified load runs: entry M is 0, and every partition's first position
+// lo[k] + pmax(k) lies in [0, N] (its first key, or N past the last).
+func (t *Table[K]) checkBounds() error {
+	if t.mode != ModeRange || t.m == 0 {
+		return nil
+	}
+	if last := t.drift.get(t.m); last != 0 {
+		return fmt.Errorf("core: the layer's closing entry is %d, want 0", last)
+	}
+	for k := 0; k < t.m; k++ {
+		_, pmax := t.predRange(k)
+		if first := int64(t.drift.get(k)) + pmax; first < 0 || first > int64(t.n) {
+			return fmt.Errorf("core: partition %d starts at %d, outside the %d keys", k, first, t.n)
 		}
 	}
 	return nil

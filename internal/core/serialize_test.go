@@ -14,15 +14,15 @@ import (
 	"repro/internal/snapshot"
 )
 
-// layerBlob returns tab's v2 layer blob, as snapshots embed it.
+// layerBlob returns tab's v3 layer blob, as snapshots embed it.
 func layerBlob[K kv.Key](tb testing.TB, tab *Table[K]) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	if err := tab.writeLayerV2(&buf); err != nil {
+	if err := tab.writeLayer(&buf); err != nil {
 		tb.Fatal(err)
 	}
-	if int64(buf.Len()) != tab.layerSizeV2() {
-		tb.Fatalf("writeLayerV2 wrote %d bytes, layerSizeV2 says %d", buf.Len(), tab.layerSizeV2())
+	if int64(buf.Len()) != tab.layerSize() {
+		tb.Fatalf("writeLayer wrote %d bytes, layerSize says %d", buf.Len(), tab.layerSize())
 	}
 	return buf.Bytes()
 }
@@ -41,7 +41,7 @@ func TestLayerRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			blob := layerBlob(t, orig)
-			loaded, err := viewLayerV2(blob, keys, model)
+			loaded, err := viewLayer(blob, keys, model)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,52 +76,52 @@ func TestLoadRejectsMismatches(t *testing.T) {
 
 	// Wrong data.
 	other := dataset.MustGenerate(dataset.Face, 64, 10_000, 6)
-	if _, err := viewLayerV2(blob, other, cdfmodel.NewInterpolation(other)); err == nil {
+	if _, err := viewLayer(blob, other, cdfmodel.NewInterpolation(other)); err == nil {
 		t.Error("a layer built over different keys was accepted")
 	}
 	// Wrong length.
-	if _, err := viewLayerV2(blob, keys[:500], model); err == nil {
+	if _, err := viewLayer(blob, keys[:500], model); err == nil {
 		t.Error("a key-count mismatch was accepted")
 	}
 	// Wrong model family.
-	if _, err := viewLayerV2(blob, keys, cdfmodel.NewLinear(keys)); err == nil {
+	if _, err := viewLayer(blob, keys, cdfmodel.NewLinear(keys)); err == nil {
 		t.Error("a different model was accepted")
 	}
 	// Nil model.
-	if _, err := viewLayerV2[uint64](blob, keys, nil); err == nil {
+	if _, err := viewLayer[uint64](blob, keys, nil); err == nil {
 		t.Error("a nil model was accepted")
 	}
 	// Corrupted magic.
 	bad := append([]byte(nil), blob...)
 	bad[0] ^= 0xFF
-	if _, err := viewLayerV2(bad, keys, model); err == nil {
+	if _, err := viewLayer(bad, keys, model); err == nil {
 		t.Error("a corrupted header was accepted")
 	}
 	// Truncated blob.
-	if _, err := viewLayerV2(blob[:len(blob)/2], keys, model); err == nil {
+	if _, err := viewLayer(blob[:len(blob)/2], keys, model); err == nil {
 		t.Error("a truncated blob was accepted")
 	}
 	// Empty blob.
-	if _, err := viewLayerV2(nil, keys, model); err == nil {
+	if _, err := viewLayer(nil, keys, model); err == nil {
 		t.Error("an empty blob was accepted")
 	}
 	// Trailing bytes.
-	if _, err := viewLayerV2(append(append([]byte(nil), blob...), 0), keys, model); err == nil {
+	if _, err := viewLayer(append(append([]byte(nil), blob...), 0), keys, model); err == nil {
 		t.Error("bytes past the layer's geometry were accepted")
 	}
-	// A split-array v1 blob (version 1) is a legacy layer, refused typed.
-	v1 := append([]byte(nil), blob...)
-	binary.LittleEndian.PutUint64(v1[8:], 1)
-	if _, err := viewLayerV2(v1, keys, model); !errors.Is(err, snapshot.ErrLegacy) {
-		t.Errorf("a version 1 layer: %v, want snapshot.ErrLegacy", err)
+	// The v1 and v2 blobs earlier builds wrote are legacy layers, refused
+	// typed.
+	for _, version := range []uint64{1, 2} {
+		if _, err := viewLayer(legacyLayer(tab, version), keys, model); !errors.Is(err, snapshot.ErrLegacy) {
+			t.Errorf("a version %d layer: %v, want snapshot.ErrLegacy", version, err)
+		}
 	}
 }
 
 // TestLoadCorruptHeader mutates every header field of a valid layer blob —
 // magic, version, mode, n, m, monotone, both fingerprints — plus the
-// widths word and the partition counts, and asserts each mutation is
-// rejected with a descriptive error instead of a panic or a giant
-// allocation.
+// widths word, and asserts each mutation is rejected with a descriptive
+// error instead of a panic or a giant allocation.
 func TestLoadCorruptHeader(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Face, 64, 8_000, 5)
 	model := cdfmodel.NewInterpolation(keys)
@@ -135,7 +135,7 @@ func TestLoadCorruptHeader(t *testing.T) {
 		mutate := func(name string, field int, val uint64) {
 			bad := append([]byte(nil), valid...)
 			binary.LittleEndian.PutUint64(bad[field*8:], val)
-			_, err := viewLayerV2(bad, keys, model)
+			_, err := viewLayer(bad, keys, model)
 			if err == nil {
 				t.Errorf("%v/%s=%d: corrupt header accepted", cfg.Mode, name, val)
 			} else if err.Error() == "" {
@@ -144,7 +144,8 @@ func TestLoadCorruptHeader(t *testing.T) {
 		}
 		mutate("magic", 0, 0xDEADBEEF)
 		mutate("version", 1, 1)
-		mutate("version", 1, 3)
+		mutate("version", 1, 2)
+		mutate("version", 1, 4)
 		mutate("version", 1, ^uint64(0))
 		mutate("mode", 2, 2)
 		mutate("mode", 2, ^uint64(0))
@@ -152,7 +153,7 @@ func TestLoadCorruptHeader(t *testing.T) {
 		mutate("n", 3, ^uint64(0))
 		mutate("m", 4, 0)
 		mutate("m", 4, uint64(len(keys))*maxLayerFactor+1) // beyond the sane-M bound
-		mutate("m", 4, 1<<40)                              // would size a 1 TiB counts view
+		mutate("m", 4, 1<<40)                              // would size a 1 TiB drift view
 		mutate("m", 4, ^uint64(0))                         // would wrap negative
 		mutate("m", 4, uint64(tab.M()+1))                  // sane-looking but wrong: geometry past the blob
 		mutate("monotone", 5, 2)
@@ -166,19 +167,10 @@ func TestLoadCorruptHeader(t *testing.T) {
 			mutate("widths", 8, w)
 		}
 
-		// Partition counts: a negative cardinality (high bit set) must be
-		// rejected by the check a verified load runs; counts end the blob.
-		bad := append([]byte(nil), valid...)
-		countOff := len(bad) - 4*tab.M()
-		bad[countOff+3] |= 0x80
-		if viewed, err := viewLayerV2(bad, keys, model); err == nil && checkCounts(viewed.count, viewed.n) == nil {
-			t.Errorf("%v: negative partition count accepted", cfg.Mode)
-		}
-
 		// Truncation at a stride of positions, including mid-header and
 		// mid-array, must always error.
 		for cut := 0; cut < len(valid); cut += 13 {
-			if _, err := viewLayerV2(valid[:cut], keys, model); err == nil {
+			if _, err := viewLayer(valid[:cut], keys, model); err == nil {
 				t.Errorf("%v: truncation to %d of %d bytes accepted", cfg.Mode, cut, len(valid))
 			}
 		}
@@ -193,7 +185,7 @@ func TestLoadHostileHeaderBoundedAllocation(t *testing.T) {
 	model := cdfmodel.NewInterpolation(keys)
 	head := make([]byte, 0, 80)
 	for _, v := range []uint64{
-		0x53485442, 2, uint64(ModeMidpoint), uint64(len(keys)),
+		0x53485442, layerVersion3, uint64(ModeMidpoint), uint64(len(keys)),
 		uint64(len(keys)) * 32, // m: sane relative to n, far beyond the bytes that follow
 		1, keysFingerprint(keys), modelFingerprint(model),
 		8, // widths word: 64-bit entries ⇒ the claimed array is 256 MiB
@@ -201,7 +193,7 @@ func TestLoadHostileHeaderBoundedAllocation(t *testing.T) {
 		head = binary.LittleEndian.AppendUint64(head, v)
 	}
 	before := allocatedBytes()
-	if _, err := viewLayerV2(head, keys, model); err == nil {
+	if _, err := viewLayer(head, keys, model); err == nil {
 		t.Fatal("hostile header accepted")
 	}
 	if grew := allocatedBytes() - before; grew > 16<<20 {

@@ -14,7 +14,7 @@ import (
 // snapshots (DESIGN.md §9): a Shift-Table or bare-model index persisted as
 // one verified container — keys, model identity, and layer — so a restart
 // warm-loads the index instead of rebuilding it from raw keys. The layer
-// is embedded as one section in serialize.go's mappable v2 blob; its key
+// is embedded as one section in serialize.go's mappable v3 blob; its key
 // and model fingerprints double as the binding between sections. The
 // loaders are in mapped.go.
 
@@ -48,13 +48,12 @@ func (t *Table[K]) PersistSnapshot(sw *snapshot.Writer) error {
 	if err := writeKeysAndModel(sw, t.keys, t.model); err != nil {
 		return err
 	}
-	// Snapshots carry the mappable layer blob (fused drifts, aligned
-	// counts).
-	lw, err := sw.SectionSized(secTableLayer, t.layerSizeV2())
+	// Snapshots carry the mappable layer blob.
+	lw, err := sw.SectionSized(secTableLayer, t.layerSize())
 	if err != nil {
 		return err
 	}
-	return t.writeLayerV2(lw)
+	return t.writeLayer(lw)
 }
 
 // SnapshotKind implements the index.Persister capability.

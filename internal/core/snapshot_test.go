@@ -164,7 +164,7 @@ func TestSnapshotEmptyTable(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Bare layer blob.
-		loaded, err := viewLayerV2(layerBlob(t, tab), nil, cdfmodel.NewInterpolation[uint64](nil))
+		loaded, err := viewLayer(layerBlob(t, tab), nil, cdfmodel.NewInterpolation[uint64](nil))
 		if err != nil {
 			t.Fatalf("empty %v layer round trip: %v", mode, err)
 		}

@@ -10,13 +10,30 @@ import (
 // AvgError returns the paper's analytic error estimate for the corrected
 // index (§3.5, Eq. 8): assuming queries are uniformly sampled from the
 // indexed keys, ē = 1/(2N) · Σ_k Ck². A prediction error only remains when
-// the model maps multiple keys to the same partition.
+// the model maps multiple keys to the same partition. The counts Ck come
+// from one model sweep over the keys (partitionCounts).
 func (t *Table[K]) AvgError() float64 {
+	return t.avgError(t.partitionCounts())
+}
+
+// partitionCounts returns the number of keys the model maps to each
+// partition, the paper's cardinality Ck, from one model sweep over the
+// keys. The layer does not store it: no lookup reads it, only the
+// analysis readers in this file and costmodel.go.
+func (t *Table[K]) partitionCounts() []int32 {
+	cnt := make([]int32, t.m)
+	for _, x := range t.keys {
+		cnt[t.partitionOf(t.model.Predict(x))]++
+	}
+	return cnt
+}
+
+func (t *Table[K]) avgError(cnt []int32) float64 {
 	if t.n == 0 {
 		return 0
 	}
 	var sum float64
-	for _, c := range t.count {
+	for _, c := range cnt {
 		sum += float64(c) * float64(c)
 	}
 	return sum / (2 * float64(t.n))
@@ -36,20 +53,21 @@ type Stats struct {
 	MeanLog2Bounds float64 // mean log2(window) — binary-search iterations for last-mile (§4.2)
 }
 
-// ComputeStats reports the summary: the partition-count fields read off
-// the layer, the model error before correction from one model sweep over
-// the keys (ModelError), and Log2Error's O(M) window sum.
+// ComputeStats reports the summary: the partition-count fields from one
+// model sweep over the keys (partitionCounts), the model error before
+// correction from another (ModelError), and Log2Error's O(M) window sum.
 func (t *Table[K]) ComputeStats() Stats {
+	cnt := t.partitionCounts()
 	s := Stats{
 		N:              t.n,
 		M:              t.m,
 		Mode:           t.mode,
 		EntryBits:      t.EntryBits(),
 		SizeBytes:      t.SizeBytes(),
-		AvgErrEq8:      t.AvgError(),
-		MeanLog2Bounds: t.Log2Error(),
+		AvgErrEq8:      t.avgError(cnt),
+		MeanLog2Bounds: t.log2Error(cnt),
 	}
-	for _, c := range t.count {
+	for _, c := range cnt {
 		if c == 0 {
 			s.EmptyParts++
 		}
@@ -63,25 +81,29 @@ func (t *Table[K]) ComputeStats() Stats {
 
 // Log2Error is the Fig. 8 "average log2 error" metric: the mean log2 of
 // the last-mile search window, i.e. the expected binary-search iteration
-// count after correction (§4.2). It sums the per-partition window widths,
-// O(M) with no model sweep: each key of partition k searches a window of
-// hi[k]−lo[k]+1 slots regardless of its own prediction. Midpoint windows
-// are degenerate ([s, s], width 1) and contribute 0.
+// count after correction (§4.2). Over the partition counts of one model
+// sweep it sums the per-partition window widths: each key of partition k
+// searches a window of lo[k+1]+span(k)−lo[k]+1 slots regardless of its
+// own prediction. Midpoint windows are degenerate ([s, s], width 1) and
+// contribute 0.
 func (t *Table[K]) Log2Error() float64 {
 	if t.n == 0 || t.mode != ModeRange {
 		return 0
 	}
+	return t.log2Error(t.partitionCounts())
+}
+
+func (t *Table[K]) log2Error(cnt []int32) float64 {
+	if t.n == 0 || t.mode != ModeRange {
+		return 0
+	}
 	var log2Sum float64
-	for k := 0; k < t.m; k++ {
-		if t.count[k] == 0 {
+	for k, c := range cnt {
+		if c == 0 {
 			continue
 		}
-		lo, hi := t.drift.pair(k)
-		w := hi - lo + 1
-		if w < 1 {
-			w = 1
-		}
-		log2Sum += float64(t.count[k]) * math.Log2(float64(w))
+		lo, hi := t.window(0, k)
+		log2Sum += float64(c) * math.Log2(float64(max(hi-lo+1, 1)))
 	}
 	return log2Sum / float64(t.n)
 }

@@ -23,14 +23,11 @@ func (t *Table[K]) TraceFind(q K, touch search.Touch) int {
 	switch t.mode {
 	case ModeRange:
 		// One lookup into the mapping array (§3: "the correction can be
-		// done using a single lookup into the array of pairs"). With the
-		// fused layout the <lo, hi> entries really are adjacent: one touch
-		// of 2·width bytes, one cache line — the split layout's second
-		// array access (and its potential second miss) is gone.
-		t.touchPair(k, touch)
-		dlo, dhi := t.drift.pair(k)
-		lo := pred + dlo
-		hi := pred + dhi
+		// done using a single lookup into the array of pairs"): lo[k] and
+		// lo[k+1] are adjacent, one touch of 2·width bytes, which crosses
+		// a line boundary only when the pair straddles one.
+		t.touchBounds(k, touch)
+		lo, hi := t.window(pred, k)
 		r := search.WindowTraced(t.keys, lo, hi, q, touch)
 		if t.monotone {
 			return r
@@ -62,19 +59,19 @@ func (t *Table[K]) touchEntry(k int, touch search.Touch) {
 	}
 }
 
-// touchPair reports the fused <lo, hi> entry of partition k as one access
-// of 2·width bytes (the pair is contiguous by construction).
-func (t *Table[K]) touchPair(k int, touch search.Touch) {
+// touchBounds reports range-mode entries k and k+1 as one access of
+// 2·width bytes (they are contiguous).
+func (t *Table[K]) touchBounds(k int, touch search.Touch) {
 	d := &t.drift
 	switch d.width {
 	case 1:
-		touch(kv.Addr(d.w8, 2*k), 2)
+		touch(kv.Addr(d.w8, k), 2)
 	case 2:
-		touch(kv.Addr(d.w16, 2*k), 4)
+		touch(kv.Addr(d.w16, k), 4)
 	case 4:
-		touch(kv.Addr(d.w32, 2*k), 8)
+		touch(kv.Addr(d.w32, k), 8)
 	case 8:
-		touch(kv.Addr(d.w64, 2*k), 16)
+		touch(kv.Addr(d.w64, k), 16)
 	}
 }
 

@@ -11,5 +11,6 @@ func OSFaults() (minor, major int64) {
 	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
 		return 0, 0
 	}
-	return ru.Minflt, ru.Majflt
+	// The Rusage fields are int32 on 32-bit targets.
+	return int64(ru.Minflt), int64(ru.Majflt)
 }

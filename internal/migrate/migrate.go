@@ -1,6 +1,6 @@
 // Package migrate rewrites a full snapshot that an earlier build wrote
 // into the form this build writes and serves (DESIGN.md §13): a v2
-// container of v2 layer blobs, of kind "concurrent" or a registry kind,
+// container of v3 layer blobs, of kind "concurrent" or a registry kind,
 // whose embedded view stores no pending writes. The serving packages
 // refuse every other full with snapshot.ErrLegacy; only cmd/shifttool
 // (`-load OLD -save NEW`) and tests import this package. It works on
@@ -286,16 +286,21 @@ func appendWord(out []byte, v uint64, w int) []byte {
 	return out
 }
 
-// Layer converts a split-array v1 layer blob into the fused v2 blob,
-// byte for byte what this build writes for the same table. A v2 blob
-// comes back unchanged. Both open with eight u64 header words (magic,
-// version, mode, n, m, monotone flag, key and model fingerprints). v1
-// then holds, per drift half (range mode: lo, then hi; midpoint: one
-// shift array), a width in bits and m entries at that width; v2 holds
-// one widths word and the halves interleaved at the wider width, padded
-// to 8 bytes. The m int32 counts end both. The input is untrusted: every
-// width and length is checked against the bytes present before anything
-// is sized by it.
+// Layer converts a layer blob an earlier build wrote into the v3 blob,
+// byte for byte what this build writes for the same table. A v3 blob
+// comes back unchanged. All three open with eight u64 header words
+// (magic, version, mode, n, m, monotone flag, key and model
+// fingerprints). v1 then holds, per drift half (range mode: lo, then hi;
+// midpoint: one shift array), a width in bits and m entries at that
+// width; v2 holds one widths word and the halves interleaved at the wider
+// width, padded to 8 bytes. The m int32 partition counts end both, and
+// are dropped. v3 holds one widths word and the entries at the narrowest
+// width that holds them: range mode's m lower bounds and a closing 0,
+// midpoint mode's m shifts. Range mode keeps its monotone flag only if
+// every partition's window derived from the next lower bound covers its
+// stored hi bound, the check a fresh build makes. The input is untrusted:
+// every width and length is checked against the bytes present before
+// anything is sized by it.
 func Layer(blob []byte) ([]byte, error) {
 	if len(blob) < layerHeadLen {
 		return nil, fmt.Errorf("layer blob is %d bytes, its header is %d", len(blob), layerHeadLen)
@@ -303,21 +308,67 @@ func Layer(blob []byte) ([]byte, error) {
 	if le.Uint64(blob) != layerMagic {
 		return nil, fmt.Errorf("not a Shift-Table layer blob")
 	}
-	switch v := le.Uint64(blob[8:]); {
-	case v == 2:
+	version := le.Uint64(blob[8:])
+	switch version {
+	case 3:
 		return blob, nil
-	case v != 1:
-		return nil, fmt.Errorf("layer version %d", v)
+	case 1, 2:
+	default:
+		return nil, fmt.Errorf("layer version %d", version)
 	}
-	mode := le.Uint64(blob[16:])
-	if mode > modeMidpoint {
-		return nil, fmt.Errorf("invalid layer mode %d", mode)
+	mode, n, m, monotone := le.Uint64(blob[16:]), le.Uint64(blob[24:]), le.Uint64(blob[32:]), le.Uint64(blob[40:])
+	if mode > modeMidpoint || monotone > 1 {
+		return nil, fmt.Errorf("invalid layer mode %d or monotone flag %d", mode, monotone)
 	}
 	halves := 2 - int(mode) // range mode: lo and hi; midpoint: the shifts
-	m := le.Uint64(blob[32:])
 	body := blob[layerHeadLen:]
-	var widths [2]int
-	var drifts [2][]byte
+	var drifts [2][]int64
+	var err error
+	if version == 1 {
+		body, err = splitHalves(body, halves, m, &drifts)
+	} else {
+		body, err = fusedHalves(body, halves, m, &drifts)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if uint64(len(body)) != 4*m {
+		return nil, fmt.Errorf("%d bytes of partition counts, want %d", len(body), 4*m)
+	}
+	entries := drifts[0]
+	if halves == 2 && m > 0 {
+		if !covered(drifts[0], drifts[1], int64(n), int64(m)) {
+			monotone = 0
+		}
+		entries = append(entries, 0) // partition m: answer n, predicted at n
+	}
+	// The narrowest width whose positive range holds every |entry|, as
+	// internal/core's driftWidth packs.
+	var maxAbs int64
+	for _, v := range entries {
+		maxAbs = max(maxAbs, v, -v)
+	}
+	width := 0
+	if m > 0 {
+		width = 1
+	}
+	for width > 0 && width < 8 && maxAbs > int64(1)<<(8*width-1)-1 {
+		width *= 2
+	}
+	out := make([]byte, 0, layerHeadLen+8+len(entries)*width)
+	out = append(out, blob[:layerHeadLen]...)
+	le.PutUint64(out[8:], 3)
+	le.PutUint64(out[40:], monotone)
+	out = le.AppendUint64(out, uint64(width))
+	for _, v := range entries {
+		out = appendWord(out, uint64(v), width)
+	}
+	return out, nil
+}
+
+// splitHalves decodes a v1 body's drift halves into drifts and returns
+// the bytes after them.
+func splitHalves(body []byte, halves int, m uint64, drifts *[2][]int64) ([]byte, error) {
 	for h := 0; h < halves; h++ {
 		if len(body) < 8 {
 			return nil, fmt.Errorf("drift array %d: %d bytes left, want its 8-byte width", h, len(body))
@@ -332,34 +383,86 @@ func Layer(blob []byte) ([]byte, error) {
 		if w > 0 && m > uint64(len(body)/w) {
 			return nil, fmt.Errorf("drift array %d: %d entries of %d bytes, %d bytes left", h, m, w, len(body))
 		}
-		widths[h], drifts[h], body = w, body[:int(m)*w], body[int(m)*w:]
+		drifts[h] = decodeDrifts(body, w, int(m), 1, 0)
+		body = body[int(m)*w:]
 	}
-	if uint64(len(body)) != 4*m {
-		return nil, fmt.Errorf("%d bytes of partition counts, want %d", len(body), 4*m)
+	return body, nil
+}
+
+// fusedHalves decodes a v2 body — the widths word (byte 0 the common
+// width; in range mode bytes 1 and 2 the lo and hi widths, whose maximum
+// it is), the interleaved halves and their zero padding — into drifts
+// and returns the bytes after them.
+func fusedHalves(body []byte, halves int, m uint64, drifts *[2][]int64) ([]byte, error) {
+	if len(body) < 8 {
+		return nil, fmt.Errorf("%d bytes left, want the 8-byte widths word", len(body))
 	}
-	width, lo, hi := widths[0], 0, 0
-	if halves == 2 {
-		lo, hi = widths[0], widths[1]
-		width = max(lo, hi)
+	word := le.Uint64(body)
+	w, lo, hi := int(byte(word)), int(byte(word>>8)), int(byte(word>>16))
+	valid := word>>24 == 0 && w <= 8 && w&(w-1) == 0 && (w == 0) == (m == 0)
+	if halves == 2 && m > 0 {
+		valid = valid && lo > 0 && hi > 0 && max(lo, hi) == w
 	}
-	// Fusing packs both halves at the wider width, so the output is at
-	// most twice the input plus the widths word.
-	out := make([]byte, 0, 2*len(blob)+8)
-	out = append(out, blob[:layerHeadLen]...)
-	le.PutUint64(out[8:], 2)
-	out = le.AppendUint64(out, uint64(width)|uint64(lo)<<8|uint64(hi)<<16)
-	if halves == 1 {
-		out = append(out, drifts[0]...)
-	} else {
-		for k := 0; k < int(m); k++ {
-			out = appendWord(out, signed(word(drifts[0], k, lo), lo), width)
-			out = appendWord(out, signed(word(drifts[1], k, hi), hi), width)
+	if !valid || halves == 1 && word>>8 != 0 {
+		return nil, fmt.Errorf("widths word %#x for %d partitions", word, m)
+	}
+	body = body[8:]
+	if w > 0 && m > uint64(len(body)/(w*halves)) {
+		return nil, fmt.Errorf("%d entries of %d bytes, %d bytes left", uint64(halves)*m, w, len(body))
+	}
+	data := int(m) * halves * w
+	pad := (8 - data%8) % 8
+	if len(body) < data+pad || !bytes.Equal(body[data:data+pad], make([]byte, pad)) {
+		return nil, fmt.Errorf("drift padding is missing or nonzero")
+	}
+	for h := 0; h < halves; h++ {
+		drifts[h] = decodeDrifts(body, w, int(m), halves, h)
+	}
+	return body[data+pad:], nil
+}
+
+// decodeDrifts sign-extends entries at, at+stride, … of a packed array of
+// w-byte words: m of them.
+func decodeDrifts(b []byte, w, m, stride, at int) []int64 {
+	out := make([]int64, m)
+	for k := range out {
+		out[k] = int64(signed(word(b, stride*k+at, w), w))
+	}
+	return out
+}
+
+// covered reports whether every partition k's window derived from the
+// next lower bound, lo[k+1] + span(k) (lo[m] = 0), reaches its stored hi
+// bound — internal/core's build-time check, over the same partition
+// geometry (predRange).
+func covered(lo, hi []int64, n, m int64) bool {
+	nextLo, nextPmax := int64(0), n
+	for k := m - 1; k >= 0; k-- {
+		pmin, pmax := predRange(k, n, m)
+		if nextLo+nextPmax-pmin-1 < hi[k] {
+			return false
 		}
+		nextLo, nextPmax = lo[k], pmax
 	}
-	var pad [8]byte
-	data := len(out) - (layerHeadLen + 8)
-	out = append(out, pad[:(8-data%8)%8]...)
-	return append(out, body...), nil
+	return true
+}
+
+// predRange is internal/core's partition geometry: the inclusive range of
+// predictions that map to partition k of m over n keys, partition m
+// predicted only at n.
+func predRange(k, n, m int64) (pmin, pmax int64) {
+	if m == n {
+		return k, k
+	}
+	pmin = (k*n + m - 1) / m
+	pmax = ((k+1)*n+m-1)/m - 1
+	if pmax > n {
+		pmax = n
+	}
+	if pmin > pmax {
+		pmin = pmax
+	}
+	return pmin, pmax
 }
 
 // signed sign-extends a w-byte two's-complement word to 64 bits.

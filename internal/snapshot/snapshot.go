@@ -74,8 +74,8 @@
 //	                  contCRC u32 (CRC-32C of magic..tocCRC),
 //	                  reserved u32 (0), endMagic "STSNEND2"
 //
-// The page alignment lets a loader view the bulk payloads (keys, fused
-// drift pairs) in place over an mmap of the file; the per-section CRCs
+// The page alignment lets a loader view the bulk payloads (keys, drift
+// entries) in place over an mmap of the file; the per-section CRCs
 // let it verify lazily — footer, TOC and structure eagerly in O(sections),
 // payload checksums on demand — which is what makes a mapped warm start
 // O(1) in key count. VerifyAll checks every section CRC and contCRC. v2

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/migrate"
 	"repro/internal/snapshot"
 )
 
@@ -141,11 +142,13 @@ func goldenInserts(keys []uint64) []uint64 {
 	return ins
 }
 
-// TestTombstoneFreeGolden: the committed file, written by an earlier
-// build's single-threaded index holding a 100-key insert buffer, is
-// exactly the legacy layout writeLegacy reproduces, and both entry
-// points refuse its buffer as legacy (internal/migrate moves it into a
-// generation).
+// TestTombstoneFreeGolden: the committed file, an earlier build's
+// single-threaded index holding a 100-key insert buffer with this build's
+// v3 layer blob, is exactly the legacy layout writeLegacy reproduces, and
+// both entry points refuse its buffer as legacy (internal/migrate moves it
+// into a generation). tombstone-free-v2.snap, the same index as that
+// build wrote it (v2 layer blob), migrates byte for byte to what the
+// golden file migrates to.
 func TestTombstoneFreeGolden(t *testing.T) {
 	golden := filepath.Join("testdata", "tombstone-free.snap")
 	want, err := os.ReadFile(golden)
@@ -167,10 +170,25 @@ func TestTombstoneFreeGolden(t *testing.T) {
 	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("legacy layout (%d bytes, %v) differs from the %d-byte golden file", len(got), err, len(want))
 	}
+	legacy := filepath.Join("testdata", "tombstone-free-v2.snap")
 	for _, l := range loaders {
-		if _, err := l.load(golden); !errors.Is(err, snapshot.ErrLegacy) {
-			t.Fatalf("%s: %v, want snapshot.ErrLegacy", l.name, err)
+		for _, path := range []string{golden, legacy} {
+			if _, err := l.load(path); !errors.Is(err, snapshot.ErrLegacy) {
+				t.Fatalf("%s %s: %v, want snapshot.ErrLegacy", l.name, path, err)
+			}
 		}
+	}
+	current, err := migrate.Full(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if migrated, err := migrate.Full(old); err != nil || !bytes.Equal(migrated, current) {
+		t.Fatalf("tombstone-free-v2.snap does not migrate to what the golden file does (%d vs %d bytes, %v)",
+			len(migrated), len(current), err)
 	}
 }
 

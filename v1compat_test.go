@@ -205,11 +205,12 @@ func TestV1Fixtures(t *testing.T) {
 
 // TestLegacyUpdatableGolden: internal/updatable/testdata/tombstone-free.snap
 // is a v2 container of the retired "updatable" kind whose view holds a
-// 100-key insert buffer (recipe: that directory's README). Every serving
-// entry point refuses it with snapshot.ErrLegacy; its migration loads
-// through both registry entry points as a concurrent index with the
-// buffer pending, rank-identical to one built from the same keys with
-// the buffered keys inserted.
+// 100-key insert buffer (recipe: that directory's README);
+// tombstone-free-v2.snap is the same index with the v2 layer blob its
+// build wrote. Every serving entry point refuses both with
+// snapshot.ErrLegacy; each migration loads through both registry entry
+// points as a concurrent index with the buffer pending, rank-identical
+// to one built from the same keys with the buffered keys inserted.
 func TestLegacyUpdatableGolden(t *testing.T) {
 	keys := v1FixtureKeys()
 	want, err := concurrent.New(keys, concurrent.Config{})
@@ -220,9 +221,17 @@ func TestLegacyUpdatableGolden(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		want.Insert(keys[(i*13)%2000] + uint64(i%5))
 	}
-	path := filepath.Join("internal", "updatable", "testdata", "tombstone-free.snap")
-	checkRefused(t, path, "index.", "concurrent.")
-	migrated := migrateFixture(t, path)
+	for _, name := range []string{"tombstone-free.snap", "tombstone-free-v2.snap"} {
+		path := filepath.Join("internal", "updatable", "testdata", name)
+		checkRefused(t, path, "index.", "concurrent.")
+		checkMigratedBuffer(t, migrateFixture(t, path), keys, want)
+	}
+}
+
+// checkMigratedBuffer loads the migration of the updatable golden file
+// through both registry entry points and checks it answers like want.
+func checkMigratedBuffer(t *testing.T, migrated string, keys []uint64, want *concurrent.Index[uint64]) {
+	t.Helper()
 	for _, load := range []func(string) (index.Index[uint64], error){index.LoadFile[uint64], index.LoadFileMapped[uint64]} {
 		got, err := load(migrated)
 		if err != nil {
@@ -244,4 +253,15 @@ func TestLegacyUpdatableGolden(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestV2LayerGoldenRefused: internal/concurrent/testdata/golden-v2.snap is
+// a current container whose layer is the v2 blob (interleaved <lo, hi>
+// pairs and partition counts) a build before v3 layers wrote. Every
+// serving entry point refuses it with snapshot.ErrLegacy, and its
+// migration loads and saves back to itself.
+func TestV2LayerGoldenRefused(t *testing.T) {
+	path := filepath.Join("internal", "concurrent", "testdata", "golden-v2.snap")
+	checkRefused(t, path, "index.", "concurrent.")
+	migrateFixture(t, path)
 }
