@@ -83,7 +83,11 @@
 // replicas map their fetch-verified artifacts with a path registry that
 // defers spool GC while a mapping is live. /statusz reports the mapped
 // bytes and the process's page-fault counts. See
-// `shifttool -load -mmap`.
+// `shifttool -load -mmap`. internal/mapped also makes the heap arrays a
+// built table's lookups read (the key run, the compactor's merged run,
+// the packed layer and the nommap read buffer) through MakeHuge, which
+// advises their 2 MiB-aligned interiors for transparent huge pages
+// (DESIGN.md §8); mapped files stay on the page cache's 4 KiB pages.
 //
 // Snapshots replicate (internal/replica, DESIGN.md §10): a primary
 // publishes versioned fulls and generation deltas into a manifest-rooted

@@ -2,6 +2,7 @@ package concurrent
 
 import (
 	"repro/internal/kv"
+	"repro/internal/mapped"
 	"repro/internal/updatable"
 )
 
@@ -98,8 +99,9 @@ func (ix *Index[K]) Compact() error {
 	// model predictions and per-partition accumulation shard across
 	// cores, and the build arena plus the batch-scratch pool carry over
 	// from the predecessor, so steady-state compaction allocates only the
-	// merged keys and the packed layer itself.
-	merged := make([]K, 0, sealed.length())
+	// merged keys and the packed layer itself, both on huge pages
+	// (mapped.MakeHuge).
+	merged := mapped.MakeHuge[K](sealed.length())[:0]
 	sealed.scan(0, kv.MaxKey[K](), func(k K) bool {
 		merged = append(merged, k)
 		return true

@@ -358,6 +358,26 @@ func TestSaveFileGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The golden file's head is not empty, so Full folds it into the
+	// sealed run: other bytes, the same ranks, and a fixed point.
+	again, err := migrate.Full(current)
+	if err != nil || !bytes.Equal(again, current) {
+		t.Fatalf("Full of its own %d-byte output gave %d other bytes (%v)", len(current), len(again), err)
+	}
+	folded, err := loadBytes(current)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if folded.Len() != ix.Len() {
+		t.Fatalf("the migrated golden file holds %d keys, the index %d", folded.Len(), ix.Len())
+	}
+	for _, k := range keys {
+		for _, q := range []uint64{k - 1, k, k + 1, k + 3} {
+			if got, want := folded.Find(q), ix.Find(q); got != want {
+				t.Fatalf("the migrated golden file ranks %d at %d, the index at %d", q, got, want)
+			}
+		}
+	}
 	if migrated, err := migrate.Full(legacy); err != nil || !bytes.Equal(migrated, current) {
 		t.Fatalf("golden-v2.snap does not migrate to what the golden file does (%d vs %d bytes, %v)",
 			len(migrated), len(current), err)

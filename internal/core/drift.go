@@ -1,5 +1,7 @@
 package core
 
+import "repro/internal/mapped"
+
 // driftArray stores the layer's drift entries at the narrowest integer
 // width that fits, realising §3.9's observation that the entry width can
 // follow the model's maximum error (16-bit entries when the error fits in
@@ -42,29 +44,30 @@ func driftWidth(maxAbs int64) uint8 {
 
 // packDriftsWidth packs vals at an explicit entry width (the build tracks
 // the magnitude while generating the values, so packing needs no extra
-// reduction pass).
+// reduction pass) into a mapped.MakeHuge array, which lookups read on
+// huge pages (DESIGN.md §8).
 func packDriftsWidth(vals []int64, width uint8) driftArray {
 	switch width {
 	case 1:
-		out := make([]int8, len(vals))
+		out := mapped.MakeHuge[int8](len(vals))
 		for i, v := range vals {
 			out[i] = int8(v)
 		}
 		return driftArray{width: 1, w8: out}
 	case 2:
-		out := make([]int16, len(vals))
+		out := mapped.MakeHuge[int16](len(vals))
 		for i, v := range vals {
 			out[i] = int16(v)
 		}
 		return driftArray{width: 2, w16: out}
 	case 4:
-		out := make([]int32, len(vals))
+		out := mapped.MakeHuge[int32](len(vals))
 		for i, v := range vals {
 			out[i] = int32(v)
 		}
 		return driftArray{width: 4, w32: out}
 	default:
-		out := make([]int64, len(vals))
+		out := mapped.MakeHuge[int64](len(vals))
 		copy(out, vals)
 		return driftArray{width: 8, w64: out}
 	}

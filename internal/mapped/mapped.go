@@ -1,8 +1,10 @@
 // Package mapped provides the memory-mapped region type behind zero-copy
 // snapshot serving (DESIGN.md §12): a refcounted read-only byte region
 // backed by mmap where the platform supports it and by a plain heap read
-// where it does not, typed in-place views over the region's bytes, and
-// the process's page-fault counters.
+// where it does not, typed in-place views over the region's bytes, the
+// process's page-fault counters, and MakeHuge, which backs the heap
+// arrays a served table's lookups read with transparent huge pages
+// (DESIGN.md §8).
 //
 // # Lifetime protocol
 //
@@ -194,6 +196,12 @@ var hostLittleEndian = func() bool {
 	x := uint16(0x0102)
 	return *(*byte)(unsafe.Pointer(&x)) == 0x02
 }()
+
+// fixedInt lists the element types MakeHuge allocates: fixed-width
+// integers, so the advised memory holds no pointers.
+type fixedInt interface {
+	~int8 | ~int16 | ~int32 | ~int64 | ~uint8 | ~uint16 | ~uint32 | ~uint64
+}
 
 // View reinterprets b in place as a slice of T: no copy, no allocation.
 // It requires b's length to be a multiple of T's size, b's base address

@@ -13,11 +13,13 @@ import (
 // — only the zero-copy and page-cache wins are absent.
 func Supported() bool { return false }
 
-// mapFile reads the file onto the heap. Page-aligning the buffer is not
-// required: views only need element-size alignment, which the allocator
-// provides for large buffers, and View verifies it anyway.
+// mapFile reads the file onto the heap, into a MakeHuge buffer: the
+// tables this build serves view their keys and layer in place. Page-
+// aligning the buffer is not required: views only need element-size
+// alignment, which the allocator provides for large buffers, and View
+// verifies it anyway.
 func mapFile(f *os.File, size int) ([]byte, bool, error) {
-	data := make([]byte, size)
+	data := MakeHuge[byte](size)
 	if _, err := io.ReadFull(f, data); err != nil {
 		return nil, false, err
 	}

@@ -50,8 +50,12 @@ var layerIDs = map[string]uint32{
 }
 
 // Full rewrites one full snapshot container into the current form and
-// returns the new container's bytes. A container already in that form
-// comes back byte for byte.
+// returns the new container's bytes. A registry-kind container already
+// in that form comes back byte for byte. A view kind's pending writes
+// come back as one sealed run under an empty write head, however many
+// generations held them, so a current "concurrent" full whose head is
+// not empty is rewritten: the output answers the same ranks, and Full of
+// an output returns it byte for byte.
 func Full(data []byte) ([]byte, error) {
 	m, err := snapshot.Open(data)
 	stream := errors.Is(err, snapshot.ErrLegacy)

@@ -19,6 +19,7 @@ import (
 	"repro/internal/cdfmodel"
 	"repro/internal/core"
 	"repro/internal/kv"
+	"repro/internal/mapped"
 )
 
 // Config parameterises New.
@@ -33,9 +34,13 @@ type Index[K kv.Key] struct {
 	v   *View[K]
 }
 
-// New builds the base over a copy of the sorted keys (which may be empty).
+// New builds the base over a copy of the sorted keys (which may be
+// empty). The copy is a mapped.MakeHuge array: lookups read it on huge
+// pages (DESIGN.md §8).
 func New[K kv.Key](keys []K, cfg Config) (*Index[K], error) {
-	return NewFrom(append([]K(nil), keys...), cfg, nil)
+	base := mapped.MakeHuge[K](len(keys))
+	copy(base, keys)
+	return NewFrom(base, cfg, nil)
 }
 
 // NewFrom is New seeded with a predecessor base table, and it takes
