@@ -517,10 +517,11 @@ func pendingWrites(ix *concurrent.Index[uint64], keys []uint64, n int) []uint64 
 	return live
 }
 
-// BenchmarkBuild measures Shift-Table construction: the one build
-// pipeline at 1/2/4/GOMAXPROCS workers, both modes. b.N counts keys, so
-// ns/op is build ns per key; on a 1-core box the worker variants measure
-// the sharded code path itself rather than a speedup.
+// BenchmarkBuild measures Shift-Table construction: the streaming build
+// (one shard per worker, entries written straight into the packed layer
+// as the keys go by) at 1/2/4/GOMAXPROCS workers, both modes. b.N counts
+// keys, so ns/op is build ns per key; on a 1-core box the worker
+// variants measure the sharded code path itself rather than a speedup.
 func BenchmarkBuild(b *testing.B) {
 	for _, spec := range batchBenchSpecs {
 		keys := keysFor(b, spec)
@@ -546,9 +547,10 @@ func BenchmarkBuild(b *testing.B) {
 
 // BenchmarkCompaction measures one full compaction of the concurrent
 // index — merge the pending generations into the base, rebuild model +
-// layer through the pooled BuildNext pipeline — after a fixed write
-// burst on an index closed right after New (no background compaction).
-// b.N counts compactions; B/op is the rebuild's allocation.
+// layer through BuildNext's streaming build — after a fixed write burst
+// on an index closed right after New (no background compaction). b.N
+// counts compactions; B/op is the rebuild's allocation: the merged keys
+// and the packed layer.
 func BenchmarkCompaction(b *testing.B) {
 	keys := keysFor(b, dataset.Spec{Name: dataset.Face, Bits: 64})
 	const burst = 4096

@@ -22,18 +22,23 @@
 // batch` for the throughput sweep.
 //
 // Construction mirrors it (DESIGN.md §8): one build pipeline behind
-// core.Build and core.Table.BuildNext shards the model sweep and — for
-// monotone models — the per-partition accumulation across workers into a
-// single pooled arena, and packs the drift entries into one array at the
-// narrowest width that fits. Range mode stores M+1 lower bounds: a
-// lookup in partition k reads lo[k] and lo[k+1], adjacent entries, and
-// its window ends where partition k+1's begins. A build whose model
-// mis-declares Monotone fails the build's coverage check and validates
-// its answers; partition counts are swept from the model when an
-// analysis asks for them, not stored.
-// Compaction's rebuild chain reuses the predecessor's arena and scratch
-// pools through BuildNext. Every worker count is property-tested
-// bit-identical; BenchmarkBuild times them.
+// core.Build and core.Table.BuildNext streams the keys — with a monotone
+// model each partition's keys are one run, so every worker walks its
+// shard of the keys, predicting a chunk at a time, verifies the keys and
+// writes each partition's entry as soon as its run ends, straight into
+// the packed layer at a guessed width, rewritten in a second pass only
+// when the narrowest width that fits is another. Nothing besides
+// the layer is allocated per key or per partition. Range mode stores
+// M+1 lower bounds: a lookup in partition k reads lo[k] and lo[k+1],
+// adjacent entries, and its window ends where partition k+1's begins.
+// Models whose predictions fall over the keys (a non-monotone cubic, or
+// one that mis-declares Monotone) build through per-partition
+// accumulators instead, and a range table whose partitions fell does
+// not trust its windows: Find validates its answers. Partition counts are swept from the model when an analysis
+// asks for them, not stored. Compaction's rebuild chain reuses the
+// predecessor's scratch pool through BuildNext. Every worker count is
+// property-tested bit-identical to the accumulator; BenchmarkBuild
+// times them.
 //
 // Every backend — the Shift-Table and the whole competitor set —
 // implements the unified index abstraction of internal/index (DESIGN.md

@@ -94,13 +94,13 @@ func (ix *Index[K]) Compact() error {
 		ix.testHookRebuild()
 	}
 
-	// Phase 2: rebuild off to the side. The rebuild runs the parallel
-	// build pipeline seeded with the sealed base table (DESIGN.md §8):
-	// model predictions and per-partition accumulation shard across
-	// cores, and the build arena plus the batch-scratch pool carry over
-	// from the predecessor, so steady-state compaction allocates only the
-	// merged keys and the packed layer itself, both on huge pages
-	// (mapped.MakeHuge).
+	// Phase 2: rebuild off to the side. The rebuild runs the streaming
+	// build seeded with the sealed base table (DESIGN.md §8): the key
+	// range shards across cores, each shard writes its partitions'
+	// entries straight into the packed layer, and the batch-scratch pool
+	// carries over from the predecessor, so steady-state compaction
+	// allocates only the merged keys and the packed layer itself, both on
+	// huge pages (mapped.MakeHuge).
 	merged := mapped.MakeHuge[K](sealed.length())[:0]
 	sealed.scan(0, kv.MaxKey[K](), func(k K) bool {
 		merged = append(merged, k)

@@ -100,13 +100,6 @@ type Table[K kv.Key] struct {
 	// compaction.
 	scratch *sync.Pool
 
-	// buildPool pools *buildArena instances (build.go) the same way:
-	// BuildNext draws the rebuild's transient arrays (prediction arena and
-	// per-partition accumulators) from the predecessor's pool, so
-	// steady-state compaction reallocates neither query scratches nor
-	// build scratch.
-	buildPool *sync.Pool
-
 	// region, when non-nil, is the mapped snapshot region whose pages
 	// back keys and the drift array (mapped.go in this package).
 	// The table holds one reference, released by a runtime cleanup when
@@ -128,26 +121,29 @@ func (t *Table[K]) partitionOf(pred int) int {
 	return int(int64(pred) * int64(t.m) / int64(t.n))
 }
 
-// predRange returns the inclusive range of predictions that map to
-// partition k: the feasible positions a query landing in an empty partition
-// can have been predicted at. Partition M, one past the layer, is
-// predicted only at N: the range-mode entry M that closes the last
-// partition is written as if it were an empty partition whose answer is N.
-func (t *Table[K]) predRange(k int) (pmin, pmax int64) {
+// pmin and pmax bound the predictions that map to partition k,
+// partitionOf(p) == k ⟺ k·n ≤ p·m < (k+1)·n: the feasible positions a
+// query landing in an empty partition can have been predicted at.
+// Partition M, one past the layer, is predicted only at N: the range-mode
+// entry M that closes the last partition is written as if it were an
+// empty partition whose answer is N.
+func (t *Table[K]) pmin(k int) int64 {
 	if t.m == t.n {
-		return int64(k), int64(k)
+		return int64(k)
 	}
-	// partitionOf(p) == k  ⟺  k·n ≤ p·m < (k+1)·n.
-	pmin = ceilDiv(int64(k)*int64(t.n), int64(t.m))
-	pmax = ceilDiv(int64(k+1)*int64(t.n), int64(t.m)) - 1
-	if pmax > int64(t.n) {
-		pmax = int64(t.n) // only partition M reaches past N−1
-	}
-	if pmin > pmax {
-		pmin = pmax // degenerate partition no prediction maps to
-	}
-	return pmin, pmax
+	return min(ceilDiv(int64(k)*int64(t.n), int64(t.m)), t.pmax(k)) // pmax for a partition no prediction maps to
 }
+
+func (t *Table[K]) pmax(k int) int64 {
+	if t.m == t.n {
+		return int64(k)
+	}
+	return min(ceilDiv(int64(k+1)*int64(t.n), int64(t.m))-1, int64(t.n)) // only partition M reaches past N−1
+}
+
+// aim is the middle of partition k's feasible predictions: an empty
+// midpoint-mode partition's shift aims from it at the next run.
+func (t *Table[K]) aim(k int) int64 { return (t.pmin(k) + t.pmax(k)) / 2 }
 
 // span is the range-mode term that turns partition k+1's lower bound into
 // partition k's upper bound: pmax(k+1) − pmin(k) − 1. The two partitions'
@@ -158,9 +154,7 @@ func (t *Table[K]) span(k int) int {
 	if t.m == t.n {
 		return 0
 	}
-	pmin, _ := t.predRange(k)
-	_, pmax := t.predRange(k + 1)
-	return int(pmax - pmin - 1)
+	return int(t.pmax(k+1) - t.pmin(k) - 1)
 }
 
 // window returns the range-mode local-search window [lo, hi] of a query

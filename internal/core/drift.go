@@ -42,34 +42,40 @@ func driftWidth(maxAbs int64) uint8 {
 	}
 }
 
-// packDriftsWidth packs vals at an explicit entry width (the build tracks
-// the magnitude while generating the values, so packing needs no extra
-// reduction pass) into a mapped.MakeHuge array, which lookups read on
+// makeDriftArray returns an array of n zero entries of the given width
+// (1, 2, 4 or 8 bytes), a mapped.MakeHuge array, which lookups read on
 // huge pages (DESIGN.md §8).
-func packDriftsWidth(vals []int64, width uint8) driftArray {
+func makeDriftArray(width uint8, n int) driftArray {
 	switch width {
 	case 1:
-		out := mapped.MakeHuge[int8](len(vals))
-		for i, v := range vals {
-			out[i] = int8(v)
-		}
-		return driftArray{width: 1, w8: out}
+		return driftArray{width: 1, w8: mapped.MakeHuge[int8](n)}
 	case 2:
-		out := mapped.MakeHuge[int16](len(vals))
-		for i, v := range vals {
-			out[i] = int16(v)
-		}
-		return driftArray{width: 2, w16: out}
+		return driftArray{width: 2, w16: mapped.MakeHuge[int16](n)}
 	case 4:
-		out := mapped.MakeHuge[int32](len(vals))
-		for i, v := range vals {
-			out[i] = int32(v)
-		}
-		return driftArray{width: 4, w32: out}
+		return driftArray{width: 4, w32: mapped.MakeHuge[int32](n)}
 	default:
-		out := mapped.MakeHuge[int64](len(vals))
-		copy(out, vals)
-		return driftArray{width: 8, w64: out}
+		return driftArray{width: 8, w64: mapped.MakeHuge[int64](n)}
+	}
+}
+
+// store writes vals into the entries from the first on; every value must
+// fit the width.
+func (d *driftArray) store(vals []int64) {
+	switch d.width {
+	case 1:
+		for i, v := range vals {
+			d.w8[i] = int8(v)
+		}
+	case 2:
+		for i, v := range vals {
+			d.w16[i] = int16(v)
+		}
+	case 4:
+		for i, v := range vals {
+			d.w32[i] = int32(v)
+		}
+	default:
+		copy(d.w64, vals)
 	}
 }
 

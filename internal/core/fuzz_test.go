@@ -237,7 +237,8 @@ func FuzzLoad(f *testing.F) {
 // FuzzBuildLayout is the build-pipeline and layer-blob oracle: for a
 // fuzzed corpus and configuration it checks (1) the build at 2–17 workers
 // is bit-identical to the build at one — widths, drifts and the monotone
-// flag; (2) writing the layer blob, viewing it and writing the view again
+// flag — and the stream's layer equals the accumulator's, width and
+// every entry; (2) writing the layer blob, viewing it and writing the view again
 // is byte-identical, and the view answers queries identically; (3) the
 // migration of the v1 and v2 blobs earlier builds wrote for the same
 // table is that blob, byte for byte.
@@ -247,6 +248,7 @@ func FuzzBuildLayout(f *testing.F) {
 	f.Add(uint64(11), uint16(7000), uint8(8), uint8(255), uint8(2), uint8(5)) // adversarially drifted
 	f.Add(uint64(1), uint16(0), uint8(0), uint8(0), uint8(0), uint8(2))       // empty keys
 	f.Add(uint64(9), uint16(4200), uint8(64), uint8(40), uint8(3), uint8(16)) // midpoint, reduced M
+	f.Add(uint64(5), uint16(6500), uint8(16), uint8(9), uint8(7), uint8(4))   // sampled midpoint, reduced M
 
 	f.Fuzz(func(t *testing.T, seed uint64, n uint16, dup, drift, modeBits, workers uint8) {
 		keys := fuzzKeys(seed, int(n)%8192, dup, drift)
@@ -257,18 +259,24 @@ func FuzzBuildLayout(f *testing.F) {
 		if modeBits&2 != 0 && len(keys) > 8 {
 			cfg.M = len(keys) / 8
 		}
+		if modeBits&4 != 0 {
+			cfg.SampleStride = int(drift)%7 + 2 // §3.4 sampling; midpoint mode only
+		}
 		w := int(workers)%16 + 2
 		model := cdfmodel.NewInterpolation(keys)
-		serial, err := buildPipeline(keys, model, cfg, 1, nil)
+		serial, err := buildPipeline(keys, model, cfg, 1)
 		if err != nil {
 			t.Fatalf("buildPipeline(%d keys, %+v, 1): %v", len(keys), cfg, err)
 		}
-		par, err := buildPipeline(keys, model, cfg, w, nil)
+		par, err := buildPipeline(keys, model, cfg, w)
 		if err != nil {
 			t.Fatalf("buildPipeline(%d keys, %+v, %d): %v", len(keys), cfg, w, err)
 		}
 		if d := diffLayer(serial, par); d != "" {
 			t.Fatalf("%d workers differ from 1 (n=%d cfg=%+v): %s", w, len(keys), cfg, d)
+		}
+		if d := diffEntries(accumulated(t, keys, model, cfg), par); d != "" {
+			t.Fatalf("the stream differs from the accumulator (n=%d cfg=%+v): %s", len(keys), cfg, d)
 		}
 
 		// writeLayer → viewLayer → writeLayer: byte-identical blobs,

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/cdfmodel"
@@ -39,9 +42,17 @@ func buildCorpora64() map[string][]uint64 {
 // widths, drifts and the monotone flag must all be bit-identical — or ""
 // when they match.
 func diffLayer[K kv.Key](a, b *Table[K]) string {
-	if a.m != b.m || a.n != b.n || a.mode != b.mode || a.monotone != b.monotone {
-		return fmt.Sprintf("shape: m=%d/%d n=%d/%d mode=%v/%v monotone=%v/%v",
-			a.m, b.m, a.n, b.n, a.mode, b.mode, a.monotone, b.monotone)
+	if a.monotone != b.monotone {
+		return fmt.Sprintf("monotone=%v/%v", a.monotone, b.monotone)
+	}
+	return diffEntries(a, b)
+}
+
+// diffEntries is diffLayer without the monotone flag: the shape, the
+// width and every entry.
+func diffEntries[K kv.Key](a, b *Table[K]) string {
+	if a.m != b.m || a.n != b.n || a.mode != b.mode {
+		return fmt.Sprintf("shape: m=%d/%d n=%d/%d mode=%v/%v", a.m, b.m, a.n, b.n, a.mode, b.mode)
 	}
 	if a.drift.width != b.drift.width || a.drift.len() != b.drift.len() {
 		return fmt.Sprintf("drift: width=%d/%d len=%d/%d", a.drift.width, b.drift.width, a.drift.len(), b.drift.len())
@@ -52,6 +63,28 @@ func diffLayer[K kv.Key](a, b *Table[K]) string {
 		}
 	}
 	return ""
+}
+
+// accumulated builds keys through the accumulator, the reference the
+// stream is held to: Build's validation and shape, then accumulate at one
+// goroutine. It clears a range table's monotone flag, which callers
+// comparing an honest stream therefore leave out (diffEntries).
+func accumulated[K kv.Key](tb testing.TB, keys []K, model cdfmodel.Model[K], cfg Config) *Table[K] {
+	tb.Helper()
+	ref, err := buildPipeline(keys, model, cfg, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	stride := 1
+	if cfg.Mode == ModeMidpoint && cfg.SampleStride > 1 {
+		stride = cfg.SampleStride
+	}
+	if ref.n > 0 {
+		if err := ref.accumulate(ref.shards(1), stride); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return ref
 }
 
 // storedBounds recomputes by brute force, from the keys and the model,
@@ -80,7 +113,7 @@ func storedBounds[K kv.Key](tab *Table[K]) (lo, hi []int64, cnt []int32) {
 	lo, hi = make([]int64, m), make([]int64, m)
 	next := int64(tab.n)
 	for k := m - 1; k >= 0; k-- {
-		pmin, pmax := tab.predRange(k)
+		pmin, pmax := tab.pmin(k), tab.pmax(k)
 		if cnt[k] > 0 {
 			lo[k], hi[k], next = minPos[k]-pmax, endPos[k]-pmin, minPos[k]
 		} else {
@@ -90,82 +123,144 @@ func storedBounds[K kv.Key](tab *Table[K]) (lo, hi []int64, cnt []int32) {
 	return lo, hi, cnt
 }
 
-// TestParallelBuildIdenticalToSerial checks bit-identical layers from the
-// build at one worker and at several (the arena-sharded accumulate) across
-// corpora, modes, layer sizes and worker counts — including the fused pair
-// widths.
+// TestParallelBuildIdenticalToSerial checks that the stream, at one
+// worker and at several, builds the layer the accumulator builds, width
+// and every entry, across corpora, monotone models, modes, layer sizes,
+// sample strides and worker counts, and keeps the monotone flag.
 func TestParallelBuildIdenticalToSerial(t *testing.T) {
 	for name, keys := range buildCorpora64() {
-		model := cdfmodel.NewInterpolation(keys)
-		for _, cfg := range []Config{
-			{Mode: ModeRange},
-			{Mode: ModeMidpoint},
-			{Mode: ModeRange, M: 999},
-			{Mode: ModeMidpoint, M: 37},
-		} {
-			if cfg.M > len(keys) && len(keys) > 0 {
-				continue
-			}
-			serial, err := buildPipeline(keys, model, cfg, 1, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{2, 3, 7, 16} {
-				par, err := buildPipeline(keys, model, cfg, workers, nil)
-				if err != nil {
-					t.Fatal(err)
+		for _, model := range []cdfmodel.Model[uint64]{cdfmodel.NewInterpolation(keys), cdfmodel.NewLinear(keys)} {
+			for _, cfg := range []Config{
+				{Mode: ModeRange},
+				{Mode: ModeMidpoint},
+				{Mode: ModeRange, M: 999},
+				{Mode: ModeMidpoint, M: 37},
+				{Mode: ModeRange, M: 7},
+				{Mode: ModeMidpoint, SampleStride: 8},
+				{Mode: ModeMidpoint, M: 999, SampleStride: 3},
+			} {
+				if cfg.M > len(keys) && len(keys) > 0 {
+					continue
 				}
-				if d := diffLayer(serial, par); d != "" {
-					t.Fatalf("%s cfg=%v/%d workers=%d: differs from 1 worker: %s",
-						name, cfg.Mode, cfg.M, workers, d)
+				ref := accumulated(t, keys, model, cfg)
+				for _, workers := range []int{1, 2, 3, 7, 16} {
+					par, err := buildPipeline(keys, model, cfg, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if d := diffEntries(ref, par); d != "" || !par.monotone {
+						t.Fatalf("%s %s cfg=%+v workers=%d: differs from the accumulator: %s (monotone %v)",
+							name, model.Name(), cfg, workers, d, par.monotone)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestParallelBuild32Bit runs the bit-identity property over 32-bit keys
+// TestParallelBuild32Bit runs the identity property over 32-bit keys
 // (narrower key type, same pipeline).
 func TestParallelBuild32Bit(t *testing.T) {
 	for _, name := range []dataset.Name{dataset.LogN, dataset.Amzn, dataset.USpr} {
 		keys := dataset.U32(dataset.MustGenerate(name, 32, 20_000, 9))
 		model := cdfmodel.NewInterpolation(keys)
 		for _, mode := range []Mode{ModeRange, ModeMidpoint} {
-			serial, err := buildPipeline(keys, model, Config{Mode: mode}, 1, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			par, err := buildPipeline(keys, model, Config{Mode: mode}, 5, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := diffLayer(serial, par); d != "" {
-				t.Fatalf("%s/%v: %s", name, mode, d)
+			ref := accumulated(t, keys, model, Config{Mode: mode})
+			for _, workers := range []int{1, 5} {
+				par, err := buildPipeline(keys, model, Config{Mode: mode}, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := diffEntries(ref, par); d != "" || !par.monotone {
+					t.Fatalf("%s/%v workers=%d: %s (monotone %v)", name, mode, workers, d, par.monotone)
+				}
 			}
 		}
 	}
 }
 
 // TestParallelBuildNonMonotone pins the non-monotone path (§3.8): the
-// prediction stage stays parallel, accumulation falls back to one
-// goroutine, and the result is bit-identical to the one-worker build.
+// cubic model's partition ids fall on logn, late in the last shard, so
+// the stream gives up and the accumulator builds the table from the
+// predictions the stream kept plus the rest, made in parallel. In both
+// modes, sampled too, every worker count gives the entries recomputed key
+// by key, and a range table clears monotone.
 func TestParallelBuildNonMonotone(t *testing.T) {
-	keys := dataset.MustGenerate(dataset.Osmc, 64, 20_000, 4)
+	keys := dataset.MustGenerate(dataset.LogN, 64, 20_000, 4)
 	model := cdfmodel.NewCubic(keys)
 	if model.Monotone() {
 		t.Fatal("cubic model should be non-monotone")
 	}
-	serial, err := buildPipeline(keys, model, Config{Mode: ModeRange}, 1, nil)
-	if err != nil {
-		t.Fatal(err)
+	probe := &Table[uint64]{keys: keys, model: model, mode: ModeRange, n: len(keys), m: len(keys)}
+	if err := probe.stream(probe.shards(2), 1); !errors.Is(err, errFell) {
+		t.Fatalf("the stream returned %v, want errFell", err)
 	}
-	par, err := buildPipeline(keys, model, Config{Mode: ModeRange}, 8, nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, cfg := range []Config{
+		{Mode: ModeRange},
+		{Mode: ModeRange, M: 999},
+		{Mode: ModeMidpoint},
+		{Mode: ModeMidpoint, M: 999, SampleStride: 3},
+	} {
+		stride := max(cfg.SampleStride, 1)
+		for _, workers := range []int{1, 2, 8} {
+			tab, err := buildPipeline(keys, model, cfg, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tab.monotone {
+				t.Fatalf("%+v workers=%d: monotone kept", cfg, workers)
+			}
+			want := bruteEntries(tab, stride)
+			if tab.drift.len() != len(want) {
+				t.Fatalf("%+v workers=%d: %d entries, want %d", cfg, workers, tab.drift.len(), len(want))
+			}
+			for k, v := range want {
+				if got := int64(tab.drift.get(k)); got != v {
+					t.Fatalf("%+v workers=%d: entry[%d] = %d, want %d", cfg, workers, k, got, v)
+				}
+			}
+		}
 	}
-	if d := diffLayer(serial, par); d != "" {
-		t.Fatalf("non-monotone parallel differs: %s", d)
+}
+
+// bruteEntries recomputes a table's layer entries key by key from its
+// keys and model: range mode's lower bounds (storedBounds) closed by
+// entry M = 0; midpoint mode's rounded mean drift (Eq. 7) over the keys
+// at multiples of stride, an empty partition aiming at the first position
+// of the next non-empty one.
+func bruteEntries[K kv.Key](tab *Table[K], stride int) []int64 {
+	if tab.mode == ModeRange {
+		lo, _, _ := storedBounds(tab)
+		return append(lo, 0)
 	}
+	m := tab.m
+	sum, cnt, minPos := make([]int64, m), make([]int64, m), make([]int64, m)
+	first := 0
+	for i, x := range tab.keys {
+		if i > 0 && x != tab.keys[i-1] {
+			first = i
+		}
+		if i%stride != 0 {
+			continue
+		}
+		p := tab.model.Predict(x)
+		k := tab.partitionOf(p)
+		if cnt[k] == 0 {
+			minPos[k] = int64(first)
+		}
+		sum[k] += int64(first - p)
+		cnt[k]++
+	}
+	out := make([]int64, m)
+	next := int64(tab.n)
+	for k := m - 1; k >= 0; k-- {
+		if cnt[k] > 0 {
+			out[k], next = roundHalfAway(float64(sum[k])/float64(cnt[k])), minPos[k]
+		} else {
+			out[k] = next - tab.aim(k)
+		}
+	}
+	return out
 }
 
 // lyingModel declares Monotone but predicts in reverse order — the sharded
@@ -200,6 +295,99 @@ func (m *swapModel) Monotone() bool { return true }
 func (m *swapModel) SizeBytes() int { return m.inner.SizeBytes() }
 func (m *swapModel) Name() string   { return "swap" }
 
+// fallModel declares Monotone and is, except that the keys in [at,
+// until) predict by positions off (clamped at 0). With by < 0 and no
+// until the predictions fall exactly once, after the stream may already
+// have walked part of the keys; with by > 0 they rise past later
+// partitions and fall back at until.
+type fallModel struct {
+	inner     *cdfmodel.Interpolation[uint64]
+	at, until uint64
+	by        int
+}
+
+func (m *fallModel) Predict(k uint64) int {
+	p := m.inner.Predict(k)
+	if k >= m.at && k < m.until {
+		p = max(p+m.by, 0)
+	}
+	return p
+}
+func (m *fallModel) Monotone() bool { return true }
+func (m *fallModel) SizeBytes() int { return m.inner.SizeBytes() }
+func (m *fallModel) Name() string   { return "fall" }
+
+// TestStreamFallsOnce: a mis-declared model whose predictions fall once —
+// mid-way through the second of two shards, at the seam where an
+// honest model's two shards meet, or after rising, inside the first
+// shard, past the partitions the next shard owns — builds the
+// accumulator's table at every worker count, in both modes (a range
+// table with the monotone flag cleared), and answers every Find and
+// FindBatch correctly. Under -race the rise also checks no shard writes
+// another's entries.
+func TestStreamFallsOnce(t *testing.T) {
+	keys := dataset.MustGenerate(dataset.Face, 64, 20_000, 8)
+	im := cdfmodel.NewInterpolation(keys)
+	honest := &Table[uint64]{keys: keys, model: im, n: len(keys), m: len(keys)}
+	seam := honest.shards(2)[1].lo
+	qs := make([]uint64, 0, 3*len(keys))
+	for _, k := range keys {
+		qs = append(qs, k-1, k, k+1)
+	}
+	bump := seam / 2 // 10 keys here predict 100 past the seam's key
+	rise := im.Predict(keys[seam]) + 100 - im.Predict(keys[bump])
+	for _, c := range []struct {
+		name  string
+		model *fallModel
+	}{
+		{"second shard", &fallModel{inner: im, at: keys[seam+(len(keys)-seam)/2], until: math.MaxUint64, by: -50}},
+		{"seam", &fallModel{inner: im, at: keys[seam], until: math.MaxUint64, by: -50}},
+		{"rise past the next shard", &fallModel{inner: im, at: keys[bump], until: keys[bump+10], by: rise}},
+	} {
+		model := c.model
+		for _, cfg := range []Config{{Mode: ModeRange}, {Mode: ModeRange, M: len(keys) / 4}, {Mode: ModeMidpoint}} {
+			ref := accumulated(t, keys, model, cfg)
+			for _, workers := range []int{1, 2, 3} {
+				tab, err := buildPipeline(keys, model, cfg, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := diffLayer(ref, tab); d != "" {
+					t.Fatalf("%s %+v workers=%d: differs from the accumulator: %s", c.name, cfg, workers, d)
+				}
+				batch := tab.FindBatch(qs, nil)
+				for i, q := range qs {
+					want := kv.LowerBound(keys, q)
+					if got := tab.Find(q); got != want || batch[i] != want {
+						t.Fatalf("%s %+v workers=%d: q=%d Find %d FindBatch %d, want %d", c.name, cfg, workers, q, got, batch[i], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStreamAllocatesOnlyTheLayer: a range-mode build of 1M face64 keys
+// at two workers allocates its packed layer and at most 64 KiB besides —
+// no prediction arena, no per-partition arrays.
+func TestStreamAllocatesOnlyTheLayer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1M keys")
+	}
+	keys := dataset.MustGenerate(dataset.Face, 64, 1_000_000, 5)
+	model := cdfmodel.NewInterpolation(keys)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tab, err := buildPipeline(keys, model, Config{Mode: ModeRange}, 2)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(tab.SizeBytes())+64<<10; got > limit {
+		t.Fatalf("the build allocated %d bytes, over its %d-byte layer plus 64 KiB", got, tab.SizeBytes())
+	}
+}
+
 // TestParallelBuildDetectsNonMonotonePredictions: a model mis-declaring
 // Monotone must degrade to the one-goroutine accumulate, not race — and
 // still produce the one-worker build's exact table, whose coverage check
@@ -215,11 +403,11 @@ func TestParallelBuildDetectsNonMonotonePredictions(t *testing.T) {
 	qs = append(qs, 0, ^uint64(0))
 	for _, m := range []int{0, len(keys) / 4} {
 		cfg := Config{Mode: ModeRange, M: m}
-		serial, err := buildPipeline(keys, model, cfg, 1, nil)
+		serial, err := buildPipeline(keys, model, cfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := buildPipeline(keys, model, cfg, 8, nil)
+		par, err := buildPipeline(keys, model, cfg, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,11 +532,11 @@ func TestParallelBuildFallbacks(t *testing.T) {
 	model := cdfmodel.NewInterpolation(keys)
 	// Sampled midpoint builds take one worker but must still work.
 	sampled := Config{Mode: ModeMidpoint, SampleStride: 8}
-	tab, err := buildPipeline(keys, model, sampled, 4, nil)
+	tab, err := buildPipeline(keys, model, sampled, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := buildPipeline(keys, model, sampled, 1, nil)
+	one, err := buildPipeline(keys, model, sampled, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +555,7 @@ func TestParallelBuildFallbacks(t *testing.T) {
 		t.Errorf("sampled stats N = %d, want %d", got.N, len(keys))
 	}
 	// Errors still surface through the shared validation.
-	if _, err := buildPipeline([]uint64{3, 1, 2}, model, Config{}, 4, nil); err == nil {
+	if _, err := buildPipeline([]uint64{3, 1, 2}, model, Config{}, 4); err == nil {
 		t.Error("unsorted keys must error")
 	}
 }
@@ -383,7 +571,7 @@ func Build0(keys []uint64, model cdfmodel.Model[uint64]) *Table[uint64] {
 
 func TestParallelBuildSmallInput(t *testing.T) {
 	keys := []uint64{1, 2, 3}
-	tab, err := buildPipeline(keys, cdfmodel.NewInterpolation(keys), Config{}, 8, nil)
+	tab, err := buildPipeline(keys, cdfmodel.NewInterpolation(keys), Config{}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,13 +586,34 @@ func TestParallelBuildSmallInput(t *testing.T) {
 	}
 }
 
+// TestSpreadWide: the even cuts guessWidth samples at and shards start
+// from stay exact where i·n passes 2^31, which a 32-bit int reaches in
+// guessWidth from about 8.4M keys.
+func TestSpreadWide(t *testing.T) {
+	for _, n := range []int{0, 1, 8_421_506, 100_000_000, math.MaxInt32} {
+		for _, count := range []int{1, 2, 7, 255} {
+			prev := 0
+			for i := 0; i <= count; i++ {
+				got := spread(i, count, n)
+				if want := int(uint64(i) * uint64(n) / uint64(count)); got != want || got < prev {
+					t.Fatalf("spread(%d, %d, %d) = %d, want %d (after %d)", i, count, n, got, want, prev)
+				}
+				prev = got
+			}
+			if prev != n {
+				t.Fatalf("spread(%d, %d, %d) = %d, want n", count, count, n, prev)
+			}
+		}
+	}
+}
+
 // TestParallelBuildServesBatch pins the scratch-pool initialisation of the
 // multi-worker build: its table must run the batched query engine (which
 // draws from Table.scratch) without a nil pool.
 func TestParallelBuildServesBatch(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Face, 64, 10_000, 3)
 	model := cdfmodel.NewInterpolation(keys)
-	table, err := buildPipeline(keys, model, Config{}, 4, nil)
+	table, err := buildPipeline(keys, model, Config{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,8 +631,8 @@ func TestParallelBuildServesBatch(t *testing.T) {
 }
 
 // TestBuildNextReusesPools: a rebuild chain must share one batch-scratch
-// pool and one build-arena pool end to end, and every link must be
-// bit-identical to a from-scratch build over the same keys.
+// pool end to end, and every link must be bit-identical to a
+// from-scratch build over the same keys.
 func TestBuildNextReusesPools(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.LogN, 64, 20_000, 7)
 	model := cdfmodel.NewInterpolation(keys)
@@ -441,7 +650,7 @@ func TestBuildNextReusesPools(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if next.scratch != first.scratch || next.buildPool != first.buildPool {
+		if next.scratch != first.scratch {
 			t.Fatalf("gen %d: pools not adopted across BuildNext", gen)
 		}
 		fresh, err := Build(grown, m, Config{Mode: ModeRange})

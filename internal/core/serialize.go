@@ -149,14 +149,13 @@ func layerHeader[K kv.Key](data []byte, keys []K, model cdfmodel.Model[K]) (*Tab
 		return nil, fmt.Errorf("core: model mismatch (layer was built over %q-class model)", model.Name())
 	}
 	return &Table[K]{
-		keys:      keys,
-		model:     model,
-		mode:      Mode(head[2]),
-		n:         n,
-		m:         int(head[4]),
-		monotone:  head[5] != 0,
-		scratch:   new(sync.Pool),
-		buildPool: new(sync.Pool),
+		keys:     keys,
+		model:    model,
+		mode:     Mode(head[2]),
+		n:        n,
+		m:        int(head[4]),
+		monotone: head[5] != 0,
+		scratch:  new(sync.Pool),
 	}, nil
 }
 
@@ -194,8 +193,7 @@ func (t *Table[K]) checkBounds() error {
 		return fmt.Errorf("core: the layer's closing entry is %d, want 0", last)
 	}
 	for k := 0; k < t.m; k++ {
-		_, pmax := t.predRange(k)
-		if first := int64(t.drift.get(k)) + pmax; first < 0 || first > int64(t.n) {
+		if first := int64(t.drift.get(k)) + t.pmax(k); first < 0 || first > int64(t.n) {
 			return fmt.Errorf("core: partition %d starts at %d, outside the %d keys", k, first, t.n)
 		}
 	}

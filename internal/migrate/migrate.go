@@ -437,8 +437,8 @@ func decodeDrifts(b []byte, w, m, stride, at int) []int64 {
 
 // covered reports whether every partition k's window derived from the
 // next lower bound, lo[k+1] + span(k) (lo[m] = 0), reaches its stored hi
-// bound — internal/core's build-time check, over the same partition
-// geometry (predRange).
+// bound — the coverage check of DESIGN.md §8, over internal/core's
+// partition geometry (predRange).
 func covered(lo, hi []int64, n, m int64) bool {
 	nextLo, nextPmax := int64(0), n
 	for k := m - 1; k >= 0; k-- {

@@ -14,8 +14,6 @@
 package updatable
 
 import (
-	"fmt"
-
 	"repro/internal/cdfmodel"
 	"repro/internal/core"
 	"repro/internal/kv"
@@ -45,16 +43,13 @@ func New[K kv.Key](keys []K, cfg Config) (*Index[K], error) {
 
 // NewFrom is New seeded with a predecessor base table, and it takes
 // ownership of keys: the view serves the slice itself, so the caller must
-// not modify it afterwards. The build runs the parallel pipeline
-// (DESIGN.md §8), drawing its arena from prev's pool, and the new base
-// adopts prev's batch-scratch pool, so a rebuild chain (internal/
-// concurrent's compactor rebuilds off to the side and passes the sealed
-// snapshot's table here) allocates only the merged keys and the packed
-// layer in steady state. A nil prev builds from scratch.
+// not modify it afterwards. The build runs the streaming pipeline
+// (DESIGN.md §8), which refuses unsorted keys, and the new base adopts
+// prev's batch-scratch pool, so a rebuild chain (internal/concurrent's
+// compactor rebuilds off to the side and passes the sealed snapshot's
+// table here) allocates only the merged keys and the packed layer in
+// steady state. A nil prev builds from scratch.
 func NewFrom[K kv.Key](keys []K, cfg Config, prev *core.Table[K]) (*Index[K], error) {
-	if !kv.IsSorted(keys) {
-		return nil, fmt.Errorf("updatable: keys are not sorted")
-	}
 	table, err := prev.BuildNext(keys, cdfmodel.NewInterpolation(keys), cfg.Layer, 0)
 	if err != nil {
 		return nil, err
