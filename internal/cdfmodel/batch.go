@@ -28,7 +28,8 @@ func PredictBatch[K kv.Key](m Model[K], qs []K, out []int) {
 }
 
 // PredictBatch implements BatchPredictor: the IM prediction with min, scale
-// and n held in locals across the loop.
+// and n held in locals across the loop. The key offset converts through
+// toFloat, so the loop has no branch on the offset's top bit.
 func (m *Interpolation[K]) PredictBatch(qs []K, out []int) {
 	if m.n == 0 {
 		for i := range qs {
@@ -42,7 +43,7 @@ func (m *Interpolation[K]) PredictBatch(qs []K, out []int) {
 			out[i] = 0
 			continue
 		}
-		v := float64(q-min) * scale
+		v := toFloat(uint64(q-min)) * scale
 		if v >= limit {
 			out[i] = m.n - 1
 		} else {
@@ -61,7 +62,7 @@ func (m *Linear[K]) PredictBatch(qs []K, out []int) {
 	}
 	slope, xref, yref := m.slope, m.xref, m.yref
 	for i, q := range qs {
-		out[i] = clampPos(yref+slope*(float64(q)-xref), m.n)
+		out[i] = clampPos(yref+slope*(toFloat(uint64(q))-xref), m.n)
 	}
 }
 
@@ -76,7 +77,7 @@ func (m *Cubic[K]) PredictBatch(qs []K, out []int) {
 	c0, c1, c2, c3 := m.c[0], m.c[1], m.c[2], m.c[3]
 	min, inv := m.min, m.inv
 	for i, q := range qs {
-		u := (float64(q) - min) * inv
+		u := (toFloat(uint64(q)) - min) * inv
 		out[i] = clampPos(c0+u*(c1+u*(c2+u*c3)), m.n)
 	}
 }

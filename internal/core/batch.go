@@ -13,11 +13,12 @@ import (
 // staged pipeline over a chunk of queries:
 //
 //  1. predict the whole chunk in one PredictBatch call (the interface
-//     dispatch is hoisted to once per chunk and the model parameters stay
-//     in registers across the loop);
-//  2. gather the drift entries with one typed loop per packed width (the
-//     width switch runs once per chunk, and the gather loads are
-//     independent, so their misses overlap);
+//     dispatch is hoisted to once per chunk, the model parameters stay
+//     in registers across the loop, and the key converts to float64
+//     without a branch on its top bit);
+//  2. gather the drift entries with one loop per packed width (the width
+//     switch runs once per chunk; the loop calls nothing, and the gather
+//     loads are independent, so their misses overlap);
 //  3. search every lane's window in lockstep — each round issues one
 //     independent load per lane before any comparison consumes one, and
 //     moves the lane with a conditional move instead of a branch — so
@@ -91,8 +92,8 @@ func (t *Table[K]) findChunk(qs []K, out []int, st *batchScratch[K]) {
 	// Stage 1: predict the whole chunk (one interface dispatch).
 	cdfmodel.PredictBatch(t.model, qs, pred)
 
-	// Stage 2: partition ids overwrite nothing — they feed straight into
-	// the drift gathers, which run as one typed loop per packed width.
+	// Stage 2: partition ids are computed inside the drift gathers, one
+	// loop per packed width.
 	if t.mode == ModeRange {
 		t.gatherWindows(pred, st.wlo[:c], st.wend[:c])
 		t.probeWindows(qs, out, st)
@@ -123,54 +124,13 @@ func (t *Table[K]) findChunk(qs []K, out []int, st *batchScratch[K]) {
 	}
 }
 
-// gatherAdd writes out[i] = pred[i] + d[part(pred[i])] with the packed
-// width dispatched once per call instead of once per query; the drift
-// loads form an independent gather whose misses overlap. part maps a
-// prediction to its partition (Table.partitionOf, passed in so the m==n
-// fast path stays branch-free inside the loop).
-func (d *driftArray) gatherAdd(pred, out []int, part func(int) int) {
-	switch d.width {
-	case 1:
-		a := d.w8
-		for i, p := range pred {
-			out[i] = p + int(a[part(p)])
-		}
-	case 2:
-		a := d.w16
-		for i, p := range pred {
-			out[i] = p + int(a[part(p)])
-		}
-	case 4:
-		a := d.w32
-		for i, p := range pred {
-			out[i] = p + int(a[part(p)])
-		}
-	default:
-		a := d.w64
-		for i, p := range pred {
-			out[i] = p + int(a[part(p)])
-		}
-	}
-}
-
-// partitioner returns the prediction-to-partition mapping as a closure
-// for the gather loops: identity when M = N, the partitionOf scaling
-// otherwise.
-func (t *Table[K]) partitioner() func(int) int {
-	if t.m == t.n {
-		return func(p int) int { return p }
-	}
-	mm, nn := int64(t.m), int64(t.n)
-	return func(p int) int { return int(int64(p) * mm / nn) }
-}
-
 // gatherWindows computes, per lane, the clamped local-search window
 // [wlo, wend) exactly as search.Window derives it from Table.window's
 // bounds. Each lane reads lo[k] and lo[k+1], adjacent entries, so one
 // miss fetches both; below M = N the span term is added in a second loop
 // that touches no memory.
 func (t *Table[K]) gatherWindows(pred, wlo, wend []int) {
-	t.drift.gatherBounds(pred, wlo, wend, t.partitioner())
+	t.drift.gatherBounds(pred, wlo, wend, t.m, t.n)
 	if t.m != t.n {
 		for i, p := range pred {
 			wend[i] += t.span(t.partitionOf(p))
@@ -202,7 +162,7 @@ func (t *Table[K]) gatherWindows(pred, wlo, wend []int) {
 // gatherStarts computes, per lane, the midpoint-corrected start position
 // pred + shift.
 func (t *Table[K]) gatherStarts(pred, wlo []int) {
-	t.drift.gatherAdd(pred, wlo, t.partitioner())
+	t.drift.gatherAdd(pred, wlo, t.m, t.n)
 }
 
 // probeWindows resolves every lane's window [wlo, wend) to its lower bound

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -79,15 +80,9 @@ func buildPipeline[K kv.Key](keys []K, model cdfmodel.Model[K], cfg Config, work
 	if n > math.MaxInt32 {
 		return nil, fmt.Errorf("core: %d keys, the build limit is %d", n, math.MaxInt32)
 	}
-	m := cfg.M
-	if m == 0 {
-		m = n
-	}
-	t := &Table[K]{keys: keys, model: model, mode: cfg.Mode, monotone: model.Monotone(), scratch: new(sync.Pool)}
-	if n == 0 {
-		return t, nil
-	}
-	if m < 1 {
+	// The config is checked before the empty-table return: an empty
+	// table's layer blob records its mode, which viewLayer validates.
+	if cfg.M < 0 {
 		return nil, fmt.Errorf("core: invalid layer size M=%d", cfg.M)
 	}
 	if cfg.SampleStride < 0 {
@@ -96,7 +91,11 @@ func buildPipeline[K kv.Key](keys []K, model cdfmodel.Model[K], cfg Config, work
 	if cfg.Mode != ModeRange && cfg.Mode != ModeMidpoint {
 		return nil, fmt.Errorf("core: unknown mode %v", cfg.Mode)
 	}
-	t.n, t.m = n, m
+	t := &Table[K]{keys: keys, model: model, mode: cfg.Mode, monotone: model.Monotone(), scratch: new(sync.Pool)}
+	if n == 0 {
+		return t, nil
+	}
+	t.n, t.m = n, cmp.Or(cfg.M, n)
 
 	stride := 1
 	if cfg.Mode == ModeMidpoint && cfg.SampleStride > 1 {

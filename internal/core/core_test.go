@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -178,10 +179,21 @@ func TestEdgeCaseSizes(t *testing.T) {
 }
 
 func TestEmptyKeys(t *testing.T) {
+	model := cdfmodel.NewInterpolation[uint64](nil)
 	for _, mode := range []Mode{ModeRange, ModeMidpoint} {
-		tab, err := Build(nil, cdfmodel.NewInterpolation[uint64](nil), Config{Mode: mode})
+		tab, err := Build(nil, model, Config{Mode: mode, M: 7, SampleStride: 3})
 		if err != nil {
 			t.Fatal(err)
+		}
+		// The empty table's layer blob views back, and writes back byte
+		// for byte.
+		blob := layerBlob(t, tab)
+		loaded, err := viewLayer(blob, []uint64(nil), model)
+		if err != nil {
+			t.Fatalf("%v: the empty layer blob does not view: %v", mode, err)
+		}
+		if loaded.Mode() != mode || !bytes.Equal(layerBlob(t, loaded), blob) {
+			t.Errorf("%v: the viewed empty layer is mode %v or writes back other bytes", mode, loaded.Mode())
 		}
 		if got := tab.Find(5); got != 0 {
 			t.Errorf("%v: empty Find = %d, want 0", mode, got)
@@ -209,14 +221,18 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := Build([]uint64{3, 1, 2}, cdfmodel.NewInterpolation(keys), Config{}); err == nil {
 		t.Error("want error for unsorted keys")
 	}
-	if _, err := Build(keys, cdfmodel.NewInterpolation(keys), Config{M: -4}); err == nil {
-		t.Error("want error for negative M")
-	}
-	if _, err := Build(keys, cdfmodel.NewInterpolation(keys), Config{SampleStride: -1}); err == nil {
-		t.Error("want error for negative stride")
-	}
-	if _, err := Build(keys, cdfmodel.NewInterpolation(keys), Config{Mode: Mode(99)}); err == nil {
-		t.Error("want error for unknown mode")
+	// An invalid config fails over zero keys too: an empty table's layer
+	// blob records the config, and viewLayer refuses an invalid one.
+	for _, keys := range [][]uint64{keys, nil} {
+		if _, err := Build(keys, cdfmodel.NewInterpolation(keys), Config{M: -4}); err == nil {
+			t.Errorf("%d keys: want error for negative M", len(keys))
+		}
+		if _, err := Build(keys, cdfmodel.NewInterpolation(keys), Config{SampleStride: -1}); err == nil {
+			t.Errorf("%d keys: want error for negative stride", len(keys))
+		}
+		if _, err := Build(keys, cdfmodel.NewInterpolation(keys), Config{Mode: Mode(99)}); err == nil {
+			t.Errorf("%d keys: want error for unknown mode", len(keys))
+		}
 	}
 }
 

@@ -18,7 +18,8 @@ import "repro/internal/mapped"
 //
 // Exactly one backing slice is non-nil; width caches which one, so
 // lookups dispatch on a byte instead of probing slice headers for
-// nil-ness on every query.
+// nil-ness on every query, and the batch gathers once per chunk, into
+// one generic loop per width.
 type driftArray struct {
 	width uint8 // entry width in bytes (1, 2, 4, 8); 0 for an empty array
 	w8    []int8
@@ -146,33 +147,67 @@ func driftEntries(mode Mode, m int) int64 {
 }
 
 // gatherBounds writes wlo[i] = pred[i] + lo[k] and wend[i] = pred[i] +
-// lo[k+1], k = part(pred[i]), with the packed width dispatched once per
-// call. The two entries are adjacent, so each lane's loads share a line.
-func (d *driftArray) gatherBounds(pred, wlo, wend []int, part func(int) int) {
+// lo[k+1], k = [pred[i]·m/n] (Table.partitionOf), with the packed width
+// dispatched once per call. The two entries are adjacent, so each lane's
+// loads share a line.
+func (d *driftArray) gatherBounds(pred, wlo, wend []int, m, n int) {
 	switch d.width {
 	case 1:
-		a := d.w8
-		for i, p := range pred {
-			k := part(p)
-			wlo[i], wend[i] = p+int(a[k]), p+int(a[k+1])
-		}
+		gatherBoundsOf(d.w8, pred, wlo, wend, m, n)
 	case 2:
-		a := d.w16
-		for i, p := range pred {
-			k := part(p)
-			wlo[i], wend[i] = p+int(a[k]), p+int(a[k+1])
-		}
+		gatherBoundsOf(d.w16, pred, wlo, wend, m, n)
 	case 4:
-		a := d.w32
-		for i, p := range pred {
-			k := part(p)
-			wlo[i], wend[i] = p+int(a[k]), p+int(a[k+1])
-		}
+		gatherBoundsOf(d.w32, pred, wlo, wend, m, n)
 	default:
-		a := d.w64
+		gatherBoundsOf(d.w64, pred, wlo, wend, m, n)
+	}
+}
+
+// gatherAdd writes out[i] = pred[i] + d[k], k = [pred[i]·m/n], with the
+// packed width dispatched once per call instead of once per query.
+func (d *driftArray) gatherAdd(pred, out []int, m, n int) {
+	switch d.width {
+	case 1:
+		gatherAddOf(d.w8, pred, out, m, n)
+	case 2:
+		gatherAddOf(d.w16, pred, out, m, n)
+	case 4:
+		gatherAddOf(d.w32, pred, out, m, n)
+	default:
+		gatherAddOf(d.w64, pred, out, m, n)
+	}
+}
+
+// gatherBoundsOf and gatherAddOf are the per-width loops. Each lane's
+// loads depend only on its prediction, so the misses of a chunk overlap;
+// the loop bodies call nothing, so nothing stops the core from running
+// ahead to the next lanes' loads. At M = N the prediction is the
+// partition.
+func gatherBoundsOf[E int8 | int16 | int32 | int64](a []E, pred, wlo, wend []int, m, n int) {
+	wlo, wend = wlo[:len(pred)], wend[:len(pred)]
+	if m == n {
 		for i, p := range pred {
-			k := part(p)
-			wlo[i], wend[i] = p+int(a[k]), p+int(a[k+1])
+			wlo[i], wend[i] = p+int(a[p]), p+int(a[p+1])
 		}
+		return
+	}
+	mm, nn := int64(m), int64(n)
+	for i, p := range pred {
+		k := int(int64(p) * mm / nn)
+		wlo[i], wend[i] = p+int(a[k]), p+int(a[k+1])
+	}
+}
+
+func gatherAddOf[E int8 | int16 | int32 | int64](a []E, pred, out []int, m, n int) {
+	out = out[:len(pred)]
+	if m == n {
+		for i, p := range pred {
+			out[i] = p + int(a[p])
+		}
+		return
+	}
+	mm, nn := int64(m), int64(n)
+	for i, p := range pred {
+		out[i] = p + int(a[int(int64(p)*mm/nn)])
 	}
 }
