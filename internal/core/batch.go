@@ -47,7 +47,7 @@ const batchChunk = 256
 // recycled scratch needs no zeroing. Each concurrent FindBatch gets its
 // own instance from the pool.
 type batchScratch[K kv.Key] struct {
-	pred  [batchChunk]int   // stage 1: model predictions
+	pred  [batchChunk]int   // stage 1: model predictions; stage 2 below M = N: partitions
 	wlo   [batchChunk]int   // stage 2/3: window start, then search base
 	wend  [batchChunk]int   // stage 2/3: window end (half-open), then length
 	probe [batchChunk]K     // stage 3 (midpoint mode): touched key per lane
@@ -128,12 +128,12 @@ func (t *Table[K]) findChunk(qs []K, out []int, st *batchScratch[K]) {
 // [wlo, wend) exactly as search.Window derives it from Table.window's
 // bounds. Each lane reads lo[k] and lo[k+1], adjacent entries, so one
 // miss fetches both; below M = N the span term is added in a second loop
-// that touches no memory.
+// that touches no memory, from the partition the gather left in pred.
 func (t *Table[K]) gatherWindows(pred, wlo, wend []int) {
 	t.drift.gatherBounds(pred, wlo, wend, t.m, t.n)
 	if t.m != t.n {
-		for i, p := range pred {
-			wend[i] += t.span(t.partitionOf(p))
+		for i, k := range pred {
+			wend[i] += t.span(k)
 		}
 	}
 	// Clamp to search.Window's semantics: lo into [0, n], inclusive hi cut

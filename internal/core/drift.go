@@ -149,7 +149,8 @@ func driftEntries(mode Mode, m int) int64 {
 // gatherBounds writes wlo[i] = pred[i] + lo[k] and wend[i] = pred[i] +
 // lo[k+1], k = [pred[i]·m/n] (Table.partitionOf), with the packed width
 // dispatched once per call. The two entries are adjacent, so each lane's
-// loads share a line.
+// loads share a line. Below M = N it leaves k in pred[i], so the caller
+// adds the span without dividing for k again; at M = N, k is pred[i].
 func (d *driftArray) gatherBounds(pred, wlo, wend []int, m, n int) {
 	switch d.width {
 	case 1:
@@ -195,6 +196,7 @@ func gatherBoundsOf[E int8 | int16 | int32 | int64](a []E, pred, wlo, wend []int
 	for i, p := range pred {
 		k := int(int64(p) * mm / nn)
 		wlo[i], wend[i] = p+int(a[k]), p+int(a[k+1])
+		pred[i] = k
 	}
 }
 

@@ -1,13 +1,11 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -91,9 +89,13 @@ type Handler[K kv.Key] struct {
 	batches sync.Pool
 }
 
-// NewHandler builds the query handler over ix. co may be nil when
-// cfg.Coalesce is false; status (optional) adds fields to /statusz.
+// NewHandler builds the query handler over ix. With cfg.Coalesce set, co
+// is the coalescer its finds go through, and the caller closes it;
+// otherwise co may be nil. status (optional) adds fields to /statusz.
 func NewHandler[K kv.Key](ix *concurrent.Index[K], co *Coalescer[K], cfg HandlerConfig, status func() map[string]any) *Handler[K] {
+	if cfg.Coalesce && co == nil {
+		panic("serve: NewHandler: Coalesce set without a coalescer")
+	}
 	cfg = cfg.withDefaults()
 	h := &Handler[K]{
 		ix:       ix,
@@ -103,14 +105,8 @@ func NewHandler[K kv.Key](ix *concurrent.Index[K], co *Coalescer[K], cfg Handler
 		status:   status,
 	}
 	h.batches.New = func() any { return new(batchScratch[K]) }
-	if cfg.Coalesce && co == nil {
-		h.co = NewCoalescer(ix, CoalescerConfig{})
-	}
 	return h
 }
-
-// Coalescer exposes the handler's coalescer (nil in direct mode).
-func (h *Handler[K]) Coalescer() *Coalescer[K] { return h.co }
 
 // SetDraining flips the handler into drain mode: every data request is
 // refused with 503 so load balancers fail over while http.Server's
@@ -327,34 +323,27 @@ func (h *Handler[K]) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // scanBatch parses the canonical /v1/batch body: optional JSON whitespace,
-// {"keys":[, then 1 to max strings of ASCII digits separated by commas,
-// each fitting uint64 and K, then ]}, then optional JSON whitespace. It
-// appends the keys to keys and reports whether b had that shape. From
-// such a body encoding/json plus parseKey get the same keys (json.Decoder
-// stops at the end of the first value, so a read error after it is moot).
+// {"keys":[, then 1 to max strings of 1 to 20 ASCII digits separated by
+// commas, each fitting uint64 and K (scanDigits), then ]}, then optional
+// JSON whitespace. It appends the keys to keys and reports whether b had
+// that shape. From such a body encoding/json plus parseKey get the same
+// keys (json.Decoder stops at the end of the first value, so a read error
+// after it is moot).
 func scanBatch[K kv.Key](b []byte, keys []K, max int) ([]K, bool) {
 	const head, tail = `{"keys":[`, `]}`
-	b = bytes.Trim(b, " \t\r\n")
+	b = trimJSONSpace(b)
 	if len(b) < len(head)+len(tail) || string(b[:len(head)]) != head || string(b[len(b)-len(tail):]) != tail {
 		return keys, false
 	}
 	b = b[len(head) : len(b)-len(tail)]
 	for len(keys) < max && len(b) > 0 && b[0] == '"' {
-		var u uint64
-		i := 1
-		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
-			d := uint64(b[i] - '0')
-			if u > (math.MaxUint64-d)/10 {
-				return keys, false
-			}
-			u = u*10 + d
-		}
+		u, n := scanDigits(b[1:])
 		k := K(u)
-		if i == 1 || i == len(b) || b[i] != '"' || uint64(k) != u {
+		if n == 0 || uint64(k) != u || n+1 == len(b) || b[n+1] != '"' {
 			return keys, false
 		}
 		keys = append(keys, k)
-		if b = b[i+1:]; len(b) == 0 {
+		if b = b[n+2:]; len(b) == 0 {
 			return keys, true
 		}
 		if b[0] != ',' {
@@ -364,6 +353,20 @@ func scanBatch[K kv.Key](b []byte, keys []K, max int) ([]K, bool) {
 	}
 	return keys, false
 }
+
+// trimJSONSpace cuts JSON's whitespace (space, tab, CR, LF) off both ends
+// of b.
+func trimJSONSpace(b []byte) []byte {
+	for len(b) > 0 && isJSONSpace(b[0]) {
+		b = b[1:]
+	}
+	for len(b) > 0 && isJSONSpace(b[len(b)-1]) {
+		b = b[:len(b)-1]
+	}
+	return b
+}
+
+func isJSONSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
 
 // decodeBatch decodes every /v1/batch body scanBatch does not take with
 // encoding/json and parseKey, appending the keys to keys. On false it
@@ -509,25 +512,18 @@ func parseKey[K kv.Key](s string) (K, error) {
 }
 
 // scanFindKey parses the canonical /v1/find query: key= then 1 to 20
-// ASCII digits and nothing else, the value fitting uint64 and K. It
-// reports whether raw had that shape. From such a query queryValue plus
-// parseKey get the same key: no pair holds a ';', an escape or a '+', and
-// the one pair is named key.
+// ASCII digits and nothing else, the value fitting uint64 and K
+// (scanDigits). It reports whether raw had that shape. From such a query
+// queryValue plus parseKey get the same key: no pair holds a ';', an
+// escape or a '+', and the one pair is named key.
 func scanFindKey[K kv.Key](raw string) (K, bool) {
 	const name = "key="
-	if len(raw) <= len(name) || len(raw) > len(name)+20 || raw[:len(name)] != name {
+	if len(raw) <= len(name) || raw[:len(name)] != name {
 		return 0, false
 	}
-	var u uint64
-	for i := len(name); i < len(raw); i++ {
-		d := uint64(raw[i] - '0')
-		if d > 9 || u > (math.MaxUint64-d)/10 {
-			return 0, false
-		}
-		u = u*10 + d
-	}
+	u, n := scanDigits(raw[len(name):])
 	k := K(u)
-	return k, uint64(k) == u
+	return k, n == len(raw)-len(name) && uint64(k) == u
 }
 
 // queryValue is url.ParseQuery(raw).Get(name) without building the map:
@@ -601,17 +597,17 @@ func writeAnswer(w http.ResponseWriter, b *[]byte) {
 
 func appendFind(b []byte, rank int, tag uint64) []byte {
 	b = append(b, `{"rank":`...)
-	b = strconv.AppendInt(b, int64(rank), 10)
+	b = appendInt(b, rank)
 	return appendVersion(b, tag)
 }
 
 func appendRange(b []byte, lo, hi int, tag uint64) []byte {
 	b = append(b, `{"lo_rank":`...)
-	b = strconv.AppendInt(b, int64(lo), 10)
+	b = appendInt(b, lo)
 	b = append(b, `,"hi_rank":`...)
-	b = strconv.AppendInt(b, int64(hi), 10)
+	b = appendInt(b, hi)
 	b = append(b, `,"count":`...)
-	b = strconv.AppendInt(b, int64(hi-lo), 10)
+	b = appendInt(b, hi-lo)
 	return appendVersion(b, tag)
 }
 
@@ -621,7 +617,7 @@ func appendBatch(b []byte, ranks []int, tag uint64) []byte {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = strconv.AppendInt(b, int64(r), 10)
+		b = appendInt(b, r)
 	}
 	b = append(b, ']')
 	return appendVersion(b, tag)
@@ -629,7 +625,7 @@ func appendBatch(b []byte, ranks []int, tag uint64) []byte {
 
 func appendVersion(b []byte, tag uint64) []byte {
 	b = append(b, `,"version":`...)
-	b = strconv.AppendUint(b, tag, 10)
+	b = appendUint(b, tag)
 	return append(b, "}\n"...)
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/concurrent"
+	"repro/internal/kv"
 )
 
 // The data routes' answer shapes, as a client decodes them; the append
@@ -46,13 +47,21 @@ func getJSON[T any](t *testing.T, h http.Handler, url string) (int, T) {
 	return rec.Code, out
 }
 
+// coalescerIf is the co argument of NewHandler: a coalescer over ix,
+// closed when t ends, when coalesce is set, and nil otherwise.
+func coalescerIf[K kv.Key](t testing.TB, ix *concurrent.Index[K], coalesce bool) *Coalescer[K] {
+	if !coalesce {
+		return nil
+	}
+	co := NewCoalescer(ix, CoalescerConfig{})
+	t.Cleanup(co.Close)
+	return co
+}
+
 func TestHandlerFind(t *testing.T) {
 	ix := newPrimary(t, 20_000)
 	for _, mode := range []bool{false, true} {
-		h := NewHandler(ix, nil, HandlerConfig{Coalesce: mode}, nil)
-		if mode {
-			defer h.Coalescer().Close()
-		}
+		h := NewHandler(ix, coalescerIf(t, ix, mode), HandlerConfig{Coalesce: mode}, nil)
 		for _, key := range []uint64{0, 1, 77, 139_993, 1 << 40} {
 			code, res := getJSON[findResponse](t, h, fmt.Sprintf("/v1/find?key=%d", key))
 			if code != http.StatusOK {
@@ -210,10 +219,9 @@ func TestHandlerCoalescedAdmission(t *testing.T) {
 
 func TestHandlerStatusz(t *testing.T) {
 	ix := newPrimary(t, 10_000)
-	h := NewHandler(ix, nil, HandlerConfig{Coalesce: true}, func() map[string]any {
+	h := NewHandler(ix, coalescerIf(t, ix, true), HandlerConfig{Coalesce: true}, func() map[string]any {
 		return map[string]any{"replica_version": 42}
 	})
-	defer h.Coalescer().Close()
 
 	if code, _ := getJSON[findResponse](t, h, "/v1/find?key=5"); code != http.StatusOK {
 		t.Fatal("warm-up find failed")
@@ -461,7 +469,7 @@ func TestHandlerWireGolden(t *testing.T) {
 	}
 	for _, coalesce := range []bool{true, false} {
 		mode := map[bool]string{true: "coalesced", false: "direct"}[coalesce]
-		h := NewHandler(ix, nil, HandlerConfig{Coalesce: coalesce, MaxBatch: 3, MaxInflight: 1}, nil)
+		h := NewHandler(ix, coalescerIf(t, ix, coalesce), HandlerConfig{Coalesce: coalesce, MaxBatch: 3, MaxInflight: 1}, nil)
 		checkWire(t, h, mode, data)
 		for _, method := range []string{"GET", "HEAD"} {
 			rec := httptest.NewRecorder()
@@ -488,9 +496,6 @@ func TestHandlerWireGolden(t *testing.T) {
 		h.SetDraining(true)
 		checkWire(t, h, mode+" draining", draining)
 		h.SetDraining(false)
-		if coalesce {
-			h.Coalescer().Close()
-		}
 	}
 
 	// The coalescer's own refusals: a full queue behind a busy combiner,

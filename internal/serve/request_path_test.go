@@ -11,6 +11,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/concurrent"
+	"repro/internal/dataset"
 )
 
 // FuzzQueryValue: for any raw query and any of the handler's parameter
@@ -156,12 +159,30 @@ func (w *reusableWriter) reset() {
 	w.body.Reset()
 }
 
-// findQueries is one GET /v1/find request and the raw queries it cycles
-// through, prepared so that a call allocates nothing of its own.
-func findQueries(n int) (*http.Request, []string) {
+// faceIndex is a closed index over n face64 keys, the key set of
+// shiftbench's serve-* workloads, and top, the bound serve-* draws its
+// queries under (QueryPool over the largest key + 2). Its keys, and so
+// most queries, have 19 or 20 digits.
+func faceIndex(t testing.TB, n int) (ix *concurrent.Index[uint64], top uint64) {
+	t.Helper()
+	keys, err := dataset.Generate(dataset.Face, 64, n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix, err = concurrent.New(keys, concurrent.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	ix.Close() // no background compaction: explicit Compact calls only
+	return ix, keys[len(keys)-1] + 2
+}
+
+// findQueries is one GET /v1/find request and n raw queries under top,
+// drawn as serve-* draws them, for it to cycle through, prepared so that a
+// call allocates nothing of its own.
+func findQueries(n int, top uint64) (*http.Request, []string) {
 	qs := make([]string, n)
-	for i := range qs {
-		qs[i] = "key=" + strconv.Itoa(i*13)
+	for i, k := range QueryPool(2, n, top) {
+		qs[i] = "key=" + strconv.FormatUint(k, 10)
 	}
 	return httptest.NewRequest(http.MethodGet, "/v1/find", nil), qs
 }
@@ -172,10 +193,10 @@ func TestHandlerFindAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled buffers at random under the race detector")
 	}
-	ix := newPrimary(t, 20_000)
+	ix, top := faceIndex(t, 20_000)
 	for _, coalesce := range []bool{true, false} {
-		h := NewHandler(ix, nil, HandlerConfig{Coalesce: coalesce}, nil)
-		req, qs := findQueries(256)
+		h := NewHandler(ix, coalescerIf(t, ix, coalesce), HandlerConfig{Coalesce: coalesce}, nil)
+		req, qs := findQueries(256, top)
 		w := &reusableWriter{header: http.Header{}}
 		i := 0
 		call := func() {
@@ -191,19 +212,15 @@ func TestHandlerFindAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(1000, call); n != 0 {
 			t.Errorf("coalesce=%v: %v allocations per /v1/find, want 0", coalesce, n)
 		}
-		if coalesce {
-			h.Coalescer().Close()
-		}
 	}
 }
 
 // BenchmarkHandlerFind is one socketless /v1/find through the coalescing
 // handler: routing, key reading, the lookup and the encoded answer.
 func BenchmarkHandlerFind(b *testing.B) {
-	ix := benchIndex(b, 1_000_000)
-	h := NewHandler(ix, nil, HandlerConfig{Coalesce: true}, nil)
-	b.Cleanup(h.Coalescer().Close)
-	req, qs := findQueries(4096)
+	ix, top := faceIndex(b, 1_000_000)
+	h := NewHandler(ix, coalescerIf(b, ix, true), HandlerConfig{Coalesce: true}, nil)
+	req, qs := findQueries(4096, top)
 	w := &reusableWriter{header: http.Header{}}
 	b.ReportAllocs()
 	i := 0
@@ -219,7 +236,8 @@ func BenchmarkHandlerFind(b *testing.B) {
 }
 
 // batchCalls is one POST /v1/batch request and n canonical bodies of k
-// keys each, as shiftbench writes them, for it to cycle through.
+// keys under top each, drawn and written as shiftbench draws and writes
+// them, for it to cycle through.
 type batchCalls struct {
 	req    *http.Request
 	bodies []string
@@ -227,12 +245,13 @@ type batchCalls struct {
 	i      int
 }
 
-func newBatchCalls(n, k int) *batchCalls {
+func newBatchCalls(n, k int, top uint64) *batchCalls {
 	c := &batchCalls{req: httptest.NewRequest(http.MethodPost, "/v1/batch", nil), bodies: make([]string, n)}
+	pool := QueryPool(3, n*k, top)
 	for i := range c.bodies {
 		keys := make([]string, k)
 		for j := range keys {
-			keys[j] = strconv.Quote(strconv.Itoa((i*k + j) * 4099))
+			keys[j] = strconv.Quote(strconv.FormatUint(pool[i*k+j], 10))
 		}
 		c.bodies[i] = `{"keys":[` + strings.Join(keys, ",") + `]}`
 	}
@@ -254,8 +273,9 @@ func TestHandlerBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled buffers at random under the race detector")
 	}
-	h := NewHandler(newPrimary(t, 20_000), nil, HandlerConfig{}, nil)
-	calls := newBatchCalls(256, 64)
+	ix, top := faceIndex(t, 20_000)
+	h := NewHandler(ix, nil, HandlerConfig{}, nil)
+	calls := newBatchCalls(256, 64, top)
 	w := &reusableWriter{header: http.Header{}}
 	call := func() {
 		w.reset()
@@ -274,11 +294,11 @@ func TestHandlerBatchAllocs(t *testing.T) {
 // keys (shiftbench's batch size): body scanning, the tagged batch lookup
 // and the encoded answer.
 func BenchmarkHandlerBatch(b *testing.B) {
-	ix := benchIndex(b, 1_000_000)
+	ix, top := faceIndex(b, 1_000_000)
 	h := NewHandler(ix, nil, HandlerConfig{}, nil)
 	for _, k := range []int{16, 64} {
 		b.Run(fmt.Sprintf("keys=%d", k), func(b *testing.B) {
-			calls := newBatchCalls(256, k)
+			calls := newBatchCalls(256, k, top)
 			w := &reusableWriter{header: http.Header{}}
 			b.ReportAllocs()
 			for b.Loop() {
