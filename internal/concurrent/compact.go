@@ -75,13 +75,18 @@ func (ix *Index[K]) Compact() error {
 	ix.compactMu.Lock()
 	defer ix.compactMu.Unlock()
 
-	// Phase 1: seal.
+	// Phase 1: seal. The outgoing head gets its directory (sealGen).
 	ix.mu.Lock()
 	s0 := ix.snap.Load()
-	sealed := &snapshot[K]{view: s0.view, gens: s0.gens, tag: s0.tag}
+	n0 := len(s0.gens)
+	sealed := &snapshot[K]{
+		view: s0.view,
+		gens: append(append([]*generation[K]{}, s0.gens[:n0-1]...), sealGen(s0.gens[n0-1])),
+		tag:  s0.tag,
+	}
 	opened := &snapshot[K]{
 		view: s0.view,
-		gens: append(append([]*generation[K]{}, s0.gens...), &generation[K]{}),
+		gens: append(append([]*generation[K]{}, sealed.gens...), &generation[K]{}),
 		tag:  s0.tag,
 	}
 	ix.snap.Store(opened)

@@ -134,12 +134,12 @@ func (ix *Index[K]) Name() string {
 
 // SizeBytes reports the auxiliary footprint beyond the key data
 // (index.Index contract): the view's footprint plus the pending write
-// generations.
+// generations and their directories.
 func (ix *Index[K]) SizeBytes() int {
 	s := ix.snap.Load()
 	n := s.view.SizeBytes()
 	for _, g := range s.gens {
-		n += g.size() * kv.Width[K]()
+		n += g.size()*kv.Width[K]() + 4*len(g.dir.off)
 	}
 	return n
 }

@@ -14,8 +14,10 @@ import (
 // multiset, checking ranks, existence and Len after every op, and batch ≡
 // scalar and Scan at the end. The seed corpus covers duplicate-heavy
 // churn, adversarially drifted key spacing, the empty index, deletes as
-// the very first ops and right after a compaction, and a run of writes
-// that crosses a maxHeadLen head seal before deleting into the sealed run.
+// the very first ops and right after a compaction, a run of writes that
+// crosses a maxHeadLen head seal before deleting into the sealed run, and
+// one that crosses three seals, so reads go through the sealed run's
+// directory as three rebuilds left it.
 func FuzzLookup(f *testing.F) {
 	f.Add(uint64(7), uint8(16), []byte{0x10, 0x82, 0x31, 0xF4, 0x05})
 	f.Add(uint64(3), uint8(1), []byte{0x00, 0x00, 0x00, 0x01, 0x01, 0x80, 0x80})  // duplicate-heavy: tiny key space
@@ -26,10 +28,12 @@ func FuzzLookup(f *testing.F) {
 	// 1,200 inserts (with lookups) seal the head at 1,024 writes; the
 	// deletes after it land on the sealed run and the base.
 	f.Add(uint64(77), uint8(3), append(bytes.Repeat([]byte{0x00, 0x01, 0x04}, 600), bytes.Repeat([]byte{0x02, 0x07, 0x04}, 60)...))
+	// 3,200 inserts seal the head at writes 1,025, 2,049 and 3,073.
+	f.Add(uint64(131), uint8(40), append(bytes.Repeat([]byte{0x00, 0x01, 0x05, 0x06, 0x04}, 800), bytes.Repeat([]byte{0x02, 0x09}, 40)...))
 
 	f.Fuzz(func(t *testing.T, seed uint64, spread uint8, ops []byte) {
-		if len(ops) > 2*maxHeadLen {
-			ops = ops[:2*maxHeadLen]
+		if len(ops) > 4*maxHeadLen {
+			ops = ops[:4*maxHeadLen]
 		}
 		// Initial keys: deterministic expansion, sorted by construction.
 		n := int(seed % 300)

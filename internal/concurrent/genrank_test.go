@@ -11,8 +11,9 @@ import (
 
 // TestGenRankBatchMatchesScalar is the differential test of the two
 // generation-correction paths: the lockstep batch correction
-// (genRankBatch) must equal the branch-free scalar one (genRank) lane by
-// lane, and both must equal per-lane kv.LowerBound over every run. The
+// (genRankBatch) must equal the branch-free scalar one (genRank, through
+// the sealed generations' directories) lane by lane, and both must equal
+// per-lane kv.LowerBound over every run. The
 // runs cover empty runs, lengths either side of the 256-lane chunk and of
 // a power of two, all-duplicate runs and runs holding 0 and the key
 // type's maximum; the batches cover the empty batch and lengths either
@@ -55,14 +56,20 @@ func testGenRankBatch[K kv.Key](t *testing.T) {
 		[]K{0, 0, 17, top - 1, top, top},
 	)
 
-	// Each run alone as inserts and as tombstones, then every run at once.
+	// Each run alone as inserts and as tombstones in a write head, each
+	// run sealed (with its directory) under an empty head, then every run
+	// at once, all but the head sealed.
 	var stacks [][]*generation[K]
-	for _, run := range runs {
-		stacks = append(stacks, []*generation[K]{{ins: run}}, []*generation[K]{{dels: run}})
+	for i, run := range runs {
+		sealed := sealGen(&generation[K]{ins: run, dels: runs[(i+5)%len(runs)]})
+		stacks = append(stacks, []*generation[K]{{ins: run}}, []*generation[K]{{dels: run}}, []*generation[K]{sealed, {}})
 	}
 	var all []*generation[K]
 	for i, run := range runs {
 		all = append(all, &generation[K]{ins: run, dels: runs[(i+3)%len(runs)]})
+	}
+	for i := range all[:len(all)-1] {
+		all[i] = sealGen(all[i])
 	}
 	stacks = append(stacks, all)
 

@@ -24,7 +24,9 @@ func (ix *Index[K]) Mapped() bool { return ix.snap.Load().view.Table().Mapped() 
 func (ix *Index[K]) MappedBytes() int64 { return ix.snap.Load().view.Table().MappedBytes() }
 
 // mapGens reads genCount (ins, dels) section pairs — shared by full
-// snapshots and shipped deltas (delta.go).
+// snapshots and shipped deltas (delta.go). Every generation but the last,
+// the write head once installed, is sealed with its directory before any
+// reader can see it.
 func mapGens[K kv.Key](m *snap.Mapped, genCount uint32) ([]*generation[K], error) {
 	gens := make([]*generation[K], 0, genCount)
 	for i := uint32(0); i < genCount; i++ {
@@ -39,7 +41,11 @@ func mapGens[K kv.Key](m *snap.Mapped, genCount uint32) ([]*generation[K], error
 		if !kv.IsSorted(ins) || !kv.IsSorted(dels) {
 			return nil, fmt.Errorf("concurrent: generation %d is not sorted", i)
 		}
-		gens = append(gens, &generation[K]{ins: ins, dels: dels})
+		g := &generation[K]{ins: ins, dels: dels}
+		if i+1 < genCount {
+			g = sealGen(g)
+		}
+		gens = append(gens, g)
 	}
 	return gens, nil
 }

@@ -157,14 +157,15 @@ func LoadFile[K kv.Key](path string) (*Index[K], error) {
 // assemble starts serving a verified State as a live index. The persisted
 // generations are already in the exact internal representation (sorted
 // multisets whose tombstones cancel by key value), so they fold by the
-// same two-way merge a head seal uses into one sealed run on the restored
-// view, and a fresh empty write head goes on top. A snapshot written with
-// a deep stack (older builds sealed one generation per maxHeadLen writes)
-// thus serves the two-generation shape from the start. That makes warm
-// restart O(pending · log gens) merge work instead of re-executing every
-// pending write one copy-on-write publication at a time. The restored
-// index compacts on its next due write, not before, so closing it right
-// after the load leaves the restored stack in place.
+// same two-way merge a head seal uses into one sealed run, with its
+// directory, on the restored view, and a fresh empty write head goes on
+// top. A snapshot written with a deep stack (older builds sealed one
+// generation per maxHeadLen writes) thus serves the two-generation shape
+// from the start. That makes warm restart O(pending · log gens) merge
+// work instead of re-executing every pending write one copy-on-write
+// publication at a time. The restored index compacts on its next due
+// write, not before, so closing it right after the load leaves the
+// restored stack in place.
 func assemble[K kv.Key](st *State[K]) *Index[K] {
 	gens := []*generation[K]{{}}
 	if len(st.gens) > 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -416,4 +417,137 @@ func TestMergeGens(t *testing.T) {
 			t.Fatalf("depth %d: merged ins %v dels %v, want %v %v", depth, got.ins, got.dels, ins, dels)
 		}
 	}
+}
+
+// checkDirs checks the stack invariant of the published snapshot: every
+// generation below the write head carries the directory its own runs
+// give (a stale or missing one fails), and the head carries none.
+func checkDirs(t *testing.T, path string, ix *Index[uint64]) {
+	t.Helper()
+	gens := ix.Published().s.gens
+	n := len(gens)
+	for i, g := range gens[:n-1] {
+		if want := newGenDir(g.ins, g.dels); g.dir.off == nil || !reflect.DeepEqual(g.dir, want) {
+			t.Fatalf("%s: generation %d of %d (%d pending) has no directory or a stale one", path, i, n, g.size())
+		}
+	}
+	if gens[n-1].dir.off != nil {
+		t.Fatalf("%s: the write head carries a directory", path)
+	}
+}
+
+// TestSealedGenerationsHaveDirectories: every path that puts a generation
+// below the write head gives it its directory before publishing — a
+// merged head seal, a seal above a compaction's pinned prefix (and the
+// head the compaction itself sealed), a compaction's publish, the fold
+// after a failed rebuild, a replica's InstallState and InstallDelta, and
+// the LoadFile and MapFile warm restarts. Reads stay exact throughout.
+func TestSealedGenerationsHaveDirectories(t *testing.T) {
+	keys := dataset.MustGenerate(dataset.Face, 64, 4_000, 61)
+	ix, err := New(keys, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix.Close() // explicit compactions only
+	s := &stream{
+		ix:     ix,
+		ref:    &reference{keys: slices.Clone(keys)},
+		rng:    rand.New(rand.NewSource(67)),
+		domain: keys[len(keys)-1] + 2,
+	}
+	writes := func(path string, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			before := ix.Published().Gens()
+			s.write(t)
+			if ix.Published().Gens() != before || i%97 == 0 {
+				checkDirs(t, path, ix)
+			}
+		}
+		checkDirs(t, path, ix)
+		checkReads(t, ix, s.ref.keys, s.queries(128), false)
+	}
+	writes("merged seal", 3*maxHeadLen+100)
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	ix.testHookRebuild = func() {
+		entered <- struct{}{}
+		<-release
+	}
+	done := make(chan error, 1)
+	go func() { done <- ix.Compact() }()
+	<-entered
+	checkDirs(t, "compaction seal", ix)
+	writes("pinned seal", 3*maxHeadLen)
+	release <- struct{}{}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	checkDirs(t, "compaction publish", ix)
+
+	good := ix.layerCfg()
+	ix.layer.Store(&core.Config{M: -1}) // the rebuild refuses this layer size
+	go func() { done <- ix.Compact() }()
+	<-entered
+	writes("seal during a failing rebuild", 2*maxHeadLen)
+	release <- struct{}{}
+	if err := <-done; err == nil {
+		t.Fatal("Compact with an invalid layer succeeded")
+	}
+	checkDirs(t, "failed-rebuild fold", ix)
+	checkReads(t, ix, s.ref.keys, s.queries(128), true)
+	ix.layer.Store(&good)
+	ix.testHookRebuild = nil
+
+	// The persisted paths, from an eight-generation stack whose
+	// generations were built without directories, over the current base.
+	ref := deepStack(t, ix, slices.Clone(ix.Published().s.view.Keys()))
+	dir := t.TempDir()
+	full, delta := filepath.Join(dir, "full.snap"), filepath.Join(dir, "delta.snap")
+	pub := ix.Published()
+	if err := SaveStateFile(full, pub); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveDeltaFile(delta, pub, DeltaInfo{Version: 2, Base: 1}); err != nil {
+		t.Fatal(err)
+	}
+	qs := (&stream{ref: &reference{keys: ref}, rng: rand.New(rand.NewSource(71)), domain: s.domain}).queries(256)
+	for name, restore := range map[string]func() (*Index[uint64], error){
+		"LoadFile": func() (*Index[uint64], error) { return LoadFile[uint64](full) },
+		"MapFile":  func() (*Index[uint64], error) { return mapFile(full) },
+	} {
+		rx, err := restore()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rx.Close()
+		checkDirs(t, name, rx)
+		checkReads(t, rx, ref, qs, false)
+	}
+	st, err := LoadStateFile[uint64](full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rx, err := New[uint64](nil, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rx.Close()
+	if err := rx.InstallState(st, 1); err != nil {
+		t.Fatal(err)
+	}
+	if g := rx.Published().Gens(); g != 8 {
+		t.Fatalf("InstallState kept %d generations, want the 8 persisted", g)
+	}
+	checkDirs(t, "InstallState", rx)
+	checkReads(t, rx, ref, qs, false)
+	d, err := LoadDeltaFile[uint64](delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rx.InstallDelta(st, d, 2); err != nil {
+		t.Fatal(err)
+	}
+	checkDirs(t, "InstallDelta", rx)
+	checkReads(t, rx, ref, qs, false)
 }

@@ -18,12 +18,14 @@ import (
 // sealed once it reaches maxHeadLen: sealHead merges it into the one
 // sealed run below it and pushes a new empty head. Outside a compaction a
 // snapshot therefore carries at most two generations — the sealed run and
-// the head — and a read pays four binary searches whatever the write
-// history. Compaction seals the whole stack, merges it into a rebuilt
-// base, and publishes the result with the generations written during the
-// rebuild carried over verbatim (that is the write replay). It splits
-// those off by count, so the generations it sealed are pinned and never
-// merged into: at most four generations while a compaction is in flight.
+// the head — and a scalar read pays two whole-run searches of the head
+// plus, for the sealed run, one directory read and two searches of a few
+// keys each (gendir.go), whatever the write history. Compaction seals the
+// whole stack, merges it into a rebuilt base, and publishes the result
+// with the generations written during the rebuild carried over verbatim
+// (that is the write replay). It splits those off by count, so the
+// generations it sealed are pinned and never merged into: at most four
+// generations while a compaction is in flight.
 
 // maxHeadLen bounds the write head: a write that finds the head at this
 // size seals it and opens a fresh one. It caps the per-write copy at a few
@@ -36,9 +38,13 @@ const maxHeadLen = 1024
 // it (base or an earlier generation's ins) — deletion
 // accounting is by key value, not position, so it survives the base
 // rebuild unchanged.
+//
+// A generation below the write head also carries a radix directory over
+// its two runs (gendir.go), built when it is sealed.
 type generation[K kv.Key] struct {
 	ins  []K
 	dels []K
+	dir  genDir[K]
 }
 
 // size is the number of pending write operations the generation carries.
@@ -75,7 +81,8 @@ func (g *generation[K]) withDelete(k K) *generation[K] {
 // dels are each a linear two-way merge of sorted multisets. Rank, count,
 // length and scan are sums over generations, and a tombstone cancels by
 // value whichever generation holds the occurrence, so the merged
-// generation answers exactly as the pair did.
+// generation answers exactly as the pair did. It has no directory yet:
+// callers seal the final result (sealGen), not every intermediate.
 func mergeGen[K kv.Key](a, b *generation[K]) *generation[K] {
 	return &generation[K]{ins: mergeSorted(a.ins, b.ins), dels: mergeSorted(a.dels, b.dels)}
 }
@@ -106,8 +113,8 @@ func mergeSorted[K kv.Key](a, b []K) []K {
 	return out
 }
 
-// mergeGens folds a non-empty generation stack into one sealed run by
-// rounds of pairwise merges, O(pending · log len(gens)).
+// mergeGens folds a non-empty generation stack into one sealed run, with
+// its directory, by rounds of pairwise merges, O(pending · log len(gens)).
 func mergeGens[K kv.Key](gens []*generation[K]) *generation[K] {
 	for len(gens) > 1 {
 		next := make([]*generation[K], 0, (len(gens)+1)/2)
@@ -119,7 +126,7 @@ func mergeGens[K kv.Key](gens []*generation[K]) *generation[K] {
 		}
 		gens = next
 	}
-	return gens[0]
+	return sealGen(gens[0])
 }
 
 // countEq returns the number of occurrences of q in the sorted slice xs.
@@ -149,17 +156,18 @@ func (s *snapshot[K]) replaceTop(g *generation[K]) *snapshot[K] {
 }
 
 // sealHead returns a successor snapshot with g as the new write head. The
-// outgoing head is merged into the sealed run below it, unless that run
-// is one of the first pinned generations — the ones an in-flight
-// compaction sealed, which its publish step splits off by count — in
-// which case the outgoing head becomes the sealed run above them.
+// outgoing head is merged into the sealed run below it, unless there is
+// none or that run is one of the first pinned generations — the ones an
+// in-flight compaction sealed, which its publish step splits off by
+// count — in which case the outgoing head, given its directory, becomes
+// the sealed run above them.
 func (s *snapshot[K]) sealHead(pinned int, g *generation[K]) *snapshot[K] {
 	n := len(s.gens)
 	gens := make([]*generation[K], 0, n+1)
 	if n-2 >= pinned {
-		gens = append(append(gens, s.gens[:n-2]...), mergeGen(s.gens[n-2], s.gens[n-1]))
+		gens = append(append(gens, s.gens[:n-2]...), sealGen(mergeGen(s.gens[n-2], s.gens[n-1])))
 	} else {
-		gens = append(gens, s.gens...)
+		gens = append(append(gens, s.gens[:n-1]...), sealGen(s.gens[n-1]))
 	}
 	return &snapshot[K]{view: s.view, gens: append(gens, g), tag: s.tag}
 }
@@ -184,12 +192,18 @@ func (s *snapshot[K]) length() int {
 
 // genRank is the generations' correction to a view rank: inserted keys
 // below q add one each, tombstoned occurrences below q remove one each.
-// The searches are branch-free (search.Branchless): a run's comparisons
-// against uniform queries are coin flips a branch predictor cannot learn.
+// Each sealed generation answers from its directory's bucket windows
+// (generation.rank), the write head from its two whole runs, searched
+// inline so that a snapshot with no sealed generation pays no call.
 func (s *snapshot[K]) genRank(q K) int {
-	r := 0
-	for _, g := range s.gens {
-		r += search.Branchless(g.ins, q) - search.Branchless(g.dels, q)
+	n := len(s.gens) - 1
+	h := s.gens[n]
+	r := search.Branchless(h.ins, q) - search.Branchless(h.dels, q)
+	if n == 0 {
+		return r
+	}
+	for _, g := range s.gens[:n] {
+		r += g.rank(q)
 	}
 	return r
 }

@@ -128,10 +128,16 @@ func (t *Table[K]) findChunk(qs []K, out []int, st *batchScratch[K]) {
 // [wlo, wend) exactly as search.Window derives it from Table.window's
 // bounds. Each lane reads lo[k] and lo[k+1], adjacent entries, so one
 // miss fetches both; below M = N the span term is added in a second loop
-// that touches no memory, from the partition the gather left in pred.
+// that touches no memory, from the partition the gather left in pred, in
+// spanTerm's closed form: one more division per lane.
 func (t *Table[K]) gatherWindows(pred, wlo, wend []int) {
 	t.drift.gatherBounds(pred, wlo, wend, t.m, t.n)
-	if t.m != t.n {
+	if t.m < t.n {
+		st := t.spans()
+		for i, k := range pred {
+			wend[i] += st.of(k)
+		}
+	} else if t.m > t.n {
 		for i, k := range pred {
 			wend[i] += t.span(k)
 		}

@@ -154,7 +154,42 @@ func (t *Table[K]) span(k int) int {
 	if t.m == t.n {
 		return 0
 	}
-	return int(t.pmax(k+1) - t.pmin(k) - 1)
+	if t.m > t.n {
+		return int(t.pmax(k+1) - t.pmin(k) - 1)
+	}
+	return t.spans().of(k)
+}
+
+// spanTerm is span's closed form below M = N, where pmin's cap at pmax
+// never binds. With c = ⌈kN/M⌉ and s = cM − kN ∈ [0, M),
+// pmax(k+1) = ⌈(k+2)N/M⌉ − 1 = c + ⌈(2N − s)/M⌉ − 1, so
+// span(k) = ⌊2N/M⌋ − 2, plus 1 when 2N mod M > s. Partition M−1's pmax
+// and partition M's pmin are capped at N; min(·, N − 1 − c) keeps those
+// caps. The quotients of 2N by M are computed once per table, so a lane
+// pays one division for c and s.
+type spanTerm struct {
+	n, m   int64
+	q2, r2 int64 // ⌊2N/M⌋ and 2N mod M
+}
+
+func (t *Table[K]) spans() spanTerm {
+	n, m := int64(t.n), int64(t.m)
+	return spanTerm{n: n, m: m, q2: 2 * n / m, r2: 2 * n % m}
+}
+
+func (st spanTerm) of(k int) int {
+	kn := int64(k) * st.n
+	c, r := kn/st.m, kn%st.m
+	s := int64(0)
+	if r > 0 {
+		c++
+		s = st.m - r
+	}
+	sp := st.q2 - 2
+	if st.r2 > s {
+		sp++
+	}
+	return int(min(sp, st.n-1-c))
 }
 
 // window returns the range-mode local-search window [lo, hi] of a query

@@ -193,6 +193,12 @@ func TestCoalescerMatchesScalarFind(t *testing.T) {
 		}
 		wg.Wait()
 	}
+	// No install follows the last one, so the checker's next iteration is
+	// bracketed by one version: wait for it before stopping the checker,
+	// which nothing else makes run before stop closes.
+	for deadline := time.Now().Add(10 * time.Second); compared.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	close(stop)
 	checker.Wait()
 	if compared.Load() == 0 {
