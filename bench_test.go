@@ -404,10 +404,11 @@ func BenchmarkFindBatch(b *testing.B) {
 // (the state a replica serves between fulls), and with 8,192 pending
 // writes, three inserts per delete — a sealed run plus a full write head.
 // On top of BenchmarkFindBatch's base probe it adds the concurrent
-// snapshot's per-lane generation corrections (DESIGN.md §6). b.N counts individual lookups; "gens" reports the
-// generation-stack depth.
+// snapshot's per-lane generation corrections (DESIGN.md §6). The pending
+// state is also queried in 64-lane batches, the /v1/batch width of
+// shiftbench's serve-churn. b.N counts individual lookups; "gens" reports
+// the generation-stack depth.
 func BenchmarkConcurrentFindBatch(b *testing.B) {
-	const lanes = 256
 	keys := dataset.MustGenerate(dataset.Face, 64, 1_000_000, benchSeed)
 	w := bench.NewWorkload(keys, 1<<16, benchSeed+1)
 	mask := len(w.Queries) - 1
@@ -420,19 +421,25 @@ func BenchmarkConcurrentFindBatch(b *testing.B) {
 			}
 		}
 		gens := ix.Published().Gens()
-		b.Run(fmt.Sprintf("face64/pending=%d/batch=%d", pending, lanes), func(b *testing.B) {
-			out := make([]int, lanes)
-			sink := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i += lanes {
-				lo := i & mask
-				sink += ix.FindBatch(w.Queries[lo:lo+lanes], out)[0]
-			}
-			if sink == -1 {
-				b.Fatal("impossible")
-			}
-			b.ReportMetric(float64(gens), "gens")
-		})
+		widths := []int{256}
+		if pending > 0 {
+			widths = append(widths, 64)
+		}
+		for _, lanes := range widths {
+			b.Run(fmt.Sprintf("face64/pending=%d/batch=%d", pending, lanes), func(b *testing.B) {
+				out := make([]int, lanes)
+				sink := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i += lanes {
+					lo := i & mask
+					sink += ix.FindBatch(w.Queries[lo:lo+lanes], out)[0]
+				}
+				if sink == -1 {
+					b.Fatal("impossible")
+				}
+				b.ReportMetric(float64(gens), "gens")
+			})
+		}
 		ix.Close()
 	}
 }

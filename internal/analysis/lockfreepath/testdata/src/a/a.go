@@ -102,3 +102,14 @@ func NotARoot() {
 	ch <- 1
 	mu.Unlock()
 }
+
+// AsmRoot calls a function implemented in assembly: a body-less
+// declaration has no operations to walk, so it is not a finding and
+// needs no waiver.
+//
+//shift:lockfree
+func AsmRoot(xs []uint64) {
+	kernel(xs, len(xs))
+}
+
+func kernel(xs []uint64, n int)

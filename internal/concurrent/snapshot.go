@@ -209,17 +209,18 @@ func (s *snapshot[K]) genRank(q K) int {
 }
 
 // genRankBatch adds genRank(qs[i]) to out[i] for every lane, one run at a
-// time: each run is searched for all lanes in lockstep (addLowerBounds).
-// With no pending writes it returns before the lane scratch is declared,
-// so it does not pay for zeroing it.
+// time: each run is searched for all lanes in lockstep (addLowerBounds),
+// in lockstepKernel where this CPU has it. With no pending writes it
+// returns before the lane scratch is declared, so it does not pay for
+// zeroing it.
 func (s *snapshot[K]) genRankBatch(qs []K, out []int) {
 	if s.pending() == 0 {
 		return
 	}
 	var lanes [lockstepLanes]int
 	for _, g := range s.gens {
-		addLowerBounds(g.ins, qs, out, 1, &lanes)
-		addLowerBounds(g.dels, qs, out, -1, &lanes)
+		addLowerBounds(g.ins, qs, out, 1, &lanes, haveKernel)
+		addLowerBounds(g.dels, qs, out, -1, &lanes, haveKernel)
 	}
 }
 
@@ -232,14 +233,23 @@ const lockstepLanes = 256
 // lane. Every lane takes the same ⌈log2 len(run)⌉ halving steps, so the
 // lanes advance in lockstep: a step has no per-lane exit and issues one
 // independent load per lane, which the CPU overlaps instead of waiting
-// out one lane's chain of dependent loads after another. The step reads
-// a lane's position into a local and stores it back because a
+// out one lane's chain of dependent loads after another. With kernel set
+// and uint64 keys, the lanes up to the last multiple of 8 are searched
+// by addLowerBoundsKernel; the Go rounds below take the rest, and every
+// lane for uint32 keys or with kernel unset (the tests' oracle). The Go
+// step reads a lane's position into a local and stores it back because a
 // read-modify-write of pos[i] under the comparison compiles to a branch;
 // this form compiles to a conditional move. lanes is scratch for the
 // positions. An empty run costs nothing.
-func addLowerBounds[K kv.Key](run, qs []K, out []int, sign int, lanes *[lockstepLanes]int) {
+func addLowerBounds[K kv.Key](run, qs []K, out []int, sign int, lanes *[lockstepLanes]int, kernel bool) {
 	if len(run) == 0 {
 		return
+	}
+	if k := len(qs) &^ 7; kernel && k > 0 {
+		if run64, ok := any(run).([]uint64); ok {
+			addLowerBoundsKernel(run64, any(qs).([]uint64)[:k], out[:k], sign, lanes)
+			qs, out = qs[k:], out[k:]
+		}
 	}
 	for len(qs) > 0 {
 		c := min(len(qs), lockstepLanes)
@@ -265,6 +275,35 @@ func addLowerBounds[K kv.Key](run, qs []K, out []int, sign int, lanes *[lockstep
 		}
 		qs, out = qs[c:], out[c:]
 	}
+}
+
+// addLowerBoundsKernel is addLowerBounds over a multiple of 8 lanes with
+// every round, the final comparison (half = 1) included, in
+// lockstepKernel.
+func addLowerBoundsKernel(run, qs []uint64, out []int, sign int, lanes *[lockstepLanes]int) {
+	for len(qs) > 0 {
+		c := min(len(qs), lockstepLanes)
+		q, pos, o := qs[:c], lanes[:c], out[:c]
+		clear(pos)
+		for n := len(run); n > 1; n -= n >> 1 {
+			lockstepRound(run, q, pos, c, n>>1)
+		}
+		lockstepRound(run, q, pos, c, 1)
+		for i, v := range pos {
+			o[i] += sign * v
+		}
+		qs, out = qs[c:], out[c:]
+	}
+}
+
+// lockstepRound runs lockstepKernel over lanes [0, n) once the static
+// preconditions its unchecked loads rest on hold; the per-lane bound
+// pos[i]+half <= len(run) is addLowerBoundsKernel's loop invariant.
+func lockstepRound(run, q []uint64, pos []int, n, half int) {
+	if n < 0 || n%8 != 0 || n > len(q) || n > len(pos) || half < 1 || half > len(run) {
+		panic("concurrent: lockstep kernel precondition violated")
+	}
+	lockstepKernel(run, q, pos, n, half)
 }
 
 // rank is the logical lower-bound rank of q: the number of live keys < q.
